@@ -48,15 +48,22 @@ STRATEGY_IDS = (
 )
 
 
+def _split_strategy(name: str) -> tuple[str, str | None]:
+    family, _, side = name.rpartition("-")
+    if side in ("both", "conflict", "reason"):
+        return family, side
+    return name, None
+
+
+_STRATEGY_PARTS = {name: _split_strategy(name) for name in STRATEGY_IDS}
+
+
 def parse_strategy(name: str) -> tuple[str, str | None]:
     """Split a strategy id into (family, side); raises on unknown ids."""
-    if name not in STRATEGY_IDS:
+    parts = _STRATEGY_PARTS.get(name)
+    if parts is None:
         raise ValueError(f"unknown strategy {name!r} (choose from {', '.join(STRATEGY_IDS)})")
-    for family in ("rs", "partial-rs", "weaken-ineffective"):
-        prefix = family + "-"
-        if name.startswith(prefix) and name[len(prefix):] in ("both", "conflict", "reason"):
-            return family, name[len(prefix):]
-    return name, None
+    return parts
 
 
 class AnalysisError(RuntimeError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Constraint, var_of
 
@@ -34,7 +35,7 @@ class PropagationEngine:
         self.trail: list[TrailEntry] = []
         self.assignment: dict[int, bool] = {}
         self.level_starts: list[int] = []  # trail position where each level begins
-        self._var_pos: dict[int, int] = {}
+        self.var_pos: dict[int, int] = {}  # var -> trail position; read-only outside
         self._qhead = 0
         self._pending: deque[int] = deque()
         self.propagations = 0
@@ -55,9 +56,22 @@ class PropagationEngine:
         self._pending.append(cid)
         return cid
 
-    def remove_constraint(self, cid: int) -> None:
-        """Detach a constraint (occurrence entries are skipped lazily)."""
-        self.constraints[cid] = None
+    def remove_constraints(self, cids: Iterable[int]) -> None:
+        """Detach constraints and drop their entries from the occurrence lists.
+
+        Only the lists of the removed constraints' literals are rebuilt, and
+        the surviving entries keep their order, so propagation visits the
+        remaining constraints exactly as before.
+        """
+        constraints = self.constraints
+        touched: set[int] = set()
+        for cid in cids:
+            c = constraints[cid]
+            if c is not None:
+                touched.update(lit for lit, _ in c.terms)
+                constraints[cid] = None
+        for lit in touched:
+            self.occs[lit] = [e for e in self.occs[lit] if constraints[e[0]] is not None]
 
     def requeue(self, cid: int) -> None:
         """Schedule an attached constraint for a fresh propagation scan."""
@@ -76,14 +90,8 @@ class PropagationEngine:
             return None
         return v == (lit > 0)
 
-    def level_of(self, var: int) -> int:
-        return self.trail[self._var_pos[var]].level
-
     def reason_of(self, var: int) -> int | None:
-        return self.trail[self._var_pos[var]].reason
-
-    def position_of(self, var: int) -> int:
-        return self._var_pos[var]
+        return self.trail[self.var_pos[var]].reason
 
     def assignment_at_level(self, level: int) -> dict[int, bool]:
         """The assignment restricted to trail entries at levels <= level."""
@@ -102,7 +110,7 @@ class PropagationEngine:
         if v in self.assignment:
             raise ValueError(f"variable x{v} is already assigned")
         self.assignment[v] = lit > 0
-        self._var_pos[v] = len(self.trail)
+        self.var_pos[v] = len(self.trail)
         self.trail.append(TrailEntry(lit, self.current_level, reason))
         for cid, w in self.occs.get(-lit, ()):
             if self.constraints[cid] is not None:
@@ -172,7 +180,7 @@ class PropagationEngine:
             v = var_of(e.lit)
             popped.append((v, e.lit > 0))
             del self.assignment[v]
-            del self._var_pos[v]
+            del self.var_pos[v]
             for cid, w in self.occs.get(-e.lit, ()):
                 if self.constraints[cid] is not None:
                     self.slacks[cid] += w

@@ -12,8 +12,8 @@ root level proves unsatisfiability.
 
 from __future__ import annotations
 
+import heapq
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import core
@@ -23,7 +23,9 @@ from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
 from .trace import DerivationTrace
 
-_UNASSIGNED_LEVEL = 1 << 62
+#: The decision heap is rebuilt once stale entries make it this many times
+#: larger than the number of variables.
+_HEAP_SLACK_FACTOR = 4
 
 
 def luby(i: int) -> int:
@@ -112,6 +114,12 @@ class Solver:
         self._trace_ids: dict[int, int] = {}  # engine cid -> trace id
         self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
         self._var_inc = 1.0
+        # Lazy max-heap of (-activity, var) over the decision candidates.
+        # Every unassigned variable has an entry keyed by its current
+        # activity; entries of assigned variables and outdated keys are
+        # dropped or refreshed when they reach the top.  All activities start
+        # equal, so the variables in index order already form a heap.
+        self._heap: list[tuple[float, int]] = [(-0.0, v) for v in range(1, self.nvars + 1)]
         self._phase: dict[int, bool] = {}
         self._learned_cids: list[int] = []
         self._cla_activity: dict[int, float] = {}
@@ -158,7 +166,7 @@ class Solver:
                 learned, trace_id, level, reused_cid = self.analyze_conflict(conflict)
                 self._backjump_and_learn(learned, trace_id, level, reused_cid)
                 self._decay_activities()
-                if self.stats.conflicts % 1024 == 0 and self._out_of_time():
+                if self._out_of_time():
                     return SolverResult(UNKNOWN)
                 if (
                     self.config.conflict_budget is not None
@@ -174,7 +182,7 @@ class Solver:
                 self._conflicts_since_restart = 0
                 if self.engine.current_level > 0:
                     self._record_phases(self.engine.backjump_to(0))
-            if self.stats.decisions % 256 == 0 and self._out_of_time():
+            if self._out_of_time():
                 return SolverResult(UNKNOWN)
             self._decide()
             conflict = self.engine.propagate_all()
@@ -189,18 +197,18 @@ class Solver:
 
         Ties fall to the lowest index; fresh variables start at phase false.
         """
-        best_v = 0
-        best_a = -1.0
+        heap = self._heap
         assigned = self.engine.assignment
-        for v in range(1, self.nvars + 1):
+        activity = self._activity
+        while heap:
+            key, v = heap[0]
             if v in assigned:
-                continue
-            a = self._activity[v]
-            if a > best_a:
-                best_v, best_a = v, a
-        if not best_v:
-            raise ValueError("all variables are assigned")
-        return best_v if self._phase.get(best_v, False) else -best_v
+                heapq.heappop(heap)
+            elif -key != activity[v]:
+                heapq.heapreplace(heap, (-activity[v], v))
+            else:
+                return v if self._phase.get(v, False) else -v
+        raise ValueError("all variables are assigned")
 
     def _decide(self) -> None:
         lit = self.decide_literal()
@@ -208,11 +216,25 @@ class Solver:
         self.engine.assume(lit)
 
     def bump_variable(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > 1e100:
+        a = self._activity[v] + self._var_inc
+        self._activity[v] = a
+        if a > 1e100:
             for u in self._activity:
                 self._activity[u] *= 1e-100
             self._var_inc *= 1e-100
+            self._rebuild_heap()
+        elif v not in self.engine.assignment:
+            self._push(v)
+
+    def _push(self, v: int) -> None:
+        heapq.heappush(self._heap, (-self._activity[v], v))
+        if len(self._heap) > _HEAP_SLACK_FACTOR * self.nvars + 16:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        assigned = self.engine.assignment
+        self._heap = [(-a, v) for v, a in self._activity.items() if v not in assigned]
+        heapq.heapify(self._heap)
 
     def _decay_activities(self) -> None:
         self._var_inc /= self.config.var_decay
@@ -231,8 +253,10 @@ class Solver:
         return self._conflicts_since_restart >= limit
 
     def _record_phases(self, popped: list[tuple[int, bool]]) -> None:
+        """Save the phases of unassigned variables and make them candidates again."""
         for v, value in popped:
             self._phase[v] = value
+            self._push(v)
 
     # -- conflict analysis -------------------------------------------------------
 
@@ -253,10 +277,10 @@ class Solver:
         rho = dict(engine.assignment)
         observer = self.config.resolve_observer
         pos = len(engine.trail) - 1
-        while True:
-            level = self._assertion_level(cur)
-            if level is not None:
-                return cur, cur_id, level, reused
+        # The engine's state is frozen during analysis, so the assertion
+        # level changes only when a resolve step replaces ``cur``.
+        level = self._assertion_level(cur)
+        while level is None:
             if pos < 0:
                 raise _RootConflict(cur_id)
             entry = engine.trail[pos]
@@ -290,52 +314,58 @@ class Solver:
                 self.stats.fallbacks += 1
             cur, cur_id = outcome.constraint, outcome.trace_id
             reused = None
+            level = self._assertion_level(cur)
             del rho[var_of(pivot)]
             pos -= 1
+        return cur, cur_id, level, reused
 
     def _assertion_level(self, c: Constraint) -> int | None:
         """Smallest level (below the current one) at which ``c`` asserts.
 
         ``c`` asserts at level L when, restricted to assignments at levels
         <= L, its slack is non-negative and some unassigned literal's weight
-        exceeds the slack.
+        exceeds the slack.  Both quantities change only at levels where ``c``
+        has an assigned literal, so only level 0 and those levels are tested.
         """
         engine = self.engine
         top = engine.current_level
         if top == 0:
             return None
-        empty_slack = c.total_weight() - c.degree
-        falsified: list[tuple[int, int]] = []  # (level, weight)
-        avail: list[tuple[int, int]] = []  # (assignment level or huge, weight)
+        var_pos = engine.var_pos
+        trail = engine.trail
+        falsified: dict[int, int] = {}  # level -> falsified weight
+        max_weight: dict[int, int] = {}  # level -> largest weight; unassigned at top
+        slack = -c.degree
         for lit, w in c.terms:
-            v = engine.assignment.get(var_of(lit))
-            if v is None:
-                avail.append((_UNASSIGNED_LEVEL, w))
-                continue
-            lvl = engine.level_of(var_of(lit))
-            avail.append((lvl, w))
-            if v != (lit > 0):
-                falsified.append((lvl, w))
-        falsified.sort()
-        avail.sort()
-        # Max weight among literals still unassigned above each level.
-        suffix_max = [0] * (len(avail) + 1)
-        for i in range(len(avail) - 1, -1, -1):
-            suffix_max[i] = max(suffix_max[i + 1], avail[i][1])
-        levels_only = [lvl for lvl, _ in avail]
-        fi = 0
-        removed = 0
-        for level in range(0, top):
-            while fi < len(falsified) and falsified[fi][0] <= level:
-                removed += falsified[fi][1]
-                fi += 1
-            s = empty_slack - removed
-            if s < 0:
+            slack += w
+            pos = var_pos.get(lit if lit > 0 else -lit)
+            if pos is None:
+                lvl = top
+            else:
+                entry = trail[pos]
+                lvl = entry.level
+                if entry.lit != lit:
+                    falsified[lvl] = falsified.get(lvl, 0) + w
+            if w > max_weight.get(lvl, 0):
+                max_weight[lvl] = w
+        levels = sorted(max_weight)
+        # above[i]: largest weight among literals at levels[i:] or unassigned.
+        above = [0] * (len(levels) + 1)
+        for i in range(len(levels) - 1, -1, -1):
+            above[i] = max(above[i + 1], max_weight[levels[i]])
+        i = 0
+        level = 0
+        while True:
+            while i < len(levels) and levels[i] <= level:
+                slack -= falsified.get(levels[i], 0)
+                i += 1
+            if slack < 0:
                 return None
-            max_avail = suffix_max[bisect_right(levels_only, level)]
-            if max_avail > s:
+            if above[i] > slack:
                 return level
-        return None
+            if i == len(levels) or levels[i] >= top:
+                return None
+            level = levels[i]
 
     # -- learning ----------------------------------------------------------------
 
@@ -384,8 +414,9 @@ class Solver:
             (cid for cid in live if cid not in protected),
             key=lambda cid: (self._cla_activity.get(cid, 0.0), cid),
         )
-        for cid in by_activity[: len(live) // 2]:
-            self.engine.remove_constraint(cid)
+        dropped = by_activity[: len(live) // 2]
+        self.engine.remove_constraints(dropped)
+        for cid in dropped:
             self._cla_activity.pop(cid, None)
 
     # -- results ------------------------------------------------------------------

@@ -156,3 +156,38 @@ class TestBackjump:
             before = {abs(prior.lit): prior.lit > 0 for prior in engine.trail[:pos]}
             reason = engine.constraints[entry.reason]
             assert entry.lit in propagation_candidates(reason, before)
+
+
+class TestRemoveConstraints:
+    def test_occurrence_lists_drop_removed_and_keep_order(self):
+        rows = [con("a b c >= 1"), con("~a b >= 1"), con("a 2c d >= 2"), con("b ~c >= 1")]
+        engine = engine_with(*rows)
+        before = {lit: list(entries) for lit, entries in engine.occs.items()}
+        engine.remove_constraints([0, 2])
+        assert engine.constraints[0] is None and engine.constraints[2] is None
+        for lit, entries in before.items():
+            assert engine.occs[lit] == [e for e in entries if e[0] not in (0, 2)]
+
+    def test_search_after_removal_matches_lazy_skipping(self):
+        rng = random.Random(4)
+        for trial in range(20):
+            inst = random_instance(8, 12, 6, 300 + trial)
+            compacted = engine_with(*inst.constraints)
+            lazy = engine_with(*inst.constraints)
+            dropped = rng.sample(range(len(inst.constraints)), 4)
+            compacted.remove_constraints(dropped)
+            for cid in dropped:
+                lazy.constraints[cid] = None
+            for _ in range(6):
+                results = [compacted.propagate_all(), lazy.propagate_all()]
+                assert results[0] == results[1]
+                assert [e.lit for e in compacted.trail] == [e.lit for e in lazy.trail]
+                if results[0] is not None:
+                    break
+                free = [v for v in range(1, 9) if v not in compacted.assignment]
+                if not free:
+                    break
+                v = rng.choice(free)
+                for engine in (compacted, lazy):
+                    engine.assume(v)
+            assert compacted.verify_slacks()

@@ -2,22 +2,24 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from pbsolve.analysis import STRATEGY_IDS
-from pbsolve.core import implies_semantically, propagation_candidates, slack
+from pbsolve.core import Constraint, implies_semantically, propagation_candidates, slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from pbsolve.solver import (
     Solver,
     SolverConfig,
+    _RootConflict,
     backjump_level,
     is_assertive,
     luby,
     solve,
 )
-from helpers import asg, con, lit, var
+from helpers import asg, con, linear_decide_literal, lit, var
 
 
 def brute_force_status(instance):
@@ -27,6 +29,26 @@ def brute_force_status(instance):
         if all(c.satisfied_by(total) for c in instance.constraints):
             return SAT
     return UNSAT
+
+
+def balanced_instance(nvars, nrows, rng):
+    """Rows of six variables, weights 1..10, random polarity, degree a quarter of the sum."""
+    rows = []
+    for _ in range(nrows):
+        weights = [rng.randint(1, 10) for _ in range(6)]
+        terms = [
+            (v if rng.random() < 0.5 else -v, w)
+            for v, w in zip(rng.sample(range(1, nvars + 1), 6), weights)
+        ]
+        rows.append(Constraint(terms, -(-sum(weights) // 4)))
+    return ParsedInstance(declared_vars=nvars, constraints=rows)
+
+
+def oracle_assertion_level(c, engine):
+    try:
+        return backjump_level(c, engine)
+    except ValueError:
+        return None
 
 
 def scenario_solver(strategy="gen-res", **config):
@@ -99,6 +121,14 @@ class TestSolveEndToEnd:
         )
         assert result.status == UNKNOWN
         assert result.stats.seconds < 5.0
+
+    def test_time_budget_overshoot_is_bounded(self):
+        started = time.monotonic()
+        result = solve(
+            php_instance(8, 7), SolverConfig(strategy="weaken-ineffective-reason", time_budget=1)
+        )
+        assert result.status == UNKNOWN
+        assert time.monotonic() - started < 5.0
 
     def test_learned_constraints_are_implied(self):
         for seed in (3, 14, 41):
@@ -212,6 +242,51 @@ class TestAssertiveness:
                     break
             assert solver._assertion_level(probe) == expected
 
+    def test_matches_oracle_on_wide_constraints_and_many_levels(self):
+        rng = random.Random(13)
+        instances = [php_instance(9, 8)] + [balanced_instance(30, 120, rng) for _ in range(5)]
+        probes = asserting = 0
+        for round_ in range(4):
+            for i, instance in enumerate(instances):
+                learned = []
+                config = SolverConfig(
+                    strategy=STRATEGY_IDS[(round_ * len(instances) + i) % len(STRATEGY_IDS)],
+                    resolve_observer=lambda *step: learned.append(step[-1].constraint),
+                )
+                variables = rng.sample(range(1, instance.nvars + 1), rng.randint(5, 15))
+                # Staged: two root assignments, then one level per decision,
+                # with no propagation in between.  Searched: propagate after
+                # each decision and analyze the first conflict, which also
+                # yields the learned probes.
+                for staged in (True, False):
+                    solver = Solver(instance, config)
+                    engine = solver.engine
+                    if staged:
+                        for v in variables[:2]:
+                            engine.assign(v if rng.random() < 0.5 else -v, None)
+                    elif engine.propagate_all() is not None:
+                        continue
+                    for v in variables:
+                        if v in engine.assignment:
+                            continue
+                        engine.assume(v if rng.random() < 0.75 else -v)
+                        if staged:
+                            continue
+                        conflict = engine.propagate_all()
+                        if conflict is not None:
+                            try:
+                                solver.analyze_conflict(conflict)
+                            except _RootConflict:
+                                pass
+                            break
+                    for c in (*instance.constraints, *learned):
+                        expected = oracle_assertion_level(c, engine)
+                        assert solver._assertion_level(c) == expected
+                        probes += 1
+                        asserting += expected is not None
+        assert probes > 4000
+        assert asserting > 100
+
 
 class TestHeuristics:
     def test_luby_prefix(self):
@@ -231,6 +306,34 @@ class TestHeuristics:
         for v in solver._activity:
             solver._activity[v] *= 1e-30
         assert solver.decide_literal() == before
+
+    def test_heap_decision_matches_linear_scan(self):
+        rng = random.Random(21)
+        n = 12
+        for _ in range(20):
+            instance = ParsedInstance(declared_vars=n, constraints=[])
+            solver = Solver(instance, SolverConfig())
+            engine = solver.engine
+            for _ in range(400):
+                op = rng.random()
+                if op < 0.35:
+                    solver.bump_variable(rng.randint(1, n))
+                elif op < 0.45:
+                    solver._decay_activities()
+                elif op < 0.7 and len(engine.assignment) < n:
+                    if rng.random() < 0.5:
+                        engine.assume(solver.decide_literal())
+                    else:
+                        v = rng.choice([u for u in range(1, n + 1) if u not in engine.assignment])
+                        engine.assume(v if rng.random() < 0.5 else -v)
+                elif op < 0.9 and engine.current_level > 0:
+                    solver._record_phases(engine.backjump_to(rng.randrange(engine.current_level)))
+                elif op >= 0.9:
+                    # Forces the 1e-100 rescale on this bump.
+                    solver._var_inc = 2e100
+                    solver.bump_variable(rng.randint(1, n))
+                if len(engine.assignment) < n:
+                    assert solver.decide_literal() == linear_decide_literal(solver)
 
     def test_phase_saving_repeats_last_polarity(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
