@@ -25,7 +25,6 @@ from .core import (
     Constraint,
     cancel,
     divide,
-    implies_semantically,
     is_conflicting,
     neg,
     normalize,
@@ -48,7 +47,7 @@ from .opb import (
     write_opb,
 )
 from .propagation import DECISION, PropagationEngine
-from .solver import Solver, SolverConfig, SolverResult, backjump_level, is_assertive, solve
+from .solver import Solver, SolverConfig, SolverResult, solve
 from .trace import DerivationTrace, verify_trace
 
 __version__ = "0.1.0"
@@ -71,12 +70,9 @@ __all__ = [
     "SolverResult",
     "UNKNOWN",
     "UNSAT",
-    "backjump_level",
     "cancel",
     "divide",
     "format_solution",
-    "implies_semantically",
-    "is_assertive",
     "is_conflicting",
     "neg",
     "normalize",

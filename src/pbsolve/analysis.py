@@ -82,9 +82,6 @@ class Deriver:
         self.trace = trace
         self.steps: list[RuleStep] = []
 
-    def node(self, constraint: Constraint, trace_id: int | None = None):
-        return (constraint, trace_id)
-
     def _emit(self, rule, inputs, params, out):
         if self.trace is None:
             return (out, None)
@@ -222,7 +219,8 @@ def _ineffective_reduce(node, rho, deriver: Deriver, pivot: int | None, protect:
     ``pivot=None`` preserves a conflict (slack stays negative); otherwise the
     propagation of ``pivot`` is preserved (its weight stays above the slack).
     Non-falsified literals are tried first (their removal never changes the
-    slack), then falsified ones; each committed weakening is saturated.
+    slack), then falsified ones; each committed weakening is saturated.  The
+    trial's weakened and saturated constraints are the ones committed.
     ``protect`` is never weakened: the caller needs it for the upcoming
     cancellation.
     """
@@ -242,19 +240,19 @@ def _ineffective_reduce(node, rho, deriver: Deriver, pivot: int | None, protect:
         ),
     )
     for _, _, _, lit in order:
-        cur = node[0]
-        trial = core.weaken(cur, lit)
-        if trial is TAUTOLOGY:
+        weakened = core.weaken(node[0], lit)
+        if weakened is TAUTOLOGY:
             continue
-        trial = core.saturate(trial)
+        trial = core.saturate(weakened)
         if pivot is None:
             if slack(trial, rho) >= 0:
                 continue
         else:
             if trial.weight_of(pivot) <= slack(trial, rho):
                 continue
-        node = deriver.weaken(node, lit)
-        node = deriver.saturate(node)
+        node = deriver._emit("weaken", (node,), (lit,), weakened)
+        if trial is not weakened:
+            node = deriver._emit("saturate", (node,), (), trial)
     return node
 
 
@@ -353,8 +351,8 @@ def resolve_step(
         raise ValueError("the pivot does not occur in the reason side")
 
     deriver = Deriver(trace)
-    cnode = deriver.node(conflict, conflict_id)
-    rnode = deriver.node(reason, reason_id)
+    cnode = (conflict, conflict_id)
+    rnode = (reason, reason_id)
     family, side = parse_strategy(strategy)
     fallback = False
 

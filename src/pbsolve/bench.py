@@ -2,9 +2,9 @@
 
 Every pair runs in an isolated worker process with a cooperative time budget
 plus a watchdog that terminates stragglers; a killed or crashed run becomes
-an UNKNOWN row and never aborts the matrix.  Alongside the per-run CSV a
-cactus CSV is written: for each strategy the cumulative solved count against
-the per-run time, sorted ascending.
+an UNKNOWN row that carries the error and never aborts the matrix.  Alongside
+the per-run CSV a cactus CSV is written: for each strategy the cumulative
+solved count against the per-run time, sorted ascending.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ class BenchRecord:
     learned: int = 0
     max_coeff_bits: int = 0
     fallbacks: int = 0
+    #: Why the run crashed or was killed; not written to the CSV.
+    error: str | None = None
 
     def row(self) -> list[str]:
         return [
@@ -62,10 +64,9 @@ def run_one(
     path: str | Path,
     strategy: str,
     timeout: float | None,
-    seed: int = 0,
     trace_path: str | Path | None = None,
 ) -> BenchRecord:
-    """Solve one file with one strategy; exceptions become an UNKNOWN record."""
+    """Solve one file with one strategy; an exception becomes an UNKNOWN record."""
     name = Path(path).name
     start = time.monotonic()
     try:
@@ -73,7 +74,6 @@ def run_one(
             instance = parse_opb(f, name=name)
         config = SolverConfig(
             strategy=strategy,
-            seed=seed,
             time_budget=timeout,
             emit_trace=trace_path is not None,
         )
@@ -93,13 +93,14 @@ def run_one(
             st.max_coeff_bits,
             st.fallbacks,
         )
-    except Exception:
-        return BenchRecord(name, strategy, UNKNOWN, time.monotonic() - start)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return BenchRecord(name, strategy, UNKNOWN, time.monotonic() - start, error=error)
 
 
 def _worker(task, queue):
-    index, path, strategy, timeout, seed, trace_path = task
-    record = run_one(path, strategy, timeout, seed, trace_path)
+    index, path, strategy, timeout, trace_path = task
+    record = run_one(path, strategy, timeout, trace_path)
     queue.put((index, record))
 
 
@@ -108,10 +109,14 @@ def run_matrix(
     strategies: Sequence[str],
     timeout: float | None,
     jobs: int = 1,
-    seed: int = 0,
     trace_dir: str | Path | None = None,
 ) -> list[BenchRecord]:
-    """Run every (instance, strategy) pair; rows come back in matrix order."""
+    """Run every (instance, strategy) pair in up to ``jobs`` worker processes.
+
+    Rows come back in matrix order.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for s in strategies:
         if s not in STRATEGY_IDS:
             raise ValueError(f"unknown strategy {s!r}")
@@ -121,45 +126,46 @@ def run_matrix(
             trace_path = None
             if trace_dir is not None:
                 trace_path = Path(trace_dir) / f"{Path(path).stem}.{strategy}.trace"
-            tasks.append((len(tasks), path, strategy, timeout, seed, trace_path))
+            tasks.append((len(tasks), path, strategy, timeout, trace_path))
 
     results: dict[int, BenchRecord] = {}
-    if jobs <= 1:
-        for task in tasks:
-            results[task[0]] = run_one(*task[1:])
-    else:
-        queue: mp.Queue = mp.Queue()
-        waiting = list(reversed(tasks))
-        running: dict[int, tuple[mp.Process, float, tuple]] = {}
-        while waiting or running:
-            while waiting and len(running) < jobs:
-                task = waiting.pop()
-                proc = mp.Process(target=_worker, args=(task, queue), daemon=True)
-                proc.start()
-                running[task[0]] = (proc, time.monotonic(), task)
-            try:
-                index, record = queue.get(timeout=0.1)
+    queue: mp.Queue = mp.Queue()
+    waiting = list(reversed(tasks))
+    running: dict[int, tuple[mp.Process, float, tuple]] = {}
+    while waiting or running:
+        while waiting and len(running) < jobs:
+            task = waiting.pop()
+            proc = mp.Process(target=_worker, args=(task, queue), daemon=True)
+            proc.start()
+            running[task[0]] = (proc, time.monotonic(), task)
+        try:
+            index, record = queue.get(timeout=0.1)
+        except queue_mod.Empty:
+            pass
+        else:
+            # A record can still arrive from a worker killed just after it
+            # reported; the kill has already been recorded then.
+            if index in running:
+                running.pop(index)[0].join()
                 results[index] = record
-                proc, _, _ = running.pop(index)
-                proc.join()
-            except (queue_mod.Empty, KeyError):
-                pass
-            now = time.monotonic()
-            for index in list(running):
-                proc, started, task = running[index]
-                if not proc.is_alive() and index not in results:
-                    # Crashed without reporting.
-                    results[index] = BenchRecord(
-                        Path(task[1]).name, task[2], UNKNOWN, now - started
-                    )
-                    running.pop(index)
-                elif timeout is not None and now - started > timeout + GRACE_SECONDS:
-                    proc.terminate()
-                    proc.join()
-                    results[index] = BenchRecord(
-                        Path(task[1]).name, task[2], UNKNOWN, now - started
-                    )
-                    running.pop(index)
+        now = time.monotonic()
+        for index, (proc, started, task) in list(running.items()):
+            if proc.exitcode == 0:
+                # It reported: a worker flushes its record to the queue
+                # before it exits, so the record is read in a later round.
+                continue
+            if proc.exitcode is not None:
+                error = f"worker exited with code {proc.exitcode}"
+            elif timeout is not None and now - started > timeout + GRACE_SECONDS:
+                proc.terminate()
+                error = f"killed after {now - started:.1f} s"
+            else:
+                continue
+            proc.join()
+            running.pop(index)
+            results[index] = BenchRecord(
+                Path(task[1]).name, task[2], UNKNOWN, now - started, error=error
+            )
     return [results[i] for i in range(len(tasks))]
 
 

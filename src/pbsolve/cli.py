@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file", type=Path)
     p_solve.add_argument("--strategy", default="partial-rs-both", choices=STRATEGY_IDS)
     p_solve.add_argument("--timeout", type=float, default=None, metavar="SECS")
-    p_solve.add_argument("--seed", type=int, default=0, metavar="N")
     p_solve.add_argument("--verify-model", action="store_true",
                          help="re-check the model against the input before printing")
     p_solve.add_argument("--emit-trace", type=Path, default=None, metavar="PATH",
@@ -59,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated strategy ids (default: all)")
     p_bench.add_argument("--timeout", type=float, default=1200.0, metavar="SECS")
     p_bench.add_argument("--jobs", type=int, default=1, metavar="J")
-    p_bench.add_argument("--seed", type=int, default=0, metavar="N")
     p_bench.add_argument("--out", type=Path, required=True, metavar="CSV")
     p_bench.add_argument("--cactus", type=Path, default=None, metavar="CSV",
                          help="cactus CSV path (default: <out>.cactus.csv)")
@@ -97,7 +95,6 @@ def _cmd_solve(args) -> int:
         return EXIT_ERROR
     config = SolverConfig(
         strategy=args.strategy,
-        seed=args.seed,
         time_budget=args.timeout,
         emit_trace=args.emit_trace is not None,
     )
@@ -124,6 +121,9 @@ def _cmd_bench(args) -> int:
     if not strategies or unknown:
         print(f"error: unknown strategies: {', '.join(unknown) or '(none given)'}", file=sys.stderr)
         return EXIT_ERROR
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_ERROR
     if not args.dir.is_dir():
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
         return EXIT_ERROR
@@ -134,8 +134,7 @@ def _cmd_bench(args) -> int:
     if args.trace_dir is not None:
         args.trace_dir.mkdir(parents=True, exist_ok=True)
     records = run_matrix(
-        paths, strategies, args.timeout, jobs=args.jobs, seed=args.seed,
-        trace_dir=args.trace_dir,
+        paths, strategies, args.timeout, jobs=args.jobs, trace_dir=args.trace_dir
     )
     with open(args.out, "w", encoding="ascii") as f:
         write_csv(records, f)
@@ -143,7 +142,13 @@ def _cmd_bench(args) -> int:
     with open(cactus, "w", encoding="ascii") as f:
         write_cactus_csv(records, f)
     solved = sum(r.status != UNKNOWN for r in records)
-    print(f"c {len(records)} runs, {solved} solved; rows in {args.out}, cactus in {cactus}")
+    crashed = [r for r in records if r.error is not None]
+    for r in crashed:
+        print(f"error: {r.instance} {r.strategy}: {r.error}", file=sys.stderr)
+    print(
+        f"c {len(records)} runs, {solved} solved, {len(crashed)} crashed; "
+        f"rows in {args.out}, cactus in {cactus}"
+    )
     return 0
 
 

@@ -12,12 +12,8 @@ cancellation chains never overflows.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 Assignment = Mapping[int, bool]
 
@@ -67,14 +63,6 @@ def parse_lit(token: str) -> int:
     if v < 1:
         raise ValueError(f"variable index must be >= 1: {token!r}")
     return sign * v
-
-
-def lit_truth(lit: int, rho: Assignment) -> bool | None:
-    """Truth value of a literal under a partial assignment (None = unassigned)."""
-    v = rho.get(var_of(lit))
-    if v is None:
-        return None
-    return v == (lit > 0)
 
 
 class Constraint:
@@ -371,72 +359,3 @@ def multiply(c: Constraint, k: int) -> Constraint:
     if k == 1:
         return c
     return Constraint.from_dict({lit: k * w for lit, w in c.terms}, k * c.degree)
-
-
-_ENUMERATION_LIMIT = 20
-_INT64_SAFE = 1 << 60
-
-
-@functools.lru_cache(maxsize=8)
-def _row_indices(n: int) -> np.ndarray:
-    return np.arange(1 << n, dtype=np.int64)
-
-
-def _truth_table(c: Constraint, index: Mapping[int, int], rows: np.ndarray) -> np.ndarray:
-    # sum over true literals == base + sum(coef_v * bit_v) with coef signed.
-    base = 0
-    total = np.zeros(len(rows), dtype=np.int64)
-    for lit, w in c.terms:
-        i = index[var_of(lit)]
-        bit = (rows >> i) & 1
-        if lit > 0:
-            total += w * bit
-        else:
-            base += w
-            total -= w * bit
-    return total + base >= c.degree
-
-
-def implies_semantically(
-    premises: Sequence[Constraint],
-    conclusion: Constraint,
-    variables: Iterable[int] | None = None,
-) -> bool:
-    """Exhaustive-enumeration implication check (the test oracle).
-
-    True iff every total 0/1 assignment of ``variables`` satisfying all
-    premises also satisfies the conclusion.  Limited to 20 variables.
-    """
-    if variables is None:
-        vs: set[int] = set()
-        for p in premises:
-            vs.update(p.variables())
-        vs.update(conclusion.variables())
-    else:
-        vs = set(variables)
-        for c in (*premises, conclusion):
-            missing = set(c.variables()) - vs
-            if missing:
-                raise ValueError(f"constraint mentions variables outside the set: {sorted(missing)}")
-    order = sorted(vs)
-    n = len(order)
-    if n > _ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration bound exceeded: {n} > {_ENUMERATION_LIMIT}")
-    small = all(
-        c.total_weight() + c.degree < _INT64_SAFE for c in (*premises, conclusion)
-    )
-    if small:
-        index = {v: i for i, v in enumerate(order)}
-        rows = _row_indices(n)
-        ok = np.ones(len(rows), dtype=bool)
-        for p in premises:
-            ok &= _truth_table(p, index, rows)
-            if not ok.any():
-                return True
-        return bool(np.all(_truth_table(conclusion, index, rows)[ok]))
-    # Arbitrary-precision fallback for oversized coefficients.
-    for values in itertools.product((False, True), repeat=n):
-        total = dict(zip(order, values))
-        if all(p.satisfied_by(total) for p in premises) and not conclusion.satisfied_by(total):
-            return False
-    return True

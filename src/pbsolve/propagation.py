@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Constraint, var_of
+from .core import Constraint, slack, var_of
 
 #: Reason marker for decision entries.
 DECISION = None
@@ -30,7 +30,7 @@ class TrailEntry:
 class PropagationEngine:
     def __init__(self):
         self.constraints: list[Constraint | None] = []  # None = removed
-        self.slacks: list[int] = []
+        self.slacks: list[int] = []  # not maintained for removed constraints
         self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)]
         self.trail: list[TrailEntry] = []
         self.assignment: dict[int, bool] = {}
@@ -46,13 +46,9 @@ class PropagationEngine:
         """Attach a constraint, computing its slack under the current trail."""
         cid = len(self.constraints)
         self.constraints.append(c)
-        s = -c.degree
         for lit, w in c.terms:
             self.occs.setdefault(lit, []).append((cid, w))
-            v = self.assignment.get(var_of(lit))
-            if v is None or v == (lit > 0):
-                s += w
-        self.slacks.append(s)
+        self.slacks.append(slack(c, self.assignment))
         self._pending.append(cid)
         return cid
 
@@ -93,15 +89,6 @@ class PropagationEngine:
     def reason_of(self, var: int) -> int | None:
         return self.trail[self.var_pos[var]].reason
 
-    def assignment_at_level(self, level: int) -> dict[int, bool]:
-        """The assignment restricted to trail entries at levels <= level."""
-        out: dict[int, bool] = {}
-        for e in self.trail:
-            if e.level > level:
-                break
-            out[var_of(e.lit)] = e.lit > 0
-        return out
-
     # -- trail operations ---------------------------------------------------
 
     def assign(self, lit: int, reason: int | None) -> None:
@@ -113,8 +100,7 @@ class PropagationEngine:
         self.var_pos[v] = len(self.trail)
         self.trail.append(TrailEntry(lit, self.current_level, reason))
         for cid, w in self.occs.get(-lit, ()):
-            if self.constraints[cid] is not None:
-                self.slacks[cid] -= w
+            self.slacks[cid] -= w
 
     def assume(self, lit: int) -> None:
         """Open a new decision level and assign the literal as its decision."""
@@ -182,8 +168,7 @@ class PropagationEngine:
             del self.assignment[v]
             del self.var_pos[v]
             for cid, w in self.occs.get(-e.lit, ()):
-                if self.constraints[cid] is not None:
-                    self.slacks[cid] += w
+                self.slacks[cid] += w
         del self.level_starts[level:]
         self._qhead = min(self._qhead, len(self.trail))
         return popped
@@ -193,12 +178,7 @@ class PropagationEngine:
     def recomputed_slack(self, cid: int) -> int:
         c = self.constraints[cid]
         assert c is not None
-        s = -c.degree
-        for lit, w in c.terms:
-            v = self.assignment.get(var_of(lit))
-            if v is None or v == (lit > 0):
-                s += w
-        return s
+        return slack(c, self.assignment)
 
     def verify_slacks(self) -> bool:
         """Full recomputation check of every stored slack (debug oracle)."""

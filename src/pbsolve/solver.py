@@ -16,7 +16,6 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from . import core
 from .analysis import parse_strategy, resolve_step
 from .core import Constraint, neg, var_of
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
@@ -26,6 +25,9 @@ from .trace import DerivationTrace
 #: The decision heap is rebuilt once stale entries make it this many times
 #: larger than the number of variables.
 _HEAP_SLACK_FACTOR = 4
+
+#: Variable-activity decay: the bump increment is divided by it after every conflict.
+VAR_DECAY = 0.95
 
 
 def luby(i: int) -> int:
@@ -45,20 +47,13 @@ def luby(i: int) -> int:
 @dataclass
 class SolverConfig:
     strategy: str = "partial-rs-both"
-    seed: int = 0
-    var_decay: float = 0.95
     restart_base: int = 100
     reduce_interval: int = 2000
     conflict_budget: int | None = None
     time_budget: float | None = None
     emit_trace: bool = False
-    # Test instrumentation: called with (conflict, reason, pivot, rho, outcome)
-    # after every resolve step.  Must not mutate its arguments.
-    resolve_observer: object | None = None
 
     def __post_init__(self):
-        if not 0 < self.var_decay < 1:
-            raise ValueError("var_decay must lie in (0, 1)")
         if self.conflict_budget is not None and self.conflict_budget < 0:
             raise ValueError("conflict budget must be >= 0")
         if self.time_budget is not None and self.time_budget < 0:
@@ -237,7 +232,7 @@ class Solver:
         heapq.heapify(self._heap)
 
     def _decay_activities(self) -> None:
-        self._var_inc /= self.config.var_decay
+        self._var_inc /= VAR_DECAY
         self._cla_inc /= 0.999
 
     def _bump_constraint(self, cid: int) -> None:
@@ -275,7 +270,6 @@ class Solver:
         cur_id = self._trace_ids.get(conflict_cid)
         reused: int | None = conflict_cid
         rho = dict(engine.assignment)
-        observer = self.config.resolve_observer
         pos = len(engine.trail) - 1
         # The engine's state is frozen during analysis, so the assertion
         # level changes only when a resolve step replaces ``cur``.
@@ -308,8 +302,6 @@ class Solver:
                 conflict_id=cur_id,
                 reason_id=self._trace_ids.get(entry.reason),
             )
-            if observer is not None:
-                observer(cur, reason, pivot, rho, outcome)
             if outcome.fallback:
                 self.stats.fallbacks += 1
             cur, cur_id = outcome.constraint, outcome.trace_id
@@ -433,22 +425,6 @@ class Solver:
 
 class AnalysisSoundnessError(RuntimeError):
     """A returned model failed the final verification (should be unreachable)."""
-
-
-def is_assertive(c: Constraint, engine: PropagationEngine, level: int) -> bool:
-    """True iff ``c`` would propagate under the trail restricted to ``level``."""
-    rho = engine.assignment_at_level(level)
-    if core.slack(c, rho) < 0:
-        return False
-    return bool(core.propagation_candidates(c, rho))
-
-
-def backjump_level(c: Constraint, engine: PropagationEngine) -> int:
-    """Smallest level at which ``c`` is assertive; raises when there is none."""
-    for level in range(engine.current_level):
-        if is_assertive(c, engine, level):
-            return level
-    raise ValueError("constraint is not assertive at any level below the current one")
 
 
 def solve(instance: ParsedInstance, config: SolverConfig | None = None) -> SolverResult:

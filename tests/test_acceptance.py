@@ -27,7 +27,6 @@ from pbsolve.core import (
     Constraint,
     cancel,
     divide,
-    implies_semantically,
     is_conflicting,
     partial_weaken,
     propagation_candidates,
@@ -39,7 +38,7 @@ from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import SAT, UNKNOWN, UNSAT, write_opb
 from pbsolve.solver import Solver, SolverConfig, solve
 from pbsolve.trace import verify_trace
-from helpers import asg, con, lit, var
+from helpers import asg, con, implies_semantically, lit, observe_resolve_steps, var
 
 
 def report(number: int, name: str, detail: str) -> None:
@@ -198,19 +197,19 @@ def strategy_matrix() -> MatrixOutcome:
             outcome.conflict_violations += 1
 
     sizes = [(6, 10, 8), (7, 12, 10), (8, 12, 10)]
-    for index in range(500):
-        nvars, ncons, maxw = sizes[index % len(sizes)]
-        instance = random_instance(nvars, ncons, maxw, 71_000 + index)
-        expected = brute_force_status(instance)
-        for strategy in STRATEGY_IDS:
-            config = SolverConfig(
-                strategy=strategy, emit_trace=True, resolve_observer=observer,
-            )
-            result = solve(instance, config)
-            outcome.runs += 1
-            if result.status != expected:
-                outcome.disagreements.append((instance.name, strategy, result.status, expected))
-            outcome.traced_runs.append((instance, result.trace))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        observe_resolve_steps(monkeypatch, observer)
+        for index in range(500):
+            nvars, ncons, maxw = sizes[index % len(sizes)]
+            instance = random_instance(nvars, ncons, maxw, 71_000 + index)
+            expected = brute_force_status(instance)
+            for strategy in STRATEGY_IDS:
+                config = SolverConfig(strategy=strategy, emit_trace=True)
+                result = solve(instance, config)
+                outcome.runs += 1
+                if result.status != expected:
+                    outcome.disagreements.append((instance.name, strategy, result.status, expected))
+                outcome.traced_runs.append((instance, result.trace))
     outcome.seconds = time.monotonic() - started
     return outcome
 
@@ -361,7 +360,7 @@ def test_criterion_8_bench_determinism(tmp_path):
             [
                 sys.executable, "-m", "pbsolve", "bench", str(d),
                 "--strategies", "gen-res,partial-rs-both,multiply-weaken",
-                "--timeout", "60", "--jobs", "1", "--seed", "7", "--out", str(out),
+                "--timeout", "60", "--jobs", "1", "--out", str(out),
             ],
             capture_output=True,
             text=True,

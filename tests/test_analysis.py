@@ -18,14 +18,13 @@ from pbsolve.analysis import (
 from pbsolve.core import (
     Constraint,
     divide,
-    implies_semantically,
     is_conflicting,
     neg,
     saturate,
     slack,
 )
 from pbsolve.trace import DerivationTrace, replay_step
-from helpers import asg, con, lit, var
+from helpers import asg, con, implies_semantically, lit, var
 
 
 def rho_after_propagation(base, pivot):

@@ -66,6 +66,7 @@ class TestBenchMatrix:
         bad.write_text("+1 x1 >= oops\n")
         records = run_matrix([bad], ["gen-res"], 10)
         assert records[0].status == "UNKNOWN"
+        assert records[0].error.startswith("OpbSyntaxError: ")
 
     def test_parallel_jobs_match_serial(self, bench_dir, tmp_path):
         paths = sorted(bench_dir.glob("*.opb"))
@@ -79,7 +80,7 @@ class TestBenchMatrix:
 
         import pbsolve.bench as bench_mod
 
-        def stuck(path, strategy, timeout, seed=0, trace_path=None):
+        def stuck(path, strategy, timeout, trace_path=None):
             time_mod.sleep(3600)
 
         # Workers are forked, so they inherit the patched function.
@@ -89,6 +90,7 @@ class TestBenchMatrix:
         records = bench_mod.run_matrix(paths, ["gen-res"], timeout=0.1, jobs=2)
         assert len(records) == 1
         assert records[0].status == "UNKNOWN"
+        assert records[0].error.startswith("killed after ")
 
 
 class TestCli:
@@ -120,6 +122,24 @@ class TestCli:
     def test_usage_error(self):
         proc = run_cli("solve")
         assert proc.returncode == 1
+
+    def test_seed_flag_is_rejected(self, bench_dir, tmp_path):
+        proc = run_cli("solve", bench_dir / "php-3-2.opb", "--seed", "1")
+        assert proc.returncode == 1
+        assert "--seed" in proc.stderr
+        proc = run_cli("bench", bench_dir, "--seed", "1", "--out", tmp_path / "x.csv")
+        assert proc.returncode == 1
+        assert "--seed" in proc.stderr
+
+    def test_import_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pbsolve; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_generate_php_counts(self, tmp_path):
         out = tmp_path / "php.opb"
@@ -153,13 +173,29 @@ class TestCli:
         assert check.returncode == 0
         assert "trace OK" in check.stdout
 
+    def test_bench_reports_crashed_runs(self, tmp_path):
+        d = tmp_path / "instances"
+        d.mkdir()
+        (d / "broken.opb").write_text("+1 x1 >= oops\n")
+        write_instance(d / "php-2-1.opb", php_instance(2, 1))
+        proc = run_cli("bench", d, "--strategies", "gen-res", "--timeout", "10",
+                       "--out", tmp_path / "rows.csv")
+        assert proc.returncode == 0
+        assert "broken.opb gen-res: OpbSyntaxError: " in proc.stderr
+        assert "c 2 runs, 1 solved, 1 crashed;" in proc.stdout
+
+    def test_bench_rejects_zero_jobs(self, bench_dir, tmp_path):
+        proc = run_cli("bench", bench_dir, "--jobs", "0", "--out", tmp_path / "rows.csv")
+        assert proc.returncode == 1
+        assert "--jobs" in proc.stderr
+
     def test_bench_csv_schema_and_determinism(self, bench_dir, tmp_path):
         outs = []
         for name in ("one.csv", "two.csv"):
             out = tmp_path / name
             proc = run_cli(
                 "bench", bench_dir, "--strategies", "gen-res,rs-both",
-                "--timeout", "60", "--jobs", "1", "--seed", "3", "--out", out,
+                "--timeout", "60", "--jobs", "1", "--out", out,
             )
             assert proc.returncode == 0
             outs.append(out)

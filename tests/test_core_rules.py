@@ -13,7 +13,6 @@ from pbsolve.core import (
     cancel,
     cancel_multipliers,
     divide,
-    implies_semantically,
     is_conflicting,
     multiply,
     neg,
@@ -24,7 +23,7 @@ from pbsolve.core import (
     slack,
     weaken,
 )
-from helpers import asg, con, lit
+from helpers import asg, con, implies_semantically, lit
 
 
 class TestConstraint:

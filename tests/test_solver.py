@@ -7,19 +7,27 @@ import time
 import pytest
 
 from pbsolve.analysis import STRATEGY_IDS
-from pbsolve.core import Constraint, implies_semantically, propagation_candidates, slack
+from pbsolve.core import Constraint, propagation_candidates, slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from pbsolve.solver import (
     Solver,
     SolverConfig,
     _RootConflict,
-    backjump_level,
-    is_assertive,
     luby,
     solve,
 )
-from helpers import asg, con, linear_decide_literal, lit, var
+from helpers import (
+    asg,
+    backjump_level,
+    con,
+    implies_semantically,
+    is_assertive,
+    linear_decide_literal,
+    lit,
+    observe_resolve_steps,
+    var,
+)
 
 
 def brute_force_status(instance):
@@ -141,8 +149,8 @@ class TestSolveEndToEnd:
 
     def test_determinism_identical_runs(self):
         instance = random_instance(8, 12, 9, 77)
-        first = solve(instance, SolverConfig(strategy="rs-both", emit_trace=True, seed=5))
-        second = solve(instance, SolverConfig(strategy="rs-both", emit_trace=True, seed=5))
+        first = solve(instance, SolverConfig(strategy="rs-both", emit_trace=True))
+        second = solve(instance, SolverConfig(strategy="rs-both", emit_trace=True))
         assert first.status == second.status
         for field in ("conflicts", "decisions", "propagations", "restarts", "learned"):
             assert getattr(first.stats, field) == getattr(second.stats, field)
@@ -242,16 +250,16 @@ class TestAssertiveness:
                     break
             assert solver._assertion_level(probe) == expected
 
-    def test_matches_oracle_on_wide_constraints_and_many_levels(self):
+    def test_matches_oracle_on_wide_constraints_and_many_levels(self, monkeypatch):
         rng = random.Random(13)
         instances = [php_instance(9, 8)] + [balanced_instance(30, 120, rng) for _ in range(5)]
         probes = asserting = 0
+        observe_resolve_steps(monkeypatch, lambda *step: learned.append(step[-1].constraint))
         for round_ in range(4):
             for i, instance in enumerate(instances):
                 learned = []
                 config = SolverConfig(
                     strategy=STRATEGY_IDS[(round_ * len(instances) + i) % len(STRATEGY_IDS)],
-                    resolve_observer=lambda *step: learned.append(step[-1].constraint),
                 )
                 variables = rng.sample(range(1, instance.nvars + 1), rng.randint(5, 15))
                 # Staged: two root assignments, then one level per decision,
@@ -349,8 +357,16 @@ class TestHeuristics:
         with pytest.raises(ValueError):
             solver.decide_literal()
 
-    def test_reduce_db_keeps_reasons_and_halves_rest(self):
+    def test_reduce_db_keeps_reasons_and_halves_rest(self, monkeypatch):
         rng = random.Random(8)
+        reductions = []
+        reduce_db = Solver.reduce_db
+
+        def counted_reduce_db(solver):
+            reductions.append(solver)
+            reduce_db(solver)
+
+        monkeypatch.setattr(Solver, "reduce_db", counted_reduce_db)
         for seed in range(10):
             instance = random_instance(8, 12, 7, 900 + seed)
             solver = Solver(instance, SolverConfig(strategy="rs-both", reduce_interval=4))
@@ -359,6 +375,23 @@ class TestHeuristics:
             for entry in solver.engine.trail:
                 if entry.reason is not None:
                     assert solver.engine.constraints[entry.reason] is not None
+        # The small random instances above barely search; these reach
+        # reduce_db several times each.
+        for _ in range(6):
+            instance = balanced_instance(30, 126, rng)
+            unreduced = solve(instance, SolverConfig(strategy="rs-both"))
+            before = len(reductions)
+            solver = Solver(instance, SolverConfig(strategy="rs-both", reduce_interval=20))
+            result = solver.solve()
+            assert len(reductions) > before
+            assert result.status == unreduced.status
+            engine = solver.engine
+            for entry in engine.trail:
+                if entry.reason is not None:
+                    assert engine.constraints[entry.reason] is not None
+            for entries in engine.occs.values():
+                assert all(engine.constraints[cid] is not None for cid, _ in entries)
+            assert engine.verify_slacks()
 
     def test_restart_resets_to_root(self):
         instance = php_instance(8, 7)
