@@ -91,6 +91,7 @@ __all__ = [
     "slack",
     "solve",
     "var_of",
+    "verify_trace",
     "weaken",
     "weaken_ineffective",
     "write_opb",

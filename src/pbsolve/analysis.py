@@ -26,11 +26,11 @@ trail prefix up to and including the pivot's own assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import core
 from .core import Constraint, TAUTOLOGY, is_conflicting, neg, slack, var_of
-from .trace import DerivationTrace, RuleStep
+from .trace import DerivationTrace
 
 #: The exact strategy identifiers accepted on the command line.
 STRATEGY_IDS = (
@@ -70,61 +70,45 @@ class AnalysisError(RuntimeError):
     """Internal invariant breach during conflict analysis."""
 
 
-class Deriver:
-    """Applies core rules on (constraint, id) nodes, recording replayable steps.
+def _derived(trace: DerivationTrace | None, rule: str, inputs, params, out):
+    """Check a rule output and record it as a step.
 
-    With ``trace=None`` the ids stay None and nothing is recorded; the
-    constraint arithmetic is identical either way.  No-op saturations,
-    unit divisions and unit multiplications are skipped entirely.
+    A tautology cannot arise in a sound analysis, so it raises.  An output
+    that is its own input (a no-op saturation) is not recorded.
     """
+    if out is TAUTOLOGY:
+        raise AnalysisError(f"{rule} produced a tautology during analysis")
+    if trace is not None and out is not inputs[0]:
+        trace.record(rule, inputs, params, out)
+    return out
 
-    def __init__(self, trace: DerivationTrace | None = None):
-        self.trace = trace
-        self.steps: list[RuleStep] = []
 
-    def _emit(self, rule, inputs, params, out):
-        if self.trace is None:
-            return (out, None)
-        in_ids = tuple(i for _, i in inputs)
-        if any(i is None for i in in_ids):
-            raise ValueError("tracing requires registered input ids")
-        out_id = self.trace.record(rule, in_ids, params, out)
-        self.steps.append(self.trace.steps[-1])
-        return (out, out_id)
+def _cancel(trace, c1: Constraint, c2: Constraint, pivot_var: int):
+    return _derived(trace, "cancel", (c1, c2), (pivot_var,), core.cancel(c1, c2, pivot_var))
 
-    def cancel(self, n1, n2, pivot_var: int):
-        out = core.cancel(n1[0], n2[0], pivot_var)
-        if out is TAUTOLOGY:
-            raise AnalysisError("cancellation produced a tautology during analysis")
-        return self._emit("cancel", (n1, n2), (pivot_var,), out)
 
-    def weaken(self, n, lit: int):
-        out = core.weaken(n[0], lit)
-        if out is TAUTOLOGY:
-            raise AnalysisError("weakening produced a tautology during analysis")
-        return self._emit("weaken", (n,), (lit,), out)
+def _weaken(trace, c: Constraint, lit: int):
+    return _derived(trace, "weaken", (c,), (lit,), core.weaken(c, lit))
 
-    def partial_weaken(self, n, lit: int, eps: int):
-        out = core.partial_weaken(n[0], lit, eps)
-        if out is TAUTOLOGY:
-            raise AnalysisError("partial weakening produced a tautology during analysis")
-        return self._emit("pweaken", (n,), (lit, eps), out)
 
-    def saturate(self, n):
-        out = core.saturate(n[0])
-        if out is n[0]:
-            return n
-        return self._emit("saturate", (n,), (), out)
+def _partial_weaken(trace, c: Constraint, lit: int, eps: int):
+    return _derived(trace, "pweaken", (c,), (lit, eps), core.partial_weaken(c, lit, eps))
 
-    def divide(self, n, r: int):
-        if r == 1:
-            return n
-        return self._emit("divide", (n,), (r,), core.divide(n[0], r))
 
-    def multiply(self, n, k: int):
-        if k == 1:
-            return n
-        return self._emit("multiply", (n,), (k,), core.multiply(n[0], k))
+def _saturate(trace, c: Constraint):
+    return _derived(trace, "saturate", (c,), (), core.saturate(c))
+
+
+def _divide(trace, c: Constraint, r: int):
+    if r == 1:
+        return c
+    return _derived(trace, "divide", (c,), (r,), core.divide(c, r))
+
+
+def _multiply(trace, c: Constraint, k: int):
+    if k == 1:
+        return c
+    return _derived(trace, "multiply", (c,), (k,), core.multiply(c, k))
 
 
 @dataclass
@@ -132,8 +116,6 @@ class ResolveOutcome:
     """Result of one strategy-guided cancellation step."""
 
     constraint: Constraint
-    trace_id: int | None = None
-    steps: list[RuleStep] = field(default_factory=list)
     fallback: bool = False
 
 
@@ -142,7 +124,7 @@ def _falsified(lit: int, rho) -> bool:
     return v is not None and v != (lit > 0)
 
 
-def _genres_reduce(conflict: Constraint, reason_node, pivot: int, rho, deriver: Deriver):
+def _genres_reduce(conflict: Constraint, reason: Constraint, pivot: int, rho, trace):
     """Weaken and saturate the reason until the conflict is provably preserved.
 
     The loop guard is the subadditivity bound: with ``mu, nu`` the minimal
@@ -150,14 +132,16 @@ def _genres_reduce(conflict: Constraint, reason_node, pivot: int, rho, deriver: 
     most ``mu*slack(conflict) + nu*slack(reason)``, so a negative sum keeps
     the result conflicting.  Only non-falsified literals may be removed, and
     each removal is followed by saturation, which may shrink the pivot weight
-    and therefore changes the multipliers.
+    and therefore changes the multipliers.  The reason is saturated first:
+    once nothing is left to weaken, its slack is then the pivot weight minus
+    the degree, at most 0, so the loop always ends.
     """
     conflict_slack = slack(conflict, rho)
+    reason = _saturate(trace, reason)
     while True:
-        reason = reason_node[0]
         mu, nu = core.cancel_multipliers(conflict, reason, var_of(pivot))
         if mu * conflict_slack + nu * slack(reason, rho) < 0:
-            return reason_node
+            return reason
         candidates = sorted(
             (
                 (w, -var_of(lit), lit)
@@ -167,17 +151,15 @@ def _genres_reduce(conflict: Constraint, reason_node, pivot: int, rho, deriver: 
         )
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
-        reason_node = deriver.weaken(reason_node, candidates[0][2])
-        reason_node = deriver.saturate(reason_node)
+        reason = _saturate(trace, _weaken(trace, reason, candidates[0][2]))
 
 
 def reduce_genres(conflict: Constraint, reason: Constraint, pivot: int, rho) -> Constraint:
     """Reason reduced for plain cancellation; see :func:`_genres_reduce`."""
-    return _genres_reduce(conflict, (reason, None), pivot, rho, Deriver())[0]
+    return _genres_reduce(conflict, reason, pivot, rho, None)
 
 
-def _rs_reduce(node, pivot: int, rho, deriver: Deriver, partial: bool):
-    c = node[0]
+def _rs_reduce(c: Constraint, pivot: int, rho, trace, partial: bool):
     r = c.weight_of(pivot)
     if not r:
         raise ValueError("pivot does not occur in the constraint")
@@ -188,10 +170,10 @@ def _rs_reduce(node, pivot: int, rho, deriver: Deriver, partial: bool):
         if rem == 0:
             continue
         if partial and rem != w:
-            node = deriver.partial_weaken(node, lit, rem)
+            c = _partial_weaken(trace, c, lit, rem)
         else:
-            node = deriver.weaken(node, lit)
-    return deriver.divide(node, r)
+            c = _weaken(trace, c, lit)
+    return _divide(trace, c, r)
 
 
 def reduce_rs(c: Constraint, pivot: int, rho) -> Constraint:
@@ -201,7 +183,7 @@ def reduce_rs(c: Constraint, pivot: int, rho) -> Constraint:
     divisible by the pivot weight is weakened away, then the constraint is
     divided by the pivot weight.
     """
-    return _rs_reduce((c, None), pivot, rho, Deriver(), partial=False)[0]
+    return _rs_reduce(c, pivot, rho, None, partial=False)
 
 
 def reduce_partial_rs(c: Constraint, pivot: int, rho) -> Constraint:
@@ -210,10 +192,10 @@ def reduce_partial_rs(c: Constraint, pivot: int, rho) -> Constraint:
     The surviving weights are multiples of the pivot weight, so the division
     loses nothing; the result dominates :func:`reduce_rs` pointwise.
     """
-    return _rs_reduce((c, None), pivot, rho, Deriver(), partial=True)[0]
+    return _rs_reduce(c, pivot, rho, None, partial=True)
 
 
-def _ineffective_reduce(node, rho, deriver: Deriver, pivot: int | None, protect: int | None):
+def _ineffective_reduce(c: Constraint, rho, trace, pivot: int | None, protect: int | None):
     """Greedy weakening of literals that do not affect the constraint's role.
 
     ``pivot=None`` preserves a conflict (slack stays negative); otherwise the
@@ -224,7 +206,6 @@ def _ineffective_reduce(node, rho, deriver: Deriver, pivot: int | None, protect:
     ``protect`` is never weakened: the caller needs it for the upcoming
     cancellation.
     """
-    c = node[0]
     start = slack(c, rho)
     if pivot is None:
         if start >= 0:
@@ -240,7 +221,7 @@ def _ineffective_reduce(node, rho, deriver: Deriver, pivot: int | None, protect:
         ),
     )
     for _, _, _, lit in order:
-        weakened = core.weaken(node[0], lit)
+        weakened = core.weaken(c, lit)
         if weakened is TAUTOLOGY:
             continue
         trial = core.saturate(weakened)
@@ -250,10 +231,9 @@ def _ineffective_reduce(node, rho, deriver: Deriver, pivot: int | None, protect:
         else:
             if trial.weight_of(pivot) <= slack(trial, rho):
                 continue
-        node = deriver._emit("weaken", (node,), (lit,), weakened)
-        if trial is not weakened:
-            node = deriver._emit("saturate", (node,), (), trial)
-    return node
+        _derived(trace, "weaken", (c,), (lit,), weakened)
+        c = _derived(trace, "saturate", (weakened,), (), trial)
+    return c
 
 
 def weaken_ineffective(
@@ -264,10 +244,10 @@ def weaken_ineffective(
     protect: int | None = None,
 ) -> Constraint:
     """Shorten a constraint by weakening literals while its role is preserved."""
-    return _ineffective_reduce((c, None), rho, Deriver(), pivot, protect)[0]
+    return _ineffective_reduce(c, rho, None, pivot, protect)
 
 
-def _multiply_weaken_reduce(reason_node, pivot: int, conflict_pivot_weight: int, rho, deriver: Deriver):
+def _multiply_weaken_reduce(reason: Constraint, pivot: int, conflict_pivot_weight: int, rho, trace):
     """Scale the reason and weaken ineffective literals down to a matching degree.
 
     With ``r`` the reason's pivot weight and ``c`` the conflict's, the minimal
@@ -279,7 +259,6 @@ def _multiply_weaken_reduce(reason_node, pivot: int, conflict_pivot_weight: int,
     by 1.  Returns None when the ineffective mass cannot cover the drop; the
     caller then falls back to the gen-res reduction for this step.
     """
-    reason = reason_node[0]
     r = reason.weight_of(pivot)
     cw = conflict_pivot_weight
     mu = 1
@@ -297,19 +276,18 @@ def _multiply_weaken_reduce(reason_node, pivot: int, conflict_pivot_weight: int,
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
         return None, mu
-    node = deriver.multiply(reason_node, nu)
+    c = _multiply(trace, reason, nu)
     for w, _, lit in ineffective:
         if need == 0:
             break
         scaled = nu * w
         if scaled <= need:
-            node = deriver.weaken(node, lit)
+            c = _weaken(trace, c, lit)
             need -= scaled
         else:
-            node = deriver.partial_weaken(node, lit, need)
+            c = _partial_weaken(trace, c, lit, need)
             need = 0
-    node = deriver.saturate(node)
-    return node, mu
+    return _saturate(trace, c), mu
 
 
 def reduce_multiply_weaken(
@@ -319,8 +297,7 @@ def reduce_multiply_weaken(
     rho,
 ) -> tuple[Constraint | None, int]:
     """Public form of the multiply-and-weaken reduction; None means fallback."""
-    node, mu = _multiply_weaken_reduce((reason, None), pivot, conflict_pivot_weight, rho, Deriver())
-    return (node[0] if node is not None else None), mu
+    return _multiply_weaken_reduce(reason, pivot, conflict_pivot_weight, rho, None)
 
 
 def resolve_step(
@@ -331,8 +308,6 @@ def resolve_step(
     strategy: str,
     *,
     trace: DerivationTrace | None = None,
-    conflict_id: int | None = None,
-    reason_id: int | None = None,
 ) -> ResolveOutcome:
     """One strategy-guided cancellation between a conflict and a reason.
 
@@ -341,7 +316,8 @@ def resolve_step(
     step (up to and including the pivot).  The returned constraint is
     saturated and guaranteed to be conflicting under ``rho``; a violation of
     that guarantee raises :class:`AnalysisError` since every reduction family
-    establishes it by construction.
+    establishes it by construction.  With a ``trace``, every rule application
+    is recorded there; ``conflict`` and ``reason`` must already be in it.
     """
     if not is_conflicting(conflict, rho):
         raise ValueError("conflict side is not conflicting under the assignment")
@@ -350,45 +326,41 @@ def resolve_step(
     if pivot not in reason:
         raise ValueError("the pivot does not occur in the reason side")
 
-    deriver = Deriver(trace)
-    cnode = (conflict, conflict_id)
-    rnode = (reason, reason_id)
     family, side = parse_strategy(strategy)
     fallback = False
 
     if family == "gen-res":
-        rnode = _genres_reduce(cnode[0], rnode, pivot, rho, deriver)
+        reason = _genres_reduce(conflict, reason, pivot, rho, trace)
     elif family in ("rs", "partial-rs"):
         partial = family == "partial-rs"
         if side in ("both", "conflict"):
-            cnode = _rs_reduce(cnode, neg(pivot), rho, deriver, partial)
+            conflict = _rs_reduce(conflict, neg(pivot), rho, trace, partial)
         if side in ("both", "reason"):
-            rnode = _rs_reduce(rnode, pivot, rho, deriver, partial)
+            reason = _rs_reduce(reason, pivot, rho, trace, partial)
     elif family == "weaken-ineffective":
         if side in ("both", "conflict"):
-            cnode = _ineffective_reduce(cnode, rho, deriver, None, neg(pivot))
+            conflict = _ineffective_reduce(conflict, rho, trace, None, neg(pivot))
         if side in ("both", "reason"):
-            rnode = _ineffective_reduce(rnode, rho, deriver, pivot, None)
+            reason = _ineffective_reduce(reason, rho, trace, pivot, None)
         if side == "conflict":
             # The reduced conflict's pivot weight may exceed 1, in which case
             # the cancellation needs the reason weakened as in gen-res.
-            rnode = _genres_reduce(cnode[0], rnode, pivot, rho, deriver)
+            reason = _genres_reduce(conflict, reason, pivot, rho, trace)
     elif family == "multiply-weaken":
-        reduced, _ = _multiply_weaken_reduce(rnode, pivot, conflict.weight_of(neg(pivot)), rho, deriver)
+        reduced, _ = _multiply_weaken_reduce(reason, pivot, conflict.weight_of(neg(pivot)), rho, trace)
         if reduced is None:
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
         else:
-            rnode = reduced
-        rnode = _genres_reduce(cnode[0], rnode, pivot, rho, deriver)
+            reason = reduced
+        reason = _genres_reduce(conflict, reason, pivot, rho, trace)
     else:  # pragma: no cover - parse_strategy rejects unknown families
         raise AssertionError(family)
 
-    out = deriver.cancel(cnode, rnode, var_of(pivot))
-    out = deriver.saturate(out)
-    if not is_conflicting(out[0], rho):
+    out = _saturate(trace, _cancel(trace, conflict, reason, var_of(pivot)))
+    if not is_conflicting(out, rho):
         raise AnalysisError(
-            f"resolve_step produced a non-conflicting constraint with {strategy}: {out[0].to_text()}"
+            f"resolve_step produced a non-conflicting constraint with {strategy}: {out.to_text()}"
         )
-    return ResolveOutcome(out[0], out[1], deriver.steps, fallback)
+    return ResolveOutcome(out, fallback)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import multiprocessing as mp
 import queue as queue_mod
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +100,9 @@ def run_one(
 
 
 def _worker(task, queue):
+    # Weights are unbounded; see the same lift in ``cli.main``.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     index, path, strategy, timeout, trace_path = task
     record = run_one(path, strategy, timeout, trace_path)
     queue.put((index, record))

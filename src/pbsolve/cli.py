@@ -183,6 +183,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Weights are unbounded; CPython caps int <-> str conversion at 4,300
+    # digits by default, which OPB input and trace text would hit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

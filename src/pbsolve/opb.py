@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO
 
 from .core import CONTRADICTION, TAUTOLOGY, Constraint, normalize
 

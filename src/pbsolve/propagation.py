@@ -132,8 +132,6 @@ class PropagationEngine:
                 falsified = -lit
                 for cid, w in self.occs.get(falsified, ()):
                     c = self.constraints[cid]
-                    if c is None:
-                        continue
                     s = self.slacks[cid]
                     if s < 0:
                         # Re-process this trail entry after backjumping so the

@@ -91,9 +91,9 @@ class SolverResult:
 class _RootConflict(Exception):
     """Raised when analysis reaches a conflict that persists at level 0."""
 
-    def __init__(self, trace_id: int | None):
+    def __init__(self, constraint: Constraint):
         super().__init__("conflict at the root level")
-        self.trace_id = trace_id
+        self.constraint = constraint
 
 
 class Solver:
@@ -106,7 +106,6 @@ class Solver:
         self.stats = SolverStats()
         self.nvars = instance.nvars
         self.trace = DerivationTrace() if self.config.emit_trace else None
-        self._trace_ids: dict[int, int] = {}  # engine cid -> trace id
         self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
         self._var_inc = 1.0
         # Lazy max-heap of (-activity, var) over the decision candidates.
@@ -116,16 +115,15 @@ class Solver:
         # equal, so the variables in index order already form a heap.
         self._heap: list[tuple[float, int]] = [(-0.0, v) for v in range(1, self.nvars + 1)]
         self._phase: dict[int, bool] = {}
-        self._learned_cids: list[int] = []
-        self._cla_activity: dict[int, float] = {}
+        self._cla_activity: dict[int, float] = {}  # live learned cid -> activity
         self._cla_inc = 1.0
         self._conflicts_since_restart = 0
         self._learned_since_reduce = 0
         self._deadline: float | None = None
         for c in instance.constraints:
-            cid = self.engine.add_constraint(c)
+            self.engine.add_constraint(c)
             if self.trace is not None:
-                self._trace_ids[cid] = self.trace.add_input(c)
+                self.trace.add_input(c)
             self._note_coefficients(c)
 
     # -- public entry ---------------------------------------------------------
@@ -137,8 +135,8 @@ class Solver:
         try:
             result = self._search()
         except _RootConflict as root:
-            if self.trace is not None and root.trace_id is not None:
-                self.trace.mark_final(root.trace_id)
+            if self.trace is not None:
+                self.trace.mark_final(root.constraint)
             result = SolverResult(UNSAT)
         self.stats.propagations = self.engine.propagations
         self.stats.seconds = time.monotonic() - started
@@ -157,9 +155,9 @@ class Solver:
                 self.stats.conflicts += 1
                 self._conflicts_since_restart += 1
                 if self.engine.current_level == 0:
-                    raise _RootConflict(self._trace_ids.get(conflict))
-                learned, trace_id, level, reused_cid = self.analyze_conflict(conflict)
-                self._backjump_and_learn(learned, trace_id, level, reused_cid)
+                    raise _RootConflict(self.engine.constraints[conflict])
+                learned, level, reused_cid = self.analyze_conflict(conflict)
+                self._backjump_and_learn(learned, level, reused_cid)
                 self._decay_activities()
                 if self._out_of_time():
                     return SolverResult(UNKNOWN)
@@ -258,7 +256,7 @@ class Solver:
     def analyze_conflict(self, conflict_cid: int):
         """Walk the trail backwards, cancelling until the constraint asserts.
 
-        Returns (constraint, trace id, backjump level, reused cid or None).
+        Returns (constraint, backjump level, reused cid or None).
         The assignment seen by each resolve step is the trail prefix up to and
         including that step's pivot, so the conflict invariant refers to the
         state in which the pivot was propagated.
@@ -267,7 +265,6 @@ class Solver:
         self._bump_constraint(conflict_cid)
         cur = engine.constraints[conflict_cid]
         assert cur is not None
-        cur_id = self._trace_ids.get(conflict_cid)
         reused: int | None = conflict_cid
         rho = dict(engine.assignment)
         pos = len(engine.trail) - 1
@@ -276,12 +273,12 @@ class Solver:
         level = self._assertion_level(cur)
         while level is None:
             if pos < 0:
-                raise _RootConflict(cur_id)
+                raise _RootConflict(cur)
             entry = engine.trail[pos]
             if entry.level == 0:
                 # Only root-level assignments remain, and the constraint is
                 # still conflicting under them.
-                raise _RootConflict(cur_id)
+                raise _RootConflict(cur)
             pivot = entry.lit
             if entry.reason is None or neg(pivot) not in cur:
                 del rho[var_of(pivot)]
@@ -292,24 +289,15 @@ class Solver:
             self._bump_constraint(entry.reason)
             for v in sorted(set(cur.variables()) | set(reason.variables())):
                 self.bump_variable(v)
-            outcome = resolve_step(
-                cur,
-                reason,
-                pivot,
-                rho,
-                self.config.strategy,
-                trace=self.trace,
-                conflict_id=cur_id,
-                reason_id=self._trace_ids.get(entry.reason),
-            )
+            outcome = resolve_step(cur, reason, pivot, rho, self.config.strategy, trace=self.trace)
             if outcome.fallback:
                 self.stats.fallbacks += 1
-            cur, cur_id = outcome.constraint, outcome.trace_id
+            cur = outcome.constraint
             reused = None
             level = self._assertion_level(cur)
             del rho[var_of(pivot)]
             pos -= 1
-        return cur, cur_id, level, reused
+        return cur, level, reused
 
     def _assertion_level(self, c: Constraint) -> int | None:
         """Smallest level (below the current one) at which ``c`` asserts.
@@ -361,13 +349,7 @@ class Solver:
 
     # -- learning ----------------------------------------------------------------
 
-    def _backjump_and_learn(
-        self,
-        learned: Constraint,
-        trace_id: int | None,
-        level: int,
-        reused_cid: int | None,
-    ) -> None:
+    def _backjump_and_learn(self, learned: Constraint, level: int, reused_cid: int | None) -> None:
         self._record_phases(self.engine.backjump_to(level))
         if reused_cid is not None:
             # Zero cancellations: the conflicting constraint itself asserts at
@@ -375,14 +357,12 @@ class Solver:
             self.engine.requeue(reused_cid)
             return
         cid = self.engine.add_constraint(learned)
-        self._learned_cids.append(cid)
         self._cla_activity[cid] = self._cla_inc
         self.stats.learned += 1
         self._learned_since_reduce += 1
         self._note_coefficients(learned)
-        if self.trace is not None and trace_id is not None:
-            self._trace_ids[cid] = trace_id
-            self.trace.mark_learned(trace_id)
+        if self.trace is not None:
+            self.trace.mark_learned(learned)
         if self._learned_since_reduce >= self.config.reduce_interval:
             self._learned_since_reduce = 0
             self.reduce_db()
@@ -398,18 +378,18 @@ class Solver:
         Constraints currently serving as the reason of a trail literal are
         kept regardless of activity.
         """
-        live = [cid for cid in self._learned_cids if self.engine.constraints[cid] is not None]
+        activity = self._cla_activity
         protected = {
             e.reason for e in self.engine.trail if e.reason is not None
         }
         by_activity = sorted(
-            (cid for cid in live if cid not in protected),
-            key=lambda cid: (self._cla_activity.get(cid, 0.0), cid),
+            (cid for cid in activity if cid not in protected),
+            key=lambda cid: (activity[cid], cid),
         )
-        dropped = by_activity[: len(live) // 2]
+        dropped = by_activity[: len(activity) // 2]
         self.engine.remove_constraints(dropped)
         for cid in dropped:
-            self._cla_activity.pop(cid, None)
+            del activity[cid]
 
     # -- results ------------------------------------------------------------------
 

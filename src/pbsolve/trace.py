@@ -21,12 +21,12 @@ with constraints written as ``<weight> <literal>`` pairs followed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
 from . import core
-from .core import Constraint, lit_name, parse_lit
+from .core import Constraint, parse_lit
 from .opb import ParsedInstance
 from .propagation import PropagationEngine
 
@@ -62,7 +62,13 @@ def replay_step(rule: str, inputs: list[Constraint], params: tuple[int, ...]):
 
 
 class DerivationTrace:
-    """Accumulates inputs, rule steps, learned ids and the final conflict id."""
+    """Accumulates inputs, rule steps, learned ids and the final conflict id.
+
+    The trace is the only owner of ids: callers pass constraints, and each
+    recorded constraint object is looked up by identity.  The trace keeps a
+    reference to every constraint it recorded, so those identities stay
+    unique for its lifetime.
+    """
 
     def __init__(self):
         self.inputs: list[tuple[int, Constraint]] = []
@@ -70,34 +76,43 @@ class DerivationTrace:
         self.learned: list[int] = []
         self.final: int | None = None
         self.notes: list[str] = []
-        self.by_id: dict[int, Constraint] = {}
+        self._ids: dict[int, int] = {}  # id(constraint) -> trace id
         self._next_id = 1
 
+    def _name(self, c: Constraint, i: int) -> int:
+        self._ids[id(c)] = i
+        self._next_id = max(self._next_id, i + 1)
+        return i
+
+    def id_of(self, c: Constraint) -> int:
+        """The id of a recorded constraint; raises ValueError for any other."""
+        i = self._ids.get(id(c))
+        if i is None:
+            raise ValueError(f"constraint was never recorded in this trace: {c.to_text()}")
+        return i
+
     def add_input(self, c: Constraint) -> int:
-        i = self._next_id
-        self._next_id += 1
+        i = self._name(c, self._next_id)
         self.inputs.append((i, c))
-        self.by_id[i] = c
         return i
 
     def record(
         self,
         rule: str,
-        inputs: tuple[int, ...],
+        inputs: tuple[Constraint, ...],
         params: tuple[int, ...],
         output: Constraint,
     ) -> int:
-        i = self._next_id
-        self._next_id += 1
-        self.steps.append(RuleStep(i, rule, inputs, params, output))
-        self.by_id[i] = output
+        in_ids = tuple(map(self.id_of, inputs))
+        i = self._name(output, self._next_id)
+        self.steps.append(RuleStep(i, rule, in_ids, params, output))
         return i
 
-    def mark_learned(self, step_id: int) -> None:
-        self.learned.append(step_id)
+    def mark_learned(self, c: Constraint) -> None:
+        self.learned.append(self.id_of(c))
 
-    def mark_final(self, step_id: int) -> None:
-        self.final = step_id
+    def mark_final(self, c: Constraint) -> None:
+        self.final = self.id_of(c)
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -134,9 +149,7 @@ class DerivationTrace:
                     ident, _, ctext = rest.partition(" ")
                     i = int(ident)
                     c = Constraint.from_text(ctext)
-                    trace.inputs.append((i, c))
-                    trace.by_id[i] = c
-                    trace._next_id = max(trace._next_id, i + 1)
+                    trace.inputs.append((trace._name(c, i), c))
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
                     fields = head.split()
@@ -154,8 +167,7 @@ class DerivationTrace:
                         Constraint.from_text(ctext),
                     )
                     trace.steps.append(step)
-                    trace.by_id[i] = step.output
-                    trace._next_id = max(trace._next_id, i + 1)
+                    trace._name(step.output, i)
                 elif kind == "l":
                     trace.learned.append(int(rest))
                 elif kind == "f":

@@ -10,7 +10,6 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +26,6 @@ from pbsolve.core import (
     Constraint,
     cancel,
     divide,
-    is_conflicting,
     partial_weaken,
     propagation_candidates,
     saturate,
@@ -36,7 +34,7 @@ from pbsolve.core import (
 )
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import SAT, UNKNOWN, UNSAT, write_opb
-from pbsolve.solver import Solver, SolverConfig, solve
+from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import verify_trace
 from helpers import asg, con, implies_semantically, lit, observe_resolve_steps, var
 

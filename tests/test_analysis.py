@@ -6,7 +6,6 @@ import pytest
 
 from pbsolve.analysis import (
     STRATEGY_IDS,
-    AnalysisError,
     parse_strategy,
     reduce_genres,
     reduce_multiply_weaken,
@@ -242,15 +241,15 @@ class TestResolveStep:
         rid = trace.add_input(REASON1)
         out = resolve_step(
             CONFLICT1, REASON1, lit("~b"), RHO1B, "gen-res",
-            trace=trace, conflict_id=cid, reason_id=rid,
+            trace=trace,
         )
-        assert out.steps
+        assert trace.steps
         by_id = {cid: CONFLICT1, rid: REASON1}
-        for step in out.steps:
+        for step in trace.steps:
             result = replay_step(step.rule, [by_id[i] for i in step.inputs], step.params)
             assert result == step.output
             by_id[step.step_id] = result
-        assert by_id[out.trace_id] == out.constraint
+        assert by_id[trace.id_of(out.constraint)] == out.constraint
 
     def test_every_strategy_is_conflicting_and_implied(self):
         rng = random.Random(23)

@@ -38,6 +38,13 @@ def run_cli(*args):
     )
 
 
+def write_huge_coefficient_instance(path: Path) -> Path:
+    """An UNSAT instance whose coefficients have 5,000 decimal digits."""
+    n = "9" * 5000
+    path.write_text(f"+{n} x1 +{n} x2 >= {n} ;\n-{n} x1 >= 0 ;\n-{n} x2 >= 0 ;\n")
+    return path
+
+
 class TestBenchMatrix:
     def test_row_cardinality_and_header(self, bench_dir, tmp_path):
         records = run_matrix(sorted(bench_dir.glob("*.opb"))[:2], ["gen-res", "rs-both"], 60)
@@ -67,6 +74,11 @@ class TestBenchMatrix:
         records = run_matrix([bad], ["gen-res"], 10)
         assert records[0].status == "UNKNOWN"
         assert records[0].error.startswith("OpbSyntaxError: ")
+
+    def test_worker_reads_coefficients_beyond_the_int_text_limit(self, tmp_path):
+        path = write_huge_coefficient_instance(tmp_path / "huge.opb")
+        (record,) = run_matrix([path], ["gen-res"], 60)
+        assert (record.status, record.error) == ("UNSAT", None)
 
     def test_parallel_jobs_match_serial(self, bench_dir, tmp_path):
         paths = sorted(bench_dir.glob("*.opb"))
@@ -172,6 +184,14 @@ class TestCli:
         check = run_cli("verify", path, trace)
         assert check.returncode == 0
         assert "trace OK" in check.stdout
+
+    def test_coefficients_beyond_the_int_text_limit(self, tmp_path):
+        path = write_huge_coefficient_instance(tmp_path / "huge.opb")
+        trace = tmp_path / "huge.trace"
+        proc = run_cli("solve", path, "--emit-trace", trace)
+        assert proc.returncode == 20, proc.stderr
+        check = run_cli("verify", path, trace)
+        assert check.returncode == 0, check.stderr
 
     def test_bench_reports_crashed_runs(self, tmp_path):
         d = tmp_path / "instances"

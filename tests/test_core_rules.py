@@ -1,7 +1,6 @@
 """Unit and property tests for the constraint representation and rules."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st

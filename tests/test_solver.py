@@ -1,5 +1,7 @@
 """Search-loop tests: end-to-end solving, analysis walk, heuristics, budgets."""
 
+import hashlib
+import io
 import itertools
 import random
 import time
@@ -7,9 +9,9 @@ import time
 import pytest
 
 from pbsolve.analysis import STRATEGY_IDS
-from pbsolve.core import Constraint, propagation_candidates, slack
+from pbsolve.core import Constraint, propagation_candidates
 from pbsolve.generators import php_instance, random_instance
-from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT
+from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT, parse_opb, write_opb
 from pbsolve.solver import (
     Solver,
     SolverConfig,
@@ -17,14 +19,13 @@ from pbsolve.solver import (
     luby,
     solve,
 )
+from pbsolve.trace import verify_trace
 from helpers import (
-    asg,
     backjump_level,
     con,
     implies_semantically,
     is_assertive,
     linear_decide_literal,
-    lit,
     observe_resolve_steps,
     var,
 )
@@ -143,9 +144,22 @@ class TestSolveEndToEnd:
             instance = random_instance(6, 9, 6, seed)
             result = solve(instance, SolverConfig(strategy="gen-res", emit_trace=True))
             inputs = list(instance.constraints)
+            by_id = {step.step_id: step.output for step in result.trace.steps}
             for learned_id in result.trace.learned:
-                learned = result.trace.by_id[learned_id]
+                learned = by_id[learned_id]
                 assert implies_semantically(inputs, learned)
+
+    def test_gen_res_reduction_saturates_unsaturated_reasons(self):
+        # balanced_instance rows are not saturated; these seeds used to end
+        # with "no weakenable literal left in a reason with high slack".
+        seeds = {"gen-res": (7, 14, 16), "multiply-weaken": (0, 7, 8, 10, 13, 14, 20, 21, 22, 23)}
+        for strategy, chosen in seeds.items():
+            for seed in chosen:
+                instance = balanced_instance(30, 120, random.Random(seed))
+                config = SolverConfig(strategy=strategy, conflict_budget=300, emit_trace=True)
+                result = solve(instance, config)
+                check = verify_trace(instance, result.trace)
+                assert check, (strategy, seed, check.error)
 
     def test_determinism_identical_runs(self):
         instance = random_instance(8, 12, 9, 77)
@@ -162,7 +176,7 @@ class TestAnalyzeConflict:
         solver = scenario_solver("gen-res")
         conflict = solver.engine.propagate_all()
         assert conflict == 1
-        learned, _, level, reused = solver.analyze_conflict(conflict)
+        learned, level, reused = solver.analyze_conflict(conflict)
         assert learned == con("25a 25c 16e 5d 4f >= 30")
         assert level == 3
         assert reused is None
@@ -170,7 +184,7 @@ class TestAnalyzeConflict:
     def test_rs_both_learns_clause(self):
         solver = scenario_solver("rs-both")
         conflict = solver.engine.propagate_all()
-        learned, _, level, _ = solver.analyze_conflict(conflict)
+        learned, level, _ = solver.analyze_conflict(conflict)
         assert learned == con("c d e >= 1")
         assert level == 3
 
@@ -182,7 +196,7 @@ class TestAnalyzeConflict:
         solver.engine.assume(-var("c"))
         solver.engine.assume(-var("a"))
         solver.engine.assume(-var("b"))
-        learned, _, level, reused = solver.analyze_conflict(0)
+        learned, level, reused = solver.analyze_conflict(0)
         assert reused == 0 and learned == con("a b >= 1")
         assert level == 2
 
@@ -194,8 +208,8 @@ class TestAnalyzeConflict:
             conflict = engine.propagate_all()
             guard = 0
             while conflict is not None and engine.current_level > 0 and guard < 50:
-                learned, tid, level, reused = solver.analyze_conflict(conflict)
-                solver._backjump_and_learn(learned, tid, level, reused)
+                learned, level, reused = solver.analyze_conflict(conflict)
+                solver._backjump_and_learn(learned, level, reused)
                 assert engine.current_level == level
                 conflict = engine.propagate_all()
                 if conflict is None:
@@ -400,3 +414,83 @@ class TestHeuristics:
             SolverConfig(strategy="weaken-ineffective-both", restart_base=10, conflict_budget=400),
         )
         assert result.stats.restarts > 0
+
+
+#: (instance, strategy) -> (status, conflicts, decisions, propagations,
+#: learned, sha256 of the written trace text) under ``conflict_budget=300``.
+#: The largest coefficient reached is 4,491 bits (multiply-weaken).
+TRACE_DIGESTS = {
+    ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
+    ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
+    ("php-6-5", "rs-conflict"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
+    ("php-6-5", "rs-reason"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
+    ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
+    ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
+    ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
+    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "0a2d52ea2072072625a8efece682612f880c55d5d547796f4d5caf8a5ff85046"),
+    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "5df74ea4c145a983317311087805cd0b7975c5a97ca886bd5910ab98951a035f"),
+    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "cbb39dcc67aa2a4c23884cbea7ee7abe5170e4a4b55f559f2eebf168504c5e36"),
+    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "c93357fec29aef1acea7a0c164666e0538731999c56099b80d9ab0d9785c3c92"),
+    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "3f1fcd6ecb20851de4832f4adad64f58500a0a141f28fc0773cfb69dbc032f6f"),
+    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "c7f8b79879753ebc5237d6d347a5b12acbece8957fd5210826d4201644336fee"),
+    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "8b418f4b3cb64069e192283117bb30427f2983d5c8c7a08ec8ba7538f45662cf"),
+    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "f019b593b89f5ae1997c26df8ee14f0f802dfc358728dedf48b572d5d24ea002"),
+    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "7115665e6aff74ebbcd449ae7e218863837e02188c9ca09e399a7093d63ac0b8"),
+    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "46fc6981eac0b10b2f5aea956e447cac2b453148501f3bdde711ec6c45c49465"),
+    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "18f60ba15c696b1f2100b311e4f7693442eff8c85d8fff24c2684aa74669a984"),
+    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "1b7b7814a3fba932bc5f054570e6057677f7f2143e21dd2cdd5acea0d19852c8"),
+    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "164f5ae6958029dc1ef5e853ecd3665d0cafa527a8dcab5c3010d7d60b13d2c5"),
+    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "ba7fd52fe5280b38fb5fe223cd30d403116b5105e814096f552bc86aa465ca2c"),
+    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "4e53c0073efe43d8afd1f459c2c6643469d2822bbdc2ab3f636a83e8966859fe"),
+    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "abd10f6c5ddf4a98d308dcdae07c59edc52ee4e7856c6613be8c6a6c82688f65"),
+    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "a2400b5c493b25fcc2f3becedc15d31dcafe99ed11751bda735629b0c3d82591"),
+    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "c5b1b3ced6f4ecf17a0a129c18d223c73c579beb367aa186804db426196634c4"),
+    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "58f377c1138a21728c4d8321e92d84f7ab81b16ea2acacf0c8602d84fa201e1f"),
+    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "d4ac05ec24c5f397af5e8e58883f1438657013e1e65ad91b86ae965b1dfb29f7"),
+    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "942a2944fc166cfd4a702c5fbb4f7611c682b2e2ebee5cfd1dbfabc951c1c94c"),
+    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "ec129d528a80507a1697e56ea35072e8675d45c25e243edb02d69f328d11fbaf"),
+    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "08f84ddc5568d182d6b657339e38991ce9aa30f5ccbb9d988c2d78f645183922"),
+    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "f9606d706dc1bd3b2950dcd27da375a41d3c469e390f9a67c8ad49f7778d507b"),
+    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "9ef30ca335962f39f8e6a94906a54b9d8b7a69334a897235d4402951aa08ac92"),
+    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "744ca3160198e61cd8edd947e52f76fc64f1331e87d5902f91e53678b8d17dd8"),
+    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "6711cefd5d3de791884b87f88247fe882803e678153b72442598c65ec3355ee2"),
+    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "76e12b7297d9a330aa99fe726fb73a7602b194f1a8944a962fa8f26bab518002"),
+    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "40e679684981abb0542147c6c1932147be7ecbc1dce50e95d8210a21fcb437b6"),
+    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "43e430f39395a5071d6f0568af4622d6a58800033360f389be92b42e23ff3f4b"),
+    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "1b5fca9744c23a02b33b067207c4fab74e9ca650202e30a7d54cffdc19a67be6"),
+    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "ab862354f51d37d382ba2f90e91e08562e2884cae3e4945b1635490409bdf139"),
+    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "16a56f9c0a5a59929303c3a4a39167a933d2ac3587ce38b2a131f6211d52a9a9"),
+    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "eb188b3ca141a5ca9e9dcd2dac033b97abbf3695a738415e0501cab47f2e984c"),
+    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "c4d4efefa2e62cbb9d0535e4ce0ebc7a9df8c045ac6b60f7b49d49f275a3196f"),
+    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "853ef6cd880074aa6f9c2223bdfef27dd0e5125f1bc977079d2fc17888e25724"),
+    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "b91002f2a33e7cd7a04dcfa2ca72b8459097dd30e54c50cdf2c2f76afbbb4478"),
+}
+
+
+def digest_instances():
+    """php-6-5 and three balanced rows sets, each round-tripped through OPB text."""
+    instances = [("php-6-5", php_instance(6, 5))]
+    for s in range(3):
+        instances.append((f"balanced-{s}", balanced_instance(30, 120, random.Random(s))))
+    for name, instance in instances:
+        text = io.StringIO()
+        write_opb(instance, text)
+        yield name, parse_opb(text.getvalue())
+
+
+class TestTraceTextContract:
+    def test_counters_and_trace_text_are_pinned(self):
+        got = {}
+        for name, instance in digest_instances():
+            for strategy in STRATEGY_IDS:
+                config = SolverConfig(strategy=strategy, conflict_budget=300, emit_trace=True)
+                result = solve(instance, config)
+                text = io.StringIO()
+                result.trace.write(text)
+                s = result.stats
+                got[name, strategy] = (
+                    result.status, s.conflicts, s.decisions, s.propagations, s.learned,
+                    hashlib.sha256(text.getvalue().encode()).hexdigest(),
+                )
+        assert got.keys() == TRACE_DIGESTS.keys()
+        assert [k for k in got if got[k] != TRACE_DIGESTS[k]] == []
