@@ -13,7 +13,6 @@ from .analysis import (
     ResolveOutcome,
     reduce_genres,
     reduce_multiply_weaken,
-    reduce_partial_rs,
     reduce_rs,
     resolve_step,
     weaken_ineffective,
@@ -83,7 +82,6 @@ __all__ = [
     "random_instance",
     "reduce_genres",
     "reduce_multiply_weaken",
-    "reduce_partial_rs",
     "reduce_rs",
     "resolve_step",
     "run_matrix",

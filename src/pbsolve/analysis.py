@@ -21,7 +21,9 @@ constraints plus a read-only assignment view:
 
 The ``-both`` / ``-conflict`` / ``-reason`` suffix selects the side(s) the
 reduction is applied to.  The assignment passed to these functions is the
-trail prefix up to and including the pivot's own assignment.
+trail prefix up to and including the pivot's own assignment.  Each reduction
+takes a keyword-only ``trace``: when given, every rule application it makes is
+recorded there, and its input constraints must already be in that trace.
 """
 
 from __future__ import annotations
@@ -124,7 +126,14 @@ def _falsified(lit: int, rho) -> bool:
     return v is not None and v != (lit > 0)
 
 
-def _genres_reduce(conflict: Constraint, reason: Constraint, pivot: int, rho, trace):
+def reduce_genres(
+    conflict: Constraint,
+    reason: Constraint,
+    pivot: int,
+    rho,
+    *,
+    trace: DerivationTrace | None = None,
+) -> Constraint:
     """Weaken and saturate the reason until the conflict is provably preserved.
 
     The loop guard is the subadditivity bound: with ``mu, nu`` the minimal
@@ -154,12 +163,23 @@ def _genres_reduce(conflict: Constraint, reason: Constraint, pivot: int, rho, tr
         reason = _saturate(trace, _weaken(trace, reason, candidates[0][2]))
 
 
-def reduce_genres(conflict: Constraint, reason: Constraint, pivot: int, rho) -> Constraint:
-    """Reason reduced for plain cancellation; see :func:`_genres_reduce`."""
-    return _genres_reduce(conflict, reason, pivot, rho, None)
+def reduce_rs(
+    c: Constraint,
+    pivot: int,
+    rho,
+    *,
+    partial: bool = False,
+    trace: DerivationTrace | None = None,
+) -> Constraint:
+    """Rounding reduction: the pivot weight becomes exactly 1.
 
-
-def _rs_reduce(c: Constraint, pivot: int, rho, trace, partial: bool):
+    Every non-falsified literal other than the pivot whose weight is not
+    divisible by the pivot weight is weakened away, then the constraint is
+    divided by the pivot weight.  With ``partial`` each such weight is only
+    weakened by its remainder: the surviving weights are multiples of the
+    pivot weight, so the division loses nothing, and the result dominates
+    the full reduction pointwise.
+    """
     r = c.weight_of(pivot)
     if not r:
         raise ValueError("pivot does not occur in the constraint")
@@ -176,27 +196,15 @@ def _rs_reduce(c: Constraint, pivot: int, rho, trace, partial: bool):
     return _divide(trace, c, r)
 
 
-def reduce_rs(c: Constraint, pivot: int, rho) -> Constraint:
-    """Aggressive rounding reduction: the pivot weight becomes exactly 1.
-
-    Every non-falsified literal other than the pivot whose weight is not
-    divisible by the pivot weight is weakened away, then the constraint is
-    divided by the pivot weight.
-    """
-    return _rs_reduce(c, pivot, rho, None, partial=False)
-
-
-def reduce_partial_rs(c: Constraint, pivot: int, rho) -> Constraint:
-    """Like :func:`reduce_rs` but weakens only by each weight's remainder.
-
-    The surviving weights are multiples of the pivot weight, so the division
-    loses nothing; the result dominates :func:`reduce_rs` pointwise.
-    """
-    return _rs_reduce(c, pivot, rho, None, partial=True)
-
-
-def _ineffective_reduce(c: Constraint, rho, trace, pivot: int | None, protect: int | None):
-    """Greedy weakening of literals that do not affect the constraint's role.
+def weaken_ineffective(
+    c: Constraint,
+    rho,
+    *,
+    pivot: int | None = None,
+    protect: int | None = None,
+    trace: DerivationTrace | None = None,
+) -> Constraint:
+    """Shorten a constraint by weakening literals while its role is preserved.
 
     ``pivot=None`` preserves a conflict (slack stays negative); otherwise the
     propagation of ``pivot`` is preserved (its weight stays above the slack).
@@ -236,18 +244,14 @@ def _ineffective_reduce(c: Constraint, rho, trace, pivot: int | None, protect: i
     return c
 
 
-def weaken_ineffective(
-    c: Constraint,
+def reduce_multiply_weaken(
+    reason: Constraint,
+    pivot: int,
+    conflict_pivot_weight: int,
     rho,
     *,
-    pivot: int | None = None,
-    protect: int | None = None,
-) -> Constraint:
-    """Shorten a constraint by weakening literals while its role is preserved."""
-    return _ineffective_reduce(c, rho, None, pivot, protect)
-
-
-def _multiply_weaken_reduce(reason: Constraint, pivot: int, conflict_pivot_weight: int, rho, trace):
+    trace: DerivationTrace | None = None,
+) -> tuple[Constraint | None, int]:
     """Scale the reason and weaken ineffective literals down to a matching degree.
 
     With ``r`` the reason's pivot weight and ``c`` the conflict's, the minimal
@@ -290,16 +294,6 @@ def _multiply_weaken_reduce(reason: Constraint, pivot: int, conflict_pivot_weigh
     return _saturate(trace, c), mu
 
 
-def reduce_multiply_weaken(
-    reason: Constraint,
-    pivot: int,
-    conflict_pivot_weight: int,
-    rho,
-) -> tuple[Constraint | None, int]:
-    """Public form of the multiply-and-weaken reduction; None means fallback."""
-    return _multiply_weaken_reduce(reason, pivot, conflict_pivot_weight, rho, None)
-
-
 def resolve_step(
     conflict: Constraint,
     reason: Constraint,
@@ -330,31 +324,33 @@ def resolve_step(
     fallback = False
 
     if family == "gen-res":
-        reason = _genres_reduce(conflict, reason, pivot, rho, trace)
+        reason = reduce_genres(conflict, reason, pivot, rho, trace=trace)
     elif family in ("rs", "partial-rs"):
         partial = family == "partial-rs"
         if side in ("both", "conflict"):
-            conflict = _rs_reduce(conflict, neg(pivot), rho, trace, partial)
+            conflict = reduce_rs(conflict, neg(pivot), rho, partial=partial, trace=trace)
         if side in ("both", "reason"):
-            reason = _rs_reduce(reason, pivot, rho, trace, partial)
+            reason = reduce_rs(reason, pivot, rho, partial=partial, trace=trace)
     elif family == "weaken-ineffective":
         if side in ("both", "conflict"):
-            conflict = _ineffective_reduce(conflict, rho, trace, None, neg(pivot))
+            conflict = weaken_ineffective(conflict, rho, protect=neg(pivot), trace=trace)
         if side in ("both", "reason"):
-            reason = _ineffective_reduce(reason, rho, trace, pivot, None)
+            reason = weaken_ineffective(reason, rho, pivot=pivot, trace=trace)
         if side == "conflict":
             # The reduced conflict's pivot weight may exceed 1, in which case
             # the cancellation needs the reason weakened as in gen-res.
-            reason = _genres_reduce(conflict, reason, pivot, rho, trace)
+            reason = reduce_genres(conflict, reason, pivot, rho, trace=trace)
     elif family == "multiply-weaken":
-        reduced, _ = _multiply_weaken_reduce(reason, pivot, conflict.weight_of(neg(pivot)), rho, trace)
+        reduced, _ = reduce_multiply_weaken(
+            reason, pivot, conflict.weight_of(neg(pivot)), rho, trace=trace
+        )
         if reduced is None:
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
         else:
             reason = reduced
-        reason = _genres_reduce(conflict, reason, pivot, rho, trace)
+        reason = reduce_genres(conflict, reason, pivot, rho, trace=trace)
     else:  # pragma: no cover - parse_strategy rejects unknown families
         raise AssertionError(family)
 

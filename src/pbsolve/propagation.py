@@ -34,7 +34,7 @@ class PropagationEngine:
         self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)]
         self.trail: list[TrailEntry] = []
         self.assignment: dict[int, bool] = {}
-        self.level_starts: list[int] = []  # trail position where each level begins
+        self.current_level = 0  # number of open decision levels
         self.var_pos: dict[int, int] = {}  # var -> trail position; read-only outside
         self._qhead = 0
         self._pending: deque[int] = deque()
@@ -76,10 +76,6 @@ class PropagationEngine:
 
     # -- assignment state ---------------------------------------------------
 
-    @property
-    def current_level(self) -> int:
-        return len(self.level_starts)
-
     def value(self, lit: int) -> bool | None:
         v = self.assignment.get(var_of(lit))
         if v is None:
@@ -104,7 +100,7 @@ class PropagationEngine:
 
     def assume(self, lit: int) -> None:
         """Open a new decision level and assign the literal as its decision."""
-        self.level_starts.append(len(self.trail))
+        self.current_level += 1
         self.assign(lit, DECISION)
 
     def propagate_all(self) -> int | None:
@@ -167,7 +163,7 @@ class PropagationEngine:
             del self.var_pos[v]
             for cid, w in self.occs.get(-e.lit, ()):
                 self.slacks[cid] += w
-        del self.level_starts[level:]
+        self.current_level = level
         self._qhead = min(self._qhead, len(self.trail))
         return popped
 

@@ -29,6 +29,12 @@ _HEAP_SLACK_FACTOR = 4
 #: Variable-activity decay: the bump increment is divided by it after every conflict.
 VAR_DECAY = 0.95
 
+#: Conflicts before the i-th restart: this many times the i-th Luby term.
+RESTART_BASE = 100
+
+#: Learned constraints between two reductions of the learned database.
+REDUCE_INTERVAL = 2000
+
 
 def luby(i: int) -> int:
     """The i-th term (1-based) of the Luby restart sequence 1,1,2,1,1,2,4,..."""
@@ -47,8 +53,6 @@ def luby(i: int) -> int:
 @dataclass
 class SolverConfig:
     strategy: str = "partial-rs-both"
-    restart_base: int = 100
-    reduce_interval: int = 2000
     conflict_budget: int | None = None
     time_budget: float | None = None
     emit_trace: bool = False
@@ -242,7 +246,7 @@ class Solver:
                 self._cla_inc *= 1e-20
 
     def _restart_due(self) -> bool:
-        limit = self.config.restart_base * luby(self.stats.restarts + 1)
+        limit = RESTART_BASE * luby(self.stats.restarts + 1)
         return self._conflicts_since_restart >= limit
 
     def _record_phases(self, popped: list[tuple[int, bool]]) -> None:
@@ -363,7 +367,7 @@ class Solver:
         self._note_coefficients(learned)
         if self.trace is not None:
             self.trace.mark_learned(learned)
-        if self._learned_since_reduce >= self.config.reduce_interval:
+        if self._learned_since_reduce >= REDUCE_INTERVAL:
             self._learned_since_reduce = 0
             self.reduce_db()
 

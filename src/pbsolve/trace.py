@@ -16,7 +16,10 @@ The file format is line-oriented text:
     f <id>
 
 with constraints written as ``<weight> <literal>`` pairs followed by
-``>= <degree>`` and literals spelled ``xK`` / ``~xK``.
+``>= <degree>`` and literals spelled ``xK`` / ``~xK``.  A step's arguments
+are integers: its input ids, then its parameters (a literal parameter is the
+signed literal, e.g. ``-3`` for ``~x3``).  :data:`RULES` fixes how many of
+each a rule takes.
 """
 
 from __future__ import annotations
@@ -26,11 +29,20 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from . import core
-from .core import Constraint, parse_lit
+from .core import Constraint
 from .opb import ParsedInstance
 from .propagation import PropagationEngine
 
-RULES = ("cancel", "weaken", "pweaken", "saturate", "divide", "multiply")
+#: Every rule a step may name: rule -> (function in :mod:`pbsolve.core`,
+#: number of input ids, number of integer parameters).
+RULES = {
+    "cancel": ("cancel", 2, 1),
+    "weaken": ("weaken", 1, 1),
+    "pweaken": ("partial_weaken", 1, 2),
+    "saturate": ("saturate", 1, 0),
+    "divide": ("divide", 1, 1),
+    "multiply": ("multiply", 1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -45,20 +57,14 @@ class RuleStep:
 
 
 def replay_step(rule: str, inputs: list[Constraint], params: tuple[int, ...]):
-    """Recompute a rule application; returns a Constraint or a marker."""
-    if rule == "cancel":
-        return core.cancel(inputs[0], inputs[1], params[0])
-    if rule == "weaken":
-        return core.weaken(inputs[0], params[0])
-    if rule == "pweaken":
-        return core.partial_weaken(inputs[0], params[0], params[1])
-    if rule == "saturate":
-        return core.saturate(inputs[0])
-    if rule == "divide":
-        return core.divide(inputs[0], params[0])
-    if rule == "multiply":
-        return core.multiply(inputs[0], params[0])
-    raise ValueError(f"unknown rule {rule!r}")
+    """Recompute a rule application; returns a Constraint or a marker.
+
+    The rule function is looked up on :mod:`pbsolve.core` at call time, so a
+    wrapper installed there (a profiling span, a test double) is the one run.
+    """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    return getattr(core, RULES[rule][0])(*inputs, *params)
 
 
 class DerivationTrace:
@@ -153,12 +159,18 @@ class DerivationTrace:
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
                     fields = head.split()
+                    if len(fields) < 2:
+                        raise ValueError("a step needs an id and a rule")
                     i = int(fields[0])
                     rule = fields[1]
                     if rule not in RULES:
                         raise ValueError(f"unknown rule {rule!r}")
-                    nums = [_parse_arg(x) for x in fields[2:]]
-                    n_inputs = 2 if rule == "cancel" else 1
+                    _, n_inputs, n_params = RULES[rule]
+                    nums = [int(x) for x in fields[2:]]
+                    if len(nums) != n_inputs + n_params:
+                        raise ValueError(
+                            f"{rule} takes {n_inputs + n_params} arguments, got {len(nums)}"
+                        )
                     step = RuleStep(
                         i,
                         rule,
@@ -182,12 +194,6 @@ class DerivationTrace:
     def read_file(cls, path: str | Path) -> "DerivationTrace":
         with open(path, "r", encoding="ascii") as f:
             return cls.read(f)
-
-
-def _parse_arg(token: str) -> int:
-    if token.startswith(("x", "~")):
-        return parse_lit(token)
-    return int(token)
 
 
 @dataclass
@@ -257,10 +263,6 @@ def verify_trace(
 
 def _root_conflict(inputs: list[Constraint], learned: list[Constraint]) -> bool:
     engine = PropagationEngine()
-    for c in inputs:
-        engine.add_constraint(c)
-    for c in learned:
-        if c.total_weight() < c.degree:
-            return True  # semantically false on its own
+    for c in (*inputs, *learned):
         engine.add_constraint(c)
     return engine.propagate_all() is not None

@@ -16,7 +16,6 @@ import pytest
 from pbsolve.analysis import (
     STRATEGY_IDS,
     reduce_multiply_weaken,
-    reduce_partial_rs,
     reduce_rs,
     resolve_step,
     weaken_ineffective,
@@ -95,7 +94,7 @@ def test_criterion_1_worked_derivations():
 
     # Partial rounding keeps the non-divisible remainders.
     rho6 = asg(a=1, b=0, c=0, d=0, e=0)
-    partial = reduce_partial_rs(con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho6)
+    partial = reduce_rs(con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho6, partial=True)
     assert partial == con("a b c d e >= 2")
 
     # Multiply-and-weaken avoids the LCM blowup.
@@ -305,7 +304,7 @@ def test_criterion_6_strength_dominance():
         elif not 0 <= slack(c, rho) < c.weight_of(pivot):
             continue
         full = reduce_rs(c, pivot, rho)
-        partial = reduce_partial_rs(c, pivot, rho)
+        partial = reduce_rs(c, pivot, rho, partial=True)
         assert partial.degree >= full.degree
         for l, w in full.terms:
             assert partial.weight_of(l) >= w

@@ -9,7 +9,6 @@ from pbsolve.analysis import (
     parse_strategy,
     reduce_genres,
     reduce_multiply_weaken,
-    reduce_partial_rs,
     reduce_rs,
     resolve_step,
     weaken_ineffective,
@@ -108,20 +107,20 @@ class TestReduceRs:
 class TestReducePartialRs:
     def test_worked_example(self):
         rho = asg(a=1, b=0, c=0, d=0, e=0)
-        out = reduce_partial_rs(con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho)
+        out = reduce_rs(con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho, partial=True)
         assert out == con("a b c d e >= 2")
 
     def test_multiples_only_divides(self):
         c = con("4a 2b 2c >= 4")
         rho = asg(c=0)
-        assert reduce_partial_rs(c, lit("b"), rho) == divide(c, 2)
+        assert reduce_rs(c, lit("b"), rho, partial=True) == divide(c, 2)
 
     def test_dominates_plain_rs_pointwise(self):
         rng = random.Random(13)
         for _ in range(300):
             c, pivot, rho = _random_pivot_triple(rng)
             full = reduce_rs(c, pivot, rho)
-            partial = reduce_partial_rs(c, pivot, rho)
+            partial = reduce_rs(c, pivot, rho, partial=True)
             assert partial.degree >= full.degree
             for l, w in full.terms:
                 assert partial.weight_of(l) >= w

@@ -185,6 +185,20 @@ class TestCli:
         assert check.returncode == 0
         assert "trace OK" in check.stdout
 
+    def test_verify_rejects_truncated_step(self, tmp_path):
+        path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
+        trace = tmp_path / "php.trace"
+        assert run_cli("solve", path, "--strategy", "gen-res", "--emit-trace", trace).returncode == 20
+        lines = trace.read_text().splitlines()
+        index = next(i for i, l in enumerate(lines) if l.startswith("s "))
+        head, _, ctext = lines[index].partition(" : ")
+        lines[index] = head.rsplit(" ", 1)[0] + " : " + ctext
+        trace.write_text("\n".join(lines) + "\n")
+        check = run_cli("verify", path, trace)
+        assert check.returncode == 1
+        assert f"error: trace line {index + 1}: " in check.stderr
+        assert "Traceback" not in check.stderr
+
     def test_coefficients_beyond_the_int_text_limit(self, tmp_path):
         path = write_huge_coefficient_instance(tmp_path / "huge.opb")
         trace = tmp_path / "huge.trace"

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import pbsolve.solver
 from pbsolve.analysis import STRATEGY_IDS
 from pbsolve.core import Constraint, propagation_candidates
 from pbsolve.generators import php_instance, random_instance
@@ -383,8 +384,10 @@ class TestHeuristics:
         monkeypatch.setattr(Solver, "reduce_db", counted_reduce_db)
         for seed in range(10):
             instance = random_instance(8, 12, 7, 900 + seed)
-            solver = Solver(instance, SolverConfig(strategy="rs-both", reduce_interval=4))
-            result = solver.solve()
+            with monkeypatch.context() as m:
+                m.setattr(pbsolve.solver, "REDUCE_INTERVAL", 4)
+                solver = Solver(instance, SolverConfig(strategy="rs-both"))
+                result = solver.solve()
             assert result.status in (SAT, UNSAT)
             for entry in solver.engine.trail:
                 if entry.reason is not None:
@@ -395,8 +398,10 @@ class TestHeuristics:
             instance = balanced_instance(30, 126, rng)
             unreduced = solve(instance, SolverConfig(strategy="rs-both"))
             before = len(reductions)
-            solver = Solver(instance, SolverConfig(strategy="rs-both", reduce_interval=20))
-            result = solver.solve()
+            with monkeypatch.context() as m:
+                m.setattr(pbsolve.solver, "REDUCE_INTERVAL", 20)
+                solver = Solver(instance, SolverConfig(strategy="rs-both"))
+                result = solver.solve()
             assert len(reductions) > before
             assert result.status == unreduced.status
             engine = solver.engine
@@ -407,11 +412,12 @@ class TestHeuristics:
                 assert all(engine.constraints[cid] is not None for cid, _ in entries)
             assert engine.verify_slacks()
 
-    def test_restart_resets_to_root(self):
+    def test_restart_resets_to_root(self, monkeypatch):
+        monkeypatch.setattr(pbsolve.solver, "RESTART_BASE", 10)
         instance = php_instance(8, 7)
         result = solve(
             instance,
-            SolverConfig(strategy="weaken-ineffective-both", restart_base=10, conflict_budget=400),
+            SolverConfig(strategy="weaken-ineffective-both", conflict_budget=400),
         )
         assert result.stats.restarts > 0
 

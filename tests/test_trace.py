@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from pbsolve import core
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT
 from pbsolve.solver import SolverConfig, solve
@@ -45,6 +46,34 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             DerivationTrace.read(io.StringIO("i 1 junk\n"))
         assert "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize(
+        "rule, arity",
+        [("cancel", 3), ("weaken", 2), ("pweaken", 3), ("saturate", 1), ("divide", 2), ("multiply", 2)],
+    )
+    def test_wrong_argument_count_is_rejected(self, rule, arity, extra):
+        args = " ".join(["1"] * (arity + extra))
+        lines = ["i 1 1 x1 1 x2 >= 1", f"s 2 {rule} {args} : 1 x1 >= 1"]
+        message = f"trace line 2: {rule} takes {arity} arguments, got {arity + extra}"
+        with pytest.raises(ValueError, match=message):
+            DerivationTrace.read(lines)
+
+    @pytest.mark.parametrize("line", ["s", "s 5"])
+    def test_step_without_rule_is_rejected(self, line):
+        with pytest.raises(ValueError, match="trace line 1: "):
+            DerivationTrace.read([line])
+
+    @pytest.mark.parametrize("rule", ["cancel", "weaken", "saturate"])
+    def test_truncated_step_of_a_real_trace_is_rejected(self, rule):
+        instance = php_instance(4, 3)
+        result = solve_with_trace(instance, "weaken-ineffective-both")
+        lines = trace_text(result.trace).splitlines()
+        index = next(i for i, l in enumerate(lines) if l.split()[:3:2] == ["s", rule])
+        head, _, ctext = lines[index].partition(" : ")
+        lines[index] = head.rsplit(" ", 1)[0] + " : " + ctext
+        with pytest.raises(ValueError, match=f"trace line {index + 1}: {rule} takes"):
+            verify_trace(instance, lines)
 
 
 class TestVerify:
@@ -89,6 +118,34 @@ class TestVerify:
         lines = ["i 1 1 x1 1 x2 >= 1", "f 1"]
         check = verify_trace(instance, lines)
         assert not check and "not confirmed" in check.error
+
+    def test_learned_constraint_false_on_its_own(self):
+        # The four clauses over a, b propagate nothing at the root; the
+        # learned empty constraint ">= 1" is the conflict by itself.
+        inputs = [con("a b >= 1"), con("a ~b >= 1"), con("~a b >= 1"), con("~a ~b >= 1")]
+        instance = ParsedInstance(declared_vars=2, constraints=list(inputs))
+        trace = DerivationTrace()
+        for c in inputs:
+            trace.add_input(c)
+
+        def derive(rule, args, params):
+            out = getattr(core, rule)(*args, *params)
+            trace.record(rule, args, params, out)
+            return out
+
+        a, b = 1, 2
+        pos = derive("saturate", (derive("cancel", (inputs[0], inputs[2]), (a,)),), ())
+        neg = derive("saturate", (derive("cancel", (inputs[1], inputs[3]), (a,)),), ())
+        empty = derive("cancel", (pos, neg), (b,))
+        assert empty.to_text() == " >= 1"
+        unclaimed = trace_text(trace) + f"f {trace.id_of(empty)}\n"
+        check = verify_trace(instance, io.StringIO(unclaimed))
+        assert not check and "not confirmed" in check.error
+        trace.mark_learned(empty)
+        trace.mark_final(empty)
+        check = verify_trace(instance, io.StringIO(trace_text(trace)))
+        assert check, check.error
+        assert check.steps_checked == 5
 
     def test_empty_trace_for_sat_instance(self):
         instance = ParsedInstance(declared_vars=1, constraints=[con("a >= 1")])
