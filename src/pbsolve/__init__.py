@@ -28,7 +28,6 @@ from .core import (
     neg,
     normalize,
     partial_weaken,
-    propagation_candidates,
     saturate,
     slack,
     var_of,
@@ -78,7 +77,6 @@ __all__ = [
     "parse_opb",
     "partial_weaken",
     "php_instance",
-    "propagation_candidates",
     "random_instance",
     "reduce_genres",
     "reduce_multiply_weaken",

@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file", type=Path)
     p_solve.add_argument("--strategy", default="partial-rs-both", choices=STRATEGY_IDS)
     p_solve.add_argument("--timeout", type=float, default=None, metavar="SECS")
-    p_solve.add_argument("--verify-model", action="store_true",
-                         help="re-check the model against the input before printing")
     p_solve.add_argument("--emit-trace", type=Path, default=None, metavar="PATH",
                          help="write the derivation trace to a sidecar file")
     p_solve.add_argument("--ignore-objective", action="store_true",
@@ -101,12 +99,6 @@ def _cmd_solve(args) -> int:
     result = solve(instance, config)
     if args.emit_trace is not None and result.trace is not None:
         result.trace.write_file(args.emit_trace)
-    if result.status == SAT and args.verify_model:
-        assert result.model is not None
-        if not all(c.satisfied_by(result.model) for c in instance.constraints):
-            print("error: model verification failed", file=sys.stderr)
-            return EXIT_ERROR
-        print("c model verified against the input")
     st = result.stats
     print(f"c conflicts {st.conflicts} decisions {st.decisions} propagations {st.propagations}")
     print(f"c learned {st.learned} restarts {st.restarts} max-coeff-bits {st.max_coeff_bits}")

@@ -51,55 +51,50 @@ def lit_name(lit: int) -> str:
 
 
 def parse_lit(token: str) -> int:
-    """Inverse of :func:`lit_name` (``x3`` / ``~x3``)."""
-    s = token
-    sign = 1
-    if s.startswith("~"):
-        sign = -1
-        s = s[1:]
-    if not s.startswith("x") or not s[1:].isdigit():
+    """Inverse of :func:`lit_name` (``x3`` / ``~x3``).
+
+    Only the token's shape is checked here; :class:`Constraint` rejects
+    variable index 0.
+    """
+    negated = token.startswith("~")
+    body = token[1:] if negated else token
+    if not body.startswith("x") or not body[1:].isdigit():
         raise ValueError(f"bad literal token {token!r}")
-    v = int(s[1:])
-    if v < 1:
-        raise ValueError(f"variable index must be >= 1: {token!r}")
-    return sign * v
+    v = int(body[1:])
+    return -v if negated else v
 
 
 class Constraint:
     """An immutable normalized PB constraint ``sum(w_i * l_i) >= degree``.
 
     Terms are held in canonical order (ascending variable index), so equality
-    and hashing are structural.  The constructor validates the normalized-form
-    invariants: positive weights, one literal per variable, degree >= 1.
-    Instances must never be mutated.
+    and hashing are structural.  The constructor is the only way to build a
+    constraint, for input and rule outputs alike, and it validates the
+    normalized-form invariants: positive weights, variable indices >= 1, one
+    literal per variable, degree >= 1.  Instances must never be mutated.
     """
 
     __slots__ = ("terms", "degree", "_weights", "_maxw")
 
     def __init__(self, terms: Iterable[tuple[int, int]], degree: int):
-        pairs = sorted(terms, key=lambda t: var_of(t[0]))
-        weights: dict[int, int] = {}
-        seen: set[int] = set()
+        pairs = sorted(terms, key=lambda t: abs(t[0]))
+        prev = 0
         for lit, w in pairs:
             if w < 1:
                 raise ValueError(f"weight must be >= 1, got {w} on {lit_name(lit)}")
-            v = var_of(lit)
+            v = lit if lit > 0 else -lit
             if v < 1:
                 raise ValueError(f"variable index must be >= 1, got literal {lit}")
-            if v in seen:
+            # Sorted by variable, so a repeated variable follows its first term.
+            if v == prev:
                 raise ValueError(f"variable x{v} occurs twice")
-            seen.add(v)
-            weights[lit] = w
+            prev = v
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         self.terms: tuple[tuple[int, int], ...] = tuple(pairs)
         self.degree: int = degree
-        self._weights = weights
-        self._maxw = max(weights.values()) if weights else 0
-
-    @classmethod
-    def from_dict(cls, weights: Mapping[int, int], degree: int) -> "Constraint":
-        return cls(weights.items(), degree)
+        self._weights = dict(pairs)
+        self._maxw = max(self._weights.values()) if pairs else 0
 
     @classmethod
     def from_text(cls, text: str) -> "Constraint":
@@ -124,21 +119,12 @@ class Constraint:
     def __contains__(self, lit: int) -> bool:
         return lit in self._weights
 
-    def literals(self) -> tuple[int, ...]:
-        return tuple(lit for lit, _ in self.terms)
-
     def variables(self) -> tuple[int, ...]:
         return tuple(var_of(lit) for lit, _ in self.terms)
 
     @property
     def max_weight(self) -> int:
         return self._maxw
-
-    def total_weight(self) -> int:
-        return sum(w for _, w in self.terms)
-
-    def is_clause(self) -> bool:
-        return self.degree == 1 and all(w == 1 for _, w in self.terms)
 
     def satisfied_by(self, total: Assignment) -> bool:
         """Evaluate under a total assignment (missing variables count false)."""
@@ -218,7 +204,7 @@ def _normalize_geq(raw_terms, rhs):
         # Even the all-true assignment cannot reach the degree.
         return CONTRADICTION
     capped = {lit: min(w, degree) for lit, w in weights.items()}
-    return Constraint.from_dict(capped, degree)
+    return Constraint(capped.items(), degree)
 
 
 def slack(c: Constraint, rho: Assignment) -> int:
@@ -234,22 +220,6 @@ def slack(c: Constraint, rho: Assignment) -> int:
 def is_conflicting(c: Constraint, rho: Assignment) -> bool:
     """True iff the constraint is falsified under ``rho`` (negative slack)."""
     return slack(c, rho) < 0
-
-
-def propagation_candidates(c: Constraint, rho: Assignment) -> tuple[int, ...]:
-    """Unassigned literals whose weight exceeds the slack.
-
-    Those literals must be satisfied for the constraint to remain satisfiable,
-    so they are propagated.  Requires a non-negative slack.
-    """
-    s = slack(c, rho)
-    if s < 0:
-        raise ValueError("constraint is conflicting; no propagation candidates")
-    if s >= c.max_weight:
-        return ()
-    return tuple(
-        lit for lit, w in c.terms if w > s and rho.get(var_of(lit)) is None
-    )
 
 
 def cancel_multipliers(c1: Constraint, c2: Constraint, pivot: int) -> tuple[int, int]:
@@ -272,29 +242,22 @@ def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint | _Marker:
     the degree drops by the cancelled amount.  The result is *not* saturated.
     """
     mu, nu = cancel_multipliers(c1, c2, pivot)
-    merged: dict[int, int] = {}
-    for lit, w in c1.terms:
-        merged[lit] = merged.get(lit, 0) + mu * w
-    for lit, w in c2.terms:
-        merged[lit] = merged.get(lit, 0) + nu * w
+    weights = {lit: mu * w for lit, w in c1.terms}
     degree = mu * c1.degree + nu * c2.degree
-    weights: dict[int, int] = {}
-    done: set[int] = set()
-    for lit in merged:
-        v = var_of(lit)
-        if v in done:
-            continue
-        done.add(v)
-        a, b = merged.get(v, 0), merged.get(-v, 0)
-        cancelled = min(a, b)
-        degree -= cancelled
-        if a > b:
-            weights[v] = a - b
-        elif b > a:
-            weights[-v] = b - a
+    for lit, w in c2.terms:
+        w *= nu
+        opposite = weights.pop(-lit, 0)
+        if opposite:
+            degree -= min(opposite, w)
+            if opposite > w:
+                weights[-lit] = opposite - w
+            elif w > opposite:
+                weights[lit] = w - opposite
+        else:
+            weights[lit] = weights.get(lit, 0) + w
     if degree <= 0:
         return TAUTOLOGY
-    return Constraint.from_dict(weights, degree)
+    return Constraint(weights.items(), degree)
 
 
 def weaken(c: Constraint, lit: int) -> Constraint | _Marker:
@@ -305,8 +268,7 @@ def weaken(c: Constraint, lit: int) -> Constraint | _Marker:
     degree = c.degree - w
     if degree <= 0:
         return TAUTOLOGY
-    weights = {l: x for l, x in c.terms if l != lit}
-    return Constraint.from_dict(weights, degree)
+    return Constraint([t for t in c.terms if t[0] != lit], degree)
 
 
 def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint | _Marker:
@@ -325,16 +287,14 @@ def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint | _Marker:
     weights = {l: x for l, x in c.terms if l != lit}
     if w - eps:
         weights[lit] = w - eps
-    return Constraint.from_dict(weights, degree)
+    return Constraint(weights.items(), degree)
 
 
 def saturate(c: Constraint) -> Constraint:
     """Cap every weight at the degree.  Idempotent."""
     if c.max_weight <= c.degree:
         return c
-    return Constraint.from_dict(
-        {lit: min(w, c.degree) for lit, w in c.terms}, c.degree
-    )
+    return Constraint([(lit, min(w, c.degree)) for lit, w in c.terms], c.degree)
 
 
 def divide(c: Constraint, r: int) -> Constraint:
@@ -343,9 +303,7 @@ def divide(c: Constraint, r: int) -> Constraint:
         raise ValueError(f"divisor must be >= 1, got {r}")
     if r == 1:
         return c
-    return Constraint.from_dict(
-        {lit: -(-w // r) for lit, w in c.terms}, -(-c.degree // r)
-    )
+    return Constraint([(lit, -(-w // r)) for lit, w in c.terms], -(-c.degree // r))
 
 
 def multiply(c: Constraint, k: int) -> Constraint:
@@ -358,4 +316,4 @@ def multiply(c: Constraint, k: int) -> Constraint:
         raise ValueError(f"multiplier must be >= 1, got {k}")
     if k == 1:
         return c
-    return Constraint.from_dict({lit: k * w for lit, w in c.terms}, k * c.degree)
+    return Constraint([(lit, k * w) for lit, w in c.terms], k * c.degree)

@@ -74,17 +74,6 @@ class PropagationEngine:
         if self.constraints[cid] is not None:
             self._pending.append(cid)
 
-    # -- assignment state ---------------------------------------------------
-
-    def value(self, lit: int) -> bool | None:
-        v = self.assignment.get(var_of(lit))
-        if v is None:
-            return None
-        return v == (lit > 0)
-
-    def reason_of(self, var: int) -> int | None:
-        return self.trail[self.var_pos[var]].reason
-
     # -- trail operations ---------------------------------------------------
 
     def assign(self, lit: int, reason: int | None) -> None:
@@ -166,19 +155,3 @@ class PropagationEngine:
         self.current_level = level
         self._qhead = min(self._qhead, len(self.trail))
         return popped
-
-    # -- debugging / verification -------------------------------------------
-
-    def recomputed_slack(self, cid: int) -> int:
-        c = self.constraints[cid]
-        assert c is not None
-        return slack(c, self.assignment)
-
-    def verify_slacks(self) -> bool:
-        """Full recomputation check of every stored slack (debug oracle)."""
-        for cid, c in enumerate(self.constraints):
-            if c is None:
-                continue
-            if self.slacks[cid] != self.recomputed_slack(cid):
-                return False
-        return True

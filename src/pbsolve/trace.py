@@ -56,6 +56,19 @@ class RuleStep:
     output: Constraint
 
 
+def _split_args(rule: str, args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a step's arguments into input ids and parameters by :data:`RULES`.
+
+    Raises ValueError for an unknown rule or a wrong argument count.
+    """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    _, n_inputs, n_params = RULES[rule]
+    if len(args) != n_inputs + n_params:
+        raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {len(args)}")
+    return args[:n_inputs], args[n_inputs:]
+
+
 def replay_step(rule: str, inputs: list[Constraint], params: tuple[int, ...]):
     """Recompute a rule application; returns a Constraint or a marker.
 
@@ -163,21 +176,8 @@ class DerivationTrace:
                         raise ValueError("a step needs an id and a rule")
                     i = int(fields[0])
                     rule = fields[1]
-                    if rule not in RULES:
-                        raise ValueError(f"unknown rule {rule!r}")
-                    _, n_inputs, n_params = RULES[rule]
-                    nums = [int(x) for x in fields[2:]]
-                    if len(nums) != n_inputs + n_params:
-                        raise ValueError(
-                            f"{rule} takes {n_inputs + n_params} arguments, got {len(nums)}"
-                        )
-                    step = RuleStep(
-                        i,
-                        rule,
-                        tuple(nums[:n_inputs]),
-                        tuple(nums[n_inputs:]),
-                        Constraint.from_text(ctext),
-                    )
+                    inputs, params = _split_args(rule, tuple(int(x) for x in fields[2:]))
+                    step = RuleStep(i, rule, inputs, params, Constraint.from_text(ctext))
                     trace.steps.append(step)
                     trace._name(step.output, i)
                 elif kind == "l":
@@ -215,9 +215,11 @@ def verify_trace(
     """Replay every recorded step and validate an unsatisfiability claim.
 
     Checks, in order: the declared inputs match the instance's normalized
-    constraints; every step references only earlier ids and replays
-    bit-exactly; and, when a final conflict is declared, root-level
-    propagation over inputs plus learned constraints yields a conflict.
+    constraints; every step has its rule's argument count (split into ids
+    and parameters by :func:`_split_args`, as :meth:`DerivationTrace.read`
+    does), references only earlier ids and replays bit-exactly; and, when a
+    final conflict is declared, root-level propagation over inputs plus
+    learned constraints yields a conflict.
     """
     if isinstance(trace, (str, Path)):
         trace = DerivationTrace.read_file(trace)
@@ -234,11 +236,15 @@ def verify_trace(
         known[i] = c
 
     for index, st in enumerate(trace.steps):
-        for ref_id in st.inputs:
+        try:
+            inputs, params = _split_args(st.rule, (*st.inputs, *st.params))
+        except ValueError as exc:
+            return TraceCheck(False, f"step {index}: {exc}", index)
+        for ref_id in inputs:
             if ref_id not in known or ref_id >= st.step_id:
                 return TraceCheck(False, f"step {index}: reference to unknown id {ref_id}", index)
         try:
-            result = replay_step(st.rule, [known[i] for i in st.inputs], st.params)
+            result = replay_step(st.rule, [known[i] for i in inputs], params)
         except ValueError as exc:
             return TraceCheck(False, f"step {index}: replay error: {exc}", index)
         if not isinstance(result, Constraint) or result != st.output:

@@ -10,6 +10,12 @@ here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
 assertiveness behind ``Solver._assertion_level``; and
 ``linear_decide_literal``, the reference for the solver's decision heap.
 ``observe_resolve_steps`` lets a test watch every resolve step of the solver.
+
+Queries only tests ask are free functions here rather than package surface:
+``literals``, ``total_weight`` and ``is_clause`` on a constraint;
+``propagation_candidates``, the literals a constraint propagates; and
+``value``, ``reason_of`` and ``verify_slacks`` on a propagation engine, the
+last one recomputing every stored slack.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 import pbsolve.solver
-from pbsolve.core import Constraint, propagation_candidates, slack, var_of
+from pbsolve.core import Assignment, Constraint, slack, var_of
 
 
 def var(letter: str) -> int:
@@ -51,6 +57,55 @@ def con(text: str) -> Constraint:
 
 def asg(**values: int | bool) -> dict[int, bool]:
     return {var(name): bool(v) for name, v in values.items()}
+
+
+def literals(c: Constraint) -> tuple[int, ...]:
+    return tuple(lit for lit, _ in c.terms)
+
+
+def total_weight(c: Constraint) -> int:
+    return sum(w for _, w in c.terms)
+
+
+def is_clause(c: Constraint) -> bool:
+    return c.degree == 1 and all(w == 1 for _, w in c.terms)
+
+
+def propagation_candidates(c: Constraint, rho: Assignment) -> tuple[int, ...]:
+    """Unassigned literals whose weight exceeds the slack.
+
+    Those literals must be satisfied for the constraint to remain satisfiable,
+    so they are propagated.  Requires a non-negative slack.
+    """
+    s = slack(c, rho)
+    if s < 0:
+        raise ValueError("constraint is conflicting; no propagation candidates")
+    if s >= c.max_weight:
+        return ()
+    return tuple(
+        lit for lit, w in c.terms if w > s and rho.get(var_of(lit)) is None
+    )
+
+
+def value(engine, lit: int) -> bool | None:
+    """Truth value of a literal on the engine's trail; None when unassigned."""
+    v = engine.assignment.get(var_of(lit))
+    if v is None:
+        return None
+    return v == (lit > 0)
+
+
+def reason_of(engine, v: int) -> int | None:
+    """The reason constraint id of an assigned variable, or DECISION."""
+    return engine.trail[engine.var_pos[v]].reason
+
+
+def verify_slacks(engine) -> bool:
+    """Full recomputation check of every stored slack (debug oracle)."""
+    for cid, c in enumerate(engine.constraints):
+        if c is not None and engine.slacks[cid] != slack(c, engine.assignment):
+            return False
+    return True
 
 
 def linear_decide_literal(solver) -> int:
@@ -161,7 +216,7 @@ def implies_semantically(
     if n > _ENUMERATION_LIMIT:
         raise ValueError(f"enumeration bound exceeded: {n} > {_ENUMERATION_LIMIT}")
     small = all(
-        c.total_weight() + c.degree < _INT64_SAFE for c in (*premises, conclusion)
+        total_weight(c) + c.degree < _INT64_SAFE for c in (*premises, conclusion)
     )
     if small:
         index = {v: i for i, v in enumerate(order)}

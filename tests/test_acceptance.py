@@ -26,7 +26,6 @@ from pbsolve.core import (
     cancel,
     divide,
     partial_weaken,
-    propagation_candidates,
     saturate,
     slack,
     weaken,
@@ -35,7 +34,16 @@ from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import SAT, UNKNOWN, UNSAT, write_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import verify_trace
-from helpers import asg, con, implies_semantically, lit, observe_resolve_steps, var
+from helpers import (
+    asg,
+    con,
+    implies_semantically,
+    lit,
+    literals,
+    observe_resolve_steps,
+    propagation_candidates,
+    var,
+)
 
 
 def report(number: int, name: str, detail: str) -> None:
@@ -151,10 +159,10 @@ def test_criterion_2_rule_soundness():
             applications += 1
             continue
         if kind == 1:
-            target = rng.choice(c.literals())
+            target = rng.choice(literals(c))
             out = weaken(c, target)
         elif kind == 2:
-            target = rng.choice(c.literals())
+            target = rng.choice(literals(c))
             out = partial_weaken(c, target, rng.randint(1, c.weight_of(target)))
         elif kind == 3:
             out = saturate(c)
@@ -292,7 +300,7 @@ def test_criterion_6_strength_dominance():
     checked = 0
     while checked < 1_000:
         c = _random_constraint(rng, nvars=10, max_weight=9)
-        pivot = rng.choice(c.literals())
+        pivot = rng.choice(literals(c))
         rho = {}
         for v in range(1, 11):
             if v != abs(pivot) and rng.random() < 0.5:

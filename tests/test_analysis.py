@@ -22,7 +22,7 @@ from pbsolve.core import (
     slack,
 )
 from pbsolve.trace import DerivationTrace, replay_step
-from helpers import asg, con, implies_semantically, lit, var
+from helpers import asg, con, implies_semantically, is_clause, lit, literals, var
 
 
 def rho_after_propagation(base, pivot):
@@ -218,7 +218,7 @@ class TestResolveStep:
             "weaken-ineffective-both",
         )
         assert out.constraint == con("a c f >= 1")
-        assert out.constraint.is_clause()
+        assert is_clause(out.constraint)
 
     def test_weaken_ineffective_conflict_keeps_reason_strength(self):
         rho = rho_after_propagation(asg(a=0, c=0, f=0), lit("~b"))
@@ -274,7 +274,7 @@ class TestResolveStep:
         conflict = con("3a 3b 2c >= 5")
         reduced = weaken_ineffective(conflict, rho, protect=lit("a"))
         assert reduced == con("3a 3b >= 3")
-        assert not reduced.is_clause()
+        assert not is_clause(reduced)
         reason = Constraint([(-1, 2), (9, 1)], 2)  # propagated ~a
         rho_after = dict(rho)
         rho_after[1] = False
@@ -305,7 +305,7 @@ def _random_pivot_triple(rng, nvars=8):
     """
     while True:
         c = _random_constraint(rng, nvars)
-        pivot = rng.choice(c.literals())
+        pivot = rng.choice(literals(c))
         rho = {}
         for v in range(1, nvars + 1):
             if v != abs(pivot) and rng.random() < 0.5:
@@ -327,7 +327,7 @@ def _random_resolve_setup(rng, nvars=9):
     rho.  Returns None when the random draw misses those conditions.
     """
     reason = _random_constraint(rng, nvars)
-    pivot = rng.choice(reason.literals())
+    pivot = rng.choice(literals(reason))
     conflict = _random_constraint(rng, nvars)
     if neg(pivot) not in conflict:
         flipped = {l: w for l, w in conflict.terms if abs(l) != abs(pivot)}

@@ -115,7 +115,7 @@ class TestCli:
     def test_solve_sat_prints_values(self, tmp_path):
         path = tmp_path / "one.opb"
         path.write_text("+1 x1 >= 1 ;\n")
-        proc = run_cli("solve", path, "--verify-model")
+        proc = run_cli("solve", path)
         assert proc.returncode == 10
         assert "s SATISFIABLE" in proc.stdout
         assert "\nv x1" in proc.stdout

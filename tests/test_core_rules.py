@@ -17,12 +17,11 @@ from pbsolve.core import (
     neg,
     normalize,
     partial_weaken,
-    propagation_candidates,
     saturate,
     slack,
     weaken,
 )
-from helpers import asg, con, implies_semantically, lit
+from helpers import asg, con, implies_semantically, lit, propagation_candidates
 
 
 class TestConstraint:
@@ -40,6 +39,31 @@ class TestConstraint:
             Constraint([(1, 1), (-1, 1)], 1)
         with pytest.raises(ValueError):
             Constraint([(1, 2)], 0)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([(0, 1)], "variable index must be >= 1"),
+            ([(3, 1), (1, 1), (-3, 2)], "variable x3 occurs twice"),
+            ([(2, 1), (2, 3)], "variable x2 occurs twice"),
+        ],
+    )
+    def test_bad_terms_rejected(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            Constraint(terms, 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 x0 >= 1", "variable index must be >= 1"),
+            ("1 x+5 >= 1", "bad literal token"),
+            ("1 y3 >= 1", "bad literal token"),
+            ("1 >= 1", "odd token count"),
+        ],
+    )
+    def test_bad_text_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Constraint.from_text(text)
 
     def test_text_round_trip(self):
         c = con("6~b 6c 4e f g h >= 7")

@@ -7,6 +7,7 @@ import pytest
 
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import SAT, UNSAT, write_opb
+from helpers import is_clause, literals, total_weight
 
 
 def brute_force_status(instance):
@@ -28,10 +29,10 @@ class TestPigeonhole:
         inst = php_instance(4, 3)
         per_pigeon = inst.constraints[:4]
         per_hole = inst.constraints[4:]
-        assert all(c.is_clause() and len(c) == 3 for c in per_pigeon)
+        assert all(is_clause(c) and len(c) == 3 for c in per_pigeon)
         for c in per_hole:
             assert c.degree == 3 and len(c) == 4
-            assert all(l < 0 for l in c.literals())
+            assert all(l < 0 for l in literals(c))
 
     @pytest.mark.parametrize("holes", [1, 2, 3, 4])
     def test_one_more_pigeon_is_unsat(self, holes):
@@ -63,7 +64,7 @@ class TestRandom:
             inst = random_instance(8, 12, 10, seed)
             assert len(inst.constraints) == 12
             for c in inst.constraints:
-                assert c.total_weight() >= c.degree
+                assert total_weight(c) >= c.degree
                 assert all(1 <= w <= 10 for _, w in c.terms)
                 assert max(c.variables()) <= 8
 

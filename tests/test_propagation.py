@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from pbsolve.core import propagation_candidates, slack
+from pbsolve.core import slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.propagation import DECISION, PropagationEngine
-from helpers import con, lit, var
+from helpers import con, lit, propagation_candidates, reason_of, value, var, verify_slacks
 
 
 def engine_with(*constraints):
@@ -49,8 +49,8 @@ class TestPropagation:
             engine.assume(decision)
         assert engine.slacks[0] == 2
         result = engine.propagate_all()
-        assert engine.value(-var("b")) is True
-        assert engine.reason_of(var("b")) == 0
+        assert value(engine, -var("b")) is True
+        assert reason_of(engine, var("b")) == 0
         assert result == 1  # the propagation of ~b falsifies the other constraint
         assert engine.slacks[1] == -1
 
@@ -84,7 +84,7 @@ class TestPropagation:
             if conflict is None:
                 for cid, c in enumerate(engine.constraints):
                     assert all(
-                        engine.value(l) is True
+                        value(engine, l) is True
                         for l in propagation_candidates(c, engine.assignment)
                     )
 
@@ -102,7 +102,7 @@ class TestBackjump:
             engine.propagate_all()
         assert engine.current_level > 0
         engine.backjump_to(0)
-        assert engine.verify_slacks()
+        assert verify_slacks(engine)
         assert all(e.level == 0 for e in engine.trail)
 
     def test_backjump_requires_lower_level(self):
@@ -129,7 +129,7 @@ class TestBackjump:
                     v = rng.choice(free)
                     engine.assume(v if rng.random() < 0.5 else -v)
                     engine.propagate_all()
-                assert engine.verify_slacks()
+                assert verify_slacks(engine)
 
     def test_learned_constraint_propagates_after_backjump(self):
         engine = engine_with(con("a b >= 1"))
@@ -140,8 +140,8 @@ class TestBackjump:
         engine.backjump_to(1)
         cid = engine.add_constraint(con("~b c >= 1"))
         assert engine.propagate_all() is None
-        assert engine.value(var("c")) is True
-        assert engine.reason_of(var("c")) == cid
+        assert value(engine, var("c")) is True
+        assert reason_of(engine, var("c")) == cid
 
     def test_reason_validity_replay(self):
         inst = php_instance(3, 2)
@@ -190,4 +190,4 @@ class TestRemoveConstraints:
                 v = rng.choice(free)
                 for engine in (compacted, lazy):
                     engine.assume(v)
-            assert compacted.verify_slacks()
+            assert verify_slacks(compacted)

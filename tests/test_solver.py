@@ -10,7 +10,7 @@ import pytest
 
 import pbsolve.solver
 from pbsolve.analysis import STRATEGY_IDS
-from pbsolve.core import Constraint, propagation_candidates
+from pbsolve.core import Constraint
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT, parse_opb, write_opb
 from pbsolve.solver import (
@@ -28,7 +28,9 @@ from helpers import (
     is_assertive,
     linear_decide_literal,
     observe_resolve_steps,
+    propagation_candidates,
     var,
+    verify_slacks,
 )
 
 
@@ -410,7 +412,7 @@ class TestHeuristics:
                     assert engine.constraints[entry.reason] is not None
             for entries in engine.occs.values():
                 assert all(engine.constraints[cid] is not None for cid, _ in entries)
-            assert engine.verify_slacks()
+            assert verify_slacks(engine)
 
     def test_restart_resets_to_root(self, monkeypatch):
         monkeypatch.setattr(pbsolve.solver, "RESTART_BASE", 10)
@@ -420,6 +422,13 @@ class TestHeuristics:
             SolverConfig(strategy="weaken-ineffective-both", conflict_budget=400),
         )
         assert result.stats.restarts > 0
+        # The same solve with a base no 400-conflict run reaches restarts never.
+        monkeypatch.setattr(pbsolve.solver, "RESTART_BASE", 10**9)
+        result = solve(
+            instance,
+            SolverConfig(strategy="weaken-ineffective-both", conflict_budget=400),
+        )
+        assert result.stats.restarts == 0
 
 
 #: (instance, strategy) -> (status, conflicts, decisions, propagations,

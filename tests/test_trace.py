@@ -8,7 +8,7 @@ from pbsolve import core
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT
 from pbsolve.solver import SolverConfig, solve
-from pbsolve.trace import DerivationTrace, TraceCheck, verify_trace
+from pbsolve.trace import DerivationTrace, RuleStep, TraceCheck, verify_trace
 from helpers import con
 
 
@@ -163,6 +163,31 @@ class TestVerify:
             if result.status == SAT and result.trace.steps:
                 count += 1
         assert count > 3
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize(
+        "rule, n_inputs, n_params",
+        [
+            ("cancel", 2, 1),
+            ("weaken", 1, 1),
+            ("pweaken", 1, 2),
+            ("saturate", 1, 0),
+            ("divide", 1, 1),
+            ("multiply", 1, 1),
+        ],
+    )
+    def test_wrong_argument_count_in_memory_fails_the_check(self, rule, n_inputs, n_params, extra):
+        instance = php_instance(2, 1)
+        trace = solve_with_trace(instance).trace
+        arity = n_inputs + n_params
+        args = (1,) * (arity + extra)
+        step_id = max(i for i, _ in trace.inputs) + len(trace.steps) + 1
+        trace.steps.append(RuleStep(step_id, rule, args[:n_inputs], args[n_inputs:], con("a >= 1")))
+        index = len(trace.steps) - 1
+        check = verify_trace(instance, trace)
+        assert not check
+        assert check.error == f"step {index}: {rule} takes {arity} arguments, got {arity + extra}"
+        assert check.steps_checked == index
 
     def test_truthiness_of_check_result(self):
         assert TraceCheck(True)
