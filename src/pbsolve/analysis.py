@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import core
 from .core import Constraint, TAUTOLOGY, is_conflicting, neg, slack, var_of
-from .trace import DerivationTrace
+from .trace import RULES, DerivationTrace
 
 #: The exact strategy identifiers accepted on the command line.
 STRATEGY_IDS = (
@@ -72,45 +72,27 @@ class AnalysisError(RuntimeError):
     """Internal invariant breach during conflict analysis."""
 
 
-def _derived(trace: DerivationTrace | None, rule: str, inputs, params, out):
-    """Check a rule output and record it as a step.
+#: core function name -> (trace rule name, number of input constraints).
+_RULE_NAMES = {fn: (rule, n_inputs) for rule, (fn, n_inputs, _) in RULES.items()}
 
-    A tautology cannot arise in a sound analysis, so it raises.  An output
-    that is its own input (a no-op saturation) is not recorded.
+
+def _apply(trace: DerivationTrace | None, rule, *args):
+    """Apply a :mod:`pbsolve.core` rule and record it as a step.
+
+    ``args`` are the rule's input constraints followed by its parameters, as
+    :data:`pbsolve.trace.RULES` counts them.  The rule is named by
+    ``__name__``, so a wrapper installed on :mod:`pbsolve.core` (a profiling
+    span) is found too.  A tautology cannot arise in a sound analysis, so it
+    raises.  An output that is its first input (a no-op saturation, a
+    division or multiplication by 1) is not recorded.
     """
+    name, n_inputs = _RULE_NAMES[rule.__name__]
+    out = rule(*args)
     if out is TAUTOLOGY:
-        raise AnalysisError(f"{rule} produced a tautology during analysis")
-    if trace is not None and out is not inputs[0]:
-        trace.record(rule, inputs, params, out)
+        raise AnalysisError(f"{name} produced a tautology during analysis")
+    if trace is not None and out is not args[0]:
+        trace.record(name, args[:n_inputs], args[n_inputs:], out)
     return out
-
-
-def _cancel(trace, c1: Constraint, c2: Constraint, pivot_var: int):
-    return _derived(trace, "cancel", (c1, c2), (pivot_var,), core.cancel(c1, c2, pivot_var))
-
-
-def _weaken(trace, c: Constraint, lit: int):
-    return _derived(trace, "weaken", (c,), (lit,), core.weaken(c, lit))
-
-
-def _partial_weaken(trace, c: Constraint, lit: int, eps: int):
-    return _derived(trace, "pweaken", (c,), (lit, eps), core.partial_weaken(c, lit, eps))
-
-
-def _saturate(trace, c: Constraint):
-    return _derived(trace, "saturate", (c,), (), core.saturate(c))
-
-
-def _divide(trace, c: Constraint, r: int):
-    if r == 1:
-        return c
-    return _derived(trace, "divide", (c,), (r,), core.divide(c, r))
-
-
-def _multiply(trace, c: Constraint, k: int):
-    if k == 1:
-        return c
-    return _derived(trace, "multiply", (c,), (k,), core.multiply(c, k))
 
 
 @dataclass
@@ -146,7 +128,7 @@ def reduce_genres(
     the degree, at most 0, so the loop always ends.
     """
     conflict_slack = slack(conflict, rho)
-    reason = _saturate(trace, reason)
+    reason = _apply(trace, core.saturate, reason)
     while True:
         mu, nu = core.cancel_multipliers(conflict, reason, var_of(pivot))
         if mu * conflict_slack + nu * slack(reason, rho) < 0:
@@ -160,7 +142,7 @@ def reduce_genres(
         )
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
-        reason = _saturate(trace, _weaken(trace, reason, candidates[0][2]))
+        reason = _apply(trace, core.saturate, _apply(trace, core.weaken, reason, candidates[0][2]))
 
 
 def reduce_rs(
@@ -190,10 +172,10 @@ def reduce_rs(
         if rem == 0:
             continue
         if partial and rem != w:
-            c = _partial_weaken(trace, c, lit, rem)
+            c = _apply(trace, core.partial_weaken, c, lit, rem)
         else:
-            c = _weaken(trace, c, lit)
-    return _divide(trace, c, r)
+            c = _apply(trace, core.weaken, c, lit)
+    return _apply(trace, core.divide, c, r)
 
 
 def weaken_ineffective(
@@ -239,8 +221,11 @@ def weaken_ineffective(
         else:
             if trial.weight_of(pivot) <= slack(trial, rho):
                 continue
-        _derived(trace, "weaken", (c,), (lit,), weakened)
-        c = _derived(trace, "saturate", (weakened,), (), trial)
+        if trace is not None:
+            trace.record("weaken", (c,), (lit,), weakened)
+            if trial is not weakened:
+                trace.record("saturate", (weakened,), (), trial)
+        c = trial
     return c
 
 
@@ -280,18 +265,18 @@ def reduce_multiply_weaken(
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
         return None, mu
-    c = _multiply(trace, reason, nu)
+    c = _apply(trace, core.multiply, reason, nu)
     for w, _, lit in ineffective:
         if need == 0:
             break
         scaled = nu * w
         if scaled <= need:
-            c = _weaken(trace, c, lit)
+            c = _apply(trace, core.weaken, c, lit)
             need -= scaled
         else:
-            c = _partial_weaken(trace, c, lit, need)
+            c = _apply(trace, core.partial_weaken, c, lit, need)
             need = 0
-    return _saturate(trace, c), mu
+    return _apply(trace, core.saturate, c), mu
 
 
 def resolve_step(
@@ -354,7 +339,7 @@ def resolve_step(
     else:  # pragma: no cover - parse_strategy rejects unknown families
         raise AssertionError(family)
 
-    out = _saturate(trace, _cancel(trace, conflict, reason, var_of(pivot)))
+    out = _apply(trace, core.saturate, _apply(trace, core.cancel, conflict, reason, var_of(pivot)))
     if not is_conflicting(out, rho):
         raise AnalysisError(
             f"resolve_step produced a non-conflicting constraint with {strategy}: {out.to_text()}"

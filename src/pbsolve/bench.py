@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from .analysis import STRATEGY_IDS
 from .opb import UNKNOWN, parse_opb
 from .solver import SolverConfig, solve
 
@@ -117,13 +116,14 @@ def run_matrix(
 ) -> list[BenchRecord]:
     """Run every (instance, strategy) pair in up to ``jobs`` worker processes.
 
-    Rows come back in matrix order.
+    Rows come back in matrix order.  The settings are checked once, by
+    building each strategy's :class:`SolverConfig`, before any worker starts;
+    a bad one raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for s in strategies:
-        if s not in STRATEGY_IDS:
-            raise ValueError(f"unknown strategy {s!r}")
+    for strategy in strategies:
+        SolverConfig(strategy=strategy, time_budget=timeout)
     tasks = []
     for path in sorted(paths, key=lambda p: Path(p).name):
         for strategy in strategies:

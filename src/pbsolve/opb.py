@@ -173,11 +173,13 @@ def write_opb(instance: ParsedInstance, stream: IO[str]) -> None:
 
     Negated literals are rewritten as negative coefficients on the positive
     variable with the right-hand side adjusted, which round-trips through
-    normalization to the identical canonical constraint.
+    normalization to the identical canonical constraint.  A contradiction is
+    written as the empty row ``>= 1 ;``, which parses back as one.
     """
-    stream.write(
-        f"* #variable= {instance.nvars} #constraint= {len(instance.constraints)}\n"
-    )
+    rows = len(instance.constraints) + instance.contradiction
+    stream.write(f"* #variable= {instance.nvars} #constraint= {rows}\n")
+    if instance.contradiction:
+        stream.write(">= 1 ;\n")
     for c in instance.constraints:
         parts = []
         rhs = c.degree

@@ -60,7 +60,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.conflict_budget is not None and self.conflict_budget < 0:
             raise ValueError("conflict budget must be >= 0")
-        if self.time_budget is not None and self.time_budget < 0:
+        # Written so that NaN, whose deadline would never expire, fails too.
+        if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError("time budget must be >= 0")
         parse_strategy(self.strategy)
 

@@ -6,6 +6,7 @@ import pytest
 
 from pbsolve.analysis import (
     STRATEGY_IDS,
+    AnalysisError,
     parse_strategy,
     reduce_genres,
     reduce_multiply_weaken,
@@ -190,6 +191,30 @@ class TestMultiplyWeaken:
         assert out.fallback
         assert is_conflicting(out.constraint, rho2)
         assert implies_semantically([conflict, reason], out.constraint)
+
+
+class TestRuleApplication:
+    def test_tautology_raises(self):
+        # Weakening 3a away leaves "2b >= 0".
+        with pytest.raises(AnalysisError, match="weaken produced a tautology during analysis"):
+            reduce_rs(con("3a 2b >= 3"), lit("b"), {})
+
+    def test_output_equal_to_input_is_not_recorded(self):
+        clause = con("a b c >= 1")
+        reason = con("3a 3b >= 3")
+        safe_reason = con("~b c >= 1")
+        trace = DerivationTrace()
+        for c in (clause, reason, safe_reason):
+            trace.add_input(c)
+        # Division by the pivot weight 1.
+        assert reduce_rs(clause, lit("a"), {}, trace=trace) is clause
+        # Multiplication by nu == 1, nothing to weaken, already saturated.
+        rho = {var("a"): False, var("b"): True}
+        assert reduce_multiply_weaken(reason, lit("b"), 3, rho, trace=trace)[0] is reason
+        # A saturation that changes nothing, on a pair that is already safe.
+        rho = {var("a"): False, var("c"): False, var("b"): False}
+        assert reduce_genres(reason, safe_reason, lit("~b"), rho, trace=trace) is safe_reason
+        assert trace.steps == []
 
 
 class TestResolveStep:

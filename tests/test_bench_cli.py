@@ -55,6 +55,22 @@ class TestBenchMatrix:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5
 
+    def test_csv_header_text_is_pinned(self):
+        assert CSV_HEADER == (
+            "instance,strategy,status,seconds,conflicts,decisions,propagations,"
+            "learned,max_coeff_bits,fallbacks"
+        )
+
+    @pytest.mark.parametrize(
+        "strategies, timeout, message",
+        [(["nope"], 10, "unknown strategy 'nope'"), (["gen-res"], -1, "time budget must be >= 0")],
+        ids=["unknown-strategy", "negative-timeout"],
+    )
+    def test_bad_settings_raise_before_any_run(self, tmp_path, strategies, timeout, message):
+        # The path does not exist: a worker that ran would yield a crashed row.
+        with pytest.raises(ValueError, match=message):
+            run_matrix([tmp_path / "absent.opb"], strategies, timeout)
+
     def test_cactus_counts_are_nondecreasing(self, bench_dir):
         records = run_matrix(sorted(bench_dir.glob("*.opb")), ["gen-res", "partial-rs-both"], 60)
         buf = io.StringIO()
@@ -126,6 +142,24 @@ class TestCli:
         proc = run_cli("solve", path)
         assert proc.returncode == 1
         assert "line 1" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "content, extra",
+        [
+            (b"+1 x1 >= 1 ;\n", ["--timeout", "-1"]),
+            (b"+1 x1 >= 1 ;\n", ["--timeout", "nan"]),
+            (b"* caf\xc3\xa9\n+1 x1 >= 1 ;\n", []),
+        ],
+        ids=["negative-timeout", "nan-timeout", "non-ascii-comment"],
+    )
+    def test_solve_bad_input_is_one_error_line(self, tmp_path, content, extra):
+        path = tmp_path / "in.opb"
+        path.write_bytes(content)
+        proc = run_cli("solve", path, *extra)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_missing_file(self, tmp_path):
         proc = run_cli("solve", tmp_path / "absent.opb")
@@ -217,6 +251,22 @@ class TestCli:
         assert proc.returncode == 0
         assert "broken.opb gen-res: OpbSyntaxError: " in proc.stderr
         assert "c 2 runs, 1 solved, 1 crashed;" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--timeout", "-1"], "time budget must be >= 0"),
+            (["--strategies", "gen-res,nope"], "unknown strategy 'nope'"),
+        ],
+        ids=["negative-timeout", "unknown-strategy"],
+    )
+    def test_bench_rejects_bad_settings(self, bench_dir, tmp_path, extra, message):
+        out = tmp_path / "rows.csv"
+        proc = run_cli("bench", bench_dir, *extra, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_bench_rejects_zero_jobs(self, bench_dir, tmp_path):
         proc = run_cli("bench", bench_dir, "--jobs", "0", "--out", tmp_path / "rows.csv")

@@ -17,6 +17,7 @@ from pbsolve.opb import (
     parse_opb,
     write_opb,
 )
+from pbsolve.solver import solve
 from helpers import con
 
 
@@ -106,6 +107,17 @@ class TestWrite:
         buf = io.StringIO()
         write_opb(ParsedInstance(declared_vars=0), buf)
         assert buf.getvalue() == "* #variable= 0 #constraint= 0\n"
+
+    def test_contradiction_round_trips(self):
+        inst = parse_opb("+1 x1 >= 2 ;\n+1 x2 >= 1 ;\n")
+        assert inst.contradiction
+        buf = io.StringIO()
+        write_opb(inst, buf)
+        assert buf.getvalue().splitlines()[0] == "* #variable= 2 #constraint= 2"
+        again = parse_opb(buf.getvalue())
+        assert again.contradiction
+        assert again.constraints == inst.constraints
+        assert solve(again).status == UNSAT
 
     def test_php_round_trip_counts(self):
         inst = php_instance(4, 3)

@@ -134,6 +134,11 @@ class TestSolveEndToEnd:
         assert result.status == UNKNOWN
         assert result.stats.seconds < 5.0
 
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_bad_time_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="time budget must be >= 0"):
+            SolverConfig(time_budget=budget)
+
     def test_time_budget_overshoot_is_bounded(self):
         started = time.monotonic()
         result = solve(
