@@ -25,12 +25,10 @@ from .core import (
     cancel,
     divide,
     is_conflicting,
-    neg,
     normalize,
     partial_weaken,
     saturate,
     slack,
-    var_of,
     weaken,
 )
 from .generators import php_instance, random_instance
@@ -44,7 +42,7 @@ from .opb import (
     parse_opb,
     write_opb,
 )
-from .propagation import DECISION, PropagationEngine
+from .propagation import PropagationEngine
 from .solver import Solver, SolverConfig, SolverResult, solve
 from .trace import DerivationTrace, verify_trace
 
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONTRADICTION",
-    "DECISION",
     "TAUTOLOGY",
     "BenchRecord",
     "Constraint",
@@ -72,7 +69,6 @@ __all__ = [
     "divide",
     "format_solution",
     "is_conflicting",
-    "neg",
     "normalize",
     "parse_opb",
     "partial_weaken",
@@ -86,7 +82,6 @@ __all__ = [
     "saturate",
     "slack",
     "solve",
-    "var_of",
     "verify_trace",
     "weaken",
     "weaken_ineffective",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from .core import Constraint, TAUTOLOGY, is_conflicting, neg, slack, var_of
+from .core import Constraint, TAUTOLOGY, is_conflicting, slack
 from .trace import RULES, DerivationTrace
 
 #: The exact strategy identifiers accepted on the command line.
@@ -104,7 +104,7 @@ class ResolveOutcome:
 
 
 def _falsified(lit: int, rho) -> bool:
-    v = rho.get(var_of(lit))
+    v = rho.get(abs(lit))
     return v is not None and v != (lit > 0)
 
 
@@ -130,12 +130,12 @@ def reduce_genres(
     conflict_slack = slack(conflict, rho)
     reason = _apply(trace, core.saturate, reason)
     while True:
-        mu, nu = core.cancel_multipliers(conflict, reason, var_of(pivot))
+        mu, nu = core.cancel_multipliers(conflict, reason, abs(pivot))
         if mu * conflict_slack + nu * slack(reason, rho) < 0:
             return reason
         candidates = sorted(
             (
-                (w, -var_of(lit), lit)
+                (w, -abs(lit), lit)
                 for lit, w in reason.terms
                 if lit != pivot and not _falsified(lit, rho)
             ),
@@ -205,7 +205,7 @@ def weaken_ineffective(
             raise ValueError("preserve-propagation mode requires the pivot to be propagated")
     order = sorted(
         (
-            (_falsified(lit, rho), w, var_of(lit), lit)
+            (_falsified(lit, rho), w, abs(lit), lit)
             for lit, w in c.terms
             if lit != pivot and lit != protect
         ),
@@ -236,35 +236,32 @@ def reduce_multiply_weaken(
     rho,
     *,
     trace: DerivationTrace | None = None,
-) -> tuple[Constraint | None, int]:
+) -> Constraint | None:
     """Scale the reason and weaken ineffective literals down to a matching degree.
 
     With ``r`` the reason's pivot weight and ``c`` the conflict's, the minimal
-    ``mu = 1`` and ``nu = ceil(c/r)`` satisfy ``(nu-1)*r < mu*c <= nu*r``.  The
-    reason is multiplied by ``nu`` and its degree lowered to exactly ``mu*c``
-    by weakening ineffective literals (full removals in ascending weight, then
-    one partial weakening), so saturation caps the pivot weight at ``mu*c``
-    and the cancellation multiplies the conflict by ``mu`` and the reason
-    by 1.  Returns None when the ineffective mass cannot cover the drop; the
-    caller then falls back to the gen-res reduction for this step.
+    ``nu = ceil(c/r)`` satisfies ``(nu-1)*r < c <= nu*r``.  The reason is
+    multiplied by ``nu`` and its degree lowered to exactly ``c`` by weakening
+    ineffective literals (full removals in ascending weight, then one partial
+    weakening), so saturation caps the pivot weight at ``c`` and the
+    cancellation multiplies neither side.  Returns None when the ineffective
+    mass cannot cover the drop; the caller then falls back to the gen-res
+    reduction for this step.
     """
-    r = reason.weight_of(pivot)
     cw = conflict_pivot_weight
-    mu = 1
-    nu = -(-mu * cw // r)
-    target = mu * cw
-    need = nu * reason.degree - target
+    nu = -(-cw // reason.weight_of(pivot))
+    need = nu * reason.degree - cw
     if need < 0:
         # Only reachable when the reason is unsaturated (pivot weight above
-        # the degree): the degree cannot be *reduced* to the target.
-        return None, mu
+        # the degree): the degree cannot be *reduced* to ``cw``.
+        return None
     ineffective = sorted(
-        (w, var_of(lit), lit)
+        (w, abs(lit), lit)
         for lit, w in reason.terms
         if lit != pivot and not _falsified(lit, rho)
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
-        return None, mu
+        return None
     c = _apply(trace, core.multiply, reason, nu)
     for w, _, lit in ineffective:
         if need == 0:
@@ -276,7 +273,7 @@ def reduce_multiply_weaken(
         else:
             c = _apply(trace, core.partial_weaken, c, lit, need)
             need = 0
-    return _apply(trace, core.saturate, c), mu
+    return _apply(trace, core.saturate, c)
 
 
 def resolve_step(
@@ -300,7 +297,7 @@ def resolve_step(
     """
     if not is_conflicting(conflict, rho):
         raise ValueError("conflict side is not conflicting under the assignment")
-    if neg(pivot) not in conflict:
+    if -pivot not in conflict:
         raise ValueError("the pivot's negation does not occur in the conflict side")
     if pivot not in reason:
         raise ValueError("the pivot does not occur in the reason side")
@@ -313,12 +310,12 @@ def resolve_step(
     elif family in ("rs", "partial-rs"):
         partial = family == "partial-rs"
         if side in ("both", "conflict"):
-            conflict = reduce_rs(conflict, neg(pivot), rho, partial=partial, trace=trace)
+            conflict = reduce_rs(conflict, -pivot, rho, partial=partial, trace=trace)
         if side in ("both", "reason"):
             reason = reduce_rs(reason, pivot, rho, partial=partial, trace=trace)
     elif family == "weaken-ineffective":
         if side in ("both", "conflict"):
-            conflict = weaken_ineffective(conflict, rho, protect=neg(pivot), trace=trace)
+            conflict = weaken_ineffective(conflict, rho, protect=-pivot, trace=trace)
         if side in ("both", "reason"):
             reason = weaken_ineffective(reason, rho, pivot=pivot, trace=trace)
         if side == "conflict":
@@ -326,8 +323,8 @@ def resolve_step(
             # the cancellation needs the reason weakened as in gen-res.
             reason = reduce_genres(conflict, reason, pivot, rho, trace=trace)
     elif family == "multiply-weaken":
-        reduced, _ = reduce_multiply_weaken(
-            reason, pivot, conflict.weight_of(neg(pivot)), rho, trace=trace
+        reduced = reduce_multiply_weaken(
+            reason, pivot, conflict.weight_of(-pivot), rho, trace=trace
         )
         if reduced is None:
             fallback = True
@@ -339,7 +336,7 @@ def resolve_step(
     else:  # pragma: no cover - parse_strategy rejects unknown families
         raise AssertionError(family)
 
-    out = _apply(trace, core.saturate, _apply(trace, core.cancel, conflict, reason, var_of(pivot)))
+    out = _apply(trace, core.saturate, _apply(trace, core.cancel, conflict, reason, abs(pivot)))
     if not is_conflicting(out, rho):
         raise AnalysisError(
             f"resolve_step produced a non-conflicting constraint with {strategy}: {out.to_text()}"

@@ -118,12 +118,14 @@ def run_matrix(
 
     Rows come back in matrix order.  The settings are checked once, by
     building each strategy's :class:`SolverConfig`, before any worker starts;
-    a bad one raises ValueError.
+    a bad one raises ValueError.  Only then is ``trace_dir`` created.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for strategy in strategies:
         SolverConfig(strategy=strategy, time_budget=timeout)
+    if trace_dir is not None:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
     tasks = []
     for path in sorted(paths, key=lambda p: Path(p).name):
         for strategy in strategies:

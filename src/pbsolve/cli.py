@@ -81,7 +81,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_output_path(*paths: Path | None) -> bool:
+    """Print an error line for the first output path in a missing directory
+    or naming a directory.  Called before any search or worker starts.
+    """
+    for path in paths:
+        if path is not None and not path.parent.is_dir():
+            problem = f"no directory {path.parent}"
+        elif path is not None and path.is_dir():
+            problem = "it is a directory"
+        else:
+            continue
+        print(f"error: cannot write {path}: {problem}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_solve(args) -> int:
+    if _bad_output_path(args.emit_trace):
+        return EXIT_ERROR
     try:
         config = SolverConfig(
             strategy=args.strategy,
@@ -122,18 +140,18 @@ def _cmd_bench(args) -> int:
     if not paths:
         print(f"error: no .opb files in {args.dir}", file=sys.stderr)
         return EXIT_ERROR
-    if args.trace_dir is not None:
-        args.trace_dir.mkdir(parents=True, exist_ok=True)
+    cactus = args.cactus or args.out.with_suffix(".cactus.csv")
+    if _bad_output_path(args.out, cactus):
+        return EXIT_ERROR
     try:
         records = run_matrix(
             paths, strategies, args.timeout, jobs=args.jobs, trace_dir=args.trace_dir
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     with open(args.out, "w", encoding="ascii") as f:
         write_csv(records, f)
-    cactus = args.cactus or args.out.with_suffix(".cactus.csv")
     with open(cactus, "w", encoding="ascii") as f:
         write_cactus_csv(records, f)
     solved = sum(r.status != UNKNOWN for r in records)
@@ -148,6 +166,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if _bad_output_path(args.out):
+        return EXIT_ERROR
     try:
         if args.family == "php":
             instance = php_instance(args.pigeons, args.holes)

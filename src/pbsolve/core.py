@@ -2,8 +2,9 @@
 
 A constraint is kept in the normalized form ``sum(w_i * l_i) >= degree`` with
 positive integer weights over literals of pairwise distinct variables.
-Literals are signed integers (``+v`` / ``-v`` for variable index ``v >= 1``),
-partial assignments are mappings ``variable -> bool`` (absent = unassigned),
+Literals are plain signed integers (``+v`` / ``-v`` for variable index
+``v >= 1``): ``-lit`` negates a literal and ``abs(lit)`` is its variable.
+Partial assignments are mappings ``variable -> bool`` (absent = unassigned),
 and every rule operation is a pure function returning a fresh value.
 
 Weights and degrees are plain Python integers, so coefficient growth during
@@ -36,16 +37,6 @@ TAUTOLOGY = _Marker("TAUTOLOGY")
 CONTRADICTION = _Marker("CONTRADICTION")
 
 
-def neg(lit: int) -> int:
-    """Negation of a literal; an involution."""
-    return -lit
-
-
-def var_of(lit: int) -> int:
-    """Variable index of a literal."""
-    return lit if lit > 0 else -lit
-
-
 def lit_name(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
@@ -71,10 +62,12 @@ class Constraint:
     and hashing are structural.  The constructor is the only way to build a
     constraint, for input and rule outputs alike, and it validates the
     normalized-form invariants: positive weights, variable indices >= 1, one
-    literal per variable, degree >= 1.  Instances must never be mutated.
+    literal per variable, degree >= 1.  ``terms``, ``degree`` and
+    ``max_weight`` (the largest weight, 0 when empty) are plain attributes.
+    Instances must never be mutated.
     """
 
-    __slots__ = ("terms", "degree", "_weights", "_maxw")
+    __slots__ = ("terms", "degree", "max_weight", "_weights")
 
     def __init__(self, terms: Iterable[tuple[int, int]], degree: int):
         pairs = sorted(terms, key=lambda t: abs(t[0]))
@@ -82,7 +75,7 @@ class Constraint:
         for lit, w in pairs:
             if w < 1:
                 raise ValueError(f"weight must be >= 1, got {w} on {lit_name(lit)}")
-            v = lit if lit > 0 else -lit
+            v = abs(lit)
             if v < 1:
                 raise ValueError(f"variable index must be >= 1, got literal {lit}")
             # Sorted by variable, so a repeated variable follows its first term.
@@ -94,7 +87,7 @@ class Constraint:
         self.terms: tuple[tuple[int, int], ...] = tuple(pairs)
         self.degree: int = degree
         self._weights = dict(pairs)
-        self._maxw = max(self._weights.values()) if pairs else 0
+        self.max_weight: int = max(self._weights.values()) if pairs else 0
 
     @classmethod
     def from_text(cls, text: str) -> "Constraint":
@@ -119,18 +112,11 @@ class Constraint:
     def __contains__(self, lit: int) -> bool:
         return lit in self._weights
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(var_of(lit) for lit, _ in self.terms)
-
-    @property
-    def max_weight(self) -> int:
-        return self._maxw
-
     def satisfied_by(self, total: Assignment) -> bool:
         """Evaluate under a total assignment (missing variables count false)."""
         got = 0
         for lit, w in self.terms:
-            v = total.get(var_of(lit), False)
+            v = total.get(abs(lit), False)
             if v == (lit > 0):
                 got += w
         return got >= self.degree
@@ -184,7 +170,7 @@ def _normalize_geq(raw_terms, rhs):
     net: dict[int, int] = {}
     degree = rhs
     for w, lit in raw_terms:
-        v = var_of(lit)
+        v = abs(lit)
         if lit > 0:
             net[v] = net.get(v, 0) + w
         else:
@@ -211,7 +197,7 @@ def slack(c: Constraint, rho: Assignment) -> int:
     """Sum of the weights of non-falsified literals minus the degree."""
     s = -c.degree
     for lit, w in c.terms:
-        v = rho.get(lit if lit > 0 else -lit)
+        v = rho.get(abs(lit))
         if v is None or v == (lit > 0):
             s += w
     return s

@@ -48,7 +48,7 @@ class ParsedInstance:
 
     @property
     def nvars(self) -> int:
-        used = max((max(c.variables()) for c in self.constraints if len(c)), default=0)
+        used = max({abs(lit) for c in self.constraints for lit, _ in c.terms}, default=0)
         return max(self.declared_vars, used)
 
 

@@ -14,17 +14,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Constraint, slack, var_of
-
-#: Reason marker for decision entries.
-DECISION = None
+from .core import Constraint, slack
 
 
 @dataclass
 class TrailEntry:
     lit: int
     level: int
-    reason: int | None  # constraint id, or DECISION
+    reason: int | None  # constraint id, or None for a decision
 
 
 class PropagationEngine:
@@ -78,7 +75,7 @@ class PropagationEngine:
 
     def assign(self, lit: int, reason: int | None) -> None:
         """Append a literal to the trail and update affected slacks."""
-        v = var_of(lit)
+        v = abs(lit)
         if v in self.assignment:
             raise ValueError(f"variable x{v} is already assigned")
         self.assignment[v] = lit > 0
@@ -90,7 +87,7 @@ class PropagationEngine:
     def assume(self, lit: int) -> None:
         """Open a new decision level and assign the literal as its decision."""
         self.current_level += 1
-        self.assign(lit, DECISION)
+        self.assign(lit, None)
 
     def propagate_all(self) -> int | None:
         """Propagate to fixpoint; return the first conflicting constraint id.
@@ -133,7 +130,7 @@ class PropagationEngine:
         if s >= c.max_weight:
             return
         for lit, w in c.terms:
-            if w > s and self.assignment.get(var_of(lit)) is None:
+            if w > s and self.assignment.get(abs(lit)) is None:
                 self.assign(lit, cid)
                 self.propagations += 1
 
@@ -146,7 +143,7 @@ class PropagationEngine:
         popped: list[tuple[int, bool]] = []
         while self.trail and self.trail[-1].level > level:
             e = self.trail.pop()
-            v = var_of(e.lit)
+            v = abs(e.lit)
             popped.append((v, e.lit > 0))
             del self.assignment[v]
             del self.var_pos[v]

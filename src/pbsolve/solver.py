@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .analysis import parse_strategy, resolve_step
-from .core import Constraint, neg, var_of
+from .core import Constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
 from .trace import DerivationTrace
@@ -285,14 +285,14 @@ class Solver:
                 # still conflicting under them.
                 raise _RootConflict(cur)
             pivot = entry.lit
-            if entry.reason is None or neg(pivot) not in cur:
-                del rho[var_of(pivot)]
+            if entry.reason is None or -pivot not in cur:
+                del rho[abs(pivot)]
                 pos -= 1
                 continue
             reason = engine.constraints[entry.reason]
             assert reason is not None
             self._bump_constraint(entry.reason)
-            for v in sorted(set(cur.variables()) | set(reason.variables())):
+            for v in sorted({abs(lit) for lit, _ in cur.terms + reason.terms}):
                 self.bump_variable(v)
             outcome = resolve_step(cur, reason, pivot, rho, self.config.strategy, trace=self.trace)
             if outcome.fallback:
@@ -300,7 +300,7 @@ class Solver:
             cur = outcome.constraint
             reused = None
             level = self._assertion_level(cur)
-            del rho[var_of(pivot)]
+            del rho[abs(pivot)]
             pos -= 1
         return cur, level, reused
 
@@ -323,7 +323,7 @@ class Solver:
         slack = -c.degree
         for lit, w in c.terms:
             slack += w
-            pos = var_pos.get(lit if lit > 0 else -lit)
+            pos = var_pos.get(abs(lit))
             if pos is None:
                 lvl = top
             else:

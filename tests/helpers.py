@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 import pbsolve.solver
-from pbsolve.core import Assignment, Constraint, slack, var_of
+from pbsolve.core import Assignment, Constraint, slack
 
 
 def var(letter: str) -> int:
@@ -83,20 +83,20 @@ def propagation_candidates(c: Constraint, rho: Assignment) -> tuple[int, ...]:
     if s >= c.max_weight:
         return ()
     return tuple(
-        lit for lit, w in c.terms if w > s and rho.get(var_of(lit)) is None
+        lit for lit, w in c.terms if w > s and rho.get(abs(lit)) is None
     )
 
 
 def value(engine, lit: int) -> bool | None:
     """Truth value of a literal on the engine's trail; None when unassigned."""
-    v = engine.assignment.get(var_of(lit))
+    v = engine.assignment.get(abs(lit))
     if v is None:
         return None
     return v == (lit > 0)
 
 
 def reason_of(engine, v: int) -> int | None:
-    """The reason constraint id of an assigned variable, or DECISION."""
+    """The reason constraint id of an assigned variable, or None for a decision."""
     return engine.trail[engine.var_pos[v]].reason
 
 
@@ -146,7 +146,7 @@ def assignment_at_level(engine, level: int) -> dict[int, bool]:
     for e in engine.trail:
         if e.level > level:
             break
-        out[var_of(e.lit)] = e.lit > 0
+        out[abs(e.lit)] = e.lit > 0
     return out
 
 
@@ -180,7 +180,7 @@ def _truth_table(c: Constraint, index: Mapping[int, int], rows: np.ndarray) -> n
     base = 0
     total = np.zeros(len(rows), dtype=np.int64)
     for lit, w in c.terms:
-        i = index[var_of(lit)]
+        i = index[abs(lit)]
         bit = (rows >> i) & 1
         if lit > 0:
             total += w * bit
@@ -203,12 +203,12 @@ def implies_semantically(
     if variables is None:
         vs: set[int] = set()
         for p in premises:
-            vs.update(p.variables())
-        vs.update(conclusion.variables())
+            vs.update(abs(l) for l, _ in p.terms)
+        vs.update(abs(l) for l, _ in conclusion.terms)
     else:
         vs = set(variables)
         for c in (*premises, conclusion):
-            missing = set(c.variables()) - vs
+            missing = {abs(l) for l, _ in c.terms} - vs
             if missing:
                 raise ValueError(f"constraint mentions variables outside the set: {sorted(missing)}")
     order = sorted(vs)

@@ -18,7 +18,6 @@ from pbsolve.core import (
     Constraint,
     divide,
     is_conflicting,
-    neg,
     saturate,
     slack,
 )
@@ -159,31 +158,27 @@ class TestWeakenIneffective:
 class TestMultiplyWeaken:
     def test_worked_reduction(self):
         rho = rho_after_propagation(asg(a=0, d=0, e=1), lit("b"))
-        reduced, mu = reduce_multiply_weaken(con("5a 5b 3c 2d e >= 6"), lit("b"), 3, rho)
-        assert mu == 1
+        reduced = reduce_multiply_weaken(con("5a 5b 3c 2d e >= 6"), lit("b"), 3, rho)
         assert reduced == con("3a 3b c 2d >= 3")
 
     def test_equal_weights_need_no_weakening(self):
         # Pivot weights match and the degree equals them: nothing to do.
         reason = con("3a 3b >= 3")
         rho = {var("a"): False, var("b"): True}
-        reduced, mu = reduce_multiply_weaken(reason, lit("b"), 3, rho)
-        assert (reduced, mu) == (reason, 1)
+        assert reduce_multiply_weaken(reason, lit("b"), 3, rho) == reason
 
     def test_insufficient_ineffective_mass_falls_back(self):
         # Every non-pivot literal is falsified: nothing may be weakened.
         reason = con("5a 5b >= 6")
         rho = {var("a"): False, var("b"): True}
-        reduced, mu = reduce_multiply_weaken(reason, lit("b"), 2, rho)
-        assert reduced is None and mu == 1
+        assert reduce_multiply_weaken(reason, lit("b"), 2, rho) is None
 
     def test_unsaturated_reason_with_low_degree_falls_back(self):
         # An unsaturated reason can have its pivot weight above its degree;
         # the degree then sits below the target and cannot be reduced to it.
         reason = con("5a 5b c >= 3")
         rho = {var("a"): False, var("b"): True}
-        reduced, mu = reduce_multiply_weaken(reason, lit("b"), 4, rho)
-        assert reduced is None and mu == 1
+        assert reduce_multiply_weaken(reason, lit("b"), 4, rho) is None
         conflict = con("4~b 2a c >= 6")
         rho2 = dict(rho)
         rho2[var("c")] = False
@@ -210,7 +205,7 @@ class TestRuleApplication:
         assert reduce_rs(clause, lit("a"), {}, trace=trace) is clause
         # Multiplication by nu == 1, nothing to weaken, already saturated.
         rho = {var("a"): False, var("b"): True}
-        assert reduce_multiply_weaken(reason, lit("b"), 3, rho, trace=trace)[0] is reason
+        assert reduce_multiply_weaken(reason, lit("b"), 3, rho, trace=trace) is reason
         # A saturation that changes nothing, on a pair that is already safe.
         rho = {var("a"): False, var("c"): False, var("b"): False}
         assert reduce_genres(reason, safe_reason, lit("~b"), rho, trace=trace) is safe_reason
@@ -354,9 +349,9 @@ def _random_resolve_setup(rng, nvars=9):
     reason = _random_constraint(rng, nvars)
     pivot = rng.choice(literals(reason))
     conflict = _random_constraint(rng, nvars)
-    if neg(pivot) not in conflict:
+    if -pivot not in conflict:
         flipped = {l: w for l, w in conflict.terms if abs(l) != abs(pivot)}
-        flipped[neg(pivot)] = rng.randint(1, 4)
+        flipped[-pivot] = rng.randint(1, 4)
         conflict = saturate(Constraint(flipped.items(), conflict.degree))
     rho: dict[int, bool] = {}
     for l, _ in (*reason.terms, *conflict.terms):

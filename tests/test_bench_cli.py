@@ -71,6 +71,16 @@ class TestBenchMatrix:
         with pytest.raises(ValueError, match=message):
             run_matrix([tmp_path / "absent.opb"], strategies, timeout)
 
+    def test_trace_dir_is_created_after_the_settings_check(self, bench_dir, tmp_path):
+        path = sorted(bench_dir.glob("*.opb"))[0]
+        traces = tmp_path / "new" / "traces"
+        with pytest.raises(ValueError):
+            run_matrix([path], ["gen-res"], -1, trace_dir=traces)
+        assert not (tmp_path / "new").exists()
+        (record,) = run_matrix([path], ["gen-res"], 60, trace_dir=traces)
+        assert record.error is None
+        assert (traces / f"{path.stem}.gen-res.trace").exists()
+
     def test_cactus_counts_are_nondecreasing(self, bench_dir):
         records = run_matrix(sorted(bench_dir.glob("*.opb")), ["gen-res", "partial-rs-both"], 60)
         buf = io.StringIO()
@@ -262,11 +272,13 @@ class TestCli:
     )
     def test_bench_rejects_bad_settings(self, bench_dir, tmp_path, extra, message):
         out = tmp_path / "rows.csv"
-        proc = run_cli("bench", bench_dir, *extra, "--out", out)
+        traces = tmp_path / "traces"
+        proc = run_cli("bench", bench_dir, *extra, "--trace-dir", traces, "--out", out)
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {message}")
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+        assert not traces.exists()
 
     def test_bench_rejects_zero_jobs(self, bench_dir, tmp_path):
         proc = run_cli("bench", bench_dir, "--jobs", "0", "--out", tmp_path / "rows.csv")
@@ -290,3 +302,50 @@ class TestCli:
         ]
         assert strip_seconds(first) == strip_seconds(second)
         assert (tmp_path / "one.cactus.csv").exists()
+
+    def test_bench_trace_dir_that_is_a_file(self, bench_dir, tmp_path):
+        traces = tmp_path / "traces"
+        traces.write_text("")
+        proc = run_cli("bench", bench_dir, "--trace-dir", traces, "--out", tmp_path / "rows.csv")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def assert_one_error_line(proc, path, problem=None):
+    assert proc.returncode == 1
+    problem = problem or f"no directory {path.parent}"
+    assert proc.stderr == f"error: cannot write {path}: {problem}\n"
+    assert proc.stdout == ""
+
+
+class TestBadOutputPath:
+    """An output path in a missing directory, or naming a directory, is one
+    error line, before any work starts."""
+
+    def test_generate(self, tmp_path):
+        out = tmp_path / "absent" / "php.opb"
+        proc = run_cli("generate", "php", "--pigeons", "3", "--holes", "2", "--out", out)
+        assert_one_error_line(proc, out)
+
+    def test_solve_emit_trace(self, tmp_path):
+        path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
+        trace = tmp_path / "absent" / "php.trace"
+        proc = run_cli("solve", path, "--emit-trace", trace)
+        assert_one_error_line(proc, trace)
+
+    def test_solve_emit_trace_into_a_directory(self, tmp_path):
+        path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
+        proc = run_cli("solve", path, "--emit-trace", tmp_path)
+        assert_one_error_line(proc, tmp_path, "it is a directory")
+
+    @pytest.mark.parametrize("which", ["out", "cactus"])
+    def test_bench(self, bench_dir, tmp_path, which):
+        paths = {"out": tmp_path / "rows.csv", "cactus": tmp_path / "rows.cactus.csv"}
+        paths[which] = tmp_path / "absent" / f"{which}.csv"
+        traces = tmp_path / "traces"
+        proc = run_cli("bench", bench_dir, "--strategies", "gen-res", "--trace-dir", traces,
+                       "--out", paths["out"], "--cactus", paths["cactus"])
+        assert_one_error_line(proc, paths[which])
+        # No worker ran: each would have written a trace there.
+        assert not traces.exists()

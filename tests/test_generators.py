@@ -66,7 +66,7 @@ class TestRandom:
             for c in inst.constraints:
                 assert total_weight(c) >= c.degree
                 assert all(1 <= w <= 10 for _, w in c.terms)
-                assert max(c.variables()) <= 8
+                assert max(abs(l) for l, _ in c.terms) <= 8
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

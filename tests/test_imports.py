@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import pbsolve
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "pbsolve").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
@@ -54,3 +56,10 @@ def test_scan_sees_unused_and_quoted_names():
         "    pass\n"
     )
     assert unused_imports(source) == ["IO", "os"]
+
+
+def test_public_names_resolve():
+    # The scan above counts an ``__all__`` entry as used, so a stale export
+    # of a deleted name would pass it; this catches that.
+    assert [name for name in pbsolve.__all__ if not hasattr(pbsolve, name)] == []
+    assert len(set(pbsolve.__all__)) == len(pbsolve.__all__)

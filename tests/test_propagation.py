@@ -6,7 +6,7 @@ import pytest
 
 from pbsolve.core import slack
 from pbsolve.generators import php_instance, random_instance
-from pbsolve.propagation import DECISION, PropagationEngine
+from pbsolve.propagation import PropagationEngine
 from helpers import con, lit, propagation_candidates, reason_of, value, var, verify_slacks
 
 
@@ -34,9 +34,9 @@ class TestAssign:
         engine = engine_with(con("a b >= 1"))
         engine.assume(1)
         with pytest.raises(ValueError):
-            engine.assign(1, DECISION)
+            engine.assign(1, None)
         with pytest.raises(ValueError):
-            engine.assign(-1, DECISION)
+            engine.assign(-1, None)
 
 
 class TestPropagation:
