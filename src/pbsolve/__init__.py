@@ -10,7 +10,7 @@ strategies, :mod:`pbsolve.solver` the search loop, and :mod:`pbsolve.opb`,
 
 from .analysis import (
     STRATEGY_IDS,
-    ResolveOutcome,
+    Accumulator,
     reduce_genres,
     reduce_multiply_weaken,
     reduce_rs,
@@ -51,13 +51,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CONTRADICTION",
     "TAUTOLOGY",
+    "Accumulator",
     "BenchRecord",
     "Constraint",
     "DerivationTrace",
     "OpbSyntaxError",
     "ParsedInstance",
     "PropagationEngine",
-    "ResolveOutcome",
     "SAT",
     "STRATEGY_IDS",
     "Solver",

@@ -1,10 +1,11 @@
-"""Conflict-analysis reduction strategies.
+"""Conflict-analysis reduction strategies on a mutable accumulator.
 
 Each cancellation step during conflict analysis combines the current conflict
 constraint with the reason of a propagated literal.  The raw cancellation
 does not always keep the result conflicting, so one or both sides are reduced
-first.  This module implements the reduction families as pure functions over
-constraints plus a read-only assignment view:
+first.  Both sides are :class:`Accumulator` values that the rules rewrite in
+place, and the reduction families are functions over them plus a read-only
+assignment view:
 
 * ``gen-res``            weaken-and-saturate the reason until the scaled-slack
                          sum certifies the conflict is preserved;
@@ -21,18 +22,17 @@ constraints plus a read-only assignment view:
 
 The ``-both`` / ``-conflict`` / ``-reason`` suffix selects the side(s) the
 reduction is applied to.  The assignment passed to these functions is the
-trail prefix up to and including the pivot's own assignment.  Each reduction
-takes a keyword-only ``trace``: when given, every rule application it makes is
-recorded there, and its input constraints must already be in that trace.
+trail prefix up to and including the pivot's own assignment.  An accumulator
+made with a trace records every rule application there; the constraint it
+starts from must already be in that trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import lcm
 
-from . import core
-from .core import Constraint, TAUTOLOGY, is_conflicting, slack
-from .trace import RULES, DerivationTrace
+from .core import Constraint, format_constraint, slack
+from .trace import DerivationTrace
 
 #: The exact strategy identifiers accepted on the command line.
 STRATEGY_IDS = (
@@ -72,35 +72,146 @@ class AnalysisError(RuntimeError):
     """Internal invariant breach during conflict analysis."""
 
 
-#: core function name -> (trace rule name, number of input constraints).
-_RULE_NAMES = {fn: (rule, n_inputs) for rule, (fn, n_inputs, _) in RULES.items()}
+class Accumulator:
+    """A constraint ``sum(w * lit) >= degree`` that the rules rewrite in place.
 
+    ``weights`` maps each literal to its positive weight and is kept in
+    ascending variable order, so :attr:`terms` lists the ``(lit, weight)``
+    pairs in the order a :class:`Constraint` holds them, and
+    :func:`pbsolve.core.slack`, which reads only ``terms`` and ``degree``,
+    accepts an accumulator.  Each rule method mirrors the
+    :mod:`pbsolve.core` function of the same name: ``cancel`` adds a reason
+    with the minimal multipliers, ``saturate`` caps the weights at the
+    degree, and so on.  A tautology cannot arise in a sound analysis, so a
+    rule that would produce one raises :class:`AnalysisError`.
 
-def _apply(trace: DerivationTrace | None, rule, *args):
-    """Apply a :mod:`pbsolve.core` rule and record it as a step.
-
-    ``args`` are the rule's input constraints followed by its parameters, as
-    :data:`pbsolve.trace.RULES` counts them.  The rule is named by
-    ``__name__``, so a wrapper installed on :mod:`pbsolve.core` (a profiling
-    span) is found too.  A tautology cannot arise in a sound analysis, so it
-    raises.  An output that is its first input (a no-op saturation, a
-    division or multiplication by 1) is not recorded.
+    With a ``trace``, every rule application that changes the accumulator is
+    recorded as a step whose output is the new term tuple and degree, and
+    ``id`` is the trace id of the current value.  A saturation, division or
+    multiplication that changes nothing records nothing.
     """
-    name, n_inputs = _RULE_NAMES[rule.__name__]
-    out = rule(*args)
-    if out is TAUTOLOGY:
-        raise AnalysisError(f"{name} produced a tautology during analysis")
-    if trace is not None and out is not args[0]:
-        trace.record(name, args[:n_inputs], args[n_inputs:], out)
-    return out
 
+    __slots__ = ("weights", "degree", "trace", "id")
 
-@dataclass
-class ResolveOutcome:
-    """Result of one strategy-guided cancellation step."""
+    def __init__(self, c: Constraint, trace: DerivationTrace | None = None):
+        self.weights: dict[int, int] = dict(c.terms)
+        self.degree: int = c.degree
+        self.trace = trace
+        self.id: int | None = None if trace is None else trace.id_of(c)
 
-    constraint: Constraint
-    fallback: bool = False
+    @property
+    def terms(self):
+        """The ``(lit, weight)`` pairs, in ascending variable order (a live view)."""
+        return self.weights.items()
+
+    def constraint(self) -> Constraint:
+        """The current value as a validated constraint, known to the trace."""
+        c = Constraint(self.weights.items(), self.degree)
+        if self.trace is not None:
+            self.trace.bind(c, self.id)
+        return c
+
+    def _record(self, rule: str, inputs: tuple[int, ...], params: tuple[int, ...]) -> None:
+        self.id = self.trace.record(rule, inputs, params, tuple(self.weights.items()), self.degree)
+
+    def weaken(self, lit: int) -> None:
+        """Remove a literal and lower the degree by its weight."""
+        degree = self.degree - self.weights[lit]
+        if degree <= 0:
+            raise AnalysisError("weaken produced a tautology during analysis")
+        del self.weights[lit]
+        self.degree = degree
+        if self.trace is not None:
+            self._record("weaken", (self.id,), (lit,))
+
+    def partial_weaken(self, lit: int, eps: int) -> None:
+        """Lower a literal's weight and the degree by ``eps`` (0 < eps <= weight)."""
+        degree = self.degree - eps
+        if degree <= 0:
+            raise AnalysisError("pweaken produced a tautology during analysis")
+        w = self.weights[lit] - eps
+        if w:
+            self.weights[lit] = w
+        else:
+            del self.weights[lit]
+        self.degree = degree
+        if self.trace is not None:
+            self._record("pweaken", (self.id,), (lit, eps))
+
+    def saturate(self) -> None:
+        """Cap every weight at the degree."""
+        d = self.degree
+        weights = self.weights
+        capped = [lit for lit, w in weights.items() if w > d]
+        if not capped:
+            return
+        for lit in capped:
+            weights[lit] = d
+        if self.trace is not None:
+            self._record("saturate", (self.id,), ())
+
+    def divide(self, r: int) -> None:
+        """Ceiling-divide every weight and the degree by ``r >= 1``."""
+        if r == 1:
+            return
+        self.weights = {lit: -(-w // r) for lit, w in self.weights.items()}
+        self.degree = -(-self.degree // r)
+        if self.trace is not None:
+            self._record("divide", (self.id,), (r,))
+
+    def multiply(self, k: int) -> None:
+        """Scale every weight and the degree by ``k >= 1``."""
+        if k == 1:
+            return
+        self.weights = {lit: k * w for lit, w in self.weights.items()}
+        self.degree *= k
+        if self.trace is not None:
+            self._record("multiply", (self.id,), (k,))
+
+    def cancel(self, reason: "Accumulator", pivot: int) -> None:
+        """Add ``reason``, both scaled by the minimal multipliers that eliminate the pivot.
+
+        ``pivot`` is the literal the reason propagates; its negation occurs
+        here.  Opposing literal pairs other than the pivot are merged as in
+        :func:`pbsolve.core.cancel`.  The result is not saturated.
+        """
+        weights = self.weights
+        w1 = weights[-pivot]
+        w2 = reason.weights[pivot]
+        common = lcm(w1, w2)
+        mu, nu = common // w1, common // w2
+        if mu != 1:
+            for lit in weights:
+                weights[lit] *= mu
+        degree = mu * self.degree + nu * reason.degree
+        grew = False
+        for lit, w in reason.weights.items():
+            w *= nu
+            opposite = weights.get(-lit)
+            if opposite is None:
+                old = weights.get(lit)
+                if old is None:
+                    weights[lit] = w
+                    grew = True
+                else:
+                    weights[lit] = old + w
+            elif opposite > w:
+                weights[-lit] = opposite - w
+                degree -= w
+            else:
+                del weights[-lit]
+                degree -= opposite
+                if w > opposite:
+                    weights[lit] = w - opposite
+                    grew = True
+        if degree <= 0:
+            raise AnalysisError("cancel produced a tautology during analysis")
+        if grew:
+            # New literals were appended; restore the variable order.
+            self.weights = {lit: weights[lit] for lit in sorted(weights, key=abs)}
+        self.degree = degree
+        if self.trace is not None:
+            self._record("cancel", (self.id, reason.id), (abs(pivot),))
 
 
 def _falsified(lit: int, rho) -> bool:
@@ -108,14 +219,7 @@ def _falsified(lit: int, rho) -> bool:
     return v is not None and v != (lit > 0)
 
 
-def reduce_genres(
-    conflict: Constraint,
-    reason: Constraint,
-    pivot: int,
-    rho,
-    *,
-    trace: DerivationTrace | None = None,
-) -> Constraint:
+def reduce_genres(conflict: Accumulator, reason: Accumulator, pivot: int, rho) -> None:
     """Weaken and saturate the reason until the conflict is provably preserved.
 
     The loop guard is the subadditivity bound: with ``mu, nu`` the minimal
@@ -128,31 +232,25 @@ def reduce_genres(
     the degree, at most 0, so the loop always ends.
     """
     conflict_slack = slack(conflict, rho)
-    reason = _apply(trace, core.saturate, reason)
+    cw = conflict.weights[-pivot]
+    reason.saturate()
     while True:
-        mu, nu = core.cancel_multipliers(conflict, reason, abs(pivot))
-        if mu * conflict_slack + nu * slack(reason, rho) < 0:
-            return reason
-        candidates = sorted(
-            (
-                (w, -abs(lit), lit)
-                for lit, w in reason.terms
-                if lit != pivot and not _falsified(lit, rho)
-            ),
-        )
+        rw = reason.weights[pivot]
+        common = lcm(cw, rw)
+        if common // cw * conflict_slack + common // rw * slack(reason, rho) < 0:
+            return
+        candidates = [
+            (w, -abs(lit), lit)
+            for lit, w in reason.weights.items()
+            if lit != pivot and not _falsified(lit, rho)
+        ]
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
-        reason = _apply(trace, core.saturate, _apply(trace, core.weaken, reason, candidates[0][2]))
+        reason.weaken(min(candidates)[2])
+        reason.saturate()
 
 
-def reduce_rs(
-    c: Constraint,
-    pivot: int,
-    rho,
-    *,
-    partial: bool = False,
-    trace: DerivationTrace | None = None,
-) -> Constraint:
+def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> None:
     """Rounding reduction: the pivot weight becomes exactly 1.
 
     Every non-falsified literal other than the pivot whose weight is not
@@ -162,81 +260,79 @@ def reduce_rs(
     pivot weight, so the division loses nothing, and the result dominates
     the full reduction pointwise.
     """
-    r = c.weight_of(pivot)
+    r = side.weights.get(pivot)
     if not r:
         raise ValueError("pivot does not occur in the constraint")
-    for lit, w in c.terms:
+    if r == 1:
+        return
+    for lit, w in tuple(side.weights.items()):
         if lit == pivot or _falsified(lit, rho):
             continue
         rem = w % r
         if rem == 0:
             continue
         if partial and rem != w:
-            c = _apply(trace, core.partial_weaken, c, lit, rem)
+            side.partial_weaken(lit, rem)
         else:
-            c = _apply(trace, core.weaken, c, lit)
-    return _apply(trace, core.divide, c, r)
+            side.weaken(lit)
+    side.divide(r)
 
 
 def weaken_ineffective(
-    c: Constraint,
+    side: Accumulator,
     rho,
     *,
     pivot: int | None = None,
     protect: int | None = None,
-    trace: DerivationTrace | None = None,
-) -> Constraint:
+) -> None:
     """Shorten a constraint by weakening literals while its role is preserved.
 
     ``pivot=None`` preserves a conflict (slack stays negative); otherwise the
     propagation of ``pivot`` is preserved (its weight stays above the slack).
     Non-falsified literals are tried first (their removal never changes the
-    slack), then falsified ones; each committed weakening is saturated.  The
-    trial's weakened and saturated constraints are the ones committed.
-    ``protect`` is never weakened: the caller needs it for the upcoming
-    cancellation.
+    slack), then falsified ones.  Each trial is priced without being applied:
+    the slack after the weakening and the saturation that follows it.  Only
+    a trial that keeps the role is applied.  ``protect`` is never weakened:
+    the caller needs it for the upcoming cancellation.
     """
-    start = slack(c, rho)
+    start = slack(side, rho)
     if pivot is None:
         if start >= 0:
             raise ValueError("preserve-conflict mode requires a conflicting constraint")
     else:
-        if not 0 <= start < c.weight_of(pivot):
+        if not 0 <= start < side.weights.get(pivot, 0):
             raise ValueError("preserve-propagation mode requires the pivot to be propagated")
+    falsified = {lit for lit in side.weights if _falsified(lit, rho)}
     order = sorted(
-        (
-            (_falsified(lit, rho), w, abs(lit), lit)
-            for lit, w in c.terms
-            if lit != pivot and lit != protect
-        ),
+        (lit in falsified, w, abs(lit), lit)
+        for lit, w in side.weights.items()
+        if lit != pivot and lit != protect
     )
     for _, _, _, lit in order:
-        weakened = core.weaken(c, lit)
-        if weakened is TAUTOLOGY:
+        weights = side.weights
+        degree = side.degree - weights[lit]
+        if degree <= 0:
             continue
-        trial = core.saturate(weakened)
+        trial_slack = -degree
+        for other, w in weights.items():
+            if other != lit and other not in falsified:
+                trial_slack += w if w < degree else degree
         if pivot is None:
-            if slack(trial, rho) >= 0:
+            if trial_slack >= 0:
                 continue
         else:
-            if trial.weight_of(pivot) <= slack(trial, rho):
+            if min(weights[pivot], degree) <= trial_slack:
                 continue
-        if trace is not None:
-            trace.record("weaken", (c,), (lit,), weakened)
-            if trial is not weakened:
-                trace.record("saturate", (weakened,), (), trial)
-        c = trial
-    return c
+        side.weaken(lit)
+        side.saturate()
 
 
 def reduce_multiply_weaken(
-    reason: Constraint,
+    reason: Accumulator,
     pivot: int,
     conflict_pivot_weight: int,
     rho,
-    *,
-    trace: DerivationTrace | None = None,
-) -> Constraint | None:
+) -> bool:
     """Scale the reason and weaken ineffective literals down to a matching degree.
 
     With ``r`` the reason's pivot weight and ``c`` the conflict's, the minimal
@@ -244,101 +340,101 @@ def reduce_multiply_weaken(
     multiplied by ``nu`` and its degree lowered to exactly ``c`` by weakening
     ineffective literals (full removals in ascending weight, then one partial
     weakening), so saturation caps the pivot weight at ``c`` and the
-    cancellation multiplies neither side.  Returns None when the ineffective
-    mass cannot cover the drop; the caller then falls back to the gen-res
-    reduction for this step.
+    cancellation multiplies neither side.  Returns False, with the reason
+    unchanged, when the ineffective mass cannot cover the drop; the caller
+    then falls back to the gen-res reduction for this step.
     """
     cw = conflict_pivot_weight
-    nu = -(-cw // reason.weight_of(pivot))
+    nu = -(-cw // reason.weights[pivot])
     need = nu * reason.degree - cw
     if need < 0:
         # Only reachable when the reason is unsaturated (pivot weight above
         # the degree): the degree cannot be *reduced* to ``cw``.
-        return None
+        return False
     ineffective = sorted(
         (w, abs(lit), lit)
-        for lit, w in reason.terms
+        for lit, w in reason.weights.items()
         if lit != pivot and not _falsified(lit, rho)
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
-        return None
-    c = _apply(trace, core.multiply, reason, nu)
+        return False
+    reason.multiply(nu)
     for w, _, lit in ineffective:
         if need == 0:
             break
         scaled = nu * w
         if scaled <= need:
-            c = _apply(trace, core.weaken, c, lit)
+            reason.weaken(lit)
             need -= scaled
         else:
-            c = _apply(trace, core.partial_weaken, c, lit, need)
+            reason.partial_weaken(lit, need)
             need = 0
-    return _apply(trace, core.saturate, c)
+    reason.saturate()
+    return True
 
 
 def resolve_step(
-    conflict: Constraint,
+    conflict: Accumulator,
     reason: Constraint,
     pivot: int,
     rho,
-    strategy: str,
-    *,
-    trace: DerivationTrace | None = None,
-) -> ResolveOutcome:
-    """One strategy-guided cancellation between a conflict and a reason.
+    strategy: tuple[str, str | None],
+) -> bool:
+    """One strategy-guided cancellation of a reason into the conflict side.
 
     ``pivot`` is the propagated literal: it occurs positively in the reason
     and negated in the conflict.  ``rho`` is the assignment in effect at this
-    step (up to and including the pivot).  The returned constraint is
-    saturated and guaranteed to be conflicting under ``rho``; a violation of
-    that guarantee raises :class:`AnalysisError` since every reduction family
-    establishes it by construction.  With a ``trace``, every rule application
-    is recorded there; ``conflict`` and ``reason`` must already be in it.
+    step (up to and including the pivot), and ``strategy`` is the
+    ``(family, side)`` pair of :func:`parse_strategy`.  ``conflict`` is
+    rewritten in place into the saturated cancellation, which is guaranteed
+    to be conflicting under ``rho``; a violation of that guarantee raises
+    :class:`AnalysisError` since every reduction family establishes it by
+    construction.  Returns True when multiply-weaken fell back to gen-res.
+    The reason is reduced on an accumulator of its own that shares the
+    conflict's trace.
     """
-    if not is_conflicting(conflict, rho):
+    if slack(conflict, rho) >= 0:
         raise ValueError("conflict side is not conflicting under the assignment")
-    if -pivot not in conflict:
+    if -pivot not in conflict.weights:
         raise ValueError("the pivot's negation does not occur in the conflict side")
     if pivot not in reason:
         raise ValueError("the pivot does not occur in the reason side")
 
-    family, side = parse_strategy(strategy)
+    family, side = strategy
+    trace = conflict.trace
+    reduced = Accumulator(reason, trace)
     fallback = False
 
     if family == "gen-res":
-        reason = reduce_genres(conflict, reason, pivot, rho, trace=trace)
+        reduce_genres(conflict, reduced, pivot, rho)
     elif family in ("rs", "partial-rs"):
         partial = family == "partial-rs"
         if side in ("both", "conflict"):
-            conflict = reduce_rs(conflict, -pivot, rho, partial=partial, trace=trace)
+            reduce_rs(conflict, -pivot, rho, partial=partial)
         if side in ("both", "reason"):
-            reason = reduce_rs(reason, pivot, rho, partial=partial, trace=trace)
+            reduce_rs(reduced, pivot, rho, partial=partial)
     elif family == "weaken-ineffective":
         if side in ("both", "conflict"):
-            conflict = weaken_ineffective(conflict, rho, protect=-pivot, trace=trace)
+            weaken_ineffective(conflict, rho, protect=-pivot)
         if side in ("both", "reason"):
-            reason = weaken_ineffective(reason, rho, pivot=pivot, trace=trace)
+            weaken_ineffective(reduced, rho, pivot=pivot)
         if side == "conflict":
             # The reduced conflict's pivot weight may exceed 1, in which case
             # the cancellation needs the reason weakened as in gen-res.
-            reason = reduce_genres(conflict, reason, pivot, rho, trace=trace)
+            reduce_genres(conflict, reduced, pivot, rho)
     elif family == "multiply-weaken":
-        reduced = reduce_multiply_weaken(
-            reason, pivot, conflict.weight_of(-pivot), rho, trace=trace
-        )
-        if reduced is None:
+        if not reduce_multiply_weaken(reduced, pivot, conflict.weights[-pivot], rho):
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
-        else:
-            reason = reduced
-        reason = reduce_genres(conflict, reason, pivot, rho, trace=trace)
+        reduce_genres(conflict, reduced, pivot, rho)
     else:  # pragma: no cover - parse_strategy rejects unknown families
         raise AssertionError(family)
 
-    out = _apply(trace, core.saturate, _apply(trace, core.cancel, conflict, reason, abs(pivot)))
-    if not is_conflicting(out, rho):
-        raise AnalysisError(
-            f"resolve_step produced a non-conflicting constraint with {strategy}: {out.to_text()}"
-        )
-    return ResolveOutcome(out, fallback)
+    conflict.cancel(reduced, pivot)
+    conflict.saturate()
+    if slack(conflict, rho) >= 0:
+        text = format_constraint(conflict.terms, conflict.degree)
+        name = family if side is None else f"{family}-{side}"
+        raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {name}: {text}")
+    return fallback

@@ -41,18 +41,13 @@ def lit_name(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
 
-def parse_lit(token: str) -> int:
-    """Inverse of :func:`lit_name` (``x3`` / ``~x3``).
+def format_constraint(terms: Iterable[tuple[int, int]], degree: int) -> str:
+    """The text form of ``sum(w * lit) >= degree``, e.g. ``6 ~x2 4 x5 >= 7``.
 
-    Only the token's shape is checked here; :class:`Constraint` rejects
-    variable index 0.
+    Terms are written in the order given.
     """
-    negated = token.startswith("~")
-    body = token[1:] if negated else token
-    if not body.startswith("x") or not body[1:].isdigit():
-        raise ValueError(f"bad literal token {token!r}")
-    v = int(body[1:])
-    return -v if negated else v
+    parts = [f"{w} {lit_name(lit)}" for lit, w in terms]
+    return " ".join(parts) + f" >= {degree}"
 
 
 class Constraint:
@@ -91,19 +86,26 @@ class Constraint:
 
     @classmethod
     def from_text(cls, text: str) -> "Constraint":
-        """Parse the :meth:`to_text` form, e.g. ``6 ~x2 4 x5 >= 7``."""
+        """Parse the :meth:`to_text` form, e.g. ``6 ~x2 4 x5 >= 7``.
+
+        A literal token is ``xK`` or ``~xK``; only its shape is checked here,
+        and the constructor rejects variable index 0.
+        """
         left, _, right = text.partition(">=")
         tokens = left.split()
         if len(tokens) % 2 != 0:
             raise ValueError(f"odd token count in {text!r}")
         terms = []
-        for i in range(0, len(tokens), 2):
-            terms.append((parse_lit(tokens[i + 1]), int(tokens[i])))
+        for weight, token in zip(tokens[::2], tokens[1::2]):
+            negated = token.startswith("~x")
+            body = token[2:] if negated else token[1:]
+            if not (negated or token.startswith("x")) or not body.isdigit():
+                raise ValueError(f"bad literal token {token!r}")
+            terms.append((-int(body) if negated else int(body), int(weight)))
         return cls(terms, int(right.strip()))
 
     def to_text(self) -> str:
-        parts = [f"{w} {lit_name(lit)}" for lit, w in self.terms]
-        return " ".join(parts) + f" >= {self.degree}"
+        return format_constraint(self.terms, self.degree)
 
     def weight_of(self, lit: int) -> int:
         """Weight of a literal; 0 when the literal is absent."""
@@ -194,7 +196,11 @@ def _normalize_geq(raw_terms, rhs):
 
 
 def slack(c: Constraint, rho: Assignment) -> int:
-    """Sum of the weights of non-falsified literals minus the degree."""
+    """Sum of the weights of non-falsified literals minus the degree.
+
+    Reads only ``c.terms`` and ``c.degree``, so it also takes an
+    :class:`pbsolve.analysis.Accumulator`.
+    """
     s = -c.degree
     for lit, w in c.terms:
         v = rho.get(abs(lit))

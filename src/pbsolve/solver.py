@@ -16,7 +16,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .analysis import parse_strategy, resolve_step
+from .analysis import Accumulator, parse_strategy, resolve_step
 from .core import Constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
@@ -111,6 +111,7 @@ class Solver:
         self.stats = SolverStats()
         self.nvars = instance.nvars
         self.trace = DerivationTrace() if self.config.emit_trace else None
+        self._strategy = parse_strategy(self.config.strategy)
         self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
         self._var_inc = 1.0
         # Lazy max-heap of (-activity, var) over the decision candidates.
@@ -161,8 +162,10 @@ class Solver:
                 self._conflicts_since_restart += 1
                 if self.engine.current_level == 0:
                     raise _RootConflict(self.engine.constraints[conflict])
-                learned, level, reused_cid = self.analyze_conflict(conflict)
-                self._backjump_and_learn(learned, level, reused_cid)
+                analyzed = self.analyze_conflict(conflict)
+                if analyzed is None:
+                    return SolverResult(UNKNOWN)
+                self._backjump_and_learn(*analyzed)
                 self._decay_activities()
                 if self._out_of_time():
                     return SolverResult(UNKNOWN)
@@ -261,56 +264,66 @@ class Solver:
     def analyze_conflict(self, conflict_cid: int):
         """Walk the trail backwards, cancelling until the constraint asserts.
 
-        Returns (constraint, backjump level, reused cid or None).
-        The assignment seen by each resolve step is the trail prefix up to and
-        including that step's pivot, so the conflict invariant refers to the
-        state in which the pivot was propagated.
+        Returns (constraint, backjump level, reused cid or None), or None
+        when the time budget runs out during the walk: the deadline is
+        checked after every resolve step, and nothing is learned then.
+        The conflict side is one :class:`Accumulator` that every resolve
+        step rewrites in place; a constraint is built from it only when it
+        is learned or proves a root conflict.  The assignment seen by each
+        resolve step is the trail prefix up to and including that step's
+        pivot, so the conflict invariant refers to the state in which the
+        pivot was propagated.
         """
         engine = self.engine
         self._bump_constraint(conflict_cid)
-        cur = engine.constraints[conflict_cid]
-        assert cur is not None
+        start = engine.constraints[conflict_cid]
+        assert start is not None
+        cur = Accumulator(start, self.trace)
         reused: int | None = conflict_cid
         rho = dict(engine.assignment)
         pos = len(engine.trail) - 1
         # The engine's state is frozen during analysis, so the assertion
-        # level changes only when a resolve step replaces ``cur``.
-        level = self._assertion_level(cur)
+        # level changes only when a resolve step rewrites ``cur``.
+        level = self._assertion_level(start.terms, start.degree)
         while level is None:
-            if pos < 0:
-                raise _RootConflict(cur)
-            entry = engine.trail[pos]
-            if entry.level == 0:
+            if pos < 0 or engine.trail[pos].level == 0:
                 # Only root-level assignments remain, and the constraint is
                 # still conflicting under them.
-                raise _RootConflict(cur)
+                raise _RootConflict(start if reused is not None else cur.constraint())
+            entry = engine.trail[pos]
             pivot = entry.lit
-            if entry.reason is None or -pivot not in cur:
+            if entry.reason is None or -pivot not in cur.weights:
                 del rho[abs(pivot)]
                 pos -= 1
                 continue
             reason = engine.constraints[entry.reason]
             assert reason is not None
             self._bump_constraint(entry.reason)
-            for v in sorted({abs(lit) for lit, _ in cur.terms + reason.terms}):
+            variables = {abs(lit) for lit in cur.weights}
+            variables.update(abs(lit) for lit, _ in reason.terms)
+            for v in sorted(variables):
                 self.bump_variable(v)
-            outcome = resolve_step(cur, reason, pivot, rho, self.config.strategy, trace=self.trace)
-            if outcome.fallback:
+            if resolve_step(cur, reason, pivot, rho, self._strategy):
                 self.stats.fallbacks += 1
-            cur = outcome.constraint
+            if self._out_of_time():
+                return None
             reused = None
-            level = self._assertion_level(cur)
+            level = self._assertion_level(cur.terms, cur.degree)
             del rho[abs(pivot)]
             pos -= 1
-        return cur, level, reused
+        if reused is not None:
+            return start, level, reused
+        return cur.constraint(), level, None
 
-    def _assertion_level(self, c: Constraint) -> int | None:
-        """Smallest level (below the current one) at which ``c`` asserts.
+    def _assertion_level(self, terms, degree: int) -> int | None:
+        """Smallest level (below the current one) at which a constraint asserts.
 
-        ``c`` asserts at level L when, restricted to assignments at levels
-        <= L, its slack is non-negative and some unassigned literal's weight
-        exceeds the slack.  Both quantities change only at levels where ``c``
-        has an assigned literal, so only level 0 and those levels are tested.
+        The constraint is ``sum(w * lit) >= degree`` over the ``(lit, w)``
+        pairs of ``terms``, in any order.  It asserts at level L when,
+        restricted to assignments at levels <= L, its slack is non-negative
+        and some unassigned literal's weight exceeds the slack.  Both
+        quantities change only at levels where it has an assigned literal,
+        so only level 0 and those levels are tested.
         """
         engine = self.engine
         top = engine.current_level
@@ -320,8 +333,8 @@ class Solver:
         trail = engine.trail
         falsified: dict[int, int] = {}  # level -> falsified weight
         max_weight: dict[int, int] = {}  # level -> largest weight; unassigned at top
-        slack = -c.degree
-        for lit, w in c.terms:
+        slack = -degree
+        for lit, w in terms:
             slack += w
             pos = var_pos.get(abs(lit))
             if pos is None:

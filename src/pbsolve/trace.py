@@ -25,11 +25,12 @@ each a rule takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
 
 from . import core
-from .core import Constraint
+from .core import Constraint, format_constraint
 from .opb import ParsedInstance
 from .propagation import PropagationEngine
 
@@ -47,13 +48,22 @@ RULES = {
 
 @dataclass(frozen=True)
 class RuleStep:
-    """One replayable rule application."""
+    """One replayable rule application.
+
+    The output is held as its term tuple (ascending variable order) and
+    degree; :attr:`output` builds the validated constraint on first use.
+    """
 
     step_id: int
     rule: str
     inputs: tuple[int, ...]
     params: tuple[int, ...]
-    output: Constraint
+    terms: tuple[tuple[int, int], ...]
+    degree: int
+
+    @cached_property
+    def output(self) -> Constraint:
+        return Constraint(self.terms, self.degree)
 
 
 def _split_args(rule: str, args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -83,10 +93,14 @@ def replay_step(rule: str, inputs: list[Constraint], params: tuple[int, ...]):
 class DerivationTrace:
     """Accumulates inputs, rule steps, learned ids and the final conflict id.
 
-    The trace is the only owner of ids: callers pass constraints, and each
-    recorded constraint object is looked up by identity.  The trace keeps a
-    reference to every constraint it recorded, so those identities stay
-    unique for its lifetime.
+    The trace hands out ids: :meth:`add_input` and :meth:`record` return the
+    id of what they stored.  A step refers to its inputs by id and holds its
+    output as a term tuple and degree, so recording builds no constraint.
+    Constraint objects are mapped to ids by identity: an input when it is
+    added, and a step's output when :meth:`bind` names its validated form
+    (the learned constraint or the final conflict).  The trace keeps a
+    reference to every constraint it names, so those identities stay unique
+    for its lifetime.
     """
 
     def __init__(self):
@@ -95,36 +109,39 @@ class DerivationTrace:
         self.learned: list[int] = []
         self.final: int | None = None
         self.notes: list[str] = []
-        self._ids: dict[int, int] = {}  # id(constraint) -> trace id
+        self._ids: dict[int, tuple[int, Constraint]] = {}  # id(constraint) -> (trace id, constraint)
         self._next_id = 1
 
-    def _name(self, c: Constraint, i: int) -> int:
-        self._ids[id(c)] = i
-        self._next_id = max(self._next_id, i + 1)
-        return i
+    def bind(self, c: Constraint, i: int) -> None:
+        """Make ``id_of(c)`` return ``i``: ``c`` is the constraint recorded under ``i``."""
+        self._ids[id(c)] = (i, c)
 
     def id_of(self, c: Constraint) -> int:
-        """The id of a recorded constraint; raises ValueError for any other."""
-        i = self._ids.get(id(c))
-        if i is None:
+        """The id of a named constraint; raises ValueError for any other."""
+        entry = self._ids.get(id(c))
+        if entry is None:
             raise ValueError(f"constraint was never recorded in this trace: {c.to_text()}")
-        return i
+        return entry[0]
 
     def add_input(self, c: Constraint) -> int:
-        i = self._name(c, self._next_id)
+        i = self._next_id
+        self._next_id = i + 1
+        self.bind(c, i)
         self.inputs.append((i, c))
         return i
 
     def record(
         self,
         rule: str,
-        inputs: tuple[Constraint, ...],
+        inputs: tuple[int, ...],
         params: tuple[int, ...],
-        output: Constraint,
+        terms: tuple[tuple[int, int], ...],
+        degree: int,
     ) -> int:
-        in_ids = tuple(map(self.id_of, inputs))
-        i = self._name(output, self._next_id)
-        self.steps.append(RuleStep(i, rule, in_ids, params, output))
+        """Store one rule application; returns the id of its output."""
+        i = self._next_id
+        self._next_id = i + 1
+        self.steps.append(RuleStep(i, rule, inputs, params, terms, degree))
         return i
 
     def mark_learned(self, c: Constraint) -> None:
@@ -145,7 +162,7 @@ class DerivationTrace:
             stream.write(f"i {i} {c.to_text()}\n")
         for st in self.steps:
             args = " ".join(str(x) for x in (*st.inputs, *st.params))
-            stream.write(f"s {st.step_id} {st.rule} {args} : {st.output.to_text()}\n")
+            stream.write(f"s {st.step_id} {st.rule} {args} : {format_constraint(st.terms, st.degree)}\n")
         for i in self.learned:
             stream.write(f"l {i}\n")
         if self.final is not None:
@@ -168,7 +185,9 @@ class DerivationTrace:
                     ident, _, ctext = rest.partition(" ")
                     i = int(ident)
                     c = Constraint.from_text(ctext)
-                    trace.inputs.append((trace._name(c, i), c))
+                    trace.bind(c, i)
+                    trace.inputs.append((i, c))
+                    trace._next_id = max(trace._next_id, i + 1)
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
                     fields = head.split()
@@ -176,10 +195,10 @@ class DerivationTrace:
                         raise ValueError("a step needs an id and a rule")
                     i = int(fields[0])
                     rule = fields[1]
-                    inputs, params = _split_args(rule, tuple(int(x) for x in fields[2:]))
-                    step = RuleStep(i, rule, inputs, params, Constraint.from_text(ctext))
-                    trace.steps.append(step)
-                    trace._name(step.output, i)
+                    inputs, params = _split_args(rule, tuple(map(int, fields[2:])))
+                    c = Constraint.from_text(ctext)
+                    trace.steps.append(RuleStep(i, rule, inputs, params, c.terms, c.degree))
+                    trace._next_id = max(trace._next_id, i + 1)
                 elif kind == "l":
                     trace.learned.append(int(rest))
                 elif kind == "f":
@@ -247,7 +266,7 @@ def verify_trace(
             result = replay_step(st.rule, [known[i] for i in inputs], params)
         except ValueError as exc:
             return TraceCheck(False, f"step {index}: replay error: {exc}", index)
-        if not isinstance(result, Constraint) or result != st.output:
+        if not isinstance(result, Constraint) or result.terms != st.terms or result.degree != st.degree:
             return TraceCheck(False, f"step {index}: replay mismatch for id {st.step_id}", index)
         known[st.step_id] = result
 

@@ -8,8 +8,15 @@ The reference implementations the tests compare the solver against also live
 here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
 ``is_assertive`` and ``backjump_level``, the level-by-level definition of
 assertiveness behind ``Solver._assertion_level``; and
-``linear_decide_literal``, the reference for the solver's decision heap.
-``observe_resolve_steps`` lets a test watch every resolve step of the solver.
+``linear_decide_literal``, the reference for the solver's decision heap; and
+``reference_resolve_step`` with the four ``reference_reduce_*`` /
+``reference_weaken_ineffective`` reductions, the constraint-level
+composition of the :mod:`pbsolve.core` rules that the solver's in-place
+accumulator must match step for step.  ``resolved`` runs the package's
+``resolve_step`` on a constraint and returns the outcome in the reference's
+form, and ``on_accumulator`` does the same for one reduction;
+``observe_resolve_steps`` lets a test watch every resolve step of the
+solver.
 
 Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight`` and ``is_clause`` on a constraint;
@@ -22,12 +29,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 import pbsolve.solver
-from pbsolve.core import Assignment, Constraint, slack
+from pbsolve import core
+from pbsolve.analysis import Accumulator, AnalysisError, parse_strategy, resolve_step
+from pbsolve.core import TAUTOLOGY, Assignment, Constraint, is_conflicting, slack
 
 
 def var(letter: str) -> int:
@@ -124,20 +133,200 @@ def linear_decide_literal(solver) -> int:
     return best_v if solver._phase.get(best_v, False) else -best_v
 
 
+class ResolveOutcome(NamedTuple):
+    """One resolve step's result: the new conflict side and the fallback flag."""
+
+    constraint: Constraint
+    fallback: bool = False
+
+
+def snapshot(side: Accumulator) -> Constraint:
+    """The accumulator's current value as a constraint, without naming it in a trace."""
+    return Constraint(side.terms, side.degree)
+
+
+def on_accumulator(reduction, c: Constraint, *args, **kwargs) -> Constraint:
+    """Run an in-place reduction on an accumulator holding ``c``; its result."""
+    side = Accumulator(c)
+    reduction(side, *args, **kwargs)
+    return snapshot(side)
+
+
+def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str) -> ResolveOutcome:
+    """The package's ``resolve_step`` run on an accumulator holding ``conflict``."""
+    side = Accumulator(conflict)
+    fallback = resolve_step(side, reason, pivot, rho, parse_strategy(strategy))
+    return ResolveOutcome(snapshot(side), fallback)
+
+
 def observe_resolve_steps(monkeypatch, observer) -> None:
     """Call ``observer(conflict, reason, pivot, rho, outcome)`` after each resolve step.
 
     ``monkeypatch`` wraps the solver's ``resolve_step`` until it is undone.
-    The observer must not mutate its arguments.
+    The solver's conflict side is an accumulator that the step rewrites in
+    place, so ``conflict`` is a constraint taken before the step and
+    ``outcome`` a :class:`ResolveOutcome` taken after it.  The observer must
+    not mutate its arguments.
     """
     original = pbsolve.solver.resolve_step
 
-    def observed(conflict, reason, pivot, rho, strategy, **kwargs):
-        outcome = original(conflict, reason, pivot, rho, strategy, **kwargs)
-        observer(conflict, reason, pivot, rho, outcome)
-        return outcome
+    def observed(conflict, reason, pivot, rho, strategy):
+        before = snapshot(conflict)
+        fallback = original(conflict, reason, pivot, rho, strategy)
+        observer(before, reason, pivot, rho, ResolveOutcome(snapshot(conflict), fallback))
+        return fallback
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed)
+
+
+# -- the constraint-level reference for conflict analysis ----------------------
+
+
+def _rule(rule, *args):
+    """Apply a core rule; a tautology cannot arise in a sound analysis."""
+    out = rule(*args)
+    if out is TAUTOLOGY:
+        raise AnalysisError(f"{rule.__name__} produced a tautology during analysis")
+    return out
+
+
+def _falsified(lit: int, rho) -> bool:
+    v = rho.get(abs(lit))
+    return v is not None and v != (lit > 0)
+
+
+def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int, rho) -> Constraint:
+    """gen-res: weaken and saturate the reason until the slack sum is negative."""
+    conflict_slack = slack(conflict, rho)
+    reason = _rule(core.saturate, reason)
+    while True:
+        mu, nu = core.cancel_multipliers(conflict, reason, abs(pivot))
+        if mu * conflict_slack + nu * slack(reason, rho) < 0:
+            return reason
+        candidates = sorted(
+            (w, -abs(lit), lit)
+            for lit, w in reason.terms
+            if lit != pivot and not _falsified(lit, rho)
+        )
+        if not candidates:
+            raise AnalysisError("no weakenable literal left in a reason with high slack")
+        reason = _rule(core.saturate, _rule(core.weaken, reason, candidates[0][2]))
+
+
+def reference_reduce_rs(c: Constraint, pivot: int, rho, *, partial: bool = False) -> Constraint:
+    """(partial) rounding: weaken non-divisible weights, divide by the pivot weight."""
+    r = c.weight_of(pivot)
+    if not r:
+        raise ValueError("pivot does not occur in the constraint")
+    for lit, w in c.terms:
+        if lit == pivot or _falsified(lit, rho):
+            continue
+        rem = w % r
+        if rem == 0:
+            continue
+        if partial and rem != w:
+            c = _rule(core.partial_weaken, c, lit, rem)
+        else:
+            c = _rule(core.weaken, c, lit)
+    return _rule(core.divide, c, r)
+
+
+def reference_weaken_ineffective(
+    c: Constraint, rho, *, pivot: int | None = None, protect: int | None = None
+) -> Constraint:
+    """Greedy weakening that keeps the conflict (pivot None) or the propagation."""
+    start = slack(c, rho)
+    if pivot is None:
+        if start >= 0:
+            raise ValueError("preserve-conflict mode requires a conflicting constraint")
+    elif not 0 <= start < c.weight_of(pivot):
+        raise ValueError("preserve-propagation mode requires the pivot to be propagated")
+    order = sorted(
+        (_falsified(lit, rho), w, abs(lit), lit)
+        for lit, w in c.terms
+        if lit != pivot and lit != protect
+    )
+    for _, _, _, lit in order:
+        weakened = core.weaken(c, lit)
+        if weakened is TAUTOLOGY:
+            continue
+        trial = core.saturate(weakened)
+        if pivot is None:
+            if slack(trial, rho) >= 0:
+                continue
+        elif trial.weight_of(pivot) <= slack(trial, rho):
+            continue
+        c = trial
+    return c
+
+
+def reference_reduce_multiply_weaken(
+    reason: Constraint, pivot: int, conflict_pivot_weight: int, rho
+) -> Constraint | None:
+    """Multiply by ceil(c/r), weaken ineffective mass down to degree c; None to fall back."""
+    cw = conflict_pivot_weight
+    nu = -(-cw // reason.weight_of(pivot))
+    need = nu * reason.degree - cw
+    if need < 0:
+        return None
+    ineffective = sorted(
+        (w, abs(lit), lit)
+        for lit, w in reason.terms
+        if lit != pivot and not _falsified(lit, rho)
+    )
+    if sum(nu * w for w, _, _ in ineffective) < need:
+        return None
+    c = _rule(core.multiply, reason, nu)
+    for w, _, lit in ineffective:
+        if need == 0:
+            break
+        scaled = nu * w
+        if scaled <= need:
+            c = _rule(core.weaken, c, lit)
+            need -= scaled
+        else:
+            c = _rule(core.partial_weaken, c, lit, need)
+            need = 0
+    return _rule(core.saturate, c)
+
+
+def reference_resolve_step(
+    conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str
+) -> ResolveOutcome:
+    """One resolve step composed from the core rules, one new constraint per rule."""
+    if not is_conflicting(conflict, rho):
+        raise ValueError("conflict side is not conflicting under the assignment")
+    if -pivot not in conflict:
+        raise ValueError("the pivot's negation does not occur in the conflict side")
+    if pivot not in reason:
+        raise ValueError("the pivot does not occur in the reason side")
+    family, side = parse_strategy(strategy)
+    fallback = False
+    if family == "gen-res":
+        reason = reference_reduce_genres(conflict, reason, pivot, rho)
+    elif family in ("rs", "partial-rs"):
+        partial = family == "partial-rs"
+        if side in ("both", "conflict"):
+            conflict = reference_reduce_rs(conflict, -pivot, rho, partial=partial)
+        if side in ("both", "reason"):
+            reason = reference_reduce_rs(reason, pivot, rho, partial=partial)
+    elif family == "weaken-ineffective":
+        if side in ("both", "conflict"):
+            conflict = reference_weaken_ineffective(conflict, rho, protect=-pivot)
+        if side in ("both", "reason"):
+            reason = reference_weaken_ineffective(reason, rho, pivot=pivot)
+        if side == "conflict":
+            reason = reference_reduce_genres(conflict, reason, pivot, rho)
+    else:
+        reduced = reference_reduce_multiply_weaken(reason, pivot, conflict.weight_of(-pivot), rho)
+        fallback = reduced is None
+        if reduced is not None:
+            reason = reduced
+        reason = reference_reduce_genres(conflict, reason, pivot, rho)
+    out = _rule(core.saturate, _rule(core.cancel, conflict, reason, abs(pivot)))
+    if not is_conflicting(out, rho):
+        raise AnalysisError(f"reference step produced a non-conflicting constraint with {strategy}")
+    return ResolveOutcome(out, fallback)
 
 
 def assignment_at_level(engine, level: int) -> dict[int, bool]:

@@ -15,9 +15,9 @@ import pytest
 
 from pbsolve.analysis import (
     STRATEGY_IDS,
+    Accumulator,
     reduce_multiply_weaken,
     reduce_rs,
-    resolve_step,
     weaken_ineffective,
 )
 from pbsolve.bench import CSV_HEADER
@@ -41,7 +41,10 @@ from helpers import (
     lit,
     literals,
     observe_resolve_steps,
+    on_accumulator,
     propagation_candidates,
+    resolved,
+    snapshot,
     var,
 )
 
@@ -78,39 +81,40 @@ def test_criterion_1_worked_derivations():
     assert slack(conflict, rho_b) == -1
 
     # Plain cancellation with reason weakening: one step, slack -1.
-    genres = resolve_step(conflict, reason, lit("~b"), rho_b, "gen-res")
+    genres = resolved(conflict, reason, lit("~b"), rho_b, "gen-res")
     assert genres.constraint == con("25a 25c 16e 5d 4f >= 30")
     assert slack(genres.constraint, rho_b) == -1
 
     # Rounding on both sides ends in the clause.
-    rs = resolve_step(conflict, reason, lit("~b"), rho_b, "rs-both")
+    rs = resolved(conflict, reason, lit("~b"), rho_b, "rs-both")
     assert rs.constraint == con("c d e >= 1")
 
     # Ineffective-literal weakening, both sides and conflict-only.
     rho4 = asg(a=0, c=0, f=0)
     reason4 = con("3~a 3~b c d e >= 6")
-    assert weaken_ineffective(reason4, rho4, pivot=lit("~b")) == con("~b c >= 1")
+    assert on_accumulator(weaken_ineffective, reason4, rho4, pivot=lit("~b")) == con("~b c >= 1")
     rho4b = dict(rho4)
     rho4b[var("b")] = False
     conflict4 = con("2a b c f >= 2")
-    assert weaken_ineffective(conflict4, rho4b, protect=lit("b")) == con("a b f >= 1")
-    both = resolve_step(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-both")
+    assert on_accumulator(weaken_ineffective, conflict4, rho4b, protect=lit("b")) == con("a b f >= 1")
+    both = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-both")
     assert both.constraint == con("a c f >= 1")
-    one_side = resolve_step(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-conflict")
+    one_side = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-conflict")
     assert one_side.constraint == con("3f c d e >= 3")
-    assert weaken_ineffective(one_side.constraint, rho4b) == con("c f >= 1")
+    assert on_accumulator(weaken_ineffective, one_side.constraint, rho4b) == con("c f >= 1")
 
     # Partial rounding keeps the non-divisible remainders.
     rho6 = asg(a=1, b=0, c=0, d=0, e=0)
-    partial = reduce_rs(con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho6, partial=True)
+    partial = on_accumulator(reduce_rs, con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho6, partial=True)
     assert partial == con("a b c d e >= 2")
 
     # Multiply-and-weaken avoids the LCM blowup.
     rho7 = asg(a=0, d=0, e=1)
     rho7[var("b")] = True
-    reduced = reduce_multiply_weaken(con("5a 5b 3c 2d e >= 6"), lit("b"), 3, rho7)
-    assert reduced == con("3a 3b c 2d >= 3")
-    mw = resolve_step(
+    reduced = Accumulator(con("5a 5b 3c 2d e >= 6"))
+    assert reduce_multiply_weaken(reduced, lit("b"), 3, rho7)
+    assert snapshot(reduced) == con("3a 3b c 2d >= 3")
+    mw = resolved(
         con("3~b 2a 2d ~e >= 5"), con("5a 5b 3c 2d e >= 6"), lit("b"), rho7,
         "multiply-weaken",
     )
@@ -311,8 +315,8 @@ def test_criterion_6_strength_dominance():
                 continue
         elif not 0 <= slack(c, rho) < c.weight_of(pivot):
             continue
-        full = reduce_rs(c, pivot, rho)
-        partial = reduce_rs(c, pivot, rho, partial=True)
+        full = on_accumulator(reduce_rs, c, pivot, rho)
+        partial = on_accumulator(reduce_rs, c, pivot, rho, partial=True)
         assert partial.degree >= full.degree
         for l, w in full.terms:
             assert partial.weight_of(l) >= w

@@ -6,6 +6,7 @@ import pytest
 
 from pbsolve.analysis import (
     STRATEGY_IDS,
+    Accumulator,
     AnalysisError,
     parse_strategy,
     reduce_genres,
@@ -22,7 +23,25 @@ from pbsolve.core import (
     slack,
 )
 from pbsolve.trace import DerivationTrace, replay_step
-from helpers import asg, con, implies_semantically, is_clause, lit, literals, var
+from helpers import (
+    asg,
+    con,
+    implies_semantically,
+    is_clause,
+    lit,
+    literals,
+    on_accumulator,
+    resolved,
+    snapshot,
+    var,
+)
+
+
+def genres_reason(conflict, reason, pivot, rho):
+    """The reason after gen-res's reduction against ``conflict``."""
+    side = Accumulator(reason)
+    reduce_genres(Accumulator(conflict), side, pivot, rho)
+    return snapshot(side)
 
 
 def rho_after_propagation(base, pivot):
@@ -57,7 +76,7 @@ class TestStrategyIds:
 
 class TestReduceGenres:
     def test_reason_weakened_until_safe(self):
-        reduced = reduce_genres(CONFLICT1, REASON1, lit("~b"), RHO1B)
+        reduced = genres_reason(CONFLICT1, REASON1, lit("~b"), RHO1B)
         assert reduced == con("5~b 5c 4e f >= 5")
         assert slack(reduced, RHO1B) == 1
 
@@ -65,7 +84,7 @@ class TestReduceGenres:
         conflict = con("3a 3b >= 3")
         reason = con("~b c >= 1")
         rho = {var("a"): False, var("c"): False, var("b"): False}
-        assert reduce_genres(conflict, reason, lit("~b"), rho) is reason
+        assert genres_reason(conflict, reason, lit("~b"), rho) == reason
 
     def test_random_pairs_cancel_conflicting(self):
         rng = random.Random(7)
@@ -75,8 +94,8 @@ class TestReduceGenres:
             if setup is None:
                 continue
             conflict, reason, pivot, rho = setup
-            reduced = reduce_genres(conflict, reason, pivot, rho)
-            outcome = resolve_step(conflict, reason, pivot, rho, "gen-res")
+            reduced = genres_reason(conflict, reason, pivot, rho)
+            outcome = resolved(conflict, reason, pivot, rho, "gen-res")
             assert is_conflicting(outcome.constraint, rho)
             assert implies_semantically([conflict, reduced], outcome.constraint)
             checked += 1
@@ -85,21 +104,21 @@ class TestReduceGenres:
 
 class TestReduceRs:
     def test_conflict_side(self):
-        assert reduce_rs(CONFLICT1, lit("b"), RHO1B) == con("b c d >= 1")
+        assert on_accumulator(reduce_rs, CONFLICT1, lit("b"), RHO1B) == con("b c d >= 1")
 
     def test_reason_side(self):
-        assert reduce_rs(REASON1, lit("~b"), RHO1B) == con("~b c e >= 1")
+        assert on_accumulator(reduce_rs, REASON1, lit("~b"), RHO1B) == con("~b c e >= 1")
 
     def test_unit_pivot_weight_changes_nothing(self):
         c = con("a 2b 2c >= 2")
         rho = asg(b=0)
-        assert reduce_rs(c, lit("a"), rho) == c
+        assert on_accumulator(reduce_rs, c, lit("a"), rho) == c
 
     def test_pivot_weight_becomes_one(self):
         rng = random.Random(3)
         for _ in range(200):
             c, pivot, rho = _random_pivot_triple(rng)
-            out = reduce_rs(c, pivot, rho)
+            out = on_accumulator(reduce_rs, c, pivot, rho)
             assert out.weight_of(pivot) == 1
             assert implies_semantically([c], out)
 
@@ -107,20 +126,20 @@ class TestReduceRs:
 class TestReducePartialRs:
     def test_worked_example(self):
         rho = asg(a=1, b=0, c=0, d=0, e=0)
-        out = reduce_rs(con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho, partial=True)
+        out = on_accumulator(reduce_rs, con("8a 7b 7c 2d 2e f >= 11"), lit("b"), rho, partial=True)
         assert out == con("a b c d e >= 2")
 
     def test_multiples_only_divides(self):
         c = con("4a 2b 2c >= 4")
         rho = asg(c=0)
-        assert reduce_rs(c, lit("b"), rho, partial=True) == divide(c, 2)
+        assert on_accumulator(reduce_rs, c, lit("b"), rho, partial=True) == divide(c, 2)
 
     def test_dominates_plain_rs_pointwise(self):
         rng = random.Random(13)
         for _ in range(300):
             c, pivot, rho = _random_pivot_triple(rng)
-            full = reduce_rs(c, pivot, rho)
-            partial = reduce_rs(c, pivot, rho, partial=True)
+            full = on_accumulator(reduce_rs, c, pivot, rho)
+            partial = on_accumulator(reduce_rs, c, pivot, rho, partial=True)
             assert partial.degree >= full.degree
             for l, w in full.terms:
                 assert partial.weight_of(l) >= w
@@ -131,58 +150,65 @@ class TestReducePartialRs:
 class TestWeakenIneffective:
     def test_reason_reduction_keeps_propagation(self):
         rho = asg(a=0, c=0, f=0)
-        out = weaken_ineffective(con("3~a 3~b c d e >= 6"), rho, pivot=lit("~b"))
+        out = on_accumulator(weaken_ineffective, con("3~a 3~b c d e >= 6"), rho, pivot=lit("~b"))
         assert out == con("~b c >= 1")
 
     def test_conflict_reduction_keeps_conflict(self):
         rho = asg(a=0, c=0, f=0, b=0)
-        out = weaken_ineffective(con("2a b c f >= 2"), rho, protect=lit("b"))
+        out = on_accumulator(weaken_ineffective, con("2a b c f >= 2"), rho, protect=lit("b"))
         assert out == con("a b f >= 1")
 
     def test_follow_up_reduction_strengthens(self):
         rho = asg(a=0, c=0, f=0, b=0)
-        out = weaken_ineffective(con("3f c d e >= 3"), rho)
+        out = on_accumulator(weaken_ineffective, con("3f c d e >= 3"), rho)
         assert out == con("c f >= 1")
 
     def test_minimal_clause_unchanged(self):
         rho = asg(a=0, b=0)
-        assert weaken_ineffective(con("a b >= 1"), rho) == con("a b >= 1")
+        assert on_accumulator(weaken_ineffective, con("a b >= 1"), rho) == con("a b >= 1")
 
     def test_mode_preconditions(self):
         with pytest.raises(ValueError):
-            weaken_ineffective(con("a b >= 1"), {}, pivot=None)
+            on_accumulator(weaken_ineffective, con("a b >= 1"), {}, pivot=None)
         with pytest.raises(ValueError):
-            weaken_ineffective(con("a b >= 1"), asg(a=0, b=0), pivot=lit("a"))
+            on_accumulator(weaken_ineffective, con("a b >= 1"), asg(a=0, b=0), pivot=lit("a"))
 
 
 class TestMultiplyWeaken:
     def test_worked_reduction(self):
         rho = rho_after_propagation(asg(a=0, d=0, e=1), lit("b"))
-        reduced = reduce_multiply_weaken(con("5a 5b 3c 2d e >= 6"), lit("b"), 3, rho)
-        assert reduced == con("3a 3b c 2d >= 3")
+        side = Accumulator(con("5a 5b 3c 2d e >= 6"))
+        assert reduce_multiply_weaken(side, lit("b"), 3, rho)
+        assert snapshot(side) == con("3a 3b c 2d >= 3")
 
     def test_equal_weights_need_no_weakening(self):
         # Pivot weights match and the degree equals them: nothing to do.
         reason = con("3a 3b >= 3")
         rho = {var("a"): False, var("b"): True}
-        assert reduce_multiply_weaken(reason, lit("b"), 3, rho) == reason
+        side = Accumulator(reason)
+        assert reduce_multiply_weaken(side, lit("b"), 3, rho)
+        assert snapshot(side) == reason
 
     def test_insufficient_ineffective_mass_falls_back(self):
         # Every non-pivot literal is falsified: nothing may be weakened.
         reason = con("5a 5b >= 6")
         rho = {var("a"): False, var("b"): True}
-        assert reduce_multiply_weaken(reason, lit("b"), 2, rho) is None
+        side = Accumulator(reason)
+        assert not reduce_multiply_weaken(side, lit("b"), 2, rho)
+        assert snapshot(side) == reason
 
     def test_unsaturated_reason_with_low_degree_falls_back(self):
         # An unsaturated reason can have its pivot weight above its degree;
         # the degree then sits below the target and cannot be reduced to it.
         reason = con("5a 5b c >= 3")
         rho = {var("a"): False, var("b"): True}
-        assert reduce_multiply_weaken(reason, lit("b"), 4, rho) is None
+        side = Accumulator(reason)
+        assert not reduce_multiply_weaken(side, lit("b"), 4, rho)
+        assert snapshot(side) == reason
         conflict = con("4~b 2a c >= 6")
         rho2 = dict(rho)
         rho2[var("c")] = False
-        out = resolve_step(conflict, reason, lit("b"), rho2, "multiply-weaken")
+        out = resolved(conflict, reason, lit("b"), rho2, "multiply-weaken")
         assert out.fallback
         assert is_conflicting(out.constraint, rho2)
         assert implies_semantically([conflict, reason], out.constraint)
@@ -192,7 +218,7 @@ class TestRuleApplication:
     def test_tautology_raises(self):
         # Weakening 3a away leaves "2b >= 0".
         with pytest.raises(AnalysisError, match="weaken produced a tautology during analysis"):
-            reduce_rs(con("3a 2b >= 3"), lit("b"), {})
+            on_accumulator(reduce_rs, con("3a 2b >= 3"), lit("b"), {})
 
     def test_output_equal_to_input_is_not_recorded(self):
         clause = con("a b c >= 1")
@@ -202,29 +228,35 @@ class TestRuleApplication:
         for c in (clause, reason, safe_reason):
             trace.add_input(c)
         # Division by the pivot weight 1.
-        assert reduce_rs(clause, lit("a"), {}, trace=trace) is clause
+        side = Accumulator(clause, trace)
+        reduce_rs(side, lit("a"), {})
+        assert side.id == trace.id_of(clause) and snapshot(side) == clause
         # Multiplication by nu == 1, nothing to weaken, already saturated.
         rho = {var("a"): False, var("b"): True}
-        assert reduce_multiply_weaken(reason, lit("b"), 3, rho, trace=trace) is reason
+        side = Accumulator(reason, trace)
+        assert reduce_multiply_weaken(side, lit("b"), 3, rho)
+        assert side.id == trace.id_of(reason) and snapshot(side) == reason
         # A saturation that changes nothing, on a pair that is already safe.
         rho = {var("a"): False, var("c"): False, var("b"): False}
-        assert reduce_genres(reason, safe_reason, lit("~b"), rho, trace=trace) is safe_reason
+        side = Accumulator(safe_reason, trace)
+        reduce_genres(Accumulator(reason, trace), side, lit("~b"), rho)
+        assert side.id == trace.id_of(safe_reason) and snapshot(side) == safe_reason
         assert trace.steps == []
 
 
 class TestResolveStep:
     def test_genres_chain(self):
-        out = resolve_step(CONFLICT1, REASON1, lit("~b"), RHO1B, "gen-res")
+        out = resolved(CONFLICT1, REASON1, lit("~b"), RHO1B, "gen-res")
         assert out.constraint == con("25a 25c 16e 5d 4f >= 30")
         assert slack(out.constraint, RHO1B) == -1
 
     def test_rs_both_chain(self):
-        out = resolve_step(CONFLICT1, REASON1, lit("~b"), RHO1B, "rs-both")
+        out = resolved(CONFLICT1, REASON1, lit("~b"), RHO1B, "rs-both")
         assert out.constraint == con("c d e >= 1")
 
     def test_multiply_weaken_chain(self):
         rho = rho_after_propagation(asg(a=0, d=0, e=1), lit("b"))
-        out = resolve_step(
+        out = resolved(
             con("3~b 2a 2d ~e >= 5"), con("5a 5b 3c 2d e >= 6"), lit("b"), rho,
             "multiply-weaken",
         )
@@ -233,7 +265,7 @@ class TestResolveStep:
 
     def test_weaken_ineffective_both_resolution(self):
         rho = rho_after_propagation(asg(a=0, c=0, f=0), lit("~b"))
-        out = resolve_step(
+        out = resolved(
             con("2a b c f >= 2"), con("3~a 3~b c d e >= 6"), lit("~b"), rho,
             "weaken-ineffective-both",
         )
@@ -242,7 +274,7 @@ class TestResolveStep:
 
     def test_weaken_ineffective_conflict_keeps_reason_strength(self):
         rho = rho_after_propagation(asg(a=0, c=0, f=0), lit("~b"))
-        out = resolve_step(
+        out = resolved(
             con("2a b c f >= 2"), con("3~a 3~b c d e >= 6"), lit("~b"), rho,
             "weaken-ineffective-conflict",
         )
@@ -250,25 +282,24 @@ class TestResolveStep:
 
     def test_precondition_failures(self):
         with pytest.raises(ValueError):
-            resolve_step(CONFLICT1, REASON1, lit("~b"), {}, "gen-res")
+            resolved(CONFLICT1, REASON1, lit("~b"), {}, "gen-res")
         with pytest.raises(ValueError):
-            resolve_step(CONFLICT1, con("c d >= 1"), lit("~b"), RHO1B, "gen-res")
+            resolved(CONFLICT1, con("c d >= 1"), lit("~b"), RHO1B, "gen-res")
 
     def test_steps_replay_bit_exactly(self):
         trace = DerivationTrace()
         cid = trace.add_input(CONFLICT1)
         rid = trace.add_input(REASON1)
-        out = resolve_step(
-            CONFLICT1, REASON1, lit("~b"), RHO1B, "gen-res",
-            trace=trace,
-        )
+        side = Accumulator(CONFLICT1, trace)
+        resolve_step(side, REASON1, lit("~b"), RHO1B, parse_strategy("gen-res"))
         assert trace.steps
         by_id = {cid: CONFLICT1, rid: REASON1}
         for step in trace.steps:
             result = replay_step(step.rule, [by_id[i] for i in step.inputs], step.params)
             assert result == step.output
             by_id[step.step_id] = result
-        assert by_id[trace.id_of(out.constraint)] == out.constraint
+        out = side.constraint()
+        assert by_id[trace.id_of(out)] == out
 
     def test_every_strategy_is_conflicting_and_implied(self):
         rng = random.Random(23)
@@ -279,7 +310,7 @@ class TestResolveStep:
                 continue
             conflict, reason, pivot, rho = setup
             for strategy in STRATEGY_IDS:
-                out = resolve_step(conflict, reason, pivot, rho, strategy)
+                out = resolved(conflict, reason, pivot, rho, strategy)
                 assert is_conflicting(out.constraint, rho)
                 assert implies_semantically([conflict, reason], out.constraint)
                 per_strategy[strategy] += 1
@@ -292,13 +323,13 @@ class TestResolveStep:
         # resolve output must still be conflicting and implied.
         rho = {1: False, 2: False, 3: False, 9: False}
         conflict = con("3a 3b 2c >= 5")
-        reduced = weaken_ineffective(conflict, rho, protect=lit("a"))
+        reduced = on_accumulator(weaken_ineffective, conflict, rho, protect=lit("a"))
         assert reduced == con("3a 3b >= 3")
         assert not is_clause(reduced)
         reason = Constraint([(-1, 2), (9, 1)], 2)  # propagated ~a
         rho_after = dict(rho)
         rho_after[1] = False
-        out = resolve_step(conflict, reason, lit("~a"), rho_after, "weaken-ineffective-both")
+        out = resolved(conflict, reason, lit("~a"), rho_after, "weaken-ineffective-both")
         assert is_conflicting(out.constraint, rho_after)
         assert implies_semantically([conflict, reason], out.constraint)
 

@@ -57,6 +57,9 @@ class TestConstraint:
             ("1 x0 >= 1", "variable index must be >= 1"),
             ("1 x+5 >= 1", "bad literal token"),
             ("1 y3 >= 1", "bad literal token"),
+            ("1 ~~x1 >= 1", "bad literal token '~~x1'"),
+            ("1 ~1 >= 1", "bad literal token '~1'"),
+            ("1 ~x >= 1", "bad literal token '~x'"),
             ("1 >= 1", "odd token count"),
         ],
     )

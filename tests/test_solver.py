@@ -29,6 +29,7 @@ from helpers import (
     linear_decide_literal,
     observe_resolve_steps,
     propagation_candidates,
+    reference_resolve_step,
     var,
     verify_slacks,
 )
@@ -147,6 +148,26 @@ class TestSolveEndToEnd:
         assert result.status == UNKNOWN
         assert time.monotonic() - started < 5.0
 
+    def test_deadline_is_checked_inside_analysis(self, monkeypatch):
+        # The first conflict of php-8-7 under multiply-weaken takes 4 resolve
+        # steps.  With the deadline already past when analysis starts, the
+        # walk stops after one step and learns nothing.
+        steps = []
+        observe_resolve_steps(monkeypatch, lambda *step: steps.append(step))
+        analyze = Solver.analyze_conflict
+
+        def expired(solver, conflict_cid):
+            solver._deadline = time.monotonic() - 1.0
+            return analyze(solver, conflict_cid)
+
+        monkeypatch.setattr(Solver, "analyze_conflict", expired)
+        config = SolverConfig(strategy="multiply-weaken", time_budget=3600, emit_trace=True)
+        result = solve(php_instance(8, 7), config)
+        assert result.status == UNKNOWN
+        assert len(steps) == 1
+        assert result.stats.conflicts == 1 and result.stats.learned == 0
+        assert result.trace.learned == [] and result.trace.final is None
+
     def test_learned_constraints_are_implied(self):
         for seed in (3, 14, 41):
             instance = random_instance(6, 9, 6, seed)
@@ -225,6 +246,27 @@ class TestAnalyzeConflict:
                 guard += 1
 
 
+class TestAccumulatorMatchesReference:
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_every_step_matches_the_constraint_level_reference(self, strategy, monkeypatch):
+        # The solver's in-place accumulator against the composition of the
+        # core rules, on the conflict, reason, pivot and assignment of every
+        # resolve step of a real search.
+        steps = []
+
+        def check(conflict, reason, pivot, rho, outcome):
+            assert outcome == reference_resolve_step(conflict, reason, pivot, rho, strategy)
+            steps.append(outcome.fallback)
+
+        observe_resolve_steps(monkeypatch, check)
+        for seed in (1, 2):
+            instance = balanced_instance(30, 120, random.Random(seed))
+            solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
+        assert len(steps) >= 800
+        if strategy == "multiply-weaken":
+            assert any(steps) and not all(steps)
+
+
 class TestAssertiveness:
     def test_assertion_levels_in_scenario(self):
         solver = scenario_solver()
@@ -233,7 +275,7 @@ class TestAssertiveness:
         assert not is_assertive(learned, solver.engine, 2)
         assert is_assertive(learned, solver.engine, 3)
         assert backjump_level(learned, solver.engine) == 3
-        assert solver._assertion_level(learned) == 3
+        assert solver._assertion_level(learned.terms, learned.degree) == 3
 
     def test_clause_asserts_at_second_highest_level(self):
         solver = scenario_solver()
@@ -270,7 +312,7 @@ class TestAssertiveness:
                 if is_assertive(probe, engine, level):
                     expected = level
                     break
-            assert solver._assertion_level(probe) == expected
+            assert solver._assertion_level(probe.terms, probe.degree) == expected
 
     def test_matches_oracle_on_wide_constraints_and_many_levels(self, monkeypatch):
         rng = random.Random(13)
@@ -311,7 +353,7 @@ class TestAssertiveness:
                             break
                     for c in (*instance.constraints, *learned):
                         expected = oracle_assertion_level(c, engine)
-                        assert solver._assertion_level(c) == expected
+                        assert solver._assertion_level(c.terms, c.degree) == expected
                         probes += 1
                         asserting += expected is not None
         assert probes > 4000

@@ -130,7 +130,8 @@ class TestVerify:
 
         def derive(rule, args, params):
             out = getattr(core, rule)(*args, *params)
-            trace.record(rule, args, params, out)
+            i = trace.record(rule, tuple(map(trace.id_of, args)), params, out.terms, out.degree)
+            trace.bind(out, i)
             return out
 
         a, b = 1, 2
@@ -182,7 +183,8 @@ class TestVerify:
         arity = n_inputs + n_params
         args = (1,) * (arity + extra)
         step_id = max(i for i, _ in trace.inputs) + len(trace.steps) + 1
-        trace.steps.append(RuleStep(step_id, rule, args[:n_inputs], args[n_inputs:], con("a >= 1")))
+        out = con("a >= 1")
+        trace.steps.append(RuleStep(step_id, rule, args[:n_inputs], args[n_inputs:], out.terms, out.degree))
         index = len(trace.steps) - 1
         check = verify_trace(instance, trace)
         assert not check
