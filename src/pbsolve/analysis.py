@@ -219,7 +219,13 @@ def _falsified(lit: int, rho) -> bool:
     return v is not None and v != (lit > 0)
 
 
-def reduce_genres(conflict: Accumulator, reason: Accumulator, pivot: int, rho) -> None:
+def reduce_genres(
+    conflict: Accumulator,
+    reason: Accumulator,
+    pivot: int,
+    rho,
+    conflict_slack: int | None = None,
+) -> None:
     """Weaken and saturate the reason until the conflict is provably preserved.
 
     The loop guard is the subadditivity bound: with ``mu, nu`` the minimal
@@ -229,9 +235,12 @@ def reduce_genres(conflict: Accumulator, reason: Accumulator, pivot: int, rho) -
     each removal is followed by saturation, which may shrink the pivot weight
     and therefore changes the multipliers.  The reason is saturated first:
     once nothing is left to weaken, its slack is then the pivot weight minus
-    the degree, at most 0, so the loop always ends.
+    the degree, at most 0, so the loop always ends.  ``conflict_slack`` is
+    the conflict's slack under ``rho`` when the caller knows it; it is
+    computed otherwise.
     """
-    conflict_slack = slack(conflict, rho)
+    if conflict_slack is None:
+        conflict_slack = slack(conflict, rho)
     cw = conflict.weights[-pivot]
     reason.saturate()
     while True:
@@ -379,21 +388,24 @@ def resolve_step(
     pivot: int,
     rho,
     strategy: tuple[str, str | None],
-) -> bool:
+    conflict_slack: int,
+) -> tuple[bool, int]:
     """One strategy-guided cancellation of a reason into the conflict side.
 
     ``pivot`` is the propagated literal: it occurs positively in the reason
     and negated in the conflict.  ``rho`` is the assignment in effect at this
-    step (up to and including the pivot), and ``strategy`` is the
-    ``(family, side)`` pair of :func:`parse_strategy`.  ``conflict`` is
-    rewritten in place into the saturated cancellation, which is guaranteed
-    to be conflicting under ``rho``; a violation of that guarantee raises
+    step (up to and including the pivot), ``strategy`` is the
+    ``(family, side)`` pair of :func:`parse_strategy`, and ``conflict_slack``
+    is the conflict side's slack under ``rho``.  ``conflict`` is rewritten
+    in place into the saturated cancellation, which is guaranteed to be
+    conflicting under ``rho``; a violation of that guarantee raises
     :class:`AnalysisError` since every reduction family establishes it by
-    construction.  Returns True when multiply-weaken fell back to gen-res.
-    The reason is reduced on an accumulator of its own that shares the
-    conflict's trace.
+    construction.  Returns whether multiply-weaken fell back to gen-res, and
+    the new conflict side's slack under ``rho``, recomputed in full by that
+    check.  The reason is reduced on an accumulator of its own that shares
+    the conflict's trace.
     """
-    if slack(conflict, rho) >= 0:
+    if conflict_slack >= 0:
         raise ValueError("conflict side is not conflicting under the assignment")
     if -pivot not in conflict.weights:
         raise ValueError("the pivot's negation does not occur in the conflict side")
@@ -406,7 +418,7 @@ def resolve_step(
     fallback = False
 
     if family == "gen-res":
-        reduce_genres(conflict, reduced, pivot, rho)
+        reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
     elif family in ("rs", "partial-rs"):
         partial = family == "partial-rs"
         if side in ("both", "conflict"):
@@ -427,14 +439,15 @@ def resolve_step(
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
-        reduce_genres(conflict, reduced, pivot, rho)
+        reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
     else:  # pragma: no cover - parse_strategy rejects unknown families
         raise AssertionError(family)
 
     conflict.cancel(reduced, pivot)
     conflict.saturate()
-    if slack(conflict, rho) >= 0:
+    conflict_slack = slack(conflict, rho)
+    if conflict_slack >= 0:
         text = format_constraint(conflict.terms, conflict.degree)
         name = family if side is None else f"{family}-{side}"
         raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {name}: {text}")
-    return fallback
+    return fallback, conflict_slack

@@ -185,7 +185,9 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="ascii") as f:
-            instance = parse_opb(f, name=args.file.name)
+            # A trace certifies only the constraints, so an objective line
+            # is dropped with a warning, as ``solve --ignore-objective`` does.
+            instance = parse_opb(f, name=args.file.name, allow_objective=True)
         check = verify_trace(instance, args.trace)
     except (OSError, OpbSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,6 +50,23 @@ def format_constraint(terms: Iterable[tuple[int, int]], degree: int) -> str:
     return " ".join(parts) + f" >= {degree}"
 
 
+def _sorted_checked(terms: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The terms in ascending variable order; raises on the first invalid one."""
+    pairs = sorted(terms, key=lambda t: abs(t[0]))
+    prev = 0
+    for lit, w in pairs:
+        if w < 1:
+            raise ValueError(f"weight must be >= 1, got {w} on {lit_name(lit)}")
+        v = abs(lit)
+        if v < 1:
+            raise ValueError(f"variable index must be >= 1, got literal {lit}")
+        # Sorted by variable, so a repeated variable follows its first term.
+        if v == prev:
+            raise ValueError(f"variable x{v} occurs twice")
+        prev = v
+    return tuple(pairs)
+
+
 class Constraint:
     """An immutable normalized PB constraint ``sum(w_i * l_i) >= degree``.
 
@@ -57,7 +74,8 @@ class Constraint:
     and hashing are structural.  The constructor is the only way to build a
     constraint, for input and rule outputs alike, and it validates the
     normalized-form invariants: positive weights, variable indices >= 1, one
-    literal per variable, degree >= 1.  ``terms``, ``degree`` and
+    literal per variable, degree >= 1.  Terms already in canonical order
+    are checked in one pass without a sort.  ``terms``, ``degree`` and
     ``max_weight`` (the largest weight, 0 when empty) are plain attributes.
     Instances must never be mutated.
     """
@@ -65,21 +83,19 @@ class Constraint:
     __slots__ = ("terms", "degree", "max_weight", "_weights")
 
     def __init__(self, terms: Iterable[tuple[int, int]], degree: int):
-        pairs = sorted(terms, key=lambda t: abs(t[0]))
+        pairs = tuple(terms)
+        # Input already in strictly ascending variable order with positive
+        # weights is valid as it stands; anything else is sorted and checked.
         prev = 0
         for lit, w in pairs:
-            if w < 1:
-                raise ValueError(f"weight must be >= 1, got {w} on {lit_name(lit)}")
             v = abs(lit)
-            if v < 1:
-                raise ValueError(f"variable index must be >= 1, got literal {lit}")
-            # Sorted by variable, so a repeated variable follows its first term.
-            if v == prev:
-                raise ValueError(f"variable x{v} occurs twice")
+            if v <= prev or w < 1:
+                pairs = _sorted_checked(pairs)
+                break
             prev = v
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        self.terms: tuple[tuple[int, int], ...] = tuple(pairs)
+        self.terms: tuple[tuple[int, int], ...] = pairs
         self.degree: int = degree
         self._weights = dict(pairs)
         self.max_weight: int = max(self._weights.values()) if pairs else 0
@@ -276,10 +292,8 @@ def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint | _Marker:
     degree = c.degree - eps
     if degree <= 0:
         return TAUTOLOGY
-    weights = {l: x for l, x in c.terms if l != lit}
-    if w - eps:
-        weights[lit] = w - eps
-    return Constraint(weights.items(), degree)
+    left = w - eps
+    return Constraint([(l, left if l == lit else x) for l, x in c.terms if l != lit or left], degree)
 
 
 def saturate(c: Constraint) -> Constraint:

@@ -41,10 +41,12 @@ class PropagationEngine:
 
     def add_constraint(self, c: Constraint) -> int:
         """Attach a constraint, computing its slack under the current trail."""
-        cid = len(self.constraints)
-        self.constraints.append(c)
+        constraints = self.constraints
+        occs = self.occs
+        cid = len(constraints)
+        constraints.append(c)
         for lit, w in c.terms:
-            self.occs.setdefault(lit, []).append((cid, w))
+            occs.setdefault(lit, []).append((cid, w))
         self.slacks.append(slack(c, self.assignment))
         self._pending.append(cid)
         return cid
@@ -81,8 +83,9 @@ class PropagationEngine:
         self.assignment[v] = lit > 0
         self.var_pos[v] = len(self.trail)
         self.trail.append(TrailEntry(lit, self.current_level, reason))
+        slacks = self.slacks
         for cid, w in self.occs.get(-lit, ()):
-            self.slacks[cid] -= w
+            slacks[cid] -= w
 
     def assume(self, lit: int) -> None:
         """Open a new decision level and assign the literal as its decision."""
@@ -95,26 +98,30 @@ class PropagationEngine:
         Returns None when no constraint is conflicting, in which case no
         constraint propagates any further literal.
         """
+        constraints = self.constraints
+        slacks = self.slacks
+        occs = self.occs
+        pending = self._pending
+        trail = self.trail
         while True:
-            if self._pending:
-                cid = self._pending[0]
-                c = self.constraints[cid]
+            if pending:
+                cid = pending[0]
+                c = constraints[cid]
                 if c is None:
-                    self._pending.popleft()
+                    pending.popleft()
                     continue
-                if self.slacks[cid] < 0:
+                if slacks[cid] < 0:
                     # Left queued: the scan still owes its propagations after
                     # the conflict is repaired by backjumping.
                     return cid
                 self._scan(cid, c)
-                self._pending.popleft()
-            elif self._qhead < len(self.trail):
-                lit = self.trail[self._qhead].lit
+                pending.popleft()
+            elif self._qhead < len(trail):
+                lit = trail[self._qhead].lit
                 self._qhead += 1
-                falsified = -lit
-                for cid, w in self.occs.get(falsified, ()):
-                    c = self.constraints[cid]
-                    s = self.slacks[cid]
+                for cid, w in occs.get(-lit, ()):
+                    c = constraints[cid]
+                    s = slacks[cid]
                     if s < 0:
                         # Re-process this trail entry after backjumping so the
                         # remaining occurrences are not lost.
@@ -141,14 +148,19 @@ class PropagationEngine:
                 f"backjump level {level} is not below the current level {self.current_level}"
             )
         popped: list[tuple[int, bool]] = []
-        while self.trail and self.trail[-1].level > level:
-            e = self.trail.pop()
+        trail = self.trail
+        assignment = self.assignment
+        var_pos = self.var_pos
+        slacks = self.slacks
+        occs = self.occs
+        while trail and trail[-1].level > level:
+            e = trail.pop()
             v = abs(e.lit)
             popped.append((v, e.lit > 0))
-            del self.assignment[v]
-            del self.var_pos[v]
-            for cid, w in self.occs.get(-e.lit, ()):
-                self.slacks[cid] += w
+            del assignment[v]
+            del var_pos[v]
+            for cid, w in occs.get(-e.lit, ()):
+                slacks[cid] += w
         self.current_level = level
-        self._qhead = min(self._qhead, len(self.trail))
+        self._qhead = min(self._qhead, len(trail))
         return popped

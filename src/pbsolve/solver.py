@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .analysis import Accumulator, parse_strategy, resolve_step
-from .core import Constraint
+from .core import Constraint, slack
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
 from .trace import DerivationTrace
@@ -216,16 +216,28 @@ class Solver:
         self.stats.decisions += 1
         self.engine.assume(lit)
 
-    def bump_variable(self, v: int) -> None:
-        a = self._activity[v] + self._var_inc
-        self._activity[v] = a
-        if a > 1e100:
-            for u in self._activity:
-                self._activity[u] *= 1e-100
-            self._var_inc *= 1e-100
-            self._rebuild_heap()
-        elif v not in self.engine.assignment:
-            self._push(v)
+    def bump_variables(self, variables) -> None:
+        """Raise the activity of each variable in turn by the bump increment.
+
+        A bump that takes an activity past 1e100 scales every activity and
+        the increment by 1e-100 and rebuilds the decision heap; any other
+        bump of an unassigned variable pushes a heap entry under its new
+        activity.
+        """
+        activity = self._activity
+        assigned = self.engine.assignment
+        inc = self._var_inc
+        for v in variables:
+            a = activity[v] + inc
+            activity[v] = a
+            if a > 1e100:
+                for u in activity:
+                    activity[u] *= 1e-100
+                inc *= 1e-100
+                self._var_inc = inc
+                self._rebuild_heap()
+            elif v not in assigned:
+                self._push(v)
 
     def _push(self, v: int) -> None:
         heapq.heappush(self._heap, (-self._activity[v], v))
@@ -272,7 +284,10 @@ class Solver:
         is learned or proves a root conflict.  The assignment seen by each
         resolve step is the trail prefix up to and including that step's
         pivot, so the conflict invariant refers to the state in which the
-        pivot was propagated.
+        pivot was propagated.  The conflict side's slack under ``rho`` is
+        computed before the first step and then handed from each step to the
+        next; it changes between steps only when the walk skips a decision
+        whose negation the conflict side contains, and is recomputed then.
         """
         engine = self.engine
         self._bump_constraint(conflict_cid)
@@ -282,6 +297,7 @@ class Solver:
         reused: int | None = conflict_cid
         rho = dict(engine.assignment)
         pos = len(engine.trail) - 1
+        cur_slack: int | None = None  # None: to be computed under ``rho``
         # The engine's state is frozen during analysis, so the assertion
         # level changes only when a resolve step rewrites ``cur``.
         level = self._assertion_level(start.terms, start.degree)
@@ -293,17 +309,23 @@ class Solver:
             entry = engine.trail[pos]
             pivot = entry.lit
             if entry.reason is None or -pivot not in cur.weights:
+                if -pivot in cur.weights:
+                    # A skipped decision whose negation is in the conflict
+                    # side: unassigning it raises the slack.
+                    cur_slack = None
                 del rho[abs(pivot)]
                 pos -= 1
                 continue
             reason = engine.constraints[entry.reason]
             assert reason is not None
             self._bump_constraint(entry.reason)
-            variables = {abs(lit) for lit in cur.weights}
+            variables = set(map(abs, cur.weights))
             variables.update(abs(lit) for lit, _ in reason.terms)
-            for v in sorted(variables):
-                self.bump_variable(v)
-            if resolve_step(cur, reason, pivot, rho, self._strategy):
+            self.bump_variables(sorted(variables))
+            if cur_slack is None:
+                cur_slack = slack(cur, rho)
+            fallback, cur_slack = resolve_step(cur, reason, pivot, rho, self._strategy, cur_slack)
+            if fallback:
                 self.stats.fallbacks += 1
             if self._out_of_time():
                 return None
@@ -349,8 +371,12 @@ class Solver:
         levels = sorted(max_weight)
         # above[i]: largest weight among literals at levels[i:] or unassigned.
         above = [0] * (len(levels) + 1)
+        best = 0
         for i in range(len(levels) - 1, -1, -1):
-            above[i] = max(above[i + 1], max_weight[levels[i]])
+            w = max_weight[levels[i]]
+            if w > best:
+                best = w
+            above[i] = best
         i = 0
         level = 0
         while True:

@@ -8,8 +8,10 @@ The reference implementations the tests compare the solver against also live
 here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
 ``is_assertive`` and ``backjump_level``, the level-by-level definition of
 assertiveness behind ``Solver._assertion_level``; and
-``linear_decide_literal``, the reference for the solver's decision heap; and
-``reference_resolve_step`` with the four ``reference_reduce_*`` /
+``linear_decide_literal``, the reference for the solver's decision heap;
+``bump_one_at_a_time``, the reference for ``Solver.bump_variables``;
+``sorted_then_validated``, the reference for the ``Constraint`` constructor;
+and ``reference_resolve_step`` with the four ``reference_reduce_*`` /
 ``reference_weaken_ineffective`` reductions, the constraint-level
 composition of the :mod:`pbsolve.core` rules that the solver's in-place
 accumulator must match step for step.  ``resolved`` runs the package's
@@ -36,7 +38,7 @@ import numpy as np
 import pbsolve.solver
 from pbsolve import core
 from pbsolve.analysis import Accumulator, AnalysisError, parse_strategy, resolve_step
-from pbsolve.core import TAUTOLOGY, Assignment, Constraint, is_conflicting, slack
+from pbsolve.core import TAUTOLOGY, Assignment, Constraint, slack
 
 
 def var(letter: str) -> int:
@@ -133,11 +135,46 @@ def linear_decide_literal(solver) -> int:
     return best_v if solver._phase.get(best_v, False) else -best_v
 
 
+def bump_one_at_a_time(solver, variables) -> None:
+    """Bump each variable's activity with a separate update, rescaling past 1e100."""
+    for v in variables:
+        a = solver._activity[v] + solver._var_inc
+        solver._activity[v] = a
+        if a > 1e100:
+            for u in solver._activity:
+                solver._activity[u] *= 1e-100
+            solver._var_inc *= 1e-100
+            solver._rebuild_heap()
+        elif v not in solver.engine.assignment:
+            solver._push(v)
+
+
+def sorted_then_validated(terms, degree: int) -> tuple[tuple[int, int], ...]:
+    """The terms a constraint holds: sort by variable, then check each term."""
+    pairs = sorted(terms, key=lambda t: abs(t[0]))
+    prev = 0
+    for lit, w in pairs:
+        if w < 1:
+            raise ValueError(f"weight must be >= 1, got {w} on {core.lit_name(lit)}")
+        if abs(lit) < 1:
+            raise ValueError(f"variable index must be >= 1, got literal {lit}")
+        if abs(lit) == prev:
+            raise ValueError(f"variable x{abs(lit)} occurs twice")
+        prev = abs(lit)
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    return tuple(pairs)
+
+
 class ResolveOutcome(NamedTuple):
-    """One resolve step's result: the new conflict side and the fallback flag."""
+    """One resolve step: the new conflict side, the fallback flag, and the
+    conflict side's slack under the step's assignment as handed to the step
+    (``given_slack``) and after it (``slack``)."""
 
     constraint: Constraint
-    fallback: bool = False
+    fallback: bool
+    given_slack: int
+    slack: int
 
 
 def snapshot(side: Accumulator) -> Constraint:
@@ -155,8 +192,9 @@ def on_accumulator(reduction, c: Constraint, *args, **kwargs) -> Constraint:
 def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str) -> ResolveOutcome:
     """The package's ``resolve_step`` run on an accumulator holding ``conflict``."""
     side = Accumulator(conflict)
-    fallback = resolve_step(side, reason, pivot, rho, parse_strategy(strategy))
-    return ResolveOutcome(snapshot(side), fallback)
+    given = slack(conflict, rho)
+    fallback, after = resolve_step(side, reason, pivot, rho, parse_strategy(strategy), given)
+    return ResolveOutcome(snapshot(side), fallback, given, after)
 
 
 def observe_resolve_steps(monkeypatch, observer) -> None:
@@ -165,16 +203,18 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     ``monkeypatch`` wraps the solver's ``resolve_step`` until it is undone.
     The solver's conflict side is an accumulator that the step rewrites in
     place, so ``conflict`` is a constraint taken before the step and
-    ``outcome`` a :class:`ResolveOutcome` taken after it.  The observer must
-    not mutate its arguments.
+    ``outcome`` a :class:`ResolveOutcome` taken after it, holding the slack
+    the solver handed to the step and the one the step returned.  The
+    observer must not mutate its arguments.
     """
     original = pbsolve.solver.resolve_step
 
-    def observed(conflict, reason, pivot, rho, strategy):
+    def observed(conflict, reason, pivot, rho, strategy, conflict_slack):
         before = snapshot(conflict)
-        fallback = original(conflict, reason, pivot, rho, strategy)
-        observer(before, reason, pivot, rho, ResolveOutcome(snapshot(conflict), fallback))
-        return fallback
+        fallback, after = original(conflict, reason, pivot, rho, strategy, conflict_slack)
+        outcome = ResolveOutcome(snapshot(conflict), fallback, conflict_slack, after)
+        observer(before, reason, pivot, rho, outcome)
+        return fallback, after
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed)
 
@@ -294,7 +334,8 @@ def reference_resolve_step(
     conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str
 ) -> ResolveOutcome:
     """One resolve step composed from the core rules, one new constraint per rule."""
-    if not is_conflicting(conflict, rho):
+    given = slack(conflict, rho)
+    if given >= 0:
         raise ValueError("conflict side is not conflicting under the assignment")
     if -pivot not in conflict:
         raise ValueError("the pivot's negation does not occur in the conflict side")
@@ -324,9 +365,10 @@ def reference_resolve_step(
             reason = reduced
         reason = reference_reduce_genres(conflict, reason, pivot, rho)
     out = _rule(core.saturate, _rule(core.cancel, conflict, reason, abs(pivot)))
-    if not is_conflicting(out, rho):
+    after = slack(out, rho)
+    if after >= 0:
         raise AnalysisError(f"reference step produced a non-conflicting constraint with {strategy}")
-    return ResolveOutcome(out, fallback)
+    return ResolveOutcome(out, fallback, given, after)
 
 
 def assignment_at_level(engine, level: int) -> dict[int, bool]:

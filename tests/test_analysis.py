@@ -291,7 +291,7 @@ class TestResolveStep:
         cid = trace.add_input(CONFLICT1)
         rid = trace.add_input(REASON1)
         side = Accumulator(CONFLICT1, trace)
-        resolve_step(side, REASON1, lit("~b"), RHO1B, parse_strategy("gen-res"))
+        resolve_step(side, REASON1, lit("~b"), RHO1B, parse_strategy("gen-res"), slack(CONFLICT1, RHO1B))
         assert trace.steps
         by_id = {cid: CONFLICT1, rid: REASON1}
         for step in trace.steps:

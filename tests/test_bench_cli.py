@@ -229,6 +229,17 @@ class TestCli:
         assert check.returncode == 0
         assert "trace OK" in check.stdout
 
+    def test_verify_accepts_an_ignored_objective(self, tmp_path):
+        path = tmp_path / "objective.opb"
+        path.write_text("min: +1 x1 +1 x2 ;\n+1 x1 >= 1 ;\n+1 x2 >= 1 ;\n-1 x1 -1 x2 >= -1 ;\n")
+        trace = tmp_path / "objective.trace"
+        proc = run_cli("solve", path, "--ignore-objective", "--emit-trace", trace)
+        assert proc.returncode == 20, proc.stderr
+        check = run_cli("verify", path, trace)
+        assert check.returncode == 0, check.stderr
+        assert "warning: objective on line 1 ignored (decision mode)" in check.stderr
+        assert "trace OK" in check.stdout
+
     def test_verify_rejects_truncated_step(self, tmp_path):
         path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
         trace = tmp_path / "php.trace"

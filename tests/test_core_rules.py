@@ -20,7 +20,14 @@ from pbsolve.core import (
     slack,
     weaken,
 )
-from helpers import asg, con, implies_semantically, lit, propagation_candidates
+from helpers import (
+    asg,
+    con,
+    implies_semantically,
+    lit,
+    propagation_candidates,
+    sorted_then_validated,
+)
 
 
 class TestConstraint:
@@ -370,3 +377,32 @@ def test_normalized_constraints_start_with_nonnegative_slack(raw, rhs):
     (result,) = normalize(raw, ">=", rhs)
     if isinstance(result, Constraint):
         assert slack(result, {}) >= 0
+
+
+@st.composite
+def term_lists(draw):
+    """Term lists in ascending variable order, shuffled, or with repeated
+    terms; zero and negative weights and literal 0 occur among them."""
+    pool = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-1, 4)), max_size=8))
+    order = draw(st.sampled_from(("ascending", "shuffled", "duplicated")))
+    if order == "ascending":
+        first = {}
+        for lit_, w in pool:
+            first.setdefault(abs(lit_), (lit_, w))
+        return [first[v] for v in sorted(first)]
+    if order == "shuffled":
+        return draw(st.permutations(pool))
+    return draw(st.permutations(pool + pool[: draw(st.integers(0, len(pool)))]))
+
+
+@given(term_lists(), st.integers(-1, 6))
+@settings(max_examples=400, deadline=None)
+def test_constructor_agrees_with_sort_then_validate(terms, degree):
+    try:
+        expected = sorted_then_validated(terms, degree)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Constraint(terms, degree)
+        assert str(got.value) == str(exc)
+    else:
+        assert Constraint(terms, degree).terms == expected

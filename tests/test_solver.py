@@ -10,7 +10,7 @@ import pytest
 
 import pbsolve.solver
 from pbsolve.analysis import STRATEGY_IDS
-from pbsolve.core import Constraint
+from pbsolve.core import Constraint, slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT, parse_opb, write_opb
 from pbsolve.solver import (
@@ -23,6 +23,7 @@ from pbsolve.solver import (
 from pbsolve.trace import verify_trace
 from helpers import (
     backjump_level,
+    bump_one_at_a_time,
     con,
     implies_semantically,
     is_assertive,
@@ -251,10 +252,14 @@ class TestAccumulatorMatchesReference:
     def test_every_step_matches_the_constraint_level_reference(self, strategy, monkeypatch):
         # The solver's in-place accumulator against the composition of the
         # core rules, on the conflict, reason, pivot and assignment of every
-        # resolve step of a real search.
+        # resolve step of a real search.  analyze_conflict hands each step's
+        # returned slack to the next step instead of recomputing it; both
+        # must equal a full recomputation.
         steps = []
 
         def check(conflict, reason, pivot, rho, outcome):
+            assert outcome.given_slack == slack(conflict, rho)
+            assert outcome.slack == slack(outcome.constraint, rho)
             assert outcome == reference_resolve_step(conflict, reason, pivot, rho, strategy)
             steps.append(outcome.fallback)
 
@@ -265,6 +270,42 @@ class TestAccumulatorMatchesReference:
         assert len(steps) >= 800
         if strategy == "multiply-weaken":
             assert any(steps) and not all(steps)
+
+    # weaken-ineffective-both and -conflict weaken this conflict side to a
+    # clause, whose resolvent asserts at level 1 before the walk reaches b.
+    @pytest.mark.parametrize(
+        "strategy",
+        [s for s in STRATEGY_IDS if s not in ("weaken-ineffective-both", "weaken-ineffective-conflict")],
+    )
+    def test_slack_is_recomputed_after_a_skipped_decision(self, strategy, monkeypatch):
+        # Level 1: decision a, then c and g propagated.  Level 2: decision b,
+        # then e propagated.  Resolving the conflict on e brings in ~b, and
+        # the result is still conflicting at level 1, so the walk skips the
+        # decision b, which raises the conflict side's slack, and resolves
+        # on g and c.
+        instance = ParsedInstance(
+            declared_vars=7,
+            constraints=[con("~a c >= 1"), con("~a g >= 1"), con("~b e >= 1"), con("~c ~e ~g >= 2")],
+        )
+        solver = Solver(instance, SolverConfig(strategy=strategy))
+        engine = solver.engine
+        engine.assume(var("a"))
+        engine.assign(var("c"), 0)
+        engine.assign(var("g"), 1)
+        engine.assume(var("b"))
+        engine.assign(var("e"), 2)
+        after_skip = []
+
+        def check(conflict, reason, pivot, rho, outcome):
+            assert outcome.given_slack == slack(conflict, rho)
+            assert outcome.slack == slack(outcome.constraint, rho)
+            if -var("b") in conflict and var("b") not in rho:
+                after_skip.append(pivot)
+
+        observe_resolve_steps(monkeypatch, check)
+        learned, level, _ = solver.analyze_conflict(3)
+        assert after_skip == [var("g"), var("c")]
+        assert learned == con("2~a ~b >= 2") and level == 0
 
 
 class TestAssertiveness:
@@ -372,12 +413,44 @@ class TestHeuristics:
     def test_bump_changes_argmax_and_scaling_is_invariant(self):
         instance = ParsedInstance(declared_vars=4, constraints=[con("a b c d >= 1")])
         solver = Solver(instance, SolverConfig())
-        solver.bump_variable(3)
+        solver.bump_variables([3])
         assert solver.decide_literal() == -3
         before = solver.decide_literal()
         for v in solver._activity:
             solver._activity[v] *= 1e-30
         assert solver.decide_literal() == before
+
+    def test_one_bump_loop_equals_single_bumps(self):
+        rng = random.Random(4)
+        n = 12
+        rescaled = 0
+        for _ in range(200):
+            instance = ParsedInstance(declared_vars=n, constraints=[])
+            batch, single = Solver(instance), Solver(instance)
+            for v in rng.sample(range(1, n + 1), rng.randint(0, n - 1)):
+                decision = v if rng.random() < 0.5 else -v
+                batch.engine.assume(decision)
+                single.engine.assume(decision)
+            # Activities near 1e100 and a large increment make the rescale
+            # happen in the middle of the list.
+            var_inc = rng.choice((1.0, 0.7, 3e99, 6e99))
+            for solver in (batch, single):
+                solver._var_inc = var_inc
+            for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
+                a = rng.choice((rng.random(), rng.uniform(0, 9.9e99)))
+                batch._activity[v] = single._activity[v] = a
+            batch._rebuild_heap()
+            single._rebuild_heap()
+            variables = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            batch.bump_variables(variables)
+            bump_one_at_a_time(single, variables)
+            assert batch._activity == single._activity
+            assert batch._var_inc == single._var_inc
+            assert batch._heap == single._heap
+            if len(batch.engine.assignment) < n:
+                assert batch.decide_literal() == single.decide_literal()
+            rescaled += batch._var_inc < var_inc
+        assert rescaled > 20
 
     def test_heap_decision_matches_linear_scan(self):
         rng = random.Random(21)
@@ -389,7 +462,7 @@ class TestHeuristics:
             for _ in range(400):
                 op = rng.random()
                 if op < 0.35:
-                    solver.bump_variable(rng.randint(1, n))
+                    solver.bump_variables([rng.randint(1, n)])
                 elif op < 0.45:
                     solver._decay_activities()
                 elif op < 0.7 and len(engine.assignment) < n:
@@ -403,7 +476,7 @@ class TestHeuristics:
                 elif op >= 0.9:
                     # Forces the 1e-100 rescale on this bump.
                     solver._var_inc = 2e100
-                    solver.bump_variable(rng.randint(1, n))
+                    solver.bump_variables([rng.randint(1, n)])
                 if len(engine.assignment) < n:
                     assert solver.decide_literal() == linear_decide_literal(solver)
 
