@@ -19,12 +19,9 @@ from .analysis import (
 )
 from .bench import BenchRecord, run_matrix
 from .core import (
-    CONTRADICTION,
-    TAUTOLOGY,
     Constraint,
     cancel,
     divide,
-    is_conflicting,
     normalize,
     partial_weaken,
     saturate,
@@ -49,8 +46,6 @@ from .trace import DerivationTrace, verify_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONTRADICTION",
-    "TAUTOLOGY",
     "Accumulator",
     "BenchRecord",
     "Constraint",
@@ -68,7 +63,6 @@ __all__ = [
     "cancel",
     "divide",
     "format_solution",
-    "is_conflicting",
     "normalize",
     "parse_opb",
     "partial_weaken",

@@ -7,6 +7,11 @@ Literals are plain signed integers (``+v`` / ``-v`` for variable index
 Partial assignments are mappings ``variable -> bool`` (absent = unassigned),
 and every rule operation is a pure function returning a fresh value.
 
+No assignment satisfies the empty constraint ``>= 1``: it is the one form of
+a trivially false constraint.  A trivially true one (degree 0 or below) is
+not a constraint at all, so a rule whose result would be one raises
+ValueError from the constructor.
+
 Weights and degrees are plain Python integers, so coefficient growth during
 cancellation chains never overflows.
 """
@@ -17,24 +22,6 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Assignment = Mapping[int, bool]
-
-
-class _Marker:
-    """Sentinel for constraints that normalize away entirely."""
-
-    __slots__ = ("_label",)
-
-    def __init__(self, label: str):
-        self._label = label
-
-    def __repr__(self) -> str:
-        return self._label
-
-
-#: Trivially true result (degree dropped to 0 or below).  Never stored.
-TAUTOLOGY = _Marker("TAUTOLOGY")
-#: Trivially false result (no way to reach the degree).  Never stored.
-CONTRADICTION = _Marker("CONTRADICTION")
 
 
 def lit_name(lit: int) -> str:
@@ -161,28 +148,26 @@ def normalize(
     raw_terms: Sequence[tuple[int, int]],
     relation: str,
     rhs: int,
-) -> list[Constraint | _Marker]:
+) -> list[Constraint]:
     """Normalize a raw linear relation over Boolean literals.
 
     ``raw_terms`` holds ``(signed weight, literal)`` pairs.  ``>=`` and ``<=``
-    yield one result, ``=`` yields two.  Each result is a saturated
-    :class:`Constraint`, or TAUTOLOGY / CONTRADICTION when the relation is
-    trivially true / unsatisfiable over 0/1 assignments.
+    are one ``>=`` relation, ``=`` is two.  Each relation yields one
+    saturated :class:`Constraint`; one that every 0/1 assignment satisfies
+    yields none, and one that none satisfies yields the empty constraint.
     """
     if relation == ">=":
-        return [_normalize_geq(raw_terms, rhs)]
+        return _normalize_geq(raw_terms, rhs)
     if relation == "<=":
         flipped = [(-w, lit) for w, lit in raw_terms]
-        return [_normalize_geq(flipped, -rhs)]
+        return _normalize_geq(flipped, -rhs)
     if relation == "=":
-        geq = _normalize_geq(raw_terms, rhs)
         flipped = [(-w, lit) for w, lit in raw_terms]
-        leq = _normalize_geq(flipped, -rhs)
-        return [geq, leq]
+        return _normalize_geq(raw_terms, rhs) + _normalize_geq(flipped, -rhs)
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _normalize_geq(raw_terms, rhs):
+def _normalize_geq(raw_terms, rhs) -> list[Constraint]:
     # Net coefficient per variable on the positive literal; rewriting a term
     # on ~v as w - w*v moves w onto the right-hand side.
     net: dict[int, int] = {}
@@ -203,12 +188,12 @@ def _normalize_geq(raw_terms, rhs):
             weights[-v] = -a
             degree += -a
     if degree <= 0:
-        return TAUTOLOGY
+        return []
     if sum(weights.values()) < degree:
         # Even the all-true assignment cannot reach the degree.
-        return CONTRADICTION
+        return [Constraint((), 1)]
     capped = {lit: min(w, degree) for lit, w in weights.items()}
-    return Constraint(capped.items(), degree)
+    return [Constraint(capped.items(), degree)]
 
 
 def slack(c: Constraint, rho: Assignment) -> int:
@@ -225,11 +210,6 @@ def slack(c: Constraint, rho: Assignment) -> int:
     return s
 
 
-def is_conflicting(c: Constraint, rho: Assignment) -> bool:
-    """True iff the constraint is falsified under ``rho`` (negative slack)."""
-    return slack(c, rho) < 0
-
-
 def cancel_multipliers(c1: Constraint, c2: Constraint, pivot: int) -> tuple[int, int]:
     """Minimal multipliers (mu, nu) equalizing the pivot weights of c1 and c2."""
     w1 = c1.weight_of(pivot) or c1.weight_of(-pivot)
@@ -242,7 +222,7 @@ def cancel_multipliers(c1: Constraint, c2: Constraint, pivot: int) -> tuple[int,
     return common // w1, common // w2
 
 
-def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint | _Marker:
+def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint:
     """Cancellation: the weighted sum of c1 and c2 eliminating ``pivot``.
 
     Uses the minimal (LCM) multipliers.  Opposing literal pairs other than the
@@ -263,23 +243,19 @@ def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint | _Marker:
                 weights[lit] = w - opposite
         else:
             weights[lit] = weights.get(lit, 0) + w
-    if degree <= 0:
-        return TAUTOLOGY
     return Constraint(weights.items(), degree)
 
 
-def weaken(c: Constraint, lit: int) -> Constraint | _Marker:
+def weaken(c: Constraint, lit: int) -> Constraint:
     """Remove a literal and lower the degree by its weight."""
     w = c.weight_of(lit)
     if not w:
         raise ValueError(f"literal {lit_name(lit)} is absent")
     degree = c.degree - w
-    if degree <= 0:
-        return TAUTOLOGY
     return Constraint([t for t in c.terms if t[0] != lit], degree)
 
 
-def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint | _Marker:
+def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint:
     """Lower a literal's weight and the degree by ``eps`` (0 < eps <= weight).
 
     ``eps`` equal to the full weight coincides with :func:`weaken`.
@@ -290,8 +266,6 @@ def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint | _Marker:
     if not 0 < eps <= w:
         raise ValueError(f"eps must be in 1..{w}, got {eps}")
     degree = c.degree - eps
-    if degree <= 0:
-        return TAUTOLOGY
     left = w - eps
     return Constraint([(l, left if l == lit else x) for l, x in c.terms if l != lit or left], degree)
 

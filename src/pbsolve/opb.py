@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import IO
 
-from .core import CONTRADICTION, TAUTOLOGY, Constraint, normalize
+from .core import Constraint, normalize
 
 _HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
 _TOKEN = re.compile(r"\S+")
@@ -36,15 +36,14 @@ class ParsedInstance:
     """A parsed OPB file: normalized constraints plus the declared sizes.
 
     Equality splitting and tautology removal mean the stored constraint count
-    may differ from ``declared_constraints``; both are kept.  ``contradiction``
-    is set when some input line normalizes to an unsatisfiable constant.
+    may differ from ``declared_constraints``; both are kept.  A line that no
+    assignment satisfies is stored as the empty constraint ``>= 1``.
     """
 
     name: str = ""
     declared_vars: int = 0
     declared_constraints: int = 0
     constraints: list[Constraint] = field(default_factory=list)
-    contradiction: bool = False
 
     @property
     def nvars(self) -> int:
@@ -90,13 +89,7 @@ def parse_opb(
                 col,
             )
         n_lines += 1
-        for result in normalize(*_parse_constraint_line(line, lineno)):
-            if result is TAUTOLOGY:
-                continue
-            if result is CONTRADICTION:
-                instance.contradiction = True
-                continue
-            instance.constraints.append(result)
+        instance.constraints.extend(normalize(*_parse_constraint_line(line, lineno)))
     if not instance.declared_constraints:
         instance.declared_constraints = n_lines
     return instance
@@ -173,13 +166,10 @@ def write_opb(instance: ParsedInstance, stream: IO[str]) -> None:
 
     Negated literals are rewritten as negative coefficients on the positive
     variable with the right-hand side adjusted, which round-trips through
-    normalization to the identical canonical constraint.  A contradiction is
-    written as the empty row ``>= 1 ;``, which parses back as one.
+    normalization to the identical canonical constraint.  The empty
+    constraint is written as the row ``>= 1 ;``.
     """
-    rows = len(instance.constraints) + instance.contradiction
-    stream.write(f"* #variable= {instance.nvars} #constraint= {rows}\n")
-    if instance.contradiction:
-        stream.write(">= 1 ;\n")
+    stream.write(f"* #variable= {instance.nvars} #constraint= {len(instance.constraints)}\n")
     for c in instance.constraints:
         parts = []
         rhs = c.degree

@@ -153,8 +153,6 @@ class Solver:
     # -- main loop --------------------------------------------------------------
 
     def _search(self) -> SolverResult:
-        if self.instance.contradiction:
-            return SolverResult(UNSAT)
         conflict = self.engine.propagate_all()
         while True:
             if conflict is not None:

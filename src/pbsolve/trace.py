@@ -37,12 +37,12 @@ from .propagation import PropagationEngine
 #: Every rule a step may name: rule -> (function in :mod:`pbsolve.core`,
 #: number of input ids, number of integer parameters).
 RULES = {
-    "cancel": ("cancel", 2, 1),
-    "weaken": ("weaken", 1, 1),
-    "pweaken": ("partial_weaken", 1, 2),
-    "saturate": ("saturate", 1, 0),
-    "divide": ("divide", 1, 1),
-    "multiply": ("multiply", 1, 1),
+    "cancel": (core.cancel, 2, 1),
+    "weaken": (core.weaken, 1, 1),
+    "pweaken": (core.partial_weaken, 1, 2),
+    "saturate": (core.saturate, 1, 0),
+    "divide": (core.divide, 1, 1),
+    "multiply": (core.multiply, 1, 1),
 }
 
 
@@ -79,15 +79,11 @@ def _split_args(rule: str, args: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     return args[:n_inputs], args[n_inputs:]
 
 
-def replay_step(rule: str, inputs: list[Constraint], params: tuple[int, ...]):
-    """Recompute a rule application; returns a Constraint or a marker.
-
-    The rule function is looked up on :mod:`pbsolve.core` at call time, so a
-    wrapper installed there (a profiling span, a test double) is the one run.
-    """
+def replay_step(rule: str, inputs: list[Constraint], params: tuple[int, ...]) -> Constraint:
+    """Recompute a rule application; raises ValueError where the rule does."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    return getattr(core, RULES[rule][0])(*inputs, *params)
+    return RULES[rule][0](*inputs, *params)
 
 
 class DerivationTrace:
@@ -266,7 +262,7 @@ def verify_trace(
             result = replay_step(st.rule, [known[i] for i in inputs], params)
         except ValueError as exc:
             return TraceCheck(False, f"step {index}: replay error: {exc}", index)
-        if not isinstance(result, Constraint) or result.terms != st.terms or result.degree != st.degree:
+        if result.terms != st.terms or result.degree != st.degree:
             return TraceCheck(False, f"step {index}: replay mismatch for id {st.step_id}", index)
         known[st.step_id] = result
 
@@ -277,7 +273,7 @@ def verify_trace(
     if trace.final is not None:
         if trace.final not in known:
             return TraceCheck(False, f"final id {trace.final} was never derived", len(trace.steps))
-        if not instance.contradiction and not _root_conflict(expected, [known[i] for i in trace.learned]):
+        if not _root_conflict(expected, [known[i] for i in trace.learned]):
             return TraceCheck(
                 False,
                 "unsatisfiability claim not confirmed by root-level propagation",

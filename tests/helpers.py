@@ -38,7 +38,7 @@ import numpy as np
 import pbsolve.solver
 from pbsolve import core
 from pbsolve.analysis import Accumulator, AnalysisError, parse_strategy, resolve_step
-from pbsolve.core import TAUTOLOGY, Assignment, Constraint, slack
+from pbsolve.core import Assignment, Constraint, slack
 
 
 def var(letter: str) -> int:
@@ -204,8 +204,9 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     The solver's conflict side is an accumulator that the step rewrites in
     place, so ``conflict`` is a constraint taken before the step and
     ``outcome`` a :class:`ResolveOutcome` taken after it, holding the slack
-    the solver handed to the step and the one the step returned.  The
-    observer must not mutate its arguments.
+    the solver handed to the step and the one the step returned.  ``rho``
+    is a copy of the assignment the step ran under, so the observer may keep
+    it; the observer must not mutate its other arguments.
     """
     original = pbsolve.solver.resolve_step
 
@@ -213,21 +214,13 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
         before = snapshot(conflict)
         fallback, after = original(conflict, reason, pivot, rho, strategy, conflict_slack)
         outcome = ResolveOutcome(snapshot(conflict), fallback, conflict_slack, after)
-        observer(before, reason, pivot, rho, outcome)
+        observer(before, reason, pivot, dict(rho), outcome)
         return fallback, after
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed)
 
 
 # -- the constraint-level reference for conflict analysis ----------------------
-
-
-def _rule(rule, *args):
-    """Apply a core rule; a tautology cannot arise in a sound analysis."""
-    out = rule(*args)
-    if out is TAUTOLOGY:
-        raise AnalysisError(f"{rule.__name__} produced a tautology during analysis")
-    return out
 
 
 def _falsified(lit: int, rho) -> bool:
@@ -238,7 +231,7 @@ def _falsified(lit: int, rho) -> bool:
 def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int, rho) -> Constraint:
     """gen-res: weaken and saturate the reason until the slack sum is negative."""
     conflict_slack = slack(conflict, rho)
-    reason = _rule(core.saturate, reason)
+    reason = core.saturate(reason)
     while True:
         mu, nu = core.cancel_multipliers(conflict, reason, abs(pivot))
         if mu * conflict_slack + nu * slack(reason, rho) < 0:
@@ -250,7 +243,7 @@ def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int
         )
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
-        reason = _rule(core.saturate, _rule(core.weaken, reason, candidates[0][2]))
+        reason = core.saturate(core.weaken(reason, candidates[0][2]))
 
 
 def reference_reduce_rs(c: Constraint, pivot: int, rho, *, partial: bool = False) -> Constraint:
@@ -265,10 +258,10 @@ def reference_reduce_rs(c: Constraint, pivot: int, rho, *, partial: bool = False
         if rem == 0:
             continue
         if partial and rem != w:
-            c = _rule(core.partial_weaken, c, lit, rem)
+            c = core.partial_weaken(c, lit, rem)
         else:
-            c = _rule(core.weaken, c, lit)
-    return _rule(core.divide, c, r)
+            c = core.weaken(c, lit)
+    return core.divide(c, r)
 
 
 def reference_weaken_ineffective(
@@ -287,8 +280,9 @@ def reference_weaken_ineffective(
         if lit != pivot and lit != protect
     )
     for _, _, _, lit in order:
-        weakened = core.weaken(c, lit)
-        if weakened is TAUTOLOGY:
+        try:
+            weakened = core.weaken(c, lit)
+        except ValueError:  # weakening lit away leaves a tautology
             continue
         trial = core.saturate(weakened)
         if pivot is None:
@@ -316,18 +310,18 @@ def reference_reduce_multiply_weaken(
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
         return None
-    c = _rule(core.multiply, reason, nu)
+    c = core.multiply(reason, nu)
     for w, _, lit in ineffective:
         if need == 0:
             break
         scaled = nu * w
         if scaled <= need:
-            c = _rule(core.weaken, c, lit)
+            c = core.weaken(c, lit)
             need -= scaled
         else:
-            c = _rule(core.partial_weaken, c, lit, need)
+            c = core.partial_weaken(c, lit, need)
             need = 0
-    return _rule(core.saturate, c)
+    return core.saturate(c)
 
 
 def reference_resolve_step(
@@ -364,7 +358,7 @@ def reference_resolve_step(
         if reduced is not None:
             reason = reduced
         reason = reference_reduce_genres(conflict, reason, pivot, rho)
-    out = _rule(core.saturate, _rule(core.cancel, conflict, reason, abs(pivot)))
+    out = core.saturate(core.cancel(conflict, reason, abs(pivot)))
     after = slack(out, rho)
     if after >= 0:
         raise AnalysisError(f"reference step produced a non-conflicting constraint with {strategy}")

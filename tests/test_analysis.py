@@ -18,7 +18,6 @@ from pbsolve.analysis import (
 from pbsolve.core import (
     Constraint,
     divide,
-    is_conflicting,
     saturate,
     slack,
 )
@@ -96,7 +95,7 @@ class TestReduceGenres:
             conflict, reason, pivot, rho = setup
             reduced = genres_reason(conflict, reason, pivot, rho)
             outcome = resolved(conflict, reason, pivot, rho, "gen-res")
-            assert is_conflicting(outcome.constraint, rho)
+            assert slack(outcome.constraint, rho) < 0
             assert implies_semantically([conflict, reduced], outcome.constraint)
             checked += 1
         assert checked > 100
@@ -210,7 +209,7 @@ class TestMultiplyWeaken:
         rho2[var("c")] = False
         out = resolved(conflict, reason, lit("b"), rho2, "multiply-weaken")
         assert out.fallback
-        assert is_conflicting(out.constraint, rho2)
+        assert slack(out.constraint, rho2) < 0
         assert implies_semantically([conflict, reason], out.constraint)
 
 
@@ -311,7 +310,7 @@ class TestResolveStep:
             conflict, reason, pivot, rho = setup
             for strategy in STRATEGY_IDS:
                 out = resolved(conflict, reason, pivot, rho, strategy)
-                assert is_conflicting(out.constraint, rho)
+                assert slack(out.constraint, rho) < 0
                 assert implies_semantically([conflict, reason], out.constraint)
                 per_strategy[strategy] += 1
         assert min(per_strategy.values()) > 100
@@ -330,7 +329,7 @@ class TestResolveStep:
         rho_after = dict(rho)
         rho_after[1] = False
         out = resolved(conflict, reason, lit("~a"), rho_after, "weaken-ineffective-both")
-        assert is_conflicting(out.constraint, rho_after)
+        assert slack(out.constraint, rho_after) < 0
         assert implies_semantically([conflict, reason], out.constraint)
 
 
@@ -394,6 +393,6 @@ def _random_resolve_setup(rng, nvars=9):
     if not 0 <= slack(reason, rho) < reason.weight_of(pivot):
         return None
     rho[abs(pivot)] = pivot > 0
-    if not is_conflicting(conflict, rho):
+    if slack(conflict, rho) >= 0:
         return None
     return conflict, reason, pivot, rho

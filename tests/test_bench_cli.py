@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from pbsolve.bench import CSV_HEADER, run_matrix, write_cactus_csv, write_csv
+from pbsolve.cli import _build_parser
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import write_opb
+from pbsolve.solver import SolverConfig
 
 
 def write_instance(path: Path, instance) -> Path:
@@ -228,6 +230,21 @@ class TestCli:
         check = run_cli("verify", path, trace)
         assert check.returncode == 0
         assert "trace OK" in check.stdout
+
+    def test_unsatisfiable_row_trace_verifies(self, tmp_path):
+        path = tmp_path / "false.opb"
+        path.write_text("+1 x1 >= 2 ;\n+1 x2 +1 x3 >= 1 ;\n")
+        trace = tmp_path / "false.trace"
+        proc = run_cli("solve", path, "--emit-trace", trace)
+        assert proc.returncode == 20, proc.stderr
+        assert trace.read_text().splitlines()[-1] == "f 1"
+        check = run_cli("verify", path, trace)
+        assert check.returncode == 0, check.stderr
+        assert "trace OK" in check.stdout
+
+    def test_solve_strategy_default_is_the_solver_default(self):
+        args = _build_parser().parse_args(["solve", "in.opb"])
+        assert args.strategy == SolverConfig().strategy
 
     def test_verify_accepts_an_ignored_objective(self, tmp_path):
         path = tmp_path / "objective.opb"

@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbsolve.core import (
-    CONTRADICTION,
-    TAUTOLOGY,
     Constraint,
     cancel,
     cancel_multipliers,
     divide,
-    is_conflicting,
     multiply,
     normalize,
     partial_weaken,
@@ -88,8 +85,7 @@ class TestNormalize:
         assert implies_semantically([result], con("3~a 2b >= 2"))
 
     def test_nonpositive_degree_is_tautology(self):
-        (result,) = normalize([(2, 1), (3, 2)], ">=", 0)
-        assert result is TAUTOLOGY
+        assert normalize([(2, 1), (3, 2)], ">=", 0) == []
 
     def test_already_normalized_is_unchanged(self):
         (result,) = normalize([(5, 1), (4, 2), (1, 3), (1, 4)], ">=", 6)
@@ -105,15 +101,12 @@ class TestNormalize:
         assert result == con("~a ~b >= 1")
 
     def test_unreachable_degree_is_contradiction(self):
-        (result,) = normalize([(1, 1)], ">=", 2)
-        assert result is CONTRADICTION
-        (result,) = normalize([], ">=", 1)
-        assert result is CONTRADICTION
+        assert normalize([(1, 1)], ">=", 2) == [Constraint((), 1)]
+        assert normalize([], ">=", 1) == [Constraint((), 1)]
 
     def test_opposing_literals_merge(self):
-        (result,) = normalize([(3, 1), (2, -1), (1, 2)], ">=", 1)
         # 3a + 2~a = a + 2, so the degree drops below one: tautology here.
-        assert result is TAUTOLOGY
+        assert normalize([(3, 1), (2, -1), (1, 2)], ">=", 1) == []
         (result,) = normalize([(3, 1), (2, -1), (2, 2)], ">=", 4)
         assert result == con("a 2b >= 2")
 
@@ -131,7 +124,7 @@ class TestSlack:
         rho[2] = False  # the propagated literal
         conflict = con("5a 4b c d >= 6")
         assert slack(conflict, rho) == -1
-        assert is_conflicting(conflict, rho)
+        assert slack(conflict, rho) < 0
 
     def test_empty_assignment_slack_is_total_minus_degree(self):
         c = con("5a 4b c d >= 6")
@@ -139,10 +132,10 @@ class TestSlack:
 
     def test_conflicting_cancellation_result(self):
         rho = asg(a=1, c=0, d=0, e=0, b=0)
-        assert is_conflicting(con("25a 25c 16e 5d 4f >= 30"), rho)
+        assert slack(con("25a 25c 16e 5d 4f >= 30"), rho) < 0
 
     def test_no_conflict_under_empty_assignment(self):
-        assert not is_conflicting(con("3a 2b >= 3"), {})
+        assert slack(con("3a 2b >= 3"), {}) >= 0
 
     def test_candidates_second_scenario(self):
         rho = asg(a=0, c=0, f=0)
@@ -186,7 +179,8 @@ class TestWeakenSaturateDivide:
         assert step2 == con("6~b 6c 4e f >= 5")
 
     def test_weaken_to_nothing_is_tautology(self):
-        assert weaken(con("a >= 1"), 1) is TAUTOLOGY
+        with pytest.raises(ValueError):
+            weaken(con("a >= 1"), 1)
 
     def test_weaken_requires_presence(self):
         with pytest.raises(ValueError):
@@ -203,7 +197,13 @@ class TestWeakenSaturateDivide:
     def test_partial_weaken_full_epsilon_matches_weaken(self):
         c = con("5a 3b 2c >= 4")
         for l, w in c.terms:
-            assert partial_weaken(c, l, w) == weaken(c, l)
+            if w < c.degree:
+                assert partial_weaken(c, l, w) == weaken(c, l)
+            else:  # both leave a tautology
+                with pytest.raises(ValueError):
+                    partial_weaken(c, l, w)
+                with pytest.raises(ValueError):
+                    weaken(c, l)
 
     def test_partial_weaken_range_checks(self):
         with pytest.raises(ValueError):
@@ -313,9 +313,14 @@ def test_division_is_monotone_and_sound(c, r):
 @settings(max_examples=150, deadline=None)
 def test_weaken_agrees_with_full_partial_weaken(c):
     for l, w in c.terms:
+        if w >= c.degree:  # both leave a tautology
+            with pytest.raises(ValueError):
+                weaken(c, l)
+            with pytest.raises(ValueError):
+                partial_weaken(c, l, w)
+            continue
         assert weaken(c, l) == partial_weaken(c, l, w)
-        if isinstance(weaken(c, l), Constraint):
-            assert implies_semantically([c], weaken(c, l))
+        assert implies_semantically([c], weaken(c, l))
 
 
 @given(constraints(), constraints(), assignments())
@@ -329,8 +334,9 @@ def test_cancellation_soundness_and_slack_subadditivity(c1, c2, rho):
         return
     pivot = pivots[0]
     mu, nu = cancel_multipliers(c1, c2, pivot)
-    out = cancel(c1, c2, pivot)
-    if out is TAUTOLOGY:
+    try:
+        out = cancel(c1, c2, pivot)
+    except ValueError:  # a tautology
         return
     assert pivot not in out and -pivot not in out
     assert implies_semantically([c1, c2], out)
@@ -358,10 +364,7 @@ def test_normalization_preserves_satisfying_assignments(raw, relation, rhs):
             raw_ok = lhs <= rhs
         else:
             raw_ok = lhs == rhs
-        normalized_ok = all(
-            r is TAUTOLOGY or (r is not CONTRADICTION and r.satisfied_by(total))
-            for r in results
-        )
+        normalized_ok = all(r.satisfied_by(total) for r in results)
         assert raw_ok == normalized_ok
 
 
@@ -374,9 +377,8 @@ def test_normalization_preserves_satisfying_assignments(raw, relation, rhs):
 )
 @settings(max_examples=200, deadline=None)
 def test_normalized_constraints_start_with_nonnegative_slack(raw, rhs):
-    (result,) = normalize(raw, ">=", rhs)
-    if isinstance(result, Constraint):
-        assert slack(result, {}) >= 0
+    for result in normalize(raw, ">=", rhs):
+        assert slack(result, {}) >= 0 or result == Constraint((), 1)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbsolve.core import Constraint
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import (
     OpbSyntaxError,
@@ -46,10 +47,9 @@ class TestParse:
         inst = parse_opb("1 x1 1 x2 >= 1 ;\r\n")
         assert inst.constraints == [con("a b >= 1")]
 
-    def test_tautology_dropped_contradiction_flagged(self):
+    def test_tautology_dropped_contradiction_is_the_empty_constraint(self):
         inst = parse_opb("+2 x1 +3 x2 >= 0 ;\n+1 x1 >= 2 ;\n")
-        assert inst.constraints == []
-        assert inst.contradiction
+        assert inst.constraints == [Constraint((), 1)]
 
     def test_objective_rejected_by_default(self):
         with pytest.raises(OpbSyntaxError) as err:
@@ -110,13 +110,26 @@ class TestWrite:
 
     def test_contradiction_round_trips(self):
         inst = parse_opb("+1 x1 >= 2 ;\n+1 x2 >= 1 ;\n")
-        assert inst.contradiction
+        assert inst.constraints == [Constraint((), 1), con("b >= 1")]
         buf = io.StringIO()
         write_opb(inst, buf)
         assert buf.getvalue().splitlines()[0] == "* #variable= 2 #constraint= 2"
         again = parse_opb(buf.getvalue())
-        assert again.contradiction
         assert again.constraints == inst.constraints
+        assert solve(again).status == UNSAT
+
+    def test_two_unsatisfiable_rows_round_trip_as_two_rows(self):
+        inst = parse_opb("+1 x1 >= 2 ;\n+1 x2 >= 1 ;\n-1 x3 >= 1 ;\n")
+        buf = io.StringIO()
+        write_opb(inst, buf)
+        assert buf.getvalue().splitlines() == [
+            "* #variable= 2 #constraint= 3",
+            ">= 1 ;",
+            "+1 x2 >= 1 ;",
+            ">= 1 ;",
+        ]
+        again = parse_opb(buf.getvalue())
+        assert again.constraints == [Constraint((), 1), con("b >= 1"), Constraint((), 1)]
         assert solve(again).status == UNSAT
 
     def test_php_round_trip_counts(self):

@@ -97,7 +97,7 @@ class TestSolveEndToEnd:
             assert result.stats.conflicts > 0
 
     def test_trivially_false_input(self):
-        instance = ParsedInstance(declared_vars=1, constraints=[], contradiction=True)
+        instance = ParsedInstance(declared_vars=1, constraints=[Constraint((), 1)])
         assert solve(instance).status == UNSAT
 
     def test_empty_instance_is_sat(self):
@@ -270,6 +270,15 @@ class TestAccumulatorMatchesReference:
         assert len(steps) >= 800
         if strategy == "multiply-weaken":
             assert any(steps) and not all(steps)
+
+    def test_observers_may_keep_the_assignment(self, monkeypatch):
+        # The walk unassigns each pivot after its step, so an observer that
+        # keeps the solver's own dict would find the pivots gone.
+        kept = []
+        observe_resolve_steps(monkeypatch, lambda c, r, pivot, rho, o: kept.append((pivot, rho)))
+        solve(balanced_instance(30, 120, random.Random(1)), SolverConfig(conflict_budget=50))
+        assert len(kept) > 100
+        assert all(rho.get(abs(pivot)) == (pivot > 0) for pivot, rho in kept)
 
     # weaken-ineffective-both and -conflict weaken this conflict side to a
     # clause, whose resolvent asserts at level 1 before the walk reaches b.

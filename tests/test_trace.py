@@ -6,7 +6,7 @@ import pytest
 
 from pbsolve import core
 from pbsolve.generators import php_instance, random_instance
-from pbsolve.opb import ParsedInstance, SAT, UNSAT
+from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import DerivationTrace, RuleStep, TraceCheck, verify_trace
 from helpers import con
@@ -147,6 +147,26 @@ class TestVerify:
         check = verify_trace(instance, io.StringIO(trace_text(trace)))
         assert check, check.error
         assert check.steps_checked == 5
+
+    def test_unsatisfiable_row_is_the_final_conflict(self):
+        # The first row normalizes to the empty constraint, which root
+        # propagation finds conflicting before anything is assigned.
+        instance = parse_opb("+1 x1 >= 2 ;\n+1 x2 +1 x3 >= 1 ;\n")
+        result = solve_with_trace(instance)
+        assert result.status == UNSAT
+        assert result.stats.conflicts == 1
+        text = trace_text(result.trace)
+        assert text == "i 1  >= 1\ni 2 1 x2 1 x3 >= 1\nf 1\n"
+        assert dict(result.trace.inputs)[result.trace.final] == core.Constraint((), 1)
+        check = verify_trace(instance, io.StringIO(text))
+        assert check, check.error
+
+    def test_tautological_step_is_a_replay_error(self):
+        instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
+        lines = ["i 1 1 x1 1 x2 >= 1", "s 2 weaken 1 1 : 1 x2 >= 1"]
+        check = verify_trace(instance, lines)
+        assert not check
+        assert check.error == "step 0: replay error: degree must be >= 1, got 0"
 
     def test_empty_trace_for_sat_instance(self):
         instance = ParsedInstance(declared_vars=1, constraints=[con("a >= 1")])
