@@ -26,7 +26,7 @@ from .opb import (
     write_opb,
 )
 from .solver import SolverConfig, solve
-from .trace import verify_trace
+from .trace import DerivationTrace, verify_trace
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
             # A trace certifies only the constraints, so an objective line
             # is dropped with a warning, as ``solve --ignore-objective`` does.
             instance = parse_opb(f, name=args.file.name, allow_objective=True)
-        check = verify_trace(instance, args.trace)
+        check = verify_trace(instance, DerivationTrace.read_file(args.trace))
     except (OSError, OpbSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -94,7 +94,9 @@ class Constraint:
         A literal token is ``xK`` or ``~xK``; only its shape is checked here,
         and the constructor rejects variable index 0.
         """
-        left, _, right = text.partition(">=")
+        left, sep, right = text.partition(">=")
+        if not sep:
+            raise ValueError(f"missing '>=' in {text!r}")
         tokens = left.split()
         if len(tokens) % 2 != 0:
             raise ValueError(f"odd token count in {text!r}")

@@ -17,7 +17,9 @@ from typing import IO
 from .core import Constraint, normalize
 
 _HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
-_TOKEN = re.compile(r"\S+")
+# A token is a run of non-space characters that does not end in ";", or one
+# ";": terminators glued to the token before them are tokens of their own.
+_TOKEN = re.compile(r"\S*[^\s;]|;")
 _INT = re.compile(r"[+-]?\d+$")
 _VAR = re.compile(r"x(\d+)$")
 
@@ -64,8 +66,7 @@ def parse_opb(
         text = source
     instance = ParsedInstance(name=name)
     n_lines = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -96,17 +97,7 @@ def parse_opb(
 
 
 def _parse_constraint_line(line: str, lineno: int):
-    tokens: list[tuple[str, int]] = []
-    for m in _TOKEN.finditer(line):
-        tok, col = m.group(), m.start() + 1
-        # The terminator may be glued to the previous token.
-        while tok.endswith(";") and len(tok) > 1:
-            tok = tok[:-1]
-        if tok != m.group():
-            tokens.append((tok, col))
-            tokens.append((";", col + len(tok)))
-        else:
-            tokens.append((tok, col))
+    tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
 
     def fail(msg: str, col: int):
         raise OpbSyntaxError(msg, lineno, col)

@@ -25,9 +25,8 @@ each a rule takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from . import core
 from .core import Constraint, format_constraint
@@ -46,12 +45,11 @@ RULES = {
 }
 
 
-@dataclass(frozen=True)
-class RuleStep:
+class RuleStep(NamedTuple):
     """One replayable rule application.
 
     The output is held as its term tuple (ascending variable order) and
-    degree; :attr:`output` builds the validated constraint on first use.
+    degree, unvalidated: :func:`verify_trace` compares both with the replay.
     """
 
     step_id: int
@@ -60,10 +58,6 @@ class RuleStep:
     params: tuple[int, ...]
     terms: tuple[tuple[int, int], ...]
     degree: int
-
-    @cached_property
-    def output(self) -> Constraint:
-        return Constraint(self.terms, self.degree)
 
 
 def _split_args(rule: str, args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -77,13 +71,6 @@ def _split_args(rule: str, args: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     if len(args) != n_inputs + n_params:
         raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {len(args)}")
     return args[:n_inputs], args[n_inputs:]
-
-
-def replay_step(rule: str, inputs: list[Constraint], params: tuple[int, ...]) -> Constraint:
-    """Recompute a rule application; raises ValueError where the rule does."""
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}")
-    return RULES[rule][0](*inputs, *params)
 
 
 class DerivationTrace:
@@ -223,24 +210,16 @@ class TraceCheck:
         return self.ok
 
 
-def verify_trace(
-    instance: ParsedInstance,
-    trace: "DerivationTrace | str | Path | Iterable[str]",
-) -> TraceCheck:
+def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck:
     """Replay every recorded step and validate an unsatisfiability claim.
 
     Checks, in order: the declared inputs match the instance's normalized
     constraints; every step has its rule's argument count (split into ids
     and parameters by :func:`_split_args`, as :meth:`DerivationTrace.read`
-    does), references only earlier ids and replays bit-exactly; and, when a
-    final conflict is declared, root-level propagation over inputs plus
-    learned constraints yields a conflict.
+    does), references only earlier ids and replays bit-exactly through
+    :data:`RULES`; and, when a final conflict is declared, root-level
+    propagation over inputs plus learned constraints yields a conflict.
     """
-    if isinstance(trace, (str, Path)):
-        trace = DerivationTrace.read_file(trace)
-    elif not isinstance(trace, DerivationTrace):
-        trace = DerivationTrace.read(trace)
-
     expected = instance.constraints
     if len(trace.inputs) != len(expected):
         return TraceCheck(False, f"input count mismatch: trace has {len(trace.inputs)}, instance has {len(expected)}")
@@ -259,7 +238,7 @@ def verify_trace(
             if ref_id not in known or ref_id >= st.step_id:
                 return TraceCheck(False, f"step {index}: reference to unknown id {ref_id}", index)
         try:
-            result = replay_step(st.rule, [known[i] for i in inputs], params)
+            result = RULES[st.rule][0](*(known[i] for i in inputs), *params)
         except ValueError as exc:
             return TraceCheck(False, f"step {index}: replay error: {exc}", index)
         if result.terms != st.terms or result.degree != st.degree:

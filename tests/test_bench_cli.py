@@ -271,6 +271,22 @@ class TestCli:
         assert f"error: trace line {index + 1}: " in check.stderr
         assert "Traceback" not in check.stderr
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "No such file or directory"), (b"* caf\xc3\xa9\n", "'ascii' codec can't decode")],
+        ids=["missing", "non-ascii"],
+    )
+    def test_verify_reports_an_unreadable_trace(self, tmp_path, content, message):
+        path = write_instance(tmp_path / "php.opb", php_instance(2, 1))
+        trace = tmp_path / "php.trace"
+        if content is not None:
+            trace.write_bytes(content)
+        check = run_cli("verify", path, trace)
+        assert check.returncode == 1
+        assert check.stderr.startswith("error: ") and message in check.stderr
+        assert len(check.stderr.splitlines()) == 1
+        assert "Traceback" not in check.stderr
+
     def test_coefficients_beyond_the_int_text_limit(self, tmp_path):
         path = write_huge_coefficient_instance(tmp_path / "huge.opb")
         trace = tmp_path / "huge.trace"

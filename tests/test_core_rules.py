@@ -65,6 +65,7 @@ class TestConstraint:
             ("1 ~1 >= 1", "bad literal token '~1'"),
             ("1 ~x >= 1", "bad literal token '~x'"),
             ("1 >= 1", "odd token count"),
+            ("1 x1", "missing '>=' in '1 x1'"),
         ],
     )
     def test_bad_text_rejected(self, text, message):

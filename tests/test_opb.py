@@ -85,6 +85,11 @@ class TestParse:
                 parse_opb(text + "\n")
             assert err.value.line == 1
             assert err.value.column >= 1
+        # Each terminator is a token, glued to the degree or not.
+        for text, column in [("+1 x1 >= 1;;", 12), ("+1 x1 >= 1 ;;", 13)]:
+            with pytest.raises(OpbSyntaxError, match="trailing tokens after ';'") as err:
+                parse_opb(text + "\n")
+            assert (err.value.line, err.value.column) == (1, column)
 
 
 class TestWrite:

@@ -8,7 +8,7 @@ from pbsolve import core
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
-from pbsolve.trace import DerivationTrace, RuleStep, TraceCheck, verify_trace
+from pbsolve.trace import RULES, DerivationTrace, RuleStep, TraceCheck, verify_trace
 from helpers import con
 
 
@@ -40,7 +40,7 @@ class TestSerialization:
         result = solve_with_trace(instance)
         path = tmp_path / "run.trace"
         result.trace.write_file(path)
-        assert verify_trace(instance, path)
+        assert verify_trace(instance, DerivationTrace.read_file(path))
 
     def test_malformed_line_reports_position(self):
         with pytest.raises(ValueError) as err:
@@ -59,6 +59,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             DerivationTrace.read(lines)
 
+    def test_step_without_degree_is_rejected(self):
+        with pytest.raises(ValueError, match="trace line 2: missing '>='"):
+            DerivationTrace.read(["i 1 1 x1 >= 1", "s 2 saturate 1"])
+
     @pytest.mark.parametrize("line", ["s", "s 5"])
     def test_step_without_rule_is_rejected(self, line):
         with pytest.raises(ValueError, match="trace line 1: "):
@@ -73,7 +77,7 @@ class TestSerialization:
         head, _, ctext = lines[index].partition(" : ")
         lines[index] = head.rsplit(" ", 1)[0] + " : " + ctext
         with pytest.raises(ValueError, match=f"trace line {index + 1}: {rule} takes"):
-            verify_trace(instance, lines)
+            verify_trace(instance, DerivationTrace.read(lines))
 
 
 class TestVerify:
@@ -95,7 +99,7 @@ class TestVerify:
         parts = ctext.split()
         parts[0] = str(int(parts[0]) + 1)
         lines[index] = head + " : " + " ".join(parts)
-        check = verify_trace(instance, iter(lines))
+        check = verify_trace(instance, DerivationTrace.read(iter(lines)))
         assert not check
         assert "replay mismatch" in check.error
         assert check.steps_checked == 0
@@ -110,13 +114,13 @@ class TestVerify:
     def test_forward_reference_rejected(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
         lines = ["i 1 1 x1 1 x2 >= 1", "s 2 saturate 3 : 1 x1 1 x2 >= 1"]
-        check = verify_trace(instance, lines)
+        check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check and "unknown id" in check.error
 
     def test_unsat_claim_needs_root_conflict(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
         lines = ["i 1 1 x1 1 x2 >= 1", "f 1"]
-        check = verify_trace(instance, lines)
+        check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check and "not confirmed" in check.error
 
     def test_learned_constraint_false_on_its_own(self):
@@ -140,11 +144,11 @@ class TestVerify:
         empty = derive("cancel", (pos, neg), (b,))
         assert empty.to_text() == " >= 1"
         unclaimed = trace_text(trace) + f"f {trace.id_of(empty)}\n"
-        check = verify_trace(instance, io.StringIO(unclaimed))
+        check = verify_trace(instance, DerivationTrace.read(io.StringIO(unclaimed)))
         assert not check and "not confirmed" in check.error
         trace.mark_learned(empty)
         trace.mark_final(empty)
-        check = verify_trace(instance, io.StringIO(trace_text(trace)))
+        check = verify_trace(instance, DerivationTrace.read(io.StringIO(trace_text(trace))))
         assert check, check.error
         assert check.steps_checked == 5
 
@@ -158,13 +162,13 @@ class TestVerify:
         text = trace_text(result.trace)
         assert text == "i 1  >= 1\ni 2 1 x2 1 x3 >= 1\nf 1\n"
         assert dict(result.trace.inputs)[result.trace.final] == core.Constraint((), 1)
-        check = verify_trace(instance, io.StringIO(text))
+        check = verify_trace(instance, DerivationTrace.read(io.StringIO(text)))
         assert check, check.error
 
     def test_tautological_step_is_a_replay_error(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
         lines = ["i 1 1 x1 1 x2 >= 1", "s 2 weaken 1 1 : 1 x2 >= 1"]
-        check = verify_trace(instance, lines)
+        check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check
         assert check.error == "step 0: replay error: degree must be >= 1, got 0"
 
@@ -210,6 +214,27 @@ class TestVerify:
         assert not check
         assert check.error == f"step {index}: {rule} takes {arity} arguments, got {arity + extra}"
         assert check.steps_checked == index
+
+    @pytest.mark.parametrize(
+        "garble",
+        [lambda terms: terms[::-1], lambda terms: (*terms, (4, 0))],
+        ids=["terms-out-of-order", "zero-weight"],
+    )
+    def test_in_memory_output_must_match_the_replay_term_for_term(self, garble):
+        # An in-memory step's output is never validated on its own: only
+        # the comparison with the replay rejects a malformed term tuple.
+        inputs = [con("a b >= 1"), con("~a c >= 1")]
+        instance = ParsedInstance(declared_vars=4, constraints=list(inputs))
+        trace = DerivationTrace()
+        ids = tuple(trace.add_input(c) for c in inputs)
+        out = RULES["cancel"][0](*inputs, 1)
+        assert out.terms == ((2, 1), (3, 1))
+        trace.record("cancel", ids, (1,), out.terms, out.degree)
+        assert verify_trace(instance, trace)
+        trace.steps[0] = trace.steps[0]._replace(terms=garble(out.terms))
+        check = verify_trace(instance, trace)
+        assert not check
+        assert check.error == "step 0: replay mismatch for id 3"
 
     def test_truthiness_of_check_result(self):
         assert TraceCheck(True)
