@@ -6,6 +6,11 @@ incremental slacks, :mod:`pbsolve.analysis` the conflict-analysis reduction
 strategies, :mod:`pbsolve.solver` the search loop, and :mod:`pbsolve.opb`,
 :mod:`pbsolve.trace`, :mod:`pbsolve.generators`, :mod:`pbsolve.bench`,
 :mod:`pbsolve.cli` the input/output and benchmarking surface.
+
+From :mod:`pbsolve.core` the package exports only :class:`Constraint`,
+:func:`normalize` and :func:`slack`.  The rule functions (``cancel``,
+``weaken``, ...) replay trace steps and stay at ``pbsolve.core.<rule>``;
+:data:`pbsolve.trace.RULES` maps each trace rule name to its function.
 """
 
 from .analysis import (
@@ -18,16 +23,7 @@ from .analysis import (
     weaken_ineffective,
 )
 from .bench import BenchRecord, run_matrix
-from .core import (
-    Constraint,
-    cancel,
-    divide,
-    normalize,
-    partial_weaken,
-    saturate,
-    slack,
-    weaken,
-)
+from .core import Constraint, normalize, slack
 from .generators import php_instance, random_instance
 from .opb import (
     OpbSyntaxError,
@@ -60,12 +56,9 @@ __all__ = [
     "SolverResult",
     "UNKNOWN",
     "UNSAT",
-    "cancel",
-    "divide",
     "format_solution",
     "normalize",
     "parse_opb",
-    "partial_weaken",
     "php_instance",
     "random_instance",
     "reduce_genres",
@@ -73,11 +66,9 @@ __all__ = [
     "reduce_rs",
     "resolve_step",
     "run_matrix",
-    "saturate",
     "slack",
     "solve",
     "verify_trace",
-    "weaken",
     "weaken_ineffective",
     "write_opb",
 ]

@@ -409,12 +409,12 @@ def resolve_step(
         raise ValueError("conflict side is not conflicting under the assignment")
     if -pivot not in conflict.weights:
         raise ValueError("the pivot's negation does not occur in the conflict side")
-    if pivot not in reason:
-        raise ValueError("the pivot does not occur in the reason side")
 
     family, side = strategy
     trace = conflict.trace
     reduced = Accumulator(reason, trace)
+    if pivot not in reduced.weights:
+        raise ValueError("the pivot does not occur in the reason side")
     fallback = False
 
     if family == "gen-res":

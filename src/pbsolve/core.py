@@ -19,9 +19,12 @@ cancellation chains never overflows.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 Assignment = Mapping[int, bool]
+
+_weight = itemgetter(1)
 
 
 def lit_name(lit: int) -> str:
@@ -67,7 +70,7 @@ class Constraint:
     Instances must never be mutated.
     """
 
-    __slots__ = ("terms", "degree", "max_weight", "_weights")
+    __slots__ = ("terms", "degree", "max_weight")
 
     def __init__(self, terms: Iterable[tuple[int, int]], degree: int):
         pairs = tuple(terms)
@@ -84,8 +87,7 @@ class Constraint:
             raise ValueError(f"degree must be >= 1, got {degree}")
         self.terms: tuple[tuple[int, int], ...] = pairs
         self.degree: int = degree
-        self._weights = dict(pairs)
-        self.max_weight: int = max(self._weights.values()) if pairs else 0
+        self.max_weight: int = max(pairs, key=_weight)[1] if pairs else 0
 
     @classmethod
     def from_text(cls, text: str) -> "Constraint":
@@ -112,13 +114,6 @@ class Constraint:
     def to_text(self) -> str:
         return format_constraint(self.terms, self.degree)
 
-    def weight_of(self, lit: int) -> int:
-        """Weight of a literal; 0 when the literal is absent."""
-        return self._weights.get(lit, 0)
-
-    def __contains__(self, lit: int) -> bool:
-        return lit in self._weights
-
     def satisfied_by(self, total: Assignment) -> bool:
         """Evaluate under a total assignment (missing variables count false)."""
         got = 0
@@ -127,12 +122,6 @@ class Constraint:
             if v == (lit > 0):
                 got += w
         return got >= self.degree
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraint):
@@ -214,11 +203,12 @@ def slack(c: Constraint, rho: Assignment) -> int:
 
 def cancel_multipliers(c1: Constraint, c2: Constraint, pivot: int) -> tuple[int, int]:
     """Minimal multipliers (mu, nu) equalizing the pivot weights of c1 and c2."""
-    w1 = c1.weight_of(pivot) or c1.weight_of(-pivot)
-    w2 = c2.weight_of(pivot) or c2.weight_of(-pivot)
+    weights1, weights2 = dict(c1.terms), dict(c2.terms)
+    w1 = weights1.get(pivot) or weights1.get(-pivot)
+    w2 = weights2.get(pivot) or weights2.get(-pivot)
     if not w1 or not w2:
         raise ValueError(f"pivot x{pivot} must occur in both constraints")
-    if (pivot in c1) == (pivot in c2):
+    if (pivot in weights1) == (pivot in weights2):
         raise ValueError(f"pivot x{pivot} must occur with opposite polarities")
     common = lcm(w1, w2)
     return common // w1, common // w2
@@ -250,7 +240,7 @@ def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint:
 
 def weaken(c: Constraint, lit: int) -> Constraint:
     """Remove a literal and lower the degree by its weight."""
-    w = c.weight_of(lit)
+    w = dict(c.terms).get(lit)
     if not w:
         raise ValueError(f"literal {lit_name(lit)} is absent")
     degree = c.degree - w
@@ -262,7 +252,7 @@ def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint:
 
     ``eps`` equal to the full weight coincides with :func:`weaken`.
     """
-    w = c.weight_of(lit)
+    w = dict(c.terms).get(lit)
     if not w:
         raise ValueError(f"literal {lit_name(lit)} is absent")
     if not 0 < eps <= w:

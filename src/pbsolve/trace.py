@@ -214,9 +214,10 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     """Replay every recorded step and validate an unsatisfiability claim.
 
     Checks, in order: the declared inputs match the instance's normalized
-    constraints; every step has its rule's argument count (split into ids
-    and parameters by :func:`_split_args`, as :meth:`DerivationTrace.read`
-    does), references only earlier ids and replays bit-exactly through
+    constraints; no two inputs or steps share an id; every step has its
+    rule's argument count (split into ids and parameters by
+    :func:`_split_args`, as :meth:`DerivationTrace.read` does), references
+    only earlier ids and replays bit-exactly through
     :data:`RULES`; and, when a final conflict is declared, root-level
     propagation over inputs plus learned constraints yields a conflict.
     """
@@ -225,6 +226,8 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
         return TraceCheck(False, f"input count mismatch: trace has {len(trace.inputs)}, instance has {len(expected)}")
     known: dict[int, Constraint] = {}
     for (i, c), ref in zip(trace.inputs, expected):
+        if i in known:
+            return TraceCheck(False, f"duplicate id {i}")
         if c != ref:
             return TraceCheck(False, f"input {i} does not match the instance: {c.to_text()!r} vs {ref.to_text()!r}")
         known[i] = c
@@ -234,6 +237,8 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
             inputs, params = _split_args(st.rule, (*st.inputs, *st.params))
         except ValueError as exc:
             return TraceCheck(False, f"step {index}: {exc}", index)
+        if st.step_id in known:
+            return TraceCheck(False, f"step {index}: duplicate id {st.step_id}", index)
         for ref_id in inputs:
             if ref_id not in known or ref_id >= st.step_id:
                 return TraceCheck(False, f"step {index}: reference to unknown id {ref_id}", index)

@@ -21,7 +21,8 @@ form, and ``on_accumulator`` does the same for one reduction;
 solver.
 
 Queries only tests ask are free functions here rather than package surface:
-``literals``, ``total_weight`` and ``is_clause`` on a constraint;
+``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a
+constraint;
 ``propagation_candidates``, the literals a constraint propagates; and
 ``value``, ``reason_of`` and ``verify_slacks`` on a propagation engine, the
 last one recomputing every stored slack.
@@ -76,6 +77,11 @@ def literals(c: Constraint) -> tuple[int, ...]:
 
 def total_weight(c: Constraint) -> int:
     return sum(w for _, w in c.terms)
+
+
+def weight(c: Constraint, lit: int) -> int:
+    """The weight of ``lit`` in ``c``; 0 when it is absent."""
+    return dict(c.terms).get(lit, 0)
 
 
 def is_clause(c: Constraint) -> bool:
@@ -248,7 +254,7 @@ def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int
 
 def reference_reduce_rs(c: Constraint, pivot: int, rho, *, partial: bool = False) -> Constraint:
     """(partial) rounding: weaken non-divisible weights, divide by the pivot weight."""
-    r = c.weight_of(pivot)
+    r = weight(c, pivot)
     if not r:
         raise ValueError("pivot does not occur in the constraint")
     for lit, w in c.terms:
@@ -272,7 +278,7 @@ def reference_weaken_ineffective(
     if pivot is None:
         if start >= 0:
             raise ValueError("preserve-conflict mode requires a conflicting constraint")
-    elif not 0 <= start < c.weight_of(pivot):
+    elif not 0 <= start < weight(c, pivot):
         raise ValueError("preserve-propagation mode requires the pivot to be propagated")
     order = sorted(
         (_falsified(lit, rho), w, abs(lit), lit)
@@ -288,7 +294,7 @@ def reference_weaken_ineffective(
         if pivot is None:
             if slack(trial, rho) >= 0:
                 continue
-        elif trial.weight_of(pivot) <= slack(trial, rho):
+        elif weight(trial, pivot) <= slack(trial, rho):
             continue
         c = trial
     return c
@@ -299,7 +305,7 @@ def reference_reduce_multiply_weaken(
 ) -> Constraint | None:
     """Multiply by ceil(c/r), weaken ineffective mass down to degree c; None to fall back."""
     cw = conflict_pivot_weight
-    nu = -(-cw // reason.weight_of(pivot))
+    nu = -(-cw // weight(reason, pivot))
     need = nu * reason.degree - cw
     if need < 0:
         return None
@@ -331,9 +337,9 @@ def reference_resolve_step(
     given = slack(conflict, rho)
     if given >= 0:
         raise ValueError("conflict side is not conflicting under the assignment")
-    if -pivot not in conflict:
+    if -pivot not in literals(conflict):
         raise ValueError("the pivot's negation does not occur in the conflict side")
-    if pivot not in reason:
+    if pivot not in literals(reason):
         raise ValueError("the pivot does not occur in the reason side")
     family, side = parse_strategy(strategy)
     fallback = False
@@ -353,7 +359,7 @@ def reference_resolve_step(
         if side == "conflict":
             reason = reference_reduce_genres(conflict, reason, pivot, rho)
     else:
-        reduced = reference_reduce_multiply_weaken(reason, pivot, conflict.weight_of(-pivot), rho)
+        reduced = reference_reduce_multiply_weaken(reason, pivot, weight(conflict, -pivot), rho)
         fallback = reduced is None
         if reduced is not None:
             reason = reduced

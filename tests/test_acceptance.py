@@ -46,6 +46,7 @@ from helpers import (
     resolved,
     snapshot,
     var,
+    weight,
 )
 
 
@@ -151,10 +152,7 @@ def test_criterion_2_rule_soundness():
         kind = rng.randrange(5)
         if kind == 0:
             other = _random_constraint(rng)
-            pivots = [
-                v for v in [abs(l) for l, _ in c.terms]
-                if (v in c and -v in other) or (-v in c and v in other)
-            ]
+            pivots = [abs(l) for l in literals(c) if -l in literals(other)]
             if not pivots:
                 continue
             try:
@@ -171,7 +169,7 @@ def test_criterion_2_rule_soundness():
                 out = weaken(c, target)
             elif kind == 2:
                 target = rng.choice(literals(c))
-                out = partial_weaken(c, target, rng.randint(1, c.weight_of(target)))
+                out = partial_weaken(c, target, rng.randint(1, weight(c, target)))
             elif kind == 3:
                 out = saturate(c)
             else:
@@ -319,13 +317,13 @@ def test_criterion_6_strength_dominance():
             rho[abs(pivot)] = pivot < 0
             if slack(c, rho) >= 0:
                 continue
-        elif not 0 <= slack(c, rho) < c.weight_of(pivot):
+        elif not 0 <= slack(c, rho) < weight(c, pivot):
             continue
         full = on_accumulator(reduce_rs, c, pivot, rho)
         partial = on_accumulator(reduce_rs, c, pivot, rho, partial=True)
         assert partial.degree >= full.degree
         for l, w in full.terms:
-            assert partial.weight_of(l) >= w
+            assert weight(partial, l) >= w
         checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 30.0

@@ -33,6 +33,7 @@ from helpers import (
     resolved,
     snapshot,
     var,
+    weight,
 )
 
 
@@ -118,7 +119,7 @@ class TestReduceRs:
         for _ in range(200):
             c, pivot, rho = _random_pivot_triple(rng)
             out = on_accumulator(reduce_rs, c, pivot, rho)
-            assert out.weight_of(pivot) == 1
+            assert weight(out, pivot) == 1
             assert implies_semantically([c], out)
 
 
@@ -141,8 +142,8 @@ class TestReducePartialRs:
             partial = on_accumulator(reduce_rs, c, pivot, rho, partial=True)
             assert partial.degree >= full.degree
             for l, w in full.terms:
-                assert partial.weight_of(l) >= w
-            assert partial.weight_of(pivot) == 1
+                assert weight(partial, l) >= w
+            assert weight(partial, pivot) == 1
             assert implies_semantically([c], partial)
 
 
@@ -285,6 +286,17 @@ class TestResolveStep:
         with pytest.raises(ValueError):
             resolved(CONFLICT1, con("c d >= 1"), lit("~b"), RHO1B, "gen-res")
 
+    def test_reason_without_the_pivot_records_no_step(self):
+        trace = DerivationTrace()
+        trace.add_input(CONFLICT1)
+        reason = con("c d >= 1")
+        trace.add_input(reason)
+        side = Accumulator(CONFLICT1, trace)
+        with pytest.raises(ValueError, match="^the pivot does not occur in the reason side$"):
+            resolve_step(side, reason, lit("~b"), RHO1B, parse_strategy("gen-res"), slack(CONFLICT1, RHO1B))
+        assert trace.steps == []
+        assert side.constraint() == CONFLICT1
+
     def test_steps_replay_bit_exactly(self):
         trace = DerivationTrace()
         cid = trace.add_input(CONFLICT1)
@@ -365,7 +377,7 @@ def _random_pivot_triple(rng, nvars=8):
             if slack(c, rho) < 0:
                 return c, pivot, rho
         else:
-            if 0 <= slack(c, rho) < c.weight_of(pivot):
+            if 0 <= slack(c, rho) < weight(c, pivot):
                 return c, pivot, rho
 
 
@@ -379,7 +391,7 @@ def _random_resolve_setup(rng, nvars=9):
     reason = _random_constraint(rng, nvars)
     pivot = rng.choice(literals(reason))
     conflict = _random_constraint(rng, nvars)
-    if -pivot not in conflict:
+    if -pivot not in literals(conflict):
         flipped = {l: w for l, w in conflict.terms if abs(l) != abs(pivot)}
         flipped[-pivot] = rng.randint(1, 4)
         conflict = saturate(Constraint(flipped.items(), conflict.degree))
@@ -390,7 +402,7 @@ def _random_resolve_setup(rng, nvars=9):
             continue
         if rng.random() < 0.7:
             rho[v] = l < 0  # falsify this occurrence
-    if not 0 <= slack(reason, rho) < reason.weight_of(pivot):
+    if not 0 <= slack(reason, rho) < weight(reason, pivot):
         return None
     rho[abs(pivot)] = pivot > 0
     if slack(conflict, rho) >= 0:

@@ -22,8 +22,10 @@ from helpers import (
     con,
     implies_semantically,
     lit,
+    literals,
     propagation_candidates,
     sorted_then_validated,
+    weight,
 )
 
 
@@ -34,6 +36,9 @@ class TestConstraint:
         assert left == right
         assert hash(left) == hash(right)
         assert [l for l, _ in left.terms] == [1, -2, 3]
+        assert left.max_weight == right.max_weight == 5
+        assert Constraint([(1, 2), (-2, 7), (3, 4)], 4).max_weight == 7
+        assert Constraint((), 1).max_weight == 0
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -306,7 +311,7 @@ def test_division_is_monotone_and_sound(c, r):
     out = divide(c, r)
     assert out.degree <= c.degree
     for l, w in c.terms:
-        assert out.weight_of(l) <= w
+        assert weight(out, l) <= w
     assert implies_semantically([c], out)
 
 
@@ -327,10 +332,7 @@ def test_weaken_agrees_with_full_partial_weaken(c):
 @given(constraints(), constraints(), assignments())
 @settings(max_examples=300, deadline=None)
 def test_cancellation_soundness_and_slack_subadditivity(c1, c2, rho):
-    shared = [
-        v for v in [abs(l) for l, _ in c1.terms] if (v in c2) != (v in c1) or (-v in c2) != (-v in c1)
-    ]
-    pivots = [v for v in [abs(l) for l, _ in c1.terms] if ((v in c1) and (-v in c2)) or ((-v in c1) and (v in c2))]
+    pivots = [abs(l) for l in literals(c1) if -l in literals(c2)]
     if not pivots:
         return
     pivot = pivots[0]
@@ -339,7 +341,7 @@ def test_cancellation_soundness_and_slack_subadditivity(c1, c2, rho):
         out = cancel(c1, c2, pivot)
     except ValueError:  # a tautology
         return
-    assert pivot not in out and -pivot not in out
+    assert pivot not in literals(out) and -pivot not in literals(out)
     assert implies_semantically([c1, c2], out)
     assert slack(out, rho) <= mu * slack(c1, rho) + nu * slack(c2, rho)
 

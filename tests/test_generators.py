@@ -29,9 +29,9 @@ class TestPigeonhole:
         inst = php_instance(4, 3)
         per_pigeon = inst.constraints[:4]
         per_hole = inst.constraints[4:]
-        assert all(is_clause(c) and len(c) == 3 for c in per_pigeon)
+        assert all(is_clause(c) and len(c.terms) == 3 for c in per_pigeon)
         for c in per_hole:
-            assert c.degree == 3 and len(c) == 4
+            assert c.degree == 3 and len(c.terms) == 4
             assert all(l < 0 for l in literals(c))
 
     @pytest.mark.parametrize("holes", [1, 2, 3, 4])

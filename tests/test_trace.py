@@ -104,6 +104,28 @@ class TestVerify:
         assert "replay mismatch" in check.error
         assert check.steps_checked == 0
 
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            (["i 1 1 x1 1 x2 >= 1", "i 1 1 x1 1 ~x2 >= 1"], "duplicate id 1"),
+            (
+                [
+                    "i 1 1 x1 1 x2 >= 1",
+                    "i 2 1 x1 1 ~x2 >= 1",
+                    "s 3 cancel 1 2 2 : 2 x1 >= 1",
+                    "s 3 saturate 1 : 1 x1 1 x2 >= 1",
+                    "l 3",
+                ],
+                "step 1: duplicate id 3",
+            ),
+        ],
+    )
+    def test_reused_id_is_rejected(self, lines, error):
+        instance = parse_opb("+1 x1 +1 x2 >= 1 ;\n+1 x1 -1 x2 >= 0 ;\n")
+        check = verify_trace(instance, DerivationTrace.read(lines))
+        assert not check
+        assert check.error == error
+
     def test_input_mismatch_detected(self):
         instance = php_instance(3, 2)
         result = solve_with_trace(instance)
