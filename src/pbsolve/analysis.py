@@ -21,10 +21,11 @@ assignment view:
                          LCM coefficient growth.
 
 The ``-both`` / ``-conflict`` / ``-reason`` suffix selects the side(s) the
-reduction is applied to.  The assignment passed to these functions is the
-trail prefix up to and including the pivot's own assignment.  An accumulator
-made with a trace records every rule application there; the constraint it
-starts from must already be in that trace.
+reduction is applied to.  The assignment ``rho`` passed to these functions
+holds the true literals of the trail prefix up to and including the pivot's
+own assignment, so ``lit`` is falsified when ``-lit in rho``.  An
+accumulator made with a trace records every rule application there; the
+constraint it starts from must already be in that trace.
 """
 
 from __future__ import annotations
@@ -214,11 +215,6 @@ class Accumulator:
             self._record("cancel", (self.id, reason.id), (abs(pivot),))
 
 
-def _falsified(lit: int, rho) -> bool:
-    v = rho.get(abs(lit))
-    return v is not None and v != (lit > 0)
-
-
 def reduce_genres(
     conflict: Accumulator,
     reason: Accumulator,
@@ -251,7 +247,7 @@ def reduce_genres(
         candidates = [
             (w, -abs(lit), lit)
             for lit, w in reason.weights.items()
-            if lit != pivot and not _falsified(lit, rho)
+            if lit != pivot and -lit not in rho
         ]
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
@@ -275,7 +271,7 @@ def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> N
     if r == 1:
         return
     for lit, w in tuple(side.weights.items()):
-        if lit == pivot or _falsified(lit, rho):
+        if lit == pivot or -lit in rho:
             continue
         rem = w % r
         if rem == 0:
@@ -311,7 +307,7 @@ def weaken_ineffective(
     else:
         if not 0 <= start < side.weights.get(pivot, 0):
             raise ValueError("preserve-propagation mode requires the pivot to be propagated")
-    falsified = {lit for lit in side.weights if _falsified(lit, rho)}
+    falsified = {lit for lit in side.weights if -lit in rho}
     order = sorted(
         (lit in falsified, w, abs(lit), lit)
         for lit, w in side.weights.items()
@@ -363,7 +359,7 @@ def reduce_multiply_weaken(
     ineffective = sorted(
         (w, abs(lit), lit)
         for lit, w in reason.weights.items()
-        if lit != pivot and not _falsified(lit, rho)
+        if lit != pivot and -lit not in rho
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
         return False
@@ -393,8 +389,8 @@ def resolve_step(
     """One strategy-guided cancellation of a reason into the conflict side.
 
     ``pivot`` is the propagated literal: it occurs positively in the reason
-    and negated in the conflict.  ``rho`` is the assignment in effect at this
-    step (up to and including the pivot), ``strategy`` is the
+    and negated in the conflict.  ``rho`` holds the true literals in effect
+    at this step (up to and including the pivot), ``strategy`` is the
     ``(family, side)`` pair of :func:`parse_strategy`, and ``conflict_slack``
     is the conflict side's slack under ``rho``.  ``conflict`` is rewritten
     in place into the saturated cancellation, which is guaranteed to be

@@ -4,8 +4,8 @@ A constraint is kept in the normalized form ``sum(w_i * l_i) >= degree`` with
 positive integer weights over literals of pairwise distinct variables.
 Literals are plain signed integers (``+v`` / ``-v`` for variable index
 ``v >= 1``): ``-lit`` negates a literal and ``abs(lit)`` is its variable.
-Partial assignments are mappings ``variable -> bool`` (absent = unassigned),
-and every rule operation is a pure function returning a fresh value.
+A partial assignment is the collection of its true literals, and every rule
+operation is a pure function returning a fresh value.
 
 No assignment satisfies the empty constraint ``>= 1``: it is the one form of
 a trivially false constraint.  A trivially true one (degree 0 or below) is
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
-Assignment = Mapping[int, bool]
+#: A partial assignment: the true literals.
+Assignment = Collection[int]
 
 _weight = itemgetter(1)
 
@@ -114,8 +115,8 @@ class Constraint:
     def to_text(self) -> str:
         return format_constraint(self.terms, self.degree)
 
-    def satisfied_by(self, total: Assignment) -> bool:
-        """Evaluate under a total assignment (missing variables count false)."""
+    def satisfied_by(self, total: Mapping[int, bool]) -> bool:
+        """Evaluate under a total ``variable -> bool`` model (missing variables count false)."""
         got = 0
         for lit, w in self.terms:
             v = total.get(abs(lit), False)
@@ -190,13 +191,12 @@ def _normalize_geq(raw_terms, rhs) -> list[Constraint]:
 def slack(c: Constraint, rho: Assignment) -> int:
     """Sum of the weights of non-falsified literals minus the degree.
 
-    Reads only ``c.terms`` and ``c.degree``, so it also takes an
-    :class:`pbsolve.analysis.Accumulator`.
+    ``rho`` holds the true literals.  Reads only ``c.terms`` and
+    ``c.degree``, so it also takes an :class:`pbsolve.analysis.Accumulator`.
     """
     s = -c.degree
     for lit, w in c.terms:
-        v = rho.get(abs(lit))
-        if v is None or v == (lit > 0):
+        if -lit not in rho:
             s += w
     return s
 

@@ -35,7 +35,6 @@ def php_instance(pigeons: int, holes: int) -> ParsedInstance:
     return ParsedInstance(
         name=f"php-{pigeons}-{holes}",
         declared_vars=pigeons * holes,
-        declared_constraints=len(constraints),
         constraints=constraints,
     )
 
@@ -74,6 +73,5 @@ def random_instance(
     return ParsedInstance(
         name=f"random-{nvars}-{nconstraints}-{max_weight}-{seed}",
         declared_vars=nvars,
-        declared_constraints=nconstraints,
         constraints=constraints,
     )

@@ -16,7 +16,7 @@ from typing import IO
 
 from .core import Constraint, normalize
 
-_HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
+_HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*\d+")
 # A token is a run of non-space characters that does not end in ";", or one
 # ";": terminators glued to the token before them are tokens of their own.
 _TOKEN = re.compile(r"\S*[^\s;]|;")
@@ -35,16 +35,15 @@ class OpbSyntaxError(ValueError):
 
 @dataclass
 class ParsedInstance:
-    """A parsed OPB file: normalized constraints plus the declared sizes.
+    """A parsed OPB file: normalized constraints plus the declared variable count.
 
     Equality splitting and tautology removal mean the stored constraint count
-    may differ from ``declared_constraints``; both are kept.  A line that no
-    assignment satisfies is stored as the empty constraint ``>= 1``.
+    may differ from the header's ``#constraint=``, which is not kept.  A line
+    that no assignment satisfies is stored as the empty constraint ``>= 1``.
     """
 
     name: str = ""
     declared_vars: int = 0
-    declared_constraints: int = 0
     constraints: list[Constraint] = field(default_factory=list)
 
     @property
@@ -65,7 +64,6 @@ def parse_opb(
     else:
         text = source
     instance = ParsedInstance(name=name)
-    n_lines = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -74,7 +72,6 @@ def parse_opb(
             m = _HEADER.search(line)
             if m:
                 instance.declared_vars = int(m.group(1))
-                instance.declared_constraints = int(m.group(2))
             continue
         if stripped.startswith("min:"):
             if allow_objective:
@@ -89,10 +86,7 @@ def parse_opb(
                 lineno,
                 col,
             )
-        n_lines += 1
         instance.constraints.extend(normalize(*_parse_constraint_line(line, lineno)))
-    if not instance.declared_constraints:
-        instance.declared_constraints = n_lines
     return instance
 
 

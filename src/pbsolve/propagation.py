@@ -1,11 +1,12 @@
 """Trail management and counter-based unit propagation.
 
-The engine keeps, for every attached constraint, its current slack under the
-trail's assignment, updated incrementally: assigning a literal lowers the
-slack of every constraint containing its negation by that literal's weight,
-and unassigning restores it.  Propagation scans constraints whose slack may
-admit candidates and assigns every unassigned literal whose weight exceeds
-the slack.  One engine instance is strictly single-threaded.
+The assignment is the trail's literals; ``position`` maps each of them to its
+trail index.  The engine keeps, for every attached constraint, its current
+slack under the assignment, updated incrementally: assigning a literal lowers
+the slack of every constraint containing its negation by that literal's
+weight, and unassigning restores it.  Propagation scans constraints whose
+slack may admit candidates and assigns every unassigned literal whose weight
+exceeds the slack.  One engine instance is strictly single-threaded.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ class PropagationEngine:
         self.slacks: list[int] = []  # not maintained for removed constraints
         self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)]
         self.trail: list[TrailEntry] = []
-        self.assignment: dict[int, bool] = {}
+        self.position: dict[int, int] = {}  # true lit -> trail index; read-only outside
         self.current_level = 0  # number of open decision levels
-        self.var_pos: dict[int, int] = {}  # var -> trail position; read-only outside
         self._qhead = 0
         self._pending: deque[int] = deque()
         self.propagations = 0
@@ -47,7 +47,7 @@ class PropagationEngine:
         constraints.append(c)
         for lit, w in c.terms:
             occs.setdefault(lit, []).append((cid, w))
-        self.slacks.append(slack(c, self.assignment))
+        self.slacks.append(slack(c, self.position))
         self._pending.append(cid)
         return cid
 
@@ -77,11 +77,10 @@ class PropagationEngine:
 
     def assign(self, lit: int, reason: int | None) -> None:
         """Append a literal to the trail and update affected slacks."""
-        v = abs(lit)
-        if v in self.assignment:
-            raise ValueError(f"variable x{v} is already assigned")
-        self.assignment[v] = lit > 0
-        self.var_pos[v] = len(self.trail)
+        position = self.position
+        if lit in position or -lit in position:
+            raise ValueError(f"variable x{abs(lit)} is already assigned")
+        position[lit] = len(self.trail)
         self.trail.append(TrailEntry(lit, self.current_level, reason))
         slacks = self.slacks
         for cid, w in self.occs.get(-lit, ()):
@@ -136,8 +135,9 @@ class PropagationEngine:
         s = self.slacks[cid]
         if s >= c.max_weight:
             return
+        position = self.position
         for lit, w in c.terms:
-            if w > s and self.assignment.get(abs(lit)) is None:
+            if w > s and lit not in position and -lit not in position:
                 self.assign(lit, cid)
                 self.propagations += 1
 
@@ -149,17 +149,14 @@ class PropagationEngine:
             )
         popped: list[tuple[int, bool]] = []
         trail = self.trail
-        assignment = self.assignment
-        var_pos = self.var_pos
+        position = self.position
         slacks = self.slacks
         occs = self.occs
         while trail and trail[-1].level > level:
-            e = trail.pop()
-            v = abs(e.lit)
-            popped.append((v, e.lit > 0))
-            del assignment[v]
-            del var_pos[v]
-            for cid, w in occs.get(-e.lit, ()):
+            lit = trail.pop().lit
+            popped.append((abs(lit), lit > 0))
+            del position[lit]
+            for cid, w in occs.get(-lit, ()):
                 slacks[cid] += w
         self.current_level = level
         self._qhead = min(self._qhead, len(trail))

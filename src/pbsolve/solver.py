@@ -174,7 +174,7 @@ class Solver:
                     return SolverResult(UNKNOWN)
                 conflict = self.engine.propagate_all()
                 continue
-            if len(self.engine.assignment) == self.nvars:
+            if len(self.engine.trail) == self.nvars:
                 return SolverResult(SAT, model=self._checked_model())
             if self._restart_due():
                 self.stats.restarts += 1
@@ -197,11 +197,11 @@ class Solver:
         Ties fall to the lowest index; fresh variables start at phase false.
         """
         heap = self._heap
-        assigned = self.engine.assignment
+        position = self.engine.position
         activity = self._activity
         while heap:
             key, v = heap[0]
-            if v in assigned:
+            if v in position or -v in position:
                 heapq.heappop(heap)
             elif -key != activity[v]:
                 heapq.heapreplace(heap, (-activity[v], v))
@@ -223,7 +223,7 @@ class Solver:
         activity.
         """
         activity = self._activity
-        assigned = self.engine.assignment
+        position = self.engine.position
         inc = self._var_inc
         for v in variables:
             a = activity[v] + inc
@@ -234,7 +234,7 @@ class Solver:
                 inc *= 1e-100
                 self._var_inc = inc
                 self._rebuild_heap()
-            elif v not in assigned:
+            elif v not in position and -v not in position:
                 self._push(v)
 
     def _push(self, v: int) -> None:
@@ -243,8 +243,10 @@ class Solver:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        assigned = self.engine.assignment
-        self._heap = [(-a, v) for v, a in self._activity.items() if v not in assigned]
+        position = self.engine.position
+        self._heap = [
+            (-a, v) for v, a in self._activity.items() if v not in position and -v not in position
+        ]
         heapq.heapify(self._heap)
 
     def _decay_activities(self) -> None:
@@ -279,8 +281,8 @@ class Solver:
         checked after every resolve step, and nothing is learned then.
         The conflict side is one :class:`Accumulator` that every resolve
         step rewrites in place; a constraint is built from it only when it
-        is learned or proves a root conflict.  The assignment seen by each
-        resolve step is the trail prefix up to and including that step's
+        is learned or proves a root conflict.  Each resolve step sees as
+        ``rho`` the literals of the trail prefix up to and including its
         pivot, so the conflict invariant refers to the state in which the
         pivot was propagated.  The conflict side's slack under ``rho`` is
         computed before the first step and then handed from each step to the
@@ -293,7 +295,7 @@ class Solver:
         assert start is not None
         cur = Accumulator(start, self.trace)
         reused: int | None = conflict_cid
-        rho = dict(engine.assignment)
+        rho = set(engine.position)
         pos = len(engine.trail) - 1
         cur_slack: int | None = None  # None: to be computed under ``rho``
         # The engine's state is frozen during analysis, so the assertion
@@ -311,7 +313,7 @@ class Solver:
                     # A skipped decision whose negation is in the conflict
                     # side: unassigning it raises the slack.
                     cur_slack = None
-                del rho[abs(pivot)]
+                rho.remove(pivot)
                 pos -= 1
                 continue
             reason = engine.constraints[entry.reason]
@@ -329,7 +331,7 @@ class Solver:
                 return None
             reused = None
             level = self._assertion_level(cur.terms, cur.degree)
-            del rho[abs(pivot)]
+            rho.remove(pivot)
             pos -= 1
         if reused is not None:
             return start, level, reused
@@ -349,21 +351,20 @@ class Solver:
         top = engine.current_level
         if top == 0:
             return None
-        var_pos = engine.var_pos
+        position = engine.position
         trail = engine.trail
         falsified: dict[int, int] = {}  # level -> falsified weight
         max_weight: dict[int, int] = {}  # level -> largest weight; unassigned at top
         slack = -degree
         for lit, w in terms:
             slack += w
-            pos = var_pos.get(abs(lit))
-            if pos is None:
-                lvl = top
+            pos = position.get(-lit)
+            if pos is not None:
+                lvl = trail[pos].level
+                falsified[lvl] = falsified.get(lvl, 0) + w
             else:
-                entry = trail[pos]
-                lvl = entry.level
-                if entry.lit != lit:
-                    falsified[lvl] = falsified.get(lvl, 0) + w
+                pos = position.get(lit)
+                lvl = top if pos is None else trail[pos].level
             if w > max_weight.get(lvl, 0):
                 max_weight[lvl] = w
         levels = sorted(max_weight)
@@ -436,7 +437,7 @@ class Solver:
     # -- results ------------------------------------------------------------------
 
     def _checked_model(self) -> dict[int, bool]:
-        model = {v: self.engine.assignment[v] for v in range(1, self.nvars + 1)}
+        model = {v: v in self.engine.position for v in range(1, self.nvars + 1)}
         for c in self.instance.constraints:
             if not c.satisfied_by(model):  # pragma: no cover - soundness guard
                 raise AnalysisSoundnessError(

@@ -31,7 +31,6 @@ from typing import IO, Iterable, NamedTuple
 from . import core
 from .core import Constraint, format_constraint
 from .opb import ParsedInstance
-from .propagation import PropagationEngine
 
 #: Every rule a step may name: rule -> (function in :mod:`pbsolve.core`,
 #: number of input ids, number of integer parameters).
@@ -257,7 +256,7 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     if trace.final is not None:
         if trace.final not in known:
             return TraceCheck(False, f"final id {trace.final} was never derived", len(trace.steps))
-        if not _root_conflict(expected, [known[i] for i in trace.learned]):
+        if not _root_conflict([*expected, *(known[i] for i in trace.learned)]):
             return TraceCheck(
                 False,
                 "unsatisfiability claim not confirmed by root-level propagation",
@@ -266,8 +265,21 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     return TraceCheck(True, None, len(trace.steps))
 
 
-def _root_conflict(inputs: list[Constraint], learned: list[Constraint]) -> bool:
-    engine = PropagationEngine()
-    for c in (*inputs, *learned):
-        engine.add_constraint(c)
-    return engine.propagate_all() is not None
+def _root_conflict(constraints: list[Constraint]) -> bool:
+    """Whether unit propagation from the empty assignment reaches a conflict.
+
+    Independent of the solver's engine: each pass recomputes every slack over
+    the set of true literals and makes true every unfalsified literal whose
+    weight exceeds it, until a pass adds nothing.
+    """
+    rho: set[int] = set()
+    size = -1
+    while size != len(rho):
+        size = len(rho)
+        for c in constraints:
+            s = core.slack(c, rho)
+            if s < 0:
+                return True
+            if s < c.max_weight:
+                rho.update(lit for lit, w in c.terms if w > s and -lit not in rho)
+    return False

@@ -2,7 +2,8 @@
 
 ``con("6~b 6c 4e f g h >= 7")`` builds a constraint over letter variables
 (a..z map to 1..26) with optional weight prefixes and ``~`` negation;
-``asg(a=1, c=0)`` builds a partial assignment over the same letters.
+``asg(a=1, c=0)`` builds a partial assignment over the same letters: the set
+of its true literals, here ``{a, ~c}``.
 
 The reference implementations the tests compare the solver against also live
 here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
@@ -67,8 +68,8 @@ def con(text: str) -> Constraint:
     return Constraint(terms, int(degree.strip()))
 
 
-def asg(**values: int | bool) -> dict[int, bool]:
-    return {var(name): bool(v) for name, v in values.items()}
+def asg(**values: int | bool) -> set[int]:
+    return {var(name) if v else -var(name) for name, v in values.items()}
 
 
 def literals(c: Constraint) -> tuple[int, ...]:
@@ -100,27 +101,29 @@ def propagation_candidates(c: Constraint, rho: Assignment) -> tuple[int, ...]:
     if s >= c.max_weight:
         return ()
     return tuple(
-        lit for lit, w in c.terms if w > s and rho.get(abs(lit)) is None
+        lit for lit, w in c.terms if w > s and lit not in rho and -lit not in rho
     )
 
 
 def value(engine, lit: int) -> bool | None:
     """Truth value of a literal on the engine's trail; None when unassigned."""
-    v = engine.assignment.get(abs(lit))
-    if v is None:
-        return None
-    return v == (lit > 0)
+    if lit in engine.position:
+        return True
+    if -lit in engine.position:
+        return False
+    return None
 
 
 def reason_of(engine, v: int) -> int | None:
     """The reason constraint id of an assigned variable, or None for a decision."""
-    return engine.trail[engine.var_pos[v]].reason
+    position = engine.position
+    return engine.trail[position[v] if v in position else position[-v]].reason
 
 
 def verify_slacks(engine) -> bool:
     """Full recomputation check of every stored slack (debug oracle)."""
     for cid, c in enumerate(engine.constraints):
-        if c is not None and engine.slacks[cid] != slack(c, engine.assignment):
+        if c is not None and engine.slacks[cid] != slack(c, engine.position):
             return False
     return True
 
@@ -129,9 +132,9 @@ def linear_decide_literal(solver) -> int:
     """The decision by a linear scan: maximal activity, lowest index on ties."""
     best_v = 0
     best_a = -1.0
-    assigned = solver.engine.assignment
+    position = solver.engine.position
     for v in range(1, solver.nvars + 1):
-        if v in assigned:
+        if v in position or -v in position:
             continue
         a = solver._activity[v]
         if a > best_a:
@@ -151,7 +154,7 @@ def bump_one_at_a_time(solver, variables) -> None:
                 solver._activity[u] *= 1e-100
             solver._var_inc *= 1e-100
             solver._rebuild_heap()
-        elif v not in solver.engine.assignment:
+        elif v not in solver.engine.position and -v not in solver.engine.position:
             solver._push(v)
 
 
@@ -220,18 +223,13 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
         before = snapshot(conflict)
         fallback, after = original(conflict, reason, pivot, rho, strategy, conflict_slack)
         outcome = ResolveOutcome(snapshot(conflict), fallback, conflict_slack, after)
-        observer(before, reason, pivot, dict(rho), outcome)
+        observer(before, reason, pivot, set(rho), outcome)
         return fallback, after
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed)
 
 
 # -- the constraint-level reference for conflict analysis ----------------------
-
-
-def _falsified(lit: int, rho) -> bool:
-    v = rho.get(abs(lit))
-    return v is not None and v != (lit > 0)
 
 
 def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int, rho) -> Constraint:
@@ -245,7 +243,7 @@ def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int
         candidates = sorted(
             (w, -abs(lit), lit)
             for lit, w in reason.terms
-            if lit != pivot and not _falsified(lit, rho)
+            if lit != pivot and -lit not in rho
         )
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
@@ -258,7 +256,7 @@ def reference_reduce_rs(c: Constraint, pivot: int, rho, *, partial: bool = False
     if not r:
         raise ValueError("pivot does not occur in the constraint")
     for lit, w in c.terms:
-        if lit == pivot or _falsified(lit, rho):
+        if lit == pivot or -lit in rho:
             continue
         rem = w % r
         if rem == 0:
@@ -281,7 +279,7 @@ def reference_weaken_ineffective(
     elif not 0 <= start < weight(c, pivot):
         raise ValueError("preserve-propagation mode requires the pivot to be propagated")
     order = sorted(
-        (_falsified(lit, rho), w, abs(lit), lit)
+        (-lit in rho, w, abs(lit), lit)
         for lit, w in c.terms
         if lit != pivot and lit != protect
     )
@@ -312,7 +310,7 @@ def reference_reduce_multiply_weaken(
     ineffective = sorted(
         (w, abs(lit), lit)
         for lit, w in reason.terms
-        if lit != pivot and not _falsified(lit, rho)
+        if lit != pivot and -lit not in rho
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
         return None
@@ -371,13 +369,13 @@ def reference_resolve_step(
     return ResolveOutcome(out, fallback, given, after)
 
 
-def assignment_at_level(engine, level: int) -> dict[int, bool]:
-    """The engine's assignment restricted to trail entries at levels <= level."""
-    out: dict[int, bool] = {}
+def assignment_at_level(engine, level: int) -> set[int]:
+    """The true literals of the trail entries at levels <= level."""
+    out: set[int] = set()
     for e in engine.trail:
         if e.level > level:
             break
-        out[abs(e.lit)] = e.lit > 0
+        out.add(e.lit)
     return out
 
 

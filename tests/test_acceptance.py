@@ -45,7 +45,6 @@ from helpers import (
     propagation_candidates,
     resolved,
     snapshot,
-    var,
     weight,
 )
 
@@ -77,8 +76,7 @@ def test_criterion_1_worked_derivations():
     conflict = con("5a 4b c d >= 6")
     assert slack(reason, rho) == 2
     assert propagation_candidates(reason, rho) == (lit("~b"),)
-    rho_b = dict(rho)
-    rho_b[var("b")] = False
+    rho_b = rho | {lit("~b")}
     assert slack(conflict, rho_b) == -1
 
     # Plain cancellation with reason weakening: one step, slack -1.
@@ -94,8 +92,7 @@ def test_criterion_1_worked_derivations():
     rho4 = asg(a=0, c=0, f=0)
     reason4 = con("3~a 3~b c d e >= 6")
     assert on_accumulator(weaken_ineffective, reason4, rho4, pivot=lit("~b")) == con("~b c >= 1")
-    rho4b = dict(rho4)
-    rho4b[var("b")] = False
+    rho4b = rho4 | {lit("~b")}
     conflict4 = con("2a b c f >= 2")
     assert on_accumulator(weaken_ineffective, conflict4, rho4b, protect=lit("b")) == con("a b f >= 1")
     both = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-both")
@@ -110,8 +107,7 @@ def test_criterion_1_worked_derivations():
     assert partial == con("a b c d e >= 2")
 
     # Multiply-and-weaken avoids the LCM blowup.
-    rho7 = asg(a=0, d=0, e=1)
-    rho7[var("b")] = True
+    rho7 = asg(a=0, d=0, e=1, b=1)
     reduced = Accumulator(con("5a 5b 3c 2d e >= 6"))
     assert reduce_multiply_weaken(reduced, lit("b"), 3, rho7)
     assert snapshot(reduced) == con("3a 3b c 2d >= 3")
@@ -309,12 +305,12 @@ def test_criterion_6_strength_dominance():
     while checked < 1_000:
         c = _random_constraint(rng, nvars=10, max_weight=9)
         pivot = rng.choice(literals(c))
-        rho = {}
+        rho = set()
         for v in range(1, 11):
             if v != abs(pivot) and rng.random() < 0.5:
-                rho[v] = rng.random() < 0.5
+                rho.add(v if rng.random() < 0.5 else -v)
         if rng.random() < 0.5:
-            rho[abs(pivot)] = pivot < 0
+            rho.add(-pivot)
             if slack(c, rho) >= 0:
                 continue
         elif not 0 <= slack(c, rho) < weight(c, pivot):

@@ -32,7 +32,6 @@ from helpers import (
     on_accumulator,
     resolved,
     snapshot,
-    var,
     weight,
 )
 
@@ -45,9 +44,7 @@ def genres_reason(conflict, reason, pivot, rho):
 
 
 def rho_after_propagation(base, pivot):
-    rho = dict(base)
-    rho[abs(pivot)] = pivot > 0
-    return rho
+    return base | {pivot}
 
 
 # The running scenario: a=1, c=d=e=0, then ~b propagated by the reason.
@@ -83,7 +80,7 @@ class TestReduceGenres:
     def test_already_safe_pair_is_unchanged(self):
         conflict = con("3a 3b >= 3")
         reason = con("~b c >= 1")
-        rho = {var("a"): False, var("c"): False, var("b"): False}
+        rho = asg(a=0, c=0, b=0)
         assert genres_reason(conflict, reason, lit("~b"), rho) == reason
 
     def test_random_pairs_cancel_conflicting(self):
@@ -169,7 +166,7 @@ class TestWeakenIneffective:
 
     def test_mode_preconditions(self):
         with pytest.raises(ValueError):
-            on_accumulator(weaken_ineffective, con("a b >= 1"), {}, pivot=None)
+            on_accumulator(weaken_ineffective, con("a b >= 1"), set(), pivot=None)
         with pytest.raises(ValueError):
             on_accumulator(weaken_ineffective, con("a b >= 1"), asg(a=0, b=0), pivot=lit("a"))
 
@@ -184,7 +181,7 @@ class TestMultiplyWeaken:
     def test_equal_weights_need_no_weakening(self):
         # Pivot weights match and the degree equals them: nothing to do.
         reason = con("3a 3b >= 3")
-        rho = {var("a"): False, var("b"): True}
+        rho = asg(a=0, b=1)
         side = Accumulator(reason)
         assert reduce_multiply_weaken(side, lit("b"), 3, rho)
         assert snapshot(side) == reason
@@ -192,7 +189,7 @@ class TestMultiplyWeaken:
     def test_insufficient_ineffective_mass_falls_back(self):
         # Every non-pivot literal is falsified: nothing may be weakened.
         reason = con("5a 5b >= 6")
-        rho = {var("a"): False, var("b"): True}
+        rho = asg(a=0, b=1)
         side = Accumulator(reason)
         assert not reduce_multiply_weaken(side, lit("b"), 2, rho)
         assert snapshot(side) == reason
@@ -201,13 +198,12 @@ class TestMultiplyWeaken:
         # An unsaturated reason can have its pivot weight above its degree;
         # the degree then sits below the target and cannot be reduced to it.
         reason = con("5a 5b c >= 3")
-        rho = {var("a"): False, var("b"): True}
+        rho = asg(a=0, b=1)
         side = Accumulator(reason)
         assert not reduce_multiply_weaken(side, lit("b"), 4, rho)
         assert snapshot(side) == reason
         conflict = con("4~b 2a c >= 6")
-        rho2 = dict(rho)
-        rho2[var("c")] = False
+        rho2 = rho | {lit("~c")}
         out = resolved(conflict, reason, lit("b"), rho2, "multiply-weaken")
         assert out.fallback
         assert slack(out.constraint, rho2) < 0
@@ -218,7 +214,7 @@ class TestRuleApplication:
     def test_tautology_raises(self):
         # Weakening 3a away leaves "2b >= 0".
         with pytest.raises(AnalysisError, match="weaken produced a tautology during analysis"):
-            on_accumulator(reduce_rs, con("3a 2b >= 3"), lit("b"), {})
+            on_accumulator(reduce_rs, con("3a 2b >= 3"), lit("b"), set())
 
     def test_output_equal_to_input_is_not_recorded(self):
         clause = con("a b c >= 1")
@@ -229,15 +225,15 @@ class TestRuleApplication:
             trace.add_input(c)
         # Division by the pivot weight 1.
         side = Accumulator(clause, trace)
-        reduce_rs(side, lit("a"), {})
+        reduce_rs(side, lit("a"), set())
         assert side.id == trace.id_of(clause) and snapshot(side) == clause
         # Multiplication by nu == 1, nothing to weaken, already saturated.
-        rho = {var("a"): False, var("b"): True}
+        rho = asg(a=0, b=1)
         side = Accumulator(reason, trace)
         assert reduce_multiply_weaken(side, lit("b"), 3, rho)
         assert side.id == trace.id_of(reason) and snapshot(side) == reason
         # A saturation that changes nothing, on a pair that is already safe.
-        rho = {var("a"): False, var("c"): False, var("b"): False}
+        rho = asg(a=0, c=0, b=0)
         side = Accumulator(safe_reason, trace)
         reduce_genres(Accumulator(reason, trace), side, lit("~b"), rho)
         assert side.id == trace.id_of(safe_reason) and snapshot(side) == safe_reason
@@ -282,7 +278,7 @@ class TestResolveStep:
 
     def test_precondition_failures(self):
         with pytest.raises(ValueError):
-            resolved(CONFLICT1, REASON1, lit("~b"), {}, "gen-res")
+            resolved(CONFLICT1, REASON1, lit("~b"), set(), "gen-res")
         with pytest.raises(ValueError):
             resolved(CONFLICT1, con("c d >= 1"), lit("~b"), RHO1B, "gen-res")
 
@@ -332,14 +328,13 @@ class TestResolveStep:
         # remaining weight equals the degree, so any further weakening is a
         # tautology and the reduced side is only clause-EQUIVALENT.  The
         # resolve output must still be conflicting and implied.
-        rho = {1: False, 2: False, 3: False, 9: False}
+        rho = {-1, -2, -3, -9}
         conflict = con("3a 3b 2c >= 5")
         reduced = on_accumulator(weaken_ineffective, conflict, rho, protect=lit("a"))
         assert reduced == con("3a 3b >= 3")
         assert not is_clause(reduced)
         reason = Constraint([(-1, 2), (9, 1)], 2)  # propagated ~a
-        rho_after = dict(rho)
-        rho_after[1] = False
+        rho_after = rho | {-1}
         out = resolved(conflict, reason, lit("~a"), rho_after, "weaken-ineffective-both")
         assert slack(out.constraint, rho_after) < 0
         assert implies_semantically([conflict, reason], out.constraint)
@@ -368,12 +363,12 @@ def _random_pivot_triple(rng, nvars=8):
     while True:
         c = _random_constraint(rng, nvars)
         pivot = rng.choice(literals(c))
-        rho = {}
+        rho = set()
         for v in range(1, nvars + 1):
             if v != abs(pivot) and rng.random() < 0.5:
-                rho[v] = rng.random() < 0.5
+                rho.add(v if rng.random() < 0.5 else -v)
         if rng.random() < 0.5:
-            rho[abs(pivot)] = pivot < 0  # falsified pivot: conflict role
+            rho.add(-pivot)  # falsified pivot: conflict role
             if slack(c, rho) < 0:
                 return c, pivot, rho
         else:
@@ -395,16 +390,16 @@ def _random_resolve_setup(rng, nvars=9):
         flipped = {l: w for l, w in conflict.terms if abs(l) != abs(pivot)}
         flipped[-pivot] = rng.randint(1, 4)
         conflict = saturate(Constraint(flipped.items(), conflict.degree))
-    rho: dict[int, bool] = {}
+    rho: set[int] = set()
     for l, _ in (*reason.terms, *conflict.terms):
         v = abs(l)
-        if v == abs(pivot) or v in rho:
+        if v == abs(pivot) or v in rho or -v in rho:
             continue
         if rng.random() < 0.7:
-            rho[v] = l < 0  # falsify this occurrence
+            rho.add(-l)  # falsify this occurrence
     if not 0 <= slack(reason, rho) < weight(reason, pivot):
         return None
-    rho[abs(pivot)] = pivot > 0
+    rho.add(pivot)
     if slack(conflict, rho) >= 0:
         return None
     return conflict, reason, pivot, rho

@@ -40,7 +40,6 @@ class TestParse:
         text = "* a comment\n* #variable= 6 #constraint= 2\n+1 x1 >= 1 ;\n"
         inst = parse_opb(text)
         assert inst.declared_vars == 6
-        assert inst.declared_constraints == 2
         assert inst.nvars == 6
 
     def test_unsigned_weights_and_crlf(self):

@@ -22,7 +22,7 @@ class TestAssign:
         c = con("5a 4b c d >= 6")
         engine = engine_with(c)
         engine.assume(-2)  # falsifies b
-        assert engine.slacks[0] == slack(c, engine.assignment) == 1
+        assert engine.slacks[0] == slack(c, engine.position) == 1
 
     def test_assign_unrelated_literal_changes_nothing(self):
         engine = engine_with(con("a b >= 1"))
@@ -75,7 +75,7 @@ class TestPropagation:
             if conflict is not None:
                 continue
             for v in rng.sample(range(1, 7), 3):
-                if v in engine.assignment:
+                if value(engine, v) is not None:
                     continue
                 engine.assume(v if rng.random() < 0.5 else -v)
                 conflict = engine.propagate_all()
@@ -85,7 +85,7 @@ class TestPropagation:
                 for cid, c in enumerate(engine.constraints):
                     assert all(
                         value(engine, l) is True
-                        for l in propagation_candidates(c, engine.assignment)
+                        for l in propagation_candidates(c, engine.position)
                     )
 
 
@@ -96,7 +96,7 @@ class TestBackjump:
         engine.propagate_all()
         rng = random.Random(3)
         for v in (1, 2, 3, 4):
-            if v in engine.assignment:
+            if value(engine, v) is not None:
                 continue
             engine.assume(v if rng.random() < 0.5 else -v)
             engine.propagate_all()
@@ -123,13 +123,15 @@ class TestBackjump:
                 if engine.current_level and rng.random() < 0.3:
                     engine.backjump_to(rng.randrange(engine.current_level))
                 else:
-                    free = [v for v in range(1, 8) if v not in engine.assignment]
+                    free = [v for v in range(1, 8) if value(engine, v) is None]
                     if not free:
                         break
                     v = rng.choice(free)
                     engine.assume(v if rng.random() < 0.5 else -v)
                     engine.propagate_all()
                 assert verify_slacks(engine)
+                # One record of the assignment: each true literal -> its trail index.
+                assert engine.position == {e.lit: i for i, e in enumerate(engine.trail)}
 
     def test_learned_constraint_propagates_after_backjump(self):
         engine = engine_with(con("a b >= 1"))
@@ -153,7 +155,7 @@ class TestBackjump:
         for pos, entry in enumerate(engine.trail):
             if entry.reason is None:
                 continue
-            before = {abs(prior.lit): prior.lit > 0 for prior in engine.trail[:pos]}
+            before = {prior.lit for prior in engine.trail[:pos]}
             reason = engine.constraints[entry.reason]
             assert entry.lit in propagation_candidates(reason, before)
 
@@ -184,7 +186,7 @@ class TestRemoveConstraints:
                 assert [e.lit for e in compacted.trail] == [e.lit for e in lazy.trail]
                 if results[0] is not None:
                     break
-                free = [v for v in range(1, 9) if v not in compacted.assignment]
+                free = [v for v in range(1, 9) if value(compacted, v) is None]
                 if not free:
                     break
                 v = rng.choice(free)

@@ -32,6 +32,7 @@ from helpers import (
     observe_resolve_steps,
     propagation_candidates,
     reference_resolve_step,
+    value,
     var,
     verify_slacks,
 )
@@ -244,7 +245,7 @@ class TestAnalyzeConflict:
                 assert engine.current_level == level
                 conflict = engine.propagate_all()
                 if conflict is None:
-                    assert propagation_candidates(learned, engine.assignment) == ()
+                    assert propagation_candidates(learned, engine.position) == ()
                 guard += 1
 
 
@@ -274,12 +275,12 @@ class TestAccumulatorMatchesReference:
 
     def test_observers_may_keep_the_assignment(self, monkeypatch):
         # The walk unassigns each pivot after its step, so an observer that
-        # keeps the solver's own dict would find the pivots gone.
+        # keeps the solver's own set would find the pivots gone.
         kept = []
         observe_resolve_steps(monkeypatch, lambda c, r, pivot, rho, o: kept.append((pivot, rho)))
         solve(balanced_instance(30, 120, random.Random(1)), SolverConfig(conflict_budget=50))
         assert len(kept) > 100
-        assert all(rho.get(abs(pivot)) == (pivot > 0) for pivot, rho in kept)
+        assert all(pivot in rho for pivot, rho in kept)
 
     # weaken-ineffective-both and -conflict weaken this conflict side to a
     # clause, whose resolvent asserts at level 1 before the walk reaches b.
@@ -353,7 +354,7 @@ class TestAssertiveness:
             engine = solver.engine
             engine.propagate_all()
             for v in rng.sample(range(1, 8), 4):
-                if v not in engine.assignment:
+                if value(engine, v) is None:
                     engine.assume(v if rng.random() < 0.5 else -v)
                     if engine.propagate_all() is not None:
                         break
@@ -390,7 +391,7 @@ class TestAssertiveness:
                     elif engine.propagate_all() is not None:
                         continue
                     for v in variables:
-                        if v in engine.assignment:
+                        if value(engine, v) is not None:
                             continue
                         engine.assume(v if rng.random() < 0.75 else -v)
                         if staged:
@@ -457,7 +458,7 @@ class TestHeuristics:
             assert batch._activity == single._activity
             assert batch._var_inc == single._var_inc
             assert batch._heap == single._heap
-            if len(batch.engine.assignment) < n:
+            if len(batch.engine.trail) < n:
                 assert batch.decide_literal() == single.decide_literal()
             rescaled += batch._var_inc < var_inc
         assert rescaled > 20
@@ -475,11 +476,11 @@ class TestHeuristics:
                     solver.bump_variables([rng.randint(1, n)])
                 elif op < 0.45:
                     solver._decay_activities()
-                elif op < 0.7 and len(engine.assignment) < n:
+                elif op < 0.7 and len(engine.trail) < n:
                     if rng.random() < 0.5:
                         engine.assume(solver.decide_literal())
                     else:
-                        v = rng.choice([u for u in range(1, n + 1) if u not in engine.assignment])
+                        v = rng.choice([u for u in range(1, n + 1) if value(engine, u) is None])
                         engine.assume(v if rng.random() < 0.5 else -v)
                 elif op < 0.9 and engine.current_level > 0:
                     solver._record_phases(engine.backjump_to(rng.randrange(engine.current_level)))
@@ -487,7 +488,7 @@ class TestHeuristics:
                     # Forces the 1e-100 rescale on this bump.
                     solver._var_inc = 2e100
                     solver.bump_variables([rng.randint(1, n)])
-                if len(engine.assignment) < n:
+                if len(engine.trail) < n:
                     assert solver.decide_literal() == linear_decide_literal(solver)
 
     def test_phase_saving_repeats_last_polarity(self):

@@ -145,6 +145,20 @@ class TestVerify:
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check and "not confirmed" in check.error
 
+    def test_root_conflict_found_on_a_later_pass(self):
+        # In row order, the first pass only assigns a from the unit row; the
+        # second pass propagates ~b from the first row and finds the second
+        # row false.  Without the unit row nothing propagates.
+        rows = [con("~a ~b >= 1"), con("~a b >= 1"), con("a >= 1")]
+        lines = [f"i {i} {c.to_text()}" for i, c in enumerate(rows, start=1)]
+        instance = ParsedInstance(declared_vars=2, constraints=rows)
+        check = verify_trace(instance, DerivationTrace.read([*lines, "f 1"]))
+        assert check, check.error
+        instance = ParsedInstance(declared_vars=2, constraints=rows[:2])
+        check = verify_trace(instance, DerivationTrace.read([*lines[:2], "f 1"]))
+        assert not check
+        assert check.error == "unsatisfiability claim not confirmed by root-level propagation"
+
     def test_learned_constraint_false_on_its_own(self):
         # The four clauses over a, b propagate nothing at the root; the
         # learned empty constraint ">= 1" is the conflict by itself.
