@@ -7,22 +7,18 @@ strategies, :mod:`pbsolve.solver` the search loop, and :mod:`pbsolve.opb`,
 :mod:`pbsolve.trace`, :mod:`pbsolve.generators`, :mod:`pbsolve.bench`,
 :mod:`pbsolve.cli` the input/output and benchmarking surface.
 
-From :mod:`pbsolve.core` the package exports only :class:`Constraint`,
-:func:`normalize` and :func:`slack`.  The rule functions (``cancel``,
-``weaken``, ...) replay trace steps and stay at ``pbsolve.core.<rule>``;
-:data:`pbsolve.trace.RULES` maps each trace rule name to its function.
+The package exports the user API: constraints, OPB input and output, the
+generators, the solver, and the trace with its checker.  From
+:mod:`pbsolve.core` that is only :class:`Constraint`, :func:`normalize` and
+:func:`slack`.  Everything else stays in its own module: the rule functions
+(``cancel``, ``weaken``, ...) at ``pbsolve.core.<rule>``, with
+:data:`pbsolve.trace.RULES` mapping each trace rule name to its function;
+the accumulator and the reductions in :mod:`pbsolve.analysis`; the
+propagation engine in :mod:`pbsolve.propagation`; and the matrix runner in
+:mod:`pbsolve.bench`.
 """
 
-from .analysis import (
-    STRATEGY_IDS,
-    Accumulator,
-    reduce_genres,
-    reduce_multiply_weaken,
-    reduce_rs,
-    resolve_step,
-    weaken_ineffective,
-)
-from .bench import BenchRecord, run_matrix
+from .analysis import STRATEGY_IDS
 from .core import Constraint, normalize, slack
 from .generators import php_instance, random_instance
 from .opb import (
@@ -35,20 +31,16 @@ from .opb import (
     parse_opb,
     write_opb,
 )
-from .propagation import PropagationEngine
 from .solver import Solver, SolverConfig, SolverResult, solve
 from .trace import DerivationTrace, verify_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accumulator",
-    "BenchRecord",
     "Constraint",
     "DerivationTrace",
     "OpbSyntaxError",
     "ParsedInstance",
-    "PropagationEngine",
     "SAT",
     "STRATEGY_IDS",
     "Solver",
@@ -61,14 +53,8 @@ __all__ = [
     "parse_opb",
     "php_instance",
     "random_instance",
-    "reduce_genres",
-    "reduce_multiply_weaken",
-    "reduce_rs",
-    "resolve_step",
-    "run_matrix",
     "slack",
     "solve",
     "verify_trace",
-    "weaken_ineffective",
     "write_opb",
 ]

@@ -220,7 +220,7 @@ def reduce_genres(
     reason: Accumulator,
     pivot: int,
     rho,
-    conflict_slack: int | None = None,
+    conflict_slack: int,
 ) -> None:
     """Weaken and saturate the reason until the conflict is provably preserved.
 
@@ -232,11 +232,9 @@ def reduce_genres(
     and therefore changes the multipliers.  The reason is saturated first:
     once nothing is left to weaken, its slack is then the pivot weight minus
     the degree, at most 0, so the loop always ends.  ``conflict_slack`` is
-    the conflict's slack under ``rho`` when the caller knows it; it is
-    computed otherwise.
+    the conflict's slack under ``rho``, which the caller already holds; only
+    the reason's slack is priced here, after each change.
     """
-    if conflict_slack is None:
-        conflict_slack = slack(conflict, rho)
     cw = conflict.weights[-pivot]
     reason.saturate()
     while True:
@@ -286,26 +284,28 @@ def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> N
 def weaken_ineffective(
     side: Accumulator,
     rho,
+    side_slack: int,
     *,
     pivot: int | None = None,
     protect: int | None = None,
-) -> None:
+) -> int:
     """Shorten a constraint by weakening literals while its role is preserved.
 
-    ``pivot=None`` preserves a conflict (slack stays negative); otherwise the
-    propagation of ``pivot`` is preserved (its weight stays above the slack).
+    ``side_slack`` is the side's slack under ``rho``.  ``pivot=None``
+    preserves a conflict (slack stays negative); otherwise the propagation
+    of ``pivot`` is preserved (its weight stays above the slack).
     Non-falsified literals are tried first (their removal never changes the
     slack), then falsified ones.  Each trial is priced without being applied:
     the slack after the weakening and the saturation that follows it.  Only
     a trial that keeps the role is applied.  ``protect`` is never weakened:
-    the caller needs it for the upcoming cancellation.
+    the caller needs it for the upcoming cancellation.  Returns the slack
+    the side is left with: the last applied trial's, or ``side_slack``.
     """
-    start = slack(side, rho)
     if pivot is None:
-        if start >= 0:
+        if side_slack >= 0:
             raise ValueError("preserve-conflict mode requires a conflicting constraint")
     else:
-        if not 0 <= start < side.weights.get(pivot, 0):
+        if not 0 <= side_slack < side.weights.get(pivot, 0):
             raise ValueError("preserve-propagation mode requires the pivot to be propagated")
     falsified = {lit for lit in side.weights if -lit in rho}
     order = sorted(
@@ -330,6 +330,8 @@ def weaken_ineffective(
                 continue
         side.weaken(lit)
         side.saturate()
+        side_slack = trial_slack
+    return side_slack
 
 
 def reduce_multiply_weaken(
@@ -392,7 +394,9 @@ def resolve_step(
     and negated in the conflict.  ``rho`` holds the true literals in effect
     at this step (up to and including the pivot), ``strategy`` is the
     ``(family, side)`` pair of :func:`parse_strategy`, and ``conflict_slack``
-    is the conflict side's slack under ``rho``.  ``conflict`` is rewritten
+    is the conflict side's slack under ``rho``; it is handed to the
+    reductions that read it, and weaken-ineffective's conflict side hands
+    back the slack it leaves.  ``conflict`` is rewritten
     in place into the saturated cancellation, which is guaranteed to be
     conflicting under ``rho``; a violation of that guarantee raises
     :class:`AnalysisError` since every reduction family establishes it by
@@ -423,13 +427,13 @@ def resolve_step(
             reduce_rs(reduced, pivot, rho, partial=partial)
     elif family == "weaken-ineffective":
         if side in ("both", "conflict"):
-            weaken_ineffective(conflict, rho, protect=-pivot)
+            conflict_slack = weaken_ineffective(conflict, rho, conflict_slack, protect=-pivot)
         if side in ("both", "reason"):
-            weaken_ineffective(reduced, rho, pivot=pivot)
+            weaken_ineffective(reduced, rho, slack(reduced, rho), pivot=pivot)
         if side == "conflict":
             # The reduced conflict's pivot weight may exceed 1, in which case
             # the cancellation needs the reason weakened as in gen-res.
-            reduce_genres(conflict, reduced, pivot, rho)
+            reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
     elif family == "multiply-weaken":
         if not reduce_multiply_weaken(reduced, pivot, conflict.weights[-pivot], rho):
             fallback = True

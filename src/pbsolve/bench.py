@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .opb import UNKNOWN, parse_opb
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, SolverStats, solve
 
 CSV_HEADER = (
     "instance,strategy,status,seconds,conflicts,decisions,propagations,"
@@ -35,29 +35,15 @@ class BenchRecord:
     instance: str
     strategy: str
     status: str
-    seconds: float
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    learned: int = 0
-    max_coeff_bits: int = 0
-    fallbacks: int = 0
+    #: The solver's counters and time; a crashed or killed run has only ``seconds``.
+    stats: SolverStats
     #: Why the run crashed or was killed; not written to the CSV.
     error: str | None = None
 
     def row(self) -> list[str]:
-        return [
-            self.instance,
-            self.strategy,
-            self.status,
-            f"{self.seconds:.3f}",
-            str(self.conflicts),
-            str(self.decisions),
-            str(self.propagations),
-            str(self.learned),
-            str(self.max_coeff_bits),
-            str(self.fallbacks),
-        ]
+        st = self.stats
+        counters = (st.conflicts, st.decisions, st.propagations, st.learned, st.max_coeff_bits, st.fallbacks)
+        return [self.instance, self.strategy, self.status, f"{st.seconds:.3f}", *map(str, counters)]
 
 
 def run_one(
@@ -80,22 +66,10 @@ def run_one(
         result = solve(instance, config)
         if trace_path is not None and result.trace is not None:
             result.trace.write_file(trace_path)
-        st = result.stats
-        return BenchRecord(
-            name,
-            strategy,
-            result.status,
-            st.seconds,
-            st.conflicts,
-            st.decisions,
-            st.propagations,
-            st.learned,
-            st.max_coeff_bits,
-            st.fallbacks,
-        )
+        return BenchRecord(name, strategy, result.status, result.stats)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
-        return BenchRecord(name, strategy, UNKNOWN, time.monotonic() - start, error=error)
+        return BenchRecord(name, strategy, UNKNOWN, SolverStats(seconds=time.monotonic() - start), error)
 
 
 def _worker(task, queue):
@@ -170,7 +144,7 @@ def run_matrix(
             proc.join()
             running.pop(index)
             results[index] = BenchRecord(
-                Path(task[1]).name, task[2], UNKNOWN, now - started, error=error
+                Path(task[1]).name, task[2], UNKNOWN, SolverStats(seconds=now - started), error
             )
     return [results[i] for i in range(len(tasks))]
 
@@ -189,7 +163,7 @@ def write_cactus_csv(records: Sequence[BenchRecord], stream: IO[str]) -> None:
     strategies = sorted({r.strategy for r in records})
     for strategy in strategies:
         times = sorted(
-            r.seconds for r in records if r.strategy == strategy and r.status != UNKNOWN
+            r.stats.seconds for r in records if r.strategy == strategy and r.status != UNKNOWN
         )
         for count, seconds in enumerate(times, start=1):
             writer.writerow([strategy, str(count), f"{seconds:.3f}"])

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .analysis import Accumulator, parse_strategy, resolve_step
-from .core import Constraint, slack
+from .core import Constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
 from .trace import DerivationTrace
@@ -284,10 +284,11 @@ class Solver:
         is learned or proves a root conflict.  Each resolve step sees as
         ``rho`` the literals of the trail prefix up to and including its
         pivot, so the conflict invariant refers to the state in which the
-        pivot was propagated.  The conflict side's slack under ``rho`` is
-        computed before the first step and then handed from each step to the
-        next; it changes between steps only when the walk skips a decision
-        whose negation the conflict side contains, and is recomputed then.
+        pivot was propagated.  The conflict side's slack under ``rho`` starts
+        as the engine's slack of the conflicting constraint and is then
+        handed from each step to the next; between steps it changes only
+        when the walk skips an entry whose negation the conflict side
+        contains, and rises then by that literal's weight.
         """
         engine = self.engine
         self._bump_constraint(conflict_cid)
@@ -297,7 +298,7 @@ class Solver:
         reused: int | None = conflict_cid
         rho = set(engine.position)
         pos = len(engine.trail) - 1
-        cur_slack: int | None = None  # None: to be computed under ``rho``
+        cur_slack = engine.slacks[conflict_cid]
         # The engine's state is frozen during analysis, so the assertion
         # level changes only when a resolve step rewrites ``cur``.
         level = self._assertion_level(start.terms, start.degree)
@@ -309,10 +310,8 @@ class Solver:
             entry = engine.trail[pos]
             pivot = entry.lit
             if entry.reason is None or -pivot not in cur.weights:
-                if -pivot in cur.weights:
-                    # A skipped decision whose negation is in the conflict
-                    # side: unassigning it raises the slack.
-                    cur_slack = None
+                # Unassigning the pivot unfalsifies its negation, if present.
+                cur_slack += cur.weights.get(-pivot, 0)
                 rho.remove(pivot)
                 pos -= 1
                 continue
@@ -322,8 +321,6 @@ class Solver:
             variables = set(map(abs, cur.weights))
             variables.update(abs(lit) for lit, _ in reason.terms)
             self.bump_variables(sorted(variables))
-            if cur_slack is None:
-                cur_slack = slack(cur, rho)
             fallback, cur_slack = resolve_step(cur, reason, pivot, rho, self._strategy, cur_slack)
             if fallback:
                 self.stats.fallbacks += 1

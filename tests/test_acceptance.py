@@ -91,15 +91,18 @@ def test_criterion_1_worked_derivations():
     # Ineffective-literal weakening, both sides and conflict-only.
     rho4 = asg(a=0, c=0, f=0)
     reason4 = con("3~a 3~b c d e >= 6")
-    assert on_accumulator(weaken_ineffective, reason4, rho4, pivot=lit("~b")) == con("~b c >= 1")
+    reduced4 = on_accumulator(weaken_ineffective, reason4, rho4, slack(reason4, rho4), pivot=lit("~b"))
+    assert reduced4 == con("~b c >= 1")
     rho4b = rho4 | {lit("~b")}
     conflict4 = con("2a b c f >= 2")
-    assert on_accumulator(weaken_ineffective, conflict4, rho4b, protect=lit("b")) == con("a b f >= 1")
+    reduced4 = on_accumulator(weaken_ineffective, conflict4, rho4b, slack(conflict4, rho4b), protect=lit("b"))
+    assert reduced4 == con("a b f >= 1")
     both = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-both")
     assert both.constraint == con("a c f >= 1")
     one_side = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-conflict")
     assert one_side.constraint == con("3f c d e >= 3")
-    assert on_accumulator(weaken_ineffective, one_side.constraint, rho4b) == con("c f >= 1")
+    follow_up = on_accumulator(weaken_ineffective, one_side.constraint, rho4b, one_side.slack)
+    assert follow_up == con("c f >= 1")
 
     # Partial rounding keeps the non-divisible remainders.
     rho6 = asg(a=1, b=0, c=0, d=0, e=0)

@@ -39,7 +39,7 @@ from helpers import (
 def genres_reason(conflict, reason, pivot, rho):
     """The reason after gen-res's reduction against ``conflict``."""
     side = Accumulator(reason)
-    reduce_genres(Accumulator(conflict), side, pivot, rho)
+    reduce_genres(Accumulator(conflict), side, pivot, rho, slack(conflict, rho))
     return snapshot(side)
 
 
@@ -147,28 +147,40 @@ class TestReducePartialRs:
 class TestWeakenIneffective:
     def test_reason_reduction_keeps_propagation(self):
         rho = asg(a=0, c=0, f=0)
-        out = on_accumulator(weaken_ineffective, con("3~a 3~b c d e >= 6"), rho, pivot=lit("~b"))
-        assert out == con("~b c >= 1")
+        reason = con("3~a 3~b c d e >= 6")
+        side = Accumulator(reason)
+        left = weaken_ineffective(side, rho, slack(reason, rho), pivot=lit("~b"))
+        assert snapshot(side) == con("~b c >= 1")
+        assert left == slack(side, rho) == 0
 
     def test_conflict_reduction_keeps_conflict(self):
         rho = asg(a=0, c=0, f=0, b=0)
-        out = on_accumulator(weaken_ineffective, con("2a b c f >= 2"), rho, protect=lit("b"))
-        assert out == con("a b f >= 1")
+        conflict = con("2a b c f >= 2")
+        side = Accumulator(conflict)
+        left = weaken_ineffective(side, rho, slack(conflict, rho), protect=lit("b"))
+        assert snapshot(side) == con("a b f >= 1")
+        assert left == slack(side, rho) == -1
 
     def test_follow_up_reduction_strengthens(self):
         rho = asg(a=0, c=0, f=0, b=0)
-        out = on_accumulator(weaken_ineffective, con("3f c d e >= 3"), rho)
-        assert out == con("c f >= 1")
+        conflict = con("3f c d e >= 3")
+        side = Accumulator(conflict)
+        left = weaken_ineffective(side, rho, slack(conflict, rho))
+        assert snapshot(side) == con("c f >= 1")
+        assert left == slack(side, rho) == -1
 
     def test_minimal_clause_unchanged(self):
         rho = asg(a=0, b=0)
-        assert on_accumulator(weaken_ineffective, con("a b >= 1"), rho) == con("a b >= 1")
+        c = con("a b >= 1")
+        side = Accumulator(c)
+        assert weaken_ineffective(side, rho, -1) == -1
+        assert snapshot(side) == c
 
     def test_mode_preconditions(self):
         with pytest.raises(ValueError):
-            on_accumulator(weaken_ineffective, con("a b >= 1"), set(), pivot=None)
+            weaken_ineffective(Accumulator(con("a b >= 1")), set(), 1, pivot=None)
         with pytest.raises(ValueError):
-            on_accumulator(weaken_ineffective, con("a b >= 1"), asg(a=0, b=0), pivot=lit("a"))
+            weaken_ineffective(Accumulator(con("a b >= 1")), asg(a=0, b=0), -1, pivot=lit("a"))
 
 
 class TestMultiplyWeaken:
@@ -235,7 +247,7 @@ class TestRuleApplication:
         # A saturation that changes nothing, on a pair that is already safe.
         rho = asg(a=0, c=0, b=0)
         side = Accumulator(safe_reason, trace)
-        reduce_genres(Accumulator(reason, trace), side, lit("~b"), rho)
+        reduce_genres(Accumulator(reason, trace), side, lit("~b"), rho, slack(reason, rho))
         assert side.id == trace.id_of(safe_reason) and snapshot(side) == safe_reason
         assert trace.steps == []
 
@@ -330,7 +342,7 @@ class TestResolveStep:
         # resolve output must still be conflicting and implied.
         rho = {-1, -2, -3, -9}
         conflict = con("3a 3b 2c >= 5")
-        reduced = on_accumulator(weaken_ineffective, conflict, rho, protect=lit("a"))
+        reduced = on_accumulator(weaken_ineffective, conflict, rho, slack(conflict, rho), protect=lit("a"))
         assert reduced == con("3a 3b >= 3")
         assert not is_clause(reduced)
         reason = Constraint([(-1, 2), (9, 1)], 2)  # propagated ~a

@@ -112,7 +112,7 @@ class TestBenchMatrix:
         paths = sorted(bench_dir.glob("*.opb"))
         serial = run_matrix(paths, ["rs-both"], 60, jobs=1)
         parallel = run_matrix(paths, ["rs-both"], 60, jobs=2)
-        strip = lambda rs: [(r.instance, r.strategy, r.status, r.conflicts) for r in rs]
+        strip = lambda rs: [(r.instance, r.strategy, r.status, r.stats.conflicts) for r in rs]
         assert strip(serial) == strip(parallel)
 
     def test_watchdog_kills_stuck_worker(self, bench_dir, monkeypatch):

@@ -288,12 +288,13 @@ class TestAccumulatorMatchesReference:
         "strategy",
         [s for s in STRATEGY_IDS if s not in ("weaken-ineffective-both", "weaken-ineffective-conflict")],
     )
-    def test_slack_is_recomputed_after_a_skipped_decision(self, strategy, monkeypatch):
+    def test_slack_rises_after_a_skipped_decision(self, strategy, monkeypatch):
         # Level 1: decision a, then c and g propagated.  Level 2: decision b,
         # then e propagated.  Resolving the conflict on e brings in ~b, and
         # the result is still conflicting at level 1, so the walk skips the
-        # decision b, which raises the conflict side's slack, and resolves
-        # on g and c.
+        # decision b and adds the weight of ~b to the conflict side's slack
+        # before it resolves on g and c.  Every step checks the slack it is
+        # handed against a full recomputation.
         instance = ParsedInstance(
             declared_vars=7,
             constraints=[con("~a c >= 1"), con("~a g >= 1"), con("~b e >= 1"), con("~c ~e ~g >= 2")],
