@@ -35,38 +35,23 @@ from math import lcm
 from .core import Constraint, format_constraint, slack
 from .trace import DerivationTrace
 
-#: The exact strategy identifiers accepted on the command line.
-STRATEGY_IDS = (
-    "gen-res",
-    "rs-both",
-    "rs-conflict",
-    "rs-reason",
-    "partial-rs-both",
-    "partial-rs-conflict",
-    "partial-rs-reason",
-    "weaken-ineffective-both",
-    "weaken-ineffective-conflict",
-    "weaken-ineffective-reason",
-    "multiply-weaken",
-)
-
-
-def _split_strategy(name: str) -> tuple[str, str | None]:
-    family, _, side = name.rpartition("-")
-    if side in ("both", "conflict", "reason"):
-        return family, side
-    return name, None
-
-
-_STRATEGY_PARTS = {name: _split_strategy(name) for name in STRATEGY_IDS}
-
-
-def parse_strategy(name: str) -> tuple[str, str | None]:
-    """Split a strategy id into (family, side); raises on unknown ids."""
-    parts = _STRATEGY_PARTS.get(name)
-    if parts is None:
-        raise ValueError(f"unknown strategy {name!r} (choose from {', '.join(STRATEGY_IDS)})")
-    return parts
+#: Every strategy id, in command-line order -> (reduction family, side it
+#: reduces: ``"both"``, ``"conflict"``, ``"reason"``, or None where the
+#: family fixes it).
+STRATEGIES = {
+    "gen-res": ("gen-res", None),
+    "rs-both": ("rs", "both"),
+    "rs-conflict": ("rs", "conflict"),
+    "rs-reason": ("rs", "reason"),
+    "partial-rs-both": ("partial-rs", "both"),
+    "partial-rs-conflict": ("partial-rs", "conflict"),
+    "partial-rs-reason": ("partial-rs", "reason"),
+    "weaken-ineffective-both": ("weaken-ineffective", "both"),
+    "weaken-ineffective-conflict": ("weaken-ineffective", "conflict"),
+    "weaken-ineffective-reason": ("weaken-ineffective", "reason"),
+    "multiply-weaken": ("multiply-weaken", None),
+}
+STRATEGY_IDS = tuple(STRATEGIES)
 
 
 class AnalysisError(RuntimeError):
@@ -112,8 +97,8 @@ class Accumulator:
             self.trace.bind(c, self.id)
         return c
 
-    def _record(self, rule: str, inputs: tuple[int, ...], params: tuple[int, ...]) -> None:
-        self.id = self.trace.record(rule, inputs, params, tuple(self.weights.items()), self.degree)
+    def _record(self, rule: str, *args: int) -> None:
+        self.id = self.trace.record(rule, args, tuple(self.weights.items()), self.degree)
 
     def weaken(self, lit: int) -> None:
         """Remove a literal and lower the degree by its weight."""
@@ -123,7 +108,7 @@ class Accumulator:
         del self.weights[lit]
         self.degree = degree
         if self.trace is not None:
-            self._record("weaken", (self.id,), (lit,))
+            self._record("weaken", self.id, lit)
 
     def partial_weaken(self, lit: int, eps: int) -> None:
         """Lower a literal's weight and the degree by ``eps`` (0 < eps <= weight)."""
@@ -137,7 +122,7 @@ class Accumulator:
             del self.weights[lit]
         self.degree = degree
         if self.trace is not None:
-            self._record("pweaken", (self.id,), (lit, eps))
+            self._record("pweaken", self.id, lit, eps)
 
     def saturate(self) -> None:
         """Cap every weight at the degree."""
@@ -149,7 +134,7 @@ class Accumulator:
         for lit in capped:
             weights[lit] = d
         if self.trace is not None:
-            self._record("saturate", (self.id,), ())
+            self._record("saturate", self.id)
 
     def divide(self, r: int) -> None:
         """Ceiling-divide every weight and the degree by ``r >= 1``."""
@@ -158,7 +143,7 @@ class Accumulator:
         self.weights = {lit: -(-w // r) for lit, w in self.weights.items()}
         self.degree = -(-self.degree // r)
         if self.trace is not None:
-            self._record("divide", (self.id,), (r,))
+            self._record("divide", self.id, r)
 
     def multiply(self, k: int) -> None:
         """Scale every weight and the degree by ``k >= 1``."""
@@ -167,7 +152,7 @@ class Accumulator:
         self.weights = {lit: k * w for lit, w in self.weights.items()}
         self.degree *= k
         if self.trace is not None:
-            self._record("multiply", (self.id,), (k,))
+            self._record("multiply", self.id, k)
 
     def cancel(self, reason: "Accumulator", pivot: int) -> None:
         """Add ``reason``, both scaled by the minimal multipliers that eliminate the pivot.
@@ -212,7 +197,7 @@ class Accumulator:
             self.weights = {lit: weights[lit] for lit in sorted(weights, key=abs)}
         self.degree = degree
         if self.trace is not None:
-            self._record("cancel", (self.id, reason.id), (abs(pivot),))
+            self._record("cancel", self.id, reason.id, abs(pivot))
 
 
 def reduce_genres(
@@ -385,19 +370,18 @@ def resolve_step(
     reason: Constraint,
     pivot: int,
     rho,
-    strategy: tuple[str, str | None],
+    strategy: str,
     conflict_slack: int,
 ) -> tuple[bool, int]:
     """One strategy-guided cancellation of a reason into the conflict side.
 
     ``pivot`` is the propagated literal: it occurs positively in the reason
     and negated in the conflict.  ``rho`` holds the true literals in effect
-    at this step (up to and including the pivot), ``strategy`` is the
-    ``(family, side)`` pair of :func:`parse_strategy`, and ``conflict_slack``
-    is the conflict side's slack under ``rho``; it is handed to the
-    reductions that read it, and weaken-ineffective's conflict side hands
-    back the slack it leaves.  ``conflict`` is rewritten
-    in place into the saturated cancellation, which is guaranteed to be
+    at this step (up to and including the pivot), ``strategy`` is a key
+    of :data:`STRATEGIES`, and ``conflict_slack`` is the conflict side's
+    slack under ``rho``; it is handed to the reductions that read it, and
+    weaken-ineffective's conflict side hands back the slack it leaves.
+    ``conflict`` is rewritten in place into the saturated cancellation, which is guaranteed to be
     conflicting under ``rho``; a violation of that guarantee raises
     :class:`AnalysisError` since every reduction family establishes it by
     construction.  Returns whether multiply-weaken fell back to gen-res, and
@@ -410,7 +394,7 @@ def resolve_step(
     if -pivot not in conflict.weights:
         raise ValueError("the pivot's negation does not occur in the conflict side")
 
-    family, side = strategy
+    family, side = STRATEGIES[strategy]
     trace = conflict.trace
     reduced = Accumulator(reason, trace)
     if pivot not in reduced.weights:
@@ -434,20 +418,17 @@ def resolve_step(
             # The reduced conflict's pivot weight may exceed 1, in which case
             # the cancellation needs the reason weakened as in gen-res.
             reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
-    elif family == "multiply-weaken":
+    else:  # multiply-weaken
         if not reduce_multiply_weaken(reduced, pivot, conflict.weights[-pivot], rho):
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
         reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
-    else:  # pragma: no cover - parse_strategy rejects unknown families
-        raise AssertionError(family)
 
     conflict.cancel(reduced, pivot)
     conflict.saturate()
     conflict_slack = slack(conflict, rho)
     if conflict_slack >= 0:
         text = format_constraint(conflict.terms, conflict.degree)
-        name = family if side is None else f"{family}-{side}"
-        raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {name}: {text}")
+        raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {strategy}: {text}")
     return fallback, conflict_slack

@@ -141,20 +141,20 @@ class PropagationEngine:
                 self.assign(lit, cid)
                 self.propagations += 1
 
-    def backjump_to(self, level: int) -> list[tuple[int, bool]]:
-        """Remove all entries above ``level``; returns the unassigned (var, value) pairs."""
+    def backjump_to(self, level: int) -> list[int]:
+        """Remove all entries above ``level``; returns the unassigned literals."""
         if level >= self.current_level:
             raise ValueError(
                 f"backjump level {level} is not below the current level {self.current_level}"
             )
-        popped: list[tuple[int, bool]] = []
+        popped: list[int] = []
         trail = self.trail
         position = self.position
         slacks = self.slacks
         occs = self.occs
         while trail and trail[-1].level > level:
             lit = trail.pop().lit
-            popped.append((abs(lit), lit > 0))
+            popped.append(lit)
             del position[lit]
             for cid, w in occs.get(-lit, ()):
                 slacks[cid] += w

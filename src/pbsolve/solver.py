@@ -16,7 +16,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .analysis import Accumulator, parse_strategy, resolve_step
+from .analysis import STRATEGIES, STRATEGY_IDS, Accumulator, resolve_step
 from .core import Constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
@@ -63,7 +63,8 @@ class SolverConfig:
         # Written so that NaN, whose deadline would never expire, fails too.
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError("time budget must be >= 0")
-        parse_strategy(self.strategy)
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r} (choose from {', '.join(STRATEGY_IDS)})")
 
 
 @dataclass
@@ -111,7 +112,6 @@ class Solver:
         self.stats = SolverStats()
         self.nvars = instance.nvars
         self.trace = DerivationTrace() if self.config.emit_trace else None
-        self._strategy = parse_strategy(self.config.strategy)
         self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
         self._var_inc = 1.0
         # Lazy max-heap of (-activity, var) over the decision candidates.
@@ -120,7 +120,7 @@ class Solver:
         # dropped or refreshed when they reach the top.  All activities start
         # equal, so the variables in index order already form a heap.
         self._heap: list[tuple[float, int]] = [(-0.0, v) for v in range(1, self.nvars + 1)]
-        self._phase: dict[int, bool] = {}
+        self._phase: dict[int, int] = {}  # variable -> its last assigned literal
         self._cla_activity: dict[int, float] = {}  # live learned cid -> activity
         self._cla_inc = 1.0
         self._conflicts_since_restart = 0
@@ -206,7 +206,7 @@ class Solver:
             elif -key != activity[v]:
                 heapq.heapreplace(heap, (-activity[v], v))
             else:
-                return v if self._phase.get(v, False) else -v
+                return self._phase.get(v, -v)
         raise ValueError("all variables are assigned")
 
     def _decide(self) -> None:
@@ -265,11 +265,11 @@ class Solver:
         limit = RESTART_BASE * luby(self.stats.restarts + 1)
         return self._conflicts_since_restart >= limit
 
-    def _record_phases(self, popped: list[tuple[int, bool]]) -> None:
-        """Save the phases of unassigned variables and make them candidates again."""
-        for v, value in popped:
-            self._phase[v] = value
-            self._push(v)
+    def _record_phases(self, popped: list[int]) -> None:
+        """Save the unassigned literals as phases and make their variables candidates again."""
+        for lit in popped:
+            self._phase[abs(lit)] = lit
+            self._push(abs(lit))
 
     # -- conflict analysis -------------------------------------------------------
 
@@ -291,6 +291,7 @@ class Solver:
         contains, and rises then by that literal's weight.
         """
         engine = self.engine
+        strategy = self.config.strategy
         self._bump_constraint(conflict_cid)
         start = engine.constraints[conflict_cid]
         assert start is not None
@@ -301,7 +302,7 @@ class Solver:
         cur_slack = engine.slacks[conflict_cid]
         # The engine's state is frozen during analysis, so the assertion
         # level changes only when a resolve step rewrites ``cur``.
-        level = self._assertion_level(start.terms, start.degree)
+        level = self._assertion_level(start)
         while level is None:
             if pos < 0 or engine.trail[pos].level == 0:
                 # Only root-level assignments remain, and the constraint is
@@ -321,24 +322,24 @@ class Solver:
             variables = set(map(abs, cur.weights))
             variables.update(abs(lit) for lit, _ in reason.terms)
             self.bump_variables(sorted(variables))
-            fallback, cur_slack = resolve_step(cur, reason, pivot, rho, self._strategy, cur_slack)
+            fallback, cur_slack = resolve_step(cur, reason, pivot, rho, strategy, cur_slack)
             if fallback:
                 self.stats.fallbacks += 1
             if self._out_of_time():
                 return None
             reused = None
-            level = self._assertion_level(cur.terms, cur.degree)
+            level = self._assertion_level(cur)
             rho.remove(pivot)
             pos -= 1
         if reused is not None:
             return start, level, reused
         return cur.constraint(), level, None
 
-    def _assertion_level(self, terms, degree: int) -> int | None:
+    def _assertion_level(self, c) -> int | None:
         """Smallest level (below the current one) at which a constraint asserts.
 
-        The constraint is ``sum(w * lit) >= degree`` over the ``(lit, w)``
-        pairs of ``terms``, in any order.  It asserts at level L when,
+        ``c`` is a :class:`Constraint` or an :class:`Accumulator`: only its
+        ``terms``, in any order, and ``degree`` are read.  It asserts at level L when,
         restricted to assignments at levels <= L, its slack is non-negative
         and some unassigned literal's weight exceeds the slack.  Both
         quantities change only at levels where it has an assigned literal,
@@ -352,8 +353,8 @@ class Solver:
         trail = engine.trail
         falsified: dict[int, int] = {}  # level -> falsified weight
         max_weight: dict[int, int] = {}  # level -> largest weight; unassigned at top
-        slack = -degree
-        for lit, w in terms:
+        slack = -c.degree
+        for lit, w in c.terms:
             slack += w
             pos = position.get(-lit)
             if pos is not None:

@@ -53,14 +53,13 @@ class RuleStep(NamedTuple):
 
     step_id: int
     rule: str
-    inputs: tuple[int, ...]
-    params: tuple[int, ...]
+    args: tuple[int, ...]  # input ids, then parameters
     terms: tuple[tuple[int, int], ...]
     degree: int
 
 
-def _split_args(rule: str, args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a step's arguments into input ids and parameters by :data:`RULES`.
+def _split_args(rule: str, args: tuple[int, ...]) -> int:
+    """The number of input ids that lead a step's arguments, by :data:`RULES`.
 
     Raises ValueError for an unknown rule or a wrong argument count.
     """
@@ -69,7 +68,7 @@ def _split_args(rule: str, args: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     _, n_inputs, n_params = RULES[rule]
     if len(args) != n_inputs + n_params:
         raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {len(args)}")
-    return args[:n_inputs], args[n_inputs:]
+    return n_inputs
 
 
 class DerivationTrace:
@@ -115,15 +114,17 @@ class DerivationTrace:
     def record(
         self,
         rule: str,
-        inputs: tuple[int, ...],
-        params: tuple[int, ...],
+        args: tuple[int, ...],
         terms: tuple[tuple[int, int], ...],
         degree: int,
     ) -> int:
-        """Store one rule application; returns the id of its output."""
+        """Store one rule application; returns the id of its output.
+
+        ``args`` are the input ids, then the parameters, as a step writes them.
+        """
         i = self._next_id
         self._next_id = i + 1
-        self.steps.append(RuleStep(i, rule, inputs, params, terms, degree))
+        self.steps.append(RuleStep(i, rule, args, terms, degree))
         return i
 
     def mark_learned(self, c: Constraint) -> None:
@@ -143,7 +144,7 @@ class DerivationTrace:
         for i, c in self.inputs:
             stream.write(f"i {i} {c.to_text()}\n")
         for st in self.steps:
-            args = " ".join(str(x) for x in (*st.inputs, *st.params))
+            args = " ".join(map(str, st.args))
             stream.write(f"s {st.step_id} {st.rule} {args} : {format_constraint(st.terms, st.degree)}\n")
         for i in self.learned:
             stream.write(f"l {i}\n")
@@ -177,9 +178,10 @@ class DerivationTrace:
                         raise ValueError("a step needs an id and a rule")
                     i = int(fields[0])
                     rule = fields[1]
-                    inputs, params = _split_args(rule, tuple(map(int, fields[2:])))
+                    args = tuple(map(int, fields[2:]))
+                    _split_args(rule, args)
                     c = Constraint.from_text(ctext)
-                    trace.steps.append(RuleStep(i, rule, inputs, params, c.terms, c.degree))
+                    trace.steps.append(RuleStep(i, rule, args, c.terms, c.degree))
                     trace._next_id = max(trace._next_id, i + 1)
                 elif kind == "l":
                     trace.learned.append(int(rest))
@@ -199,14 +201,13 @@ class DerivationTrace:
 
 @dataclass
 class TraceCheck:
-    """Outcome of a replay verification; truthy iff the trace is valid."""
+    """Outcome of a replay verification; truthy iff there is no error."""
 
-    ok: bool
     error: str | None = None
     steps_checked: int = 0
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.error is None
 
 
 def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck:
@@ -214,55 +215,54 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
 
     Checks, in order: the declared inputs match the instance's normalized
     constraints; no two inputs or steps share an id; every step has its
-    rule's argument count (split into ids and parameters by
-    :func:`_split_args`, as :meth:`DerivationTrace.read` does), references
-    only earlier ids and replays bit-exactly through
-    :data:`RULES`; and, when a final conflict is declared, root-level
+    rule's argument count (checked by :func:`_split_args`, as
+    :meth:`DerivationTrace.read` does), references only earlier ids and
+    replays bit-exactly through :data:`RULES`; and, when a final conflict is declared, root-level
     propagation over inputs plus learned constraints yields a conflict.
     """
     expected = instance.constraints
     if len(trace.inputs) != len(expected):
-        return TraceCheck(False, f"input count mismatch: trace has {len(trace.inputs)}, instance has {len(expected)}")
+        return TraceCheck(f"input count mismatch: trace has {len(trace.inputs)}, instance has {len(expected)}")
     known: dict[int, Constraint] = {}
     for (i, c), ref in zip(trace.inputs, expected):
         if i in known:
-            return TraceCheck(False, f"duplicate id {i}")
+            return TraceCheck(f"duplicate id {i}")
         if c != ref:
-            return TraceCheck(False, f"input {i} does not match the instance: {c.to_text()!r} vs {ref.to_text()!r}")
+            return TraceCheck(f"input {i} does not match the instance: {c.to_text()!r} vs {ref.to_text()!r}")
         known[i] = c
 
     for index, st in enumerate(trace.steps):
         try:
-            inputs, params = _split_args(st.rule, (*st.inputs, *st.params))
+            n_inputs = _split_args(st.rule, st.args)
         except ValueError as exc:
-            return TraceCheck(False, f"step {index}: {exc}", index)
+            return TraceCheck(f"step {index}: {exc}", index)
         if st.step_id in known:
-            return TraceCheck(False, f"step {index}: duplicate id {st.step_id}", index)
+            return TraceCheck(f"step {index}: duplicate id {st.step_id}", index)
+        inputs = st.args[:n_inputs]
         for ref_id in inputs:
             if ref_id not in known or ref_id >= st.step_id:
-                return TraceCheck(False, f"step {index}: reference to unknown id {ref_id}", index)
+                return TraceCheck(f"step {index}: reference to unknown id {ref_id}", index)
         try:
-            result = RULES[st.rule][0](*(known[i] for i in inputs), *params)
+            result = RULES[st.rule][0](*(known[i] for i in inputs), *st.args[n_inputs:])
         except ValueError as exc:
-            return TraceCheck(False, f"step {index}: replay error: {exc}", index)
+            return TraceCheck(f"step {index}: replay error: {exc}", index)
         if result.terms != st.terms or result.degree != st.degree:
-            return TraceCheck(False, f"step {index}: replay mismatch for id {st.step_id}", index)
+            return TraceCheck(f"step {index}: replay mismatch for id {st.step_id}", index)
         known[st.step_id] = result
 
     for i in trace.learned:
         if i not in known:
-            return TraceCheck(False, f"learned id {i} was never derived", len(trace.steps))
+            return TraceCheck(f"learned id {i} was never derived", len(trace.steps))
 
     if trace.final is not None:
         if trace.final not in known:
-            return TraceCheck(False, f"final id {trace.final} was never derived", len(trace.steps))
+            return TraceCheck(f"final id {trace.final} was never derived", len(trace.steps))
         if not _root_conflict([*expected, *(known[i] for i in trace.learned)]):
             return TraceCheck(
-                False,
                 "unsatisfiability claim not confirmed by root-level propagation",
                 len(trace.steps),
             )
-    return TraceCheck(True, None, len(trace.steps))
+    return TraceCheck(None, len(trace.steps))
 
 
 def _root_conflict(constraints: list[Constraint]) -> bool:

@@ -39,7 +39,7 @@ import numpy as np
 
 import pbsolve.solver
 from pbsolve import core
-from pbsolve.analysis import Accumulator, AnalysisError, parse_strategy, resolve_step
+from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
 from pbsolve.core import Assignment, Constraint, slack
 
 
@@ -141,7 +141,7 @@ def linear_decide_literal(solver) -> int:
             best_v, best_a = v, a
     if not best_v:
         raise ValueError("all variables are assigned")
-    return best_v if solver._phase.get(best_v, False) else -best_v
+    return solver._phase.get(best_v, -best_v)
 
 
 def bump_one_at_a_time(solver, variables) -> None:
@@ -202,7 +202,7 @@ def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy
     """The package's ``resolve_step`` run on an accumulator holding ``conflict``."""
     side = Accumulator(conflict)
     given = slack(conflict, rho)
-    fallback, after = resolve_step(side, reason, pivot, rho, parse_strategy(strategy), given)
+    fallback, after = resolve_step(side, reason, pivot, rho, strategy, given)
     return ResolveOutcome(snapshot(side), fallback, given, after)
 
 
@@ -339,7 +339,11 @@ def reference_resolve_step(
         raise ValueError("the pivot's negation does not occur in the conflict side")
     if pivot not in literals(reason):
         raise ValueError("the pivot does not occur in the reason side")
-    family, side = parse_strategy(strategy)
+    # Split from the id itself, not read from the package's table, so that
+    # a wrong row there shows as a mismatch.
+    family, _, side = strategy.rpartition("-")
+    if side not in ("both", "conflict", "reason"):
+        family, side = strategy, None
     fallback = False
     if family == "gen-res":
         reason = reference_reduce_genres(conflict, reason, pivot, rho)

@@ -1,14 +1,17 @@
 """Strategy reduction tests: worked derivations and randomized properties."""
 
+import ast
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from pbsolve.analysis import (
+    STRATEGIES,
     STRATEGY_IDS,
     Accumulator,
     AnalysisError,
-    parse_strategy,
     reduce_genres,
     reduce_multiply_weaken,
     reduce_rs,
@@ -21,6 +24,7 @@ from pbsolve.core import (
     saturate,
     slack,
 )
+from pbsolve.solver import SolverConfig
 from pbsolve.trace import RULES, DerivationTrace
 from helpers import (
     asg,
@@ -60,15 +64,43 @@ class TestStrategyIds:
         assert len(set(STRATEGY_IDS)) == 11
 
     def test_families_and_sides(self):
-        assert parse_strategy("gen-res") == ("gen-res", None)
-        assert parse_strategy("multiply-weaken") == ("multiply-weaken", None)
-        assert parse_strategy("rs-conflict") == ("rs", "conflict")
-        assert parse_strategy("partial-rs-reason") == ("partial-rs", "reason")
-        assert parse_strategy("weaken-ineffective-both") == ("weaken-ineffective", "both")
-        with pytest.raises(ValueError):
-            parse_strategy("rs")
-        with pytest.raises(ValueError):
-            parse_strategy("genres")
+        assert STRATEGIES["gen-res"] == ("gen-res", None)
+        assert STRATEGIES["multiply-weaken"] == ("multiply-weaken", None)
+        assert STRATEGIES["rs-conflict"] == ("rs", "conflict")
+        assert STRATEGIES["partial-rs-reason"] == ("partial-rs", "reason")
+        assert STRATEGIES["weaken-ineffective-both"] == ("weaken-ineffective", "both")
+
+    def test_command_line_order(self):
+        # The order is the default of `bench --strategies`, so it fixes the
+        # row order of a bench CSV, and perfbench keeps its own copy.
+        assert STRATEGY_IDS == (
+            "gen-res",
+            "rs-both",
+            "rs-conflict",
+            "rs-reason",
+            "partial-rs-both",
+            "partial-rs-conflict",
+            "partial-rs-reason",
+            "weaken-ineffective-both",
+            "weaken-ineffective-conflict",
+            "weaken-ineffective-reason",
+            "multiply-weaken",
+        )
+        workloads = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        if not workloads.is_file():
+            pytest.skip("perfbench is not part of this checkout")
+        (copy,) = [
+            ast.literal_eval(node.value)
+            for node in ast.parse(workloads.read_text()).body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ALL_STRATEGIES"]
+        ]
+        assert STRATEGY_IDS == copy
+
+    @pytest.mark.parametrize("name", ["rs", "genres"])
+    def test_unknown_id_is_rejected_by_the_config(self, name):
+        message = f"unknown strategy {name!r} (choose from {', '.join(STRATEGY_IDS)})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverConfig(strategy=name)
 
 
 class TestReduceGenres:
@@ -301,7 +333,7 @@ class TestResolveStep:
         trace.add_input(reason)
         side = Accumulator(CONFLICT1, trace)
         with pytest.raises(ValueError, match="^the pivot does not occur in the reason side$"):
-            resolve_step(side, reason, lit("~b"), RHO1B, parse_strategy("gen-res"), slack(CONFLICT1, RHO1B))
+            resolve_step(side, reason, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps == []
         assert side.constraint() == CONFLICT1
 
@@ -310,11 +342,12 @@ class TestResolveStep:
         cid = trace.add_input(CONFLICT1)
         rid = trace.add_input(REASON1)
         side = Accumulator(CONFLICT1, trace)
-        resolve_step(side, REASON1, lit("~b"), RHO1B, parse_strategy("gen-res"), slack(CONFLICT1, RHO1B))
+        resolve_step(side, REASON1, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps
         by_id = {cid: CONFLICT1, rid: REASON1}
         for step in trace.steps:
-            result = RULES[step.rule][0](*[by_id[i] for i in step.inputs], *step.params)
+            n_inputs = RULES[step.rule][1]
+            result = RULES[step.rule][0](*[by_id[i] for i in step.args[:n_inputs]], *step.args[n_inputs:])
             assert result == Constraint(step.terms, step.degree)
             by_id[step.step_id] = result
         out = side.constraint()

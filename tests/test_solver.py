@@ -328,7 +328,7 @@ class TestAssertiveness:
         assert not is_assertive(learned, solver.engine, 2)
         assert is_assertive(learned, solver.engine, 3)
         assert backjump_level(learned, solver.engine) == 3
-        assert solver._assertion_level(learned.terms, learned.degree) == 3
+        assert solver._assertion_level(learned) == 3
 
     def test_clause_asserts_at_second_highest_level(self):
         solver = scenario_solver()
@@ -365,7 +365,7 @@ class TestAssertiveness:
                 if is_assertive(probe, engine, level):
                     expected = level
                     break
-            assert solver._assertion_level(probe.terms, probe.degree) == expected
+            assert solver._assertion_level(probe) == expected
 
     def test_matches_oracle_on_wide_constraints_and_many_levels(self, monkeypatch):
         rng = random.Random(13)
@@ -406,7 +406,7 @@ class TestAssertiveness:
                             break
                     for c in (*instance.constraints, *learned):
                         expected = oracle_assertion_level(c, engine)
-                        assert solver._assertion_level(c.terms, c.degree) == expected
+                        assert solver._assertion_level(c) == expected
                         probes += 1
                         asserting += expected is not None
         assert probes > 4000

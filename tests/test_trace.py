@@ -170,7 +170,7 @@ class TestVerify:
 
         def derive(rule, args, params):
             out = getattr(core, rule)(*args, *params)
-            i = trace.record(rule, tuple(map(trace.id_of, args)), params, out.terms, out.degree)
+            i = trace.record(rule, (*map(trace.id_of, args), *params), out.terms, out.degree)
             trace.bind(out, i)
             return out
 
@@ -244,7 +244,7 @@ class TestVerify:
         args = (1,) * (arity + extra)
         step_id = max(i for i, _ in trace.inputs) + len(trace.steps) + 1
         out = con("a >= 1")
-        trace.steps.append(RuleStep(step_id, rule, args[:n_inputs], args[n_inputs:], out.terms, out.degree))
+        trace.steps.append(RuleStep(step_id, rule, args, out.terms, out.degree))
         index = len(trace.steps) - 1
         check = verify_trace(instance, trace)
         assert not check
@@ -265,7 +265,7 @@ class TestVerify:
         ids = tuple(trace.add_input(c) for c in inputs)
         out = RULES["cancel"][0](*inputs, 1)
         assert out.terms == ((2, 1), (3, 1))
-        trace.record("cancel", ids, (1,), out.terms, out.degree)
+        trace.record("cancel", (*ids, 1), out.terms, out.degree)
         assert verify_trace(instance, trace)
         trace.steps[0] = trace.steps[0]._replace(terms=garble(out.terms))
         check = verify_trace(instance, trace)
@@ -273,5 +273,5 @@ class TestVerify:
         assert check.error == "step 0: replay mismatch for id 3"
 
     def test_truthiness_of_check_result(self):
-        assert TraceCheck(True)
-        assert not TraceCheck(False, "why")
+        assert TraceCheck()
+        assert not TraceCheck("why")
