@@ -278,45 +278,35 @@ def weaken_ineffective(
 
     ``side_slack`` is the side's slack under ``rho``.  ``pivot=None``
     preserves a conflict (slack stays negative); otherwise the propagation
-    of ``pivot`` is preserved (its weight stays above the slack).
-    Non-falsified literals are tried first (their removal never changes the
-    slack), then falsified ones.  Each trial is priced without being applied:
-    the slack after the weakening and the saturation that follows it.  Only
-    a trial that keeps the role is applied.  ``protect`` is never weakened:
-    the caller needs it for the upcoming cancellation.  Returns the slack
-    the side is left with: the last applied trial's, or ``side_slack``.
+    of ``pivot`` is preserved (its weight stays above the slack).  Every
+    literal but ``pivot`` and ``protect`` whose weight is below the degree
+    is weakened, non-falsified ones first, and the side saturated.  No trial
+    is priced: weakening a non-falsified literal and saturating never raises
+    the slack, and once none is left the slack is the pivot's weight (0 in
+    conflict mode) minus the degree, as weakening a falsified literal keeps
+    it; that slack is returned.  This needs ``protect`` falsified and, in
+    propagation mode, ``pivot`` not; either breach raises ValueError.
     """
     if pivot is None:
         if side_slack >= 0:
             raise ValueError("preserve-conflict mode requires a conflicting constraint")
     else:
+        if -pivot in rho:
+            raise ValueError("preserve-propagation mode requires a non-falsified pivot")
         if not 0 <= side_slack < side.weights.get(pivot, 0):
             raise ValueError("preserve-propagation mode requires the pivot to be propagated")
-    falsified = {lit for lit in side.weights if -lit in rho}
+    if protect is not None and -protect not in rho:
+        raise ValueError("the protected literal must be falsified")
     order = sorted(
-        (lit in falsified, w, abs(lit), lit)
+        (-lit in rho, w, abs(lit), lit)
         for lit, w in side.weights.items()
         if lit != pivot and lit != protect
     )
     for _, _, _, lit in order:
-        weights = side.weights
-        degree = side.degree - weights[lit]
-        if degree <= 0:
-            continue
-        trial_slack = -degree
-        for other, w in weights.items():
-            if other != lit and other not in falsified:
-                trial_slack += w if w < degree else degree
-        if pivot is None:
-            if trial_slack >= 0:
-                continue
-        else:
-            if min(weights[pivot], degree) <= trial_slack:
-                continue
-        side.weaken(lit)
-        side.saturate()
-        side_slack = trial_slack
-    return side_slack
+        if side.weights[lit] < side.degree:
+            side.weaken(lit)
+            side.saturate()
+    return side.weights.get(pivot, 0) - side.degree
 
 
 def reduce_multiply_weaken(

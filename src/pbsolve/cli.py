@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a single OPB file")
     p_solve.add_argument("file", type=Path)
-    p_solve.add_argument("--strategy", default=SolverConfig.strategy, choices=STRATEGY_IDS)
+    p_solve.add_argument("--strategy", default=SolverConfig.strategy, help=f"one of: {', '.join(STRATEGY_IDS)}")
     p_solve.add_argument("--timeout", type=float, default=None, metavar="SECS")
     p_solve.add_argument("--emit-trace", type=Path, default=None, metavar="PATH",
                          help="write the derivation trace to a sidecar file")

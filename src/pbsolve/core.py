@@ -281,8 +281,8 @@ def divide(c: Constraint, r: int) -> Constraint:
 def multiply(c: Constraint, k: int) -> Constraint:
     """Scale every weight and the degree by ``k >= 1``.
 
-    Not exposed as a user-facing rule; it is the building block of
-    cancellation and of the multiply-and-weaken reduction.
+    The ``multiply`` rule a trace step replays, as recorded by the
+    multiply-and-weaken reduction; :func:`cancel` scales its inputs itself.
     """
     if k < 1:
         raise ValueError(f"multiplier must be >= 1, got {k}")

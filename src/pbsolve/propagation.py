@@ -6,7 +6,10 @@ slack under the assignment, updated incrementally: assigning a literal lowers
 the slack of every constraint containing its negation by that literal's
 weight, and unassigning restores it.  Propagation scans constraints whose
 slack may admit candidates and assigns every unassigned literal whose weight
-exceeds the slack.  One engine instance is strictly single-threaded.
+exceeds the slack.  The search decides only after :meth:`propagate_all`
+returns None, so below the current level no constraint conflicts or
+propagates; conflict analysis rests on that.  One engine instance is
+strictly single-threaded.
 """
 
 from __future__ import annotations
@@ -67,11 +70,6 @@ class PropagationEngine:
                 constraints[cid] = None
         for lit in touched:
             self.occs[lit] = [e for e in self.occs[lit] if constraints[e[0]] is not None]
-
-    def requeue(self, cid: int) -> None:
-        """Schedule an attached constraint for a fresh propagation scan."""
-        if self.constraints[cid] is not None:
-            self._pending.append(cid)
 
     # -- trail operations ---------------------------------------------------
 

@@ -16,7 +16,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .analysis import STRATEGIES, STRATEGY_IDS, Accumulator, resolve_step
+from .analysis import STRATEGIES, STRATEGY_IDS, Accumulator, AnalysisError, resolve_step
 from .core import Constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
@@ -50,7 +50,7 @@ def luby(i: int) -> int:
     return 1 << seq
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     strategy: str = "partial-rs-both"
     conflict_budget: int | None = None
@@ -158,8 +158,6 @@ class Solver:
             if conflict is not None:
                 self.stats.conflicts += 1
                 self._conflicts_since_restart += 1
-                if self.engine.current_level == 0:
-                    raise _RootConflict(self.engine.constraints[conflict])
                 analyzed = self.analyze_conflict(conflict)
                 if analyzed is None:
                     return SolverResult(UNKNOWN)
@@ -276,9 +274,13 @@ class Solver:
     def analyze_conflict(self, conflict_cid: int):
         """Walk the trail backwards, cancelling until the constraint asserts.
 
-        Returns (constraint, backjump level, reused cid or None), or None
-        when the time budget runs out during the walk: the deadline is
-        checked after every resolve step, and nothing is learned then.
+        Returns (constraint, backjump level), or None when the time budget
+        runs out during the walk: the deadline is checked after every
+        resolve step, and nothing is learned then.  The search decides only
+        at a propagation fixpoint, so the conflicting constraint cannot
+        assert below its level before a resolve step.  The root exit is the
+        one way to a root conflict; a slack there that is not negative
+        means propagation was incomplete and raises :class:`AnalysisError`.
         The conflict side is one :class:`Accumulator` that every resolve
         step rewrites in place; a constraint is built from it only when it
         is learned or proves a root conflict.  Each resolve step sees as
@@ -296,18 +298,16 @@ class Solver:
         start = engine.constraints[conflict_cid]
         assert start is not None
         cur = Accumulator(start, self.trace)
-        reused: int | None = conflict_cid
         rho = set(engine.position)
         pos = len(engine.trail) - 1
         cur_slack = engine.slacks[conflict_cid]
-        # The engine's state is frozen during analysis, so the assertion
-        # level changes only when a resolve step rewrites ``cur``.
-        level = self._assertion_level(start)
-        while level is None:
+        while True:
             if pos < 0 or engine.trail[pos].level == 0:
-                # Only root-level assignments remain, and the constraint is
-                # still conflicting under them.
-                raise _RootConflict(start if reused is not None else cur.constraint())
+                # Only root-level assignments remain, and the constraint must
+                # still be conflicting under them.
+                if cur_slack >= 0:
+                    raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
+                raise _RootConflict(cur.constraint())
             entry = engine.trail[pos]
             pivot = entry.lit
             if entry.reason is None or -pivot not in cur.weights:
@@ -327,13 +327,13 @@ class Solver:
                 self.stats.fallbacks += 1
             if self._out_of_time():
                 return None
-            reused = None
+            # The engine's state is frozen during analysis, so the assertion
+            # level changes only when a resolve step rewrites ``cur``.
             level = self._assertion_level(cur)
+            if level is not None:
+                return cur.constraint(), level
             rho.remove(pivot)
             pos -= 1
-        if reused is not None:
-            return start, level, reused
-        return cur.constraint(), level, None
 
     def _assertion_level(self, c) -> int | None:
         """Smallest level (below the current one) at which a constraint asserts.
@@ -390,13 +390,9 @@ class Solver:
 
     # -- learning ----------------------------------------------------------------
 
-    def _backjump_and_learn(self, learned: Constraint, level: int, reused_cid: int | None) -> None:
+    def _backjump_and_learn(self, learned: Constraint, level: int) -> None:
+        """Backjump to ``level`` and store ``learned``, always new: analysis resolves at least once."""
         self._record_phases(self.engine.backjump_to(level))
-        if reused_cid is not None:
-            # Zero cancellations: the conflicting constraint itself asserts at
-            # the lower level; re-scan it instead of storing a duplicate.
-            self.engine.requeue(reused_cid)
-            return
         cid = self.engine.add_constraint(learned)
         self._cla_activity[cid] = self._cla_inc
         self.stats.learned += 1

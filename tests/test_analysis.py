@@ -34,6 +34,7 @@ from helpers import (
     lit,
     literals,
     on_accumulator,
+    reference_weaken_ineffective,
     resolved,
     snapshot,
     weight,
@@ -93,6 +94,13 @@ class TestStrategyIds:
             if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ALL_STRATEGIES"]
         ]
         assert STRATEGY_IDS == copy
+        # perfbench's long jobs run the solver's default strategy by name.
+        (default,) = [
+            ast.literal_eval(node.value)
+            for node in ast.parse(workloads.read_text()).body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["DEFAULT_STRATEGY"]
+        ]
+        assert default == SolverConfig.strategy
 
     @pytest.mark.parametrize("name", ["rs", "genres"])
     def test_unknown_id_is_rejected_by_the_config(self, name):
@@ -211,6 +219,41 @@ class TestWeakenIneffective:
             weaken_ineffective(Accumulator(con("a b >= 1")), set(), 1, pivot=None)
         with pytest.raises(ValueError):
             weaken_ineffective(Accumulator(con("a b >= 1")), asg(a=0, b=0), -1, pivot=lit("a"))
+        # A falsified pivot, even with the slack below its weight.
+        with pytest.raises(ValueError, match="^preserve-propagation mode requires a non-falsified pivot$"):
+            weaken_ineffective(Accumulator(con("3a b c >= 3")), asg(a=0), 0, pivot=lit("a"))
+        # A protected literal that is not falsified, in either mode.
+        with pytest.raises(ValueError, match="^the protected literal must be falsified$"):
+            weaken_ineffective(Accumulator(con("a b c >= 2")), asg(b=0, c=0), -1, protect=lit("a"))
+        with pytest.raises(ValueError, match="^the protected literal must be falsified$"):
+            weaken_ineffective(Accumulator(con("2a b c >= 2")), asg(b=0), 0, pivot=lit("a"), protect=lit("c"))
+
+    def test_matches_the_priced_reference(self):
+        # The reduction weakens without pricing any trial; the reference
+        # prices each one and keeps only those that preserve the role.  On
+        # random conflicting and propagating sides, saturated or not, both
+        # must give the same constraint, and the returned slack must be the
+        # result's slack.
+        rng = random.Random(17)
+        cases = {"conflict": 0, "propagation": 0, "unsaturated": 0}
+        while min(cases.values()) < 1500:
+            c = _random_constraint(rng, 7, saturated=rng.random() < 0.5)
+            rho = {v if rng.random() < 0.5 else -v for v in range(1, 8) if rng.random() < 0.6}
+            start = slack(c, rho)
+            falsified = [l for l in literals(c) if -l in rho]
+            protect = rng.choice(falsified) if falsified and rng.random() < 0.5 else None
+            if start < 0:
+                pivot = None
+            else:
+                pivot = rng.choice(literals(c))
+                if -pivot in rho or pivot == protect or start >= weight(c, pivot):
+                    continue
+            side = Accumulator(c)
+            left = weaken_ineffective(side, rho, start, pivot=pivot, protect=protect)
+            assert snapshot(side) == reference_weaken_ineffective(c, rho, pivot=pivot, protect=protect)
+            assert left == slack(side, rho)
+            cases["conflict" if pivot is None else "propagation"] += 1
+            cases["unsaturated"] += c != saturate(c)
 
 
 class TestMultiplyWeaken:
@@ -383,7 +426,7 @@ class TestResolveStep:
         assert implies_semantically([conflict, reason], out.constraint)
 
 
-def _random_constraint(rng, nvars, max_weight=6):
+def _random_constraint(rng, nvars, max_weight=6, *, saturated=True):
     width = rng.randint(1, nvars)
     variables = rng.sample(range(1, nvars + 1), width)
     terms = []
@@ -393,7 +436,8 @@ def _random_constraint(rng, nvars, max_weight=6):
         total += w
         terms.append((v if rng.random() < 0.5 else -v, w))
     degree = rng.randint(1, total)
-    return saturate(Constraint(terms, degree))
+    c = Constraint(terms, degree)
+    return saturate(c) if saturated else c
 
 
 def _random_pivot_triple(rng, nvars=8):

@@ -161,8 +161,9 @@ class TestCli:
             (b"+1 x1 >= 1 ;\n", ["--timeout", "-1"]),
             (b"+1 x1 >= 1 ;\n", ["--timeout", "nan"]),
             (b"* caf\xc3\xa9\n+1 x1 >= 1 ;\n", []),
+            (b"+1 x1 >= 1 ;\n", ["--strategy", "bogus"]),
         ],
-        ids=["negative-timeout", "nan-timeout", "non-ascii-comment"],
+        ids=["negative-timeout", "nan-timeout", "non-ascii-comment", "unknown-strategy"],
     )
     def test_solve_bad_input_is_one_error_line(self, tmp_path, content, extra):
         path = tmp_path / "in.opb"

@@ -1,5 +1,6 @@
 """Search-loop tests: end-to-end solving, analysis walk, heuristics, budgets."""
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import pbsolve.solver
-from pbsolve.analysis import STRATEGY_IDS
+from pbsolve.analysis import STRATEGY_IDS, AnalysisError
 from pbsolve.core import Constraint, slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT, parse_opb, write_opb
@@ -143,6 +144,19 @@ class TestSolveEndToEnd:
         with pytest.raises(ValueError, match="time budget must be >= 0"):
             SolverConfig(time_budget=budget)
 
+    def test_negative_conflict_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="^conflict budget must be >= 0$"):
+            SolverConfig(conflict_budget=-1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("strategy", "bogus"), ("conflict_budget", -1), ("time_budget", float("nan"))]
+    )
+    def test_config_fields_cannot_be_reassigned(self, field, value):
+        config = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+        assert config == SolverConfig()
+
     def test_time_budget_overshoot_is_bounded(self):
         started = time.monotonic()
         result = solve(
@@ -208,45 +222,77 @@ class TestAnalyzeConflict:
         solver = scenario_solver("gen-res")
         conflict = solver.engine.propagate_all()
         assert conflict == 1
-        learned, level, reused = solver.analyze_conflict(conflict)
+        learned, level = solver.analyze_conflict(conflict)
         assert learned == con("25a 25c 16e 5d 4f >= 30")
         assert level == 3
-        assert reused is None
 
     def test_rs_both_learns_clause(self):
         solver = scenario_solver("rs-both")
         conflict = solver.engine.propagate_all()
-        learned, level, _ = solver.analyze_conflict(conflict)
+        learned, level = solver.analyze_conflict(conflict)
         assert learned == con("c d e >= 1")
         assert level == 3
 
-    def test_zero_cancellations_when_conflict_asserts_lower(self):
+    def test_incomplete_propagation_is_an_error_at_the_root_exit(self):
         instance = ParsedInstance(declared_vars=3, constraints=[con("a b >= 1")])
         solver = Solver(instance, SolverConfig())
         # Stage the decisions without propagating in between: the clause is
-        # falsified at level 3 but already propagates b at level 2.
+        # falsified at level 3 but already propagates b at level 2, a state
+        # the search never reaches.  The walk resolves nothing, and its
+        # slack is no longer negative when it reaches the root.
         solver.engine.assume(-var("c"))
         solver.engine.assume(-var("a"))
         solver.engine.assume(-var("b"))
-        learned, level, reused = solver.analyze_conflict(0)
-        assert reused == 0 and learned == con("a b >= 1")
-        assert level == 2
+        message = "root exit with slack 1: propagation was incomplete"
+        with pytest.raises(AnalysisError, match=f"^{message}$"):
+            solver.analyze_conflict(0)
+
+    def test_conflicting_constraint_never_asserts_below_its_level(self, monkeypatch):
+        # The search decides only at a propagation fixpoint, so the walk
+        # needs no check of the conflicting constraint itself: the oracle
+        # finds no level below the conflict's at which it asserts.
+        analyze = Solver.analyze_conflict
+        checked = []
+
+        def check_first(solver, conflict_cid):
+            engine = solver.engine
+            if engine.current_level > 0:
+                with pytest.raises(ValueError, match="not assertive"):
+                    backjump_level(engine.constraints[conflict_cid], engine)
+                checked.append(conflict_cid)
+            return analyze(solver, conflict_cid)
+
+        monkeypatch.setattr(Solver, "analyze_conflict", check_first)
+        rng = random.Random(5)
+        instances = [php_instance(6, 5), php_instance(7, 6)]
+        instances += [balanced_instance(30, 120, rng) for _ in range(4)]
+        for instance in instances:
+            for strategy in STRATEGY_IDS:
+                solve(instance, SolverConfig(strategy=strategy, conflict_budget=200))
+        assert len(checked) > 3000
 
     def test_learned_constraint_propagates_after_backjump(self):
-        for seed in (2, 9, 23, 31):
-            instance = random_instance(6, 8, 5, seed)
+        rng = random.Random(3)
+        instances = [php_instance(5, 4)] + [balanced_instance(30, 120, rng) for _ in range(2)]
+        rounds = 0
+        for instance in instances:
             solver = Solver(instance, SolverConfig(strategy="partial-rs-both"))
             engine = solver.engine
             conflict = engine.propagate_all()
-            guard = 0
-            while conflict is not None and engine.current_level > 0 and guard < 50:
-                learned, level, reused = solver.analyze_conflict(conflict)
-                solver._backjump_and_learn(learned, level, reused)
+            for _ in range(20):
+                while conflict is None and len(engine.trail) < solver.nvars:
+                    solver._decide()
+                    conflict = engine.propagate_all()
+                if conflict is None or engine.current_level == 0:
+                    break
+                learned, level = solver.analyze_conflict(conflict)
+                solver._backjump_and_learn(learned, level)
                 assert engine.current_level == level
                 conflict = engine.propagate_all()
                 if conflict is None:
                     assert propagation_candidates(learned, engine.position) == ()
-                guard += 1
+                rounds += 1
+        assert rounds >= 10
 
 
 class TestAccumulatorMatchesReference:
@@ -315,7 +361,7 @@ class TestAccumulatorMatchesReference:
                 after_skip.append(pivot)
 
         observe_resolve_steps(monkeypatch, check)
-        learned, level, _ = solver.analyze_conflict(3)
+        learned, level = solver.analyze_conflict(3)
         assert after_skip == [var("g"), var("c")]
         assert learned == con("2~a ~b >= 2") and level == 0
 

@@ -42,6 +42,18 @@ class TestSerialization:
         result.trace.write_file(path)
         assert verify_trace(instance, DerivationTrace.read_file(path))
 
+    def test_comments_and_blank_lines_are_skipped(self):
+        lines = ["i 1 1 x1 1 x2 >= 1", "s 2 saturate 1 : 1 x1 1 x2 >= 1", "l 2", "f 2"]
+        plain = DerivationTrace.read(lines)
+        commented = DerivationTrace.read(["* a note", "", *lines[:2], "   ", "*another", *lines[2:]])
+        assert commented.inputs == plain.inputs
+        assert commented.steps == plain.steps
+        assert (commented.learned, commented.final) == (plain.learned, plain.final) == ([2], 2)
+
+    def test_unknown_record_kind_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^trace line 2: unknown record kind 'x'$"):
+            DerivationTrace.read(["i 1 1 x1 >= 1", "x 2"])
+
     def test_malformed_line_reports_position(self):
         with pytest.raises(ValueError) as err:
             DerivationTrace.read(io.StringIO("i 1 junk\n"))
@@ -121,6 +133,21 @@ class TestVerify:
         ],
     )
     def test_reused_id_is_rejected(self, lines, error):
+        instance = parse_opb("+1 x1 +1 x2 >= 1 ;\n+1 x1 -1 x2 >= 0 ;\n")
+        check = verify_trace(instance, DerivationTrace.read(lines))
+        assert not check
+        assert check.error == error
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            (["i 1 1 x1 1 x2 >= 1"], "input count mismatch: trace has 1, instance has 2"),
+            (["i 1 1 x1 1 x2 >= 1", "i 2 1 x1 1 ~x2 >= 1", "l 5"], "learned id 5 was never derived"),
+            (["i 1 1 x1 1 x2 >= 1", "i 2 1 x1 1 ~x2 >= 1", "f 7"], "final id 7 was never derived"),
+        ],
+        ids=["input-count", "learned", "final"],
+    )
+    def test_unknown_or_missing_ids_are_rejected(self, lines, error):
         instance = parse_opb("+1 x1 +1 x2 >= 1 ;\n+1 x1 -1 x2 >= 0 ;\n")
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check
