@@ -4,28 +4,32 @@ Each cancellation step during conflict analysis combines the current conflict
 constraint with the reason of a propagated literal.  The raw cancellation
 does not always keep the result conflicting, so one or both sides are reduced
 first.  Both sides are :class:`Accumulator` values that the rules rewrite in
-place, and the reduction families are functions over them plus a read-only
+place, and the reductions are functions over them plus a read-only
 assignment view:
 
 * ``gen-res``            weaken-and-saturate the reason until the scaled-slack
                          sum certifies the conflict is preserved;
-* ``rs-*``               fully weaken non-falsified literals whose weight is
+* ``rs``                 fully weaken non-falsified literals whose weight is
                          not divisible by the pivot weight, then divide by it
                          (pivot weight becomes 1);
-* ``partial-rs-*``       same, but only shave each weight down to the nearest
+* ``partial-rs``         same, but only shave each weight down to the nearest
                          multiple of the pivot weight before dividing;
-* ``weaken-ineffective-*`` greedily drop literals that play no role in the
+* ``weaken-ineffective`` greedily drop literals that play no role in the
                          conflict or propagation, shortening the constraint;
 * ``multiply-weaken``    scale the reason and weaken ineffective literals so
                          the pivot weights match after saturation, avoiding
                          LCM coefficient growth.
 
-The ``-both`` / ``-conflict`` / ``-reason`` suffix selects the side(s) the
-reduction is applied to.  The assignment ``rho`` passed to these functions
-holds the true literals of the trail prefix up to and including the pivot's
-own assignment, so ``lit`` is falsified when ``-lit in rho``.  An
-accumulator made with a trace records every rule application there; the
-constraint it starts from must already be in that trace.
+A strategy's row in :data:`STRATEGIES` names the reduction it applies to
+the conflict side and the one it applies to the reason side, or None.
+Each reduction takes the accumulator it rewrites, that side's own pivot
+literal (``-pivot`` on the conflict, ``pivot`` on the reason), ``rho``,
+and then what it reads of the other side.  The assignment ``rho`` passed
+to these functions holds the true literals of the trail prefix up to and
+including the pivot's own assignment, so ``lit`` is falsified when
+``-lit in rho``.  An accumulator made with a trace records every rule
+application there; the constraint it starts from must already be in that
+trace.
 """
 
 from __future__ import annotations
@@ -35,21 +39,20 @@ from math import lcm
 from .core import Constraint, format_constraint, slack
 from .trace import DerivationTrace
 
-#: Every strategy id, in command-line order -> (reduction family, side it
-#: reduces: ``"both"``, ``"conflict"``, ``"reason"``, or None where the
-#: family fixes it).
+#: Every strategy id, in command-line order -> (conflict-side reduction,
+#: reason-side reduction), None where that side is not reduced.
 STRATEGIES = {
-    "gen-res": ("gen-res", None),
-    "rs-both": ("rs", "both"),
-    "rs-conflict": ("rs", "conflict"),
-    "rs-reason": ("rs", "reason"),
-    "partial-rs-both": ("partial-rs", "both"),
-    "partial-rs-conflict": ("partial-rs", "conflict"),
-    "partial-rs-reason": ("partial-rs", "reason"),
-    "weaken-ineffective-both": ("weaken-ineffective", "both"),
-    "weaken-ineffective-conflict": ("weaken-ineffective", "conflict"),
-    "weaken-ineffective-reason": ("weaken-ineffective", "reason"),
-    "multiply-weaken": ("multiply-weaken", None),
+    "gen-res": (None, "gen-res"),
+    "rs-both": ("rs", "rs"),
+    "rs-conflict": ("rs", None),
+    "rs-reason": (None, "rs"),
+    "partial-rs-both": ("partial-rs", "partial-rs"),
+    "partial-rs-conflict": ("partial-rs", None),
+    "partial-rs-reason": (None, "partial-rs"),
+    "weaken-ineffective-both": ("weaken-ineffective", "weaken-ineffective"),
+    "weaken-ineffective-conflict": ("weaken-ineffective", "gen-res"),
+    "weaken-ineffective-reason": (None, "weaken-ineffective"),
+    "multiply-weaken": (None, "multiply-weaken"),
 }
 STRATEGY_IDS = tuple(STRATEGIES)
 
@@ -201,10 +204,10 @@ class Accumulator:
 
 
 def reduce_genres(
-    conflict: Accumulator,
     reason: Accumulator,
     pivot: int,
     rho,
+    conflict_pivot_weight: int,
     conflict_slack: int,
 ) -> None:
     """Weaken and saturate the reason until the conflict is provably preserved.
@@ -219,8 +222,9 @@ def reduce_genres(
     the degree, at most 0, so the loop always ends.  ``conflict_slack`` is
     the conflict's slack under ``rho``, which the caller already holds; only
     the reason's slack is priced here, after each change.
+    ``conflict_pivot_weight`` is the weight of ``-pivot`` in the conflict.
     """
-    cw = conflict.weights[-pivot]
+    cw = conflict_pivot_weight
     reason.saturate()
     while True:
         rw = reason.weights[pivot]
@@ -266,54 +270,43 @@ def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> N
     side.divide(r)
 
 
-def weaken_ineffective(
-    side: Accumulator,
-    rho,
-    side_slack: int,
-    *,
-    pivot: int | None = None,
-    protect: int | None = None,
-) -> int:
+def weaken_ineffective(side: Accumulator, keep: int | None, rho, side_slack: int) -> int:
     """Shorten a constraint by weakening literals while its role is preserved.
 
-    ``side_slack`` is the side's slack under ``rho``.  ``pivot=None``
-    preserves a conflict (slack stays negative); otherwise the propagation
-    of ``pivot`` is preserved (its weight stays above the slack).  Every
-    literal but ``pivot`` and ``protect`` whose weight is below the degree
+    ``side_slack`` is the side's slack under ``rho``.  A ``keep`` literal
+    that is None or falsified preserves a conflict (slack stays negative);
+    a non-falsified one preserves its propagation (its weight stays above
+    the slack).  Every literal but ``keep`` whose weight is below the degree
     is weakened, non-falsified ones first, and the side saturated.  No trial
     is priced: weakening a non-falsified literal and saturating never raises
-    the slack, and once none is left the slack is the pivot's weight (0 in
-    conflict mode) minus the degree, as weakening a falsified literal keeps
-    it; that slack is returned.  This needs ``protect`` falsified and, in
-    propagation mode, ``pivot`` not; either breach raises ValueError.
+    the slack, and once none is left the slack is the kept literal's weight
+    (0 in conflict mode) minus the degree, as weakening a falsified literal
+    keeps it; that slack is returned.  A side that does not conflict, or
+    does not propagate ``keep``, as its mode requires raises ValueError.
     """
-    if pivot is None:
+    propagated = keep is not None and -keep not in rho
+    if not propagated:
         if side_slack >= 0:
             raise ValueError("preserve-conflict mode requires a conflicting constraint")
-    else:
-        if -pivot in rho:
-            raise ValueError("preserve-propagation mode requires a non-falsified pivot")
-        if not 0 <= side_slack < side.weights.get(pivot, 0):
-            raise ValueError("preserve-propagation mode requires the pivot to be propagated")
-    if protect is not None and -protect not in rho:
-        raise ValueError("the protected literal must be falsified")
+    elif not 0 <= side_slack < side.weights.get(keep, 0):
+        raise ValueError("preserve-propagation mode requires the kept literal to be propagated")
     order = sorted(
         (-lit in rho, w, abs(lit), lit)
         for lit, w in side.weights.items()
-        if lit != pivot and lit != protect
+        if lit != keep
     )
     for _, _, _, lit in order:
         if side.weights[lit] < side.degree:
             side.weaken(lit)
             side.saturate()
-    return side.weights.get(pivot, 0) - side.degree
+    return (side.weights[keep] if propagated else 0) - side.degree
 
 
 def reduce_multiply_weaken(
     reason: Accumulator,
     pivot: int,
-    conflict_pivot_weight: int,
     rho,
+    conflict_pivot_weight: int,
 ) -> bool:
     """Scale the reason and weaken ineffective literals down to a matching degree.
 
@@ -373,7 +366,7 @@ def resolve_step(
     weaken-ineffective's conflict side hands back the slack it leaves.
     ``conflict`` is rewritten in place into the saturated cancellation, which is guaranteed to be
     conflicting under ``rho``; a violation of that guarantee raises
-    :class:`AnalysisError` since every reduction family establishes it by
+    :class:`AnalysisError` since every strategy establishes it by
     construction.  Returns whether multiply-weaken fell back to gen-res, and
     the new conflict side's slack under ``rho``, recomputed in full by that
     check.  The reason is reduced on an accumulator of its own that shares
@@ -384,36 +377,34 @@ def resolve_step(
     if -pivot not in conflict.weights:
         raise ValueError("the pivot's negation does not occur in the conflict side")
 
-    family, side = STRATEGIES[strategy]
+    on_conflict, on_reason = STRATEGIES[strategy]
     trace = conflict.trace
     reduced = Accumulator(reason, trace)
     if pivot not in reduced.weights:
         raise ValueError("the pivot does not occur in the reason side")
     fallback = False
 
-    if family == "gen-res":
-        reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
-    elif family in ("rs", "partial-rs"):
-        partial = family == "partial-rs"
-        if side in ("both", "conflict"):
-            reduce_rs(conflict, -pivot, rho, partial=partial)
-        if side in ("both", "reason"):
-            reduce_rs(reduced, pivot, rho, partial=partial)
-    elif family == "weaken-ineffective":
-        if side in ("both", "conflict"):
-            conflict_slack = weaken_ineffective(conflict, rho, conflict_slack, protect=-pivot)
-        if side in ("both", "reason"):
-            weaken_ineffective(reduced, rho, slack(reduced, rho), pivot=pivot)
-        if side == "conflict":
-            # The reduced conflict's pivot weight may exceed 1, in which case
-            # the cancellation needs the reason weakened as in gen-res.
-            reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
-    else:  # multiply-weaken
-        if not reduce_multiply_weaken(reduced, pivot, conflict.weights[-pivot], rho):
+    # Only weaken-ineffective hands back the conflict side's slack; no row
+    # follows a rounding of the conflict with gen-res's guard, which reads it.
+    if on_conflict == "weaken-ineffective":
+        conflict_slack = weaken_ineffective(conflict, -pivot, rho, conflict_slack)
+    elif on_conflict is not None:
+        reduce_rs(conflict, -pivot, rho, partial=on_conflict == "partial-rs")
+    cw = conflict.weights[-pivot]
+    if on_reason == "weaken-ineffective":
+        weaken_ineffective(reduced, pivot, rho, slack(reduced, rho))
+    elif on_reason in ("rs", "partial-rs"):
+        reduce_rs(reduced, pivot, rho, partial=on_reason == "partial-rs")
+    elif on_reason is not None:
+        # gen-res, also after weaken-ineffective on the conflict, whose
+        # reduced pivot weight may exceed 1, in which case the cancellation
+        # needs the reason weakened as in gen-res; multiply-weaken ends in
+        # its guard too, on the unreduced reason when it falls back.
+        if on_reason == "multiply-weaken" and not reduce_multiply_weaken(reduced, pivot, rho, cw):
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
-        reduce_genres(conflict, reduced, pivot, rho, conflict_slack)
+        reduce_genres(reduced, pivot, rho, cw, conflict_slack)
 
     conflict.cancel(reduced, pivot)
     conflict.saturate()

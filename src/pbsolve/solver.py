@@ -94,14 +94,6 @@ class SolverResult:
     trace: DerivationTrace | None = None
 
 
-class _RootConflict(Exception):
-    """Raised when analysis reaches a conflict that persists at level 0."""
-
-    def __init__(self, constraint: Constraint):
-        super().__init__("conflict at the root level")
-        self.constraint = constraint
-
-
 class Solver:
     """One single-threaded solving run over a parsed instance."""
 
@@ -116,9 +108,10 @@ class Solver:
         self._var_inc = 1.0
         # Lazy max-heap of (-activity, var) over the decision candidates.
         # Every unassigned variable has an entry keyed by its current
-        # activity; entries of assigned variables and outdated keys are
-        # dropped or refreshed when they reach the top.  All activities start
-        # equal, so the variables in index order already form a heap.
+        # activity; entries of assigned variables are dropped when they
+        # reach the top, and outdated keys never reach it (decide_literal
+        # says why).  All activities start equal, so the variables in index
+        # order already form a heap.
         self._heap: list[tuple[float, int]] = [(-0.0, v) for v in range(1, self.nvars + 1)]
         self._phase: dict[int, int] = {}  # variable -> its last assigned literal
         self._cla_activity: dict[int, float] = {}  # live learned cid -> activity
@@ -138,12 +131,7 @@ class Solver:
         started = time.monotonic()
         if self.config.time_budget is not None:
             self._deadline = started + self.config.time_budget
-        try:
-            result = self._search()
-        except _RootConflict as root:
-            if self.trace is not None:
-                self.trace.mark_final(root.constraint)
-            result = SolverResult(UNSAT)
+        result = self._search()
         self.stats.propagations = self.engine.propagations
         self.stats.seconds = time.monotonic() - started
         result.stats = self.stats
@@ -161,7 +149,12 @@ class Solver:
                 analyzed = self.analyze_conflict(conflict)
                 if analyzed is None:
                     return SolverResult(UNKNOWN)
-                self._backjump_and_learn(*analyzed)
+                learned, level = analyzed
+                if level is None:
+                    if self.trace is not None:
+                        self.trace.mark_final(learned)
+                    return SolverResult(UNSAT)
+                self._backjump_and_learn(learned, level)
                 self._decay_activities()
                 if self._out_of_time():
                     return SolverResult(UNKNOWN)
@@ -193,16 +186,17 @@ class Solver:
         """The next decision: unassigned variable of maximal activity, cached phase.
 
         Ties fall to the lowest index; fresh variables start at phase false.
+        An outdated entry never reaches the top while its variable is free:
+        activities only grow between heap rebuilds, and every bump of a free
+        variable and every unassignment pushes the variable's current key,
+        so that entry sits above all of the variable's outdated ones.
         """
         heap = self._heap
         position = self.engine.position
-        activity = self._activity
         while heap:
-            key, v = heap[0]
+            v = heap[0][1]
             if v in position or -v in position:
                 heapq.heappop(heap)
-            elif -key != activity[v]:
-                heapq.heapreplace(heap, (-activity[v], v))
             else:
                 return self._phase.get(v, -v)
         raise ValueError("all variables are assigned")
@@ -274,7 +268,8 @@ class Solver:
     def analyze_conflict(self, conflict_cid: int):
         """Walk the trail backwards, cancelling until the constraint asserts.
 
-        Returns (constraint, backjump level), or None when the time budget
+        Returns (constraint, backjump level), (constraint, None) when the
+        constraint conflicts at the root, or None when the time budget
         runs out during the walk: the deadline is checked after every
         resolve step, and nothing is learned then.  The search decides only
         at a propagation fixpoint, so the conflicting constraint cannot
@@ -307,7 +302,7 @@ class Solver:
                 # still be conflicting under them.
                 if cur_slack >= 0:
                     raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
-                raise _RootConflict(cur.constraint())
+                return cur.constraint(), None
             entry = engine.trail[pos]
             pivot = entry.lit
             if entry.reason is None or -pivot not in cur.weights:

@@ -44,7 +44,7 @@ from helpers import (
 def genres_reason(conflict, reason, pivot, rho):
     """The reason after gen-res's reduction against ``conflict``."""
     side = Accumulator(reason)
-    reduce_genres(Accumulator(conflict), side, pivot, rho, slack(conflict, rho))
+    reduce_genres(side, pivot, rho, weight(conflict, -pivot), slack(conflict, rho))
     return snapshot(side)
 
 
@@ -65,11 +65,35 @@ class TestStrategyIds:
         assert len(set(STRATEGY_IDS)) == 11
 
     def test_families_and_sides(self):
-        assert STRATEGIES["gen-res"] == ("gen-res", None)
-        assert STRATEGIES["multiply-weaken"] == ("multiply-weaken", None)
-        assert STRATEGIES["rs-conflict"] == ("rs", "conflict")
-        assert STRATEGIES["partial-rs-reason"] == ("partial-rs", "reason")
-        assert STRATEGIES["weaken-ineffective-both"] == ("weaken-ineffective", "both")
+        # Each row is (conflict-side reduction, reason-side reduction).
+        assert STRATEGIES == {
+            "gen-res": (None, "gen-res"),
+            "rs-both": ("rs", "rs"),
+            "rs-conflict": ("rs", None),
+            "rs-reason": (None, "rs"),
+            "partial-rs-both": ("partial-rs", "partial-rs"),
+            "partial-rs-conflict": ("partial-rs", None),
+            "partial-rs-reason": (None, "partial-rs"),
+            "weaken-ineffective-both": ("weaken-ineffective", "weaken-ineffective"),
+            "weaken-ineffective-conflict": ("weaken-ineffective", "gen-res"),
+            "weaken-ineffective-reason": (None, "weaken-ineffective"),
+            "multiply-weaken": (None, "multiply-weaken"),
+        }
+
+    def test_readme_table_matches_the_rows(self):
+        # README's "Strategies" table lists each id with its conflict side
+        # and reason side; "—" is no reduction, and multiply-weaken's reason
+        # cell also names the gen-res guard that always follows it.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("### Strategies", 1)[1]
+        cells = {"—": None, "multiply-weaken, then gen-res": "multiply-weaken"}
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                name, conflict, reason = [cell.strip() for cell in line.split("|")[1:4]]
+                rows[name.strip("`")] = (cells.get(conflict, conflict), cells.get(reason, reason))
+        assert list(rows) == list(STRATEGY_IDS)
+        assert rows == STRATEGIES
 
     def test_command_line_order(self):
         # The order is the default of `bench --strategies`, so it fixes the
@@ -187,7 +211,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0)
         reason = con("3~a 3~b c d e >= 6")
         side = Accumulator(reason)
-        left = weaken_ineffective(side, rho, slack(reason, rho), pivot=lit("~b"))
+        left = weaken_ineffective(side, lit("~b"), rho, slack(reason, rho))
         assert snapshot(side) == con("~b c >= 1")
         assert left == slack(side, rho) == 0
 
@@ -195,7 +219,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0, b=0)
         conflict = con("2a b c f >= 2")
         side = Accumulator(conflict)
-        left = weaken_ineffective(side, rho, slack(conflict, rho), protect=lit("b"))
+        left = weaken_ineffective(side, lit("b"), rho, slack(conflict, rho))
         assert snapshot(side) == con("a b f >= 1")
         assert left == slack(side, rho) == -1
 
@@ -203,7 +227,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0, b=0)
         conflict = con("3f c d e >= 3")
         side = Accumulator(conflict)
-        left = weaken_ineffective(side, rho, slack(conflict, rho))
+        left = weaken_ineffective(side, None, rho, slack(conflict, rho))
         assert snapshot(side) == con("c f >= 1")
         assert left == slack(side, rho) == -1
 
@@ -211,22 +235,23 @@ class TestWeakenIneffective:
         rho = asg(a=0, b=0)
         c = con("a b >= 1")
         side = Accumulator(c)
-        assert weaken_ineffective(side, rho, -1) == -1
+        assert weaken_ineffective(side, None, rho, -1) == -1
         assert snapshot(side) == c
 
     def test_mode_preconditions(self):
-        with pytest.raises(ValueError):
-            weaken_ineffective(Accumulator(con("a b >= 1")), set(), 1, pivot=None)
-        with pytest.raises(ValueError):
-            weaken_ineffective(Accumulator(con("a b >= 1")), asg(a=0, b=0), -1, pivot=lit("a"))
-        # A falsified pivot, even with the slack below its weight.
-        with pytest.raises(ValueError, match="^preserve-propagation mode requires a non-falsified pivot$"):
-            weaken_ineffective(Accumulator(con("3a b c >= 3")), asg(a=0), 0, pivot=lit("a"))
-        # A protected literal that is not falsified, in either mode.
-        with pytest.raises(ValueError, match="^the protected literal must be falsified$"):
-            weaken_ineffective(Accumulator(con("a b c >= 2")), asg(b=0, c=0), -1, protect=lit("a"))
-        with pytest.raises(ValueError, match="^the protected literal must be falsified$"):
-            weaken_ineffective(Accumulator(con("2a b c >= 2")), asg(b=0), 0, pivot=lit("a"), protect=lit("c"))
+        # The mode follows the kept literal: None or falsified preserves a
+        # conflict, so a slack that is not negative is refused.
+        with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
+            weaken_ineffective(Accumulator(con("a b >= 1")), None, set(), 1)
+        with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
+            weaken_ineffective(Accumulator(con("a b c >= 1")), lit("a"), asg(a=0), 1)
+        # A non-falsified kept literal must be propagated: a slack from 0 up
+        # to below its weight.
+        message = "^preserve-propagation mode requires the kept literal to be propagated$"
+        with pytest.raises(ValueError, match=message):
+            weaken_ineffective(Accumulator(con("a b c >= 3")), lit("a"), asg(b=0), -1)
+        with pytest.raises(ValueError, match=message):
+            weaken_ineffective(Accumulator(con("a b >= 1")), lit("a"), set(), 1)
 
     def test_matches_the_priced_reference(self):
         # The reduction weakens without pricing any trial; the reference
@@ -234,25 +259,31 @@ class TestWeakenIneffective:
         # random conflicting and propagating sides, saturated or not, both
         # must give the same constraint, and the returned slack must be the
         # result's slack.
+        # The kept literal is drawn falsified, None or non-falsified; the
+        # reference names the first a protected literal, has no literal for
+        # the second and names the third a pivot.
         rng = random.Random(17)
-        cases = {"conflict": 0, "propagation": 0, "unsaturated": 0}
+        cases = {"kept falsified": 0, "kept none": 0, "propagation": 0, "unsaturated": 0}
         while min(cases.values()) < 1500:
             c = _random_constraint(rng, 7, saturated=rng.random() < 0.5)
             rho = {v if rng.random() < 0.5 else -v for v in range(1, 8) if rng.random() < 0.6}
             start = slack(c, rho)
             falsified = [l for l in literals(c) if -l in rho]
-            protect = rng.choice(falsified) if falsified and rng.random() < 0.5 else None
             if start < 0:
-                pivot = None
+                keep = rng.choice(falsified) if falsified and rng.random() < 0.5 else None
+                mode = "kept none" if keep is None else "kept falsified"
+                reference = {} if keep is None else {"protect": keep}
             else:
-                pivot = rng.choice(literals(c))
-                if -pivot in rho or pivot == protect or start >= weight(c, pivot):
+                keep = rng.choice(literals(c))
+                if -keep in rho or start >= weight(c, keep):
                     continue
+                mode = "propagation"
+                reference = {"pivot": keep}
             side = Accumulator(c)
-            left = weaken_ineffective(side, rho, start, pivot=pivot, protect=protect)
-            assert snapshot(side) == reference_weaken_ineffective(c, rho, pivot=pivot, protect=protect)
+            left = weaken_ineffective(side, keep, rho, start)
+            assert snapshot(side) == reference_weaken_ineffective(c, rho, **reference)
             assert left == slack(side, rho)
-            cases["conflict" if pivot is None else "propagation"] += 1
+            cases[mode] += 1
             cases["unsaturated"] += c != saturate(c)
 
 
@@ -260,7 +291,7 @@ class TestMultiplyWeaken:
     def test_worked_reduction(self):
         rho = rho_after_propagation(asg(a=0, d=0, e=1), lit("b"))
         side = Accumulator(con("5a 5b 3c 2d e >= 6"))
-        assert reduce_multiply_weaken(side, lit("b"), 3, rho)
+        assert reduce_multiply_weaken(side, lit("b"), rho, 3)
         assert snapshot(side) == con("3a 3b c 2d >= 3")
 
     def test_equal_weights_need_no_weakening(self):
@@ -268,7 +299,7 @@ class TestMultiplyWeaken:
         reason = con("3a 3b >= 3")
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
-        assert reduce_multiply_weaken(side, lit("b"), 3, rho)
+        assert reduce_multiply_weaken(side, lit("b"), rho, 3)
         assert snapshot(side) == reason
 
     def test_insufficient_ineffective_mass_falls_back(self):
@@ -276,7 +307,7 @@ class TestMultiplyWeaken:
         reason = con("5a 5b >= 6")
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
-        assert not reduce_multiply_weaken(side, lit("b"), 2, rho)
+        assert not reduce_multiply_weaken(side, lit("b"), rho, 2)
         assert snapshot(side) == reason
 
     def test_unsaturated_reason_with_low_degree_falls_back(self):
@@ -285,7 +316,7 @@ class TestMultiplyWeaken:
         reason = con("5a 5b c >= 3")
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
-        assert not reduce_multiply_weaken(side, lit("b"), 4, rho)
+        assert not reduce_multiply_weaken(side, lit("b"), rho, 4)
         assert snapshot(side) == reason
         conflict = con("4~b 2a c >= 6")
         rho2 = rho | {lit("~c")}
@@ -315,12 +346,12 @@ class TestRuleApplication:
         # Multiplication by nu == 1, nothing to weaken, already saturated.
         rho = asg(a=0, b=1)
         side = Accumulator(reason, trace)
-        assert reduce_multiply_weaken(side, lit("b"), 3, rho)
+        assert reduce_multiply_weaken(side, lit("b"), rho, 3)
         assert side.id == trace.id_of(reason) and snapshot(side) == reason
         # A saturation that changes nothing, on a pair that is already safe.
         rho = asg(a=0, c=0, b=0)
         side = Accumulator(safe_reason, trace)
-        reduce_genres(Accumulator(reason, trace), side, lit("~b"), rho, slack(reason, rho))
+        reduce_genres(side, lit("~b"), rho, weight(reason, lit("b")), slack(reason, rho))
         assert side.id == trace.id_of(safe_reason) and snapshot(side) == safe_reason
         assert trace.steps == []
 
@@ -416,7 +447,7 @@ class TestResolveStep:
         # resolve output must still be conflicting and implied.
         rho = {-1, -2, -3, -9}
         conflict = con("3a 3b 2c >= 5")
-        reduced = on_accumulator(weaken_ineffective, conflict, rho, slack(conflict, rho), protect=lit("a"))
+        reduced = on_accumulator(weaken_ineffective, conflict, lit("a"), rho, slack(conflict, rho))
         assert reduced == con("3a 3b >= 3")
         assert not is_clause(reduced)
         reason = Constraint([(-1, 2), (9, 1)], 2)  # propagated ~a

@@ -17,12 +17,12 @@ from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT, parse_opb, write_op
 from pbsolve.solver import (
     Solver,
     SolverConfig,
-    _RootConflict,
     luby,
     solve,
 )
 from pbsolve.trace import verify_trace
 from helpers import (
+    assignment_at_level,
     backjump_level,
     bump_one_at_a_time,
     con,
@@ -271,6 +271,31 @@ class TestAnalyzeConflict:
                 solve(instance, SolverConfig(strategy=strategy, conflict_budget=200))
         assert len(checked) > 3000
 
+    def test_root_exit_is_the_final_conflict(self, monkeypatch):
+        # Every strategy refutes php-4-3 through the walk's root exit, which
+        # returns the constraint with level None; the trace's final conflict
+        # is that constraint, and the checker accepts the trace.
+        analyze = Solver.analyze_conflict
+        exits = []
+
+        def recorded(solver, conflict_cid):
+            analyzed = analyze(solver, conflict_cid)
+            exits.append(analyzed)
+            return analyzed
+
+        monkeypatch.setattr(Solver, "analyze_conflict", recorded)
+        instance = php_instance(4, 3)
+        for strategy in STRATEGY_IDS:
+            exits.clear()
+            result = solve(instance, SolverConfig(strategy=strategy, emit_trace=True))
+            assert result.status == UNSAT, strategy
+            root, level = exits[-1]
+            assert level is None
+            assert all(other[1] is not None for other in exits[:-1])
+            assert result.trace.final == result.trace.id_of(root)
+            check = verify_trace(instance, result.trace)
+            assert check, (strategy, check.error)
+
     def test_learned_constraint_propagates_after_backjump(self):
         rng = random.Random(3)
         instances = [php_instance(5, 4)] + [balanced_instance(30, 120, rng) for _ in range(2)]
@@ -445,10 +470,12 @@ class TestAssertiveness:
                             continue
                         conflict = engine.propagate_all()
                         if conflict is not None:
-                            try:
-                                solver.analyze_conflict(conflict)
-                            except _RootConflict:
-                                pass
+                            # A root conflict comes back with level None.
+                            found, level = solver.analyze_conflict(conflict)
+                            if level is None:
+                                assert slack(found, assignment_at_level(engine, 0)) < 0
+                            else:
+                                assert level == oracle_assertion_level(found, engine)
                             break
                     for c in (*instance.constraints, *learned):
                         expected = oracle_assertion_level(c, engine)
