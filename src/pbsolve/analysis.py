@@ -270,31 +270,33 @@ def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> N
     side.divide(r)
 
 
-def weaken_ineffective(side: Accumulator, keep: int | None, rho, side_slack: int) -> int:
+def weaken_ineffective(side: Accumulator, keep: int | None, rho) -> int:
     """Shorten a constraint by weakening literals while its role is preserved.
 
-    ``side_slack`` is the side's slack under ``rho``.  A ``keep`` literal
-    that is None or falsified preserves a conflict (slack stays negative);
-    a non-falsified one preserves its propagation (its weight stays above
-    the slack).  Every literal but ``keep`` whose weight is below the degree
-    is weakened, non-falsified ones first, and the side saturated.  No trial
-    is priced: weakening a non-falsified literal and saturating never raises
-    the slack, and once none is left the slack is the kept literal's weight
-    (0 in conflict mode) minus the degree, as weakening a falsified literal
-    keeps it; that slack is returned.  A side that does not conflict, or
-    does not propagate ``keep``, as its mode requires raises ValueError.
+    A ``keep`` literal that is None or falsified preserves a conflict (slack
+    stays negative); a non-falsified one preserves its propagation (its
+    weight stays above the slack).  Every literal but ``keep`` whose weight
+    is below the degree is weakened, non-falsified ones first, and the side
+    saturated.  No trial is priced: weakening a non-falsified literal and
+    saturating never raises the slack, and once none is left the slack is
+    the kept literal's weight (0 in conflict mode) minus the degree, as
+    weakening a falsified literal keeps it; that slack is returned.  The
+    slack under ``rho`` at the start, read off the sorted pass, must
+    conflict or propagate ``keep`` as the mode requires, or ValueError.
     """
     propagated = keep is not None and -keep not in rho
-    if not propagated:
-        if side_slack >= 0:
-            raise ValueError("preserve-conflict mode requires a conflicting constraint")
-    elif not 0 <= side_slack < side.weights.get(keep, 0):
-        raise ValueError("preserve-propagation mode requires the kept literal to be propagated")
     order = sorted(
         (-lit in rho, w, abs(lit), lit)
         for lit, w in side.weights.items()
         if lit != keep
     )
+    kept = side.weights.get(keep, 0) if propagated else 0
+    start = kept - side.degree + sum(w for falsified, w, _, _ in order if not falsified)
+    if not propagated:
+        if start >= 0:
+            raise ValueError("preserve-conflict mode requires a conflicting constraint")
+    elif not 0 <= start < kept:
+        raise ValueError("preserve-propagation mode requires the kept literal to be propagated")
     for _, _, _, lit in order:
         if side.weights[lit] < side.degree:
             side.weaken(lit)
@@ -362,8 +364,8 @@ def resolve_step(
     and negated in the conflict.  ``rho`` holds the true literals in effect
     at this step (up to and including the pivot), ``strategy`` is a key
     of :data:`STRATEGIES`, and ``conflict_slack`` is the conflict side's
-    slack under ``rho``; it is handed to the reductions that read it, and
-    weaken-ineffective's conflict side hands back the slack it leaves.
+    slack under ``rho``; gen-res's guard reads it, and weaken-ineffective,
+    which works out its side's slack itself, hands back the slack it leaves.
     ``conflict`` is rewritten in place into the saturated cancellation, which is guaranteed to be
     conflicting under ``rho``; a violation of that guarantee raises
     :class:`AnalysisError` since every strategy establishes it by
@@ -387,12 +389,12 @@ def resolve_step(
     # Only weaken-ineffective hands back the conflict side's slack; no row
     # follows a rounding of the conflict with gen-res's guard, which reads it.
     if on_conflict == "weaken-ineffective":
-        conflict_slack = weaken_ineffective(conflict, -pivot, rho, conflict_slack)
+        conflict_slack = weaken_ineffective(conflict, -pivot, rho)
     elif on_conflict is not None:
         reduce_rs(conflict, -pivot, rho, partial=on_conflict == "partial-rs")
     cw = conflict.weights[-pivot]
     if on_reason == "weaken-ineffective":
-        weaken_ineffective(reduced, pivot, rho, slack(reduced, rho))
+        weaken_ineffective(reduced, pivot, rho)
     elif on_reason in ("rs", "partial-rs"):
         reduce_rs(reduced, pivot, rho, partial=on_reason == "partial-rs")
     elif on_reason is not None:

@@ -64,6 +64,7 @@ def parse_opb(
     else:
         text = source
     instance = ParsedInstance(name=name)
+    top = 0  # declared_vars is raised to every index a row names, kept or dropped
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -86,7 +87,12 @@ def parse_opb(
                 lineno,
                 col,
             )
-        instance.constraints.extend(normalize(*_parse_constraint_line(line, lineno)))
+        terms, relation, rhs = _parse_constraint_line(line, lineno)
+        for _, v in terms:
+            if v > top:
+                top = v
+        instance.constraints.extend(normalize(terms, relation, rhs))
+    instance.declared_vars = max(instance.declared_vars, top)
     return instance
 
 

@@ -117,7 +117,6 @@ class Solver:
         self._cla_activity: dict[int, float] = {}  # live learned cid -> activity
         self._cla_inc = 1.0
         self._conflicts_since_restart = 0
-        self._learned_since_reduce = 0
         self._deadline: float | None = None
         for c in instance.constraints:
             self.engine.add_constraint(c)
@@ -141,8 +140,8 @@ class Solver:
     # -- main loop --------------------------------------------------------------
 
     def _search(self) -> SolverResult:
-        conflict = self.engine.propagate_all()
         while True:
+            conflict = self.engine.propagate_all()
             if conflict is not None:
                 self.stats.conflicts += 1
                 self._conflicts_since_restart += 1
@@ -163,7 +162,6 @@ class Solver:
                     and self.stats.conflicts >= self.config.conflict_budget
                 ):
                     return SolverResult(UNKNOWN)
-                conflict = self.engine.propagate_all()
                 continue
             if len(self.engine.trail) == self.nvars:
                 return SolverResult(SAT, model=self._checked_model())
@@ -175,7 +173,6 @@ class Solver:
             if self._out_of_time():
                 return SolverResult(UNKNOWN)
             self._decide()
-            conflict = self.engine.propagate_all()
 
     def _out_of_time(self) -> bool:
         return self._deadline is not None and time.monotonic() > self._deadline
@@ -273,9 +270,9 @@ class Solver:
         runs out during the walk: the deadline is checked after every
         resolve step, and nothing is learned then.  The search decides only
         at a propagation fixpoint, so the conflicting constraint cannot
-        assert below its level before a resolve step.  The root exit is the
-        one way to a root conflict; a slack there that is not negative
-        means propagation was incomplete and raises :class:`AnalysisError`.
+        assert below its level before a resolve step.  The walk stops at level 0;
+        the root exit after it is the one way to a root conflict, and a slack there
+        that is not negative means propagation was incomplete and raises :class:`AnalysisError`.
         The conflict side is one :class:`Accumulator` that every resolve
         step rewrites in place; a constraint is built from it only when it
         is learned or proves a root conflict.  Each resolve step sees as
@@ -294,41 +291,37 @@ class Solver:
         assert start is not None
         cur = Accumulator(start, self.trace)
         rho = set(engine.position)
-        pos = len(engine.trail) - 1
         cur_slack = engine.slacks[conflict_cid]
-        while True:
-            if pos < 0 or engine.trail[pos].level == 0:
-                # Only root-level assignments remain, and the constraint must
-                # still be conflicting under them.
-                if cur_slack >= 0:
-                    raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
-                return cur.constraint(), None
-            entry = engine.trail[pos]
+        for entry in reversed(engine.trail):
+            if entry.level == 0:
+                break
             pivot = entry.lit
             if entry.reason is None or -pivot not in cur.weights:
                 # Unassigning the pivot unfalsifies its negation, if present.
                 cur_slack += cur.weights.get(-pivot, 0)
-                rho.remove(pivot)
-                pos -= 1
-                continue
-            reason = engine.constraints[entry.reason]
-            assert reason is not None
-            self._bump_constraint(entry.reason)
-            variables = set(map(abs, cur.weights))
-            variables.update(abs(lit) for lit, _ in reason.terms)
-            self.bump_variables(sorted(variables))
-            fallback, cur_slack = resolve_step(cur, reason, pivot, rho, strategy, cur_slack)
-            if fallback:
-                self.stats.fallbacks += 1
-            if self._out_of_time():
-                return None
-            # The engine's state is frozen during analysis, so the assertion
-            # level changes only when a resolve step rewrites ``cur``.
-            level = self._assertion_level(cur)
-            if level is not None:
-                return cur.constraint(), level
+            else:
+                reason = engine.constraints[entry.reason]
+                assert reason is not None
+                self._bump_constraint(entry.reason)
+                variables = set(map(abs, cur.weights))
+                variables.update(abs(lit) for lit, _ in reason.terms)
+                self.bump_variables(sorted(variables))
+                fallback, cur_slack = resolve_step(cur, reason, pivot, rho, strategy, cur_slack)
+                if fallback:
+                    self.stats.fallbacks += 1
+                if self._out_of_time():
+                    return None
+                # The engine's state is frozen during analysis, so the assertion
+                # level changes only when a resolve step rewrites ``cur``.
+                level = self._assertion_level(cur)
+                if level is not None:
+                    return cur.constraint(), level
             rho.remove(pivot)
-            pos -= 1
+        # Only root-level assignments remain, and the constraint must
+        # still be conflicting under them.
+        if cur_slack >= 0:
+            raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
+        return cur.constraint(), None
 
     def _assertion_level(self, c) -> int | None:
         """Smallest level (below the current one) at which a constraint asserts.
@@ -391,12 +384,10 @@ class Solver:
         cid = self.engine.add_constraint(learned)
         self._cla_activity[cid] = self._cla_inc
         self.stats.learned += 1
-        self._learned_since_reduce += 1
         self._note_coefficients(learned)
         if self.trace is not None:
             self.trace.mark_learned(learned)
-        if self._learned_since_reduce >= REDUCE_INTERVAL:
-            self._learned_since_reduce = 0
+        if self.stats.learned % REDUCE_INTERVAL == 0:
             self.reduce_db()
 
     def _note_coefficients(self, c: Constraint) -> None:

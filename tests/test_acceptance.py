@@ -91,17 +91,17 @@ def test_criterion_1_worked_derivations():
     # Ineffective-literal weakening, both sides and conflict-only.
     rho4 = asg(a=0, c=0, f=0)
     reason4 = con("3~a 3~b c d e >= 6")
-    reduced4 = on_accumulator(weaken_ineffective, reason4, lit("~b"), rho4, slack(reason4, rho4))
+    reduced4 = on_accumulator(weaken_ineffective, reason4, lit("~b"), rho4)
     assert reduced4 == con("~b c >= 1")
     rho4b = rho4 | {lit("~b")}
     conflict4 = con("2a b c f >= 2")
-    reduced4 = on_accumulator(weaken_ineffective, conflict4, lit("b"), rho4b, slack(conflict4, rho4b))
+    reduced4 = on_accumulator(weaken_ineffective, conflict4, lit("b"), rho4b)
     assert reduced4 == con("a b f >= 1")
     both = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-both")
     assert both.constraint == con("a c f >= 1")
     one_side = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-conflict")
     assert one_side.constraint == con("3f c d e >= 3")
-    follow_up = on_accumulator(weaken_ineffective, one_side.constraint, None, rho4b, one_side.slack)
+    follow_up = on_accumulator(weaken_ineffective, one_side.constraint, None, rho4b)
     assert follow_up == con("c f >= 1")
 
     # Partial rounding keeps the non-divisible remainders.

@@ -211,7 +211,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0)
         reason = con("3~a 3~b c d e >= 6")
         side = Accumulator(reason)
-        left = weaken_ineffective(side, lit("~b"), rho, slack(reason, rho))
+        left = weaken_ineffective(side, lit("~b"), rho)
         assert snapshot(side) == con("~b c >= 1")
         assert left == slack(side, rho) == 0
 
@@ -219,7 +219,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0, b=0)
         conflict = con("2a b c f >= 2")
         side = Accumulator(conflict)
-        left = weaken_ineffective(side, lit("b"), rho, slack(conflict, rho))
+        left = weaken_ineffective(side, lit("b"), rho)
         assert snapshot(side) == con("a b f >= 1")
         assert left == slack(side, rho) == -1
 
@@ -227,7 +227,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0, b=0)
         conflict = con("3f c d e >= 3")
         side = Accumulator(conflict)
-        left = weaken_ineffective(side, None, rho, slack(conflict, rho))
+        left = weaken_ineffective(side, None, rho)
         assert snapshot(side) == con("c f >= 1")
         assert left == slack(side, rho) == -1
 
@@ -235,23 +235,23 @@ class TestWeakenIneffective:
         rho = asg(a=0, b=0)
         c = con("a b >= 1")
         side = Accumulator(c)
-        assert weaken_ineffective(side, None, rho, -1) == -1
+        assert weaken_ineffective(side, None, rho) == -1
         assert snapshot(side) == c
 
     def test_mode_preconditions(self):
         # The mode follows the kept literal: None or falsified preserves a
         # conflict, so a slack that is not negative is refused.
         with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
-            weaken_ineffective(Accumulator(con("a b >= 1")), None, set(), 1)
+            weaken_ineffective(Accumulator(con("a b >= 1")), None, set())
         with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
-            weaken_ineffective(Accumulator(con("a b c >= 1")), lit("a"), asg(a=0), 1)
+            weaken_ineffective(Accumulator(con("a b c >= 1")), lit("a"), asg(a=0))
         # A non-falsified kept literal must be propagated: a slack from 0 up
         # to below its weight.
         message = "^preserve-propagation mode requires the kept literal to be propagated$"
         with pytest.raises(ValueError, match=message):
-            weaken_ineffective(Accumulator(con("a b c >= 3")), lit("a"), asg(b=0), -1)
+            weaken_ineffective(Accumulator(con("a b c >= 3")), lit("a"), asg(b=0))
         with pytest.raises(ValueError, match=message):
-            weaken_ineffective(Accumulator(con("a b >= 1")), lit("a"), set(), 1)
+            weaken_ineffective(Accumulator(con("a b >= 1")), lit("a"), set())
 
     def test_matches_the_priced_reference(self):
         # The reduction weakens without pricing any trial; the reference
@@ -261,26 +261,43 @@ class TestWeakenIneffective:
         # result's slack.
         # The kept literal is drawn falsified, None or non-falsified; the
         # reference names the first a protected literal, has no literal for
-        # the second and names the third a pivot.
+        # the second and names the third a pivot.  A side that breaks its
+        # mode is refused, unchanged, with that mode's precondition error:
+        # in conflict mode a slack of 0 or more, in propagation mode a slack
+        # below 0 or at least the kept weight.
         rng = random.Random(17)
         cases = {"kept falsified": 0, "kept none": 0, "propagation": 0, "unsaturated": 0}
-        while min(cases.values()) < 1500:
+        refused = {"conflict": 0, "propagation below 0": 0, "propagation at the kept weight": 0}
+        while min(cases.values()) < 1500 or min(refused.values()) < 300:
             c = _random_constraint(rng, 7, saturated=rng.random() < 0.5)
             rho = {v if rng.random() < 0.5 else -v for v in range(1, 8) if rng.random() < 0.6}
             start = slack(c, rho)
             falsified = [l for l in literals(c) if -l in rho]
-            if start < 0:
+            free = [l for l in literals(c) if -l not in rho]
+            if not free or rng.random() < 0.5:
                 keep = rng.choice(falsified) if falsified and rng.random() < 0.5 else None
                 mode = "kept none" if keep is None else "kept falsified"
                 reference = {} if keep is None else {"protect": keep}
+                broken = "conflict" if start >= 0 else None
+                message = "^preserve-conflict mode requires a conflicting constraint$"
             else:
-                keep = rng.choice(literals(c))
-                if -keep in rho or start >= weight(c, keep):
-                    continue
+                keep = rng.choice(free)
                 mode = "propagation"
                 reference = {"pivot": keep}
+                broken = None
+                if start < 0:
+                    broken = "propagation below 0"
+                elif start >= weight(c, keep):
+                    broken = "propagation at the kept weight"
+                message = "^preserve-propagation mode requires the kept literal to be propagated$"
             side = Accumulator(c)
-            left = weaken_ineffective(side, keep, rho, start)
+            if broken is not None:
+                with pytest.raises(ValueError, match=message):
+                    weaken_ineffective(side, keep, rho)
+                assert snapshot(side) == c
+                refused[broken] += 1
+                continue
+            left = weaken_ineffective(side, keep, rho)
             assert snapshot(side) == reference_weaken_ineffective(c, rho, **reference)
             assert left == slack(side, rho)
             cases[mode] += 1
@@ -447,7 +464,7 @@ class TestResolveStep:
         # resolve output must still be conflicting and implied.
         rho = {-1, -2, -3, -9}
         conflict = con("3a 3b 2c >= 5")
-        reduced = on_accumulator(weaken_ineffective, conflict, lit("a"), rho, slack(conflict, rho))
+        reduced = on_accumulator(weaken_ineffective, conflict, lit("a"), rho)
         assert reduced == con("3a 3b >= 3")
         assert not is_clause(reduced)
         reason = Constraint([(-1, 2), (9, 1)], 2)  # propagated ~a

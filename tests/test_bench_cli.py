@@ -148,6 +148,22 @@ class TestCli:
         assert "s SATISFIABLE" in proc.stdout
         assert "\nv x1" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "content, values",
+        [
+            ("+1 x1 >= 0 ;\n", "v -x1"),
+            ("* #variable= 1 #constraint= 2\n+1 x1 >= 1 ;\n+1 x2 +1 x3 >= 0 ;\n", "v x1 -x2 -x3"),
+        ],
+    )
+    def test_solve_prints_every_variable_of_the_file(self, tmp_path, content, values):
+        # x1 in the first file and x2, x3 in the second occur only in rows
+        # that normalization drops as tautologies.
+        path = tmp_path / "dropped.opb"
+        path.write_text(content)
+        proc = run_cli("solve", path)
+        assert proc.returncode == 10
+        assert proc.stdout.splitlines()[-1] == values
+
     def test_malformed_file_positioned_diagnostic(self, tmp_path):
         path = tmp_path / "bad.opb"
         path.write_text("+1 x1 x2 >= 1 ;\n")

@@ -42,6 +42,18 @@ class TestParse:
         assert inst.declared_vars == 6
         assert inst.nvars == 6
 
+    def test_every_variable_read_counts_in_nvars(self):
+        # A row that normalization drops still names its variables, and a
+        # row with no terms names none.
+        assert parse_opb("+1 x1 >= 0 ;\n").nvars == 1
+        text = "* #variable= 1 #constraint= 3\n+1 x1 >= 1 ;\n+1 x2 +1 x3 >= 0 ;\n>= 1 ;\n"
+        inst = parse_opb(text)
+        assert inst.constraints == [con("a >= 1"), Constraint((), 1)]
+        assert inst.declared_vars == inst.nvars == 3
+        assert parse_opb(">= 1 ;\n").nvars == 0
+        # A header after the rows does not lower the count.
+        assert parse_opb("+1 x5 >= 0 ;\n* #variable= 3 #constraint= 1\n").nvars == 5
+
     def test_unsigned_weights_and_crlf(self):
         inst = parse_opb("1 x1 1 x2 >= 1 ;\r\n")
         assert inst.constraints == [con("a b >= 1")]
@@ -127,7 +139,7 @@ class TestWrite:
         buf = io.StringIO()
         write_opb(inst, buf)
         assert buf.getvalue().splitlines() == [
-            "* #variable= 2 #constraint= 3",
+            "* #variable= 3 #constraint= 3",
             ">= 1 ;",
             "+1 x2 >= 1 ;",
             ">= 1 ;",
