@@ -346,39 +346,6 @@ class TestAccumulatorMatchesReference:
         if strategy == "multiply-weaken":
             assert any(steps) and not all(steps)
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [s for s, (_, on_reason) in STRATEGIES.items() if on_reason not in ("gen-res", "multiply-weaken")],
-    )
-    def test_a_step_prices_only_in_its_post_check(self, strategy, monkeypatch):
-        # Only gen-res's guard loop, which multiply-weaken ends in too,
-        # prices a side from scratch while reducing.  Every other row reads
-        # the slacks it needs off passes it already makes, so a step prices
-        # once: the post-check, on the conflict side it returns.
-        priced = []
-        steps = []
-        price = pbsolve.analysis.slack
-        step = pbsolve.solver.resolve_step
-
-        def counted_slack(c, rho):
-            priced.append(snapshot(c))
-            return price(c, rho)
-
-        def counted_step(conflict, *args):
-            before = len(priced)
-            result = step(conflict, *args)
-            assert priced[before:] == [snapshot(conflict)]
-            steps.append(result)
-            return result
-
-        monkeypatch.setattr(pbsolve.analysis, "slack", counted_slack)
-        monkeypatch.setattr(pbsolve.solver, "resolve_step", counted_step)
-        assert solve(php_instance(6, 5), SolverConfig(strategy=strategy)).status == UNSAT
-        for seed in (1, 2):
-            instance = balanced_instance(30, 120, random.Random(seed))
-            solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
-        assert len(steps) >= 800
-
     def test_observers_may_keep_the_assignment(self, monkeypatch):
         # The walk unassigns each pivot after its step, so an observer that
         # keeps the solver's own set would find the pivots gone.
@@ -424,6 +391,41 @@ class TestAccumulatorMatchesReference:
         learned, level = solver.analyze_conflict(3)
         assert after_skip == [var("g"), var("c")]
         assert learned == con("2~a ~b >= 2") and level == 0
+
+
+class TestStepPricing:
+    @pytest.mark.parametrize(
+        "strategy",
+        [s for s, (_, on_reason) in STRATEGIES.items() if on_reason not in ("gen-res", "multiply-weaken")],
+    )
+    def test_a_step_prices_only_in_its_post_check(self, strategy, monkeypatch):
+        # Only gen-res's guard loop, which multiply-weaken ends in too,
+        # prices a side from scratch while reducing.  Every other row reads
+        # the slacks it needs off passes it already makes, so a step prices
+        # once: the post-check, on the conflict side it returns.
+        priced = []
+        steps = []
+        price = pbsolve.analysis.slack
+        step = pbsolve.solver.resolve_step
+
+        def counted_slack(c, rho):
+            priced.append(snapshot(c))
+            return price(c, rho)
+
+        def counted_step(conflict, *args):
+            before = len(priced)
+            result = step(conflict, *args)
+            assert priced[before:] == [snapshot(conflict)]
+            steps.append(result)
+            return result
+
+        monkeypatch.setattr(pbsolve.analysis, "slack", counted_slack)
+        monkeypatch.setattr(pbsolve.solver, "resolve_step", counted_step)
+        assert solve(php_instance(6, 5), SolverConfig(strategy=strategy)).status == UNSAT
+        for seed in (1, 2):
+            instance = balanced_instance(30, 120, random.Random(seed))
+            solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
+        assert len(steps) >= 800
 
 
 class TestAssertiveness:
