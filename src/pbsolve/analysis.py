@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .core import Constraint, format_constraint, slack
+from .core import Constraint, slack
 from .trace import DerivationTrace
 
 #: Every strategy id, in command-line order -> (conflict-side reduction,
@@ -100,7 +100,8 @@ class Accumulator:
             self.trace.bind(c, self.id)
         return c
 
-    def _record(self, rule: str, *args: int) -> None:
+    def record(self, rule: str, *args: int) -> None:
+        """Record the current value in the trace as the output of ``rule`` on ``args``."""
         self.id = self.trace.record(rule, args, tuple(self.weights.items()), self.degree)
 
     def weaken(self, lit: int) -> None:
@@ -111,7 +112,7 @@ class Accumulator:
         del self.weights[lit]
         self.degree = degree
         if self.trace is not None:
-            self._record("weaken", self.id, lit)
+            self.record("weaken", self.id, lit)
 
     def partial_weaken(self, lit: int, eps: int) -> None:
         """Lower a literal's weight and the degree by ``eps`` (0 < eps <= weight)."""
@@ -125,7 +126,7 @@ class Accumulator:
             del self.weights[lit]
         self.degree = degree
         if self.trace is not None:
-            self._record("pweaken", self.id, lit, eps)
+            self.record("pweaken", self.id, lit, eps)
 
     def saturate(self) -> None:
         """Cap every weight at the degree."""
@@ -137,7 +138,7 @@ class Accumulator:
         for lit in capped:
             weights[lit] = d
         if self.trace is not None:
-            self._record("saturate", self.id)
+            self.record("saturate", self.id)
 
     def divide(self, r: int) -> None:
         """Ceiling-divide every weight and the degree by ``r >= 1``."""
@@ -146,7 +147,7 @@ class Accumulator:
         self.weights = {lit: -(-w // r) for lit, w in self.weights.items()}
         self.degree = -(-self.degree // r)
         if self.trace is not None:
-            self._record("divide", self.id, r)
+            self.record("divide", self.id, r)
 
     def multiply(self, k: int) -> None:
         """Scale every weight and the degree by ``k >= 1``."""
@@ -155,7 +156,7 @@ class Accumulator:
         self.weights = {lit: k * w for lit, w in self.weights.items()}
         self.degree *= k
         if self.trace is not None:
-            self._record("multiply", self.id, k)
+            self.record("multiply", self.id, k)
 
     def cancel(self, reason: "Accumulator", pivot: int) -> None:
         """Add ``reason``, both scaled by the minimal multipliers that eliminate the pivot.
@@ -200,7 +201,7 @@ class Accumulator:
             self.weights = {lit: weights[lit] for lit in sorted(weights, key=abs)}
         self.degree = degree
         if self.trace is not None:
-            self._record("cancel", self.id, reason.id, abs(pivot))
+            self.record("cancel", self.id, reason.id, abs(pivot))
 
 
 def reduce_genres(
@@ -357,7 +358,7 @@ def resolve_step(
     rho,
     strategy: str,
     conflict_slack: int,
-) -> tuple[bool, int]:
+) -> bool:
     """One strategy-guided cancellation of a reason into the conflict side.
 
     ``pivot`` is the propagated literal: it occurs positively in the reason
@@ -365,14 +366,12 @@ def resolve_step(
     at this step (up to and including the pivot), ``strategy`` is a key
     of :data:`STRATEGIES`, and ``conflict_slack`` is the conflict side's
     slack under ``rho``; gen-res's guard reads it, and weaken-ineffective,
-    which works out its side's slack itself, hands back the slack it leaves.
-    ``conflict`` is rewritten in place into the saturated cancellation, which is guaranteed to be
-    conflicting under ``rho``; a violation of that guarantee raises
-    :class:`AnalysisError` since every strategy establishes it by
-    construction.  Returns whether multiply-weaken fell back to gen-res, and
-    the new conflict side's slack under ``rho``, recomputed in full by that
-    check.  The reason is reduced on an accumulator of its own that shares
-    the conflict's trace.
+    which works out its side's slack itself, hands on the slack it leaves.
+    ``conflict`` is rewritten in place into the cancellation, unsaturated;
+    the caller's one pass then saturates it and checks that it conflicts
+    under ``rho``, as every strategy ensures by construction.  Returns
+    whether multiply-weaken fell back to gen-res.  The reason is reduced on
+    an accumulator of its own that shares the conflict's trace.
     """
     if conflict_slack >= 0:
         raise ValueError("conflict side is not conflicting under the assignment")
@@ -409,9 +408,4 @@ def resolve_step(
         reduce_genres(reduced, pivot, rho, cw, conflict_slack)
 
     conflict.cancel(reduced, pivot)
-    conflict.saturate()
-    conflict_slack = slack(conflict, rho)
-    if conflict_slack >= 0:
-        text = format_constraint(conflict.terms, conflict.degree)
-        raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {strategy}: {text}")
-    return fallback, conflict_slack
+    return fallback

@@ -1,31 +1,25 @@
 """Trail management and counter-based unit propagation.
 
-The assignment is the trail's literals; ``position`` maps each of them to its
-trail index.  The engine keeps, for every attached constraint, its current
-slack under the assignment, updated incrementally: assigning a literal lowers
-the slack of every constraint containing its negation by that literal's
-weight, and unassigning restores it.  Propagation scans constraints whose
-slack may admit candidates and assigns every unassigned literal whose weight
-exceeds the slack.  The search decides only after :meth:`propagate_all`
-returns None, so below the current level no constraint conflicts or
-propagates; conflict analysis rests on that.  One engine instance is
-strictly single-threaded.
+The trail is three parallel lists: the assigned literals, their levels and
+their reasons, the id of the propagating constraint or None for a decision.
+``position`` maps each true literal to its trail index.  The engine keeps,
+for every attached constraint, its current slack under the assignment,
+updated incrementally: assigning a literal lowers the slack of every
+constraint containing its negation by that literal's weight, and
+unassigning restores it.  Propagation scans constraints whose slack may
+admit candidates and assigns every unassigned literal whose weight exceeds
+the slack.  The search decides only after :meth:`propagate_all` returns
+None, so below the current level no constraint conflicts or propagates;
+conflict analysis rests on that.  One engine instance is strictly
+single-threaded.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Constraint, slack
-
-
-@dataclass
-class TrailEntry:
-    lit: int
-    level: int
-    reason: int | None  # constraint id, or None for a decision
 
 
 class PropagationEngine:
@@ -33,12 +27,19 @@ class PropagationEngine:
         self.constraints: list[Constraint | None] = []  # None = removed
         self.slacks: list[int] = []  # not maintained for removed constraints
         self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)]
-        self.trail: list[TrailEntry] = []
+        self.trail: list[int] = []  # assigned literals, in order
+        self.levels: list[int] = []  # trail index -> decision level
+        self.reasons: list[int | None] = []  # trail index -> constraint id, None = decision
         self.position: dict[int, int] = {}  # true lit -> trail index; read-only outside
-        self.current_level = 0  # number of open decision levels
+        self.level_starts: list[int] = []  # trail index of each open level's decision
         self._qhead = 0
         self._pending: deque[int] = deque()
         self.propagations = 0
+
+    @property
+    def current_level(self) -> int:
+        """The number of open decision levels."""
+        return len(self.level_starts)
 
     # -- database ---------------------------------------------------------
 
@@ -79,14 +80,16 @@ class PropagationEngine:
         if lit in position or -lit in position:
             raise ValueError(f"variable x{abs(lit)} is already assigned")
         position[lit] = len(self.trail)
-        self.trail.append(TrailEntry(lit, self.current_level, reason))
+        self.trail.append(lit)
+        self.levels.append(len(self.level_starts))
+        self.reasons.append(reason)
         slacks = self.slacks
         for cid, w in self.occs.get(-lit, ()):
             slacks[cid] -= w
 
     def assume(self, lit: int) -> None:
         """Open a new decision level and assign the literal as its decision."""
-        self.current_level += 1
+        self.level_starts.append(len(self.trail))
         self.assign(lit, None)
 
     def propagate_all(self) -> int | None:
@@ -114,7 +117,7 @@ class PropagationEngine:
                 self._scan(cid, c)
                 pending.popleft()
             elif self._qhead < len(trail):
-                lit = trail[self._qhead].lit
+                lit = trail[self._qhead]
                 self._qhead += 1
                 for cid, w in occs.get(-lit, ()):
                     c = constraints[cid]
@@ -140,22 +143,18 @@ class PropagationEngine:
                 self.propagations += 1
 
     def backjump_to(self, level: int) -> list[int]:
-        """Remove all entries above ``level``; returns the unassigned literals."""
+        """Remove all entries above ``level``; returns the unassigned literals, last first."""
         if level >= self.current_level:
             raise ValueError(
                 f"backjump level {level} is not below the current level {self.current_level}"
             )
-        popped: list[int] = []
-        trail = self.trail
-        position = self.position
-        slacks = self.slacks
-        occs = self.occs
-        while trail and trail[-1].level > level:
-            lit = trail.pop().lit
-            popped.append(lit)
+        start = self.level_starts[level]
+        popped = self.trail[start:][::-1]
+        position, slacks, occs = self.position, self.slacks, self.occs
+        for lit in popped:
             del position[lit]
             for cid, w in occs.get(-lit, ()):
                 slacks[cid] += w
-        self.current_level = level
-        self._qhead = min(self._qhead, len(trail))
+        del self.trail[start:], self.levels[start:], self.reasons[start:], self.level_starts[level:]
+        self._qhead = min(self._qhead, start)
         return popped

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .analysis import STRATEGIES, STRATEGY_IDS, Accumulator, AnalysisError, resolve_step
-from .core import Constraint
+from .core import Constraint, format_constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
 from .trace import DerivationTrace
@@ -277,12 +277,12 @@ class Solver:
         step rewrites in place; a constraint is built from it only when it
         is learned or proves a root conflict.  Each resolve step sees as
         ``rho`` the literals of the trail prefix up to and including its
-        pivot, so the conflict invariant refers to the state in which the
-        pivot was propagated.  The conflict side's slack under ``rho`` starts
-        as the engine's slack of the conflicting constraint and is then
-        handed from each step to the next; between steps it changes only
-        when the walk skips an entry whose negation the conflict side
-        contains, and rises then by that literal's weight.
+        pivot, at index ``p``; after it, one :func:`settle` pass saturates
+        the conflict side, prices its slack under that prefix, which must be
+        negative, and finds its assertion level.  The slack starts as the
+        engine's slack of the conflicting constraint and rises only when the
+        walk skips an entry whose negation the conflict side holds, by that
+        literal's weight.
         """
         engine = self.engine
         strategy = self.config.strategy
@@ -292,28 +292,31 @@ class Solver:
         cur = Accumulator(start, self.trace)
         rho = set(engine.position)
         cur_slack = engine.slacks[conflict_cid]
-        for entry in reversed(engine.trail):
-            if entry.level == 0:
+        trail, levels, reasons = engine.trail, engine.levels, engine.reasons
+        for p in range(len(trail) - 1, -1, -1):
+            if levels[p] == 0:
                 break
-            pivot = entry.lit
-            if entry.reason is None or -pivot not in cur.weights:
+            pivot = trail[p]
+            cid = reasons[p]
+            if cid is None or -pivot not in cur.weights:
                 # Unassigning the pivot unfalsifies its negation, if present.
                 cur_slack += cur.weights.get(-pivot, 0)
             else:
-                reason = engine.constraints[entry.reason]
+                reason = engine.constraints[cid]
                 assert reason is not None
-                self._bump_constraint(entry.reason)
+                self._bump_constraint(cid)
                 variables = set(map(abs, cur.weights))
                 variables.update(abs(lit) for lit, _ in reason.terms)
                 self.bump_variables(sorted(variables))
-                fallback, cur_slack = resolve_step(cur, reason, pivot, rho, strategy, cur_slack)
-                if fallback:
+                if resolve_step(cur, reason, pivot, rho, strategy, cur_slack):
                     self.stats.fallbacks += 1
+                # The engine is frozen during analysis: only a step moves the level.
+                cur_slack, level = settle(cur, engine, p)
+                if cur_slack >= 0:
+                    text = format_constraint(cur.terms, cur.degree)
+                    raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {strategy}: {text}")
                 if self._out_of_time():
                     return None
-                # The engine's state is frozen during analysis, so the assertion
-                # level changes only when a resolve step rewrites ``cur``.
-                level = self._assertion_level(cur)
                 if level is not None:
                     return cur.constraint(), level
             rho.remove(pivot)
@@ -324,57 +327,12 @@ class Solver:
         return cur.constraint(), None
 
     def _assertion_level(self, c) -> int | None:
-        """Smallest level (below the current one) at which a constraint asserts.
+        """Smallest level below the current one at which ``c`` asserts, or None.
 
-        ``c`` is a :class:`Constraint` or an :class:`Accumulator`: only its
-        ``terms``, in any order, and ``degree`` are read.  It asserts at level L when,
-        restricted to assignments at levels <= L, its slack is non-negative
-        and some unassigned literal's weight exceeds the slack.  Both
-        quantities change only at levels where it has an assigned literal,
-        so only level 0 and those levels are tested.
+        ``c``, a :class:`Constraint` or an :class:`Accumulator`, is left unchanged:
+        :func:`settle` runs on a copy, whose saturation changes no assertion level.
         """
-        engine = self.engine
-        top = engine.current_level
-        if top == 0:
-            return None
-        position = engine.position
-        trail = engine.trail
-        falsified: dict[int, int] = {}  # level -> falsified weight
-        max_weight: dict[int, int] = {}  # level -> largest weight; unassigned at top
-        slack = -c.degree
-        for lit, w in c.terms:
-            slack += w
-            pos = position.get(-lit)
-            if pos is not None:
-                lvl = trail[pos].level
-                falsified[lvl] = falsified.get(lvl, 0) + w
-            else:
-                pos = position.get(lit)
-                lvl = top if pos is None else trail[pos].level
-            if w > max_weight.get(lvl, 0):
-                max_weight[lvl] = w
-        levels = sorted(max_weight)
-        # above[i]: largest weight among literals at levels[i:] or unassigned.
-        above = [0] * (len(levels) + 1)
-        best = 0
-        for i in range(len(levels) - 1, -1, -1):
-            w = max_weight[levels[i]]
-            if w > best:
-                best = w
-            above[i] = best
-        i = 0
-        level = 0
-        while True:
-            while i < len(levels) and levels[i] <= level:
-                slack -= falsified.get(levels[i], 0)
-                i += 1
-            if slack < 0:
-                return None
-            if above[i] > slack:
-                return level
-            if i == len(levels) or levels[i] >= top:
-                return None
-            level = levels[i]
+        return settle(Accumulator(c), self.engine, len(self.engine.trail))[1]
 
     # -- learning ----------------------------------------------------------------
 
@@ -402,9 +360,7 @@ class Solver:
         kept regardless of activity.
         """
         activity = self._cla_activity
-        protected = {
-            e.reason for e in self.engine.trail if e.reason is not None
-        }
+        protected = set(self.engine.reasons)
         by_activity = sorted(
             (cid for cid in activity if cid not in protected),
             key=lambda cid: (activity[cid], cid),
@@ -424,6 +380,57 @@ class Solver:
                     f"model does not satisfy {c.to_text()}"
                 )
         return model
+
+
+def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, int | None]:
+    """One pass over a conflict side after its cancellation.
+
+    Caps every weight at the degree, recording one saturation if any
+    changed, and returns the slack under the trail prefix up to index ``p``
+    (a literal is falsified there when its negation sits at ``p`` or
+    before) and the assertion level: the smallest level L below the current
+    one at which, restricted to assignments at levels <= L, the slack is
+    non-negative and below some unassigned literal's weight, or None.  The
+    slack at L is the whole trail's slack plus the weight falsified above
+    L, so one descending sweep over the per-level profile finds it.
+    """
+    position, levels, top = engine.position, engine.levels, engine.current_level
+    weights, d = side.weights, side.degree
+    falsified = [0] * (top + 1)  # level -> falsified weight
+    max_weight = [0] * (top + 1)  # level -> largest weight; unassigned at top
+    full = -d  # slack under the whole trail
+    later = 0  # weight falsified after index p
+    capped = False
+    for lit, w in weights.items():
+        if w > d:
+            weights[lit] = w = d
+            capped = True
+        q = position.get(-lit)
+        if q is None:
+            full += w
+            q = position.get(lit)
+            lvl = top if q is None else levels[q]
+        else:
+            lvl = levels[q]
+            falsified[lvl] += w
+            if q > p:
+                later += w
+        if w > max_weight[lvl]:
+            max_weight[lvl] = w
+    if capped and side.trace is not None:
+        side.record("saturate", side.id)
+    level = None
+    s = full + falsified[top]  # the slack at the tested level
+    best = max_weight[top]  # the largest weight above it
+    most = max(max_weight)  # no level asserts once the slack reaches it
+    for lvl in range(top - 1, -1, -1):
+        if s >= most:
+            break
+        if 0 <= s < best:
+            level = lvl
+        s += falsified[lvl]
+        best = max(best, max_weight[lvl])
+    return full + later, level
 
 
 class AnalysisSoundnessError(RuntimeError):

@@ -16,10 +16,10 @@ and ``reference_resolve_step`` with the four ``reference_reduce_*`` /
 ``reference_weaken_ineffective`` reductions, the constraint-level
 composition of the :mod:`pbsolve.core` rules that the solver's in-place
 accumulator must match step for step.  ``resolved`` runs the package's
-``resolve_step`` on a constraint and returns the outcome in the reference's
-form, and ``on_accumulator`` does the same for one reduction;
-``observe_resolve_steps`` lets a test watch every resolve step of the
-solver.
+``resolve_step`` and the solver's ``settle`` pass after it on a constraint
+and returns the outcome in the reference's form, and ``on_accumulator``
+does the same for one reduction; ``observe_resolve_steps`` lets a test
+watch every resolve step of the solver.
 
 Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a
@@ -41,6 +41,7 @@ import pbsolve.solver
 from pbsolve import core
 from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
 from pbsolve.core import Assignment, Constraint, slack
+from pbsolve.propagation import PropagationEngine
 
 
 def var(letter: str) -> int:
@@ -117,7 +118,7 @@ def value(engine, lit: int) -> bool | None:
 def reason_of(engine, v: int) -> int | None:
     """The reason constraint id of an assigned variable, or None for a decision."""
     position = engine.position
-    return engine.trail[position[v] if v in position else position[-v]].reason
+    return engine.reasons[position[v] if v in position else position[-v]]
 
 
 def verify_slacks(engine) -> bool:
@@ -199,34 +200,49 @@ def on_accumulator(reduction, c: Constraint, *args, **kwargs) -> Constraint:
 
 
 def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str) -> ResolveOutcome:
-    """The package's ``resolve_step`` run on an accumulator holding ``conflict``."""
+    """The package's ``resolve_step`` run on an accumulator holding ``conflict``,
+    then the solver's pass over it, on an engine holding ``rho`` at the root."""
     side = Accumulator(conflict)
     given = slack(conflict, rho)
-    fallback, after = resolve_step(side, reason, pivot, rho, strategy, given)
+    fallback = resolve_step(side, reason, pivot, rho, strategy, given)
+    engine = PropagationEngine()
+    for lit in rho:
+        engine.assign(lit, None)
+    after, _ = pbsolve.solver.settle(side, engine, len(rho) - 1)
     return ResolveOutcome(snapshot(side), fallback, given, after)
 
 
 def observe_resolve_steps(monkeypatch, observer) -> None:
     """Call ``observer(conflict, reason, pivot, rho, outcome)`` after each resolve step.
 
-    ``monkeypatch`` wraps the solver's ``resolve_step`` until it is undone.
-    The solver's conflict side is an accumulator that the step rewrites in
-    place, so ``conflict`` is a constraint taken before the step and
-    ``outcome`` a :class:`ResolveOutcome` taken after it, holding the slack
-    the solver handed to the step and the one the step returned.  ``rho``
-    is a copy of the assignment the step ran under, so the observer may keep
-    it; the observer must not mutate its other arguments.
+    ``monkeypatch`` wraps the solver's ``resolve_step`` and ``settle``, the
+    pass that follows each step, until it is undone.  The solver's conflict
+    side is an accumulator that the step rewrites in place, so ``conflict``
+    is a constraint taken before the step and ``outcome`` a
+    :class:`ResolveOutcome` taken after the pass, holding the slack the
+    solver handed to the step and the one the pass returned.  ``rho`` is a
+    copy of the assignment the step ran under, so the observer may keep it;
+    the observer must not mutate its other arguments.
     """
-    original = pbsolve.solver.resolve_step
+    step = pbsolve.solver.resolve_step
+    settle = pbsolve.solver.settle
+    pending = []
 
-    def observed(conflict, reason, pivot, rho, strategy, conflict_slack):
+    def observed_step(conflict, reason, pivot, rho, strategy, conflict_slack):
         before = snapshot(conflict)
-        fallback, after = original(conflict, reason, pivot, rho, strategy, conflict_slack)
-        outcome = ResolveOutcome(snapshot(conflict), fallback, conflict_slack, after)
-        observer(before, reason, pivot, set(rho), outcome)
-        return fallback, after
+        fallback = step(conflict, reason, pivot, rho, strategy, conflict_slack)
+        pending.append((before, reason, pivot, set(rho), fallback, conflict_slack))
+        return fallback
 
-    monkeypatch.setattr(pbsolve.solver, "resolve_step", observed)
+    def observed_settle(side, engine, p):
+        result = settle(side, engine, p)
+        if pending:  # not when the pass serves ``Solver._assertion_level``
+            before, reason, pivot, rho, fallback, given = pending.pop()
+            observer(before, reason, pivot, rho, ResolveOutcome(snapshot(side), fallback, given, result[0]))
+        return result
+
+    monkeypatch.setattr(pbsolve.solver, "resolve_step", observed_step)
+    monkeypatch.setattr(pbsolve.solver, "settle", observed_settle)
 
 
 # -- the constraint-level reference for conflict analysis ----------------------
@@ -376,10 +392,10 @@ def reference_resolve_step(
 def assignment_at_level(engine, level: int) -> set[int]:
     """The true literals of the trail entries at levels <= level."""
     out: set[int] = set()
-    for e in engine.trail:
-        if e.level > level:
+    for lit, at in zip(engine.trail, engine.levels):
+        if at > level:
             break
-        out.add(e.lit)
+        out.add(lit)
     return out
 
 

@@ -103,7 +103,7 @@ class TestBackjump:
         assert engine.current_level > 0
         engine.backjump_to(0)
         assert verify_slacks(engine)
-        assert all(e.level == 0 for e in engine.trail)
+        assert set(engine.levels) <= {0}
 
     def test_backjump_requires_lower_level(self):
         engine = engine_with(con("a b >= 1"))
@@ -115,13 +115,22 @@ class TestBackjump:
 
     def test_slack_coherence_under_random_scripts(self):
         rng = random.Random(11)
+        backjumps = 0
         for trial in range(25):
             inst = random_instance(7, 8, 5, 100 + trial)
             engine = engine_with(*inst.constraints)
+            # A root assignment made directly, as the staged assertion tests do.
+            root = rng.choice((1, -1)) * rng.randint(1, 7)
+            engine.assign(root, None)
             engine.propagate_all()
             for _ in range(12):
                 if engine.current_level and rng.random() < 0.3:
-                    engine.backjump_to(rng.randrange(engine.current_level))
+                    target = rng.randrange(engine.current_level)
+                    before = list(engine.trail)
+                    start = engine.level_starts[target]
+                    assert engine.backjump_to(target) == before[start:][::-1]  # last first
+                    assert engine.trail == before[:start]
+                    backjumps += 1
                 else:
                     free = [v for v in range(1, 8) if value(engine, v) is None]
                     if not free:
@@ -131,7 +140,17 @@ class TestBackjump:
                     engine.propagate_all()
                 assert verify_slacks(engine)
                 # One record of the assignment: each true literal -> its trail index.
-                assert engine.position == {e.lit: i for i, e in enumerate(engine.trail)}
+                assert engine.position == {lit: i for i, lit in enumerate(engine.trail)}
+                # The trail is three parallel lists whose levels never decrease,
+                # and each open level starts at its decision.
+                assert len(engine.trail) == len(engine.levels) == len(engine.reasons)
+                assert engine.levels == sorted(engine.levels)
+                assert engine.trail[0] == root and engine.levels[0] == 0
+                assert len(engine.level_starts) == engine.current_level
+                for level, start in enumerate(engine.level_starts, 1):
+                    assert engine.levels[start] == level and engine.reasons[start] is None
+                    assert engine.levels[start - 1] == level - 1
+        assert backjumps > 30
 
     def test_learned_constraint_propagates_after_backjump(self):
         engine = engine_with(con("a b >= 1"))
@@ -151,13 +170,12 @@ class TestBackjump:
         engine.propagate_all()
         engine.assume(1)
         engine.propagate_all()
-        assert any(e.reason is not None for e in engine.trail)
-        for pos, entry in enumerate(engine.trail):
-            if entry.reason is None:
+        assert any(cid is not None for cid in engine.reasons)
+        for pos, (propagated, cid) in enumerate(zip(engine.trail, engine.reasons)):
+            if cid is None:
                 continue
-            before = {prior.lit for prior in engine.trail[:pos]}
-            reason = engine.constraints[entry.reason]
-            assert entry.lit in propagation_candidates(reason, before)
+            before = set(engine.trail[:pos])
+            assert propagated in propagation_candidates(engine.constraints[cid], before)
 
 
 class TestRemoveConstraints:
@@ -183,7 +201,7 @@ class TestRemoveConstraints:
                 results = [compacted.propagate_all(), lazy.propagate_all()]
                 conflicts = [e.constraints[r] if r is not None else None for e, r in zip((compacted, lazy), results)]
                 assert conflicts[0] is conflicts[1]
-                assert [e.lit for e in compacted.trail] == [e.lit for e in lazy.trail]
+                assert compacted.trail == lazy.trail
                 if results[0] is not None:
                     break
                 free = [v for v in range(1, 9) if value(compacted, v) is None]

@@ -401,31 +401,71 @@ class TestStepPricing:
     def test_a_step_prices_only_in_its_post_check(self, strategy, monkeypatch):
         # Only gen-res's guard loop, which multiply-weaken ends in too,
         # prices a side from scratch while reducing.  Every other row reads
-        # the slacks it needs off passes it already makes, so a step prices
-        # once: the post-check, on the conflict side it returns.
+        # the slacks it needs off passes it already makes, so a step calls
+        # ``slack`` never, and the walk prices the conflict side it returns
+        # in exactly one pass after it.
         priced = []
         steps = []
+        passes = []
         price = pbsolve.analysis.slack
         step = pbsolve.solver.resolve_step
+        settle = pbsolve.solver.settle
 
         def counted_slack(c, rho):
             priced.append(snapshot(c))
             return price(c, rho)
 
         def counted_step(conflict, *args):
-            before = len(priced)
             result = step(conflict, *args)
-            assert priced[before:] == [snapshot(conflict)]
-            steps.append(result)
+            steps.append(conflict)
             return result
+
+        def counted_settle(side, engine, p):
+            assert steps and steps[-1] is side
+            passes.append(len(steps))
+            return settle(side, engine, p)
 
         monkeypatch.setattr(pbsolve.analysis, "slack", counted_slack)
         monkeypatch.setattr(pbsolve.solver, "resolve_step", counted_step)
+        monkeypatch.setattr(pbsolve.solver, "settle", counted_settle)
         assert solve(php_instance(6, 5), SolverConfig(strategy=strategy)).status == UNSAT
         for seed in (1, 2):
             instance = balanced_instance(30, 120, random.Random(seed))
             solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
         assert len(steps) >= 800
+        assert priced == []
+        assert passes == list(range(1, len(steps) + 1))
+
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_the_pass_after_each_step_matches_its_references(self, strategy, monkeypatch):
+        # The walk's one pass after each cancellation returns the conflict
+        # side's slack under the step's assignment and its assertion level;
+        # both must equal a full recomputation and the level-by-level oracle.
+        checked = []
+        observed = {}
+        step = pbsolve.solver.resolve_step
+        settle = pbsolve.solver.settle
+
+        def kept_step(conflict, reason, pivot, rho, *args):
+            observed["rho"] = set(rho)
+            return step(conflict, reason, pivot, rho, *args)
+
+        def checked_settle(side, engine, p):
+            after, level = settle(side, engine, p)
+            cur = snapshot(side)
+            assert after == slack(cur, observed["rho"])
+            assert level == oracle_assertion_level(cur, engine)
+            checked.append(level is not None)
+            return after, level
+
+        monkeypatch.setattr(pbsolve.solver, "resolve_step", kept_step)
+        monkeypatch.setattr(pbsolve.solver, "settle", checked_settle)
+        solve(php_instance(9, 8), SolverConfig(strategy=strategy, conflict_budget=100))
+        for seed in range(1, 5):
+            instance = balanced_instance(30, 120, random.Random(seed))
+            solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
+        assert len(checked) >= 2000
+        assert sum(checked) >= 200
 
 
 class TestAssertiveness:
@@ -633,9 +673,9 @@ class TestHeuristics:
                 solver = Solver(instance, SolverConfig(strategy="rs-both"))
                 result = solver.solve()
             assert result.status in (SAT, UNSAT)
-            for entry in solver.engine.trail:
-                if entry.reason is not None:
-                    assert solver.engine.constraints[entry.reason] is not None
+            for cid in solver.engine.reasons:
+                if cid is not None:
+                    assert solver.engine.constraints[cid] is not None
         # The small random instances above barely search; these reach
         # reduce_db several times each.
         for _ in range(6):
@@ -649,9 +689,9 @@ class TestHeuristics:
             assert len(reductions) > before
             assert result.status == unreduced.status
             engine = solver.engine
-            for entry in engine.trail:
-                if entry.reason is not None:
-                    assert engine.constraints[entry.reason] is not None
+            for cid in engine.reasons:
+                if cid is not None:
+                    assert engine.constraints[cid] is not None
             for entries in engine.occs.values():
                 assert all(engine.constraints[cid] is not None for cid, _ in entries)
             assert verify_slacks(engine)
