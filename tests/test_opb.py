@@ -103,6 +103,35 @@ class TestParse:
             assert (err.value.line, err.value.column) == (1, column)
 
 
+# One row per OpbSyntaxError message, each placed on line 3 after a comment
+# and a blank line, indented and followed by blanks: (row, line, column,
+# message).  A "missing ..." error points at the row's last character.
+SYNTAX_ERRORS = [
+    ("  min: +1 x1 ;  ", 3, 3, "objective lines are not supported (decision problems only)"),
+    ("  +1 x1 <= 1 ;  ", 3, 9, "relation '<=' is not part of the OPB decision format"),
+    ("  +1 x1 +2  ", 3, 9, "coefficient without a variable"),
+    ("  +1 x1 +2 y3 >= 1 ;  ", 3, 12, "expected a variable token after coefficient, got 'y3'"),
+    ("  +1 x1 +2 x0 >= 1 ;  ", 3, 12, "variable index must be >= 1"),
+    ("  +1 x1 x2 >= 1 ;  ", 3, 9, "nonlinear term (two variable tokens in one term)"),
+    ("  x1 >= 1 ;  ", 3, 3, "variable without a coefficient (nonlinear input?)"),
+    ("  +1 x1 ?? >= 1 ;  ", 3, 9, "unexpected token '??'"),
+    ("  +1 x1 >= x2 ;  ", 3, 12, "expected integer right-hand side, got 'x2'"),
+    ("  +1 x1 >= 1 ; junk  ", 3, 16, "trailing tokens after ';'"),
+    ("  +1 x1 >= 1 2 ;  ", 3, 14, "expected ';', got '2'"),
+    ("  +1 x1 +2 x2  ", 3, 15, "missing relation"),
+    ("  +1 x1 >=  ", 3, 12, "missing right-hand side"),
+    ("  +1 x1 >= 1  ", 3, 14, "missing ';' terminator"),
+]
+
+
+@pytest.mark.parametrize("row, line, column, message", SYNTAX_ERRORS)
+def test_every_syntax_error_keeps_its_message_and_position(row, line, column, message):
+    with pytest.raises(OpbSyntaxError) as err:
+        parse_opb("* c\n\n" + row + "\n")
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 class TestWrite:
     def test_round_trip_is_canonical_identity(self):
         inst = parse_opb("+5 x1 +4 x2 +1 x3 +1 x4 >= 6 ;\n+6 x2 +6 x3 +4 x5 >= 7 ;\n")
