@@ -97,59 +97,49 @@ def parse_opb(
 
 
 def _parse_constraint_line(line: str, lineno: int):
-    tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+    tokens = _TOKEN.findall(line)
+    n = len(tokens)
 
-    def fail(msg: str, col: int):
-        raise OpbSyntaxError(msg, lineno, col)
+    def fail(msg: str, k: int):
+        # The column of token k, or the line's length when the row ended early.
+        columns = [m.start() + 1 for m in _TOKEN.finditer(line)]
+        raise OpbSyntaxError(msg, lineno, columns[k] if k < n else len(line))
 
     terms: list[tuple[int, int]] = []
-    relation: str | None = None
-    rhs: int | None = None
     i = 0
-    while i < len(tokens):
-        tok, col = tokens[i]
-        if relation is None:
-            if tok in (">=", "="):
-                relation = tok
-                i += 1
-                continue
-            if tok in ("<=", "<", ">"):
-                fail(f"relation {tok!r} is not part of the OPB decision format", col)
-            if _INT.match(tok):
-                if i + 1 >= len(tokens):
-                    fail("coefficient without a variable", col)
-                vtok, vcol = tokens[i + 1]
-                vm = _VAR.match(vtok)
-                if not vm:
-                    fail(f"expected a variable token after coefficient, got {vtok!r}", vcol)
-                var = int(vm.group(1))
-                if var < 1:
-                    fail("variable index must be >= 1", vcol)
-                if i + 2 < len(tokens) and _VAR.match(tokens[i + 2][0]):
-                    fail("nonlinear term (two variable tokens in one term)", tokens[i + 2][1])
-                terms.append((int(tok), var))
-                i += 2
-                continue
-            if _VAR.match(tok):
-                fail("variable without a coefficient (nonlinear input?)", col)
-            fail(f"unexpected token {tok!r}", col)
-        else:
-            if rhs is None:
-                if not _INT.match(tok):
-                    fail(f"expected integer right-hand side, got {tok!r}", col)
-                rhs = int(tok)
-                i += 1
-                continue
-            if tok == ";":
-                if i + 1 < len(tokens):
-                    fail("trailing tokens after ';'", tokens[i + 1][1])
-                return terms, relation, rhs
-            fail(f"expected ';', got {tok!r}", col)
-    if relation is None:
-        fail("missing relation", len(line))
-    if rhs is None:
-        fail("missing right-hand side", len(line))
-    fail("missing ';' terminator", len(line))
+    while i < n and tokens[i] not in (">=", "="):
+        tok = tokens[i]
+        if tok in ("<=", "<", ">"):
+            fail(f"relation {tok!r} is not part of the OPB decision format", i)
+        if not _INT.match(tok):
+            if not _VAR.match(tok):
+                fail(f"unexpected token {tok!r}", i)
+            if i:  # the token before is the variable of a term
+                fail("nonlinear term (two variable tokens in one term)", i)
+            fail("variable without a coefficient (nonlinear input?)", i)
+        if i + 1 == n:
+            fail("coefficient without a variable", i)
+        vm = _VAR.match(tokens[i + 1])
+        if not vm:
+            fail(f"expected a variable token after coefficient, got {tokens[i + 1]!r}", i + 1)
+        var = int(vm.group(1))
+        if var < 1:
+            fail("variable index must be >= 1", i + 1)
+        terms.append((int(tok), var))
+        i += 2
+    if i == n:
+        fail("missing relation", n)
+    if i + 1 == n:
+        fail("missing right-hand side", n)
+    if not _INT.match(tokens[i + 1]):
+        fail(f"expected integer right-hand side, got {tokens[i + 1]!r}", i + 1)
+    if i + 2 == n:
+        fail("missing ';' terminator", n)
+    if tokens[i + 2] != ";":
+        fail(f"expected ';', got {tokens[i + 2]!r}", i + 2)
+    if i + 3 < n:
+        fail("trailing tokens after ';'", i + 3)
+    return terms, tokens[i], int(tokens[i + 1])
 
 
 def write_opb(instance: ParsedInstance, stream: IO[str]) -> None:

@@ -326,14 +326,6 @@ class Solver:
             raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
         return cur.constraint(), None
 
-    def _assertion_level(self, c) -> int | None:
-        """Smallest level below the current one at which ``c`` asserts, or None.
-
-        ``c``, a :class:`Constraint` or an :class:`Accumulator`, is left unchanged:
-        :func:`settle` runs on a copy, whose saturation changes no assertion level.
-        """
-        return settle(Accumulator(c), self.engine, len(self.engine.trail))[1]
-
     # -- learning ----------------------------------------------------------------
 
     def _backjump_and_learn(self, learned: Constraint, level: int) -> None:

@@ -8,7 +8,8 @@ of its true literals, here ``{a, ~c}``.
 The reference implementations the tests compare the solver against also live
 here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
 ``is_assertive`` and ``backjump_level``, the level-by-level definition of
-assertiveness behind ``Solver._assertion_level``; and
+assertiveness behind ``assertion_level``, the solver's ``settle`` pass run
+on a copy of any constraint; and
 ``linear_decide_literal``, the reference for the solver's decision heap;
 ``bump_one_at_a_time``, the reference for ``Solver.bump_variables``;
 ``sorted_then_validated``, the reference for the ``Constraint`` constructor;
@@ -42,6 +43,7 @@ from pbsolve import core
 from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
 from pbsolve.core import Assignment, Constraint, slack
 from pbsolve.propagation import PropagationEngine
+from pbsolve.solver import settle
 
 
 def var(letter: str) -> int:
@@ -208,8 +210,17 @@ def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy
     engine = PropagationEngine()
     for lit in rho:
         engine.assign(lit, None)
-    after, _ = pbsolve.solver.settle(side, engine, len(rho) - 1)
+    after, _ = settle(side, engine, len(rho) - 1)
     return ResolveOutcome(snapshot(side), fallback, given, after)
+
+
+def assertion_level(engine, c) -> int | None:
+    """Smallest level below the engine's current one at which ``c`` asserts, or None.
+
+    ``c``, a :class:`Constraint` or an :class:`Accumulator`, is left unchanged:
+    ``settle`` runs on a copy, whose saturation changes no assertion level.
+    """
+    return settle(Accumulator(c), engine, len(engine.trail))[1]
 
 
 def observe_resolve_steps(monkeypatch, observer) -> None:
@@ -225,7 +236,6 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     the observer must not mutate its other arguments.
     """
     step = pbsolve.solver.resolve_step
-    settle = pbsolve.solver.settle
     pending = []
 
     def observed_step(conflict, reason, pivot, rho, strategy, conflict_slack):
@@ -236,9 +246,8 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
 
     def observed_settle(side, engine, p):
         result = settle(side, engine, p)
-        if pending:  # not when the pass serves ``Solver._assertion_level``
-            before, reason, pivot, rho, fallback, given = pending.pop()
-            observer(before, reason, pivot, rho, ResolveOutcome(snapshot(side), fallback, given, result[0]))
+        before, reason, pivot, rho, fallback, given = pending.pop()
+        observer(before, reason, pivot, rho, ResolveOutcome(snapshot(side), fallback, given, result[0]))
         return result
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed_step)

@@ -23,6 +23,7 @@ from pbsolve.solver import (
 )
 from pbsolve.trace import verify_trace
 from helpers import (
+    assertion_level,
     assignment_at_level,
     backjump_level,
     bump_one_at_a_time,
@@ -476,7 +477,7 @@ class TestAssertiveness:
         assert not is_assertive(learned, solver.engine, 2)
         assert is_assertive(learned, solver.engine, 3)
         assert backjump_level(learned, solver.engine) == 3
-        assert solver._assertion_level(learned) == 3
+        assert assertion_level(solver.engine, learned) == 3
 
     def test_clause_asserts_at_second_highest_level(self):
         solver = scenario_solver()
@@ -513,7 +514,7 @@ class TestAssertiveness:
                 if is_assertive(probe, engine, level):
                     expected = level
                     break
-            assert solver._assertion_level(probe) == expected
+            assert assertion_level(solver.engine, probe) == expected
 
     def test_matches_oracle_on_wide_constraints_and_many_levels(self, monkeypatch):
         rng = random.Random(13)
@@ -556,7 +557,7 @@ class TestAssertiveness:
                             break
                     for c in (*instance.constraints, *learned):
                         expected = oracle_assertion_level(c, engine)
-                        assert solver._assertion_level(c) == expected
+                        assert assertion_level(solver.engine, c) == expected
                         probes += 1
                         asserting += expected is not None
         assert probes > 4000
@@ -695,6 +696,29 @@ class TestHeuristics:
             for entries in engine.occs.values():
                 assert all(engine.constraints[cid] is not None for cid, _ in entries)
             assert verify_slacks(engine)
+
+    def test_activity_rescale_keeps_what_reduce_db_drops(self):
+        # A bump that lifts a learned activity past 1e20 scales every learned
+        # activity and the increment by 1e-20.  A twin solver in the same
+        # state takes the same bump unscaled; reduce_db drops the same ids.
+        instance = balanced_instance(30, 126, random.Random(3))
+        config = SolverConfig(strategy="rs-both", conflict_budget=60)
+        solver, twin = Solver(instance, config), Solver(instance, config)
+        assert solver.solve().status == twin.solve().status == UNKNOWN
+        activity = solver._cla_activity
+        assert activity == twin._cla_activity and len(activity) >= 20
+        bumped = min(activity, key=activity.get)
+        solver._cla_inc = twin._cla_inc = 2e20
+        twin._cla_activity[bumped] += twin._cla_inc
+        solver._bump_constraint(bumped)
+        assert activity == {cid: a * 1e-20 for cid, a in twin._cla_activity.items()}
+        assert solver._cla_inc == 2e20 * 1e-20
+        solver.reduce_db()
+        twin.reduce_db()
+        assert activity.keys() == twin._cla_activity.keys() and bumped in activity
+        dropped = [cid for cid, c in enumerate(solver.engine.constraints) if c is None]
+        assert dropped == [cid for cid, c in enumerate(twin.engine.constraints) if c is None]
+        assert len(dropped) >= 10
 
     def test_restart_resets_to_root(self, monkeypatch):
         monkeypatch.setattr(pbsolve.solver, "RESTART_BASE", 10)
