@@ -132,6 +132,20 @@ class TestBenchMatrix:
         assert records[0].status == "UNKNOWN"
         assert records[0].error.startswith("killed after ")
 
+    def test_crashed_worker_becomes_unknown_row(self, bench_dir, monkeypatch):
+        import os
+
+        import pbsolve.bench as bench_mod
+
+        def crash(path, strategy, timeout, trace_path=None):
+            os._exit(3)
+
+        # Workers are forked, so they inherit the patched function.
+        monkeypatch.setattr(bench_mod, "run_one", crash)
+        paths = sorted(bench_dir.glob("*.opb"))[:1]
+        (record,) = bench_mod.run_matrix(paths, ["gen-res"], timeout=60)
+        assert (record.status, record.error) == ("UNKNOWN", "worker exited with code 3")
+
 
 class TestCli:
     def test_solve_unsat_exit_code_and_output(self, tmp_path):

@@ -1,5 +1,6 @@
 """Instance-generator tests."""
 
+import hashlib
 import io
 import itertools
 
@@ -58,6 +59,23 @@ class TestRandom:
             buffers.append(buf.getvalue())
         assert buffers[0] == buffers[1]
         assert random_instance(8, 12, 10, 43).constraints != first.constraints
+
+    @pytest.mark.parametrize(
+        "settings, digest",
+        [
+            ((8, 12, 10, 42), "d9c2fd4a192ad66862f347eb3e27b7cc3c5f2528bb5bc168575b320be4bb6018"),
+            ((30, 120, 20, 1), "aa63d3fe8dbdc20fa73d684ac0ce3fc05b6b92098d8670b532e9b3e2bd78ceaf"),
+            ((5, 40, 3, 7), "865f2b207e53d8b67f78b8c1465f0c5d0ea5acb2b2d18afddaebde6939d327c0"),
+            ((2, 6, 1, 0), "70d3022e0570d19b3506eb222e26c3d2147c0e68fec33c4501a76e70d381ab44"),
+            ((60, 200, 1000, 9), "68c445675c04323f0ff1d66f27fc740f1855fbbf56c3f1d29eee5d5194f4f300"),
+        ],
+    )
+    def test_written_text_is_pinned(self, settings, digest):
+        # `pbsolve generate random` and many tests build instances with this
+        # generator, so its text must not move with how rows are built.
+        buf = io.StringIO()
+        write_opb(random_instance(*settings), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_shape_and_initial_slack(self):
         for seed in range(30):

@@ -252,6 +252,23 @@ class TestVerify:
                 count += 1
         assert count > 3
 
+    def test_multiply_weaken_fallbacks_are_noted(self):
+        instance = php_instance(6, 5)
+        result = solve_with_trace(instance, "multiply-weaken")
+        assert result.status == UNSAT and result.stats.fallbacks == 21
+        text = trace_text(result.trace)
+        notes = [line for line in text.splitlines() if line.startswith("*")]
+        assert len(notes) == result.stats.fallbacks
+        counts = []
+        for line in notes:
+            head, _, count = line.rpartition(" after ")
+            assert head == "* multiply-weaken fallback" and count.endswith(" steps")
+            counts.append(int(count.removesuffix(" steps")))
+        assert counts == sorted(counts)
+        assert counts[-1] <= len(result.trace.steps)
+        check = verify_trace(instance, DerivationTrace.read(io.StringIO(text)))
+        assert check, check.error
+
     @pytest.mark.parametrize("extra", [-1, 1])
     @pytest.mark.parametrize(
         "rule, n_inputs, n_params",
