@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import multiprocessing as mp
-import queue as queue_mod
 import sys
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -72,13 +72,11 @@ def run_one(
         return BenchRecord(name, strategy, UNKNOWN, SolverStats(seconds=time.monotonic() - start), error)
 
 
-def _worker(task, queue):
+def _worker(task, conn):
     # Weights are unbounded; see the same lift in ``cli.main``.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    index, path, strategy, timeout, trace_path = task
-    record = run_one(path, strategy, timeout, trace_path)
-    queue.put((index, record))
+    conn.send(run_one(*task[1:]))
 
 
 def run_matrix(
@@ -109,43 +107,41 @@ def run_matrix(
             tasks.append((len(tasks), path, strategy, timeout, trace_path))
 
     results: dict[int, BenchRecord] = {}
-    queue: mp.Queue = mp.Queue()
     waiting = list(reversed(tasks))
-    running: dict[int, tuple[mp.Process, float, tuple]] = {}
+    # Each worker sends its record down a pipe of its own, or closes it unsent if it crashes.
+    running: dict[Connection, tuple[mp.Process, float, tuple]] = {}
+    limit = None if timeout is None else timeout + GRACE_SECONDS
     while waiting or running:
         while waiting and len(running) < jobs:
             task = waiting.pop()
-            proc = mp.Process(target=_worker, args=(task, queue), daemon=True)
+            reader, writer = mp.Pipe(duplex=False)
+            proc = mp.Process(target=_worker, args=(task, writer), daemon=True)
             proc.start()
-            running[task[0]] = (proc, time.monotonic(), task)
-        try:
-            index, record = queue.get(timeout=0.1)
-        except queue_mod.Empty:
-            pass
-        else:
-            # A record can still arrive from a worker killed just after it
-            # reported; the kill has already been recorded then.
-            if index in running:
-                running.pop(index)[0].join()
-                results[index] = record
+            writer.close()
+            running[reader] = (proc, time.monotonic(), task)
+        first = min(started for _, started, _ in running.values())
+        ready = wait(list(running), None if limit is None else max(0.0, first + limit - time.monotonic()))
         now = time.monotonic()
-        for index, (proc, started, task) in list(running.items()):
-            if proc.exitcode == 0:
-                # It reported: a worker flushes its record to the queue
-                # before it exits, so the record is read in a later round.
-                continue
-            if proc.exitcode is not None:
-                error = f"worker exited with code {proc.exitcode}"
-            elif timeout is not None and now - started > timeout + GRACE_SECONDS:
+        for reader, (proc, started, task) in list(running.items()):
+            if reader in ready:
+                try:
+                    results[task[0]] = reader.recv()
+                    error = None
+                except EOFError:
+                    proc.join()
+                    error = f"worker exited with code {proc.exitcode}"
+            elif limit is not None and now - started > limit:
                 proc.terminate()
                 error = f"killed after {now - started:.1f} s"
             else:
                 continue
             proc.join()
-            running.pop(index)
-            results[index] = BenchRecord(
-                Path(task[1]).name, task[2], UNKNOWN, SolverStats(seconds=now - started), error
-            )
+            reader.close()
+            del running[reader]
+            if error is not None:
+                results[task[0]] = BenchRecord(
+                    Path(task[1]).name, task[2], UNKNOWN, SolverStats(seconds=now - started), error
+                )
     return [results[i] for i in range(len(tasks))]
 
 

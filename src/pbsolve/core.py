@@ -148,44 +148,39 @@ def normalize(
     saturated :class:`Constraint`; one that every 0/1 assignment satisfies
     yields none, and one that none satisfies yields the empty constraint.
     """
-    if relation == ">=":
-        return _normalize_geq(raw_terms, rhs)
-    if relation == "<=":
-        flipped = [(-w, lit) for w, lit in raw_terms]
-        return _normalize_geq(flipped, -rhs)
-    if relation == "=":
-        flipped = [(-w, lit) for w, lit in raw_terms]
-        return _normalize_geq(raw_terms, rhs) + _normalize_geq(flipped, -rhs)
-    raise ValueError(f"unknown relation {relation!r}")
-
-
-def _normalize_geq(raw_terms, rhs) -> list[Constraint]:
+    signs = {">=": (1,), "<=": (-1,), "=": (1, -1)}.get(relation)
+    if signs is None:
+        raise ValueError(f"unknown relation {relation!r}")
     # Net coefficient per variable on the positive literal; rewriting a term
     # on ~v as w - w*v moves w onto the right-hand side.
     net: dict[int, int] = {}
-    degree = rhs
     for w, lit in raw_terms:
-        v = abs(lit)
         if lit > 0:
-            net[v] = net.get(v, 0) + w
+            net[lit] = net.get(lit, 0) + w
         else:
-            net[v] = net.get(v, 0) - w
-            degree -= w
-    weights: dict[int, int] = {}
-    for v in net:
-        a = net[v]
-        if a > 0:
-            weights[v] = a
-        elif a < 0:
-            weights[-v] = -a
-            degree += -a
-    if degree <= 0:
-        return []
-    if sum(weights.values()) < degree:
-        # Even the all-true assignment cannot reach the degree.
-        return [Constraint((), 1)]
-    capped = {lit: min(w, degree) for lit, w in weights.items()}
-    return [Constraint(capped.items(), degree)]
+            net[-lit] = net.get(-lit, 0) - w
+            rhs -= w
+    variables = sorted(net)
+    constraints = []
+    # Each sign gives one ``>=`` part, sign * sum(a * v) >= sign * rhs, built
+    # in variable order so the constructor takes its one-pass path.
+    for sign in signs:
+        degree = sign * rhs
+        terms = []
+        for v in variables:
+            a = sign * net[v]
+            if a > 0:
+                terms.append((v, a))
+            elif a < 0:
+                terms.append((-v, -a))
+                degree -= a
+        if degree <= 0:
+            continue
+        if sum(map(_weight, terms)) < degree:
+            # Even the all-true assignment cannot reach the degree.
+            terms, degree = (), 1
+        constraints.append(Constraint([(lit, min(w, degree)) for lit, w in terms], degree))
+    return constraints
 
 
 def slack(c: Constraint, rho: Assignment) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .core import Constraint
+from .core import Constraint, normalize
 from .opb import ParsedInstance
 
 
@@ -66,10 +66,8 @@ def random_instance(
         for v in variables:
             w = rng.randint(1, max_weight)
             total += w
-            terms.append((v if rng.random() < 0.5 else -v, w))
-        degree = rng.randint(1, max(1, total // 2))
-        capped = [(lit, min(w, degree)) for lit, w in terms]
-        constraints.append(Constraint(capped, degree))
+            terms.append((w, v if rng.random() < 0.5 else -v))
+        constraints += normalize(terms, ">=", rng.randint(1, max(1, total // 2)))
     return ParsedInstance(
         name=f"random-{nvars}-{nconstraints}-{max_weight}-{seed}",
         declared_vars=nvars,

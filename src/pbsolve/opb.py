@@ -101,9 +101,9 @@ def _parse_constraint_line(line: str, lineno: int):
     n = len(tokens)
 
     def fail(msg: str, k: int):
-        # The column of token k, or the line's length when the row ended early.
+        # Token k's column, or the row's last non-blank one if it ended early.
         columns = [m.start() + 1 for m in _TOKEN.finditer(line)]
-        raise OpbSyntaxError(msg, lineno, columns[k] if k < n else len(line))
+        raise OpbSyntaxError(msg, lineno, columns[k] if k < n else len(line.rstrip()))
 
     terms: list[tuple[int, int]] = []
     i = 0

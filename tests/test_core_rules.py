@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbsolve import core
 from pbsolve.core import (
     Constraint,
     cancel,
@@ -119,6 +120,32 @@ class TestNormalize:
     def test_output_is_saturated(self):
         (result,) = normalize([(9, 1), (1, 2)], ">=", 3)
         assert result == con("3a b >= 3")
+
+    @pytest.mark.parametrize(
+        "raw_terms, relation, rhs, expected",
+        [
+            ([(3, 4), (-2, 1), (5, -3), (1, 2), (2, 4)], ">=", 2, ["2 ~x1 1 x2 4 ~x3 4 x4 >= 4"]),
+            ([(1, 5), (2, -2), (-4, 3), (3, 1), (1, -5)], "<=", 1, ["3 ~x1 2 x2 4 x3 >= 5"]),
+            ([(2, 3), (1, -1), (-3, 2), (2, -3), (4, 1)], "=", 3, ["3 x1 3 ~x2 >= 3", "3 ~x1 3 x2 >= 3"]),
+            (
+                [(7, 6), (-1, -2), (2, 2), (3, 1), (-5, 4)],
+                "=",
+                -2,
+                ["3 x1 3 x2 4 ~x4 4 x6 >= 4", "3 ~x1 3 ~x2 5 x4 7 ~x6 >= 14"],
+            ),
+            ([(2, 2), (-1, 1)], "=", 2, ["1 ~x1 2 x2 >= 3"]),
+            ([(1, 2), (1, -2), (1, 1)], ">=", 3, [" >= 1"]),
+        ],
+    )
+    def test_shuffled_rows_reach_the_constructor_in_order(self, monkeypatch, raw_terms, relation, rhs, expected):
+        # Built before the patch: the expected constraints come from text.
+        want = [Constraint.from_text(text) for text in expected]
+
+        def refuse(terms):
+            raise AssertionError(f"terms out of variable order: {list(terms)}")
+
+        monkeypatch.setattr(core, "_sorted_checked", refuse)
+        assert normalize(raw_terms, relation, rhs) == want
 
 
 class TestSlack:

@@ -105,7 +105,8 @@ class TestParse:
 
 # One row per OpbSyntaxError message, each placed on line 3 after a comment
 # and a blank line, indented and followed by blanks: (row, line, column,
-# message).  A "missing ..." error points at the row's last character.
+# message).  A "missing ..." error points at the row's last non-blank
+# character.
 SYNTAX_ERRORS = [
     ("  min: +1 x1 ;  ", 3, 3, "objective lines are not supported (decision problems only)"),
     ("  +1 x1 <= 1 ;  ", 3, 9, "relation '<=' is not part of the OPB decision format"),
@@ -118,9 +119,9 @@ SYNTAX_ERRORS = [
     ("  +1 x1 >= x2 ;  ", 3, 12, "expected integer right-hand side, got 'x2'"),
     ("  +1 x1 >= 1 ; junk  ", 3, 16, "trailing tokens after ';'"),
     ("  +1 x1 >= 1 2 ;  ", 3, 14, "expected ';', got '2'"),
-    ("  +1 x1 +2 x2  ", 3, 15, "missing relation"),
-    ("  +1 x1 >=  ", 3, 12, "missing right-hand side"),
-    ("  +1 x1 >= 1  ", 3, 14, "missing ';' terminator"),
+    ("  +1 x1 +2 x2  ", 3, 13, "missing relation"),
+    ("  +1 x1 >=  ", 3, 10, "missing right-hand side"),
+    ("  +1 x1 >= 1  ", 3, 12, "missing ';' terminator"),
 ]
 
 
