@@ -64,9 +64,9 @@ class AnalysisError(RuntimeError):
 class Accumulator:
     """A constraint ``sum(w * lit) >= degree`` that the rules rewrite in place.
 
-    ``weights`` maps each literal to its positive weight and is kept in
-    ascending variable order, so :attr:`terms` lists the ``(lit, weight)``
-    pairs in the order a :class:`Constraint` holds them, and
+    ``weights`` maps each literal to its positive weight, in ascending
+    variable order while a trace records the terms; untraced, ``cancel``
+    leaves new literals where it appends them and :meth:`constraint` sorts.
     :func:`pbsolve.core.slack`, which reads only ``terms`` and ``degree``,
     accepts an accumulator.  Each rule method mirrors the
     :mod:`pbsolve.core` function of the same name: ``cancel`` adds a reason
@@ -90,12 +90,13 @@ class Accumulator:
 
     @property
     def terms(self):
-        """The ``(lit, weight)`` pairs, in ascending variable order (a live view)."""
+        """The ``(lit, weight)`` pairs, in ``weights`` order (a live view)."""
         return self.weights.items()
 
     def constraint(self) -> Constraint:
-        """The current value as a validated constraint, known to the trace."""
-        c = Constraint(self.weights.items(), self.degree)
+        """The current value as a constraint known to the trace, unchecked: every rule kept it valid."""
+        weights = self.weights
+        c = Constraint([(lit, weights[lit]) for lit in sorted(weights, key=abs)], self.degree, trusted=True)
         if self.trace is not None:
             self.trace.bind(c, self.id)
         return c
@@ -196,8 +197,8 @@ class Accumulator:
                     grew = True
         if degree <= 0:
             raise AnalysisError("cancel produced a tautology during analysis")
-        if grew:
-            # New literals were appended; restore the variable order.
+        if grew and self.trace is not None:
+            # New literals were appended; the trace records terms in variable order.
             self.weights = {lit: weights[lit] for lit in sorted(weights, key=abs)}
         self.degree = degree
         if self.trace is not None:
@@ -353,7 +354,7 @@ def reduce_multiply_weaken(
 
 def resolve_step(
     conflict: Accumulator,
-    reason: Constraint,
+    reason: Accumulator,
     pivot: int,
     rho,
     strategy: str,
@@ -367,22 +368,21 @@ def resolve_step(
     of :data:`STRATEGIES`, and ``conflict_slack`` is the conflict side's
     slack under ``rho``; gen-res's guard reads it, and weaken-ineffective,
     which works out its side's slack itself, hands on the slack it leaves.
-    ``conflict`` is rewritten in place into the cancellation, unsaturated;
-    the caller's one pass then saturates it and checks that it conflicts
-    under ``rho``, as every strategy ensures by construction.  Returns
-    whether multiply-weaken fell back to gen-res.  The reason is reduced on
-    an accumulator of its own that shares the conflict's trace.
+    ``reason``, an accumulator sharing the conflict's trace, is reduced in
+    place and ``conflict`` rewritten into the cancellation, unsaturated; the
+    caller's one pass then saturates it and checks that it conflicts under
+    ``rho``, as every strategy ensures by construction.  Returns whether
+    multiply-weaken fell back to gen-res.
     """
     if conflict_slack >= 0:
         raise ValueError("conflict side is not conflicting under the assignment")
     if -pivot not in conflict.weights:
         raise ValueError("the pivot's negation does not occur in the conflict side")
+    if pivot not in reason.weights:
+        raise ValueError("the pivot does not occur in the reason side")
 
     on_conflict, on_reason = STRATEGIES[strategy]
     trace = conflict.trace
-    reduced = Accumulator(reason, trace)
-    if pivot not in reduced.weights:
-        raise ValueError("the pivot does not occur in the reason side")
     fallback = False
 
     # Only weaken-ineffective hands back the conflict side's slack; no row
@@ -393,19 +393,19 @@ def resolve_step(
         reduce_rs(conflict, -pivot, rho, partial=on_conflict == "partial-rs")
     cw = conflict.weights[-pivot]
     if on_reason == "weaken-ineffective":
-        weaken_ineffective(reduced, pivot, rho)
+        weaken_ineffective(reason, pivot, rho)
     elif on_reason in ("rs", "partial-rs"):
-        reduce_rs(reduced, pivot, rho, partial=on_reason == "partial-rs")
+        reduce_rs(reason, pivot, rho, partial=on_reason == "partial-rs")
     elif on_reason is not None:
         # gen-res, also after weaken-ineffective on the conflict, whose
         # reduced pivot weight may exceed 1, in which case the cancellation
         # needs the reason weakened as in gen-res; multiply-weaken ends in
         # its guard too, on the unreduced reason when it falls back.
-        if on_reason == "multiply-weaken" and not reduce_multiply_weaken(reduced, pivot, rho, cw):
+        if on_reason == "multiply-weaken" and not reduce_multiply_weaken(reason, pivot, rho, cw):
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
-        reduce_genres(reduced, pivot, rho, cw, conflict_slack)
+        reduce_genres(reason, pivot, rho, cw, conflict_slack)
 
-    conflict.cancel(reduced, pivot)
+    conflict.cancel(reason, pivot)
     return fallback

@@ -36,6 +36,7 @@ def php_instance(pigeons: int, holes: int) -> ParsedInstance:
         name=f"php-{pigeons}-{holes}",
         declared_vars=pigeons * holes,
         constraints=constraints,
+        rows_counted=True,
     )
 
 
@@ -72,4 +73,5 @@ def random_instance(
         name=f"random-{nvars}-{nconstraints}-{max_weight}-{seed}",
         declared_vars=nvars,
         constraints=constraints,
+        rows_counted=True,
     )

@@ -273,11 +273,11 @@ class Solver:
         assert below its level before a resolve step.  The walk stops at level 0;
         the root exit after it is the one way to a root conflict, and a slack there
         that is not negative means propagation was incomplete and raises :class:`AnalysisError`.
-        The conflict side is one :class:`Accumulator` that every resolve
-        step rewrites in place; a constraint is built from it only when it
-        is learned or proves a root conflict.  Each resolve step sees as
-        ``rho`` the literals of the trail prefix up to and including its
-        pivot, at index ``p``; after it, one :func:`settle` pass saturates
+        The conflict side and each step's reason are :class:`Accumulator`
+        values that the step rewrites in place; a constraint is built from
+        the conflict side only when it is learned or proves a root conflict.
+        Each resolve step sees as ``rho`` the literals of the trail prefix up
+        to and including its pivot, at index ``p``; after it, one :func:`settle` pass saturates
         the conflict side, prices its slack under that prefix, which must be
         negative, and finds its assertion level.  The slack starts as the
         engine's slack of the conflicting constraint and rises only when the
@@ -302,18 +302,15 @@ class Solver:
                 # Unassigning the pivot unfalsifies its negation, if present.
                 cur_slack += cur.weights.get(-pivot, 0)
             else:
-                reason = engine.constraints[cid]
-                assert reason is not None
+                reason = Accumulator(engine.constraints[cid], self.trace)
                 self._bump_constraint(cid)
-                variables = set(map(abs, cur.weights))
-                variables.update(abs(lit) for lit, _ in reason.terms)
-                self.bump_variables(sorted(variables))
+                self.bump_variables(sorted({*map(abs, cur.weights), *map(abs, reason.weights)}))
                 if resolve_step(cur, reason, pivot, rho, strategy, cur_slack):
                     self.stats.fallbacks += 1
                 # The engine is frozen during analysis: only a step moves the level.
                 cur_slack, level = settle(cur, engine, p)
                 if cur_slack >= 0:
-                    text = format_constraint(cur.terms, cur.degree)
+                    text = format_constraint(sorted(cur.terms, key=lambda t: abs(t[0])), cur.degree)
                     raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {strategy}: {text}")
                 if self._out_of_time():
                     return None

@@ -206,7 +206,7 @@ def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy
     then the solver's pass over it, on an engine holding ``rho`` at the root."""
     side = Accumulator(conflict)
     given = slack(conflict, rho)
-    fallback = resolve_step(side, reason, pivot, rho, strategy, given)
+    fallback = resolve_step(side, Accumulator(reason), pivot, rho, strategy, given)
     engine = PropagationEngine()
     for lit in rho:
         engine.assign(lit, None)
@@ -227,9 +227,10 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     """Call ``observer(conflict, reason, pivot, rho, outcome)`` after each resolve step.
 
     ``monkeypatch`` wraps the solver's ``resolve_step`` and ``settle``, the
-    pass that follows each step, until it is undone.  The solver's conflict
-    side is an accumulator that the step rewrites in place, so ``conflict``
-    is a constraint taken before the step and ``outcome`` a
+    pass that follows each step, until it is undone.  The step rewrites the
+    solver's conflict side and reduces the reason's accumulator, both in
+    place, so ``conflict`` and ``reason`` are constraints taken before the
+    step and ``outcome`` a
     :class:`ResolveOutcome` taken after the pass, holding the slack the
     solver handed to the step and the one the pass returned.  ``rho`` is a
     copy of the assignment the step ran under, so the observer may keep it;
@@ -239,9 +240,9 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     pending = []
 
     def observed_step(conflict, reason, pivot, rho, strategy, conflict_slack):
-        before = snapshot(conflict)
+        before, reason_before = snapshot(conflict), snapshot(reason)
         fallback = step(conflict, reason, pivot, rho, strategy, conflict_slack)
-        pending.append((before, reason, pivot, set(rho), fallback, conflict_slack))
+        pending.append((before, reason_before, pivot, set(rho), fallback, conflict_slack))
         return fallback
 
     def observed_settle(side, engine, p):

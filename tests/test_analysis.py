@@ -372,6 +372,26 @@ class TestRuleApplication:
         assert side.id == trace.id_of(safe_reason) and snapshot(side) == safe_reason
         assert trace.steps == []
 
+    def test_untraced_cancel_appends_and_constraint_sorts(self):
+        # Untraced, the literals a cancellation adds stay where they were
+        # appended, and constraint() hands the value on in variable order.
+        conflict, reason = con("~b 2e >= 2"), con("a b c >= 1")
+        learned = con("a c 2e >= 2")
+        side = Accumulator(conflict)
+        side.cancel(Accumulator(reason), lit("b"))
+        assert list(side.weights) == [lit("e"), lit("a"), lit("c")]
+        c = side.constraint()
+        assert (c.terms, c.degree, c.max_weight) == (learned.terms, 2, 2)
+        # Traced, cancel keeps the order, so the step records sorted terms.
+        trace = DerivationTrace()
+        trace.add_input(conflict)
+        trace.add_input(reason)
+        side = Accumulator(conflict, trace)
+        side.cancel(Accumulator(reason, trace), lit("b"))
+        assert list(side.weights) == [lit("a"), lit("c"), lit("e")]
+        assert (trace.steps[-1].terms, trace.steps[-1].degree) == (learned.terms, 2)
+        assert side.constraint() == learned
+
 
 class TestResolveStep:
     def test_genres_chain(self):
@@ -422,7 +442,7 @@ class TestResolveStep:
         trace.add_input(reason)
         side = Accumulator(CONFLICT1, trace)
         with pytest.raises(ValueError, match="^the pivot does not occur in the reason side$"):
-            resolve_step(side, reason, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+            resolve_step(side, Accumulator(reason, trace), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps == []
         assert side.constraint() == CONFLICT1
 
@@ -431,7 +451,7 @@ class TestResolveStep:
         cid = trace.add_input(CONFLICT1)
         rid = trace.add_input(REASON1)
         side = Accumulator(CONFLICT1, trace)
-        resolve_step(side, REASON1, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+        resolve_step(side, Accumulator(REASON1, trace), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps
         by_id = {cid: CONFLICT1, rid: REASON1}
         for step in trace.steps:

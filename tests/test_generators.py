@@ -1,5 +1,6 @@
 """Instance-generator tests."""
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -18,6 +19,14 @@ def brute_force_status(instance):
         if all(c.satisfied_by(total) for c in instance.constraints):
             return SAT
     return UNSAT
+
+
+@pytest.mark.parametrize("instance", [php_instance(5, 4), random_instance(30, 60, 10, 3)])
+def test_counted_nvars_matches_a_scan(instance):
+    # Generated instances read their count without a scan; it must be the
+    # count a scan of the same rows gives.
+    assert instance.rows_counted
+    assert instance.nvars == dataclasses.replace(instance, rows_counted=False).nvars
 
 
 class TestPigeonhole:

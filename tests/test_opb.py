@@ -54,6 +54,17 @@ class TestParse:
         # A header after the rows does not lower the count.
         assert parse_opb("+1 x5 >= 0 ;\n* #variable= 3 #constraint= 1\n").nvars == 5
 
+    def test_nvars_counts_rows_above_the_declared_count(self):
+        # A parsed instance reads its count without a scan; a hand-built one
+        # whose rows name a variable above declared_vars still reports it.
+        parsed = parse_opb("* #variable= 2 #constraint= 1\n+1 x4 >= 1 ;\n")
+        assert parsed.rows_counted and parsed.declared_vars == parsed.nvars == 4
+        built = ParsedInstance(declared_vars=2, constraints=[con("a d >= 1")])
+        assert not built.rows_counted and built.nvars == 4
+        built.constraints.append(con("a g >= 1"))
+        assert built.nvars == 7
+        assert ParsedInstance(declared_vars=5, constraints=[con("a >= 1")]).nvars == 5
+
     def test_unsigned_weights_and_crlf(self):
         inst = parse_opb("1 x1 1 x2 >= 1 ;\r\n")
         assert inst.constraints == [con("a b >= 1")]

@@ -347,6 +347,33 @@ class TestAccumulatorMatchesReference:
         if strategy == "multiply-weaken":
             assert any(steps) and not all(steps)
 
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_learned_constraints_equal_validated_ones(self, strategy, monkeypatch):
+        # Every constraint the walk hands on, learned or a root conflict, is
+        # built without the constructor's checks.  Built the validating way
+        # from the accumulator's terms, in whatever order they stand, it
+        # must be the same constraint.
+        built = []
+        unsorted = []
+        constraint = pbsolve.analysis.Accumulator.constraint
+
+        def checked(side):
+            unsorted.append(list(side.weights) != sorted(side.weights, key=abs))
+            c = constraint(side)
+            validated = Constraint(side.terms, side.degree)
+            assert (c.terms, c.degree, c.max_weight) == (validated.terms, validated.degree, validated.max_weight)
+            built.append(c)
+            return c
+
+        monkeypatch.setattr(pbsolve.analysis.Accumulator, "constraint", checked)
+        assert solve(php_instance(6, 5), SolverConfig(strategy=strategy)).status == UNSAT
+        for seed in (1, 2):
+            instance = balanced_instance(30, 120, random.Random(seed))
+            solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
+        # 137-337 constraints per strategy, most of them out of order.
+        assert len(built) >= 120
+        assert 2 * sum(unsorted) >= len(built)
+
     def test_observers_may_keep_the_assignment(self, monkeypatch):
         # The walk unassigns each pivot after its step, so an observer that
         # keeps the solver's own set would find the pivots gone.
