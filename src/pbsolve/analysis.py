@@ -28,8 +28,8 @@ and then what it reads of the other side.  The assignment ``rho`` passed
 to these functions holds the true literals of the trail prefix up to and
 including the pivot's own assignment, so ``lit`` is falsified when
 ``-lit in rho``.  An accumulator made with a trace records every rule
-application there; the constraint it starts from must already be in that
-trace.
+application there, terms in variable order; the constraint it starts from
+must already be in that trace.  Untraced, only its constraint is sorted.
 """
 
 from __future__ import annotations
