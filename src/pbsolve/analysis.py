@@ -94,9 +94,9 @@ class Accumulator:
         return self.weights.items()
 
     def constraint(self) -> Constraint:
-        """The current value as a constraint known to the trace, unchecked: every rule kept it valid."""
+        """The current value, its terms back in variable order, as a constraint known to the trace."""
         weights = self.weights
-        c = Constraint([(lit, weights[lit]) for lit in sorted(weights, key=abs)], self.degree, trusted=True)
+        c = Constraint([(lit, weights[lit]) for lit in sorted(weights, key=abs)], self.degree)
         if self.trace is not None:
             self.trace.bind(c, self.id)
         return c

@@ -66,19 +66,19 @@ class Constraint:
     constraint, for input and rule outputs alike, and it validates the
     normalized-form invariants: positive weights, variable indices >= 1, one
     literal per variable, degree >= 1.  Terms already in canonical order
-    are checked in one pass without a sort, ``trusted`` ones (learned, valid
-    by construction) not at all.  ``terms``, ``degree`` and ``max_weight``
-    (the largest weight, 0 when empty) are plain attributes; never mutate them.
+    are checked in one pass without a sort.  ``terms``, ``degree`` and
+    ``max_weight`` (the largest weight, 0 when empty) are plain attributes.
+    Instances must never be mutated.
     """
 
     __slots__ = ("terms", "degree", "max_weight")
 
-    def __init__(self, terms: Iterable[tuple[int, int]], degree: int, *, trusted: bool = False):
+    def __init__(self, terms: Iterable[tuple[int, int]], degree: int):
         pairs = tuple(terms)
-        # Trusted input, or input already in strictly ascending variable order
-        # with positive weights, is valid as it stands; the rest is sorted and checked.
+        # Input already in strictly ascending variable order with positive
+        # weights is valid as it stands; anything else is sorted and checked.
         prev = 0
-        for lit, w in () if trusted else pairs:
+        for lit, w in pairs:
             v = abs(lit)
             if v <= prev or w < 1:
                 pairs = _sorted_checked(pairs)

@@ -36,7 +36,6 @@ def php_instance(pigeons: int, holes: int) -> ParsedInstance:
         name=f"php-{pigeons}-{holes}",
         declared_vars=pigeons * holes,
         constraints=constraints,
-        rows_counted=True,
     )
 
 
@@ -73,5 +72,4 @@ def random_instance(
         name=f"random-{nvars}-{nconstraints}-{max_weight}-{seed}",
         declared_vars=nvars,
         constraints=constraints,
-        rows_counted=True,
     )

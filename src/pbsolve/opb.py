@@ -45,11 +45,11 @@ class ParsedInstance:
     name: str = ""
     declared_vars: int = 0
     constraints: list[Constraint] = field(default_factory=list)
-    rows_counted: bool = field(default=False, compare=False)  # declared_vars covers the rows: nvars needs no scan
 
     @property
     def nvars(self) -> int:
-        used = 0 if self.rows_counted else max({abs(lit) for c in self.constraints for lit, _ in c.terms}, default=0)
+        # A constraint's terms are in ascending variable order: its last names its largest.
+        used = max((abs(c.terms[-1][0]) for c in self.constraints if c.terms), default=0)
         return max(self.declared_vars, used)
 
 
@@ -64,7 +64,7 @@ def parse_opb(
         text = source.read()
     else:
         text = source
-    instance = ParsedInstance(name=name, rows_counted=True)
+    instance = ParsedInstance(name=name)
     top = 0  # declared_vars is raised to every index a row names, kept or dropped
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -1,6 +1,5 @@
 """Instance-generator tests."""
 
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -22,11 +21,11 @@ def brute_force_status(instance):
 
 
 @pytest.mark.parametrize("instance", [php_instance(5, 4), random_instance(30, 60, 10, 3)])
-def test_counted_nvars_matches_a_scan(instance):
-    # Generated instances read their count without a scan; it must be the
-    # count a scan of the same rows gives.
-    assert instance.rows_counted
-    assert instance.nvars == dataclasses.replace(instance, rows_counted=False).nvars
+def test_nvars_matches_a_scan_of_every_term(instance):
+    # nvars reads one term per row; it must be the count a scan of every
+    # term of the same rows gives.
+    scan = max({abs(lit) for c in instance.constraints for lit, _ in c.terms}, default=0)
+    assert instance.nvars == max(instance.declared_vars, scan)
 
 
 class TestPigeonhole:

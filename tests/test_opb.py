@@ -1,5 +1,6 @@
 """Parser, writer and solution-format tests."""
 
+import dataclasses
 import io
 import itertools
 
@@ -55,15 +56,18 @@ class TestParse:
         assert parse_opb("+1 x5 >= 0 ;\n* #variable= 3 #constraint= 1\n").nvars == 5
 
     def test_nvars_counts_rows_above_the_declared_count(self):
-        # A parsed instance reads its count without a scan; a hand-built one
-        # whose rows name a variable above declared_vars still reports it.
-        parsed = parse_opb("* #variable= 2 #constraint= 1\n+1 x4 >= 1 ;\n")
-        assert parsed.rows_counted and parsed.declared_vars == parsed.nvars == 4
+        # nvars reads the rows as they stand: one named above declared_vars
+        # counts, in a hand-built instance or one appended to after parsing.
         built = ParsedInstance(declared_vars=2, constraints=[con("a d >= 1")])
-        assert not built.rows_counted and built.nvars == 4
+        assert built.nvars == 4
         built.constraints.append(con("a g >= 1"))
         assert built.nvars == 7
         assert ParsedInstance(declared_vars=5, constraints=[con("a >= 1")]).nvars == 5
+        parsed = parse_opb("* #variable= 2 #constraint= 1\n+1 x4 >= 1 ;\n")
+        assert parsed.declared_vars == parsed.nvars == 4
+        parsed.constraints.append(con("~c ~i >= 1"))
+        assert parsed.nvars == 9
+        assert dataclasses.replace(parsed, constraints=[con("~j >= 1")]).nvars == 10
 
     def test_unsigned_weights_and_crlf(self):
         inst = parse_opb("1 x1 1 x2 >= 1 ;\r\n")

@@ -350,9 +350,9 @@ class TestAccumulatorMatchesReference:
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     def test_learned_constraints_equal_validated_ones(self, strategy, monkeypatch):
         # Every constraint the walk hands on, learned or a root conflict, is
-        # built without the constructor's checks.  Built the validating way
-        # from the accumulator's terms, in whatever order they stand, it
-        # must be the same constraint.
+        # built from the accumulator's terms put back in variable order.
+        # Built from the terms in whatever order they stand, which the
+        # constructor sorts and checks, it must be the same constraint.
         built = []
         unsorted = []
         constraint = pbsolve.analysis.Accumulator.constraint
