@@ -18,6 +18,7 @@ cancellation chains never overflows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import lcm
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
@@ -35,10 +36,9 @@ def lit_name(lit: int) -> str:
 def format_constraint(terms: Iterable[tuple[int, int]], degree: int) -> str:
     """The text form of ``sum(w * lit) >= degree``, e.g. ``6 ~x2 4 x5 >= 7``.
 
-    Terms are written in the order given.
+    Terms are written in the order given; ``~x2`` is first spelled ``x-2``, then respelled in one pass.
     """
-    parts = [f"{w} {lit_name(lit)}" for lit, w in terms]
-    return " ".join(parts) + f" >= {degree}"
+    return " ".join([f"{w} x{lit}" for lit, w in terms]).replace("x-", "~x") + f" >= {degree}"
 
 
 def _sorted_checked(terms: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -233,13 +233,18 @@ def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint:
     return Constraint(weights.items(), degree)
 
 
+def _position(c: Constraint, lit: int) -> int:
+    """The index of ``lit``'s term, by bisection on the variable order; ValueError if absent."""
+    i = bisect_left(c.terms, abs(lit), key=lambda t: abs(t[0]))
+    if i == len(c.terms) or c.terms[i][0] != lit:
+        raise ValueError(f"literal {lit_name(lit)} is absent")
+    return i
+
+
 def weaken(c: Constraint, lit: int) -> Constraint:
     """Remove a literal and lower the degree by its weight."""
-    w = dict(c.terms).get(lit)
-    if not w:
-        raise ValueError(f"literal {lit_name(lit)} is absent")
-    degree = c.degree - w
-    return Constraint([t for t in c.terms if t[0] != lit], degree)
+    i = _position(c, lit)
+    return Constraint(c.terms[:i] + c.terms[i + 1 :], c.degree - c.terms[i][1])
 
 
 def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint:
@@ -247,14 +252,12 @@ def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint:
 
     ``eps`` equal to the full weight coincides with :func:`weaken`.
     """
-    w = dict(c.terms).get(lit)
-    if not w:
-        raise ValueError(f"literal {lit_name(lit)} is absent")
+    i = _position(c, lit)
+    w = c.terms[i][1]
     if not 0 < eps <= w:
         raise ValueError(f"eps must be in 1..{w}, got {eps}")
-    degree = c.degree - eps
-    left = w - eps
-    return Constraint([(l, left if l == lit else x) for l, x in c.terms if l != lit or left], degree)
+    kept = ((lit, w - eps),) if eps < w else ()
+    return Constraint(c.terms[:i] + kept + c.terms[i + 1 :], c.degree - eps)
 
 
 def saturate(c: Constraint) -> Constraint:

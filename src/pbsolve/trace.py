@@ -24,7 +24,9 @@ each a rule takes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -47,8 +49,8 @@ RULES = {
 class RuleStep(NamedTuple):
     """One replayable rule application.
 
-    The output is held as its term tuple (ascending variable order) and
-    degree, unvalidated: :func:`verify_trace` compares both with the replay.
+    The output is held as its term tuple (ascending variable order) and degree, valid
+    when read and unvalidated when recorded: :func:`verify_trace` compares both with the replay.
     """
 
     step_id: int
@@ -69,6 +71,21 @@ def _split_args(rule: str, args: tuple[int, ...]) -> int:
     if len(args) != n_inputs + n_params:
         raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {len(args)}")
     return n_inputs
+
+
+#: Constraint text as :meth:`DerivationTrace.write` spells a nonempty one.
+_WRITTEN = re.compile(r"(?:[1-9][0-9]* ~?x[1-9][0-9]* )+>= [1-9][0-9]*")
+
+
+def _read_output(text: str) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A step's output terms and degree, read from its text as :meth:`DerivationTrace.read` says."""
+    if _WRITTEN.fullmatch(text):
+        numbers = list(map(int, text.replace("~x", "-").replace("x", "").replace(">= ", "").split(" ")))
+        lits = numbers[1:-1:2]
+        if all(map(lt, map(abs, lits), map(abs, lits[1:]))):
+            return tuple(zip(lits, numbers[:-1:2])), numbers[-1]
+    c = Constraint.from_text(text)
+    return c.terms, c.degree
 
 
 class DerivationTrace:
@@ -139,15 +156,13 @@ class DerivationTrace:
     # -- serialization -----------------------------------------------------
 
     def write(self, stream: IO[str]) -> None:
-        for text in self.notes:
-            stream.write(f"* {text}\n")
-        for i, c in self.inputs:
-            stream.write(f"i {i} {c.to_text()}\n")
-        for st in self.steps:
-            args = " ".join(map(str, st.args))
-            stream.write(f"s {st.step_id} {st.rule} {args} : {format_constraint(st.terms, st.degree)}\n")
-        for i in self.learned:
-            stream.write(f"l {i}\n")
+        stream.writelines([f"* {text}\n" for text in self.notes])
+        stream.writelines([f"i {i} {c.to_text()}\n" for i, c in self.inputs])
+        stream.writelines(
+            f"s {i} {rule} {' '.join(map(str, args))} : {format_constraint(terms, degree)}\n"
+            for i, rule, args, terms, degree in self.steps
+        )
+        stream.writelines([f"l {i}\n" for i in self.learned])
         if self.final is not None:
             stream.write(f"f {self.final}\n")
 
@@ -157,6 +172,9 @@ class DerivationTrace:
 
     @classmethod
     def read(cls, lines: Iterable[str]) -> "DerivationTrace":
+        """Parse trace text.  A step's constraint as :meth:`write` spells it, with strictly ascending
+        variables, meets every :class:`Constraint` invariant and is stored as it stands; other text
+        goes through :meth:`Constraint.from_text`, which sorts valid text and raises every error."""
         trace = cls()
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
@@ -170,7 +188,6 @@ class DerivationTrace:
                     c = Constraint.from_text(ctext)
                     trace.bind(c, i)
                     trace.inputs.append((i, c))
-                    trace._next_id = max(trace._next_id, i + 1)
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
                     fields = head.split()
@@ -180,9 +197,7 @@ class DerivationTrace:
                     rule = fields[1]
                     args = tuple(map(int, fields[2:]))
                     _split_args(rule, args)
-                    c = Constraint.from_text(ctext)
-                    trace.steps.append(RuleStep(i, rule, args, c.terms, c.degree))
-                    trace._next_id = max(trace._next_id, i + 1)
+                    trace.steps.append(RuleStep(i, rule, args, *_read_output(ctext)))
                 elif kind == "l":
                     trace.learned.append(int(rest))
                 elif kind == "f":
@@ -191,6 +206,7 @@ class DerivationTrace:
                     raise ValueError(f"unknown record kind {kind!r}")
             except ValueError as exc:
                 raise ValueError(f"trace line {lineno}: {exc}") from exc
+        trace._next_id = 1 + max(0, *(i for i, _ in trace.inputs), *(st.step_id for st in trace.steps))
         return trace
 
     @classmethod
@@ -231,24 +247,24 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
             return TraceCheck(f"input {i} does not match the instance: {c.to_text()!r} vs {ref.to_text()!r}")
         known[i] = c
 
-    for index, st in enumerate(trace.steps):
+    for index, (step_id, rule, args, terms, degree) in enumerate(trace.steps):
         try:
-            n_inputs = _split_args(st.rule, st.args)
+            n_inputs = _split_args(rule, args)
         except ValueError as exc:
             return TraceCheck(f"step {index}: {exc}", index)
-        if st.step_id in known:
-            return TraceCheck(f"step {index}: duplicate id {st.step_id}", index)
-        inputs = st.args[:n_inputs]
+        if step_id in known:
+            return TraceCheck(f"step {index}: duplicate id {step_id}", index)
+        inputs = args[:n_inputs]
         for ref_id in inputs:
-            if ref_id not in known or ref_id >= st.step_id:
+            if ref_id not in known or ref_id >= step_id:
                 return TraceCheck(f"step {index}: reference to unknown id {ref_id}", index)
         try:
-            result = RULES[st.rule][0](*(known[i] for i in inputs), *st.args[n_inputs:])
+            result = RULES[rule][0](*map(known.__getitem__, inputs), *args[n_inputs:])
         except ValueError as exc:
             return TraceCheck(f"step {index}: replay error: {exc}", index)
-        if result.terms != st.terms or result.degree != st.degree:
-            return TraceCheck(f"step {index}: replay mismatch for id {st.step_id}", index)
-        known[st.step_id] = result
+        if result.terms != terms or result.degree != degree:
+            return TraceCheck(f"step {index}: replay mismatch for id {step_id}", index)
+        known[step_id] = result
 
     for i in trace.learned:
         if i not in known:

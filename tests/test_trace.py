@@ -1,15 +1,19 @@
 """Derivation-trace serialization and replay-checker tests."""
 
 import io
+import random
+import re
 
 import pytest
 
 from pbsolve import core
+from pbsolve.analysis import STRATEGY_IDS
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import RULES, DerivationTrace, RuleStep, TraceCheck, verify_trace
 from helpers import con
+from test_solver import balanced_instance
 
 
 def solve_with_trace(instance, strategy="gen-res"):
@@ -74,6 +78,83 @@ class TestSerialization:
     def test_step_without_degree_is_rejected(self):
         with pytest.raises(ValueError, match="trace line 2: missing '>='"):
             DerivationTrace.read(["i 1 1 x1 >= 1", "s 2 saturate 1"])
+
+    @pytest.mark.parametrize(
+        "ctext, message",
+        [
+            ("1 x+5 >= 1", "bad literal token 'x+5'"),
+            ("1 ~~x1 >= 1", "bad literal token '~~x1'"),
+            ("1 ~x >= 1", "bad literal token '~x'"),
+            ("1 x1 1 >= 1", "odd token count in '1 x1 1 >= 1'"),
+            ("1 x1 1 x2 1", "missing '>=' in '1 x1 1 x2 1'"),
+            ("0 x1 >= 1", "weight must be >= 1, got 0 on x1"),
+            ("1 x0 >= 1", "variable index must be >= 1, got literal 0"),
+            ("1 x1 1 x1 >= 1", "variable x1 occurs twice"),
+            ("1 x2 1 ~x2 >= 1", "variable x2 occurs twice"),
+            ("1 x1 >= 0", "degree must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_step_constraint_is_rejected_with_its_message(self, ctext, message):
+        lines = ["i 1 1 x1 1 x2 >= 1", f"s 2 saturate 1 : {ctext}"]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
+            DerivationTrace.read(lines)
+
+    @pytest.mark.parametrize(
+        "line, step",
+        [
+            ("s 2 saturate 1 : 1 x3 2 ~x1 >= 2", RuleStep(2, "saturate", (1,), ((-1, 2), (3, 1)), 2)),
+            ("s 2 saturate 1 :  1  x1   1 x2  >=  1", RuleStep(2, "saturate", (1,), ((1, 1), (2, 1)), 1)),
+            ("s 2 saturate 1 : +3 x1 1 x2 >= +3", RuleStep(2, "saturate", (1,), ((1, 3), (2, 1)), 3)),
+            ("s 2 saturate 1 : 1 x01 1 ~x002 >= 1", RuleStep(2, "saturate", (1,), ((1, 1), (-2, 1)), 1)),
+            ("s 2 saturate 1 : 03 x2 1 x10 >= 2", RuleStep(2, "saturate", (1,), ((2, 3), (10, 1)), 2)),
+            ("s 2 saturate 1 : >= 1", RuleStep(2, "saturate", (1,), (), 1)),
+            ("s 2 weaken 1 -3 : 2 ~x5 1 x4 3 x2 >= 01", RuleStep(2, "weaken", (1, -3), ((2, 3), (4, 1), (-5, 2)), 1)),
+        ],
+        ids=["out-of-order", "runs-of-spaces", "plus-signs", "leading-zero-index", "leading-zero-weight",
+             "empty-unspaced", "mixed"],
+    )
+    def test_valid_text_outside_the_written_form_is_read(self, line, step):
+        assert DerivationTrace.read([line]).steps == [step]
+
+    @pytest.mark.parametrize("respell", ["reversed", "spaces", "plus", "zeros"])
+    def test_respelled_real_trace_reads_the_same_and_verifies(self, respell):
+        instance = php_instance(4, 3)
+        text = trace_text(solve_with_trace(instance, "weaken-ineffective-both").trace)
+        lines = []
+        for line in text.splitlines():
+            head, sep, ctext = line.partition(" : ")
+            if sep:
+                left, _, degree = ctext.partition(">= ")
+                tokens = left.split()
+                pairs = list(zip(tokens[::2], tokens[1::2]))
+                if respell == "reversed":
+                    pairs.reverse()
+                elif respell == "plus":
+                    pairs = [(f"+{w}", lit) for w, lit in pairs]
+                elif respell == "zeros":
+                    pairs = [(w, lit.replace("x", "x0")) for w, lit in pairs]
+                gap = "  " if respell == "spaces" else " "
+                line = head + sep + "".join(f"{w}{gap}{lit}{gap}" for w, lit in pairs) + f">={gap}{degree}"
+            lines.append(line)
+        assert lines != text.splitlines()
+        again = DerivationTrace.read(lines)
+        assert again.steps == DerivationTrace.read(text.splitlines()).steps
+        assert verify_trace(instance, again)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    @pytest.mark.parametrize("name", ["php-4-3", "balanced-0"])
+    def test_every_strategy_round_trips_through_text(self, name, strategy):
+        instance = php_instance(4, 3) if name == "php-4-3" else balanced_instance(30, 120, random.Random(0))
+        trace = solve(instance, SolverConfig(strategy=strategy, conflict_budget=300, emit_trace=True)).trace
+        assert trace.steps
+        text = trace_text(trace)
+        assert trace_text(trace) == text
+        again = DerivationTrace.read(io.StringIO(text))
+        assert again.inputs == trace.inputs
+        assert [tuple(st) for st in again.steps] == [tuple(st) for st in trace.steps]
+        assert (again.learned, again.final) == (trace.learned, trace.final)
+        written = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("*"))
+        assert trace_text(again) == written
 
     @pytest.mark.parametrize("line", ["s", "s 5"])
     def test_step_without_rule_is_rejected(self, line):
