@@ -18,9 +18,10 @@ cancellation chains never overflows.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Collection, Iterable, Mapping, Sequence
 
 #: A partial assignment: the true literals.
@@ -39,6 +40,10 @@ def format_constraint(terms: Iterable[tuple[int, int]], degree: int) -> str:
     Terms are written in the order given; ``~x2`` is first spelled ``x-2``, then respelled in one pass.
     """
     return " ".join([f"{w} x{lit}" for lit, w in terms]).replace("x-", "~x") + f" >= {degree}"
+
+
+#: The text :func:`format_constraint` gives a nonempty constraint; :func:`read_terms` reads it.
+_WRITTEN = re.compile(r"(?:[1-9][0-9]* ~?x[1-9][0-9]* )+>= [1-9][0-9]*")
 
 
 def _sorted_checked(terms: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -134,6 +139,19 @@ class Constraint:
 
     def __repr__(self) -> str:
         return f"Constraint({self.to_text()!r})"
+
+
+def read_terms(text: str) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The terms and degree of ``Constraint.from_text(text)``.  Text as :func:`format_constraint`
+    spells it, with strictly ascending variables, meets every constructor invariant and is converted
+    by string operations alone; other text goes through ``from_text``, which raises every error."""
+    if _WRITTEN.fullmatch(text):
+        numbers = list(map(int, text.replace("~x", "-").replace("x", "").replace(">= ", "").split(" ")))
+        lits = numbers[1:-1:2]
+        if all(map(lt, map(abs, lits), map(abs, lits[1:]))):
+            return tuple(zip(lits, numbers[:-1:2])), numbers[-1]
+    c = Constraint.from_text(text)
+    return c.terms, c.degree
 
 
 def normalize(

@@ -24,9 +24,7 @@ each a rule takes.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from operator import lt
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -71,21 +69,6 @@ def _split_args(rule: str, args: tuple[int, ...]) -> int:
     if len(args) != n_inputs + n_params:
         raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {len(args)}")
     return n_inputs
-
-
-#: Constraint text as :meth:`DerivationTrace.write` spells a nonempty one.
-_WRITTEN = re.compile(r"(?:[1-9][0-9]* ~?x[1-9][0-9]* )+>= [1-9][0-9]*")
-
-
-def _read_output(text: str) -> tuple[tuple[tuple[int, int], ...], int]:
-    """A step's output terms and degree, read from its text as :meth:`DerivationTrace.read` says."""
-    if _WRITTEN.fullmatch(text):
-        numbers = list(map(int, text.replace("~x", "-").replace("x", "").replace(">= ", "").split(" ")))
-        lits = numbers[1:-1:2]
-        if all(map(lt, map(abs, lits), map(abs, lits[1:]))):
-            return tuple(zip(lits, numbers[:-1:2])), numbers[-1]
-    c = Constraint.from_text(text)
-    return c.terms, c.degree
 
 
 class DerivationTrace:
@@ -172,9 +155,8 @@ class DerivationTrace:
 
     @classmethod
     def read(cls, lines: Iterable[str]) -> "DerivationTrace":
-        """Parse trace text.  A step's constraint as :meth:`write` spells it, with strictly ascending
-        variables, meets every :class:`Constraint` invariant and is stored as it stands; other text
-        goes through :meth:`Constraint.from_text`, which sorts valid text and raises every error."""
+        """Parse trace text.  A step's constraint is read by :func:`~pbsolve.core.read_terms`: text
+        as :meth:`write` spells it is stored as it stands, other text is checked and sorted."""
         trace = cls()
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
@@ -197,7 +179,7 @@ class DerivationTrace:
                     rule = fields[1]
                     args = tuple(map(int, fields[2:]))
                     _split_args(rule, args)
-                    trace.steps.append(RuleStep(i, rule, args, *_read_output(ctext)))
+                    trace.steps.append(RuleStep(i, rule, args, *core.read_terms(ctext)))
                 elif kind == "l":
                     trace.learned.append(int(rest))
                 elif kind == "f":
@@ -206,7 +188,7 @@ class DerivationTrace:
                     raise ValueError(f"unknown record kind {kind!r}")
             except ValueError as exc:
                 raise ValueError(f"trace line {lineno}: {exc}") from exc
-        trace._next_id = 1 + max(0, *(i for i, _ in trace.inputs), *(st.step_id for st in trace.steps))
+        trace._next_id = 1 + max([i for i, _ in trace.inputs] + [st.step_id for st in trace.steps], default=0)
         return trace
 
     @classmethod

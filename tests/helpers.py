@@ -3,7 +3,8 @@
 ``con("6~b 6c 4e f g h >= 7")`` builds a constraint over letter variables
 (a..z map to 1..26) with optional weight prefixes and ``~`` negation;
 ``asg(a=1, c=0)`` builds a partial assignment over the same letters: the set
-of its true literals, here ``{a, ~c}``.
+of its true literals, here ``{a, ~c}``.  ``balanced_instance`` builds a
+random instance of six-variable rows whose search runs many conflicts.
 
 The reference implementations the tests compare the solver against also live
 here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
@@ -42,6 +43,7 @@ import pbsolve.solver
 from pbsolve import core
 from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
 from pbsolve.core import Assignment, Constraint, slack
+from pbsolve.opb import ParsedInstance
 from pbsolve.propagation import PropagationEngine
 from pbsolve.solver import settle
 
@@ -69,6 +71,19 @@ def con(text: str) -> Constraint:
         v = var(name[1:] if negated else name)
         terms.append((-v if negated else v, weight))
     return Constraint(terms, int(degree.strip()))
+
+
+def balanced_instance(nvars, nrows, rng):
+    """Rows of six variables, weights 1..10, random polarity, degree a quarter of the sum."""
+    rows = []
+    for _ in range(nrows):
+        weights = [rng.randint(1, 10) for _ in range(6)]
+        terms = [
+            (v if rng.random() < 0.5 else -v, w)
+            for v, w in zip(rng.sample(range(1, nvars + 1), 6), weights)
+        ]
+        rows.append(Constraint(terms, -(-sum(weights) // 4)))
+    return ParsedInstance(declared_vars=nvars, constraints=rows)
 
 
 def asg(**values: int | bool) -> set[int]:

@@ -304,8 +304,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "content, message",
-        [(None, "No such file or directory"), (b"* caf\xc3\xa9\n", "'ascii' codec can't decode")],
-        ids=["missing", "non-ascii"],
+        [
+            (None, "No such file or directory"),
+            (b"* caf\xc3\xa9\n", "'ascii' codec can't decode"),
+            (b"", "input count mismatch: trace has 0, instance has"),
+            (b"* a note\nf 1\n", "input count mismatch: trace has 0, instance has"),
+        ],
+        ids=["missing", "non-ascii", "empty", "note-and-final"],
     )
     def test_verify_reports_an_unreadable_trace(self, tmp_path, content, message):
         path = write_instance(tmp_path / "php.opb", php_instance(2, 1))

@@ -26,6 +26,7 @@ from helpers import (
     assertion_level,
     assignment_at_level,
     backjump_level,
+    balanced_instance,
     bump_one_at_a_time,
     con,
     implies_semantically,
@@ -49,19 +50,6 @@ def brute_force_status(instance):
         if all(c.satisfied_by(total) for c in instance.constraints):
             return SAT
     return UNSAT
-
-
-def balanced_instance(nvars, nrows, rng):
-    """Rows of six variables, weights 1..10, random polarity, degree a quarter of the sum."""
-    rows = []
-    for _ in range(nrows):
-        weights = [rng.randint(1, 10) for _ in range(6)]
-        terms = [
-            (v if rng.random() < 0.5 else -v, w)
-            for v, w in zip(rng.sample(range(1, nvars + 1), 6), weights)
-        ]
-        rows.append(Constraint(terms, -(-sum(weights) // 4)))
-    return ParsedInstance(declared_vars=nvars, constraints=rows)
 
 
 def oracle_assertion_level(c, engine):

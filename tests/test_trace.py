@@ -12,8 +12,7 @@ from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import RULES, DerivationTrace, RuleStep, TraceCheck, verify_trace
-from helpers import con
-from test_solver import balanced_instance
+from helpers import balanced_instance, con
 
 
 def solve_with_trace(instance, strategy="gen-res"):
@@ -53,6 +52,18 @@ class TestSerialization:
         assert commented.inputs == plain.inputs
         assert commented.steps == plain.steps
         assert (commented.learned, commented.final) == (plain.learned, plain.final) == ([2], 2)
+
+    @pytest.mark.parametrize("lines", [[], ["* a note", "f 1"], ["", "l 3"]], ids=["empty", "note-and-final", "learned"])
+    def test_trace_without_inputs_or_steps_is_read(self, lines):
+        trace = DerivationTrace.read(lines)
+        assert (trace.inputs, trace.steps) == ([], [])
+        assert trace.add_input(con("a >= 1")) == 1
+
+    def test_written_step_text_is_read_without_from_text(self, monkeypatch):
+        steps = [st for st in solve_with_trace(php_instance(4, 3)).trace.steps if st.terms]
+        texts = [core.format_constraint(st.terms, st.degree) for st in steps]
+        monkeypatch.delattr(core.Constraint, "from_text")
+        assert [core.read_terms(text) for text in texts] == [(st.terms, st.degree) for st in steps]
 
     def test_unknown_record_kind_is_rejected(self):
         with pytest.raises(ValueError, match=r"^trace line 2: unknown record kind 'x'$"):
