@@ -178,26 +178,31 @@ def normalize(
         else:
             net[-lit] = net.get(-lit, 0) - w
             rhs -= w
-    variables = sorted(net)
+    fold = sorted(net.items())
     constraints = []
-    # Each sign gives one ``>=`` part, sign * sum(a * v) >= sign * rhs, built
-    # in variable order so the constructor takes its one-pass path.
+    # Each sign gives one ``>=`` part, sign * sum(a * v) >= sign * rhs, built in variable order
+    # (the constructor's one-pass path) in one pass that also sums and bounds its weights.
     for sign in signs:
         degree = sign * rhs
-        terms = []
-        for v in variables:
-            a = sign * net[v]
-            if a > 0:
+        terms, total, most = [], 0, 0
+        for v, a in fold:
+            a *= sign
+            if a < 0:
+                v, a = -v, -a
+                degree += a
+            if a:
                 terms.append((v, a))
-            elif a < 0:
-                terms.append((-v, -a))
-                degree -= a
+                total += a
+                if a > most:
+                    most = a
         if degree <= 0:
             continue
-        if sum(map(_weight, terms)) < degree:
+        if total < degree:
             # Even the all-true assignment cannot reach the degree.
             terms, degree = (), 1
-        constraints.append(Constraint([(lit, min(w, degree)) for lit, w in terms], degree))
+        elif most > degree:
+            terms = [(lit, min(w, degree)) for lit, w in terms]
+        constraints.append(Constraint(terms, degree))
     return constraints
 
 
@@ -216,12 +221,14 @@ def slack(c: Constraint, rho: Assignment) -> int:
 
 def cancel_multipliers(c1: Constraint, c2: Constraint, pivot: int) -> tuple[int, int]:
     """Minimal multipliers (mu, nu) equalizing the pivot weights of c1 and c2."""
-    weights1, weights2 = dict(c1.terms), dict(c2.terms)
-    w1 = weights1.get(pivot) or weights1.get(-pivot)
-    w2 = weights2.get(pivot) or weights2.get(-pivot)
-    if not w1 or not w2:
-        raise ValueError(f"pivot x{pivot} must occur in both constraints")
-    if (pivot in weights1) == (pivot in weights2):
+    found = []
+    for c in (c1, c2):
+        i = bisect_left(c.terms, abs(pivot), key=lambda t: abs(t[0]))
+        if i == len(c.terms) or abs(c.terms[i][0]) != abs(pivot):
+            raise ValueError(f"pivot x{pivot} must occur in both constraints")
+        found.append(c.terms[i])
+    (lit1, w1), (lit2, w2) = found
+    if lit1 != -lit2:
         raise ValueError(f"pivot x{pivot} must occur with opposite polarities")
     common = lcm(w1, w2)
     return common // w1, common // w2

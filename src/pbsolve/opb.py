@@ -22,6 +22,8 @@ _HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*\d+")
 _TOKEN = re.compile(r"\S*[^\s;]|;")
 _INT = re.compile(r"[+-]?\d+$")
 _VAR = re.compile(r"x(\d+)$")
+# The row spelling pbsolve writes, read by string operations; the token walk reads any other row.
+_ROW = re.compile(r"[ \t]*((?:[+-]?[0-9]+[ \t]+x[1-9][0-9]*[ \t]+)*)(>?=)[ \t]+([+-]?[0-9]+)[ \t]*;[ \t]*")
 
 
 class OpbSyntaxError(ValueError):
@@ -88,16 +90,18 @@ def parse_opb(
                 lineno,
                 col,
             )
-        terms, relation, rhs = _parse_constraint_line(line, lineno)
-        for _, v in terms:
-            if v > top:
-                top = v
+        terms, relation, rhs, largest = _parse_constraint_line(line, lineno)
+        top = max(top, largest)
         instance.constraints.extend(normalize(terms, relation, rhs))
     instance.declared_vars = max(instance.declared_vars, top)
     return instance
 
 
 def _parse_constraint_line(line: str, lineno: int):
+    """A row's ``(coefficient, index)`` terms, relation, right-hand side and largest index."""
+    if m := _ROW.fullmatch(line):
+        numbers = list(map(int, m[1].replace("x", "").split()))
+        return list(zip(numbers[::2], numbers[1::2])), m[2], int(m[3]), max(numbers[1::2], default=0)
     tokens = _TOKEN.findall(line)
     n = len(tokens)
 
@@ -140,7 +144,7 @@ def _parse_constraint_line(line: str, lineno: int):
         fail(f"expected ';', got {tokens[i + 2]!r}", i + 2)
     if i + 3 < n:
         fail("trailing tokens after ';'", i + 3)
-    return terms, tokens[i], int(tokens[i + 1])
+    return terms, tokens[i], int(tokens[i + 1]), max([v for _, v in terms], default=0)
 
 
 def write_opb(instance: ParsedInstance, stream: IO[str]) -> None:

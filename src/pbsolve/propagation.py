@@ -50,7 +50,11 @@ class PropagationEngine:
         cid = len(constraints)
         constraints.append(c)
         for lit, w in c.terms:
-            occs.setdefault(lit, []).append((cid, w))
+            entries = occs.get(lit)
+            if entries is None:
+                occs[lit] = [(cid, w)]
+            else:
+                entries.append((cid, w))
         self.slacks.append(slack(c, self.position))
         self._pending.append(cid)
         return cid

@@ -199,10 +199,12 @@ class TestCancel:
         assert cancel_multipliers(con("4b c >= 2"), con("6~b e >= 3"), 2) == (3, 2)
 
     def test_same_polarity_is_rejected(self):
-        with pytest.raises(ValueError):
-            cancel(con("a b >= 1"), con("b c >= 1"), 2)
-        with pytest.raises(ValueError):
-            cancel(con("a c >= 1"), con("~b c >= 1"), 2)
+        for c1, c2 in [("a b >= 1", "b c >= 1"), ("a ~b >= 1", "~b c >= 1")]:
+            with pytest.raises(ValueError, match="^pivot x2 must occur with opposite polarities$"):
+                cancel(con(c1), con(c2), 2)
+        for c1, c2 in [("a c >= 1", "~b c >= 1"), ("~b c >= 1", "a c >= 1"), ("a ~b >= 1", "a >= 1")]:
+            with pytest.raises(ValueError, match="^pivot x2 must occur in both constraints$"):
+                cancel(con(c1), con(c2), 2)
 
 
 class TestWeakenSaturateDivide:

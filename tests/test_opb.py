@@ -3,10 +3,13 @@
 import dataclasses
 import io
 import itertools
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbsolve import opb
 from pbsolve.core import Constraint
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import (
@@ -230,6 +233,72 @@ def test_parser_is_total_on_arbitrary_text(text):
         parse_opb(text)
     except OpbSyntaxError as err:
         assert err.line >= 1 and err.column >= 1
+
+
+@st.composite
+def spelled_rows(draw):
+    """One OPB row and whether it is in the spelling the row pattern takes.
+
+    Coefficients are signed, unsigned or zero, indices repeat, and both carry
+    leading zeros at times; the left side may be empty; blanks and tabs run
+    between tokens and after the row, and ``;`` may be glued to the
+    right-hand side.  Now and then two other tokens are glued, which the
+    walk rejects.
+    """
+    blanks = st.text(alphabet=" \t", min_size=1, max_size=3)
+    tokens, plain = [], True
+    for _ in range(draw(st.integers(0, 5))):
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        zeros, index_zeros = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        plain = plain and not index_zeros
+        tokens.append(f"{sign}{'0' * zeros}{draw(st.integers(0, 12))}")
+        tokens.append(f"x{'0' * index_zeros}{draw(st.integers(1, 6))}")
+    tokens.append(draw(st.sampled_from([">=", "="])))
+    rhs = f"{draw(st.sampled_from(['', '+', '-']))}{draw(st.integers(0, 30))}"
+    row = draw(st.text(alphabet=" \t", max_size=2))
+    for token in tokens:
+        glued = draw(st.integers(0, 9)) == 0
+        plain = plain and not glued
+        row += token + ("" if glued else draw(blanks))
+    row += rhs + draw(st.sampled_from(["", " ", "\t"])) + ";" + draw(st.text(alphabet=" \t", max_size=3))
+    return row, plain
+
+
+def _read(text):
+    try:
+        inst = parse_opb(text)
+    except OpbSyntaxError as err:
+        return str(err)
+    return inst.constraints, inst.declared_vars
+
+
+@given(st.lists(spelled_rows(), min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_row_pattern_agrees_with_the_token_walk(rows):
+    # A row in the usual spelling takes the one-match path, any other the
+    # walk; with the pattern matching nothing, the walk reads every row and
+    # gives the same constraints, declared count or error.
+    for row, plain in rows:
+        assert bool(opb._ROW.fullmatch(row)) == plain
+    text = "\n".join(row for row, _ in rows) + "\n"
+    got = _read(text)
+    with mock.patch.object(opb, "_ROW", re.compile(r"(?!)")):
+        assert _read(text) == got
+
+
+def test_a_matched_row_never_reaches_the_token_walk():
+    class Refuse:
+        def findall(self, line):
+            raise AssertionError(f"token walk reached for {line!r}")
+
+    buf = io.StringIO()
+    write_opb(php_instance(3, 2), buf)
+    text = buf.getvalue() + "\t-1 x1\t+2 x3 = -1;  \n>= 1 ;\n"
+    expected = parse_opb(text)
+    with mock.patch.object(opb, "_TOKEN", Refuse()):
+        assert parse_opb(text) == expected
+        with pytest.raises(AssertionError, match="token walk reached"):
+            parse_opb("+1 x01 >= 1 ;\n")
 
 
 @given(st.integers(0, 10_000))
