@@ -28,8 +28,8 @@ and then what it reads of the other side.  The assignment ``rho`` passed
 to these functions holds the true literals of the trail prefix up to and
 including the pivot's own assignment, so ``lit`` is falsified when
 ``-lit in rho``.  An accumulator made with a trace records every rule
-application there, terms in variable order; the constraint it starts from
-must already be in that trace.  Untraced, only its constraint is sorted.
+application there, terms in variable order, and starts from the trace id
+its caller gives.  Untraced, only its constraint is sorted.
 """
 
 from __future__ import annotations
@@ -76,17 +76,18 @@ class Accumulator:
 
     With a ``trace``, every rule application that changes the accumulator is
     recorded as a step whose output is the new term tuple and degree, and
-    ``id`` is the trace id of the current value.  A saturation, division or
+    ``id`` is the trace id of the current value: ``trace_id``, the id of
+    ``c`` in that trace, until the first step.  A saturation or
     multiplication that changes nothing records nothing.
     """
 
     __slots__ = ("weights", "degree", "trace", "id")
 
-    def __init__(self, c: Constraint, trace: DerivationTrace | None = None):
+    def __init__(self, c: Constraint, trace: DerivationTrace | None = None, trace_id: int | None = None):
         self.weights: dict[int, int] = dict(c.terms)
         self.degree: int = c.degree
         self.trace = trace
-        self.id: int | None = None if trace is None else trace.id_of(c)
+        self.id = trace_id
 
     @property
     def terms(self):
@@ -94,12 +95,9 @@ class Accumulator:
         return self.weights.items()
 
     def constraint(self) -> Constraint:
-        """The current value, its terms back in variable order, as a constraint known to the trace."""
+        """The current value as a constraint, its terms back in variable order; ``id`` is its trace id."""
         weights = self.weights
-        c = Constraint([(lit, weights[lit]) for lit in sorted(weights, key=abs)], self.degree)
-        if self.trace is not None:
-            self.trace.bind(c, self.id)
-        return c
+        return Constraint([(lit, weights[lit]) for lit in sorted(weights, key=abs)], self.degree)
 
     def record(self, rule: str, *args: int) -> None:
         """Record the current value in the trace as the output of ``rule`` on ``args``."""
@@ -116,15 +114,11 @@ class Accumulator:
             self.record("weaken", self.id, lit)
 
     def partial_weaken(self, lit: int, eps: int) -> None:
-        """Lower a literal's weight and the degree by ``eps`` (0 < eps <= weight)."""
+        """Lower a literal's weight and the degree by ``eps``, 0 < eps < weight: the literal stays."""
         degree = self.degree - eps
         if degree <= 0:
             raise AnalysisError("pweaken produced a tautology during analysis")
-        w = self.weights[lit] - eps
-        if w:
-            self.weights[lit] = w
-        else:
-            del self.weights[lit]
+        self.weights[lit] -= eps
         self.degree = degree
         if self.trace is not None:
             self.record("pweaken", self.id, lit, eps)
@@ -142,9 +136,7 @@ class Accumulator:
             self.record("saturate", self.id)
 
     def divide(self, r: int) -> None:
-        """Ceiling-divide every weight and the degree by ``r >= 1``."""
-        if r == 1:
-            return
+        """Ceiling-divide every weight and the degree by ``r >= 2``: :func:`reduce_rs` never divides by 1."""
         self.weights = {lit: -(-w // r) for lit, w in self.weights.items()}
         self.degree = -(-self.degree // r)
         if self.trace is not None:

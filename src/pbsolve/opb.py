@@ -68,7 +68,8 @@ def parse_opb(
         text = source
     instance = ParsedInstance(name=name)
     top = 0  # declared_vars is raised to every index a row names, kept or dropped
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Rows end at "\n" only, one "\r" before it dropped; other line breaks are blanks.
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue

@@ -104,6 +104,7 @@ class Solver:
         self.stats = SolverStats()
         self.nvars = instance.nvars
         self.trace = DerivationTrace() if self.config.emit_trace else None
+        self._trace_ids: list[int | None] = []  # engine cid -> trace id, None untraced
         self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
         self._var_inc = 1.0
         # Lazy max-heap of (-activity, var) over the decision candidates.
@@ -120,8 +121,7 @@ class Solver:
         self._deadline: float | None = None
         for c in instance.constraints:
             self.engine.add_constraint(c)
-            if self.trace is not None:
-                self.trace.add_input(c)
+            self._trace_ids.append(None if self.trace is None else self.trace.add_input(c))
             self._note_coefficients(c)
 
     # -- public entry ---------------------------------------------------------
@@ -148,12 +148,12 @@ class Solver:
                 analyzed = self.analyze_conflict(conflict)
                 if analyzed is None:
                     return SolverResult(UNKNOWN)
-                learned, level = analyzed
+                learned, trace_id, level = analyzed
                 if level is None:
                     if self.trace is not None:
-                        self.trace.mark_final(learned)
+                        self.trace.final = trace_id
                     return SolverResult(UNSAT)
-                self._backjump_and_learn(learned, level)
+                self._backjump_and_learn(learned, trace_id, level)
                 self._decay_activities()
                 if self._out_of_time():
                     return SolverResult(UNKNOWN)
@@ -265,10 +265,11 @@ class Solver:
     def analyze_conflict(self, conflict_cid: int):
         """Walk the trail backwards, cancelling until the constraint asserts.
 
-        Returns (constraint, backjump level), (constraint, None) when the
-        constraint conflicts at the root, or None when the time budget
-        runs out during the walk: the deadline is checked after every
-        resolve step, and nothing is learned then.  The search decides only
+        Returns (constraint, trace id, backjump level), the trace id None
+        untraced; the level is None when the constraint conflicts at the
+        root.  Returns None when the time budget runs out during the walk:
+        the deadline is checked after every resolve step, and nothing is
+        learned then.  The search decides only
         at a propagation fixpoint, so the conflicting constraint cannot
         assert below its level before a resolve step.  The walk stops at level 0;
         the root exit after it is the one way to a root conflict, and a slack there
@@ -289,7 +290,8 @@ class Solver:
         self._bump_constraint(conflict_cid)
         start = engine.constraints[conflict_cid]
         assert start is not None
-        cur = Accumulator(start, self.trace)
+        trace_ids = self._trace_ids
+        cur = Accumulator(start, self.trace, trace_ids[conflict_cid])
         rho = set(engine.position)
         cur_slack = engine.slacks[conflict_cid]
         trail, levels, reasons = engine.trail, engine.levels, engine.reasons
@@ -302,7 +304,7 @@ class Solver:
                 # Unassigning the pivot unfalsifies its negation, if present.
                 cur_slack += cur.weights.get(-pivot, 0)
             else:
-                reason = Accumulator(engine.constraints[cid], self.trace)
+                reason = Accumulator(engine.constraints[cid], self.trace, trace_ids[cid])
                 self._bump_constraint(cid)
                 self.bump_variables(sorted({*map(abs, cur.weights), *map(abs, reason.weights)}))
                 if resolve_step(cur, reason, pivot, rho, strategy, cur_slack):
@@ -315,25 +317,26 @@ class Solver:
                 if self._out_of_time():
                     return None
                 if level is not None:
-                    return cur.constraint(), level
+                    return cur.constraint(), cur.id, level
             rho.remove(pivot)
         # Only root-level assignments remain, and the constraint must
         # still be conflicting under them.
         if cur_slack >= 0:
             raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
-        return cur.constraint(), None
+        return cur.constraint(), cur.id, None
 
     # -- learning ----------------------------------------------------------------
 
-    def _backjump_and_learn(self, learned: Constraint, level: int) -> None:
+    def _backjump_and_learn(self, learned: Constraint, trace_id: int | None, level: int) -> None:
         """Backjump to ``level`` and store ``learned``, always new: analysis resolves at least once."""
         self._record_phases(self.engine.backjump_to(level))
         cid = self.engine.add_constraint(learned)
+        self._trace_ids.append(trace_id)
         self._cla_activity[cid] = self._cla_inc
         self.stats.learned += 1
         self._note_coefficients(learned)
         if self.trace is not None:
-            self.trace.mark_learned(learned)
+            self.trace.learned.append(trace_id)
         if self.stats.learned % REDUCE_INTERVAL == 0:
             self.reduce_db()
 

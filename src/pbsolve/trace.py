@@ -75,13 +75,10 @@ class DerivationTrace:
     """Accumulates inputs, rule steps, learned ids and the final conflict id.
 
     The trace hands out ids: :meth:`add_input` and :meth:`record` return the
-    id of what they stored.  A step refers to its inputs by id and holds its
-    output as a term tuple and degree, so recording builds no constraint.
-    Constraint objects are mapped to ids by identity: an input when it is
-    added, and a step's output when :meth:`bind` names its validated form
-    (the learned constraint or the final conflict).  The trace keeps a
-    reference to every constraint it names, so those identities stay unique
-    for its lifetime.
+    id of what they stored, and the caller keeps it beside what it names.
+    A step refers to its inputs by id and holds its output as a term tuple
+    and degree, so recording builds no constraint.  ``learned`` and
+    ``final`` are ids too, which the search appends and sets itself.
     """
 
     def __init__(self):
@@ -90,24 +87,11 @@ class DerivationTrace:
         self.learned: list[int] = []
         self.final: int | None = None
         self.notes: list[str] = []
-        self._ids: dict[int, tuple[int, Constraint]] = {}  # id(constraint) -> (trace id, constraint)
         self._next_id = 1
-
-    def bind(self, c: Constraint, i: int) -> None:
-        """Make ``id_of(c)`` return ``i``: ``c`` is the constraint recorded under ``i``."""
-        self._ids[id(c)] = (i, c)
-
-    def id_of(self, c: Constraint) -> int:
-        """The id of a named constraint; raises ValueError for any other."""
-        entry = self._ids.get(id(c))
-        if entry is None:
-            raise ValueError(f"constraint was never recorded in this trace: {c.to_text()}")
-        return entry[0]
 
     def add_input(self, c: Constraint) -> int:
         i = self._next_id
         self._next_id = i + 1
-        self.bind(c, i)
         self.inputs.append((i, c))
         return i
 
@@ -126,12 +110,6 @@ class DerivationTrace:
         self._next_id = i + 1
         self.steps.append(RuleStep(i, rule, args, terms, degree))
         return i
-
-    def mark_learned(self, c: Constraint) -> None:
-        self.learned.append(self.id_of(c))
-
-    def mark_final(self, c: Constraint) -> None:
-        self.final = self.id_of(c)
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -166,10 +144,7 @@ class DerivationTrace:
             try:
                 if kind == "i":
                     ident, _, ctext = rest.partition(" ")
-                    i = int(ident)
-                    c = Constraint.from_text(ctext)
-                    trace.bind(c, i)
-                    trace.inputs.append((i, c))
+                    trace.inputs.append((int(ident), Constraint.from_text(ctext)))
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
                     fields = head.split()

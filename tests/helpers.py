@@ -14,6 +14,7 @@ on a copy of any constraint; and
 ``linear_decide_literal``, the reference for the solver's decision heap;
 ``bump_one_at_a_time``, the reference for ``Solver.bump_variables``;
 ``sorted_then_validated``, the reference for the ``Constraint`` constructor;
+``brute_force_status``, the reference for a solver's answer;
 and ``reference_resolve_step`` with the four ``reference_reduce_*`` /
 ``reference_weaken_ineffective`` reductions, the constraint-level
 composition of the :mod:`pbsolve.core` rules that the solver's in-place
@@ -43,7 +44,7 @@ import pbsolve.solver
 from pbsolve import core
 from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
 from pbsolve.core import Assignment, Constraint, slack
-from pbsolve.opb import ParsedInstance
+from pbsolve.opb import SAT, UNSAT, ParsedInstance
 from pbsolve.propagation import PropagationEngine
 from pbsolve.solver import settle
 
@@ -462,6 +463,16 @@ def _truth_table(c: Constraint, index: Mapping[int, int], rows: np.ndarray) -> n
             base += w
             total -= w * bit
     return total + base >= c.degree
+
+
+def brute_force_status(instance: ParsedInstance) -> str:
+    """SAT or UNSAT by enumerating every total assignment of the instance's variables."""
+    n = instance.nvars
+    for values in itertools.product((False, True), repeat=n):
+        total = dict(zip(range(1, n + 1), values))
+        if all(c.satisfied_by(total) for c in instance.constraints):
+            return SAT
+    return UNSAT
 
 
 def implies_semantically(

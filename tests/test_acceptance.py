@@ -5,7 +5,6 @@ lines.  The heavyweight strategy-matrix run is shared between criteria 3, 4
 and 7 through a session fixture, so the suite executes it once.
 """
 
-import itertools
 import random
 import subprocess
 import sys
@@ -31,11 +30,12 @@ from pbsolve.core import (
     weaken,
 )
 from pbsolve.generators import php_instance, random_instance
-from pbsolve.opb import SAT, UNKNOWN, UNSAT, write_opb
+from pbsolve.opb import UNKNOWN, UNSAT, write_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import verify_trace
 from helpers import (
     asg,
+    brute_force_status,
     con,
     implies_semantically,
     lit,
@@ -51,15 +51,6 @@ from helpers import (
 
 def report(number: int, name: str, detail: str) -> None:
     print(f"\n[acceptance] criterion {number} ({name}): PASS — {detail}")
-
-
-def brute_force_status(instance):
-    n = instance.nvars
-    for values in itertools.product((False, True), repeat=n):
-        total = dict(zip(range(1, n + 1), values))
-        if all(c.satisfied_by(total) for c in instance.constraints):
-            return SAT
-    return UNSAT
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Strategy reduction tests: worked derivations and randomized properties."""
 
 import ast
+import copy
 import random
 import re
 from pathlib import Path
@@ -354,22 +355,21 @@ class TestRuleApplication:
         reason = con("3a 3b >= 3")
         safe_reason = con("~b c >= 1")
         trace = DerivationTrace()
-        for c in (clause, reason, safe_reason):
-            trace.add_input(c)
-        # Division by the pivot weight 1.
-        side = Accumulator(clause, trace)
+        clause_id, reason_id, safe_id = map(trace.add_input, (clause, reason, safe_reason))
+        # No division: the pivot weight is 1.
+        side = Accumulator(clause, trace, clause_id)
         reduce_rs(side, lit("a"), set())
-        assert side.id == trace.id_of(clause) and snapshot(side) == clause
+        assert side.id == clause_id and snapshot(side) == clause
         # Multiplication by nu == 1, nothing to weaken, already saturated.
         rho = asg(a=0, b=1)
-        side = Accumulator(reason, trace)
+        side = Accumulator(reason, trace, reason_id)
         assert reduce_multiply_weaken(side, lit("b"), rho, 3)
-        assert side.id == trace.id_of(reason) and snapshot(side) == reason
+        assert side.id == reason_id and snapshot(side) == reason
         # A saturation that changes nothing, on a pair that is already safe.
         rho = asg(a=0, c=0, b=0)
-        side = Accumulator(safe_reason, trace)
+        side = Accumulator(safe_reason, trace, safe_id)
         reduce_genres(side, lit("~b"), rho, weight(reason, lit("b")), slack(reason, rho))
-        assert side.id == trace.id_of(safe_reason) and snapshot(side) == safe_reason
+        assert side.id == safe_id and snapshot(side) == safe_reason
         assert trace.steps == []
 
     def test_untraced_cancel_appends_and_constraint_sorts(self):
@@ -384,10 +384,8 @@ class TestRuleApplication:
         assert (c.terms, c.degree, c.max_weight) == (learned.terms, 2, 2)
         # Traced, cancel keeps the order, so the step records sorted terms.
         trace = DerivationTrace()
-        trace.add_input(conflict)
-        trace.add_input(reason)
-        side = Accumulator(conflict, trace)
-        side.cancel(Accumulator(reason, trace), lit("b"))
+        side = Accumulator(conflict, trace, trace.add_input(conflict))
+        side.cancel(Accumulator(reason, trace, trace.add_input(reason)), lit("b"))
         assert list(side.weights) == [lit("a"), lit("c"), lit("e")]
         assert (trace.steps[-1].terms, trace.steps[-1].degree) == (learned.terms, 2)
         assert side.constraint() == learned
@@ -437,12 +435,11 @@ class TestResolveStep:
 
     def test_reason_without_the_pivot_records_no_step(self):
         trace = DerivationTrace()
-        trace.add_input(CONFLICT1)
+        side = Accumulator(CONFLICT1, trace, trace.add_input(CONFLICT1))
         reason = con("c d >= 1")
-        trace.add_input(reason)
-        side = Accumulator(CONFLICT1, trace)
+        reduced = Accumulator(reason, trace, trace.add_input(reason))
         with pytest.raises(ValueError, match="^the pivot does not occur in the reason side$"):
-            resolve_step(side, Accumulator(reason, trace), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+            resolve_step(side, reduced, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps == []
         assert side.constraint() == CONFLICT1
 
@@ -450,8 +447,8 @@ class TestResolveStep:
         trace = DerivationTrace()
         cid = trace.add_input(CONFLICT1)
         rid = trace.add_input(REASON1)
-        side = Accumulator(CONFLICT1, trace)
-        resolve_step(side, Accumulator(REASON1, trace), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+        side = Accumulator(CONFLICT1, trace, cid)
+        resolve_step(side, Accumulator(REASON1, trace, rid), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps
         by_id = {cid: CONFLICT1, rid: REASON1}
         for step in trace.steps:
@@ -459,8 +456,18 @@ class TestResolveStep:
             result = RULES[step.rule][0](*[by_id[i] for i in step.args[:n_inputs]], *step.args[n_inputs:])
             assert result == Constraint(step.terms, step.degree)
             by_id[step.step_id] = result
+        assert by_id[side.id] == side.constraint()
+
+    def test_constraint_leaves_the_trace_unchanged(self):
+        trace = DerivationTrace()
+        side = Accumulator(CONFLICT1, trace, trace.add_input(CONFLICT1))
+        reason = Accumulator(REASON1, trace, trace.add_input(REASON1))
+        resolve_step(side, reason, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+        before = {name: copy.copy(value) for name, value in vars(trace).items()}
         out = side.constraint()
-        assert by_id[trace.id_of(out)] == out
+        assert vars(trace) == before
+        assert side.id == trace.steps[-1].step_id
+        assert out == Constraint(trace.steps[-1].terms, trace.steps[-1].degree)
 
     def test_every_strategy_is_conflicting_and_implied(self):
         rng = random.Random(23)

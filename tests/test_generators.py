@@ -2,22 +2,12 @@
 
 import hashlib
 import io
-import itertools
 
 import pytest
 
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import SAT, UNSAT, write_opb
-from helpers import is_clause, literals, total_weight
-
-
-def brute_force_status(instance):
-    n = instance.nvars
-    for values in itertools.product((False, True), repeat=n):
-        total = dict(zip(range(1, n + 1), values))
-        if all(c.satisfied_by(total) for c in instance.constraints):
-            return SAT
-    return UNSAT
+from helpers import brute_force_status, is_clause, literals, total_weight
 
 
 @pytest.mark.parametrize("instance", [php_instance(5, 4), random_instance(30, 60, 10, 3)])

@@ -76,6 +76,14 @@ class TestParse:
         inst = parse_opb("1 x1 1 x2 >= 1 ;\r\n")
         assert inst.constraints == [con("a b >= 1")]
 
+    def test_rows_end_at_newline_only(self):
+        # A form feed is a blank between two tokens, not a row break, and a
+        # vertical tab in a comment does not shift later line numbers.
+        assert parse_opb("+1 x1 \x0c+1 x2 >= 1 ;").constraints == [con("a b >= 1")]
+        with pytest.raises(OpbSyntaxError) as err:
+            parse_opb("* c\x0b\n+1 x1 >= ;")
+        assert err.value.line == 2
+
     def test_tautology_dropped_contradiction_is_the_empty_constraint(self):
         inst = parse_opb("+2 x1 +3 x2 >= 0 ;\n+1 x1 >= 2 ;\n")
         assert inst.constraints == [Constraint((), 1)]

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import io
-import itertools
 import random
 import time
 
@@ -27,6 +26,7 @@ from helpers import (
     assignment_at_level,
     backjump_level,
     balanced_instance,
+    brute_force_status,
     bump_one_at_a_time,
     con,
     implies_semantically,
@@ -43,13 +43,10 @@ from helpers import (
 )
 
 
-def brute_force_status(instance):
-    n = instance.nvars
-    for values in itertools.product((False, True), repeat=n):
-        total = dict(zip(range(1, n + 1), values))
-        if all(c.satisfied_by(total) for c in instance.constraints):
-            return SAT
-    return UNSAT
+def recorded_constraints(trace):
+    """Each input and step id of a trace -> the constraint recorded under it."""
+    steps = {st.step_id: Constraint(st.terms, st.degree) for st in trace.steps}
+    return {**dict(trace.inputs), **steps}
 
 
 def oracle_assertion_level(c, engine):
@@ -213,14 +210,14 @@ class TestAnalyzeConflict:
         solver = scenario_solver("gen-res")
         conflict = solver.engine.propagate_all()
         assert conflict == 1
-        learned, level = solver.analyze_conflict(conflict)
+        learned, _, level = solver.analyze_conflict(conflict)
         assert learned == con("25a 25c 16e 5d 4f >= 30")
         assert level == 3
 
     def test_rs_both_learns_clause(self):
         solver = scenario_solver("rs-both")
         conflict = solver.engine.propagate_all()
-        learned, level = solver.analyze_conflict(conflict)
+        learned, _, level = solver.analyze_conflict(conflict)
         assert learned == con("c d e >= 1")
         assert level == 3
 
@@ -264,8 +261,9 @@ class TestAnalyzeConflict:
 
     def test_root_exit_is_the_final_conflict(self, monkeypatch):
         # Every strategy refutes php-4-3 through the walk's root exit, which
-        # returns the constraint with level None; the trace's final conflict
-        # is that constraint, and the checker accepts the trace.
+        # returns the constraint and its trace id with level None; the
+        # trace's final conflict is the record of that id, which holds that
+        # constraint, and the checker accepts the trace.
         analyze = Solver.analyze_conflict
         exits = []
 
@@ -280,12 +278,27 @@ class TestAnalyzeConflict:
             exits.clear()
             result = solve(instance, SolverConfig(strategy=strategy, emit_trace=True))
             assert result.status == UNSAT, strategy
-            root, level = exits[-1]
+            root, root_id, level = exits[-1]
             assert level is None
-            assert all(other[1] is not None for other in exits[:-1])
-            assert result.trace.final == result.trace.id_of(root)
+            assert all(other[2] is not None for other in exits[:-1])
+            assert result.trace.final == root_id
+            assert recorded_constraints(result.trace)[root_id] == root
             check = verify_trace(instance, result.trace)
             assert check, (strategy, check.error)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_learned_ids_name_the_engine_learned_constraints(self, strategy):
+        # Too few conflicts for a database reduction: every learned
+        # constraint is still in the engine, after the inputs, in the order
+        # it was learned, and each learned id names the step whose output
+        # it is.
+        instance = php_instance(5, 4)
+        solver = Solver(instance, SolverConfig(strategy=strategy, emit_trace=True))
+        result = solver.solve()
+        learned = solver.engine.constraints[len(instance.constraints):]
+        assert len(learned) == result.stats.learned > 0
+        outputs = {st.step_id: Constraint(st.terms, st.degree) for st in result.trace.steps}
+        assert [outputs[i] for i in result.trace.learned] == learned
 
     def test_learned_constraint_propagates_after_backjump(self):
         rng = random.Random(3)
@@ -301,8 +314,8 @@ class TestAnalyzeConflict:
                     conflict = engine.propagate_all()
                 if conflict is None or engine.current_level == 0:
                     break
-                learned, level = solver.analyze_conflict(conflict)
-                solver._backjump_and_learn(learned, level)
+                learned, trace_id, level = solver.analyze_conflict(conflict)
+                solver._backjump_and_learn(learned, trace_id, level)
                 assert engine.current_level == level
                 conflict = engine.propagate_all()
                 if conflict is None:
@@ -404,7 +417,7 @@ class TestAccumulatorMatchesReference:
                 after_skip.append(pivot)
 
         observe_resolve_steps(monkeypatch, check)
-        learned, level = solver.analyze_conflict(3)
+        learned, _, level = solver.analyze_conflict(3)
         assert after_skip == [var("g"), var("c")]
         assert learned == con("2~a ~b >= 2") and level == 0
 
@@ -564,7 +577,7 @@ class TestAssertiveness:
                         conflict = engine.propagate_all()
                         if conflict is not None:
                             # A root conflict comes back with level None.
-                            found, level = solver.analyze_conflict(conflict)
+                            found, _, level = solver.analyze_conflict(conflict)
                             if level is None:
                                 assert slack(found, assignment_at_level(engine, 0)) < 0
                             else:

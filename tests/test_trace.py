@@ -284,25 +284,23 @@ class TestVerify:
         inputs = [con("a b >= 1"), con("a ~b >= 1"), con("~a b >= 1"), con("~a ~b >= 1")]
         instance = ParsedInstance(declared_vars=2, constraints=list(inputs))
         trace = DerivationTrace()
-        for c in inputs:
-            trace.add_input(c)
+        rows = [(c, trace.add_input(c)) for c in inputs]
 
         def derive(rule, args, params):
-            out = getattr(core, rule)(*args, *params)
-            i = trace.record(rule, (*map(trace.id_of, args), *params), out.terms, out.degree)
-            trace.bind(out, i)
-            return out
+            """Apply a rule to (constraint, id) pairs; returns the output's pair."""
+            out = getattr(core, rule)(*(c for c, _ in args), *params)
+            return out, trace.record(rule, (*(i for _, i in args), *params), out.terms, out.degree)
 
         a, b = 1, 2
-        pos = derive("saturate", (derive("cancel", (inputs[0], inputs[2]), (a,)),), ())
-        neg = derive("saturate", (derive("cancel", (inputs[1], inputs[3]), (a,)),), ())
-        empty = derive("cancel", (pos, neg), (b,))
+        pos = derive("saturate", (derive("cancel", (rows[0], rows[2]), (a,)),), ())
+        neg = derive("saturate", (derive("cancel", (rows[1], rows[3]), (a,)),), ())
+        empty, empty_id = derive("cancel", (pos, neg), (b,))
         assert empty.to_text() == " >= 1"
-        unclaimed = trace_text(trace) + f"f {trace.id_of(empty)}\n"
+        unclaimed = trace_text(trace) + f"f {empty_id}\n"
         check = verify_trace(instance, DerivationTrace.read(io.StringIO(unclaimed)))
         assert not check and "not confirmed" in check.error
-        trace.mark_learned(empty)
-        trace.mark_final(empty)
+        trace.learned.append(empty_id)
+        trace.final = empty_id
         check = verify_trace(instance, DerivationTrace.read(io.StringIO(trace_text(trace))))
         assert check, check.error
         assert check.steps_checked == 5
