@@ -28,6 +28,8 @@ CSV_HEADER = (
 
 #: Extra wall-clock seconds granted beyond the timeout before a worker is killed.
 GRACE_SECONDS = 5.0
+#: The longest single wait for a worker; ``wait`` rejects infinity and more than 2**31 ms.
+MAX_WAIT_SECONDS = 60.0
 
 
 @dataclass
@@ -120,7 +122,8 @@ def run_matrix(
             writer.close()
             running[reader] = (proc, time.monotonic(), task)
         first = min(started for _, started, _ in running.values())
-        ready = wait(list(running), None if limit is None else max(0.0, first + limit - time.monotonic()))
+        left = None if limit is None else min(max(0.0, first + limit - time.monotonic()), MAX_WAIT_SECONDS)
+        ready = wait(list(running), left)
         now = time.monotonic()
         for reader, (proc, started, task) in list(running.items()):
             if reader in ready:

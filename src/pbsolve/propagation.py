@@ -8,15 +8,19 @@ updated incrementally: assigning a literal lowers the slack of every
 constraint containing its negation by that literal's weight, and
 unassigning restores it.  Propagation scans constraints whose slack may
 admit candidates and assigns every unassigned literal whose weight exceeds
-the slack.  The search decides only after :meth:`propagate_all` returns
-None, so below the current level no constraint conflicts or propagates;
-conflict analysis rests on that.  One engine instance is strictly
-single-threaded.
+the slack.  Two counters say how far it has got: every constraint id below
+``_scanned`` has had its first scan, and every trail entry below ``_qhead``
+has had the constraints holding its negation visited.  A counter moves past
+an entry only once that entry's work is done, so a conflict returns without
+touching either, and the next call resumes at the same entry once
+backjumping has repaired it.  The search decides only after
+:meth:`propagate_all` returns None, so below the current level no
+constraint conflicts or propagates; conflict analysis rests on that.  One
+engine instance is strictly single-threaded.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from .core import Constraint, slack
@@ -32,8 +36,8 @@ class PropagationEngine:
         self.reasons: list[int | None] = []  # trail index -> constraint id, None = decision
         self.position: dict[int, int] = {}  # true lit -> trail index; read-only outside
         self.level_starts: list[int] = []  # trail index of each open level's decision
-        self._qhead = 0
-        self._pending: deque[int] = deque()
+        self._scanned = 0  # constraint ids below it have had their first scan
+        self._qhead = 0  # trail entries below it have had their occurrences visited
         self.propagations = 0
 
     @property
@@ -56,7 +60,6 @@ class PropagationEngine:
             else:
                 entries.append((cid, w))
         self.slacks.append(slack(c, self.position))
-        self._pending.append(cid)
         return cid
 
     def remove_constraints(self, cids: Iterable[int]) -> None:
@@ -100,46 +103,39 @@ class PropagationEngine:
         """Propagate to fixpoint; return the first conflicting constraint id.
 
         Returns None when no constraint is conflicting, in which case no
-        constraint propagates any further literal.
+        constraint propagates any further literal.  New constraints get
+        their first scan before the next trail entry is visited.
         """
         constraints = self.constraints
         slacks = self.slacks
         occs = self.occs
-        pending = self._pending
         trail = self.trail
         while True:
-            if pending:
-                cid = pending[0]
+            cid = self._scanned
+            if cid < len(constraints):
                 c = constraints[cid]
-                if c is None:
-                    pending.popleft()
-                    continue
-                if slacks[cid] < 0:
-                    # Left queued: the scan still owes its propagations after
-                    # the conflict is repaired by backjumping.
-                    return cid
-                self._scan(cid, c)
-                pending.popleft()
-            elif self._qhead < len(trail):
-                lit = trail[self._qhead]
-                self._qhead += 1
-                for cid, w in occs.get(-lit, ()):
-                    c = constraints[cid]
+                if c is not None:
                     s = slacks[cid]
                     if s < 0:
-                        # Re-process this trail entry after backjumping so the
-                        # remaining occurrences are not lost.
-                        self._qhead -= 1
                         return cid
                     if s < c.max_weight:
-                        self._scan(cid, c)
+                        self._scan(cid, c, s)
+                self._scanned = cid + 1
+            elif self._qhead < len(trail):
+                qhead = self._qhead
+                for cid, _ in occs.get(-trail[qhead], ()):
+                    s = slacks[cid]
+                    if s < 0:
+                        return cid
+                    c = constraints[cid]
+                    if s < c.max_weight:
+                        self._scan(cid, c, s)
+                self._qhead = qhead + 1
             else:
                 return None
 
-    def _scan(self, cid: int, c: Constraint) -> None:
-        s = self.slacks[cid]
-        if s >= c.max_weight:
-            return
+    def _scan(self, cid: int, c: Constraint, s: int) -> None:
+        """Assign every free literal of ``c`` whose weight exceeds its slack ``s``."""
         position = self.position
         for lit, w in c.terms:
             if w > s and lit not in position and -lit not in position:

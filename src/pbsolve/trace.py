@@ -118,7 +118,7 @@ class DerivationTrace:
 
     def write(self, stream: IO[str]) -> None:
         stream.writelines([f"* {text}\n" for text in self.notes])
-        stream.writelines([f"i {i} {c.to_text()}\n" for i, c in self.inputs])
+        stream.writelines([f"i {i} {format_constraint(c.terms, c.degree)}\n" for i, c in self.inputs])
         stream.writelines(
             f"s {i} {rule} {' '.join(map(str, args))} : {format_constraint(terms, degree)}\n"
             for i, rule, args, terms, degree in self.steps
@@ -133,7 +133,7 @@ class DerivationTrace:
 
     @classmethod
     def read(cls, lines: Iterable[str]) -> "DerivationTrace":
-        """Parse trace text.  A step's constraint is read by :func:`~pbsolve.core.read_terms`: text
+        """Parse trace text.  Every constraint is read by :func:`~pbsolve.core.read_terms`: text
         as :meth:`write` spells it is stored as it stands, other text is checked and sorted."""
         trace = cls()
         for lineno, raw in enumerate(lines, start=1):
@@ -144,7 +144,7 @@ class DerivationTrace:
             try:
                 if kind == "i":
                     ident, _, ctext = rest.partition(" ")
-                    trace.inputs.append((int(ident), Constraint.from_text(ctext)))
+                    trace.inputs.append((int(ident), Constraint(*core.read_terms(ctext))))
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
                     fields = head.split()

@@ -115,6 +115,32 @@ class TestBenchMatrix:
         strip = lambda rs: [(r.instance, r.strategy, r.status, r.stats.conflicts) for r in rs]
         assert strip(serial) == strip(parallel)
 
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e7], ids=["inf", "1e7"])
+    def test_timeout_beyond_the_longest_wait(self, bench_dir, timeout):
+        # ``wait`` raises OverflowError on infinity or on more than 2**31 ms.
+        records = run_matrix(sorted(bench_dir.glob("php-*.opb")), ["gen-res"], timeout)
+        assert [(r.instance, r.status, r.error) for r in records] == [
+            ("php-2-1.opb", "UNSAT", None),
+            ("php-3-2.opb", "UNSAT", None),
+        ]
+
+    def test_worker_outlasting_several_waits(self, bench_dir, monkeypatch):
+        import time as time_mod
+
+        import pbsolve.bench as bench_mod
+
+        solve_one = bench_mod.run_one
+
+        def slow(*task):
+            time_mod.sleep(0.5)
+            return solve_one(*task)
+
+        # Workers are forked, so they inherit the patched function.
+        monkeypatch.setattr(bench_mod, "run_one", slow)
+        monkeypatch.setattr(bench_mod, "MAX_WAIT_SECONDS", 0.05)
+        (record,) = bench_mod.run_matrix([bench_dir / "php-2-1.opb"], ["gen-res"], float("inf"))
+        assert (record.status, record.error) == ("UNSAT", None)
+
     def test_watchdog_kills_stuck_worker(self, bench_dir, monkeypatch):
         import time as time_mod
 
@@ -341,6 +367,14 @@ class TestCli:
         assert proc.returncode == 0
         assert "broken.opb gen-res: OpbSyntaxError: " in proc.stderr
         assert "c 2 runs, 1 solved, 1 crashed;" in proc.stdout
+
+    def test_bench_with_an_infinite_timeout(self, bench_dir, tmp_path):
+        out = tmp_path / "rows.csv"
+        proc = run_cli("bench", bench_dir, "--strategies", "gen-res", "--timeout", "inf", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["instance"] for row in rows] == ["php-2-1.opb", "php-3-2.opb", "rand-a.opb"]
+        assert [row["status"] for row in rows[:2]] == ["UNSAT", "UNSAT"]
 
     @pytest.mark.parametrize(
         "extra, message",

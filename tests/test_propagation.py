@@ -178,6 +178,39 @@ class TestBackjump:
             assert propagated in propagation_candidates(engine.constraints[cid], before)
 
 
+class TestResumeAfterConflict:
+    """A conflict returns before either counter moves past its entry: until a
+    backjump repairs it the same conflict comes back, and after one the
+    entry's work is done."""
+
+    def test_attached_constraint_is_scanned_after_backjump(self):
+        engine = engine_with(con("a c >= 1"))
+        assert engine.propagate_all() is None
+        engine.assume(-var("a"))
+        cid = engine.add_constraint(con("a b >= 2"))  # already conflicting
+        for _ in range(2):
+            assert engine.propagate_all() == cid
+            assert engine.trail == [-var("a")]
+        engine.backjump_to(0)
+        assert engine.propagate_all() is None
+        assert engine.trail == [var("a"), var("b")]
+        assert engine.reasons == [cid, cid]
+
+    def test_trail_entry_is_visited_again_after_backjump(self):
+        engine = engine_with(con("~a ~b >= 1"), con("~a c >= 1"))
+        assert engine.propagate_all() is None
+        engine.assume(var("a"))
+        engine.assume(var("b"))
+        for _ in range(2):
+            # The first constraint conflicts before the second is visited.
+            assert engine.propagate_all() == 0
+            assert engine.trail == [var("a"), var("b")]
+        engine.backjump_to(1)
+        assert engine.propagate_all() is None
+        assert engine.trail == [var("a"), -var("b"), var("c")]
+        assert engine.reasons == [None, 0, 1]
+
+
 class TestRemoveConstraints:
     def test_occurrence_lists_drop_removed_and_keep_order(self):
         rows = [con("a b c >= 1"), con("~a b >= 1"), con("a 2c d >= 2"), con("b ~c >= 1")]
