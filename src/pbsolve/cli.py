@@ -97,6 +97,20 @@ def _bad_output_path(*paths: Path | None) -> bool:
     return False
 
 
+def _written(path: Path, write, *data) -> bool:
+    """Write ``path`` through ``write(*data, stream)``.  On an OSError, print
+    one ``error: cannot write`` line, as :func:`_bad_output_path` does, and
+    return False.
+    """
+    try:
+        with open(path, "w", encoding="ascii") as f:
+            write(*data, f)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_solve(args) -> int:
     if _bad_output_path(args.emit_trace):
         return EXIT_ERROR
@@ -115,13 +129,13 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     result = solve(instance, config)
-    if args.emit_trace is not None and result.trace is not None:
-        result.trace.write_file(args.emit_trace)
     st = result.stats
     print(f"c conflicts {st.conflicts} decisions {st.decisions} propagations {st.propagations}")
     print(f"c learned {st.learned} restarts {st.restarts} max-coeff-bits {st.max_coeff_bits}")
     print(f"c seconds {st.seconds:.3f} assignments-per-second {st.assignments_per_second:.0f}")
     print(format_solution(result.status, result.model, instance.nvars))
+    if result.trace is not None and not _written(args.emit_trace, result.trace.write):
+        return EXIT_ERROR
     return {SAT: EXIT_SAT, UNSAT: EXIT_UNSAT, UNKNOWN: EXIT_UNKNOWN}[result.status]
 
 
@@ -150,10 +164,8 @@ def _cmd_bench(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    with open(args.out, "w", encoding="ascii") as f:
-        write_csv(records, f)
-    with open(cactus, "w", encoding="ascii") as f:
-        write_cactus_csv(records, f)
+    if not (_written(args.out, write_csv, records) and _written(cactus, write_cactus_csv, records)):
+        return EXIT_ERROR
     solved = sum(r.status != UNKNOWN for r in records)
     crashed = [r for r in records if r.error is not None]
     for r in crashed:
@@ -176,8 +188,8 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    with open(args.out, "w", encoding="ascii") as f:
-        write_opb(instance, f)
+    if not _written(args.out, write_opb, instance):
+        return EXIT_ERROR
     print(f"c wrote {instance.name}: {len(instance.constraints)} constraints over {instance.nvars} variables")
     return 0
 

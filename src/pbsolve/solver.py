@@ -103,7 +103,7 @@ class Solver:
         self.engine = PropagationEngine()
         self.stats = SolverStats()
         self.nvars = instance.nvars
-        self.trace = DerivationTrace() if self.config.emit_trace else None
+        self.trace = DerivationTrace(len(instance.constraints)) if self.config.emit_trace else None
         self._trace_ids: list[int | None] = []  # engine cid -> trace id, None untraced
         self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
         self._var_inc = 1.0
@@ -119,9 +119,9 @@ class Solver:
         self._cla_inc = 1.0
         self._conflicts_since_restart = 0
         self._deadline: float | None = None
-        for c in instance.constraints:
+        for cid, c in enumerate(instance.constraints):
             self.engine.add_constraint(c)
-            self._trace_ids.append(None if self.trace is None else self.trace.add_input(c))
+            self._trace_ids.append(None if self.trace is None else cid + 1)
             self._note_coefficients(c)
 
     # -- public entry ---------------------------------------------------------

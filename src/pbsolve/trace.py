@@ -1,25 +1,25 @@
 """Recording, serializing and replay-checking derivations.
 
-A trace assigns an id to every input constraint and to the output of every
-rule application.  Each recorded step can be replayed bit-exactly from its
+Ids 1 to n name the instance's n constraints in order; each rule application
+gets the next id for its output.  Each step replays bit-exactly from its
 inputs and parameters, so an independent checker can validate a run without
-trusting the solver: rule steps are recomputed and compared structurally, and
-for unsatisfiability claims a plain root-level propagation over the inputs
-plus the learned constraints must reach a conflict.
+trusting the solver: it recomputes every step from the instance's rows, and
+for an unsatisfiability claim a plain root-level propagation over the
+instance plus the learned constraints must reach a conflict.
 
 The file format is line-oriented text:
 
     * free-form comment
-    i <id> <constraint>
+    i <n>
     s <id> <rule> <args...> : <constraint>
     l <id>
     f <id>
 
-with constraints written as ``<weight> <literal>`` pairs followed by
-``>= <degree>`` and literals spelled ``xK`` / ``~xK``.  A step's arguments
-are integers: its input ids, then its parameters (a literal parameter is the
-signed literal, e.g. ``-3`` for ``~x3``).  :data:`RULES` fixes how many of
-each a rule takes.
+with n the instance's constraint count, constraints written as
+``<weight> <literal>`` pairs followed by ``>= <degree>`` and literals spelled
+``xK`` / ``~xK``.  A step's arguments are integers: its input ids, then its
+parameters (a literal parameter is the signed literal, e.g. ``-3`` for
+``~x3``).  :data:`RULES` fixes how many of each a rule takes.
 """
 
 from __future__ import annotations
@@ -72,28 +72,22 @@ def _split_args(rule: str, args: tuple[int, ...]) -> int:
 
 
 class DerivationTrace:
-    """Accumulates inputs, rule steps, learned ids and the final conflict id.
+    """Accumulates rule steps, learned ids and the final conflict id.
 
-    The trace hands out ids: :meth:`add_input` and :meth:`record` return the
-    id of what they stored, and the caller keeps it beside what it names.
-    A step refers to its inputs by id and holds its output as a term tuple
-    and degree, so recording builds no constraint.  ``learned`` and
-    ``final`` are ids too, which the search appends and sets itself.
+    Ids 1 to ``inputs`` name the instance's constraints in order, and
+    :meth:`record` returns the next id for each output it stores; the
+    caller keeps each id beside what it names.  A step refers to its inputs
+    by id and holds its output as a term tuple and degree, so recording
+    builds no constraint.  ``learned`` and ``final`` are ids too, which the
+    search appends and sets itself.
     """
 
-    def __init__(self):
-        self.inputs: list[tuple[int, Constraint]] = []
+    def __init__(self, inputs: int):
+        self.inputs = inputs
         self.steps: list[RuleStep] = []
         self.learned: list[int] = []
         self.final: int | None = None
         self.notes: list[str] = []
-        self._next_id = 1
-
-    def add_input(self, c: Constraint) -> int:
-        i = self._next_id
-        self._next_id = i + 1
-        self.inputs.append((i, c))
-        return i
 
     def record(
         self,
@@ -106,8 +100,7 @@ class DerivationTrace:
 
         ``args`` are the input ids, then the parameters, as a step writes them.
         """
-        i = self._next_id
-        self._next_id = i + 1
+        i = self.inputs + len(self.steps) + 1
         self.steps.append(RuleStep(i, rule, args, terms, degree))
         return i
 
@@ -118,7 +111,7 @@ class DerivationTrace:
 
     def write(self, stream: IO[str]) -> None:
         stream.writelines([f"* {text}\n" for text in self.notes])
-        stream.writelines([f"i {i} {format_constraint(c.terms, c.degree)}\n" for i, c in self.inputs])
+        stream.write(f"i {self.inputs}\n")
         stream.writelines(
             f"s {i} {rule} {' '.join(map(str, args))} : {format_constraint(terms, degree)}\n"
             for i, rule, args, terms, degree in self.steps
@@ -135,7 +128,8 @@ class DerivationTrace:
     def read(cls, lines: Iterable[str]) -> "DerivationTrace":
         """Parse trace text.  Every constraint is read by :func:`~pbsolve.core.read_terms`: text
         as :meth:`write` spells it is stored as it stands, other text is checked and sorted."""
-        trace = cls()
+        trace = cls(0)
+        counted = False
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("*"):
@@ -143,8 +137,10 @@ class DerivationTrace:
             kind, _, rest = line.partition(" ")
             try:
                 if kind == "i":
-                    ident, _, ctext = rest.partition(" ")
-                    trace.inputs.append((int(ident), Constraint(*core.read_terms(ctext))))
+                    if counted:
+                        raise ValueError("a second input count")
+                    trace.inputs = int(rest)
+                    counted = True
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
                     fields = head.split()
@@ -163,7 +159,6 @@ class DerivationTrace:
                     raise ValueError(f"unknown record kind {kind!r}")
             except ValueError as exc:
                 raise ValueError(f"trace line {lineno}: {exc}") from exc
-        trace._next_id = 1 + max([i for i, _ in trace.inputs] + [st.step_id for st in trace.steps], default=0)
         return trace
 
     @classmethod
@@ -186,23 +181,17 @@ class TraceCheck:
 def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck:
     """Replay every recorded step and validate an unsatisfiability claim.
 
-    Checks, in order: the declared inputs match the instance's normalized
-    constraints; no two inputs or steps share an id; every step has its
+    Checks, in order: the trace counts the instance's n constraints, which ids
+    1 to n name; no step reuses an id; every step has its
     rule's argument count (checked by :func:`_split_args`, as
     :meth:`DerivationTrace.read` does), references only earlier ids and
     replays bit-exactly through :data:`RULES`; and, when a final conflict is declared, root-level
-    propagation over inputs plus learned constraints yields a conflict.
+    propagation over the instance plus learned constraints yields a conflict.
     """
     expected = instance.constraints
-    if len(trace.inputs) != len(expected):
-        return TraceCheck(f"input count mismatch: trace has {len(trace.inputs)}, instance has {len(expected)}")
-    known: dict[int, Constraint] = {}
-    for (i, c), ref in zip(trace.inputs, expected):
-        if i in known:
-            return TraceCheck(f"duplicate id {i}")
-        if c != ref:
-            return TraceCheck(f"input {i} does not match the instance: {c.to_text()!r} vs {ref.to_text()!r}")
-        known[i] = c
+    if trace.inputs != len(expected):
+        return TraceCheck(f"input count mismatch: trace has {trace.inputs}, instance has {len(expected)}")
+    known = dict(enumerate(expected, start=1))
 
     for index, (step_id, rule, args, terms, degree) in enumerate(trace.steps):
         try:

@@ -354,8 +354,8 @@ class TestRuleApplication:
         clause = con("a b c >= 1")
         reason = con("3a 3b >= 3")
         safe_reason = con("~b c >= 1")
-        trace = DerivationTrace()
-        clause_id, reason_id, safe_id = map(trace.add_input, (clause, reason, safe_reason))
+        trace = DerivationTrace(3)
+        clause_id, reason_id, safe_id = 1, 2, 3
         # No division: the pivot weight is 1.
         side = Accumulator(clause, trace, clause_id)
         reduce_rs(side, lit("a"), set())
@@ -383,9 +383,9 @@ class TestRuleApplication:
         c = side.constraint()
         assert (c.terms, c.degree, c.max_weight) == (learned.terms, 2, 2)
         # Traced, cancel keeps the order, so the step records sorted terms.
-        trace = DerivationTrace()
-        side = Accumulator(conflict, trace, trace.add_input(conflict))
-        side.cancel(Accumulator(reason, trace, trace.add_input(reason)), lit("b"))
+        trace = DerivationTrace(2)
+        side = Accumulator(conflict, trace, 1)
+        side.cancel(Accumulator(reason, trace, 2), lit("b"))
         assert list(side.weights) == [lit("a"), lit("c"), lit("e")]
         assert (trace.steps[-1].terms, trace.steps[-1].degree) == (learned.terms, 2)
         assert side.constraint() == learned
@@ -434,19 +434,18 @@ class TestResolveStep:
             resolved(CONFLICT1, con("c d >= 1"), lit("~b"), RHO1B, "gen-res")
 
     def test_reason_without_the_pivot_records_no_step(self):
-        trace = DerivationTrace()
-        side = Accumulator(CONFLICT1, trace, trace.add_input(CONFLICT1))
+        trace = DerivationTrace(2)
+        side = Accumulator(CONFLICT1, trace, 1)
         reason = con("c d >= 1")
-        reduced = Accumulator(reason, trace, trace.add_input(reason))
+        reduced = Accumulator(reason, trace, 2)
         with pytest.raises(ValueError, match="^the pivot does not occur in the reason side$"):
             resolve_step(side, reduced, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps == []
         assert side.constraint() == CONFLICT1
 
     def test_steps_replay_bit_exactly(self):
-        trace = DerivationTrace()
-        cid = trace.add_input(CONFLICT1)
-        rid = trace.add_input(REASON1)
+        trace = DerivationTrace(2)
+        cid, rid = 1, 2
         side = Accumulator(CONFLICT1, trace, cid)
         resolve_step(side, Accumulator(REASON1, trace, rid), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps
@@ -459,9 +458,9 @@ class TestResolveStep:
         assert by_id[side.id] == side.constraint()
 
     def test_constraint_leaves_the_trace_unchanged(self):
-        trace = DerivationTrace()
-        side = Accumulator(CONFLICT1, trace, trace.add_input(CONFLICT1))
-        reason = Accumulator(REASON1, trace, trace.add_input(REASON1))
+        trace = DerivationTrace(2)
+        side = Accumulator(CONFLICT1, trace, 1)
+        reason = Accumulator(REASON1, trace, 2)
         resolve_step(side, reason, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         before = {name: copy.copy(value) for name, value in vars(trace).items()}
         out = side.constraint()

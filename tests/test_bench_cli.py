@@ -463,3 +463,31 @@ class TestBadOutputPath:
         assert_one_error_line(proc, paths[which])
         # No worker ran: each would have written a trace there.
         assert not traces.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, which fails every write")
+class TestFailedWrite:
+    """A write that fails after the output was opened is one error line and
+    exit 1, not a traceback."""
+
+    FULL = Path("/dev/full")
+
+    def assert_write_failed(self, proc):
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: cannot write {self.FULL}: No space left on device"]
+        assert "Traceback" not in proc.stderr
+
+    def test_solve_emit_trace_prints_the_answer_first(self, tmp_path):
+        path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
+        proc = run_cli("solve", path, "--emit-trace", self.FULL)
+        self.assert_write_failed(proc)
+        assert "s UNSATISFIABLE" in proc.stdout.splitlines()
+
+    def test_generate(self):
+        self.assert_write_failed(run_cli("generate", "php", "--pigeons", "3", "--holes", "2", "--out", self.FULL))
+
+    @pytest.mark.parametrize("which", ["out", "cactus"])
+    def test_bench(self, bench_dir, tmp_path, which):
+        paths = {"out": tmp_path / "rows.csv", "cactus": tmp_path / "rows.cactus.csv", which: self.FULL}
+        proc = run_cli("bench", bench_dir, "--strategies", "gen-res", "--out", paths["out"], "--cactus", paths["cactus"])
+        self.assert_write_failed(proc)

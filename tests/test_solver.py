@@ -43,10 +43,10 @@ from helpers import (
 )
 
 
-def recorded_constraints(trace):
-    """Each input and step id of a trace -> the constraint recorded under it."""
+def recorded_constraints(instance, trace):
+    """Each input and step id of a trace -> the constraint it names."""
     steps = {st.step_id: Constraint(st.terms, st.degree) for st in trace.steps}
-    return {**dict(trace.inputs), **steps}
+    return {**dict(enumerate(instance.constraints, start=1)), **steps}
 
 
 def oracle_assertion_level(c, engine):
@@ -282,7 +282,7 @@ class TestAnalyzeConflict:
             assert level is None
             assert all(other[2] is not None for other in exits[:-1])
             assert result.trace.final == root_id
-            assert recorded_constraints(result.trace)[root_id] == root
+            assert recorded_constraints(instance, result.trace)[root_id] == root
             check = verify_trace(instance, result.trace)
             assert check, (strategy, check.error)
 
@@ -769,50 +769,50 @@ class TestHeuristics:
 #: learned, sha256 of the written trace text) under ``conflict_budget=300``.
 #: The largest coefficient reached is 4,491 bits (multiply-weaken).
 TRACE_DIGESTS = {
-    ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
-    ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
-    ("php-6-5", "rs-conflict"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
-    ("php-6-5", "rs-reason"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
-    ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
-    ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
-    ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "a7d0ca6220999c1e723a42f5fa8bc76e251be586d58caaa8b04dc731fff1f5ab"),
-    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "0a2d52ea2072072625a8efece682612f880c55d5d547796f4d5caf8a5ff85046"),
-    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "5df74ea4c145a983317311087805cd0b7975c5a97ca886bd5910ab98951a035f"),
-    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "cbb39dcc67aa2a4c23884cbea7ee7abe5170e4a4b55f559f2eebf168504c5e36"),
-    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "c93357fec29aef1acea7a0c164666e0538731999c56099b80d9ab0d9785c3c92"),
-    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "3f1fcd6ecb20851de4832f4adad64f58500a0a141f28fc0773cfb69dbc032f6f"),
-    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "c7f8b79879753ebc5237d6d347a5b12acbece8957fd5210826d4201644336fee"),
-    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "8b418f4b3cb64069e192283117bb30427f2983d5c8c7a08ec8ba7538f45662cf"),
-    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "f019b593b89f5ae1997c26df8ee14f0f802dfc358728dedf48b572d5d24ea002"),
-    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "7115665e6aff74ebbcd449ae7e218863837e02188c9ca09e399a7093d63ac0b8"),
-    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "46fc6981eac0b10b2f5aea956e447cac2b453148501f3bdde711ec6c45c49465"),
-    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "18f60ba15c696b1f2100b311e4f7693442eff8c85d8fff24c2684aa74669a984"),
-    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "1b7b7814a3fba932bc5f054570e6057677f7f2143e21dd2cdd5acea0d19852c8"),
-    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "164f5ae6958029dc1ef5e853ecd3665d0cafa527a8dcab5c3010d7d60b13d2c5"),
-    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "ba7fd52fe5280b38fb5fe223cd30d403116b5105e814096f552bc86aa465ca2c"),
-    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "4e53c0073efe43d8afd1f459c2c6643469d2822bbdc2ab3f636a83e8966859fe"),
-    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "abd10f6c5ddf4a98d308dcdae07c59edc52ee4e7856c6613be8c6a6c82688f65"),
-    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "a2400b5c493b25fcc2f3becedc15d31dcafe99ed11751bda735629b0c3d82591"),
-    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "c5b1b3ced6f4ecf17a0a129c18d223c73c579beb367aa186804db426196634c4"),
-    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "58f377c1138a21728c4d8321e92d84f7ab81b16ea2acacf0c8602d84fa201e1f"),
-    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "d4ac05ec24c5f397af5e8e58883f1438657013e1e65ad91b86ae965b1dfb29f7"),
-    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "942a2944fc166cfd4a702c5fbb4f7611c682b2e2ebee5cfd1dbfabc951c1c94c"),
-    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "ec129d528a80507a1697e56ea35072e8675d45c25e243edb02d69f328d11fbaf"),
-    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "08f84ddc5568d182d6b657339e38991ce9aa30f5ccbb9d988c2d78f645183922"),
-    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "f9606d706dc1bd3b2950dcd27da375a41d3c469e390f9a67c8ad49f7778d507b"),
-    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "9ef30ca335962f39f8e6a94906a54b9d8b7a69334a897235d4402951aa08ac92"),
-    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "744ca3160198e61cd8edd947e52f76fc64f1331e87d5902f91e53678b8d17dd8"),
-    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "6711cefd5d3de791884b87f88247fe882803e678153b72442598c65ec3355ee2"),
-    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "76e12b7297d9a330aa99fe726fb73a7602b194f1a8944a962fa8f26bab518002"),
-    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "40e679684981abb0542147c6c1932147be7ecbc1dce50e95d8210a21fcb437b6"),
-    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "43e430f39395a5071d6f0568af4622d6a58800033360f389be92b42e23ff3f4b"),
-    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "1b5fca9744c23a02b33b067207c4fab74e9ca650202e30a7d54cffdc19a67be6"),
-    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "ab862354f51d37d382ba2f90e91e08562e2884cae3e4945b1635490409bdf139"),
-    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "16a56f9c0a5a59929303c3a4a39167a933d2ac3587ce38b2a131f6211d52a9a9"),
-    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "eb188b3ca141a5ca9e9dcd2dac033b97abbf3695a738415e0501cab47f2e984c"),
-    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "c4d4efefa2e62cbb9d0535e4ce0ebc7a9df8c045ac6b60f7b49d49f275a3196f"),
-    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "853ef6cd880074aa6f9c2223bdfef27dd0e5125f1bc977079d2fc17888e25724"),
-    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "b91002f2a33e7cd7a04dcfa2ca72b8459097dd30e54c50cdf2c2f76afbbb4478"),
+    ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
+    ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
+    ("php-6-5", "rs-conflict"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
+    ("php-6-5", "rs-reason"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
+    ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
+    ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
+    ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
+    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "3a73b79f099992359822b6699ef5347a21e0b1b7bcc386cbad0f162f099ea0b3"),
+    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "92a5ff497af0a48a8c7c224dc6b43fcec7045027d39920b6311ff22a37df8e4b"),
+    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "519e07c2cfe2b3933365d621e245eba037f0345185f6a1566691c97a6c748dab"),
+    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "0873e006fc0b4ebbc2ee6c27c9ffa5dbe74a1f3de7810c5c941a6055317c50a2"),
+    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "d687894feb976e552b9a8a246f776ebc397216131ad3b51e4c28507a77f4dae0"),
+    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "0127c1a786ff4e68482c63f9f02d577b29a5aec52efad124d3a927ff2351717b"),
+    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "9b86b9510c6a7dd1c512871c3a26ccdd74d2f42463cca9caff2ba6d28a363b7e"),
+    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "1e642dca0f1614678127278c4734fcb2e594fbca5de557d382382a1ecc8f093d"),
+    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "5f7198183935b296342cf0f89beff00b7990023df01fbaa4615265ef063fcd59"),
+    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "fe98a18e7c084c650cb40b8fe1e18a682ca5e80d45ad880f2d71934b1db77215"),
+    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "3bf2defbdbd3dacde4e4919e3ed6410f98aa7f9e92c52cf54818ab4dea07e6e0"),
+    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "03b7029f921661f9d20904edc1e51deb74b4c2e2889b1f40d0d748d132e4ff7a"),
+    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "a072080d3bccc8e7beb3760b62a461dbc8549fb7e5b8e7c499a0e320554cd672"),
+    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "632eec53165640b847243a48f6f7e2a76d10ca47684d2009e0671437567a86ba"),
+    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "7efc81f01eb82a6ae8d2cfe109b916eba01b1fa00436fdb273a2ee2ab5272524"),
+    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "3f6301f1cd7b1c950869f4fac0edaf2c51d0e0fe7d0afdd17eb6994f986166c3"),
+    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "bbcf48978ef19362524e969c4baeae5f82f34a6278ca43d87f7dc092321663ce"),
+    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "e7131169b283bb1ca825104a8d8f1ac345947610148e416238706a4e86494796"),
+    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "a1a27cdb7b5ea37eaded3af9ca8b9e1184cd332125f197d82d68b43894ea0f59"),
+    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "ee3b3eed0da10d50c89f26729ff0c22509f4bd88a42c25ca35c50ab64450f38d"),
+    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "d77faba79a3ed5f4ab7238d725c9604ae98509d752d32efcb9ce1adbdc3b075f"),
+    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "e745f9fc002a2e86dd65337f948d5184446211a8b5d7c156436e29a925419ab8"),
+    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "b7d8d1ee435db3980f88e4ba409f7536bbd2bc23ab29b0dceee4864da01e784e"),
+    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "4a3fa6afe11feae3029439399828d327679c8350c9f30de10d8b86ea0a6d2a33"),
+    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "ebe6a7242eeec14e4f108c3255872abbb1d507d7814284acffa03d4b29a2a87a"),
+    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "80a509d72bb9a3fc39ea4b670c919d9b7805be09d1f372e7b4e357367ddb03a1"),
+    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "d0b9688d1aacc0668b66aa120c4f3759414ec8132a00dc58412e4b0c99782650"),
+    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "ab163843723675bae770e9914fdd4c23d52a85e0a445e30b97d489ca3de789cb"),
+    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "22d48fbf081e27e404911a866912418e715659f2fa2c1521263e44572bcb77d0"),
+    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "14083126288ed6c6e8f4ae0a9ede1d0fd4435ee5006dc916e9c59509c3e00e2e"),
+    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "18650ad055f0694a9c64cf52b743bdd8f14029cdc2aa632c176ee9e536e5b4f4"),
+    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "6ea4ab545eda19406b93541726b44b120feab983a311020f586e96148dbefb81"),
+    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "8e2cbac89e656d981fb70b32c020128ff5a11a74b47968cc55a53bc91657ca69"),
+    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "2c05156f21373faf1cea15537a6725dfdac48ec29644b8270abf2064f5d40260"),
+    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "522fead80dcfcd9f83198ac8cc6494c2778d3633f01e7f466e92548029045904"),
+    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "a20c6ff7902db115d5fd366d954178cffce134289ffba793cb8e18b76e4ee748"),
+    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "abd928153c2096bd27beedf33c8c980cc179a17d6b8a303e1cd51b34c900a14b"),
 }
 
 

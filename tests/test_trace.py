@@ -46,7 +46,7 @@ class TestSerialization:
         assert verify_trace(instance, DerivationTrace.read_file(path))
 
     def test_comments_and_blank_lines_are_skipped(self):
-        lines = ["i 1 1 x1 1 x2 >= 1", "s 2 saturate 1 : 1 x1 1 x2 >= 1", "l 2", "f 2"]
+        lines = ["i 1", "s 2 saturate 1 : 1 x1 1 x2 >= 1", "l 2", "f 2"]
         plain = DerivationTrace.read(lines)
         commented = DerivationTrace.read(["* a note", "", *lines[:2], "   ", "*another", *lines[2:]])
         assert commented.inputs == plain.inputs
@@ -56,8 +56,8 @@ class TestSerialization:
     @pytest.mark.parametrize("lines", [[], ["* a note", "f 1"], ["", "l 3"]], ids=["empty", "note-and-final", "learned"])
     def test_trace_without_inputs_or_steps_is_read(self, lines):
         trace = DerivationTrace.read(lines)
-        assert (trace.inputs, trace.steps) == ([], [])
-        assert trace.add_input(con("a >= 1")) == 1
+        assert (trace.inputs, trace.steps) == (0, [])
+        assert trace.record("saturate", (1,), ((1, 1),), 1) == 1
 
     def test_written_step_text_is_read_without_from_text(self, monkeypatch):
         steps = [st for st in solve_with_trace(php_instance(4, 3)).trace.steps if st.terms]
@@ -67,7 +67,25 @@ class TestSerialization:
 
     def test_unknown_record_kind_is_rejected(self):
         with pytest.raises(ValueError, match=r"^trace line 2: unknown record kind 'x'$"):
-            DerivationTrace.read(["i 1 1 x1 >= 1", "x 2"])
+            DerivationTrace.read(["i 1", "x 2"])
+
+    def test_second_input_count_is_rejected_at_its_line(self):
+        with pytest.raises(ValueError, match=r"^trace line 3: a second input count$"):
+            DerivationTrace.read(["i 2", "* a note", "i 2"])
+
+    def test_old_form_input_record_is_rejected_at_its_line(self):
+        # Inputs are named by position; a trace restating one is not read.
+        with pytest.raises(ValueError, match=r"^trace line 2: invalid literal for int\(\)"):
+            DerivationTrace.read(["* a note", "i 1 1 x1 >= 1", "f 1"])
+
+    def test_written_trace_counts_its_inputs_once_before_every_step(self):
+        instance = php_instance(4, 3)
+        lines = trace_text(solve_with_trace(instance, "weaken-ineffective-both").trace).splitlines()
+        kinds = [line.split()[0] for line in lines]
+        assert kinds.count("i") == 1 and "s" in kinds
+        at = kinds.index("i")
+        assert lines[at] == f"i {len(instance.constraints)}"
+        assert "s" not in kinds[:at]
 
     def test_malformed_line_reports_position(self):
         with pytest.raises(ValueError) as err:
@@ -81,14 +99,14 @@ class TestSerialization:
     )
     def test_wrong_argument_count_is_rejected(self, rule, arity, extra):
         args = " ".join(["1"] * (arity + extra))
-        lines = ["i 1 1 x1 1 x2 >= 1", f"s 2 {rule} {args} : 1 x1 >= 1"]
+        lines = ["i 1", f"s 2 {rule} {args} : 1 x1 >= 1"]
         message = f"trace line 2: {rule} takes {arity} arguments, got {arity + extra}"
         with pytest.raises(ValueError, match=message):
             DerivationTrace.read(lines)
 
     def test_step_without_degree_is_rejected(self):
         with pytest.raises(ValueError, match="trace line 2: missing '>='"):
-            DerivationTrace.read(["i 1 1 x1 >= 1", "s 2 saturate 1"])
+            DerivationTrace.read(["i 1", "s 2 saturate 1"])
 
     @pytest.mark.parametrize(
         "ctext, message",
@@ -106,7 +124,7 @@ class TestSerialization:
         ],
     )
     def test_invalid_step_constraint_is_rejected_with_its_message(self, ctext, message):
-        lines = ["i 1 1 x1 1 x2 >= 1", f"s 2 saturate 1 : {ctext}"]
+        lines = ["i 1", f"s 2 saturate 1 : {ctext}"]
         with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
             DerivationTrace.read(lines)
 
@@ -211,11 +229,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "lines, error",
         [
-            (["i 1 1 x1 1 x2 >= 1", "i 1 1 x1 1 ~x2 >= 1"], "duplicate id 1"),
+            (["i 2", "s 2 saturate 1 : 1 x1 1 x2 >= 1"], "step 0: duplicate id 2"),
             (
                 [
-                    "i 1 1 x1 1 x2 >= 1",
-                    "i 2 1 x1 1 ~x2 >= 1",
+                    "i 2",
                     "s 3 cancel 1 2 2 : 2 x1 >= 1",
                     "s 3 saturate 1 : 1 x1 1 x2 >= 1",
                     "l 3",
@@ -233,9 +250,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "lines, error",
         [
-            (["i 1 1 x1 1 x2 >= 1"], "input count mismatch: trace has 1, instance has 2"),
-            (["i 1 1 x1 1 x2 >= 1", "i 2 1 x1 1 ~x2 >= 1", "l 5"], "learned id 5 was never derived"),
-            (["i 1 1 x1 1 x2 >= 1", "i 2 1 x1 1 ~x2 >= 1", "f 7"], "final id 7 was never derived"),
+            (["i 1"], "input count mismatch: trace has 1, instance has 2"),
+            (["i 2", "l 5"], "learned id 5 was never derived"),
+            (["i 2", "f 7"], "final id 7 was never derived"),
         ],
         ids=["input-count", "learned", "final"],
     )
@@ -254,13 +271,13 @@ class TestVerify:
 
     def test_forward_reference_rejected(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
-        lines = ["i 1 1 x1 1 x2 >= 1", "s 2 saturate 3 : 1 x1 1 x2 >= 1"]
+        lines = ["i 1", "s 2 saturate 3 : 1 x1 1 x2 >= 1"]
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check and "unknown id" in check.error
 
     def test_unsat_claim_needs_root_conflict(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
-        lines = ["i 1 1 x1 1 x2 >= 1", "f 1"]
+        lines = ["i 1", "f 1"]
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check and "not confirmed" in check.error
 
@@ -269,12 +286,11 @@ class TestVerify:
         # second pass propagates ~b from the first row and finds the second
         # row false.  Without the unit row nothing propagates.
         rows = [con("~a ~b >= 1"), con("~a b >= 1"), con("a >= 1")]
-        lines = [f"i {i} {c.to_text()}" for i, c in enumerate(rows, start=1)]
         instance = ParsedInstance(declared_vars=2, constraints=rows)
-        check = verify_trace(instance, DerivationTrace.read([*lines, "f 1"]))
+        check = verify_trace(instance, DerivationTrace.read(["i 3", "f 1"]))
         assert check, check.error
         instance = ParsedInstance(declared_vars=2, constraints=rows[:2])
-        check = verify_trace(instance, DerivationTrace.read([*lines[:2], "f 1"]))
+        check = verify_trace(instance, DerivationTrace.read(["i 2", "f 1"]))
         assert not check
         assert check.error == "unsatisfiability claim not confirmed by root-level propagation"
 
@@ -283,8 +299,8 @@ class TestVerify:
         # learned empty constraint ">= 1" is the conflict by itself.
         inputs = [con("a b >= 1"), con("a ~b >= 1"), con("~a b >= 1"), con("~a ~b >= 1")]
         instance = ParsedInstance(declared_vars=2, constraints=list(inputs))
-        trace = DerivationTrace()
-        rows = [(c, trace.add_input(c)) for c in inputs]
+        trace = DerivationTrace(len(inputs))
+        rows = list(zip(inputs, range(1, len(inputs) + 1)))
 
         def derive(rule, args, params):
             """Apply a rule to (constraint, id) pairs; returns the output's pair."""
@@ -313,14 +329,14 @@ class TestVerify:
         assert result.status == UNSAT
         assert result.stats.conflicts == 1
         text = trace_text(result.trace)
-        assert text == "i 1  >= 1\ni 2 1 x2 1 x3 >= 1\nf 1\n"
-        assert dict(result.trace.inputs)[result.trace.final] == core.Constraint((), 1)
+        assert text == "i 2\nf 1\n"
+        assert instance.constraints[result.trace.final - 1] == core.Constraint((), 1)
         check = verify_trace(instance, DerivationTrace.read(io.StringIO(text)))
         assert check, check.error
 
     def test_tautological_step_is_a_replay_error(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
-        lines = ["i 1 1 x1 1 x2 >= 1", "s 2 weaken 1 1 : 1 x2 >= 1"]
+        lines = ["i 1", "s 2 weaken 1 1 : 1 x2 >= 1"]
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check
         assert check.error == "step 0: replay error: degree must be >= 1, got 0"
@@ -376,7 +392,7 @@ class TestVerify:
         trace = solve_with_trace(instance).trace
         arity = n_inputs + n_params
         args = (1,) * (arity + extra)
-        step_id = max(i for i, _ in trace.inputs) + len(trace.steps) + 1
+        step_id = trace.inputs + len(trace.steps) + 1
         out = con("a >= 1")
         trace.steps.append(RuleStep(step_id, rule, args, out.terms, out.degree))
         index = len(trace.steps) - 1
@@ -395,8 +411,8 @@ class TestVerify:
         # the comparison with the replay rejects a malformed term tuple.
         inputs = [con("a b >= 1"), con("~a c >= 1")]
         instance = ParsedInstance(declared_vars=4, constraints=list(inputs))
-        trace = DerivationTrace()
-        ids = tuple(trace.add_input(c) for c in inputs)
+        trace = DerivationTrace(len(inputs))
+        ids = (1, 2)
         out = RULES["cancel"][0](*inputs, 1)
         assert out.terms == ((2, 1), (3, 1))
         trace.record("cancel", (*ids, 1), out.terms, out.degree)
