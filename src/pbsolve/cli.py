@@ -81,16 +81,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bad_output_path(*paths: Path | None) -> bool:
-    """Print an error line for the first output path in a missing directory
-    or naming a directory.  Called before any search or worker starts.
+def _bad_output_path(inputs: list[Path], *paths: Path | None) -> bool:
+    """Print an error line for the first output path in a missing directory,
+    naming a directory, or naming a file of ``inputs`` or an earlier output
+    (a device such as /dev/null may be named again).  Called before any work.
     """
-    for path in paths:
-        if path is not None and not path.parent.is_dir():
+    taken = dict.fromkeys(map(Path.resolve, inputs), "an input")
+    for path in filter(None, paths):
+        where = path.resolve()
+        if not path.parent.is_dir():
             problem = f"no directory {path.parent}"
-        elif path is not None and path.is_dir():
+        elif path.is_dir():
             problem = "it is a directory"
+        elif where in taken and (path.is_file() or not path.exists()):
+            problem = f"it is also {taken[where]}"
         else:
+            taken[where] = "an earlier output"
             continue
         print(f"error: cannot write {path}: {problem}", file=sys.stderr)
         return True
@@ -112,7 +118,7 @@ def _written(path: Path, write, *data) -> bool:
 
 
 def _cmd_solve(args) -> int:
-    if _bad_output_path(args.emit_trace):
+    if _bad_output_path([args.file], args.emit_trace):
         return EXIT_ERROR
     try:
         config = SolverConfig(
@@ -155,7 +161,7 @@ def _cmd_bench(args) -> int:
         print(f"error: no .opb files in {args.dir}", file=sys.stderr)
         return EXIT_ERROR
     cactus = args.cactus or args.out.with_suffix(".cactus.csv")
-    if _bad_output_path(args.out, cactus):
+    if _bad_output_path(paths, args.out, cactus):
         return EXIT_ERROR
     try:
         records = run_matrix(
@@ -178,7 +184,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if _bad_output_path(args.out):
+    if _bad_output_path([], args.out):
         return EXIT_ERROR
     try:
         if args.family == "php":

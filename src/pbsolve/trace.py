@@ -1,7 +1,8 @@
 """Recording, serializing and replay-checking derivations.
 
-Ids 1 to n name the instance's n constraints in order; each rule application
-gets the next id for its output.  Each step replays bit-exactly from its
+Ids 1 to n name the instance's n constraints in order, and the k-th step's
+output is id n + k: a step is named by its position, as DRAT and VeriPB
+proofs name each derived constraint.  Each step replays bit-exactly from its
 inputs and parameters, so an independent checker can validate a run without
 trusting the solver: it recomputes every step from the instance's rows, and
 for an unsatisfiability claim a plain root-level propagation over the
@@ -11,7 +12,7 @@ The file format is line-oriented text:
 
     * free-form comment
     i <n>
-    s <id> <rule> <args...> : <constraint>
+    s <rule> <args...> : <constraint>
     l <id>
     f <id>
 
@@ -45,38 +46,37 @@ RULES = {
 
 
 class RuleStep(NamedTuple):
-    """One replayable rule application.
+    """One replayable rule application; its id is its position (see :class:`DerivationTrace`).
 
     The output is held as its term tuple (ascending variable order) and degree, valid
     when read and unvalidated when recorded: :func:`verify_trace` compares both with the replay.
     """
 
-    step_id: int
     rule: str
     args: tuple[int, ...]  # input ids, then parameters
     terms: tuple[tuple[int, int], ...]
     degree: int
 
 
-def _split_args(rule: str, args: tuple[int, ...]) -> int:
-    """The number of input ids that lead a step's arguments, by :data:`RULES`.
+def _split_args(rule: str, n_args: int) -> int:
+    """The number of input ids that lead a step's ``n_args`` arguments, by :data:`RULES`.
 
     Raises ValueError for an unknown rule or a wrong argument count.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     _, n_inputs, n_params = RULES[rule]
-    if len(args) != n_inputs + n_params:
-        raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {len(args)}")
+    if n_args != n_inputs + n_params:
+        raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {n_args}")
     return n_inputs
 
 
 class DerivationTrace:
     """Accumulates rule steps, learned ids and the final conflict id.
 
-    Ids 1 to ``inputs`` name the instance's constraints in order, and
-    :meth:`record` returns the next id for each output it stores; the
-    caller keeps each id beside what it names.  A step refers to its inputs
+    Ids 1 to ``inputs`` name the instance's constraints in order, and the
+    k-th step's output is id ``inputs + k``, which :meth:`record` returns;
+    the caller keeps each id beside what it names.  A step refers to its inputs
     by id and holds its output as a term tuple and degree, so recording
     builds no constraint.  ``learned`` and ``final`` are ids too, which the
     search appends and sets itself.
@@ -100,9 +100,8 @@ class DerivationTrace:
 
         ``args`` are the input ids, then the parameters, as a step writes them.
         """
-        i = self.inputs + len(self.steps) + 1
-        self.steps.append(RuleStep(i, rule, args, terms, degree))
-        return i
+        self.steps.append(RuleStep(rule, args, terms, degree))
+        return self.inputs + len(self.steps)
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -113,8 +112,8 @@ class DerivationTrace:
         stream.writelines([f"* {text}\n" for text in self.notes])
         stream.write(f"i {self.inputs}\n")
         stream.writelines(
-            f"s {i} {rule} {' '.join(map(str, args))} : {format_constraint(terms, degree)}\n"
-            for i, rule, args, terms, degree in self.steps
+            f"s {rule} {' '.join(map(str, args))} : {format_constraint(terms, degree)}\n"
+            for rule, args, terms, degree in self.steps
         )
         stream.writelines([f"l {i}\n" for i in self.learned])
         if self.final is not None:
@@ -143,14 +142,9 @@ class DerivationTrace:
                     counted = True
                 elif kind == "s":
                     head, _, ctext = rest.partition(" : ")
-                    fields = head.split()
-                    if len(fields) < 2:
-                        raise ValueError("a step needs an id and a rule")
-                    i = int(fields[0])
-                    rule = fields[1]
-                    args = tuple(map(int, fields[2:]))
-                    _split_args(rule, args)
-                    trace.steps.append(RuleStep(i, rule, args, *core.read_terms(ctext)))
+                    rule, *params = head.split() or [""]
+                    _split_args(rule, len(params))
+                    trace.steps.append(RuleStep(rule, tuple(map(int, params)), *core.read_terms(ctext)))
                 elif kind == "l":
                     trace.learned.append(int(rest))
                 elif kind == "f":
@@ -182,42 +176,41 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     """Replay every recorded step and validate an unsatisfiability claim.
 
     Checks, in order: the trace counts the instance's n constraints, which ids
-    1 to n name; no step reuses an id; every step has its
-    rule's argument count (checked by :func:`_split_args`, as
-    :meth:`DerivationTrace.read` does), references only earlier ids and
-    replays bit-exactly through :data:`RULES`; and, when a final conflict is declared, root-level
-    propagation over the instance plus learned constraints yields a conflict.
+    1 to n name; every step has its rule's argument count (checked by
+    :func:`_split_args`, as :meth:`DerivationTrace.read` does), references
+    only earlier ids and replays bit-exactly through :data:`RULES`, its
+    output taking the next id; and, when a final conflict is declared,
+    root-level propagation over the instance plus learned constraints
+    yields a conflict.
     """
     expected = instance.constraints
     if trace.inputs != len(expected):
         return TraceCheck(f"input count mismatch: trace has {trace.inputs}, instance has {len(expected)}")
-    known = dict(enumerate(expected, start=1))
+    known = [None, *expected]  # by id: every lookup checks 0 < id, as -1 would index
 
-    for index, (step_id, rule, args, terms, degree) in enumerate(trace.steps):
+    for index, (rule, args, terms, degree) in enumerate(trace.steps):
         try:
-            n_inputs = _split_args(rule, args)
+            n_inputs = _split_args(rule, len(args))
         except ValueError as exc:
             return TraceCheck(f"step {index}: {exc}", index)
-        if step_id in known:
-            return TraceCheck(f"step {index}: duplicate id {step_id}", index)
         inputs = args[:n_inputs]
         for ref_id in inputs:
-            if ref_id not in known or ref_id >= step_id:
+            if not 0 < ref_id < len(known):
                 return TraceCheck(f"step {index}: reference to unknown id {ref_id}", index)
         try:
             result = RULES[rule][0](*map(known.__getitem__, inputs), *args[n_inputs:])
         except ValueError as exc:
             return TraceCheck(f"step {index}: replay error: {exc}", index)
         if result.terms != terms or result.degree != degree:
-            return TraceCheck(f"step {index}: replay mismatch for id {step_id}", index)
-        known[step_id] = result
+            return TraceCheck(f"step {index}: replay mismatch for id {len(known)}", index)
+        known.append(result)
 
     for i in trace.learned:
-        if i not in known:
+        if not 0 < i < len(known):
             return TraceCheck(f"learned id {i} was never derived", len(trace.steps))
 
     if trace.final is not None:
-        if trace.final not in known:
+        if not 0 < trace.final < len(known):
             return TraceCheck(f"final id {trace.final} was never derived", len(trace.steps))
         if not _root_conflict([*expected, *(known[i] for i in trace.learned)]):
             return TraceCheck(

@@ -450,11 +450,11 @@ class TestResolveStep:
         resolve_step(side, Accumulator(REASON1, trace, rid), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps
         by_id = {cid: CONFLICT1, rid: REASON1}
-        for step in trace.steps:
+        for step_id, step in enumerate(trace.steps, start=trace.inputs + 1):
             n_inputs = RULES[step.rule][1]
             result = RULES[step.rule][0](*[by_id[i] for i in step.args[:n_inputs]], *step.args[n_inputs:])
             assert result == Constraint(step.terms, step.degree)
-            by_id[step.step_id] = result
+            by_id[step_id] = result
         assert by_id[side.id] == side.constraint()
 
     def test_constraint_leaves_the_trace_unchanged(self):
@@ -465,7 +465,7 @@ class TestResolveStep:
         before = {name: copy.copy(value) for name, value in vars(trace).items()}
         out = side.constraint()
         assert vars(trace) == before
-        assert side.id == trace.steps[-1].step_id
+        assert side.id == trace.inputs + len(trace.steps)
         assert out == Constraint(trace.steps[-1].terms, trace.steps[-1].degree)
 
     def test_every_strategy_is_conflicting_and_implied(self):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -434,8 +435,9 @@ def assert_one_error_line(proc, path, problem=None):
 
 
 class TestBadOutputPath:
-    """An output path in a missing directory, or naming a directory, is one
-    error line, before any work starts."""
+    """An output path in a missing directory, naming a directory, or naming
+    an input or an earlier output, is one error line, before any work
+    starts; a device may take every output."""
 
     def test_generate(self, tmp_path):
         out = tmp_path / "absent" / "php.opb"
@@ -452,6 +454,33 @@ class TestBadOutputPath:
         path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
         proc = run_cli("solve", path, "--emit-trace", tmp_path)
         assert_one_error_line(proc, tmp_path, "it is a directory")
+
+    def test_solve_emit_trace_onto_its_input(self, tmp_path):
+        path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
+        text = path.read_text()
+        proc = run_cli("solve", path, "--emit-trace", path)
+        assert_one_error_line(proc, path, "it is also an input")
+        assert path.read_text() == text
+
+    def test_bench_cactus_onto_its_rows(self, bench_dir, tmp_path):
+        rows = tmp_path / "rows.csv"
+        traces = tmp_path / "traces"
+        proc = run_cli("bench", bench_dir, "--strategies", "gen-res", "--trace-dir", traces,
+                       "--out", rows, "--cactus", rows)
+        assert_one_error_line(proc, rows, "it is also an earlier output")
+        assert not rows.exists() and not traces.exists()
+
+    @pytest.mark.skipif(not Path(os.devnull).exists(), reason=f"needs {os.devnull}")
+    def test_bench_both_outputs_onto_a_device(self, bench_dir):
+        proc = run_cli("bench", bench_dir, "--strategies", "gen-res", "--out", os.devnull, "--cactus", os.devnull)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_bench_rows_onto_an_input(self, bench_dir, tmp_path):
+        instance = bench_dir / "php-2-1.opb"
+        text = instance.read_text()
+        proc = run_cli("bench", bench_dir, "--strategies", "gen-res", "--out", instance)
+        assert_one_error_line(proc, instance, "it is also an input")
+        assert instance.read_text() == text
 
     @pytest.mark.parametrize("which", ["out", "cactus"])
     def test_bench(self, bench_dir, tmp_path, which):

@@ -45,8 +45,8 @@ from helpers import (
 
 def recorded_constraints(instance, trace):
     """Each input and step id of a trace -> the constraint it names."""
-    steps = {st.step_id: Constraint(st.terms, st.degree) for st in trace.steps}
-    return {**dict(enumerate(instance.constraints, start=1)), **steps}
+    steps = [Constraint(st.terms, st.degree) for st in trace.steps]
+    return dict(enumerate([*instance.constraints, *steps], start=1))
 
 
 def oracle_assertion_level(c, engine):
@@ -178,7 +178,8 @@ class TestSolveEndToEnd:
             instance = random_instance(6, 9, 6, seed)
             result = solve(instance, SolverConfig(strategy="gen-res", emit_trace=True))
             inputs = list(instance.constraints)
-            by_id = {step.step_id: Constraint(step.terms, step.degree) for step in result.trace.steps}
+            steps = (Constraint(step.terms, step.degree) for step in result.trace.steps)
+            by_id = dict(enumerate(steps, start=len(inputs) + 1))
             for learned_id in result.trace.learned:
                 learned = by_id[learned_id]
                 assert implies_semantically(inputs, learned)
@@ -297,7 +298,8 @@ class TestAnalyzeConflict:
         result = solver.solve()
         learned = solver.engine.constraints[len(instance.constraints):]
         assert len(learned) == result.stats.learned > 0
-        outputs = {st.step_id: Constraint(st.terms, st.degree) for st in result.trace.steps}
+        steps = (Constraint(st.terms, st.degree) for st in result.trace.steps)
+        outputs = dict(enumerate(steps, start=len(instance.constraints) + 1))
         assert [outputs[i] for i in result.trace.learned] == learned
 
     def test_learned_constraint_propagates_after_backjump(self):
@@ -769,50 +771,50 @@ class TestHeuristics:
 #: learned, sha256 of the written trace text) under ``conflict_budget=300``.
 #: The largest coefficient reached is 4,491 bits (multiply-weaken).
 TRACE_DIGESTS = {
-    ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
-    ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
-    ("php-6-5", "rs-conflict"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
-    ("php-6-5", "rs-reason"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
-    ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
-    ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
-    ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "3f8dbfc5a7b2963800ad1cb042cd52dabcbd38abbc0daf476389227558fe522a"),
-    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "3a73b79f099992359822b6699ef5347a21e0b1b7bcc386cbad0f162f099ea0b3"),
-    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "92a5ff497af0a48a8c7c224dc6b43fcec7045027d39920b6311ff22a37df8e4b"),
-    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "519e07c2cfe2b3933365d621e245eba037f0345185f6a1566691c97a6c748dab"),
-    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "0873e006fc0b4ebbc2ee6c27c9ffa5dbe74a1f3de7810c5c941a6055317c50a2"),
-    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "d687894feb976e552b9a8a246f776ebc397216131ad3b51e4c28507a77f4dae0"),
-    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "0127c1a786ff4e68482c63f9f02d577b29a5aec52efad124d3a927ff2351717b"),
-    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "9b86b9510c6a7dd1c512871c3a26ccdd74d2f42463cca9caff2ba6d28a363b7e"),
-    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "1e642dca0f1614678127278c4734fcb2e594fbca5de557d382382a1ecc8f093d"),
-    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "5f7198183935b296342cf0f89beff00b7990023df01fbaa4615265ef063fcd59"),
-    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "fe98a18e7c084c650cb40b8fe1e18a682ca5e80d45ad880f2d71934b1db77215"),
-    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "3bf2defbdbd3dacde4e4919e3ed6410f98aa7f9e92c52cf54818ab4dea07e6e0"),
-    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "03b7029f921661f9d20904edc1e51deb74b4c2e2889b1f40d0d748d132e4ff7a"),
-    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "a072080d3bccc8e7beb3760b62a461dbc8549fb7e5b8e7c499a0e320554cd672"),
-    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "632eec53165640b847243a48f6f7e2a76d10ca47684d2009e0671437567a86ba"),
-    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "7efc81f01eb82a6ae8d2cfe109b916eba01b1fa00436fdb273a2ee2ab5272524"),
-    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "3f6301f1cd7b1c950869f4fac0edaf2c51d0e0fe7d0afdd17eb6994f986166c3"),
-    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "bbcf48978ef19362524e969c4baeae5f82f34a6278ca43d87f7dc092321663ce"),
-    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "e7131169b283bb1ca825104a8d8f1ac345947610148e416238706a4e86494796"),
-    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "a1a27cdb7b5ea37eaded3af9ca8b9e1184cd332125f197d82d68b43894ea0f59"),
-    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "ee3b3eed0da10d50c89f26729ff0c22509f4bd88a42c25ca35c50ab64450f38d"),
-    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "d77faba79a3ed5f4ab7238d725c9604ae98509d752d32efcb9ce1adbdc3b075f"),
-    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "e745f9fc002a2e86dd65337f948d5184446211a8b5d7c156436e29a925419ab8"),
-    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "b7d8d1ee435db3980f88e4ba409f7536bbd2bc23ab29b0dceee4864da01e784e"),
-    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "4a3fa6afe11feae3029439399828d327679c8350c9f30de10d8b86ea0a6d2a33"),
-    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "ebe6a7242eeec14e4f108c3255872abbb1d507d7814284acffa03d4b29a2a87a"),
-    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "80a509d72bb9a3fc39ea4b670c919d9b7805be09d1f372e7b4e357367ddb03a1"),
-    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "d0b9688d1aacc0668b66aa120c4f3759414ec8132a00dc58412e4b0c99782650"),
-    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "ab163843723675bae770e9914fdd4c23d52a85e0a445e30b97d489ca3de789cb"),
-    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "22d48fbf081e27e404911a866912418e715659f2fa2c1521263e44572bcb77d0"),
-    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "14083126288ed6c6e8f4ae0a9ede1d0fd4435ee5006dc916e9c59509c3e00e2e"),
-    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "18650ad055f0694a9c64cf52b743bdd8f14029cdc2aa632c176ee9e536e5b4f4"),
-    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "6ea4ab545eda19406b93541726b44b120feab983a311020f586e96148dbefb81"),
-    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "8e2cbac89e656d981fb70b32c020128ff5a11a74b47968cc55a53bc91657ca69"),
-    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "2c05156f21373faf1cea15537a6725dfdac48ec29644b8270abf2064f5d40260"),
-    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "522fead80dcfcd9f83198ac8cc6494c2778d3633f01e7f466e92548029045904"),
-    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "a20c6ff7902db115d5fd366d954178cffce134289ffba793cb8e18b76e4ee748"),
-    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "abd928153c2096bd27beedf33c8c980cc179a17d6b8a303e1cd51b34c900a14b"),
+    ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
+    ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
+    ("php-6-5", "rs-conflict"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
+    ("php-6-5", "rs-reason"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
+    ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
+    ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
+    ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
+    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "2174aed3eceed7a433699d64ea90a89e5196938e2ea25d4d6cdd2809105f65f5"),
+    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "e93f873f8191a06f5de3b56a8e41966a28e008c2198eecb4b4938446f8cfe40c"),
+    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "a4b641be849b2f0937dc2be7221c728b6ff34cb44b7ad4107e74b392ddb56f07"),
+    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "99c5aba926de133036821d5b24c2c5041d54f424390f6cfb9bb9592179328b18"),
+    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "3793a023fd69ba25eac226f93bc584350fdaca37013fd7389b62f8047b8bc98e"),
+    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "408105f5c0b52fbd5d3898d378e3a075dfd98cbe97f9833faab59e759b6c9ea7"),
+    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "eeba045d36dfbd78589d73e0655a117646f4a49e8584963f8c671930529e7abe"),
+    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "b7d2a72d4dffb9972548592211a5e1ba1e58ccf20cc6f534ccd72c173bab2233"),
+    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "cae1e6310fcc0868b9e97d20e0b23765573347864459818e18361c3525dc0b55"),
+    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "8351b88009157344e15d2b9a479e3a32043995f4c1ea52d5cc6f825f84828eef"),
+    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "3b74fe0454116c3c5a32c313aff7ffbd797b46a689d59395f444823a73990f5f"),
+    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "a2237c1e5d1b74c6c5d7c7263df9aea6c2ae975f5f291bb7e78481bf468b4deb"),
+    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "6df26639a37ed7d559821c4ba7fcb7bdf10541e9eb4a9c6dfc8e666feafae4a5"),
+    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "4df7811ed186cd0b69afd318661aaad9de9ba23cf271dfc60269e42ee35cd457"),
+    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "523ff8561d322b18576a8eff2cfac37350311b2c63455e7d4af0df0997042fdb"),
+    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "9b6824d11eda4c18b684c289650368415de4d05089865eb18954b562124365d0"),
+    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "83cb5bdcdb3b00f7203e9a6334a0d05b79b91945b3d05680bc3d244937f0533e"),
+    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "c4f4090ec8227a5a5c2260eb8f2646f178e0af10375d8c66dd2986f8823a40eb"),
+    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "1e36e162a2ac403ae21333d0af61f606733957bf8881d2a6a9d6ca2b748281c3"),
+    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "2dec50ec9cfa1621a96fc19c29c293cf44e2ea771d735474e64dc4e471411b71"),
+    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "a06d9e31a5f1fd03e4359b886c949b3bdf5e2d22ffb220f503fdb11ceb754678"),
+    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "ec97f5287b342a5e963e0262f4b73066bd90b39ad08ad174bd74531dcd8f0e30"),
+    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "4551b19766306ec7981f27f4ce4aef3a9ca50f3a50ee69379d1333d1f74c710a"),
+    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "97ed0b46f0f341987b18f69b48d58902fa1473b30e2566022f7671723329872b"),
+    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "e03ff001765adfeb327c981869983b6fc2ee8ee0c80baf998869b39c0a43af64"),
+    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "693dbb18826364eee3bfff7ee8164770444f8c3aed24a5115c38bd5e9e433e37"),
+    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "73463998f1df4fac978738366d6c9ffd0afc3b286655563db0a980d7989d5f5b"),
+    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "b1006852949238ce238f009a6ed921ecb22f533c72ef05b7b3fbfbcb240eb9db"),
+    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "d7d8b68201a7d96418b41736b822560463f29799dc7831d0f9d0c5c014fe1021"),
+    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "5c6c2c99eee82b0a7af1e35e00699f40d95ebcc6086a49faf0ed3cf7684f6e1c"),
+    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "01e6ac29677c7d1dbe984a1ae391c2dd30be11c48a472a6a0fe78f355e255ae2"),
+    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "46ff84c89169935cdcc487fa577eaf5ad05aadbbba652a98bb2c4b9318797429"),
+    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "5a9b07301f74c36c72f03c5f4bfc80a1a3671a56b2a3b56361512364f9ac1a67"),
+    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "2fb9231293cbe3b0e6071568f13646ba192cad43c47f0ba11f63662b23533d51"),
+    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "f247244a2041adedb470c12c4e5cbf43d9a191893dd77cdd7ee027c5a6c63deb"),
+    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "78d12e7412ba2f98681d2b6118d5f9b618f5bda99070996e98f2e3526a3d1dec"),
+    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "2af706843d3fd0dba106662f3b4818308cd8560f004419d0e351d480386b5b4b"),
 }
 
 

@@ -46,7 +46,7 @@ class TestSerialization:
         assert verify_trace(instance, DerivationTrace.read_file(path))
 
     def test_comments_and_blank_lines_are_skipped(self):
-        lines = ["i 1", "s 2 saturate 1 : 1 x1 1 x2 >= 1", "l 2", "f 2"]
+        lines = ["i 1", "s saturate 1 : 1 x1 1 x2 >= 1", "l 2", "f 2"]
         plain = DerivationTrace.read(lines)
         commented = DerivationTrace.read(["* a note", "", *lines[:2], "   ", "*another", *lines[2:]])
         assert commented.inputs == plain.inputs
@@ -78,6 +78,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^trace line 2: invalid literal for int\(\)"):
             DerivationTrace.read(["* a note", "i 1 1 x1 >= 1", "f 1"])
 
+    def test_old_form_step_record_is_rejected_at_its_line(self):
+        # A step's id is its position; a step that writes one names no rule.
+        with pytest.raises(ValueError, match=r"^trace line 2: unknown rule '3'$"):
+            DerivationTrace.read(["i 2", "s 3 saturate 1 : 1 x1 1 x2 >= 1"])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("s", "unknown rule ''"), ("s 5", "unknown rule '5'"), ("s  : 1 x1 >= 1", "unknown rule ''")],
+        ids=["s", "s 5", "constraint-only"],
+    )
+    def test_step_without_rule_is_rejected(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
+            DerivationTrace.read(["i 1", line])
+
     def test_written_trace_counts_its_inputs_once_before_every_step(self):
         instance = php_instance(4, 3)
         lines = trace_text(solve_with_trace(instance, "weaken-ineffective-both").trace).splitlines()
@@ -99,14 +113,14 @@ class TestSerialization:
     )
     def test_wrong_argument_count_is_rejected(self, rule, arity, extra):
         args = " ".join(["1"] * (arity + extra))
-        lines = ["i 1", f"s 2 {rule} {args} : 1 x1 >= 1"]
+        lines = ["i 1", f"s {rule} {args} : 1 x1 >= 1"]
         message = f"trace line 2: {rule} takes {arity} arguments, got {arity + extra}"
         with pytest.raises(ValueError, match=message):
             DerivationTrace.read(lines)
 
     def test_step_without_degree_is_rejected(self):
         with pytest.raises(ValueError, match="trace line 2: missing '>='"):
-            DerivationTrace.read(["i 1", "s 2 saturate 1"])
+            DerivationTrace.read(["i 1", "s saturate 1"])
 
     @pytest.mark.parametrize(
         "ctext, message",
@@ -124,20 +138,20 @@ class TestSerialization:
         ],
     )
     def test_invalid_step_constraint_is_rejected_with_its_message(self, ctext, message):
-        lines = ["i 1", f"s 2 saturate 1 : {ctext}"]
+        lines = ["i 1", f"s saturate 1 : {ctext}"]
         with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
             DerivationTrace.read(lines)
 
     @pytest.mark.parametrize(
         "line, step",
         [
-            ("s 2 saturate 1 : 1 x3 2 ~x1 >= 2", RuleStep(2, "saturate", (1,), ((-1, 2), (3, 1)), 2)),
-            ("s 2 saturate 1 :  1  x1   1 x2  >=  1", RuleStep(2, "saturate", (1,), ((1, 1), (2, 1)), 1)),
-            ("s 2 saturate 1 : +3 x1 1 x2 >= +3", RuleStep(2, "saturate", (1,), ((1, 3), (2, 1)), 3)),
-            ("s 2 saturate 1 : 1 x01 1 ~x002 >= 1", RuleStep(2, "saturate", (1,), ((1, 1), (-2, 1)), 1)),
-            ("s 2 saturate 1 : 03 x2 1 x10 >= 2", RuleStep(2, "saturate", (1,), ((2, 3), (10, 1)), 2)),
-            ("s 2 saturate 1 : >= 1", RuleStep(2, "saturate", (1,), (), 1)),
-            ("s 2 weaken 1 -3 : 2 ~x5 1 x4 3 x2 >= 01", RuleStep(2, "weaken", (1, -3), ((2, 3), (4, 1), (-5, 2)), 1)),
+            ("s saturate 1 : 1 x3 2 ~x1 >= 2", RuleStep("saturate", (1,), ((-1, 2), (3, 1)), 2)),
+            ("s saturate 1 :  1  x1   1 x2  >=  1", RuleStep("saturate", (1,), ((1, 1), (2, 1)), 1)),
+            ("s saturate 1 : +3 x1 1 x2 >= +3", RuleStep("saturate", (1,), ((1, 3), (2, 1)), 3)),
+            ("s saturate 1 : 1 x01 1 ~x002 >= 1", RuleStep("saturate", (1,), ((1, 1), (-2, 1)), 1)),
+            ("s saturate 1 : 03 x2 1 x10 >= 2", RuleStep("saturate", (1,), ((2, 3), (10, 1)), 2)),
+            ("s saturate 1 : >= 1", RuleStep("saturate", (1,), (), 1)),
+            ("s weaken 1 -3 : 2 ~x5 1 x4 3 x2 >= 01", RuleStep("weaken", (1, -3), ((2, 3), (4, 1), (-5, 2)), 1)),
         ],
         ids=["out-of-order", "runs-of-spaces", "plus-signs", "leading-zero-index", "leading-zero-weight",
              "empty-unspaced", "mixed"],
@@ -185,17 +199,12 @@ class TestSerialization:
         written = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("*"))
         assert trace_text(again) == written
 
-    @pytest.mark.parametrize("line", ["s", "s 5"])
-    def test_step_without_rule_is_rejected(self, line):
-        with pytest.raises(ValueError, match="trace line 1: "):
-            DerivationTrace.read([line])
-
     @pytest.mark.parametrize("rule", ["cancel", "weaken", "saturate"])
     def test_truncated_step_of_a_real_trace_is_rejected(self, rule):
         instance = php_instance(4, 3)
         result = solve_with_trace(instance, "weaken-ineffective-both")
         lines = trace_text(result.trace).splitlines()
-        index = next(i for i, l in enumerate(lines) if l.split()[:3:2] == ["s", rule])
+        index = next(i for i, l in enumerate(lines) if l.split()[:2] == ["s", rule])
         head, _, ctext = lines[index].partition(" : ")
         lines[index] = head.rsplit(" ", 1)[0] + " : " + ctext
         with pytest.raises(ValueError, match=f"trace line {index + 1}: {rule} takes"):
@@ -229,32 +238,15 @@ class TestVerify:
     @pytest.mark.parametrize(
         "lines, error",
         [
-            (["i 2", "s 2 saturate 1 : 1 x1 1 x2 >= 1"], "step 0: duplicate id 2"),
-            (
-                [
-                    "i 2",
-                    "s 3 cancel 1 2 2 : 2 x1 >= 1",
-                    "s 3 saturate 1 : 1 x1 1 x2 >= 1",
-                    "l 3",
-                ],
-                "step 1: duplicate id 3",
-            ),
-        ],
-    )
-    def test_reused_id_is_rejected(self, lines, error):
-        instance = parse_opb("+1 x1 +1 x2 >= 1 ;\n+1 x1 -1 x2 >= 0 ;\n")
-        check = verify_trace(instance, DerivationTrace.read(lines))
-        assert not check
-        assert check.error == error
-
-    @pytest.mark.parametrize(
-        "lines, error",
-        [
             (["i 1"], "input count mismatch: trace has 1, instance has 2"),
             (["i 2", "l 5"], "learned id 5 was never derived"),
             (["i 2", "f 7"], "final id 7 was never derived"),
+            (["i 2", "l 0"], "learned id 0 was never derived"),
+            (["i 2", "l -1"], "learned id -1 was never derived"),
+            (["i 2", "f 0"], "final id 0 was never derived"),
+            (["i 2", "f -1"], "final id -1 was never derived"),
         ],
-        ids=["input-count", "learned", "final"],
+        ids=["input-count", "learned", "final", "learned-zero", "learned-negative", "final-zero", "final-negative"],
     )
     def test_unknown_or_missing_ids_are_rejected(self, lines, error):
         instance = parse_opb("+1 x1 +1 x2 >= 1 ;\n+1 x1 -1 x2 >= 0 ;\n")
@@ -269,11 +261,14 @@ class TestVerify:
         other.constraints[0] = con("a c >= 1")
         assert not verify_trace(other, result.trace)
 
-    def test_forward_reference_rejected(self):
+    @pytest.mark.parametrize("ref", [3, 2, 0, -1], ids=["later-id", "own-id", "zero", "negative"])
+    def test_forward_reference_rejected(self, ref):
+        # The step's own id is 2; a reference must name an id below it.
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
-        lines = ["i 1", "s 2 saturate 3 : 1 x1 1 x2 >= 1"]
+        lines = ["i 1", f"s saturate {ref} : 1 x1 1 x2 >= 1"]
         check = verify_trace(instance, DerivationTrace.read(lines))
-        assert not check and "unknown id" in check.error
+        assert not check
+        assert check.error == f"step 0: reference to unknown id {ref}"
 
     def test_unsat_claim_needs_root_conflict(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
@@ -336,7 +331,7 @@ class TestVerify:
 
     def test_tautological_step_is_a_replay_error(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
-        lines = ["i 1", "s 2 weaken 1 1 : 1 x2 >= 1"]
+        lines = ["i 1", "s weaken 1 1 : 1 x2 >= 1"]
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check
         assert check.error == "step 0: replay error: degree must be >= 1, got 0"
@@ -392,9 +387,8 @@ class TestVerify:
         trace = solve_with_trace(instance).trace
         arity = n_inputs + n_params
         args = (1,) * (arity + extra)
-        step_id = trace.inputs + len(trace.steps) + 1
         out = con("a >= 1")
-        trace.steps.append(RuleStep(step_id, rule, args, out.terms, out.degree))
+        trace.steps.append(RuleStep(rule, args, out.terms, out.degree))
         index = len(trace.steps) - 1
         check = verify_trace(instance, trace)
         assert not check
