@@ -28,8 +28,8 @@ and then what it reads of the other side.  The assignment ``rho`` passed
 to these functions holds the true literals of the trail prefix up to and
 including the pivot's own assignment, so ``lit`` is falsified when
 ``-lit in rho``.  An accumulator made with a trace records every rule
-application there, terms in variable order, and starts from the trace id
-its caller gives.  Untraced, only its constraint is sorted.
+application there as its rule and arguments, and starts from the trace id
+its caller gives.  Only its constraint is sorted.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ class AnalysisError(RuntimeError):
 class Accumulator:
     """A constraint ``sum(w * lit) >= degree`` that the rules rewrite in place.
 
-    ``weights`` maps each literal to its positive weight, in ascending
-    variable order while a trace records the terms; untraced, ``cancel``
+    ``weights`` maps each literal to its positive weight; ``cancel``
     leaves new literals where it appends them and :meth:`constraint` sorts.
     :func:`pbsolve.core.slack`, which reads only ``terms`` and ``degree``,
     accepts an accumulator.  Each rule method mirrors the
@@ -75,7 +74,7 @@ class Accumulator:
     rule that would produce one raises :class:`AnalysisError`.
 
     With a ``trace``, every rule application that changes the accumulator is
-    recorded as a step whose output is the new term tuple and degree, and
+    recorded as a step, its rule and arguments, and
     ``id`` is the trace id of the current value: ``trace_id``, the id of
     ``c`` in that trace, until the first step.  A saturation or
     multiplication that changes nothing records nothing.
@@ -101,7 +100,7 @@ class Accumulator:
 
     def record(self, rule: str, *args: int) -> None:
         """Record the current value in the trace as the output of ``rule`` on ``args``."""
-        self.id = self.trace.record(rule, args, tuple(self.weights.items()), self.degree)
+        self.id = self.trace.record(rule, args)
 
     def weaken(self, lit: int) -> None:
         """Remove a literal and lower the degree by its weight."""
@@ -167,17 +166,11 @@ class Accumulator:
             for lit in weights:
                 weights[lit] *= mu
         degree = mu * self.degree + nu * reason.degree
-        grew = False
         for lit, w in reason.weights.items():
             w *= nu
             opposite = weights.get(-lit)
             if opposite is None:
-                old = weights.get(lit)
-                if old is None:
-                    weights[lit] = w
-                    grew = True
-                else:
-                    weights[lit] = old + w
+                weights[lit] = weights.get(lit, 0) + w
             elif opposite > w:
                 weights[-lit] = opposite - w
                 degree -= w
@@ -186,12 +179,8 @@ class Accumulator:
                 degree -= opposite
                 if w > opposite:
                     weights[lit] = w - opposite
-                    grew = True
         if degree <= 0:
             raise AnalysisError("cancel produced a tautology during analysis")
-        if grew and self.trace is not None:
-            # New literals were appended; the trace records terms in variable order.
-            self.weights = {lit: weights[lit] for lit in sorted(weights, key=abs)}
         self.degree = degree
         if self.trace is not None:
             self.record("cancel", self.id, reason.id, abs(pivot))

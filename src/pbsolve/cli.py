@@ -81,22 +81,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_keys(path: Path) -> list:
+    """``path`` resolved and, for an existing regular file, its
+    ``(st_dev, st_ino)``, which every hard link to the file shares."""
+    keys: list = [path.resolve()]
+    if path.is_file():
+        st = path.stat()
+        keys.append((st.st_dev, st.st_ino))
+    return keys
+
+
 def _bad_output_path(inputs: list[Path], *paths: Path | None) -> bool:
     """Print an error line for the first output path in a missing directory,
-    naming a directory, or naming a file of ``inputs`` or an earlier output
-    (a device such as /dev/null may be named again).  Called before any work.
+    naming a directory, or naming a file of ``inputs`` or an earlier output,
+    by its path or by a hard link to it (a device such as /dev/null may be
+    named again).  Called before any work.
     """
-    taken = dict.fromkeys(map(Path.resolve, inputs), "an input")
+    taken = {key: "an input" for path in inputs for key in _file_keys(path)}
     for path in filter(None, paths):
-        where = path.resolve()
+        keys = _file_keys(path)
+        same = [taken[key] for key in keys if key in taken]
         if not path.parent.is_dir():
             problem = f"no directory {path.parent}"
         elif path.is_dir():
             problem = "it is a directory"
-        elif where in taken and (path.is_file() or not path.exists()):
-            problem = f"it is also {taken[where]}"
+        elif same and (path.is_file() or not path.exists()):
+            problem = f"it is also {same[0]}"
         else:
-            taken[where] = "an earlier output"
+            taken.update(dict.fromkeys(keys, "an earlier output"))
             continue
         print(f"error: cannot write {path}: {problem}", file=sys.stderr)
         return True

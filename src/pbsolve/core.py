@@ -18,10 +18,9 @@ cancellation chains never overflows.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from math import lcm
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 #: A partial assignment: the true literals.
@@ -32,18 +31,6 @@ _weight = itemgetter(1)
 
 def lit_name(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
-
-
-def format_constraint(terms: Iterable[tuple[int, int]], degree: int) -> str:
-    """The text form of ``sum(w * lit) >= degree``, e.g. ``6 ~x2 4 x5 >= 7``.
-
-    Terms are written in the order given; ``~x2`` is first spelled ``x-2``, then respelled in one pass.
-    """
-    return " ".join([f"{w} x{lit}" for lit, w in terms]).replace("x-", "~x") + f" >= {degree}"
-
-
-#: The text :func:`format_constraint` gives a nonempty constraint; :func:`read_terms` reads it.
-_WRITTEN = re.compile(r"(?:[1-9][0-9]* ~?x[1-9][0-9]* )+>= [1-9][0-9]*")
 
 
 def _sorted_checked(terms: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -118,7 +105,8 @@ class Constraint:
         return cls(terms, int(right.strip()))
 
     def to_text(self) -> str:
-        return format_constraint(self.terms, self.degree)
+        """The text form, e.g. ``6 ~x2 4 x5 >= 7``: ``~x2`` is first spelled ``x-2``, then respelled in one pass."""
+        return " ".join([f"{w} x{lit}" for lit, w in self.terms]).replace("x-", "~x") + f" >= {self.degree}"
 
     def satisfied_by(self, total: Mapping[int, bool]) -> bool:
         """Evaluate under a total ``variable -> bool`` model (missing variables count false)."""
@@ -139,19 +127,6 @@ class Constraint:
 
     def __repr__(self) -> str:
         return f"Constraint({self.to_text()!r})"
-
-
-def read_terms(text: str) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The terms and degree of ``Constraint.from_text(text)``.  Text as :func:`format_constraint`
-    spells it, with strictly ascending variables, meets every constructor invariant and is converted
-    by string operations alone; other text goes through ``from_text``, which raises every error."""
-    if _WRITTEN.fullmatch(text):
-        numbers = list(map(int, text.replace("~x", "-").replace("x", "").replace(">= ", "").split(" ")))
-        lits = numbers[1:-1:2]
-        if all(map(lt, map(abs, lits), map(abs, lits[1:]))):
-            return tuple(zip(lits, numbers[:-1:2])), numbers[-1]
-    c = Constraint.from_text(text)
-    return c.terms, c.degree
 
 
 def normalize(
@@ -302,11 +277,7 @@ def divide(c: Constraint, r: int) -> Constraint:
 
 
 def multiply(c: Constraint, k: int) -> Constraint:
-    """Scale every weight and the degree by ``k >= 1``.
-
-    The ``multiply`` rule a trace step replays, as recorded by the
-    multiply-and-weaken reduction; :func:`cancel` scales its inputs itself.
-    """
+    """Scale every weight and the degree by ``k >= 1``."""
     if k < 1:
         raise ValueError(f"multiplier must be >= 1, got {k}")
     if k == 1:

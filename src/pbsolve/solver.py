@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .analysis import STRATEGIES, STRATEGY_IDS, Accumulator, AnalysisError, resolve_step
-from .core import Constraint, format_constraint
+from .core import Constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
 from .trace import DerivationTrace
@@ -312,7 +312,7 @@ class Solver:
                 # The engine is frozen during analysis: only a step moves the level.
                 cur_slack, level = settle(cur, engine, p)
                 if cur_slack >= 0:
-                    text = format_constraint(sorted(cur.terms, key=lambda t: abs(t[0])), cur.degree)
+                    text = cur.constraint().to_text()
                     raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {strategy}: {text}")
                 if self._out_of_time():
                     return None
@@ -336,7 +336,7 @@ class Solver:
         self.stats.learned += 1
         self._note_coefficients(learned)
         if self.trace is not None:
-            self.trace.learned.append(trace_id)
+            self.trace.learned.append((trace_id, learned))
         if self.stats.learned % REDUCE_INTERVAL == 0:
             self.reduce_db()
 

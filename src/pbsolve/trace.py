@@ -2,18 +2,21 @@
 
 Ids 1 to n name the instance's n constraints in order, and the k-th step's
 output is id n + k: a step is named by its position, as DRAT and VeriPB
-proofs name each derived constraint.  Each step replays bit-exactly from its
-inputs and parameters, so an independent checker can validate a run without
-trusting the solver: it recomputes every step from the instance's rows, and
-for an unsatisfiability claim a plain root-level propagation over the
-instance plus the learned constraints must reach a conflict.
+proofs name each derived constraint.  A step is written as its rule and
+arguments only, as VeriPB's ``pol`` steps are; a learned constraint's text
+is written once, on its ``l`` line.  An independent checker can validate a
+run without trusting the solver: it recomputes every step from the
+instance's rows with its own arithmetic, compares each learned constraint
+with its replay, and for an unsatisfiability claim a plain root-level
+propagation over the instance plus the learned constraints must reach a
+conflict.
 
 The file format is line-oriented text:
 
     * free-form comment
     i <n>
-    s <rule> <args...> : <constraint>
-    l <id>
+    s <rule> <args...>
+    l <id> : <constraint>
     f <id>
 
 with n the instance's constraint count, constraints written as
@@ -26,36 +29,30 @@ parameters (a literal parameter is the signed literal, e.g. ``-3`` for
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from . import core
-from .core import Constraint, format_constraint
+from .core import Constraint, lit_name, slack
 from .opb import ParsedInstance
 
-#: Every rule a step may name: rule -> (function in :mod:`pbsolve.core`,
-#: number of input ids, number of integer parameters).
+#: Every rule a step may name: rule -> (number of input ids, number of
+#: integer parameters).
 RULES = {
-    "cancel": (core.cancel, 2, 1),
-    "weaken": (core.weaken, 1, 1),
-    "pweaken": (core.partial_weaken, 1, 2),
-    "saturate": (core.saturate, 1, 0),
-    "divide": (core.divide, 1, 1),
-    "multiply": (core.multiply, 1, 1),
+    "cancel": (2, 1),
+    "weaken": (1, 1),
+    "pweaken": (1, 2),
+    "saturate": (1, 0),
+    "divide": (1, 1),
+    "multiply": (1, 1),
 }
 
 
 class RuleStep(NamedTuple):
-    """One replayable rule application; its id is its position (see :class:`DerivationTrace`).
-
-    The output is held as its term tuple (ascending variable order) and degree, valid
-    when read and unvalidated when recorded: :func:`verify_trace` compares both with the replay.
-    """
+    """One replayable rule application; its id is its position (see :class:`DerivationTrace`)."""
 
     rule: str
     args: tuple[int, ...]  # input ids, then parameters
-    terms: tuple[tuple[int, int], ...]
-    degree: int
 
 
 def _split_args(rule: str, n_args: int) -> int:
@@ -65,42 +62,36 @@ def _split_args(rule: str, n_args: int) -> int:
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    _, n_inputs, n_params = RULES[rule]
+    n_inputs, n_params = RULES[rule]
     if n_args != n_inputs + n_params:
         raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {n_args}")
     return n_inputs
 
 
 class DerivationTrace:
-    """Accumulates rule steps, learned ids and the final conflict id.
+    """Accumulates rule steps, learned constraints and the final conflict id.
 
     Ids 1 to ``inputs`` name the instance's constraints in order, and the
     k-th step's output is id ``inputs + k``, which :meth:`record` returns;
     the caller keeps each id beside what it names.  A step refers to its inputs
-    by id and holds its output as a term tuple and degree, so recording
-    builds no constraint.  ``learned`` and ``final`` are ids too, which the
-    search appends and sets itself.
+    by id and holds no output, so recording builds nothing.  ``learned``
+    holds ``(id, constraint)`` pairs, which the search appends, and
+    ``final`` an id, which it sets.
     """
 
     def __init__(self, inputs: int):
         self.inputs = inputs
         self.steps: list[RuleStep] = []
-        self.learned: list[int] = []
+        self.learned: list[tuple[int, Constraint]] = []
         self.final: int | None = None
         self.notes: list[str] = []
 
-    def record(
-        self,
-        rule: str,
-        args: tuple[int, ...],
-        terms: tuple[tuple[int, int], ...],
-        degree: int,
-    ) -> int:
+    def record(self, rule: str, args: tuple[int, ...]) -> int:
         """Store one rule application; returns the id of its output.
 
         ``args`` are the input ids, then the parameters, as a step writes them.
         """
-        self.steps.append(RuleStep(rule, args, terms, degree))
+        self.steps.append(RuleStep(rule, args))
         return self.inputs + len(self.steps)
 
     def note(self, text: str) -> None:
@@ -111,11 +102,8 @@ class DerivationTrace:
     def write(self, stream: IO[str]) -> None:
         stream.writelines([f"* {text}\n" for text in self.notes])
         stream.write(f"i {self.inputs}\n")
-        stream.writelines(
-            f"s {rule} {' '.join(map(str, args))} : {format_constraint(terms, degree)}\n"
-            for rule, args, terms, degree in self.steps
-        )
-        stream.writelines([f"l {i}\n" for i in self.learned])
+        stream.writelines([f"s {rule} {' '.join(map(str, args))}\n" for rule, args in self.steps])
+        stream.writelines([f"l {i} : {c.to_text()}\n" for i, c in self.learned])
         if self.final is not None:
             stream.write(f"f {self.final}\n")
 
@@ -125,8 +113,7 @@ class DerivationTrace:
 
     @classmethod
     def read(cls, lines: Iterable[str]) -> "DerivationTrace":
-        """Parse trace text.  Every constraint is read by :func:`~pbsolve.core.read_terms`: text
-        as :meth:`write` spells it is stored as it stands, other text is checked and sorted."""
+        """Parse trace text; a learned constraint is read by :meth:`Constraint.from_text`."""
         trace = cls(0)
         counted = False
         for lineno, raw in enumerate(lines, start=1):
@@ -141,12 +128,15 @@ class DerivationTrace:
                     trace.inputs = int(rest)
                     counted = True
                 elif kind == "s":
-                    head, _, ctext = rest.partition(" : ")
-                    rule, *params = head.split() or [""]
-                    _split_args(rule, len(params))
-                    trace.steps.append(RuleStep(rule, tuple(map(int, params)), *core.read_terms(ctext)))
+                    rule, *params = rest.split() or [""]
+                    args = tuple(map(int, params))
+                    _split_args(rule, len(args))
+                    trace.steps.append(RuleStep(rule, args))
                 elif kind == "l":
-                    trace.learned.append(int(rest))
+                    ident, sep, ctext = rest.partition(" : ")
+                    if not sep:
+                        raise ValueError("a learned id without its constraint")
+                    trace.learned.append((int(ident), Constraint.from_text(ctext)))
                 elif kind == "f":
                     trace.final = int(rest)
                 else:
@@ -159,6 +149,94 @@ class DerivationTrace:
     def read_file(cls, path: str | Path) -> "DerivationTrace":
         with open(path, "r", encoding="ascii") as f:
             return cls.read(f)
+
+
+# -- the checker's arithmetic ---------------------------------------------------
+#
+# Each rule rewrites its first input's ``{literal: weight}`` dict in place and
+# returns the new degree; a later input is a ``(weights, degree)`` pair it only
+# reads.  Every case the rule does not define raises ValueError.
+
+
+def _cancel(w: dict[int, int], d: int, other: tuple[dict[int, int], int], var: int) -> int:
+    """Add ``other``, both scaled by the minimal multipliers that eliminate ``var``."""
+    w2, d2 = other
+    lit = var if var in w else -var
+    a, b = w.get(lit), w2.get(-lit)
+    if a is None or b is None:
+        if a is None or lit not in w2:
+            raise ValueError(f"pivot x{var} must occur in both constraints")
+        raise ValueError(f"pivot x{var} must occur with opposite polarities")
+    common = lcm(a, b)
+    mu, nu = common // a, common // b
+    if mu != 1:
+        for l in w:
+            w[l] *= mu
+    degree = mu * d + nu * d2
+    for l, x in w2.items():
+        x *= nu
+        opposite = w.get(-l)
+        if opposite is None:
+            w[l] = w.get(l, 0) + x
+        elif opposite > x:
+            w[-l] = opposite - x
+            degree -= x
+        else:
+            del w[-l]
+            degree -= opposite
+            if x > opposite:
+                w[l] = x - opposite
+    return degree
+
+
+def _pweaken(w: dict[int, int], d: int, lit: int, eps: int) -> int:
+    x = w.get(lit)
+    if x is None:
+        raise ValueError(f"literal {lit_name(lit)} is absent")
+    if not 0 < eps <= x:
+        raise ValueError(f"eps must be in 1..{x}, got {eps}")
+    if eps == x:
+        del w[lit]
+    else:
+        w[lit] = x - eps
+    return d - eps
+
+
+def _weaken(w: dict[int, int], d: int, lit: int) -> int:
+    return _pweaken(w, d, lit, w.get(lit))
+
+
+def _saturate(w: dict[int, int], d: int) -> int:
+    for l, x in w.items():
+        if x > d:
+            w[l] = d
+    return d
+
+
+def _divide(w: dict[int, int], d: int, r: int) -> int:
+    if r < 1:
+        raise ValueError(f"divisor must be >= 1, got {r}")
+    for l, x in w.items():
+        w[l] = -(-x // r)
+    return -(-d // r)
+
+
+def _multiply(w: dict[int, int], d: int, k: int) -> int:
+    if k < 1:
+        raise ValueError(f"multiplier must be >= 1, got {k}")
+    for l, x in w.items():
+        w[l] = k * x
+    return k * d
+
+
+_REPLAY = {
+    "cancel": _cancel,
+    "weaken": _weaken,
+    "pweaken": _pweaken,
+    "saturate": _saturate,
+    "divide": _divide,
+    "multiply": _multiply,
+}
 
 
 @dataclass
@@ -178,46 +256,67 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     Checks, in order: the trace counts the instance's n constraints, which ids
     1 to n name; every step has its rule's argument count (checked by
     :func:`_split_args`, as :meth:`DerivationTrace.read` does), references
-    only earlier ids and replays bit-exactly through :data:`RULES`, its
-    output taking the next id; and, when a final conflict is declared,
-    root-level propagation over the instance plus learned constraints
-    yields a conflict.
+    only earlier ids and replays without error, its output taking the next
+    id; every learned id was derived and its constraint equals the replay;
+    and, when a final conflict is declared, root-level propagation over the
+    instance plus learned constraints yields a conflict.
+
+    Each id's value is a ``(weights, degree)`` pair.  One pass first finds
+    the last step that names each id.  A step rewrites its first input's
+    dict in place when no later step, ``l`` or ``f`` record names that
+    input, and a copy otherwise; an instance row is always copied.
     """
     expected = instance.constraints
     if trace.inputs != len(expected):
         return TraceCheck(f"input count mismatch: trace has {trace.inputs}, instance has {len(expected)}")
-    known = [None, *expected]  # by id: every lookup checks 0 < id, as -1 would index
+    n = trace.inputs
+    steps = trace.steps
+    last: dict[int, int] = {}  # id -> index of the last step naming it
+    for index, (rule, args) in enumerate(steps):
+        for ref in args[: RULES.get(rule, (0, 0))[0]]:
+            last[ref] = index
+    for i, _ in trace.learned:
+        last[i] = len(steps)
+    if trace.final is not None:
+        last[trace.final] = len(steps)
 
-    for index, (rule, args, terms, degree) in enumerate(trace.steps):
+    known = [None, *((dict(c.terms), c.degree) for c in expected)]  # by id: every lookup checks 0 < id
+    for index, (rule, args) in enumerate(steps):
         try:
             n_inputs = _split_args(rule, len(args))
         except ValueError as exc:
             return TraceCheck(f"step {index}: {exc}", index)
-        inputs = args[:n_inputs]
-        for ref_id in inputs:
-            if not 0 < ref_id < len(known):
-                return TraceCheck(f"step {index}: reference to unknown id {ref_id}", index)
+        for ref in args[:n_inputs]:
+            if not 0 < ref < len(known):
+                return TraceCheck(f"step {index}: reference to unknown id {ref}", index)
+        first = args[0]
+        w, d = known[first]
+        if first <= n or last[first] != index:
+            w = dict(w)
         try:
-            result = RULES[rule][0](*map(known.__getitem__, inputs), *args[n_inputs:])
+            d = _REPLAY[rule](w, d, *map(known.__getitem__, args[1:n_inputs]), *args[n_inputs:])
+            if d < 1:
+                raise ValueError(f"degree must be >= 1, got {d}")
         except ValueError as exc:
             return TraceCheck(f"step {index}: replay error: {exc}", index)
-        if result.terms != terms or result.degree != degree:
-            return TraceCheck(f"step {index}: replay mismatch for id {len(known)}", index)
-        known.append(result)
+        known.append((w, d))
 
-    for i in trace.learned:
+    for i, c in trace.learned:
         if not 0 < i < len(known):
-            return TraceCheck(f"learned id {i} was never derived", len(trace.steps))
+            return TraceCheck(f"learned id {i} was never derived", len(steps))
+        w, d = known[i]
+        if c.degree != d or dict(c.terms) != w:
+            return TraceCheck(f"replay mismatch for learned id {i}", len(steps))
 
     if trace.final is not None:
         if not 0 < trace.final < len(known):
-            return TraceCheck(f"final id {trace.final} was never derived", len(trace.steps))
-        if not _root_conflict([*expected, *(known[i] for i in trace.learned)]):
+            return TraceCheck(f"final id {trace.final} was never derived", len(steps))
+        if not _root_conflict([*expected, *(c for _, c in trace.learned)]):
             return TraceCheck(
                 "unsatisfiability claim not confirmed by root-level propagation",
-                len(trace.steps),
+                len(steps),
             )
-    return TraceCheck(None, len(trace.steps))
+    return TraceCheck(None, len(steps))
 
 
 def _root_conflict(constraints: list[Constraint]) -> bool:
@@ -232,7 +331,7 @@ def _root_conflict(constraints: list[Constraint]) -> bool:
     while size != len(rho):
         size = len(rho)
         for c in constraints:
-            s = core.slack(c, rho)
+            s = slack(c, rho)
             if s < 0:
                 return True
             if s < c.max_weight:

@@ -22,7 +22,9 @@ accumulator must match step for step.  ``resolved`` runs the package's
 ``resolve_step`` and the solver's ``settle`` pass after it on a constraint
 and returns the outcome in the reference's form, and ``on_accumulator``
 does the same for one reduction; ``observe_resolve_steps`` lets a test
-watch every resolve step of the solver.
+watch every resolve step of the solver.  ``replay_steps`` computes every
+step of a derivation trace through the :mod:`pbsolve.core` rule functions,
+the reference for the trace checker's own in-place arithmetic.
 
 Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a
@@ -47,6 +49,7 @@ from pbsolve.core import Assignment, Constraint, slack
 from pbsolve.opb import SAT, UNSAT, ParsedInstance
 from pbsolve.propagation import PropagationEngine
 from pbsolve.solver import settle
+from pbsolve.trace import RULES, DerivationTrace
 
 
 def var(letter: str) -> int:
@@ -269,6 +272,27 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed_step)
     monkeypatch.setattr(pbsolve.solver, "settle", observed_settle)
+
+
+#: Each trace rule name -> the :mod:`pbsolve.core` function it names.
+CORE_RULES = {
+    "cancel": core.cancel,
+    "weaken": core.weaken,
+    "pweaken": core.partial_weaken,
+    "saturate": core.saturate,
+    "divide": core.divide,
+    "multiply": core.multiply,
+}
+
+
+def replay_steps(instance: ParsedInstance, trace: DerivationTrace) -> dict[int, Constraint]:
+    """Each input and step id of a trace -> the constraint it names, every
+    step's output computed from its inputs by its ``core`` rule function."""
+    by_id = dict(enumerate(instance.constraints, start=1))
+    for step_id, (rule, args) in enumerate(trace.steps, start=len(by_id) + 1):
+        n_inputs = RULES[rule][0]
+        by_id[step_id] = CORE_RULES[rule](*map(by_id.__getitem__, args[:n_inputs]), *args[n_inputs:])
+    return by_id
 
 
 # -- the constraint-level reference for conflict analysis ----------------------

@@ -26,7 +26,8 @@ from pbsolve.core import (
     slack,
 )
 from pbsolve.solver import SolverConfig
-from pbsolve.trace import RULES, DerivationTrace
+from pbsolve.opb import ParsedInstance
+from pbsolve.trace import DerivationTrace, verify_trace
 from helpers import (
     asg,
     con,
@@ -36,6 +37,7 @@ from helpers import (
     literals,
     on_accumulator,
     reference_weaken_ineffective,
+    replay_steps,
     resolved,
     snapshot,
     weight,
@@ -372,23 +374,22 @@ class TestRuleApplication:
         assert side.id == safe_id and snapshot(side) == safe_reason
         assert trace.steps == []
 
-    def test_untraced_cancel_appends_and_constraint_sorts(self):
-        # Untraced, the literals a cancellation adds stay where they were
-        # appended, and constraint() hands the value on in variable order.
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_cancel_appends_and_constraint_sorts(self, traced):
+        # The literals a cancellation adds stay where they were appended,
+        # traced or not, and constraint() hands the value on in variable
+        # order.  Traced, the step is its rule and arguments only.
         conflict, reason = con("~b 2e >= 2"), con("a b c >= 1")
         learned = con("a c 2e >= 2")
-        side = Accumulator(conflict)
-        side.cancel(Accumulator(reason), lit("b"))
+        trace = DerivationTrace(2) if traced else None
+        side = Accumulator(conflict, trace, 1 if traced else None)
+        side.cancel(Accumulator(reason, trace, 2 if traced else None), lit("b"))
         assert list(side.weights) == [lit("e"), lit("a"), lit("c")]
         c = side.constraint()
         assert (c.terms, c.degree, c.max_weight) == (learned.terms, 2, 2)
-        # Traced, cancel keeps the order, so the step records sorted terms.
-        trace = DerivationTrace(2)
-        side = Accumulator(conflict, trace, 1)
-        side.cancel(Accumulator(reason, trace, 2), lit("b"))
-        assert list(side.weights) == [lit("a"), lit("c"), lit("e")]
-        assert (trace.steps[-1].terms, trace.steps[-1].degree) == (learned.terms, 2)
-        assert side.constraint() == learned
+        if traced:
+            assert trace.steps == [("cancel", (1, 2, lit("b")))]
+            assert side.id == 3
 
 
 class TestResolveStep:
@@ -449,13 +450,11 @@ class TestResolveStep:
         side = Accumulator(CONFLICT1, trace, cid)
         resolve_step(side, Accumulator(REASON1, trace, rid), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps
-        by_id = {cid: CONFLICT1, rid: REASON1}
-        for step_id, step in enumerate(trace.steps, start=trace.inputs + 1):
-            n_inputs = RULES[step.rule][1]
-            result = RULES[step.rule][0](*[by_id[i] for i in step.args[:n_inputs]], *step.args[n_inputs:])
-            assert result == Constraint(step.terms, step.degree)
-            by_id[step_id] = result
-        assert by_id[side.id] == side.constraint()
+        instance = ParsedInstance(declared_vars=8, constraints=[CONFLICT1, REASON1])
+        assert replay_steps(instance, trace)[side.id] == side.constraint()
+        trace.learned.append((side.id, side.constraint()))
+        check = verify_trace(instance, trace)
+        assert check, check.error
 
     def test_constraint_leaves_the_trace_unchanged(self):
         trace = DerivationTrace(2)
@@ -466,7 +465,8 @@ class TestResolveStep:
         out = side.constraint()
         assert vars(trace) == before
         assert side.id == trace.inputs + len(trace.steps)
-        assert out == Constraint(trace.steps[-1].terms, trace.steps[-1].degree)
+        instance = ParsedInstance(declared_vars=8, constraints=[CONFLICT1, REASON1])
+        assert out == replay_steps(instance, trace)[side.id]
 
     def test_every_strategy_is_conflicting_and_implied(self):
         rng = random.Random(23)

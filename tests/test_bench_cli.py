@@ -462,6 +462,25 @@ class TestBadOutputPath:
         assert_one_error_line(proc, path, "it is also an input")
         assert path.read_text() == text
 
+    @pytest.mark.skipif(not hasattr(os, "link"), reason="needs hard links")
+    def test_solve_emit_trace_onto_a_hard_link_to_its_input(self, tmp_path):
+        path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
+        link = tmp_path / "hl.opb"
+        os.link(path, link)
+        text = path.read_text()
+        proc = run_cli("solve", path, "--emit-trace", link)
+        assert_one_error_line(proc, link, "it is also an input")
+        assert path.read_text() == text
+
+    @pytest.mark.skipif(not hasattr(os, "link"), reason="needs hard links")
+    def test_bench_cactus_onto_a_hard_link_to_its_rows(self, bench_dir, tmp_path):
+        rows, cactus = tmp_path / "rows.csv", tmp_path / "cactus.csv"
+        rows.write_text("kept\n")
+        os.link(rows, cactus)
+        proc = run_cli("bench", bench_dir, "--strategies", "gen-res", "--out", rows, "--cactus", cactus)
+        assert_one_error_line(proc, cactus, "it is also an earlier output")
+        assert rows.read_text() == "kept\n"
+
     def test_bench_cactus_onto_its_rows(self, bench_dir, tmp_path):
         rows = tmp_path / "rows.csv"
         traces = tmp_path / "traces"

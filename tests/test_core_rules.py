@@ -1,6 +1,5 @@
 """Unit and property tests for the constraint representation and rules."""
 
-import io
 import itertools
 
 import pytest
@@ -19,7 +18,6 @@ from pbsolve.core import (
     slack,
     weaken,
 )
-from pbsolve.trace import DerivationTrace
 from helpers import (
     asg,
     con,
@@ -28,7 +26,6 @@ from helpers import (
     literals,
     propagation_candidates,
     sorted_then_validated,
-    var,
     weight,
 )
 
@@ -84,18 +81,6 @@ class TestConstraint:
     def test_text_round_trip(self):
         c = con("6~b 6c 4e f g h >= 7")
         assert Constraint.from_text(c.to_text()) == c
-
-    def test_written_trace_is_read_without_from_text(self, monkeypatch):
-        # Step text as ``write`` spells it takes read_terms's string path.
-        trace = DerivationTrace(2)
-        first, second = con("2a 3~b c >= 3"), con("b 2~d >= 2")
-        out = cancel(first, second, var("b"))
-        trace.record("cancel", (1, 2, var("b")), out.terms, out.degree)
-        buf = io.StringIO()
-        trace.write(buf)
-        monkeypatch.delattr(Constraint, "from_text")
-        back = DerivationTrace.read(buf.getvalue().splitlines())
-        assert (back.inputs, back.steps) == (trace.inputs, trace.steps)
 
 
 class TestNormalize:

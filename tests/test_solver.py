@@ -1,5 +1,6 @@
 """Search-loop tests: end-to-end solving, analysis walk, heuristics, budgets."""
 
+import copy
 import dataclasses
 import hashlib
 import io
@@ -36,17 +37,12 @@ from helpers import (
     observe_resolve_steps,
     propagation_candidates,
     reference_resolve_step,
+    replay_steps,
     snapshot,
     value,
     var,
     verify_slacks,
 )
-
-
-def recorded_constraints(instance, trace):
-    """Each input and step id of a trace -> the constraint it names."""
-    steps = [Constraint(st.terms, st.degree) for st in trace.steps]
-    return dict(enumerate([*instance.constraints, *steps], start=1))
 
 
 def oracle_assertion_level(c, engine):
@@ -174,15 +170,21 @@ class TestSolveEndToEnd:
         assert result.trace.learned == [] and result.trace.final is None
 
     def test_learned_constraints_are_implied(self):
-        for seed in (3, 14, 41):
+        # Every step's output, replayed through the core rules, is implied
+        # by the inputs, and each learned constraint is its step's output.
+        # Seeds 3 and 41 learn nothing; the others take 2 to 6 steps.
+        checked = 0
+        for seed in (0, 3, 14, 25, 41, 49, 57):
             instance = random_instance(6, 9, 6, seed)
             result = solve(instance, SolverConfig(strategy="gen-res", emit_trace=True))
             inputs = list(instance.constraints)
-            steps = (Constraint(step.terms, step.degree) for step in result.trace.steps)
-            by_id = dict(enumerate(steps, start=len(inputs) + 1))
-            for learned_id in result.trace.learned:
-                learned = by_id[learned_id]
-                assert implies_semantically(inputs, learned)
+            by_id = replay_steps(instance, result.trace)
+            for step_id in range(len(inputs) + 1, len(by_id) + 1):
+                assert implies_semantically(inputs, by_id[step_id])
+                checked += 1
+            for learned_id, learned in result.trace.learned:
+                assert by_id[learned_id] == learned
+        assert checked == 18
 
     def test_gen_res_reduction_saturates_unsaturated_reasons(self):
         # balanced_instance rows are not saturated; these seeds used to end
@@ -283,7 +285,7 @@ class TestAnalyzeConflict:
             assert level is None
             assert all(other[2] is not None for other in exits[:-1])
             assert result.trace.final == root_id
-            assert recorded_constraints(instance, result.trace)[root_id] == root
+            assert replay_steps(instance, result.trace)[root_id] == root
             check = verify_trace(instance, result.trace)
             assert check, (strategy, check.error)
 
@@ -298,9 +300,9 @@ class TestAnalyzeConflict:
         result = solver.solve()
         learned = solver.engine.constraints[len(instance.constraints):]
         assert len(learned) == result.stats.learned > 0
-        steps = (Constraint(st.terms, st.degree) for st in result.trace.steps)
-        outputs = dict(enumerate(steps, start=len(instance.constraints) + 1))
-        assert [outputs[i] for i in result.trace.learned] == learned
+        outputs = replay_steps(instance, result.trace)
+        assert [outputs[i] for i, _ in result.trace.learned] == learned
+        assert [c for _, c in result.trace.learned] == learned
 
     def test_learned_constraint_propagates_after_backjump(self):
         rng = random.Random(3)
@@ -771,50 +773,50 @@ class TestHeuristics:
 #: learned, sha256 of the written trace text) under ``conflict_budget=300``.
 #: The largest coefficient reached is 4,491 bits (multiply-weaken).
 TRACE_DIGESTS = {
-    ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
-    ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
-    ("php-6-5", "rs-conflict"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
-    ("php-6-5", "rs-reason"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
-    ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
-    ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
-    ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "ec94213ac38fe33052ffd95c4a77a547eddf2bf36948df02361c5a8e6a915bf1"),
-    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "2174aed3eceed7a433699d64ea90a89e5196938e2ea25d4d6cdd2809105f65f5"),
-    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "e93f873f8191a06f5de3b56a8e41966a28e008c2198eecb4b4938446f8cfe40c"),
-    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "a4b641be849b2f0937dc2be7221c728b6ff34cb44b7ad4107e74b392ddb56f07"),
-    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "99c5aba926de133036821d5b24c2c5041d54f424390f6cfb9bb9592179328b18"),
-    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "3793a023fd69ba25eac226f93bc584350fdaca37013fd7389b62f8047b8bc98e"),
-    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "408105f5c0b52fbd5d3898d378e3a075dfd98cbe97f9833faab59e759b6c9ea7"),
-    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "eeba045d36dfbd78589d73e0655a117646f4a49e8584963f8c671930529e7abe"),
-    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "b7d2a72d4dffb9972548592211a5e1ba1e58ccf20cc6f534ccd72c173bab2233"),
-    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "cae1e6310fcc0868b9e97d20e0b23765573347864459818e18361c3525dc0b55"),
-    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "8351b88009157344e15d2b9a479e3a32043995f4c1ea52d5cc6f825f84828eef"),
-    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "3b74fe0454116c3c5a32c313aff7ffbd797b46a689d59395f444823a73990f5f"),
-    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "a2237c1e5d1b74c6c5d7c7263df9aea6c2ae975f5f291bb7e78481bf468b4deb"),
-    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "6df26639a37ed7d559821c4ba7fcb7bdf10541e9eb4a9c6dfc8e666feafae4a5"),
-    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "4df7811ed186cd0b69afd318661aaad9de9ba23cf271dfc60269e42ee35cd457"),
-    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "523ff8561d322b18576a8eff2cfac37350311b2c63455e7d4af0df0997042fdb"),
-    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "9b6824d11eda4c18b684c289650368415de4d05089865eb18954b562124365d0"),
-    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "83cb5bdcdb3b00f7203e9a6334a0d05b79b91945b3d05680bc3d244937f0533e"),
-    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "c4f4090ec8227a5a5c2260eb8f2646f178e0af10375d8c66dd2986f8823a40eb"),
-    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "1e36e162a2ac403ae21333d0af61f606733957bf8881d2a6a9d6ca2b748281c3"),
-    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "2dec50ec9cfa1621a96fc19c29c293cf44e2ea771d735474e64dc4e471411b71"),
-    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "a06d9e31a5f1fd03e4359b886c949b3bdf5e2d22ffb220f503fdb11ceb754678"),
-    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "ec97f5287b342a5e963e0262f4b73066bd90b39ad08ad174bd74531dcd8f0e30"),
-    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "4551b19766306ec7981f27f4ce4aef3a9ca50f3a50ee69379d1333d1f74c710a"),
-    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "97ed0b46f0f341987b18f69b48d58902fa1473b30e2566022f7671723329872b"),
-    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "e03ff001765adfeb327c981869983b6fc2ee8ee0c80baf998869b39c0a43af64"),
-    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "693dbb18826364eee3bfff7ee8164770444f8c3aed24a5115c38bd5e9e433e37"),
-    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "73463998f1df4fac978738366d6c9ffd0afc3b286655563db0a980d7989d5f5b"),
-    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "b1006852949238ce238f009a6ed921ecb22f533c72ef05b7b3fbfbcb240eb9db"),
-    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "d7d8b68201a7d96418b41736b822560463f29799dc7831d0f9d0c5c014fe1021"),
-    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "5c6c2c99eee82b0a7af1e35e00699f40d95ebcc6086a49faf0ed3cf7684f6e1c"),
-    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "01e6ac29677c7d1dbe984a1ae391c2dd30be11c48a472a6a0fe78f355e255ae2"),
-    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "46ff84c89169935cdcc487fa577eaf5ad05aadbbba652a98bb2c4b9318797429"),
-    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "5a9b07301f74c36c72f03c5f4bfc80a1a3671a56b2a3b56361512364f9ac1a67"),
-    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "2fb9231293cbe3b0e6071568f13646ba192cad43c47f0ba11f63662b23533d51"),
-    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "f247244a2041adedb470c12c4e5cbf43d9a191893dd77cdd7ee027c5a6c63deb"),
-    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "78d12e7412ba2f98681d2b6118d5f9b618f5bda99070996e98f2e3526a3d1dec"),
-    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "2af706843d3fd0dba106662f3b4818308cd8560f004419d0e351d480386b5b4b"),
+    ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
+    ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
+    ("php-6-5", "rs-conflict"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
+    ("php-6-5", "rs-reason"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
+    ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
+    ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
+    ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
+    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "c81a38f7ec8d7f5834d6500ba12d24616a8b3572109aaf0cb9b18f9946836fcd"),
+    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "d4f973aa467e04ea6be4917b4eb694b716a5a037cd254023a1ad74cb25ade2c7"),
+    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "778d20abbeeb28c132ba08be62e85cd493cb9ea067967d9f809352ad981272dc"),
+    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "b32bc64c0219fb76551c7db4ceb78197cf2a9c88881b3ab344a822a61f48a137"),
+    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "3b427a2c39dc6baf068a949edd7035df412c13f2b258de65cb1e6d1e3e51819a"),
+    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "60608dbd402d13a51a25469ca160143933ebe2a4636936b4cb0e3fe8faa4fac6"),
+    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "87aab6993cf85cfa5bfd30dc31e79cad1004bc8bb0d5bedd436a1155c18695cb"),
+    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "0cc96a12e3c3f10aa1a745ceedab0ac2985e2d75e9d69e8f8fcf03d3f6eefe22"),
+    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "e2739a696de55b6e0e3393c099fe73a05ea664cfc66058232467a8f7fc28027e"),
+    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "a64b03f38a6df2cf14fd297780f5af25998e74d6e225a9a2ab9369ba0abd0700"),
+    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "68f9951fd1cd8d2fb73db82d16ed61ab282fe05c5b5e2d24354a33849889e162"),
+    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "98f4ec38addf3edeb25b4ce33d997c96860725cb57db6aab792061202f0c4f8b"),
+    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "0774ec5b0d293bbcd44c489ac92cb35688151567ffda49377bbbda090e07345d"),
+    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "f8d60f2241003e656d4c8aabdb59e70b10d11011a26d6934c9371d4e41781263"),
+    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "a4ec352dec0a2b8c4f3e9324bea992220ef995bc27dec28672331edcd59807ca"),
+    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "ada07e559055c29164628a86a81d00e7537cbb093339111acb2155510b105fe2"),
+    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "ce4d62b1db6c03121e89aaee88be4d46403bd8d708d1d0f038d4c18f77ac128e"),
+    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "f9aaaf91549ff1a429fcd08ce2b393cca10dd80229bdc3103ddd8f965c038311"),
+    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "34f26f53398f870647ebc2910d4cf53efff2301ce125704151b89051a8adb200"),
+    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "a7d8de546ba365a137a980aa31a4bac86a83d7024eba7075d0d43a651cd9156c"),
+    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "cecd165be116b10dcea06e5a7c611aca8f5262a2f23e8d950c8c331ba350d9c1"),
+    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "ac7f225c047fecedfe014e6f085c2aa27f6ef6a6b81bf1334d435a616f792d2d"),
+    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "711cfde65f95cd5f4a19778f273d5643889d7d55a98d87660f30e0e1494552d4"),
+    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "82a42c959b60abdc18a9fc7d4a19a600cb6f1abd066499d272e633e9a8ab018d"),
+    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "fe521b012505d353a57b7bff0e276d4c83f96afb26a478f754b27ada18182df2"),
+    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "046ce630f78d8360bee2f40555d3c267be98e254ec8ae000d98aad82d41ee346"),
+    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "4659af9a7bbfa3f2d8712a4444bf344a1dc4171b33058458db8f0de5bee24e08"),
+    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "d9264dea66ff2ad37b7169a65e2740f933e02e35439102ee04c422b9129dcf3b"),
+    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "f8ecf573152207d14e075662d0fd5e8f112c175940bd8df87edcc02e7491ddc7"),
+    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "3cb10c40f31645cae5686d5c9319e1f5f8e0a24d92fc1f341807aff8f1a0519a"),
+    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "befb3c8b2ef3cdd45779262924867fdb3187b3060907f45ccea3de2354744e47"),
+    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "345d6a1a3d3211126d8908648b4973af7d208d4fabd0b2d3984b7d079bc23f67"),
+    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "5c20ba88c044449f438c9fc1d97eaf3c788f4f55d73a3a9f0ef8a3366bc2d2b1"),
+    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "49b94e1c662c3429b933752e63f4b2b164f4c0179834d5141ab31d4d56dbe0d9"),
+    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "3857a8f363eb11273f9b530a660cc6e48d5efc2b6036449a1d328da549cd1433"),
+    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "c00d8ee34ec13ace8e13a3f731f92714229bd88d80b0a30eb640fa92b1a9302b"),
+    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "6ce8c39afcd2c9ee1ca4c39a3a131f377bdd05600b5c32fbd01902b5896c903a"),
 }
 
 
@@ -829,19 +831,44 @@ def digest_instances():
         yield name, parse_opb(text.getvalue())
 
 
+@pytest.fixture(scope="class")
+def pinned_runs():
+    """(instance name, strategy) -> (instance, result) for every TRACE_DIGESTS run."""
+    runs = {}
+    for name, instance in digest_instances():
+        for strategy in STRATEGY_IDS:
+            config = SolverConfig(strategy=strategy, conflict_budget=300, emit_trace=True)
+            runs[name, strategy] = instance, solve(instance, config)
+    return runs
+
+
 class TestTraceTextContract:
-    def test_counters_and_trace_text_are_pinned(self):
+    def test_counters_and_trace_text_are_pinned(self, pinned_runs):
         got = {}
-        for name, instance in digest_instances():
-            for strategy in STRATEGY_IDS:
-                config = SolverConfig(strategy=strategy, conflict_budget=300, emit_trace=True)
-                result = solve(instance, config)
-                text = io.StringIO()
-                result.trace.write(text)
-                s = result.stats
-                got[name, strategy] = (
-                    result.status, s.conflicts, s.decisions, s.propagations, s.learned,
-                    hashlib.sha256(text.getvalue().encode()).hexdigest(),
-                )
+        for key, (_, result) in pinned_runs.items():
+            text = io.StringIO()
+            result.trace.write(text)
+            s = result.stats
+            got[key] = (
+                result.status, s.conflicts, s.decisions, s.propagations, s.learned,
+                hashlib.sha256(text.getvalue().encode()).hexdigest(),
+            )
         assert got.keys() == TRACE_DIGESTS.keys()
         assert [k for k in got if got[k] != TRACE_DIGESTS[k]] == []
+
+    def test_checker_replay_matches_the_core_rules(self, pinned_runs):
+        # The checker's in-place arithmetic against the core rule functions
+        # on every pinned run.  With the learned records as written, the
+        # checker rewrites in place every output that no later record names;
+        # with every id named by a learned record, it copies each one, and
+        # each step's output is compared with the reference.
+        for key, (instance, result) in pinned_runs.items():
+            trace = copy.copy(result.trace)
+            reference = replay_steps(instance, trace)
+            assert [reference[i] for i, _ in trace.learned] == [c for _, c in trace.learned]
+            check = verify_trace(instance, trace)
+            assert check, (key, check.error)
+            trace.learned = list(reference.items())
+            check = verify_trace(instance, trace)
+            assert check, (key, check.error)
+            assert check.steps_checked == len(trace.steps) == len(reference) - len(instance.constraints)

@@ -1,17 +1,19 @@
 """Derivation-trace serialization and replay-checker tests."""
 
+import functools
 import io
 import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pbsolve import core
 from pbsolve.analysis import STRATEGY_IDS
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
-from pbsolve.trace import RULES, DerivationTrace, RuleStep, TraceCheck, verify_trace
+from pbsolve.trace import DerivationTrace, RuleStep, TraceCheck, verify_trace
 from helpers import balanced_instance, con
 
 
@@ -25,6 +27,12 @@ def trace_text(trace):
     buf = io.StringIO()
     trace.write(buf)
     return buf.getvalue()
+
+
+@functools.cache
+def php_trace_text():
+    """php-5-4's trace under weaken-ineffective-conflict: 283 steps."""
+    return trace_text(solve_with_trace(php_instance(5, 4), "weaken-ineffective-conflict").trace)
 
 
 class TestSerialization:
@@ -46,24 +54,21 @@ class TestSerialization:
         assert verify_trace(instance, DerivationTrace.read_file(path))
 
     def test_comments_and_blank_lines_are_skipped(self):
-        lines = ["i 1", "s saturate 1 : 1 x1 1 x2 >= 1", "l 2", "f 2"]
+        lines = ["i 1", "s saturate 1", "l 2 : 1 x1 1 x2 >= 1", "f 2"]
         plain = DerivationTrace.read(lines)
         commented = DerivationTrace.read(["* a note", "", *lines[:2], "   ", "*another", *lines[2:]])
         assert commented.inputs == plain.inputs
-        assert commented.steps == plain.steps
-        assert (commented.learned, commented.final) == (plain.learned, plain.final) == ([2], 2)
+        assert commented.steps == plain.steps == [("saturate", (1,))]
+        learned = [(2, con("a b >= 1"))]
+        assert (commented.learned, commented.final) == (plain.learned, plain.final) == (learned, 2)
 
-    @pytest.mark.parametrize("lines", [[], ["* a note", "f 1"], ["", "l 3"]], ids=["empty", "note-and-final", "learned"])
+    @pytest.mark.parametrize(
+        "lines", [[], ["* a note", "f 1"], ["", "l 3 : >= 1"]], ids=["empty", "note-and-final", "learned"]
+    )
     def test_trace_without_inputs_or_steps_is_read(self, lines):
         trace = DerivationTrace.read(lines)
         assert (trace.inputs, trace.steps) == (0, [])
-        assert trace.record("saturate", (1,), ((1, 1),), 1) == 1
-
-    def test_written_step_text_is_read_without_from_text(self, monkeypatch):
-        steps = [st for st in solve_with_trace(php_instance(4, 3)).trace.steps if st.terms]
-        texts = [core.format_constraint(st.terms, st.degree) for st in steps]
-        monkeypatch.delattr(core.Constraint, "from_text")
-        assert [core.read_terms(text) for text in texts] == [(st.terms, st.degree) for st in steps]
+        assert trace.record("saturate", (1,)) == 1
 
     def test_unknown_record_kind_is_rejected(self):
         with pytest.raises(ValueError, match=r"^trace line 2: unknown record kind 'x'$"):
@@ -78,15 +83,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^trace line 2: invalid literal for int\(\)"):
             DerivationTrace.read(["* a note", "i 1 1 x1 >= 1", "f 1"])
 
-    def test_old_form_step_record_is_rejected_at_its_line(self):
-        # A step's id is its position; a step that writes one names no rule.
-        with pytest.raises(ValueError, match=r"^trace line 2: unknown rule '3'$"):
-            DerivationTrace.read(["i 2", "s 3 saturate 1 : 1 x1 1 x2 >= 1"])
-
     @pytest.mark.parametrize(
         "line, message",
-        [("s", "unknown rule ''"), ("s 5", "unknown rule '5'"), ("s  : 1 x1 >= 1", "unknown rule ''")],
-        ids=["s", "s 5", "constraint-only"],
+        [
+            ("s saturate 1 : 1 x1 1 x2 >= 1", "invalid literal for int() with base 10: ':'"),
+            ("s 3 saturate 1 : 1 x1 1 x2 >= 1", "invalid literal for int() with base 10: 'saturate'"),
+            ("l 3", "a learned id without its constraint"),
+        ],
+        ids=["step-with-constraint", "step-with-id", "learned-without-constraint"],
+    )
+    def test_old_form_record_is_rejected_at_its_line(self, line, message):
+        # A step writes only its rule and arguments, and a learned record its
+        # constraint: a trace in an older form is not read.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
+            DerivationTrace.read(["i 2", line, "f 3"])
+
+    @pytest.mark.parametrize(
+        "line, message", [("s", "unknown rule ''"), ("s 5", "unknown rule '5'")], ids=["s", "s 5"]
     )
     def test_step_without_rule_is_rejected(self, line, message):
         with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
@@ -113,14 +126,14 @@ class TestSerialization:
     )
     def test_wrong_argument_count_is_rejected(self, rule, arity, extra):
         args = " ".join(["1"] * (arity + extra))
-        lines = ["i 1", f"s {rule} {args} : 1 x1 >= 1"]
+        lines = ["i 1", f"s {rule} {args}"]
         message = f"trace line 2: {rule} takes {arity} arguments, got {arity + extra}"
         with pytest.raises(ValueError, match=message):
             DerivationTrace.read(lines)
 
-    def test_step_without_degree_is_rejected(self):
-        with pytest.raises(ValueError, match="trace line 2: missing '>='"):
-            DerivationTrace.read(["i 1", "s saturate 1"])
+    def test_learned_record_without_degree_is_rejected(self):
+        with pytest.raises(ValueError, match="trace line 3: missing '>='"):
+            DerivationTrace.read(["i 1", "s saturate 1", "l 2 : 1 x1"])
 
     @pytest.mark.parametrize(
         "ctext, message",
@@ -137,27 +150,27 @@ class TestSerialization:
             ("1 x1 >= 0", "degree must be >= 1, got 0"),
         ],
     )
-    def test_invalid_step_constraint_is_rejected_with_its_message(self, ctext, message):
-        lines = ["i 1", f"s saturate 1 : {ctext}"]
+    def test_invalid_learned_constraint_is_rejected_with_its_message(self, ctext, message):
+        lines = ["i 1", f"l 1 : {ctext}"]
         with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
             DerivationTrace.read(lines)
 
     @pytest.mark.parametrize(
-        "line, step",
+        "ctext, terms, degree",
         [
-            ("s saturate 1 : 1 x3 2 ~x1 >= 2", RuleStep("saturate", (1,), ((-1, 2), (3, 1)), 2)),
-            ("s saturate 1 :  1  x1   1 x2  >=  1", RuleStep("saturate", (1,), ((1, 1), (2, 1)), 1)),
-            ("s saturate 1 : +3 x1 1 x2 >= +3", RuleStep("saturate", (1,), ((1, 3), (2, 1)), 3)),
-            ("s saturate 1 : 1 x01 1 ~x002 >= 1", RuleStep("saturate", (1,), ((1, 1), (-2, 1)), 1)),
-            ("s saturate 1 : 03 x2 1 x10 >= 2", RuleStep("saturate", (1,), ((2, 3), (10, 1)), 2)),
-            ("s saturate 1 : >= 1", RuleStep("saturate", (1,), (), 1)),
-            ("s weaken 1 -3 : 2 ~x5 1 x4 3 x2 >= 01", RuleStep("weaken", (1, -3), ((2, 3), (4, 1), (-5, 2)), 1)),
+            ("1 x3 2 ~x1 >= 2", ((-1, 2), (3, 1)), 2),
+            (" 1  x1   1 x2  >=  1", ((1, 1), (2, 1)), 1),
+            ("+3 x1 1 x2 >= +3", ((1, 3), (2, 1)), 3),
+            ("1 x01 1 ~x002 >= 1", ((1, 1), (-2, 1)), 1),
+            ("03 x2 1 x10 >= 2", ((2, 3), (10, 1)), 2),
+            (">= 1", (), 1),
+            ("2 ~x5 1 x4 3 x2 >= 01", ((2, 3), (4, 1), (-5, 2)), 1),
         ],
         ids=["out-of-order", "runs-of-spaces", "plus-signs", "leading-zero-index", "leading-zero-weight",
              "empty-unspaced", "mixed"],
     )
-    def test_valid_text_outside_the_written_form_is_read(self, line, step):
-        assert DerivationTrace.read([line]).steps == [step]
+    def test_valid_text_outside_the_written_form_is_read(self, ctext, terms, degree):
+        assert DerivationTrace.read([f"l 1 : {ctext}"]).learned == [(1, core.Constraint(terms, degree))]
 
     @pytest.mark.parametrize("respell", ["reversed", "spaces", "plus", "zeros"])
     def test_respelled_real_trace_reads_the_same_and_verifies(self, respell):
@@ -181,7 +194,7 @@ class TestSerialization:
             lines.append(line)
         assert lines != text.splitlines()
         again = DerivationTrace.read(lines)
-        assert again.steps == DerivationTrace.read(text.splitlines()).steps
+        assert again.learned == DerivationTrace.read(text.splitlines()).learned
         assert verify_trace(instance, again)
 
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
@@ -205,8 +218,7 @@ class TestSerialization:
         result = solve_with_trace(instance, "weaken-ineffective-both")
         lines = trace_text(result.trace).splitlines()
         index = next(i for i, l in enumerate(lines) if l.split()[:2] == ["s", rule])
-        head, _, ctext = lines[index].partition(" : ")
-        lines[index] = head.rsplit(" ", 1)[0] + " : " + ctext
+        lines[index] = lines[index].rsplit(" ", 1)[0]
         with pytest.raises(ValueError, match=f"trace line {index + 1}: {rule} takes"):
             verify_trace(instance, DerivationTrace.read(lines))
 
@@ -221,28 +233,29 @@ class TestVerify:
             assert check, check.error
             assert check.steps_checked == len(result.trace.steps)
 
-    def test_tampered_weight_is_caught_at_its_step(self):
+    @pytest.mark.parametrize("token", [0, -1], ids=["weight", "degree"])
+    def test_tampered_learned_constraint_is_caught_by_its_id(self, token):
         instance = php_instance(3, 2)
         result = solve_with_trace(instance)
         lines = trace_text(result.trace).splitlines()
-        index = next(i for i, l in enumerate(lines) if l.startswith("s"))
+        index = next(i for i, l in enumerate(lines) if l.startswith("l"))
         head, _, ctext = lines[index].partition(" : ")
         parts = ctext.split()
-        parts[0] = str(int(parts[0]) + 1)
+        parts[token] = str(int(parts[token]) + 1)
         lines[index] = head + " : " + " ".join(parts)
         check = verify_trace(instance, DerivationTrace.read(iter(lines)))
         assert not check
-        assert "replay mismatch" in check.error
-        assert check.steps_checked == 0
+        assert check.error == f"replay mismatch for learned id {head.split()[1]}"
+        assert check.steps_checked == len(result.trace.steps)
 
     @pytest.mark.parametrize(
         "lines, error",
         [
             (["i 1"], "input count mismatch: trace has 1, instance has 2"),
-            (["i 2", "l 5"], "learned id 5 was never derived"),
+            (["i 2", "l 5 : 1 x1 >= 1"], "learned id 5 was never derived"),
             (["i 2", "f 7"], "final id 7 was never derived"),
-            (["i 2", "l 0"], "learned id 0 was never derived"),
-            (["i 2", "l -1"], "learned id -1 was never derived"),
+            (["i 2", "l 0 : 1 x1 >= 1"], "learned id 0 was never derived"),
+            (["i 2", "l -1 : 1 x1 >= 1"], "learned id -1 was never derived"),
             (["i 2", "f 0"], "final id 0 was never derived"),
             (["i 2", "f -1"], "final id -1 was never derived"),
         ],
@@ -265,7 +278,7 @@ class TestVerify:
     def test_forward_reference_rejected(self, ref):
         # The step's own id is 2; a reference must name an id below it.
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
-        lines = ["i 1", f"s saturate {ref} : 1 x1 1 x2 >= 1"]
+        lines = ["i 1", f"s saturate {ref}"]
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check
         assert check.error == f"step 0: reference to unknown id {ref}"
@@ -300,7 +313,7 @@ class TestVerify:
         def derive(rule, args, params):
             """Apply a rule to (constraint, id) pairs; returns the output's pair."""
             out = getattr(core, rule)(*(c for c, _ in args), *params)
-            return out, trace.record(rule, (*(i for _, i in args), *params), out.terms, out.degree)
+            return out, trace.record(rule, (*(i for _, i in args), *params))
 
         a, b = 1, 2
         pos = derive("saturate", (derive("cancel", (rows[0], rows[2]), (a,)),), ())
@@ -310,7 +323,7 @@ class TestVerify:
         unclaimed = trace_text(trace) + f"f {empty_id}\n"
         check = verify_trace(instance, DerivationTrace.read(io.StringIO(unclaimed)))
         assert not check and "not confirmed" in check.error
-        trace.learned.append(empty_id)
+        trace.learned.append((empty_id, empty))
         trace.final = empty_id
         check = verify_trace(instance, DerivationTrace.read(io.StringIO(trace_text(trace))))
         assert check, check.error
@@ -331,7 +344,7 @@ class TestVerify:
 
     def test_tautological_step_is_a_replay_error(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
-        lines = ["i 1", "s weaken 1 1 : 1 x2 >= 1"]
+        lines = ["i 1", "s weaken 1 1"]
         check = verify_trace(instance, DerivationTrace.read(lines))
         assert not check
         assert check.error == "step 0: replay error: degree must be >= 1, got 0"
@@ -387,8 +400,7 @@ class TestVerify:
         trace = solve_with_trace(instance).trace
         arity = n_inputs + n_params
         args = (1,) * (arity + extra)
-        out = con("a >= 1")
-        trace.steps.append(RuleStep(rule, args, out.terms, out.degree))
+        trace.steps.append(RuleStep(rule, args))
         index = len(trace.steps) - 1
         check = verify_trace(instance, trace)
         assert not check
@@ -396,26 +408,105 @@ class TestVerify:
         assert check.steps_checked == index
 
     @pytest.mark.parametrize(
-        "garble",
-        [lambda terms: terms[::-1], lambda terms: (*terms, (4, 0))],
-        ids=["terms-out-of-order", "zero-weight"],
+        "garbled",
+        ["b c >= 2", "2b c >= 1", "b >= 1", "b c d >= 1", "b ~c >= 1"],
+        ids=["degree", "weight", "dropped", "added", "negated"],
     )
-    def test_in_memory_output_must_match_the_replay_term_for_term(self, garble):
-        # An in-memory step's output is never validated on its own: only
-        # the comparison with the replay rejects a malformed term tuple.
+    def test_in_memory_learned_constraint_must_equal_its_replay(self, garbled):
         inputs = [con("a b >= 1"), con("~a c >= 1")]
         instance = ParsedInstance(declared_vars=4, constraints=list(inputs))
         trace = DerivationTrace(len(inputs))
-        ids = (1, 2)
-        out = RULES["cancel"][0](*inputs, 1)
-        assert out.terms == ((2, 1), (3, 1))
-        trace.record("cancel", (*ids, 1), out.terms, out.degree)
+        out = core.cancel(*inputs, 1)
+        assert out == con("b c >= 1")
+        trace.learned.append((trace.record("cancel", (1, 2, 1)), out))
         assert verify_trace(instance, trace)
-        trace.steps[0] = trace.steps[0]._replace(terms=garble(out.terms))
+        trace.learned[0] = (3, con(garbled))
         check = verify_trace(instance, trace)
         assert not check
-        assert check.error == "step 0: replay mismatch for id 3"
+        assert check.error == "replay mismatch for learned id 3"
+        assert check.steps_checked == 1
 
     def test_truthiness_of_check_result(self):
         assert TraceCheck()
         assert not TraceCheck("why")
+
+
+class TestCheckerRobustness:
+    """Every crafted trace is a line-numbered ValueError or a failed check."""
+
+    # Rows 1 and 2; a step `s multiply 1 1` makes id 3, a copy of row 1,
+    # which the checked step then names last and so rewrites in place.
+    ROWS = [con("a 2b >= 2"), con("~a c >= 1")]
+
+    def check(self, *steps, through_step=False):
+        instance = ParsedInstance(declared_vars=3, constraints=list(self.ROWS))
+        lines = ["i 2"]
+        if through_step:
+            lines.append("s multiply 1 1")
+            steps = [step.replace("{first}", "3") for step in steps]
+        else:
+            steps = [step.replace("{first}", "1") for step in steps]
+        return verify_trace(instance, DerivationTrace.read([*lines, *steps]))
+
+    @pytest.mark.parametrize("through_step", [False, True], ids=["row", "step"])
+    @pytest.mark.parametrize(
+        "step, error",
+        [
+            ("s cancel {first} {first} 1", "pivot x1 must occur with opposite polarities"),
+            ("s cancel {first} 1 1", "pivot x1 must occur with opposite polarities"),
+            ("s cancel {first} 2 2", "pivot x2 must occur in both constraints"),
+            ("s cancel {first} 2 3", "pivot x3 must occur in both constraints"),
+            ("s cancel {first} 2 0", "pivot x0 must occur in both constraints"),
+            ("s weaken {first} 3", "literal x3 is absent"),
+            ("s weaken {first} -1", "literal ~x1 is absent"),
+            ("s pweaken {first} -2 1", "literal ~x2 is absent"),
+            ("s pweaken {first} 2 0", "eps must be in 1..2, got 0"),
+            ("s pweaken {first} 2 -1", "eps must be in 1..2, got -1"),
+            ("s pweaken {first} 2 3", "eps must be in 1..2, got 3"),
+            ("s divide {first} 0", "divisor must be >= 1, got 0"),
+            ("s divide {first} -2", "divisor must be >= 1, got -2"),
+            ("s multiply {first} 0", "multiplier must be >= 1, got 0"),
+            ("s multiply {first} -3", "multiplier must be >= 1, got -3"),
+            ("s weaken {first} 2", "degree must be >= 1, got 0"),
+        ],
+        ids=["same-id-twice", "same-polarity", "pivot-absent-second", "pivot-absent-both", "pivot-zero",
+             "weaken-absent", "weaken-negated", "pweaken-absent", "eps-zero", "eps-negative", "eps-above",
+             "divisor-zero", "divisor-negative", "multiplier-zero", "multiplier-negative", "degree-zero"],
+    )
+    def test_a_rule_outside_its_domain_is_a_replay_error(self, step, error, through_step):
+        check = self.check(step, through_step=through_step)
+        index = 1 if through_step else 0
+        assert not check
+        assert check.error == f"step {index}: replay error: {error}"
+        assert check.steps_checked == index
+
+    @pytest.mark.parametrize("ref", [5, 4, 0, -1], ids=["forward", "self", "zero", "negative"])
+    def test_a_forward_or_self_reference_is_rejected(self, ref):
+        # The checked step's own id is 4.
+        check = self.check(f"s cancel {{first}} {ref} 1", through_step=True)
+        assert not check and check.error == f"step 1: reference to unknown id {ref}"
+
+    def test_a_rewritten_input_is_not_read_again(self):
+        # Id 3 is rewritten in place by the step that names it last; a
+        # learned record naming it afterwards keeps it intact instead.
+        assert self.check("s saturate {first}", "s divide 4 2", "l 3 : 1 x1 2 x2 >= 2", through_step=True)
+        assert self.check("s saturate {first}", "s divide 3 2", "l 3 : 1 x1 2 x2 >= 2", through_step=True)
+        check = self.check("s divide {first} 2", "l 3 : 1 x1 1 x2 >= 1", through_step=True)
+        assert not check and check.error == "replay mismatch for learned id 3"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_changed_integer_is_an_error_or_a_verdict(self, data):
+        text = php_trace_text()
+        spans = [m.span() for m in re.finditer(r"-?[0-9]+", text)]
+        start, end = data.draw(st.sampled_from(spans))
+        old = int(text[start:end])
+        value = data.draw(st.one_of(st.integers(-3, 3).map(lambda d: old + d), st.integers(-(2**70), 2**70)))
+        assume(str(value) != text[start:end])
+        changed = text[:start] + str(value) + text[end:]
+        try:
+            trace = DerivationTrace.read(changed.splitlines())
+        except ValueError as exc:
+            assert re.match(r"trace line [0-9]+: ", str(exc))
+            return
+        assert isinstance(verify_trace(php_instance(5, 4), trace), TraceCheck)
