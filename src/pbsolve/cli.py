@@ -81,14 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_keys(path: Path) -> list:
-    """``path`` resolved and, for an existing regular file, its
-    ``(st_dev, st_ino)``, which every hard link to the file shares."""
-    keys: list = [path.resolve()]
+def _file_key(path: Path) -> object:
+    """An existing regular file's ``(st_dev, st_ino)``, which every link to it
+    shares; otherwise the resolved path."""
     if path.is_file():
         st = path.stat()
-        keys.append((st.st_dev, st.st_ino))
-    return keys
+        return st.st_dev, st.st_ino
+    return path.resolve()
 
 
 def _bad_output_path(inputs: list[Path], *paths: Path | None) -> bool:
@@ -97,18 +96,17 @@ def _bad_output_path(inputs: list[Path], *paths: Path | None) -> bool:
     by its path or by a hard link to it (a device such as /dev/null may be
     named again).  Called before any work.
     """
-    taken = {key: "an input" for path in inputs for key in _file_keys(path)}
+    taken = dict.fromkeys(map(_file_key, inputs), "an input")
     for path in filter(None, paths):
-        keys = _file_keys(path)
-        same = [taken[key] for key in keys if key in taken]
+        where = _file_key(path)
         if not path.parent.is_dir():
             problem = f"no directory {path.parent}"
         elif path.is_dir():
             problem = "it is a directory"
-        elif same and (path.is_file() or not path.exists()):
-            problem = f"it is also {same[0]}"
+        elif where in taken and (path.is_file() or not path.exists()):
+            problem = f"it is also {taken[where]}"
         else:
-            taken.update(dict.fromkeys(keys, "an earlier output"))
+            taken[where] = "an earlier output"
             continue
         print(f"error: cannot write {path}: {problem}", file=sys.stderr)
         return True

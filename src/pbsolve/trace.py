@@ -129,9 +129,8 @@ class DerivationTrace:
                     counted = True
                 elif kind == "s":
                     rule, *params = rest.split() or [""]
-                    args = tuple(map(int, params))
-                    _split_args(rule, len(args))
-                    trace.steps.append(RuleStep(rule, args))
+                    _split_args(rule, len(params))
+                    trace.steps.append(RuleStep(rule, tuple(map(int, params))))
                 elif kind == "l":
                     ident, sep, ctext = rest.partition(" : ")
                     if not sep:
@@ -153,9 +152,10 @@ class DerivationTrace:
 
 # -- the checker's arithmetic ---------------------------------------------------
 #
-# Each rule rewrites its first input's ``{literal: weight}`` dict in place and
-# returns the new degree; a later input is a ``(weights, degree)`` pair it only
-# reads.  Every case the rule does not define raises ValueError.
+# Each rule rewrites its first input's ``{literal: weight}`` dict, a copy the
+# checker owns, and returns the new degree; a later input is a
+# ``(weights, degree)`` pair it only reads.  Every case the rule does not
+# define raises ValueError.
 
 
 def _cancel(w: dict[int, int], d: int, other: tuple[dict[int, int], int], var: int) -> int:
@@ -261,25 +261,13 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     and, when a final conflict is declared, root-level propagation over the
     instance plus learned constraints yields a conflict.
 
-    Each id's value is a ``(weights, degree)`` pair.  One pass first finds
-    the last step that names each id.  A step rewrites its first input's
-    dict in place when no later step, ``l`` or ``f`` record names that
-    input, and a copy otherwise; an instance row is always copied.
+    Each id's value is a ``(weights, degree)`` pair, and a step rewrites a
+    copy of its first input's dict, so every id keeps its value.
     """
     expected = instance.constraints
     if trace.inputs != len(expected):
         return TraceCheck(f"input count mismatch: trace has {trace.inputs}, instance has {len(expected)}")
-    n = trace.inputs
     steps = trace.steps
-    last: dict[int, int] = {}  # id -> index of the last step naming it
-    for index, (rule, args) in enumerate(steps):
-        for ref in args[: RULES.get(rule, (0, 0))[0]]:
-            last[ref] = index
-    for i, _ in trace.learned:
-        last[i] = len(steps)
-    if trace.final is not None:
-        last[trace.final] = len(steps)
-
     known = [None, *((dict(c.terms), c.degree) for c in expected)]  # by id: every lookup checks 0 < id
     for index, (rule, args) in enumerate(steps):
         try:
@@ -289,10 +277,8 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
         for ref in args[:n_inputs]:
             if not 0 < ref < len(known):
                 return TraceCheck(f"step {index}: reference to unknown id {ref}", index)
-        first = args[0]
-        w, d = known[first]
-        if first <= n or last[first] != index:
-            w = dict(w)
+        w, d = known[args[0]]
+        w = dict(w)
         try:
             d = _REPLAY[rule](w, d, *map(known.__getitem__, args[1:n_inputs]), *args[n_inputs:])
             if d < 1:

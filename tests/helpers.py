@@ -24,7 +24,7 @@ and returns the outcome in the reference's form, and ``on_accumulator``
 does the same for one reduction; ``observe_resolve_steps`` lets a test
 watch every resolve step of the solver.  ``replay_steps`` computes every
 step of a derivation trace through the :mod:`pbsolve.core` rule functions,
-the reference for the trace checker's own in-place arithmetic.
+the reference for the trace checker's own arithmetic.
 
 Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a

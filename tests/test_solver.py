@@ -857,11 +857,10 @@ class TestTraceTextContract:
         assert [k for k in got if got[k] != TRACE_DIGESTS[k]] == []
 
     def test_checker_replay_matches_the_core_rules(self, pinned_runs):
-        # The checker's in-place arithmetic against the core rule functions
-        # on every pinned run.  With the learned records as written, the
-        # checker rewrites in place every output that no later record names;
-        # with every id named by a learned record, it copies each one, and
-        # each step's output is compared with the reference.
+        # The checker's own arithmetic against the core rule functions on
+        # every pinned run: once with the learned records as written, and
+        # once with every id named by a learned record, so that each step's
+        # output is compared with the reference.
         for key, (instance, result) in pinned_runs.items():
             trace = copy.copy(result.trace)
             reference = replay_steps(instance, trace)

@@ -86,8 +86,8 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("s saturate 1 : 1 x1 1 x2 >= 1", "invalid literal for int() with base 10: ':'"),
-            ("s 3 saturate 1 : 1 x1 1 x2 >= 1", "invalid literal for int() with base 10: 'saturate'"),
+            ("s saturate 1 : 1 x1 1 x2 >= 1", "saturate takes 1 arguments, got 8"),
+            ("s 3 saturate 1 : 1 x1 1 x2 >= 1", "unknown rule '3'"),
             ("l 3", "a learned id without its constraint"),
         ],
         ids=["step-with-constraint", "step-with-id", "learned-without-constraint"],
@@ -99,9 +99,17 @@ class TestSerialization:
             DerivationTrace.read(["i 2", line, "f 3"])
 
     @pytest.mark.parametrize(
-        "line, message", [("s", "unknown rule ''"), ("s 5", "unknown rule '5'")], ids=["s", "s 5"]
+        "line, message",
+        [
+            ("s", "unknown rule ''"),
+            ("s 5", "unknown rule '5'"),
+            ("s  : 1 x1 >= 1", "unknown rule ':'"),
+            ("s foo x", "unknown rule 'foo'"),
+        ],
+        ids=["s", "s 5", "constraint-only", "unknown-rule"],
     )
     def test_step_without_rule_is_rejected(self, line, message):
+        # The rule is checked before its arguments are read as integers.
         with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 2: {message}')}$"):
             DerivationTrace.read(["i 1", line])
 
@@ -434,8 +442,8 @@ class TestVerify:
 class TestCheckerRobustness:
     """Every crafted trace is a line-numbered ValueError or a failed check."""
 
-    # Rows 1 and 2; a step `s multiply 1 1` makes id 3, a copy of row 1,
-    # which the checked step then names last and so rewrites in place.
+    # Rows 1 and 2; a step `s multiply 1 1` makes id 3, equal to row 1, so
+    # each case runs once on an instance row and once on a step's output.
     ROWS = [con("a 2b >= 2"), con("~a c >= 1")]
 
     def check(self, *steps, through_step=False):
@@ -486,9 +494,9 @@ class TestCheckerRobustness:
         check = self.check(f"s cancel {{first}} {ref} 1", through_step=True)
         assert not check and check.error == f"step 1: reference to unknown id {ref}"
 
-    def test_a_rewritten_input_is_not_read_again(self):
-        # Id 3 is rewritten in place by the step that names it last; a
-        # learned record naming it afterwards keeps it intact instead.
+    def test_an_input_keeps_its_value_after_a_step(self):
+        # A step rewrites a copy of its first input, so a later step or
+        # learned record naming id 3 reads its replayed value.
         assert self.check("s saturate {first}", "s divide 4 2", "l 3 : 1 x1 2 x2 >= 2", through_step=True)
         assert self.check("s saturate {first}", "s divide 3 2", "l 3 : 1 x1 2 x2 >= 2", through_step=True)
         check = self.check("s divide {first} 2", "l 3 : 1 x1 1 x2 >= 1", through_step=True)
