@@ -11,12 +11,12 @@ The package exports the user API: constraints, OPB input and output, the
 generators, the solver, and the trace with its checker.  From
 :mod:`pbsolve.core` that is only :class:`Constraint`, :func:`normalize` and
 :func:`slack`.  Everything else stays in its own module: the rule functions
-(``cancel``, ``weaken``, ...) at ``pbsolve.core.<rule>``, which the package
-itself does not call (the trace checker has its own arithmetic, and
-:data:`pbsolve.trace.RULES` maps each trace rule name to its input and
-parameter counts); the accumulator and the reductions in :mod:`pbsolve.analysis`; the
-propagation engine in :mod:`pbsolve.propagation`; and the matrix runner in
-:mod:`pbsolve.bench`.
+(``cancel``, ``weaken``, ...) at ``pbsolve.core.<rule>``, the trace
+checker's arithmetic (:data:`pbsolve.trace.RULES` maps each trace rule
+name to one of them and to its input and parameter counts); the
+accumulator, the solver's own copy of the rules, and the reductions in
+:mod:`pbsolve.analysis`; the propagation engine in
+:mod:`pbsolve.propagation`; and the matrix runner in :mod:`pbsolve.bench`.
 """
 
 from .analysis import STRATEGY_IDS

@@ -67,11 +67,13 @@ class Accumulator:
     ``weights`` maps each literal to its positive weight; ``cancel``
     leaves new literals where it appends them and :meth:`constraint` sorts.
     :func:`pbsolve.core.slack`, which reads only ``terms`` and ``degree``,
-    accepts an accumulator.  Each rule method mirrors the
-    :mod:`pbsolve.core` function of the same name: ``cancel`` adds a reason
-    with the minimal multipliers, ``saturate`` caps the weights at the
-    degree, and so on.  A tautology cannot arise in a sound analysis, so a
-    rule that would produce one raises :class:`AnalysisError`.
+    accepts an accumulator.  The rule methods are the solver's copy of the
+    rules: ``cancel`` adds a reason with the minimal multipliers,
+    ``saturate`` caps the weights at the degree, and so on.  The trace
+    checker replays the steps they record with :mod:`pbsolve.core`'s rule
+    functions, so it does not reuse this code.  A tautology cannot arise in
+    a sound analysis, so a rule that would produce one raises
+    :class:`AnalysisError`.
 
     With a ``trace``, every rule application that changes the accumulator is
     recorded as a step, its rule and arguments, and
@@ -154,8 +156,9 @@ class Accumulator:
         """Add ``reason``, both scaled by the minimal multipliers that eliminate the pivot.
 
         ``pivot`` is the literal the reason propagates; its negation occurs
-        here.  Opposing literal pairs other than the pivot are merged as in
-        :func:`pbsolve.core.cancel`.  The result is not saturated.
+        here.  Opposing literal pairs other than the pivot are merged: the
+        dominant polarity keeps the weight difference and the degree drops
+        by the cancelled amount.  The result is not saturated.
         """
         weights = self.weights
         w1 = weights[-pivot]

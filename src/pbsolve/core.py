@@ -4,13 +4,15 @@ A constraint is kept in the normalized form ``sum(w_i * l_i) >= degree`` with
 positive integer weights over literals of pairwise distinct variables.
 Literals are plain signed integers (``+v`` / ``-v`` for variable index
 ``v >= 1``): ``-lit`` negates a literal and ``abs(lit)`` is its variable.
-A partial assignment is the collection of its true literals, and every rule
-operation is a pure function returning a fresh value.
+A partial assignment is the collection of its true literals.
 
 No assignment satisfies the empty constraint ``>= 1``: it is the one form of
 a trivially false constraint.  A trivially true one (degree 0 or below) is
-not a constraint at all, so a rule whose result would be one raises
-ValueError from the constructor.
+not a constraint at all, so the constructor raises ValueError on it.
+
+The rule functions (``cancel``, ``weaken``, ``partial_weaken``, ``saturate``,
+``divide``, ``multiply``) are the trace checker's arithmetic: each rewrites
+a ``{literal: weight}`` dict in place and returns the new degree.
 
 Weights and degrees are plain Python integers, so coefficient growth during
 cancellation chains never overflows.
@@ -18,7 +20,6 @@ cancellation chains never overflows.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import lcm
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
@@ -194,92 +195,82 @@ def slack(c: Constraint, rho: Assignment) -> int:
     return s
 
 
-def cancel_multipliers(c1: Constraint, c2: Constraint, pivot: int) -> tuple[int, int]:
-    """Minimal multipliers (mu, nu) equalizing the pivot weights of c1 and c2."""
-    found = []
-    for c in (c1, c2):
-        i = bisect_left(c.terms, abs(pivot), key=lambda t: abs(t[0]))
-        if i == len(c.terms) or abs(c.terms[i][0]) != abs(pivot):
-            raise ValueError(f"pivot x{pivot} must occur in both constraints")
-        found.append(c.terms[i])
-    (lit1, w1), (lit2, w2) = found
-    if lit1 != -lit2:
-        raise ValueError(f"pivot x{pivot} must occur with opposite polarities")
-    common = lcm(w1, w2)
-    return common // w1, common // w2
+# -- the rules, as the trace checker runs them ------------------------------
+#
+# Each rule rewrites its first input's ``{literal: weight}`` dict, a copy the
+# checker owns, and returns the new degree; a later input is a
+# ``(weights, degree)`` pair it only reads.  Every case the rule does not
+# define raises ValueError.  The solver derives with its own copy of this
+# arithmetic, :class:`pbsolve.analysis.Accumulator`, so the checker does not
+# reuse the code it checks.
 
 
-def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint:
-    """Cancellation: the weighted sum of c1 and c2 eliminating ``pivot``.
-
-    Uses the minimal (LCM) multipliers.  Opposing literal pairs other than the
-    pivot are merged: the dominant polarity keeps the weight difference and
-    the degree drops by the cancelled amount.  The result is *not* saturated.
-    """
-    mu, nu = cancel_multipliers(c1, c2, pivot)
-    weights = {lit: mu * w for lit, w in c1.terms}
-    degree = mu * c1.degree + nu * c2.degree
-    for lit, w in c2.terms:
-        w *= nu
-        opposite = weights.pop(-lit, 0)
-        if opposite:
-            degree -= min(opposite, w)
-            if opposite > w:
-                weights[-lit] = opposite - w
-            elif w > opposite:
-                weights[lit] = w - opposite
+def cancel(w: dict[int, int], d: int, other: tuple[dict[int, int], int], var: int) -> int:
+    """Add ``other``, both scaled by the minimal multipliers that eliminate ``var``."""
+    w2, d2 = other
+    lit = var if var in w else -var
+    a, b = w.get(lit), w2.get(-lit)
+    if a is None or b is None:
+        if a is None or lit not in w2:
+            raise ValueError(f"pivot x{var} must occur in both constraints")
+        raise ValueError(f"pivot x{var} must occur with opposite polarities")
+    common = lcm(a, b)
+    mu, nu = common // a, common // b
+    if mu != 1:
+        for l in w:
+            w[l] *= mu
+    degree = mu * d + nu * d2
+    for l, x in w2.items():
+        x *= nu
+        opposite = w.get(-l)
+        if opposite is None:
+            w[l] = w.get(l, 0) + x
+        elif opposite > x:
+            w[-l] = opposite - x
+            degree -= x
         else:
-            weights[lit] = weights.get(lit, 0) + w
-    return Constraint(weights.items(), degree)
+            del w[-l]
+            degree -= opposite
+            if x > opposite:
+                w[l] = x - opposite
+    return degree
 
 
-def _position(c: Constraint, lit: int) -> int:
-    """The index of ``lit``'s term, by bisection on the variable order; ValueError if absent."""
-    i = bisect_left(c.terms, abs(lit), key=lambda t: abs(t[0]))
-    if i == len(c.terms) or c.terms[i][0] != lit:
+def partial_weaken(w: dict[int, int], d: int, lit: int, eps: int) -> int:
+    x = w.get(lit)
+    if x is None:
         raise ValueError(f"literal {lit_name(lit)} is absent")
-    return i
+    if not 0 < eps <= x:
+        raise ValueError(f"eps must be in 1..{x}, got {eps}")
+    if eps == x:
+        del w[lit]
+    else:
+        w[lit] = x - eps
+    return d - eps
 
 
-def weaken(c: Constraint, lit: int) -> Constraint:
-    """Remove a literal and lower the degree by its weight."""
-    i = _position(c, lit)
-    return Constraint(c.terms[:i] + c.terms[i + 1 :], c.degree - c.terms[i][1])
+def weaken(w: dict[int, int], d: int, lit: int) -> int:
+    return partial_weaken(w, d, lit, w.get(lit))
 
 
-def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint:
-    """Lower a literal's weight and the degree by ``eps`` (0 < eps <= weight).
-
-    ``eps`` equal to the full weight coincides with :func:`weaken`.
-    """
-    i = _position(c, lit)
-    w = c.terms[i][1]
-    if not 0 < eps <= w:
-        raise ValueError(f"eps must be in 1..{w}, got {eps}")
-    kept = ((lit, w - eps),) if eps < w else ()
-    return Constraint(c.terms[:i] + kept + c.terms[i + 1 :], c.degree - eps)
+def saturate(w: dict[int, int], d: int) -> int:
+    for l, x in w.items():
+        if x > d:
+            w[l] = d
+    return d
 
 
-def saturate(c: Constraint) -> Constraint:
-    """Cap every weight at the degree.  Idempotent."""
-    if c.max_weight <= c.degree:
-        return c
-    return Constraint([(lit, min(w, c.degree)) for lit, w in c.terms], c.degree)
-
-
-def divide(c: Constraint, r: int) -> Constraint:
-    """Ceiling-divide every weight and the degree by ``r >= 1``."""
+def divide(w: dict[int, int], d: int, r: int) -> int:
     if r < 1:
         raise ValueError(f"divisor must be >= 1, got {r}")
-    if r == 1:
-        return c
-    return Constraint([(lit, -(-w // r)) for lit, w in c.terms], -(-c.degree // r))
+    for l, x in w.items():
+        w[l] = -(-x // r)
+    return -(-d // r)
 
 
-def multiply(c: Constraint, k: int) -> Constraint:
-    """Scale every weight and the degree by ``k >= 1``."""
+def multiply(w: dict[int, int], d: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"multiplier must be >= 1, got {k}")
-    if k == 1:
-        return c
-    return Constraint([(lit, k * w) for lit, w in c.terms], k * c.degree)
+    for l, x in w.items():
+        w[l] = k * x
+    return k * d

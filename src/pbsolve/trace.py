@@ -6,10 +6,10 @@ proofs name each derived constraint.  A step is written as its rule and
 arguments only, as VeriPB's ``pol`` steps are; a learned constraint's text
 is written once, on its ``l`` line.  An independent checker can validate a
 run without trusting the solver: it recomputes every step from the
-instance's rows with its own arithmetic, compares each learned constraint
-with its replay, and for an unsatisfiability claim a plain root-level
-propagation over the instance plus the learned constraints must reach a
-conflict.
+instance's rows with :mod:`pbsolve.core`'s rule functions, not with the
+solver's accumulator, compares each learned constraint with its replay, and
+for an unsatisfiability claim a plain root-level propagation over the
+instance plus the learned constraints must reach a conflict.
 
 The file format is line-oriented text:
 
@@ -23,28 +23,28 @@ with n the instance's constraint count, constraints written as
 ``<weight> <literal>`` pairs followed by ``>= <degree>`` and literals spelled
 ``xK`` / ``~xK``.  A step's arguments are integers: its input ids, then its
 parameters (a literal parameter is the signed literal, e.g. ``-3`` for
-``~x3``).  :data:`RULES` fixes how many of each a rule takes.
+``~x3``).  :data:`RULES` fixes how many of each a rule takes.  A trace has
+at most one ``i`` and one ``f`` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
-from .core import Constraint, lit_name, slack
+from .core import Constraint, cancel, divide, multiply, partial_weaken, saturate, slack, weaken
 from .opb import ParsedInstance
 
-#: Every rule a step may name: rule -> (number of input ids, number of
-#: integer parameters).
+#: Every rule a step may name: rule -> (its :mod:`pbsolve.core` function,
+#: number of input ids, number of integer parameters).
 RULES = {
-    "cancel": (2, 1),
-    "weaken": (1, 1),
-    "pweaken": (1, 2),
-    "saturate": (1, 0),
-    "divide": (1, 1),
-    "multiply": (1, 1),
+    "cancel": (cancel, 2, 1),
+    "weaken": (weaken, 1, 1),
+    "pweaken": (partial_weaken, 1, 2),
+    "saturate": (saturate, 1, 0),
+    "divide": (divide, 1, 1),
+    "multiply": (multiply, 1, 1),
 }
 
 
@@ -55,17 +55,18 @@ class RuleStep(NamedTuple):
     args: tuple[int, ...]  # input ids, then parameters
 
 
-def _split_args(rule: str, n_args: int) -> int:
-    """The number of input ids that lead a step's ``n_args`` arguments, by :data:`RULES`.
+def _rule(rule: str, n_args: int) -> tuple[Callable[..., int], int]:
+    """A step's rule function and the number of input ids that lead its
+    ``n_args`` arguments, by :data:`RULES`.
 
     Raises ValueError for an unknown rule or a wrong argument count.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    n_inputs, n_params = RULES[rule]
+    apply, n_inputs, n_params = RULES[rule]
     if n_args != n_inputs + n_params:
         raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {n_args}")
-    return n_inputs
+    return apply, n_inputs
 
 
 class DerivationTrace:
@@ -129,7 +130,7 @@ class DerivationTrace:
                     counted = True
                 elif kind == "s":
                     rule, *params = rest.split() or [""]
-                    _split_args(rule, len(params))
+                    _rule(rule, len(params))
                     trace.steps.append(RuleStep(rule, tuple(map(int, params))))
                 elif kind == "l":
                     ident, sep, ctext = rest.partition(" : ")
@@ -137,6 +138,8 @@ class DerivationTrace:
                         raise ValueError("a learned id without its constraint")
                     trace.learned.append((int(ident), Constraint.from_text(ctext)))
                 elif kind == "f":
+                    if trace.final is not None:
+                        raise ValueError("a second final record")
                     trace.final = int(rest)
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
@@ -148,95 +151,6 @@ class DerivationTrace:
     def read_file(cls, path: str | Path) -> "DerivationTrace":
         with open(path, "r", encoding="ascii") as f:
             return cls.read(f)
-
-
-# -- the checker's arithmetic ---------------------------------------------------
-#
-# Each rule rewrites its first input's ``{literal: weight}`` dict, a copy the
-# checker owns, and returns the new degree; a later input is a
-# ``(weights, degree)`` pair it only reads.  Every case the rule does not
-# define raises ValueError.
-
-
-def _cancel(w: dict[int, int], d: int, other: tuple[dict[int, int], int], var: int) -> int:
-    """Add ``other``, both scaled by the minimal multipliers that eliminate ``var``."""
-    w2, d2 = other
-    lit = var if var in w else -var
-    a, b = w.get(lit), w2.get(-lit)
-    if a is None or b is None:
-        if a is None or lit not in w2:
-            raise ValueError(f"pivot x{var} must occur in both constraints")
-        raise ValueError(f"pivot x{var} must occur with opposite polarities")
-    common = lcm(a, b)
-    mu, nu = common // a, common // b
-    if mu != 1:
-        for l in w:
-            w[l] *= mu
-    degree = mu * d + nu * d2
-    for l, x in w2.items():
-        x *= nu
-        opposite = w.get(-l)
-        if opposite is None:
-            w[l] = w.get(l, 0) + x
-        elif opposite > x:
-            w[-l] = opposite - x
-            degree -= x
-        else:
-            del w[-l]
-            degree -= opposite
-            if x > opposite:
-                w[l] = x - opposite
-    return degree
-
-
-def _pweaken(w: dict[int, int], d: int, lit: int, eps: int) -> int:
-    x = w.get(lit)
-    if x is None:
-        raise ValueError(f"literal {lit_name(lit)} is absent")
-    if not 0 < eps <= x:
-        raise ValueError(f"eps must be in 1..{x}, got {eps}")
-    if eps == x:
-        del w[lit]
-    else:
-        w[lit] = x - eps
-    return d - eps
-
-
-def _weaken(w: dict[int, int], d: int, lit: int) -> int:
-    return _pweaken(w, d, lit, w.get(lit))
-
-
-def _saturate(w: dict[int, int], d: int) -> int:
-    for l, x in w.items():
-        if x > d:
-            w[l] = d
-    return d
-
-
-def _divide(w: dict[int, int], d: int, r: int) -> int:
-    if r < 1:
-        raise ValueError(f"divisor must be >= 1, got {r}")
-    for l, x in w.items():
-        w[l] = -(-x // r)
-    return -(-d // r)
-
-
-def _multiply(w: dict[int, int], d: int, k: int) -> int:
-    if k < 1:
-        raise ValueError(f"multiplier must be >= 1, got {k}")
-    for l, x in w.items():
-        w[l] = k * x
-    return k * d
-
-
-_REPLAY = {
-    "cancel": _cancel,
-    "weaken": _weaken,
-    "pweaken": _pweaken,
-    "saturate": _saturate,
-    "divide": _divide,
-    "multiply": _multiply,
-}
 
 
 @dataclass
@@ -255,11 +169,12 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
 
     Checks, in order: the trace counts the instance's n constraints, which ids
     1 to n name; every step has its rule's argument count (checked by
-    :func:`_split_args`, as :meth:`DerivationTrace.read` does), references
-    only earlier ids and replays without error, its output taking the next
-    id; every learned id was derived and its constraint equals the replay;
-    and, when a final conflict is declared, root-level propagation over the
-    instance plus learned constraints yields a conflict.
+    :func:`_rule`, as :meth:`DerivationTrace.read` does), references only
+    earlier ids and replays without error through its :data:`RULES`
+    function, its output taking the next id; every learned id was derived
+    and its constraint equals the replay; and, when a final conflict is
+    declared, root-level propagation over the instance plus learned
+    constraints yields a conflict.
 
     Each id's value is a ``(weights, degree)`` pair, and a step rewrites a
     copy of its first input's dict, so every id keeps its value.
@@ -271,7 +186,7 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     known = [None, *((dict(c.terms), c.degree) for c in expected)]  # by id: every lookup checks 0 < id
     for index, (rule, args) in enumerate(steps):
         try:
-            n_inputs = _split_args(rule, len(args))
+            apply, n_inputs = _rule(rule, len(args))
         except ValueError as exc:
             return TraceCheck(f"step {index}: {exc}", index)
         for ref in args[:n_inputs]:
@@ -280,7 +195,7 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
         w, d = known[args[0]]
         w = dict(w)
         try:
-            d = _REPLAY[rule](w, d, *map(known.__getitem__, args[1:n_inputs]), *args[n_inputs:])
+            d = apply(w, d, *map(known.__getitem__, args[1:n_inputs]), *args[n_inputs:])
             if d < 1:
                 raise ValueError(f"degree must be >= 1, got {d}")
         except ValueError as exc:

@@ -15,16 +15,19 @@ on a copy of any constraint; and
 ``bump_one_at_a_time``, the reference for ``Solver.bump_variables``;
 ``sorted_then_validated``, the reference for the ``Constraint`` constructor;
 ``brute_force_status``, the reference for a solver's answer;
-and ``reference_resolve_step`` with the four ``reference_reduce_*`` /
-``reference_weaken_ineffective`` reductions, the constraint-level
-composition of the :mod:`pbsolve.core` rules that the solver's in-place
-accumulator must match step for step.  ``resolved`` runs the package's
+``cancel``, ``weaken``, ``partial_weaken``, ``saturate``, ``divide`` and
+``multiply``, the cutting-planes rules as pure functions that return a
+fresh :class:`Constraint` (with ``cancel_multipliers``, the minimal
+multipliers of a cancellation); and ``reference_resolve_step`` with the
+four ``reference_reduce_*`` / ``reference_weaken_ineffective`` reductions,
+composed from those pure rules, which the solver's in-place accumulator
+must match step for step.  ``resolved`` runs the package's
 ``resolve_step`` and the solver's ``settle`` pass after it on a constraint
 and returns the outcome in the reference's form, and ``on_accumulator``
 does the same for one reduction; ``observe_resolve_steps`` lets a test
 watch every resolve step of the solver.  ``replay_steps`` computes every
-step of a derivation trace through the :mod:`pbsolve.core` rule functions,
-the reference for the trace checker's own arithmetic.
+step of a derivation trace through the pure rules, the reference for the
+trace checker's arithmetic, the rule functions of :mod:`pbsolve.core`.
 
 Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a
@@ -38,14 +41,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 import pbsolve.solver
-from pbsolve import core
 from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
-from pbsolve.core import Assignment, Constraint, slack
+from pbsolve.core import Assignment, Constraint, lit_name, slack
 from pbsolve.opb import SAT, UNSAT, ParsedInstance
 from pbsolve.propagation import PropagationEngine
 from pbsolve.solver import settle
@@ -186,7 +190,7 @@ def sorted_then_validated(terms, degree: int) -> tuple[tuple[int, int], ...]:
     prev = 0
     for lit, w in pairs:
         if w < 1:
-            raise ValueError(f"weight must be >= 1, got {w} on {core.lit_name(lit)}")
+            raise ValueError(f"weight must be >= 1, got {w} on {lit_name(lit)}")
         if abs(lit) < 1:
             raise ValueError(f"variable index must be >= 1, got literal {lit}")
         if abs(lit) == prev:
@@ -274,24 +278,123 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     monkeypatch.setattr(pbsolve.solver, "settle", observed_settle)
 
 
-#: Each trace rule name -> the :mod:`pbsolve.core` function it names.
-CORE_RULES = {
-    "cancel": core.cancel,
-    "weaken": core.weaken,
-    "pweaken": core.partial_weaken,
-    "saturate": core.saturate,
-    "divide": core.divide,
-    "multiply": core.multiply,
+# -- the rules as pure functions on constraints ----------------------------------
+#
+# Each returns a fresh Constraint and leaves its inputs unchanged.  The
+# package's rule functions, the trace checker's in-place arithmetic on
+# ``{literal: weight}`` dicts, and the solver's accumulator must agree with
+# them.
+
+
+def cancel_multipliers(c1: Constraint, c2: Constraint, pivot: int) -> tuple[int, int]:
+    """Minimal multipliers (mu, nu) equalizing the pivot weights of c1 and c2."""
+    found = []
+    for c in (c1, c2):
+        i = bisect_left(c.terms, abs(pivot), key=lambda t: abs(t[0]))
+        if i == len(c.terms) or abs(c.terms[i][0]) != abs(pivot):
+            raise ValueError(f"pivot x{pivot} must occur in both constraints")
+        found.append(c.terms[i])
+    (lit1, w1), (lit2, w2) = found
+    if lit1 != -lit2:
+        raise ValueError(f"pivot x{pivot} must occur with opposite polarities")
+    common = lcm(w1, w2)
+    return common // w1, common // w2
+
+
+def cancel(c1: Constraint, c2: Constraint, pivot: int) -> Constraint:
+    """Cancellation: the weighted sum of c1 and c2 eliminating ``pivot``.
+
+    Uses the minimal (LCM) multipliers.  Opposing literal pairs other than the
+    pivot are merged: the dominant polarity keeps the weight difference and
+    the degree drops by the cancelled amount.  The result is *not* saturated.
+    """
+    mu, nu = cancel_multipliers(c1, c2, pivot)
+    weights = {lit: mu * w for lit, w in c1.terms}
+    degree = mu * c1.degree + nu * c2.degree
+    for lit, w in c2.terms:
+        w *= nu
+        opposite = weights.pop(-lit, 0)
+        if opposite:
+            degree -= min(opposite, w)
+            if opposite > w:
+                weights[-lit] = opposite - w
+            elif w > opposite:
+                weights[lit] = w - opposite
+        else:
+            weights[lit] = weights.get(lit, 0) + w
+    return Constraint(weights.items(), degree)
+
+
+def _position(c: Constraint, lit: int) -> int:
+    """The index of ``lit``'s term, by bisection on the variable order; ValueError if absent."""
+    i = bisect_left(c.terms, abs(lit), key=lambda t: abs(t[0]))
+    if i == len(c.terms) or c.terms[i][0] != lit:
+        raise ValueError(f"literal {lit_name(lit)} is absent")
+    return i
+
+
+def weaken(c: Constraint, lit: int) -> Constraint:
+    """Remove a literal and lower the degree by its weight."""
+    i = _position(c, lit)
+    return Constraint(c.terms[:i] + c.terms[i + 1 :], c.degree - c.terms[i][1])
+
+
+def partial_weaken(c: Constraint, lit: int, eps: int) -> Constraint:
+    """Lower a literal's weight and the degree by ``eps`` (0 < eps <= weight).
+
+    ``eps`` equal to the full weight coincides with :func:`weaken`.
+    """
+    i = _position(c, lit)
+    w = c.terms[i][1]
+    if not 0 < eps <= w:
+        raise ValueError(f"eps must be in 1..{w}, got {eps}")
+    kept = ((lit, w - eps),) if eps < w else ()
+    return Constraint(c.terms[:i] + kept + c.terms[i + 1 :], c.degree - eps)
+
+
+def saturate(c: Constraint) -> Constraint:
+    """Cap every weight at the degree.  Idempotent."""
+    if c.max_weight <= c.degree:
+        return c
+    return Constraint([(lit, min(w, c.degree)) for lit, w in c.terms], c.degree)
+
+
+def divide(c: Constraint, r: int) -> Constraint:
+    """Ceiling-divide every weight and the degree by ``r >= 1``."""
+    if r < 1:
+        raise ValueError(f"divisor must be >= 1, got {r}")
+    if r == 1:
+        return c
+    return Constraint([(lit, -(-w // r)) for lit, w in c.terms], -(-c.degree // r))
+
+
+def multiply(c: Constraint, k: int) -> Constraint:
+    """Scale every weight and the degree by ``k >= 1``."""
+    if k < 1:
+        raise ValueError(f"multiplier must be >= 1, got {k}")
+    if k == 1:
+        return c
+    return Constraint([(lit, k * w) for lit, w in c.terms], k * c.degree)
+
+
+#: Each trace rule name -> the pure rule above that it names.
+REFERENCE_RULES = {
+    "cancel": cancel,
+    "weaken": weaken,
+    "pweaken": partial_weaken,
+    "saturate": saturate,
+    "divide": divide,
+    "multiply": multiply,
 }
 
 
 def replay_steps(instance: ParsedInstance, trace: DerivationTrace) -> dict[int, Constraint]:
     """Each input and step id of a trace -> the constraint it names, every
-    step's output computed from its inputs by its ``core`` rule function."""
+    step's output computed from its inputs by its pure rule."""
     by_id = dict(enumerate(instance.constraints, start=1))
     for step_id, (rule, args) in enumerate(trace.steps, start=len(by_id) + 1):
-        n_inputs = RULES[rule][0]
-        by_id[step_id] = CORE_RULES[rule](*map(by_id.__getitem__, args[:n_inputs]), *args[n_inputs:])
+        n_inputs = RULES[rule][1]
+        by_id[step_id] = REFERENCE_RULES[rule](*map(by_id.__getitem__, args[:n_inputs]), *args[n_inputs:])
     return by_id
 
 
@@ -301,9 +404,9 @@ def replay_steps(instance: ParsedInstance, trace: DerivationTrace) -> dict[int, 
 def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int, rho) -> Constraint:
     """gen-res: weaken and saturate the reason until the slack sum is negative."""
     conflict_slack = slack(conflict, rho)
-    reason = core.saturate(reason)
+    reason = saturate(reason)
     while True:
-        mu, nu = core.cancel_multipliers(conflict, reason, abs(pivot))
+        mu, nu = cancel_multipliers(conflict, reason, abs(pivot))
         if mu * conflict_slack + nu * slack(reason, rho) < 0:
             return reason
         candidates = sorted(
@@ -313,7 +416,7 @@ def reference_reduce_genres(conflict: Constraint, reason: Constraint, pivot: int
         )
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
-        reason = core.saturate(core.weaken(reason, candidates[0][2]))
+        reason = saturate(weaken(reason, candidates[0][2]))
 
 
 def reference_reduce_rs(c: Constraint, pivot: int, rho, *, partial: bool = False) -> Constraint:
@@ -328,10 +431,10 @@ def reference_reduce_rs(c: Constraint, pivot: int, rho, *, partial: bool = False
         if rem == 0:
             continue
         if partial and rem != w:
-            c = core.partial_weaken(c, lit, rem)
+            c = partial_weaken(c, lit, rem)
         else:
-            c = core.weaken(c, lit)
-    return core.divide(c, r)
+            c = weaken(c, lit)
+    return divide(c, r)
 
 
 def reference_weaken_ineffective(
@@ -351,10 +454,10 @@ def reference_weaken_ineffective(
     )
     for _, _, _, lit in order:
         try:
-            weakened = core.weaken(c, lit)
+            weakened = weaken(c, lit)
         except ValueError:  # weakening lit away leaves a tautology
             continue
-        trial = core.saturate(weakened)
+        trial = saturate(weakened)
         if pivot is None:
             if slack(trial, rho) >= 0:
                 continue
@@ -380,24 +483,24 @@ def reference_reduce_multiply_weaken(
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
         return None
-    c = core.multiply(reason, nu)
+    c = multiply(reason, nu)
     for w, _, lit in ineffective:
         if need == 0:
             break
         scaled = nu * w
         if scaled <= need:
-            c = core.weaken(c, lit)
+            c = weaken(c, lit)
             need -= scaled
         else:
-            c = core.partial_weaken(c, lit, need)
+            c = partial_weaken(c, lit, need)
             need = 0
-    return core.saturate(c)
+    return saturate(c)
 
 
 def reference_resolve_step(
     conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str
 ) -> ResolveOutcome:
-    """One resolve step composed from the core rules, one new constraint per rule."""
+    """One resolve step composed from the pure rules, one new constraint per rule."""
     given = slack(conflict, rho)
     if given >= 0:
         raise ValueError("conflict side is not conflicting under the assignment")
@@ -432,7 +535,7 @@ def reference_resolve_step(
         if reduced is not None:
             reason = reduced
         reason = reference_reduce_genres(conflict, reason, pivot, rho)
-    out = core.saturate(core.cancel(conflict, reason, abs(pivot)))
+    out = saturate(cancel(conflict, reason, abs(pivot)))
     after = slack(out, rho)
     if after >= 0:
         raise AnalysisError(f"reference step produced a non-conflicting constraint with {strategy}")

@@ -20,15 +20,7 @@ from pbsolve.analysis import (
     weaken_ineffective,
 )
 from pbsolve.bench import CSV_HEADER
-from pbsolve.core import (
-    Constraint,
-    cancel,
-    divide,
-    partial_weaken,
-    saturate,
-    slack,
-    weaken,
-)
+from pbsolve.core import Constraint, slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import UNKNOWN, UNSAT, write_opb
 from pbsolve.solver import SolverConfig, solve
@@ -36,15 +28,20 @@ from pbsolve.trace import verify_trace
 from helpers import (
     asg,
     brute_force_status,
+    cancel,
     con,
+    divide,
     implies_semantically,
     lit,
     literals,
     observe_resolve_steps,
     on_accumulator,
+    partial_weaken,
     propagation_candidates,
     resolved,
+    saturate,
     snapshot,
+    weaken,
     weight,
 )
 

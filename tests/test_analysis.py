@@ -19,18 +19,14 @@ from pbsolve.analysis import (
     resolve_step,
     weaken_ineffective,
 )
-from pbsolve.core import (
-    Constraint,
-    divide,
-    saturate,
-    slack,
-)
+from pbsolve.core import Constraint, slack
 from pbsolve.solver import SolverConfig
 from pbsolve.opb import ParsedInstance
 from pbsolve.trace import DerivationTrace, verify_trace
 from helpers import (
     asg,
     con,
+    divide,
     implies_semantically,
     is_clause,
     lit,
@@ -39,6 +35,7 @@ from helpers import (
     reference_weaken_ineffective,
     replay_steps,
     resolved,
+    saturate,
     snapshot,
     weight,
 )

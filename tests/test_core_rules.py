@@ -6,26 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbsolve import core
-from pbsolve.core import (
-    Constraint,
-    cancel,
-    cancel_multipliers,
-    divide,
-    multiply,
-    normalize,
-    partial_weaken,
-    saturate,
-    slack,
-    weaken,
-)
+from pbsolve.core import Constraint, normalize, slack
 from helpers import (
     asg,
+    cancel,
+    cancel_multipliers,
     con,
+    divide,
     implies_semantically,
     lit,
     literals,
+    multiply,
+    partial_weaken,
     propagation_candidates,
+    saturate,
     sorted_then_validated,
+    weaken,
     weight,
 )
 

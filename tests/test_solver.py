@@ -170,7 +170,7 @@ class TestSolveEndToEnd:
         assert result.trace.learned == [] and result.trace.final is None
 
     def test_learned_constraints_are_implied(self):
-        # Every step's output, replayed through the core rules, is implied
+        # Every step's output, replayed through the pure rules, is implied
         # by the inputs, and each learned constraint is its step's output.
         # Seeds 3 and 41 learn nothing; the others take 2 to 6 steps.
         checked = 0
@@ -332,7 +332,7 @@ class TestAccumulatorMatchesReference:
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     def test_every_step_matches_the_constraint_level_reference(self, strategy, monkeypatch):
         # The solver's in-place accumulator against the composition of the
-        # core rules, on the conflict, reason, pivot and assignment of every
+        # pure rules, on the conflict, reason, pivot and assignment of every
         # resolve step of a real search.  analyze_conflict hands each step's
         # returned slack to the next step instead of recomputing it; both
         # must equal a full recomputation.
@@ -856,8 +856,9 @@ class TestTraceTextContract:
         assert got.keys() == TRACE_DIGESTS.keys()
         assert [k for k in got if got[k] != TRACE_DIGESTS[k]] == []
 
-    def test_checker_replay_matches_the_core_rules(self, pinned_runs):
-        # The checker's own arithmetic against the core rule functions on
+    def test_checker_replay_matches_the_pure_rules(self, pinned_runs):
+        # The checker's arithmetic, core's rule functions, against the pure
+        # rules of the tests' reference (helpers.replay_steps) on
         # every pinned run: once with the learned records as written, and
         # once with every id named by a learned record, so that each step's
         # output is compared with the reference.

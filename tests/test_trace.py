@@ -1,9 +1,12 @@
 """Derivation-trace serialization and replay-checker tests."""
 
+import ast
 import functools
+import inspect
 import io
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,8 +16,10 @@ from pbsolve.analysis import STRATEGY_IDS
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
-from pbsolve.trace import DerivationTrace, RuleStep, TraceCheck, verify_trace
-from helpers import balanced_instance, con
+from pbsolve.trace import RULES, DerivationTrace, RuleStep, TraceCheck, verify_trace
+from helpers import REFERENCE_RULES, balanced_instance, cancel, con
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def solve_with_trace(instance, strategy="gen-res"):
@@ -77,6 +82,12 @@ class TestSerialization:
     def test_second_input_count_is_rejected_at_its_line(self):
         with pytest.raises(ValueError, match=r"^trace line 3: a second input count$"):
             DerivationTrace.read(["i 2", "* a note", "i 2"])
+
+    def test_final_record_appended_to_a_real_trace_is_rejected(self):
+        # A second `f` record does not replace the first.
+        lines = [*php_trace_text().splitlines(), "f 1"]
+        with pytest.raises(ValueError, match=f"^trace line {len(lines)}: a second final record$"):
+            DerivationTrace.read(lines)
 
     def test_old_form_input_record_is_rejected_at_its_line(self):
         # Inputs are named by position; a trace restating one is not read.
@@ -320,7 +331,7 @@ class TestVerify:
 
         def derive(rule, args, params):
             """Apply a rule to (constraint, id) pairs; returns the output's pair."""
-            out = getattr(core, rule)(*(c for c, _ in args), *params)
+            out = REFERENCE_RULES[rule](*(c for c, _ in args), *params)
             return out, trace.record(rule, (*(i for _, i in args), *params))
 
         a, b = 1, 2
@@ -424,7 +435,7 @@ class TestVerify:
         inputs = [con("a b >= 1"), con("~a c >= 1")]
         instance = ParsedInstance(declared_vars=4, constraints=list(inputs))
         trace = DerivationTrace(len(inputs))
-        out = core.cancel(*inputs, 1)
+        out = cancel(*inputs, 1)
         assert out == con("b c >= 1")
         trace.learned.append((trace.record("cancel", (1, 2, 1)), out))
         assert verify_trace(instance, trace)
@@ -518,3 +529,50 @@ class TestCheckerRobustness:
             assert re.match(r"trace line [0-9]+: ", str(exc))
             return
         assert isinstance(verify_trace(php_instance(5, 4), trace), TraceCheck)
+
+
+def names_in(module: str) -> set[str]:
+    """Every name a package module's source binds or reads: its imports,
+    its bare names and its attributes of a name ``core``."""
+    tree = ast.parse((ROOT / "src" / "pbsolve" / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
+            names.add(node.attr)
+    return names
+
+
+class TestRuleHomes:
+    """The checker replays with :mod:`pbsolve.core`'s rule functions, and
+    the solver derives with its own arithmetic."""
+
+    RULE_FUNCTIONS = {apply.__name__ for apply, _, _ in RULES.values()}
+
+    def test_core_holds_every_rule_the_benchmark_spans_wrap(self):
+        # perfbench/spans.py wraps ``core.<name>`` for each name in its
+        # CORE_RULES through inspect.getattr_static, which raises on a
+        # missing name; the tuple is read from source, without perfbench's
+        # numpy import.
+        tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+        [wrapped] = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CORE_RULES"]
+        ]
+        found = {name: inspect.getattr_static(core, name) for name in wrapped}
+        assert all(inspect.isfunction(apply) for apply in found.values())
+        dispatched = {("partial_weaken" if rule == "pweaken" else rule): apply for rule, (apply, _, _) in RULES.items()}
+        assert dispatched == found
+
+    def test_the_checker_names_every_rule_function(self):
+        assert self.RULE_FUNCTIONS <= names_in("trace")
+
+    @pytest.mark.parametrize("module", ["analysis", "solver", "propagation"])
+    def test_the_solver_names_no_rule_function(self, module):
+        names = names_in(module)
+        assert "core" not in names
+        assert names & self.RULE_FUNCTIONS == set()
