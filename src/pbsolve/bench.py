@@ -39,7 +39,7 @@ class BenchRecord:
     status: str
     #: The solver's counters and time; a crashed or killed run has only ``seconds``.
     stats: SolverStats
-    #: Why the run crashed or was killed; not written to the CSV.
+    #: Why the run crashed or was killed, or its trace could not be written; not written to the CSV.
     error: str | None = None
 
     def row(self) -> list[str]:
@@ -54,7 +54,11 @@ def run_one(
     timeout: float | None,
     trace_path: str | Path | None = None,
 ) -> BenchRecord:
-    """Solve one file with one strategy; an exception becomes an UNKNOWN record."""
+    """Solve one file with one strategy; an exception becomes an UNKNOWN record.
+
+    The trace is written after the solve: a trace that cannot be written
+    leaves the record's status and counters and sets its ``error``.
+    """
     name = Path(path).name
     start = time.monotonic()
     try:
@@ -66,12 +70,16 @@ def run_one(
             emit_trace=trace_path is not None,
         )
         result = solve(instance, config)
-        if trace_path is not None and result.trace is not None:
-            result.trace.write_file(trace_path)
-        return BenchRecord(name, strategy, result.status, result.stats)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         return BenchRecord(name, strategy, UNKNOWN, SolverStats(seconds=time.monotonic() - start), error)
+    record = BenchRecord(name, strategy, result.status, result.stats)
+    if trace_path is not None and result.trace is not None:
+        try:
+            result.trace.write_file(trace_path)
+        except OSError as exc:
+            record.error = f"cannot write {trace_path}: {exc.strerror or exc}"
+    return record
 
 
 def _worker(task, conn):

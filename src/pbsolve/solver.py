@@ -367,10 +367,8 @@ class Solver:
     def _checked_model(self) -> dict[int, bool]:
         model = {v: v in self.engine.position for v in range(1, self.nvars + 1)}
         for c in self.instance.constraints:
-            if not c.satisfied_by(model):  # pragma: no cover - soundness guard
-                raise AnalysisSoundnessError(
-                    f"model does not satisfy {c.to_text()}"
-                )
+            if not c.satisfied_by(model):
+                raise AnalysisSoundnessError(f"model does not satisfy {c.to_text()}")
         return model
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, NamedTuple
+from typing import IO, Callable, Iterable
 
 from .core import Constraint, cancel, divide, multiply, partial_weaken, saturate, slack, weaken
 from .opb import ParsedInstance
@@ -46,13 +46,6 @@ RULES = {
     "divide": (divide, 1, 1),
     "multiply": (multiply, 1, 1),
 }
-
-
-class RuleStep(NamedTuple):
-    """One replayable rule application; its id is its position (see :class:`DerivationTrace`)."""
-
-    rule: str
-    args: tuple[int, ...]  # input ids, then parameters
 
 
 def _rule(rule: str, n_args: int) -> tuple[Callable[..., int], int]:
@@ -74,15 +67,16 @@ class DerivationTrace:
 
     Ids 1 to ``inputs`` name the instance's constraints in order, and the
     k-th step's output is id ``inputs + k``, which :meth:`record` returns;
-    the caller keeps each id beside what it names.  A step refers to its inputs
-    by id and holds no output, so recording builds nothing.  ``learned``
+    the caller keeps each id beside what it names.  ``steps`` holds each
+    step as a ``(rule, args)`` pair, as the file writes it; a step refers to
+    its inputs by id and holds no output, so recording builds nothing.  ``learned``
     holds ``(id, constraint)`` pairs, which the search appends, and
     ``final`` an id, which it sets.
     """
 
     def __init__(self, inputs: int):
         self.inputs = inputs
-        self.steps: list[RuleStep] = []
+        self.steps: list[tuple[str, tuple[int, ...]]] = []
         self.learned: list[tuple[int, Constraint]] = []
         self.final: int | None = None
         self.notes: list[str] = []
@@ -92,7 +86,7 @@ class DerivationTrace:
 
         ``args`` are the input ids, then the parameters, as a step writes them.
         """
-        self.steps.append(RuleStep(rule, args))
+        self.steps.append((rule, args))
         return self.inputs + len(self.steps)
 
     def note(self, text: str) -> None:
@@ -131,7 +125,7 @@ class DerivationTrace:
                 elif kind == "s":
                     rule, *params = rest.split() or [""]
                     _rule(rule, len(params))
-                    trace.steps.append(RuleStep(rule, tuple(map(int, params))))
+                    trace.steps.append((rule, tuple(map(int, params))))
                 elif kind == "l":
                     ident, sep, ctext = rest.partition(" : ")
                     if not sep:

@@ -14,7 +14,9 @@ on a copy of any constraint; and
 ``linear_decide_literal``, the reference for the solver's decision heap;
 ``bump_one_at_a_time``, the reference for ``Solver.bump_variables``;
 ``sorted_then_validated``, the reference for the ``Constraint`` constructor;
-``brute_force_status``, the reference for a solver's answer;
+``brute_force_status``, the reference for a solver's answer, which is the
+oracle's special case: an instance is UNSAT exactly when its rows imply the
+empty constraint;
 ``cancel``, ``weaken``, ``partial_weaken``, ``saturate``, ``divide`` and
 ``multiply``, the cutting-planes rules as pure functions that return a
 fresh :class:`Constraint` (with ``cancel_multipliers``, the minimal
@@ -24,7 +26,8 @@ composed from those pure rules, which the solver's in-place accumulator
 must match step for step.  ``resolved`` runs the package's
 ``resolve_step`` and the solver's ``settle`` pass after it on a constraint
 and returns the outcome in the reference's form, and ``on_accumulator``
-does the same for one reduction; ``observe_resolve_steps`` lets a test
+does the same for one reduction, both reading an accumulator's value with
+``Accumulator.constraint()``; ``observe_resolve_steps`` lets a test
 watch every resolve step of the solver.  ``replay_steps`` computes every
 step of a derivation trace through the pure rules, the reference for the
 trace checker's arithmetic, the rule functions of :mod:`pbsolve.core`.
@@ -212,16 +215,11 @@ class ResolveOutcome(NamedTuple):
     slack: int
 
 
-def snapshot(side: Accumulator) -> Constraint:
-    """The accumulator's current value as a constraint, without naming it in a trace."""
-    return Constraint(side.terms, side.degree)
-
-
 def on_accumulator(reduction, c: Constraint, *args, **kwargs) -> Constraint:
     """Run an in-place reduction on an accumulator holding ``c``; its result."""
     side = Accumulator(c)
     reduction(side, *args, **kwargs)
-    return snapshot(side)
+    return side.constraint()
 
 
 def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str) -> ResolveOutcome:
@@ -234,7 +232,7 @@ def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy
     for lit in rho:
         engine.assign(lit, None)
     after, _ = settle(side, engine, len(rho) - 1)
-    return ResolveOutcome(snapshot(side), fallback, given, after)
+    return ResolveOutcome(side.constraint(), fallback, given, after)
 
 
 def assertion_level(engine, c) -> int | None:
@@ -263,7 +261,7 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     pending = []
 
     def observed_step(conflict, reason, pivot, rho, strategy, conflict_slack):
-        before, reason_before = snapshot(conflict), snapshot(reason)
+        before, reason_before = conflict.constraint(), reason.constraint()
         fallback = step(conflict, reason, pivot, rho, strategy, conflict_slack)
         pending.append((before, reason_before, pivot, set(rho), fallback, conflict_slack))
         return fallback
@@ -271,7 +269,7 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     def observed_settle(side, engine, p):
         result = settle(side, engine, p)
         before, reason, pivot, rho, fallback, given = pending.pop()
-        observer(before, reason, pivot, rho, ResolveOutcome(snapshot(side), fallback, given, result[0]))
+        observer(before, reason, pivot, rho, ResolveOutcome(side.constraint(), fallback, given, result[0]))
         return result
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed_step)
@@ -593,13 +591,10 @@ def _truth_table(c: Constraint, index: Mapping[int, int], rows: np.ndarray) -> n
 
 
 def brute_force_status(instance: ParsedInstance) -> str:
-    """SAT or UNSAT by enumerating every total assignment of the instance's variables."""
-    n = instance.nvars
-    for values in itertools.product((False, True), repeat=n):
-        total = dict(zip(range(1, n + 1), values))
-        if all(c.satisfied_by(total) for c in instance.constraints):
-            return SAT
-    return UNSAT
+    """SAT or UNSAT by the oracle: an instance is UNSAT exactly when its rows
+    imply the empty constraint, which no assignment satisfies."""
+    unsat = implies_semantically(instance.constraints, Constraint((), 1), range(1, instance.nvars + 1))
+    return UNSAT if unsat else SAT
 
 
 def implies_semantically(

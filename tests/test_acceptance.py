@@ -40,7 +40,6 @@ from helpers import (
     propagation_candidates,
     resolved,
     saturate,
-    snapshot,
     weaken,
     weight,
 )
@@ -101,7 +100,7 @@ def test_criterion_1_worked_derivations():
     rho7 = asg(a=0, d=0, e=1, b=1)
     reduced = Accumulator(con("5a 5b 3c 2d e >= 6"))
     assert reduce_multiply_weaken(reduced, lit("b"), rho7, 3)
-    assert snapshot(reduced) == con("3a 3b c 2d >= 3")
+    assert reduced.constraint() == con("3a 3b c 2d >= 3")
     mw = resolved(
         con("3~b 2a 2d ~e >= 5"), con("5a 5b 3c 2d e >= 6"), lit("b"), rho7,
         "multiply-weaken",

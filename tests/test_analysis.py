@@ -36,7 +36,6 @@ from helpers import (
     replay_steps,
     resolved,
     saturate,
-    snapshot,
     weight,
 )
 
@@ -45,7 +44,7 @@ def genres_reason(conflict, reason, pivot, rho):
     """The reason after gen-res's reduction against ``conflict``."""
     side = Accumulator(reason)
     reduce_genres(side, pivot, rho, weight(conflict, -pivot), slack(conflict, rho))
-    return snapshot(side)
+    return side.constraint()
 
 
 def rho_after_propagation(base, pivot):
@@ -212,7 +211,7 @@ class TestWeakenIneffective:
         reason = con("3~a 3~b c d e >= 6")
         side = Accumulator(reason)
         left = weaken_ineffective(side, lit("~b"), rho)
-        assert snapshot(side) == con("~b c >= 1")
+        assert side.constraint() == con("~b c >= 1")
         assert left == slack(side, rho) == 0
 
     def test_conflict_reduction_keeps_conflict(self):
@@ -220,7 +219,7 @@ class TestWeakenIneffective:
         conflict = con("2a b c f >= 2")
         side = Accumulator(conflict)
         left = weaken_ineffective(side, lit("b"), rho)
-        assert snapshot(side) == con("a b f >= 1")
+        assert side.constraint() == con("a b f >= 1")
         assert left == slack(side, rho) == -1
 
     def test_follow_up_reduction_strengthens(self):
@@ -228,7 +227,7 @@ class TestWeakenIneffective:
         conflict = con("3f c d e >= 3")
         side = Accumulator(conflict)
         left = weaken_ineffective(side, None, rho)
-        assert snapshot(side) == con("c f >= 1")
+        assert side.constraint() == con("c f >= 1")
         assert left == slack(side, rho) == -1
 
     def test_minimal_clause_unchanged(self):
@@ -236,7 +235,7 @@ class TestWeakenIneffective:
         c = con("a b >= 1")
         side = Accumulator(c)
         assert weaken_ineffective(side, None, rho) == -1
-        assert snapshot(side) == c
+        assert side.constraint() == c
 
     def test_mode_preconditions(self):
         # The mode follows the kept literal: None or falsified preserves a
@@ -294,11 +293,11 @@ class TestWeakenIneffective:
             if broken is not None:
                 with pytest.raises(ValueError, match=message):
                     weaken_ineffective(side, keep, rho)
-                assert snapshot(side) == c
+                assert side.constraint() == c
                 refused[broken] += 1
                 continue
             left = weaken_ineffective(side, keep, rho)
-            assert snapshot(side) == reference_weaken_ineffective(c, rho, **reference)
+            assert side.constraint() == reference_weaken_ineffective(c, rho, **reference)
             assert left == slack(side, rho)
             cases[mode] += 1
             cases["unsaturated"] += c != saturate(c)
@@ -309,7 +308,7 @@ class TestMultiplyWeaken:
         rho = rho_after_propagation(asg(a=0, d=0, e=1), lit("b"))
         side = Accumulator(con("5a 5b 3c 2d e >= 6"))
         assert reduce_multiply_weaken(side, lit("b"), rho, 3)
-        assert snapshot(side) == con("3a 3b c 2d >= 3")
+        assert side.constraint() == con("3a 3b c 2d >= 3")
 
     def test_equal_weights_need_no_weakening(self):
         # Pivot weights match and the degree equals them: nothing to do.
@@ -317,7 +316,7 @@ class TestMultiplyWeaken:
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
         assert reduce_multiply_weaken(side, lit("b"), rho, 3)
-        assert snapshot(side) == reason
+        assert side.constraint() == reason
 
     def test_insufficient_ineffective_mass_falls_back(self):
         # Every non-pivot literal is falsified: nothing may be weakened.
@@ -325,7 +324,7 @@ class TestMultiplyWeaken:
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
         assert not reduce_multiply_weaken(side, lit("b"), rho, 2)
-        assert snapshot(side) == reason
+        assert side.constraint() == reason
 
     def test_unsaturated_reason_with_low_degree_falls_back(self):
         # An unsaturated reason can have its pivot weight above its degree;
@@ -334,7 +333,7 @@ class TestMultiplyWeaken:
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
         assert not reduce_multiply_weaken(side, lit("b"), rho, 4)
-        assert snapshot(side) == reason
+        assert side.constraint() == reason
         conflict = con("4~b 2a c >= 6")
         rho2 = rho | {lit("~c")}
         out = resolved(conflict, reason, lit("b"), rho2, "multiply-weaken")
@@ -358,17 +357,17 @@ class TestRuleApplication:
         # No division: the pivot weight is 1.
         side = Accumulator(clause, trace, clause_id)
         reduce_rs(side, lit("a"), set())
-        assert side.id == clause_id and snapshot(side) == clause
+        assert side.id == clause_id and side.constraint() == clause
         # Multiplication by nu == 1, nothing to weaken, already saturated.
         rho = asg(a=0, b=1)
         side = Accumulator(reason, trace, reason_id)
         assert reduce_multiply_weaken(side, lit("b"), rho, 3)
-        assert side.id == reason_id and snapshot(side) == reason
+        assert side.id == reason_id and side.constraint() == reason
         # A saturation that changes nothing, on a pair that is already safe.
         rho = asg(a=0, c=0, b=0)
         side = Accumulator(safe_reason, trace, safe_id)
         reduce_genres(side, lit("~b"), rho, weight(reason, lit("b")), slack(reason, rho))
-        assert side.id == safe_id and snapshot(side) == safe_reason
+        assert side.id == safe_id and side.constraint() == safe_reason
         assert trace.steps == []
 
     @pytest.mark.parametrize("traced", [False, True])

@@ -84,6 +84,19 @@ class TestBenchMatrix:
         assert record.error is None
         assert (traces / f"{path.stem}.gen-res.trace").exists()
 
+    def test_a_trace_that_cannot_be_written_keeps_the_answer(self, tmp_path):
+        path = write_instance(tmp_path / "php-4-3.opb", php_instance(4, 3))
+        traces = tmp_path / "traces"
+        blocked = traces / "php-4-3.rs-both.trace"
+        blocked.mkdir(parents=True)
+        untraced = run_matrix([path], ["rs-both"], 60)
+        failed, written = run_matrix([path], ["rs-both", "gen-res"], 60, trace_dir=traces)
+        assert failed.status == "UNSAT"
+        assert failed.row()[4:] == untraced[0].row()[4:]
+        assert failed.error == f"cannot write {blocked}: Is a directory"
+        assert (written.status, written.error) == ("UNSAT", None)
+        assert (traces / "php-4-3.gen-res.trace").is_file()
+
     def test_cactus_counts_are_nondecreasing(self, bench_dir):
         records = run_matrix(sorted(bench_dir.glob("*.opb")), ["gen-res", "partial-rs-both"], 60)
         buf = io.StringIO()

@@ -16,6 +16,7 @@ from pbsolve.core import Constraint, slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT, parse_opb, write_opb
 from pbsolve.solver import (
+    AnalysisSoundnessError,
     Solver,
     SolverConfig,
     luby,
@@ -38,7 +39,6 @@ from helpers import (
     propagation_candidates,
     reference_resolve_step,
     replay_steps,
-    snapshot,
     value,
     var,
     verify_slacks,
@@ -97,6 +97,12 @@ class TestSolveEndToEnd:
         result = solve(instance)
         assert result.status == SAT
         assert set(result.model) == {1, 2, 3, 4}
+
+    def test_a_model_that_violates_an_input_row_is_refused(self):
+        solver = Solver(ParsedInstance(declared_vars=2, constraints=[con("a >= 1")]))
+        solver.engine.assign(-var("a"), None)
+        with pytest.raises(AnalysisSoundnessError, match="model does not satisfy 1 x1 >= 1"):
+            solver._checked_model()
 
     def test_status_matches_enumeration_oracle(self):
         strategies = ("gen-res", "rs-both", "partial-rs-reason", "multiply-weaken")
@@ -445,7 +451,7 @@ class TestStepPricing:
         settle = pbsolve.solver.settle
 
         def counted_slack(c, rho):
-            priced.append(snapshot(c))
+            priced.append(c.constraint())
             return price(c, rho)
 
         def counted_step(conflict, *args):
@@ -485,7 +491,7 @@ class TestStepPricing:
 
         def checked_settle(side, engine, p):
             after, level = settle(side, engine, p)
-            cur = snapshot(side)
+            cur = side.constraint()
             assert after == slack(cur, observed["rho"])
             assert level == oracle_assertion_level(cur, engine)
             checked.append(level is not None)

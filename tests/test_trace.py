@@ -16,7 +16,7 @@ from pbsolve.analysis import STRATEGY_IDS
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
-from pbsolve.trace import RULES, DerivationTrace, RuleStep, TraceCheck, verify_trace
+from pbsolve.trace import RULES, DerivationTrace, TraceCheck, verify_trace
 from helpers import REFERENCE_RULES, balanced_instance, cancel, con
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -419,7 +419,7 @@ class TestVerify:
         trace = solve_with_trace(instance).trace
         arity = n_inputs + n_params
         args = (1,) * (arity + extra)
-        trace.steps.append(RuleStep(rule, args))
+        trace.steps.append((rule, args))
         index = len(trace.steps) - 1
         check = verify_trace(instance, trace)
         assert not check
