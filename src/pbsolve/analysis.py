@@ -79,16 +79,21 @@ class Accumulator:
     recorded as a step, its rule and arguments, and
     ``id`` is the trace id of the current value: ``trace_id``, the id of
     ``c`` in that trace, until the first step.  A saturation or
-    multiplication that changes nothing records nothing.
+    multiplication that changes nothing records nothing.  A weakening of
+    a value that this accumulator's own ``weaken`` step produced, and
+    that is still the trace's last step, adds its literal to that step:
+    ``run`` is the id of the last ``weaken`` step the accumulator wrote.
+    No other step, ``learned`` record or caller can name that id yet.
     """
 
-    __slots__ = ("weights", "degree", "trace", "id")
+    __slots__ = ("weights", "degree", "trace", "id", "run")
 
     def __init__(self, c: Constraint, trace: DerivationTrace | None = None, trace_id: int | None = None):
         self.weights: dict[int, int] = dict(c.terms)
         self.degree: int = c.degree
         self.trace = trace
         self.id = trace_id
+        self.run: int | None = None
 
     @property
     def terms(self):
@@ -111,8 +116,15 @@ class Accumulator:
             raise AnalysisError("weaken produced a tautology during analysis")
         del self.weights[lit]
         self.degree = degree
-        if self.trace is not None:
-            self.record("weaken", self.id, lit)
+        trace = self.trace
+        if trace is not None:
+            steps = trace.steps
+            if self.run == self.id == trace.inputs + len(steps):
+                rule, args = steps[-1]
+                steps[-1] = (rule, (*args, lit))
+            else:
+                self.record("weaken", self.id, lit)
+                self.run = self.id
 
     def partial_weaken(self, lit: int, eps: int) -> None:
         """Lower a literal's weight and the degree by ``eps``, 0 < eps < weight: the literal stays."""

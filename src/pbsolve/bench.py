@@ -39,8 +39,10 @@ class BenchRecord:
     status: str
     #: The solver's counters and time; a crashed or killed run has only ``seconds``.
     stats: SolverStats
-    #: Why the run crashed or was killed, or its trace could not be written; not written to the CSV.
+    #: Why the run crashed or was killed; not written to the CSV.
     error: str | None = None
+    #: Why the run's trace could not be written; not written to the CSV.
+    trace_error: str | None = None
 
     def row(self) -> list[str]:
         st = self.stats
@@ -57,7 +59,7 @@ def run_one(
     """Solve one file with one strategy; an exception becomes an UNKNOWN record.
 
     The trace is written after the solve: a trace that cannot be written
-    leaves the record's status and counters and sets its ``error``.
+    leaves the record's status and counters and sets its ``trace_error``.
     """
     name = Path(path).name
     start = time.monotonic()
@@ -78,7 +80,7 @@ def run_one(
         try:
             result.trace.write_file(trace_path)
         except OSError as exc:
-            record.error = f"cannot write {trace_path}: {exc.strerror or exc}"
+            record.trace_error = f"cannot write {trace_path}: {exc.strerror or exc}"
     return record
 
 

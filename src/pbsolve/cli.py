@@ -183,14 +183,18 @@ def _cmd_bench(args) -> int:
     if not (_written(args.out, write_csv, records) and _written(cactus, write_cactus_csv, records)):
         return EXIT_ERROR
     solved = sum(r.status != UNKNOWN for r in records)
-    crashed = [r for r in records if r.error is not None]
-    for r in crashed:
-        print(f"error: {r.instance} {r.strategy}: {r.error}", file=sys.stderr)
+    crashed = sum(r.error is not None for r in records)
+    unwritten = sum(r.trace_error is not None for r in records)
+    for r in records:
+        if r.error or r.trace_error:
+            print(f"error: {r.instance} {r.strategy}: {r.error or r.trace_error}", file=sys.stderr)
+    traces = "" if args.trace_dir is None else f", {unwritten} trace{'s' * (unwritten != 1)} not written"
     print(
-        f"c {len(records)} runs, {solved} solved, {len(crashed)} crashed; "
+        f"c {len(records)} runs, {solved} solved, {crashed} crashed{traces}; "
         f"rows in {args.out}, cactus in {cactus}"
     )
-    return 0
+    # A trace that cannot be written fails the command, as it fails ``solve --emit-trace``.
+    return EXIT_ERROR if unwritten else 0
 
 
 def _cmd_generate(args) -> int:

@@ -249,8 +249,15 @@ def partial_weaken(w: dict[int, int], d: int, lit: int, eps: int) -> int:
     return d - eps
 
 
-def weaken(w: dict[int, int], d: int, lit: int) -> int:
-    return partial_weaken(w, d, lit, w.get(lit))
+def weaken(w: dict[int, int], d: int, *lits: int) -> int:
+    """Remove each literal in turn, lowering the degree by its weight: one
+    trace step weakens a run of literals."""
+    for lit in lits:
+        x = w.pop(lit, None)
+        if x is None:
+            raise ValueError(f"literal {lit_name(lit)} is absent")
+        d -= x
+    return d
 
 
 def saturate(w: dict[int, int], d: int) -> int:

@@ -23,8 +23,11 @@ with n the instance's constraint count, constraints written as
 ``<weight> <literal>`` pairs followed by ``>= <degree>`` and literals spelled
 ``xK`` / ``~xK``.  A step's arguments are integers: its input ids, then its
 parameters (a literal parameter is the signed literal, e.g. ``-3`` for
-``~x3``).  :data:`RULES` fixes how many of each a rule takes.  A trace has
-at most one ``i`` and one ``f`` record.
+``~x3``).  :data:`RULES` fixes how many of each a rule takes.  A ``weaken``
+step names one input and one or more literals, ``s weaken <id> <lit>
+<lit> ...``, and the checker weakens them in turn: the solver writes a run
+of weakenings of one constraint as one step.  A trace has at most one ``i``
+and one ``f`` record.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .core import Constraint, cancel, divide, multiply, partial_weaken, saturate
 from .opb import ParsedInstance
 
 #: Every rule a step may name: rule -> (its :mod:`pbsolve.core` function,
-#: number of input ids, number of integer parameters).
+#: number of input ids, number of integer parameters), None for one or more.
 RULES = {
     "cancel": (cancel, 2, 1),
-    "weaken": (weaken, 1, 1),
+    "weaken": (weaken, 1, None),
     "pweaken": (partial_weaken, 1, 2),
     "saturate": (saturate, 1, 0),
     "divide": (divide, 1, 1),
@@ -50,14 +53,18 @@ RULES = {
 
 def _rule(rule: str, n_args: int) -> tuple[Callable[..., int], int]:
     """A step's rule function and the number of input ids that lead its
-    ``n_args`` arguments, by :data:`RULES`.
+    ``n_args`` arguments, by one :data:`RULES` lookup.
 
     Raises ValueError for an unknown rule or a wrong argument count.
     """
-    if rule not in RULES:
+    entry = RULES.get(rule)
+    if entry is None:
         raise ValueError(f"unknown rule {rule!r}")
-    apply, n_inputs, n_params = RULES[rule]
-    if n_args != n_inputs + n_params:
+    apply, n_inputs, n_params = entry
+    if n_params is None:
+        if n_args <= n_inputs:
+            raise ValueError(f"{rule} takes at least {n_inputs + 1} arguments, got {n_args}")
+    elif n_args != n_inputs + n_params:
         raise ValueError(f"{rule} takes {n_inputs + n_params} arguments, got {n_args}")
     return apply, n_inputs
 
@@ -186,10 +193,12 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
         for ref in args[:n_inputs]:
             if not 0 < ref < len(known):
                 return TraceCheck(f"step {index}: reference to unknown id {ref}", index)
+        # cancel, the one two-input rule, only reads its second input.
+        params = args[1:] if n_inputs == 1 else (known[args[1]], *args[2:])
         w, d = known[args[0]]
         w = dict(w)
         try:
-            d = apply(w, d, *map(known.__getitem__, args[1:n_inputs]), *args[n_inputs:])
+            d = apply(w, d, *params)
             if d < 1:
                 raise ValueError(f"degree must be >= 1, got {d}")
         except ValueError as exc:

@@ -388,9 +388,13 @@ REFERENCE_RULES = {
 
 def replay_steps(instance: ParsedInstance, trace: DerivationTrace) -> dict[int, Constraint]:
     """Each input and step id of a trace -> the constraint it names, every
-    step's output computed from its inputs by its pure rule."""
+    step's output computed from its inputs by its pure rule; a ``weaken``
+    step's run of literals is one pure :func:`weaken` per literal, in turn."""
     by_id = dict(enumerate(instance.constraints, start=1))
     for step_id, (rule, args) in enumerate(trace.steps, start=len(by_id) + 1):
+        if rule == "weaken":
+            by_id[step_id] = functools.reduce(weaken, args[1:], by_id[args[0]])
+            continue
         n_inputs = RULES[rule][1]
         by_id[step_id] = REFERENCE_RULES[rule](*map(by_id.__getitem__, args[:n_inputs]), *args[n_inputs:])
     return by_id

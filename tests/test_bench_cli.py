@@ -93,8 +93,8 @@ class TestBenchMatrix:
         failed, written = run_matrix([path], ["rs-both", "gen-res"], 60, trace_dir=traces)
         assert failed.status == "UNSAT"
         assert failed.row()[4:] == untraced[0].row()[4:]
-        assert failed.error == f"cannot write {blocked}: Is a directory"
-        assert (written.status, written.error) == ("UNSAT", None)
+        assert (failed.error, failed.trace_error) == (None, f"cannot write {blocked}: Is a directory")
+        assert (written.status, written.error, written.trace_error) == ("UNSAT", None, None)
         assert (traces / "php-4-3.gen-res.trace").is_file()
 
     def test_cactus_counts_are_nondecreasing(self, bench_dir):
@@ -381,6 +381,24 @@ class TestCli:
         assert proc.returncode == 0
         assert "broken.opb gen-res: OpbSyntaxError: " in proc.stderr
         assert "c 2 runs, 1 solved, 1 crashed;" in proc.stdout
+
+    def test_bench_counts_a_trace_it_could_not_write_apart(self, tmp_path):
+        # Both runs solve; one trace path is a directory.  The row is not a
+        # crash, and the missing trace fails the command as it fails
+        # `solve --emit-trace`.
+        d = tmp_path / "instances"
+        d.mkdir()
+        write_instance(d / "php-4-3.opb", php_instance(4, 3))
+        blocked = tmp_path / "T" / "php-4-3.rs-both.trace"
+        blocked.mkdir(parents=True)
+        out = tmp_path / "rows.csv"
+        proc = run_cli("bench", d, "--strategies", "rs-both,gen-res", "--trace-dir", tmp_path / "T", "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: php-4-3.opb rs-both: cannot write {blocked}: Is a directory\n"
+        assert "c 2 runs, 2 solved, 0 crashed, 1 trace not written;" in proc.stdout
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(row["strategy"], row["status"]) for row in rows] == [("rs-both", "UNSAT"), ("gen-res", "UNSAT")]
+        assert (tmp_path / "T" / "php-4-3.gen-res.trace").is_file()
 
     def test_bench_with_an_infinite_timeout(self, bench_dir, tmp_path):
         out = tmp_path / "rows.csv"

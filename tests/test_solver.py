@@ -786,43 +786,43 @@ TRACE_DIGESTS = {
     ("php-6-5", "partial-rs-both"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
     ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
     ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
-    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "c81a38f7ec8d7f5834d6500ba12d24616a8b3572109aaf0cb9b18f9946836fcd"),
-    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "d4f973aa467e04ea6be4917b4eb694b716a5a037cd254023a1ad74cb25ade2c7"),
-    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "778d20abbeeb28c132ba08be62e85cd493cb9ea067967d9f809352ad981272dc"),
-    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "b32bc64c0219fb76551c7db4ceb78197cf2a9c88881b3ab344a822a61f48a137"),
-    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "3b427a2c39dc6baf068a949edd7035df412c13f2b258de65cb1e6d1e3e51819a"),
-    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "60608dbd402d13a51a25469ca160143933ebe2a4636936b4cb0e3fe8faa4fac6"),
-    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "87aab6993cf85cfa5bfd30dc31e79cad1004bc8bb0d5bedd436a1155c18695cb"),
-    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "0cc96a12e3c3f10aa1a745ceedab0ac2985e2d75e9d69e8f8fcf03d3f6eefe22"),
-    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "e2739a696de55b6e0e3393c099fe73a05ea664cfc66058232467a8f7fc28027e"),
-    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "a64b03f38a6df2cf14fd297780f5af25998e74d6e225a9a2ab9369ba0abd0700"),
-    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "68f9951fd1cd8d2fb73db82d16ed61ab282fe05c5b5e2d24354a33849889e162"),
-    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "98f4ec38addf3edeb25b4ce33d997c96860725cb57db6aab792061202f0c4f8b"),
-    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "0774ec5b0d293bbcd44c489ac92cb35688151567ffda49377bbbda090e07345d"),
-    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "f8d60f2241003e656d4c8aabdb59e70b10d11011a26d6934c9371d4e41781263"),
-    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "a4ec352dec0a2b8c4f3e9324bea992220ef995bc27dec28672331edcd59807ca"),
-    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "ada07e559055c29164628a86a81d00e7537cbb093339111acb2155510b105fe2"),
-    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "ce4d62b1db6c03121e89aaee88be4d46403bd8d708d1d0f038d4c18f77ac128e"),
-    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "f9aaaf91549ff1a429fcd08ce2b393cca10dd80229bdc3103ddd8f965c038311"),
-    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "34f26f53398f870647ebc2910d4cf53efff2301ce125704151b89051a8adb200"),
-    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "a7d8de546ba365a137a980aa31a4bac86a83d7024eba7075d0d43a651cd9156c"),
-    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "cecd165be116b10dcea06e5a7c611aca8f5262a2f23e8d950c8c331ba350d9c1"),
-    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "ac7f225c047fecedfe014e6f085c2aa27f6ef6a6b81bf1334d435a616f792d2d"),
-    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "711cfde65f95cd5f4a19778f273d5643889d7d55a98d87660f30e0e1494552d4"),
+    ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "d19bc2439e76900178800066c585c48c425dbc683d80d3db97486857c9b58fd5"),
+    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "4f919a71b83c1f655f19adb92966df9b28ad501f3c4c55273d98bdbba44bb218"),
+    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "234017df76e3fcaa4f6088824e8831e075394217d65d7ef4854a9448ef7f7437"),
+    ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "96c1f078f27d2cd263f06864295343130daef81919a59e6657686fcc1895cbf5"),
+    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "45fdd513146d5fbc3d1e1bb107cf110426c9c89fefccc8f6eb48713ae6725c37"),
+    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "d446d61ca09e2b75f2299c25c6075cda9790f1ceca41fa98a7e66ffb4b95cc70"),
+    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "47f28131fb9188abd78dbbd763074cdfcec3d0192284afdd381226e4b16e6fa6"),
+    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "aebc30cca23f0bf6fc517f71e938112efb6374bf67ec1c3b820a2f111b978d9b"),
+    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "5021eab78ffecbac15cde670f428414bed3f92263fb185d35f1683782fd5514f"),
+    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "fab59ec4141a954e720cb97d1140d9385505779fe8e42ac76edd587bff9a1b0a"),
+    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "e39a574beaa98301318953e9f424cb07c36d88e6f223c7cf6e43cee8681b3a4a"),
+    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "45c557b2abbce400e10bf0f1fff157ef61097f655d2bb8824e7b6c4078acecac"),
+    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "35a41687d65b80147279b71d34421b1b313b0b61497370356285d37ce1db6c58"),
+    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "06d16bb7b31c30085331f25a27bd4bd8294afcf9c2b6be4c3bd1808b025cdc73"),
+    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "95c0e052debffe32a59e33b24858ebdd6e1ad0b627e7448fbc098b4ed00e1a13"),
+    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "990899f0b563825dc7c7f74f38256885d59207620134811b36d7a3bd6032a0ee"),
+    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "f26a6db44edca22a0a1297b7814302140e4cee9fb508c4f6399cb7f4b46f81fb"),
+    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "222355b7d17f3d92bfbef832517c1e2d3ca030c6eeb7a5fdd13f54c565952293"),
+    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "4ab1ab694146b8e91da5fcc779859a00188a2c8547310e2160a22ff32825cc71"),
+    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "6d8c1ef18ea8feda674966840442cefa25a9772f4cb04c345543e1de1bd56653"),
+    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "4f10a22bc144568222eb752940d6fb41fd11e87c398b0677b61c5f41da574705"),
+    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "f7767308fbce53b6da53b7c74371484f61cb5f7f97f0b677297b80b262d8a59a"),
+    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "f334789a75f4553ff40dfbab8032ccda15ed764dc6f1666ea070363664df0c49"),
     ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "82a42c959b60abdc18a9fc7d4a19a600cb6f1abd066499d272e633e9a8ab018d"),
-    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "fe521b012505d353a57b7bff0e276d4c83f96afb26a478f754b27ada18182df2"),
-    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "046ce630f78d8360bee2f40555d3c267be98e254ec8ae000d98aad82d41ee346"),
-    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "4659af9a7bbfa3f2d8712a4444bf344a1dc4171b33058458db8f0de5bee24e08"),
-    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "d9264dea66ff2ad37b7169a65e2740f933e02e35439102ee04c422b9129dcf3b"),
-    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "f8ecf573152207d14e075662d0fd5e8f112c175940bd8df87edcc02e7491ddc7"),
-    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "3cb10c40f31645cae5686d5c9319e1f5f8e0a24d92fc1f341807aff8f1a0519a"),
-    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "befb3c8b2ef3cdd45779262924867fdb3187b3060907f45ccea3de2354744e47"),
-    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "345d6a1a3d3211126d8908648b4973af7d208d4fabd0b2d3984b7d079bc23f67"),
-    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "5c20ba88c044449f438c9fc1d97eaf3c788f4f55d73a3a9f0ef8a3366bc2d2b1"),
-    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "49b94e1c662c3429b933752e63f4b2b164f4c0179834d5141ab31d4d56dbe0d9"),
-    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "3857a8f363eb11273f9b530a660cc6e48d5efc2b6036449a1d328da549cd1433"),
-    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "c00d8ee34ec13ace8e13a3f731f92714229bd88d80b0a30eb640fa92b1a9302b"),
-    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "6ce8c39afcd2c9ee1ca4c39a3a131f377bdd05600b5c32fbd01902b5896c903a"),
+    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "24ca2fc652443bef03044f40524997f61142981f3996cc1566e1b073ca82b4e7"),
+    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "b5a60830e4a6d458697bcfefbeb719381a3b6f51d2d0e91711d50ad2942c8083"),
+    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "7714251b98aa19c51f20da76bdd66bf246c702a1e186c738df11ff712ecc767d"),
+    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "19c7fc8de437617ae29488cd902ab399d66dd6b062908251966cffbb6a4ef7cf"),
+    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "5cd83587af0b30c4a767c480ce313140518d6c7ff1ffa3a08297d39a4ff01734"),
+    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "e4ca68075dee25cb47566ca27c407815c52cc75f07b8c4ba3d10eba26939fc5e"),
+    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "38f0f6a9f34947e6131344ed3cf84a16364ed3aa54f19c9dedf6692cb97220dc"),
+    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "bc078f963c26180cc656d7f26f351df92e27adbf287144053dad3be7cf986dca"),
+    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "b6c0f1da9bb4223619dd45a6f60d1d6c361cfc820953d970da0dbdbccd95716d"),
+    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "dcafc7e9dcfd168066b5460782b1863c7a425504699e5c121898fadde2ea3916"),
+    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "9b53aaec500dec8cef9c67403a9d0b1e021867dda69abc93b37759231b1140dd"),
+    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "5dfbf33fe5f2252bcc15f029cc961fb3c61c954d63bddbd66dd2043bf470b8ad"),
+    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "4307930417841d0b60c9bce2ac73cc1afee04d574c9f954b1e67f467b2473ebc"),
 }
 
 
@@ -862,9 +862,27 @@ class TestTraceTextContract:
         assert got.keys() == TRACE_DIGESTS.keys()
         assert [k for k in got if got[k] != TRACE_DIGESTS[k]] == []
 
+    def test_weaken_runs_are_maximal_and_learned_ids_name_no_run(self, pinned_runs):
+        # An accumulator's weakening of the value its own last weaken step
+        # produced extends that step, so no weaken step starts from the
+        # output of the weaken step just before it.  A learned id names a
+        # cancellation or a saturation, never a run a later weakening
+        # could extend.
+        longer = 0
+        for key, (_, result) in pinned_runs.items():
+            trace = result.trace
+            rule_of = [None] * (trace.inputs + 1) + [rule for rule, _ in trace.steps]  # by id
+            for step_id, (rule, args) in enumerate(trace.steps, start=trace.inputs + 1):
+                if rule == "weaken":
+                    assert (rule_of[step_id - 1], args[0]) != ("weaken", step_id - 1), (key, step_id)
+                    longer += len(args) > 2
+            assert {rule_of[i] for i, _ in trace.learned} <= {"cancel", "saturate"}, key
+        assert longer > 0
+
     def test_checker_replay_matches_the_pure_rules(self, pinned_runs):
         # The checker's arithmetic, core's rule functions, against the pure
-        # rules of the tests' reference (helpers.replay_steps) on
+        # rules of the tests' reference (helpers.replay_steps, which
+        # expands a weaken run into one pure weaken per literal) on
         # every pinned run: once with the learned records as written, and
         # once with every id named by a learned record, so that each step's
         # output is compared with the reference.

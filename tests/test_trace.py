@@ -36,7 +36,7 @@ def trace_text(trace):
 
 @functools.cache
 def php_trace_text():
-    """php-5-4's trace under weaken-ineffective-conflict: 283 steps."""
+    """php-5-4's trace under weaken-ineffective-conflict: 220 steps, 43 of them runs of two or more weakenings."""
     return trace_text(solve_with_trace(php_instance(5, 4), "weaken-ineffective-conflict").trace)
 
 
@@ -146,8 +146,13 @@ class TestSerialization:
     def test_wrong_argument_count_is_rejected(self, rule, arity, extra):
         args = " ".join(["1"] * (arity + extra))
         lines = ["i 1", f"s {rule} {args}"]
-        message = f"trace line 2: {rule} takes {arity} arguments, got {arity + extra}"
-        with pytest.raises(ValueError, match=message):
+        if rule == "weaken" and extra > 0:
+            # A weaken step names its input and one or more literals.
+            assert DerivationTrace.read(lines).steps == [("weaken", (1,) * (arity + extra))]
+            return
+        least = "at least " if rule == "weaken" else ""
+        message = f"trace line 2: {rule} takes {least}{arity} arguments, got {arity + extra}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             DerivationTrace.read(lines)
 
     def test_learned_record_without_degree_is_rejected(self):
@@ -237,7 +242,9 @@ class TestSerialization:
         result = solve_with_trace(instance, "weaken-ineffective-both")
         lines = trace_text(result.trace).splitlines()
         index = next(i for i, l in enumerate(lines) if l.split()[:2] == ["s", rule])
-        lines[index] = lines[index].rsplit(" ", 1)[0]
+        tokens = lines[index].split()
+        # A weaken step's literals are a run of any length: it loses them all.
+        lines[index] = " ".join(tokens[:3] if rule == "weaken" else tokens[:-1])
         with pytest.raises(ValueError, match=f"trace line {index + 1}: {rule} takes"):
             verify_trace(instance, DerivationTrace.read(lines))
 
@@ -423,7 +430,12 @@ class TestVerify:
         index = len(trace.steps) - 1
         check = verify_trace(instance, trace)
         assert not check
-        assert check.error == f"step {index}: {rule} takes {arity} arguments, got {arity + extra}"
+        if rule == "weaken" and extra > 0:
+            # A run's count is accepted: the step weakens x1 of row 1 twice.
+            assert check.error == f"step {index}: replay error: literal x1 is absent"
+        else:
+            least = "at least " if rule == "weaken" else ""
+            assert check.error == f"step {index}: {rule} takes {least}{arity} arguments, got {arity + extra}"
         assert check.steps_checked == index
 
     @pytest.mark.parametrize(
@@ -529,6 +541,46 @@ class TestCheckerRobustness:
             assert re.match(r"trace line [0-9]+: ", str(exc))
             return
         assert isinstance(verify_trace(php_instance(5, 4), trace), TraceCheck)
+
+
+class TestWeakenRuns:
+    """A ``weaken`` step names one input and one or more literals, and the
+    checker weakens them in turn."""
+
+    INSTANCE = ParsedInstance(declared_vars=4, constraints=[con("a b 2c d >= 4")])
+    # Step 0, on line 3, weakens a: id 2 is b 2c d >= 3.
+    HEAD = ["i 1", "* a note", "s weaken 1 1"]
+
+    def test_a_run_replays_as_single_weakenings_in_turn(self):
+        single = [*self.HEAD, "s weaken 2 2", "s weaken 3 4", "l 4 : 2 x3 >= 1"]
+        run = ["i 1", "s weaken 1 1 2 4", "l 2 : 2 x3 >= 1"]
+        for lines in (single, run):
+            check = verify_trace(self.INSTANCE, DerivationTrace.read(lines))
+            assert check, check.error
+
+    @pytest.mark.parametrize(
+        "step, error",
+        [
+            ("s weaken 2", "weaken takes at least 2 arguments, got 1"),
+            ("s weaken 2 2 -3 4", "replay error: literal ~x3 is absent"),
+            ("s weaken 2 2 4 2", "replay error: literal x2 is absent"),
+            ("s weaken 2 2 3 4", "replay error: degree must be >= 1, got -1"),
+        ],
+        ids=["no-literal", "absent-in-the-middle", "repeated", "to-a-tautology"],
+    )
+    def test_a_bad_run_is_rejected_at_its_line_and_step(self, step, error):
+        lines = [*self.HEAD, step]
+        if error.startswith("replay error"):
+            check = verify_trace(self.INSTANCE, DerivationTrace.read(lines))
+            assert (check.error, check.steps_checked) == (f"step 1: {error}", 1)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'trace line 4: {error}')}$"):
+                DerivationTrace.read(lines)
+        # In memory, the step reaches the checker without the reader's check.
+        trace = DerivationTrace.read(self.HEAD)
+        trace.steps.append(("weaken", tuple(map(int, step.split()[2:]))))
+        check = verify_trace(self.INSTANCE, trace)
+        assert (check.error, check.steps_checked) == (f"step 1: {error}", 1)
 
 
 def names_in(module: str) -> set[str]:
