@@ -30,6 +30,7 @@ class PropagationEngine:
     def __init__(self):
         self.constraints: list[Constraint | None] = []  # None = removed
         self.slacks: list[int] = []  # not maintained for removed constraints
+        self.max_weights: list[int] = []  # cid -> its constraint's max_weight
         self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)]
         self.trail: list[int] = []  # assigned literals, in order
         self.levels: list[int] = []  # trail index -> decision level
@@ -47,8 +48,8 @@ class PropagationEngine:
 
     # -- database ---------------------------------------------------------
 
-    def add_constraint(self, c: Constraint) -> int:
-        """Attach a constraint, computing its slack under the current trail."""
+    def add_constraint(self, c: Constraint, s: int | None = None) -> int:
+        """Attach a constraint whose slack under the current trail is ``s``, priced here when None."""
         constraints = self.constraints
         occs = self.occs
         cid = len(constraints)
@@ -59,7 +60,8 @@ class PropagationEngine:
                 occs[lit] = [(cid, w)]
             else:
                 entries.append((cid, w))
-        self.slacks.append(slack(c, self.position))
+        self.slacks.append(slack(c, self.position) if s is None else s)
+        self.max_weights.append(c.max_weight)
         return cid
 
     def remove_constraints(self, cids: Iterable[int]) -> None:
@@ -108,6 +110,7 @@ class PropagationEngine:
         """
         constraints = self.constraints
         slacks = self.slacks
+        max_weights = self.max_weights
         occs = self.occs
         trail = self.trail
         while True:
@@ -127,26 +130,36 @@ class PropagationEngine:
                     s = slacks[cid]
                     if s < 0:
                         return cid
-                    c = constraints[cid]
-                    if s < c.max_weight:
-                        self._scan(cid, c, s)
+                    if s < max_weights[cid]:
+                        self._scan(cid, constraints[cid], s)
                 self._qhead = qhead + 1
             else:
                 return None
 
     def _scan(self, cid: int, c: Constraint, s: int) -> None:
-        """Assign every free literal of ``c`` whose weight exceeds its slack ``s``."""
-        position = self.position
+        """Assign every free literal of ``c`` whose weight exceeds its slack ``s``.
+
+        Each assignment is written as :meth:`assign` writes it, without its
+        already-assigned check: the test here has just shown the literal free.
+        """
+        position, trail, slacks, occs = self.position, self.trail, self.slacks, self.occs
+        levels, reasons = self.levels, self.reasons
+        level = len(self.level_starts)
         for lit, w in c.terms:
             if w > s and lit not in position and -lit not in position:
-                self.assign(lit, cid)
+                position[lit] = len(trail)
+                trail.append(lit)
+                levels.append(level)
+                reasons.append(cid)
+                for other, v in occs.get(-lit, ()):
+                    slacks[other] -= v
                 self.propagations += 1
 
     def backjump_to(self, level: int) -> list[int]:
         """Remove all entries above ``level``; returns the unassigned literals, last first."""
-        if level >= self.current_level:
+        if not 0 <= level < self.current_level:
             raise ValueError(
-                f"backjump level {level} is not below the current level {self.current_level}"
+                f"backjump level {level} is negative or not below the current level {self.current_level}"
             )
         start = self.level_starts[level]
         popped = self.trail[start:][::-1]

@@ -107,6 +107,7 @@ class Solver:
         self._trace_ids: list[int | None] = []  # engine cid -> trace id, None untraced
         self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
         self._var_inc = 1.0
+        self._ceiling = 0.0  # an upper bound on every activity
         # Lazy max-heap of (-activity, var) over the decision candidates.
         # Every unassigned variable has an entry keyed by its current
         # activity; entries of assigned variables are dropped when they
@@ -119,6 +120,7 @@ class Solver:
         self._cla_inc = 1.0
         self._conflicts_since_restart = 0
         self._deadline: float | None = None
+        self._learned_slack: int | None = None  # slack of the learned constraint after its backjump
         for cid, c in enumerate(instance.constraints):
             self.engine.add_constraint(c)
             self._trace_ids.append(None if self.trace is None else cid + 1)
@@ -143,6 +145,9 @@ class Solver:
         while True:
             conflict = self.engine.propagate_all()
             if conflict is not None:
+                # Only budget 0 stops here: any other stops after learning its last conflict.
+                if self.stats.conflicts == self.config.conflict_budget:
+                    return SolverResult(UNKNOWN)
                 self.stats.conflicts += 1
                 self._conflicts_since_restart += 1
                 analyzed = self.analyze_conflict(conflict)
@@ -204,17 +209,34 @@ class Solver:
         self.engine.assume(lit)
 
     def bump_variables(self, variables) -> None:
-        """Raise the activity of each variable in turn by the bump increment.
+        """Raise the activity of each variable by the bump increment.
 
-        A bump that takes an activity past 1e100 scales every activity and
-        the increment by 1e-100 and rebuilds the decision heap; any other
+        ``_ceiling`` bounds every activity from above.  While the bumps
+        cannot take it past 1e100 no rescale can happen, so the variables
+        are bumped in the order given and the bound rises by the most they
+        can add, rounded up.  Otherwise they are bumped in turn, in
+        ascending order: a bump that takes an activity past 1e100 scales
+        every activity and the increment by 1e-100 and rebuilds the
+        decision heap, and the bound is made exact at the end.  Any other
         bump of an unassigned variable pushes a heap entry under its new
         activity.
         """
         activity = self._activity
         position = self.engine.position
         inc = self._var_inc
-        for v in variables:
+        n = len(variables)
+        # A variable given m times rounds up by at most one part in 2**53 per
+        # addition; n + 2 parts in 2**52 cover that and the bound's own roundings.
+        ceiling = (self._ceiling + inc * n) * (1 + (n + 2) * 2**-52)
+        if ceiling <= 1e100:
+            for v in variables:
+                activity[v] += inc
+                if v not in position and -v not in position:
+                    self._push(v)
+            # After the loop: a heap rebuild inside it makes the bound exact too early.
+            self._ceiling = ceiling
+            return
+        for v in sorted(variables):
             a = activity[v] + inc
             activity[v] = a
             if a > 1e100:
@@ -225,6 +247,7 @@ class Solver:
                 self._rebuild_heap()
             elif v not in position and -v not in position:
                 self._push(v)
+        self._ceiling = max(activity.values())
 
     def _push(self, v: int) -> None:
         heapq.heappush(self._heap, (-self._activity[v], v))
@@ -232,11 +255,13 @@ class Solver:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
+        """Rebuild the decision heap from the activities, and make ``_ceiling`` exact."""
         position = self.engine.position
         self._heap = [
             (-a, v) for v, a in self._activity.items() if v not in position and -v not in position
         ]
         heapq.heapify(self._heap)
+        self._ceiling = max(self._activity.values(), default=0.0)
 
     def _decay_activities(self) -> None:
         self._var_inc /= VAR_DECAY
@@ -256,9 +281,13 @@ class Solver:
 
     def _record_phases(self, popped: list[int]) -> None:
         """Save the unassigned literals as phases and make their variables candidates again."""
+        phase, heap, activity = self._phase, self._heap, self._activity
         for lit in popped:
-            self._phase[abs(lit)] = lit
-            self._push(abs(lit))
+            v = abs(lit)
+            phase[v] = lit
+            heapq.heappush(heap, (-activity[v], v))
+        if len(heap) > _HEAP_SLACK_FACTOR * self.nvars + 16:
+            self._rebuild_heap()
 
     # -- conflict analysis -------------------------------------------------------
 
@@ -267,9 +296,10 @@ class Solver:
 
         Returns (constraint, trace id, backjump level), the trace id None
         untraced; the level is None when the constraint conflicts at the
-        root.  Returns None when the time budget runs out during the walk:
-        the deadline is checked after every resolve step, and nothing is
-        learned then.  The search decides only
+        root.  With a level, the constraint's slack there is kept for
+        :meth:`_backjump_and_learn`.  Returns None when the time budget runs
+        out during the walk: the deadline, read once, is checked after every
+        resolve step, and nothing is learned then.  The search decides only
         at a propagation fixpoint, so the conflicting constraint cannot
         assert below its level before a resolve step.  The walk stops at level 0;
         the root exit after it is the one way to a root conflict, and a slack there
@@ -294,6 +324,7 @@ class Solver:
         cur = Accumulator(start, self.trace, trace_ids[conflict_cid])
         rho = set(engine.position)
         cur_slack = engine.slacks[conflict_cid]
+        deadline = self._deadline
         trail, levels, reasons = engine.trail, engine.levels, engine.reasons
         for p in range(len(trail) - 1, -1, -1):
             if levels[p] == 0:
@@ -306,17 +337,18 @@ class Solver:
             else:
                 reason = Accumulator(engine.constraints[cid], self.trace, trace_ids[cid])
                 self._bump_constraint(cid)
-                self.bump_variables(sorted({*map(abs, cur.weights), *map(abs, reason.weights)}))
+                self.bump_variables({*map(abs, cur.weights), *map(abs, reason.weights)})
                 if resolve_step(cur, reason, pivot, rho, strategy, cur_slack):
                     self.stats.fallbacks += 1
                 # The engine is frozen during analysis: only a step moves the level.
-                cur_slack, level = settle(cur, engine, p)
+                cur_slack, level, level_slack = settle(cur, engine, p)
                 if cur_slack >= 0:
                     text = cur.constraint().to_text()
                     raise AnalysisError(f"resolve_step produced a non-conflicting constraint with {strategy}: {text}")
-                if self._out_of_time():
+                if deadline is not None and time.monotonic() > deadline:
                     return None
                 if level is not None:
+                    self._learned_slack = level_slack
                     return cur.constraint(), cur.id, level
             rho.remove(pivot)
         # Only root-level assignments remain, and the constraint must
@@ -328,9 +360,11 @@ class Solver:
     # -- learning ----------------------------------------------------------------
 
     def _backjump_and_learn(self, learned: Constraint, trace_id: int | None, level: int) -> None:
-        """Backjump to ``level`` and store ``learned``, always new: analysis resolves at least once."""
+        """Backjump to ``level`` and store ``learned`` with the slack its analysis found
+        there, if any; it is always new: analysis resolves at least once."""
         self._record_phases(self.engine.backjump_to(level))
-        cid = self.engine.add_constraint(learned)
+        cid = self.engine.add_constraint(learned, self._learned_slack)
+        self._learned_slack = None
         self._trace_ids.append(trace_id)
         self._cla_activity[cid] = self._cla_inc
         self.stats.learned += 1
@@ -372,7 +406,7 @@ class Solver:
         return model
 
 
-def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, int | None]:
+def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, int | None, int | None]:
     """One pass over a conflict side after its cancellation.
 
     Caps every weight at the degree, recording one saturation if any
@@ -380,9 +414,11 @@ def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, i
     (a literal is falsified there when its negation sits at ``p`` or
     before) and the assertion level: the smallest level L below the current
     one at which, restricted to assignments at levels <= L, the slack is
-    non-negative and below some unassigned literal's weight, or None.  The
-    slack at L is the whole trail's slack plus the weight falsified above
-    L, so one descending sweep over the per-level profile finds it.
+    non-negative and below some unassigned literal's weight, or None; and
+    the slack at that level, or None, which is the engine's slack of the
+    constraint once the search has backjumped there.  The slack at L is the
+    whole trail's slack plus the weight falsified above L, so one
+    descending sweep over the per-level profile finds it.
     """
     position, levels, top = engine.position, engine.levels, engine.current_level
     weights, d = side.weights, side.degree
@@ -409,7 +445,7 @@ def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, i
             max_weight[lvl] = w
     if capped and side.trace is not None:
         side.record("saturate", side.id)
-    level = None
+    level = level_slack = None
     s = full + falsified[top]  # the slack at the tested level
     best = max_weight[top]  # the largest weight above it
     most = max(max_weight)  # no level asserts once the slack reaches it
@@ -417,10 +453,10 @@ def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, i
         if s >= most:
             break
         if 0 <= s < best:
-            level = lvl
+            level, level_slack = lvl, s
         s += falsified[lvl]
         best = max(best, max_weight[lvl])
-    return full + later, level
+    return full + later, level, level_slack
 
 
 class AnalysisSoundnessError(RuntimeError):

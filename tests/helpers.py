@@ -12,6 +12,8 @@ here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
 assertiveness behind ``assertion_level``, the solver's ``settle`` pass run
 on a copy of any constraint; and
 ``linear_decide_literal``, the reference for the solver's decision heap;
+``reference_propagate_all``, the reference for
+``PropagationEngine.propagate_all``, which assigns through ``assign``;
 ``bump_one_at_a_time``, the reference for ``Solver.bump_variables``;
 ``sorted_then_validated``, the reference for the ``Constraint`` constructor;
 ``brute_force_status``, the reference for a solver's answer, which is the
@@ -157,6 +159,46 @@ def verify_slacks(engine) -> bool:
     return True
 
 
+def reference_propagate_all(engine) -> int | None:
+    """``engine.propagate_all()`` with every assignment made through ``engine.assign``.
+
+    The same fixpoint loop and counters, reading each visited constraint's
+    ``max_weight`` off the constraint itself.
+    """
+    constraints, slacks, occs, trail = engine.constraints, engine.slacks, engine.occs, engine.trail
+    while True:
+        cid = engine._scanned
+        if cid < len(constraints):
+            c = constraints[cid]
+            if c is not None:
+                s = slacks[cid]
+                if s < 0:
+                    return cid
+                if s < c.max_weight:
+                    _reference_scan(engine, cid, c, s)
+            engine._scanned = cid + 1
+        elif engine._qhead < len(trail):
+            qhead = engine._qhead
+            for cid, _ in occs.get(-trail[qhead], ()):
+                s = slacks[cid]
+                if s < 0:
+                    return cid
+                c = constraints[cid]
+                if s < c.max_weight:
+                    _reference_scan(engine, cid, c, s)
+            engine._qhead = qhead + 1
+        else:
+            return None
+
+
+def _reference_scan(engine, cid: int, c: Constraint, s: int) -> None:
+    position = engine.position
+    for lit, w in c.terms:
+        if w > s and lit not in position and -lit not in position:
+            engine.assign(lit, cid)
+            engine.propagations += 1
+
+
 def linear_decide_literal(solver) -> int:
     """The decision by a linear scan: maximal activity, lowest index on ties."""
     best_v = 0
@@ -231,7 +273,7 @@ def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy
     engine = PropagationEngine()
     for lit in rho:
         engine.assign(lit, None)
-    after, _ = settle(side, engine, len(rho) - 1)
+    after, _, _ = settle(side, engine, len(rho) - 1)
     return ResolveOutcome(side.constraint(), fallback, given, after)
 
 

@@ -4,10 +4,20 @@ import random
 
 import pytest
 
-from pbsolve.core import slack
+from pbsolve.core import Constraint, slack
 from pbsolve.generators import php_instance, random_instance
 from pbsolve.propagation import PropagationEngine
-from helpers import con, lit, propagation_candidates, reason_of, value, var, verify_slacks
+from helpers import (
+    balanced_instance,
+    con,
+    lit,
+    propagation_candidates,
+    reason_of,
+    reference_propagate_all,
+    value,
+    var,
+    verify_slacks,
+)
 
 
 def engine_with(*constraints):
@@ -112,6 +122,14 @@ class TestBackjump:
         engine.assume(1)
         with pytest.raises(ValueError):
             engine.backjump_to(1)
+
+    def test_negative_level_is_rejected(self):
+        engine = engine_with(con("a b c >= 1"))
+        engine.assume(1)
+        engine.assume(2)
+        with pytest.raises(ValueError, match="negative"):
+            engine.backjump_to(-1)
+        assert engine.trail == [1, 2] and engine.current_level == 2
 
     def test_slack_coherence_under_random_scripts(self):
         rng = random.Random(11)
@@ -244,3 +262,64 @@ class TestRemoveConstraints:
                 for engine in (compacted, lazy):
                     engine.assume(v)
             assert verify_slacks(compacted)
+
+
+class TestPropagationMatchesReference:
+    """The engine's propagation against the same loop assigning through ``assign``."""
+
+    @staticmethod
+    def random_row(rng, nvars):
+        chosen = rng.sample(range(1, nvars + 1), rng.randint(1, 8))
+        terms = [(v if rng.random() < 0.5 else -v, rng.randint(1, 6)) for v in chosen]
+        return Constraint(terms, rng.randint(1, sum(w for _, w in terms)))
+
+    def test_same_state_after_every_operation(self):
+        rng = random.Random(35)
+        conflicts = propagated = 0
+        nvars = 20
+        for seed in range(20):
+            rows = balanced_instance(nvars, 60, random.Random(seed)).constraints
+            engine, reference = engine_with(*rows), engine_with(*rows)
+            learned: list[int] = []
+            for _ in range(150):
+                found = engine.propagate_all()
+                assert found == reference_propagate_all(reference)
+                for field in ("trail", "levels", "reasons", "position", "slacks", "propagations"):
+                    assert getattr(engine, field) == getattr(reference, field), field
+                for cid, c in enumerate(engine.constraints):
+                    if c is not None:
+                        assert engine.max_weights[cid] == c.max_weight
+                if found is not None:
+                    conflicts += 1
+                    if engine.current_level == 0:
+                        break
+                    target = rng.randrange(engine.current_level)
+                    assert engine.backjump_to(target) == reference.backjump_to(target)
+                    continue
+                op = rng.random()
+                free = [v for v in range(1, nvars + 1) if v not in engine.position and -v not in engine.position]
+                if op < 0.2 and engine.current_level > 0:
+                    target = rng.randrange(engine.current_level)
+                    assert engine.backjump_to(target) == reference.backjump_to(target)
+                elif op < 0.35:
+                    # A learned row, attached with its slack given as the
+                    # solver gives it, and priced from scratch in the reference.
+                    row = self.random_row(rng, nvars)
+                    learned.append(engine.add_constraint(row, slack(row, engine.position)))
+                    assert reference.add_constraint(row) == learned[-1]
+                elif op < 0.45 and learned:
+                    reasons = set(engine.reasons)
+                    dropped = [cid for cid in rng.sample(learned, rng.randint(1, len(learned))) if cid not in reasons]
+                    engine.remove_constraints(dropped)
+                    reference.remove_constraints(dropped)
+                    learned = [cid for cid in learned if cid not in dropped]
+                elif free:
+                    v = rng.choice(free)
+                    decision = v if rng.random() < 0.5 else -v
+                    engine.assume(decision)
+                    reference.assume(decision)
+                else:
+                    break
+            assert verify_slacks(engine)
+            propagated += engine.propagations
+        assert conflicts > 100 and propagated > 800

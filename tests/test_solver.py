@@ -121,6 +121,11 @@ class TestSolveEndToEnd:
         assert result.status == UNKNOWN
         assert result.stats.conflicts >= 50
 
+    def test_zero_conflict_budget_analyzes_nothing(self):
+        result = solve(php_instance(5, 4), SolverConfig(strategy="rs-both", conflict_budget=0))
+        assert result.status == UNKNOWN
+        assert result.stats.conflicts == 0 and result.stats.learned == 0
+
     def test_time_budget_yields_unknown(self):
         instance = php_instance(9, 8)
         result = solve(
@@ -478,8 +483,10 @@ class TestStepPricing:
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     def test_the_pass_after_each_step_matches_its_references(self, strategy, monkeypatch):
         # The walk's one pass after each cancellation returns the conflict
-        # side's slack under the step's assignment and its assertion level;
-        # both must equal a full recomputation and the level-by-level oracle.
+        # side's slack under the step's assignment, its assertion level and
+        # its slack at that level; they must equal a full recomputation, the
+        # level-by-level oracle and a recomputation under the trail prefix
+        # up to that level, the slack the engine takes it with.
         checked = []
         observed = {}
         step = pbsolve.solver.resolve_step
@@ -490,12 +497,16 @@ class TestStepPricing:
             return step(conflict, reason, pivot, rho, *args)
 
         def checked_settle(side, engine, p):
-            after, level = settle(side, engine, p)
+            after, level, level_slack = settle(side, engine, p)
             cur = side.constraint()
             assert after == slack(cur, observed["rho"])
             assert level == oracle_assertion_level(cur, engine)
+            if level is None:
+                assert level_slack is None
+            else:
+                assert level_slack == slack(cur, assignment_at_level(engine, level))
             checked.append(level is not None)
-            return after, level
+            return after, level, level_slack
 
         monkeypatch.setattr(pbsolve.solver, "resolve_step", kept_step)
         monkeypatch.setattr(pbsolve.solver, "settle", checked_settle)
@@ -652,6 +663,56 @@ class TestHeuristics:
                 assert batch.decide_literal() == single.decide_literal()
             rescaled += batch._var_inc < var_inc
         assert rescaled > 20
+
+    def test_activity_ceiling_bounds_every_activity(self):
+        # Bumps of lists, sets and a repeated variable, with decays,
+        # rescales, backjumps and rebuilds, never lift an activity above
+        # ``_ceiling``.  A set bumped near 1e100 gives the same activities,
+        # increment and decision as single bumps over its sorted list.
+        rng = random.Random(17)
+        n = 12
+        compared = rescaled = 0
+        for _ in range(20):
+            solver = Solver(ParsedInstance(declared_vars=n, constraints=[]))
+            engine = solver.engine
+            for _ in range(300):
+                op = rng.random()
+                if op < 0.15:
+                    solver.bump_variables(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                elif op < 0.3:
+                    solver.bump_variables(set(rng.sample(range(1, n + 1), rng.randint(1, n))))
+                elif op < 0.4:
+                    solver.bump_variables([rng.randint(1, n)] * rng.randint(2, 4))
+                elif op < 0.55:
+                    solver._decay_activities()
+                elif op < 0.65 and len(engine.trail) < n:
+                    v = rng.choice([u for u in range(1, n + 1) if value(engine, u) is None])
+                    engine.assume(v if rng.random() < 0.5 else -v)
+                elif op < 0.75 and engine.current_level > 0:
+                    solver._record_phases(engine.backjump_to(rng.randrange(engine.current_level)))
+                elif op < 0.8:
+                    solver._rebuild_heap()
+                elif op < 0.9:
+                    # Forces the 1e-100 rescale on this bump.
+                    solver._var_inc = 2e100
+                    solver.bump_variables([rng.randint(1, n)])
+                else:
+                    for v in rng.sample(range(1, n + 1), rng.randint(1, 3)):
+                        solver._activity[v] = rng.uniform(9e99, 1e100)
+                    solver._rebuild_heap()
+                    var_inc = solver._var_inc = rng.choice((1.0, 1e98, 3e99, 6e99))
+                    single = copy.deepcopy(solver)
+                    variables = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                    solver.bump_variables(variables)
+                    bump_one_at_a_time(single, sorted(variables))
+                    assert solver._activity == single._activity
+                    assert solver._var_inc == single._var_inc
+                    if len(engine.trail) < n:
+                        assert solver.decide_literal() == single.decide_literal()
+                    compared += 1
+                    rescaled += solver._var_inc < var_inc
+                assert solver._ceiling >= max(solver._activity.values())
+        assert compared > 400 and rescaled > 100
 
     def test_heap_decision_matches_linear_scan(self):
         rng = random.Random(21)
