@@ -100,10 +100,19 @@ class Accumulator:
         """The ``(lit, weight)`` pairs, in ``weights`` order (a live view)."""
         return self.weights.items()
 
-    def constraint(self) -> Constraint:
-        """The current value as a constraint, its terms back in variable order; ``id`` is its trace id."""
+    def constraint(self, pairs: dict[int, tuple[int, int]] | None = None) -> Constraint:
+        """The current value as a constraint, its terms back in variable order; ``id`` is its trace id.
+        ``pairs`` (a fresh dict when None) maps each literal to the last term built for it, reused while
+        the weight matches, so the solver's learned constraints share equal terms instead of copies."""
+        pairs = {} if pairs is None else pairs
         weights = self.weights
-        return Constraint([(lit, weights[lit]) for lit in sorted(weights, key=abs)], self.degree)
+        terms = []
+        for lit in sorted(weights, key=abs):
+            pair = pairs.get(lit, (0, 0))
+            if pair[1] != weights[lit]:
+                pairs[lit] = pair = (lit, weights[lit])
+            terms.append(pair)
+        return Constraint(terms, self.degree)
 
     def record(self, rule: str, *args: int) -> None:
         """Record the current value in the trace as the output of ``rule`` on ``args``."""

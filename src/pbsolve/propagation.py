@@ -31,7 +31,7 @@ class PropagationEngine:
         self.constraints: list[Constraint | None] = []  # None = removed
         self.slacks: list[int] = []  # not maintained for removed constraints
         self.max_weights: list[int] = []  # cid -> its constraint's max_weight
-        self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)]
+        self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)], one object per run of weights
         self.trail: list[int] = []  # assigned literals, in order
         self.levels: list[int] = []  # trail index -> decision level
         self.reasons: list[int | None] = []  # trail index -> constraint id, None = decision
@@ -49,17 +49,22 @@ class PropagationEngine:
     # -- database ---------------------------------------------------------
 
     def add_constraint(self, c: Constraint, s: int | None = None) -> int:
-        """Attach a constraint whose slack under the current trail is ``s``, priced here when None."""
+        """Attach a constraint whose slack under the current trail is ``s``, priced here when None.
+        Entries are only read, so each run of equal weights in ``c.terms`` shares one ``(cid, weight)``
+        object: a literal inside a run allocates no tuple for the cyclic GC to track."""
         constraints = self.constraints
         occs = self.occs
         cid = len(constraints)
         constraints.append(c)
+        entry = (cid, 0)
         for lit, w in c.terms:
+            if w != entry[1]:
+                entry = (cid, w)
             entries = occs.get(lit)
             if entries is None:
-                occs[lit] = [(cid, w)]
+                occs[lit] = [entry]
             else:
-                entries.append((cid, w))
+                entries.append(entry)
         self.slacks.append(slack(c, self.position) if s is None else s)
         self.max_weights.append(c.max_weight)
         return cid

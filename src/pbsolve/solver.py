@@ -121,6 +121,7 @@ class Solver:
         self._conflicts_since_restart = 0
         self._deadline: float | None = None
         self._learned_slack: int | None = None  # slack of the learned constraint after its backjump
+        self._pairs: dict[int, tuple[int, int]] = {}  # lit -> last learned (lit, weight) term
         for cid, c in enumerate(instance.constraints):
             self.engine.add_constraint(c)
             self._trace_ids.append(None if self.trace is None else cid + 1)
@@ -349,13 +350,13 @@ class Solver:
                     return None
                 if level is not None:
                     self._learned_slack = level_slack
-                    return cur.constraint(), cur.id, level
+                    return cur.constraint(self._pairs), cur.id, level
             rho.remove(pivot)
         # Only root-level assignments remain, and the constraint must
         # still be conflicting under them.
         if cur_slack >= 0:
             raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
-        return cur.constraint(), cur.id, None
+        return cur.constraint(self._pairs), cur.id, None
 
     # -- learning ----------------------------------------------------------------
 

@@ -229,6 +229,24 @@ class TestResumeAfterConflict:
         assert engine.reasons == [None, 0, 1]
 
 
+class TestSharedEntries:
+    """Each run of equal consecutive weights appends one ``(cid, weight)`` object to all its lists."""
+
+    def test_equal_weights_share_one_entry(self):
+        engine = engine_with(con("a b c d >= 2"))
+        entries = [engine.occs[lit(x)][0] for x in "abcd"]
+        assert entries == [(0, 1)] * 4
+        assert all(e is entries[0] for e in entries)
+
+    def test_each_run_of_weights_has_its_own_entry(self):
+        engine = engine_with(con("a b >= 1"), con("2a 2b 3c 2d >= 4"))
+        entries = [engine.occs[lit(x)][-1] for x in "abcd"]
+        assert entries == [(1, 2), (1, 2), (1, 3), (1, 2)]
+        assert entries[0] is entries[1]
+        assert len({id(e) for e in entries}) == 3
+        assert engine.occs[lit("a")][0] is engine.occs[lit("b")][0] == (0, 1)
+
+
 class TestRemoveConstraints:
     def test_occurrence_lists_drop_removed_and_keep_order(self):
         rows = [con("a b c >= 1"), con("~a b >= 1"), con("a 2c d >= 2"), con("b ~c >= 1")]
@@ -238,6 +256,22 @@ class TestRemoveConstraints:
         assert engine.constraints[0] is None and engine.constraints[2] is None
         for lit, entries in before.items():
             assert engine.occs[lit] == [e for e in entries if e[0] not in (0, 2)]
+
+    def test_shared_entries_survive_removal_in_order(self):
+        # Rows 0, 1 and 3 have one weight each, so each shares one entry
+        # across its literals; row 2 has two runs.
+        rows = [con("a b c >= 1"), con("a b d >= 2"), con("2a 2c d >= 2"), con("b c d >= 1")]
+        engine = engine_with(*rows)
+        before = {l: list(entries) for l, entries in engine.occs.items()}
+        engine.remove_constraints([1])
+        for l, entries in before.items():
+            kept = [e for e in entries if e[0] != 1]
+            assert engine.occs[l] == kept
+            assert all(a is b for a, b in zip(engine.occs[l], kept))
+        a, b, c, d = (engine.occs[lit(x)] for x in "abcd")
+        assert a[0] is b[0] is c[0] == (0, 1)
+        assert a[1] is c[1] == (2, 2)
+        assert b[1] is c[2] is d[1] == (3, 1)
 
     def test_search_after_removal_matches_lazy_skipping(self):
         rng = random.Random(4)

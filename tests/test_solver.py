@@ -373,9 +373,9 @@ class TestAccumulatorMatchesReference:
         unsorted = []
         constraint = pbsolve.analysis.Accumulator.constraint
 
-        def checked(side):
+        def checked(side, *pairs):
             unsorted.append(list(side.weights) != sorted(side.weights, key=abs))
-            c = constraint(side)
+            c = constraint(side, *pairs)
             validated = Constraint(side.terms, side.degree)
             assert (c.terms, c.degree, c.max_weight) == (validated.terms, validated.degree, validated.max_weight)
             built.append(c)
@@ -435,6 +435,39 @@ class TestAccumulatorMatchesReference:
         learned, _, level = solver.analyze_conflict(3)
         assert after_skip == [var("g"), var("c")]
         assert learned == con("2~a ~b >= 2") and level == 0
+
+
+class TestSharedTerms:
+    """A solver's learned constraints share each equal ``(lit, weight)`` term as one object."""
+
+    @staticmethod
+    def learned_terms(solver):
+        learned = solver.engine.constraints[len(solver.instance.constraints):]
+        return [t for c in learned if c is not None for t in c.terms]
+
+    def test_equal_learned_terms_are_one_object(self):
+        solver = Solver(php_instance(9, 8), SolverConfig(strategy="rs-both"))
+        assert solver.solve().status == UNSAT
+        terms = self.learned_terms(solver)
+        ids: dict[tuple[int, int], set[int]] = {}
+        for t in terms:
+            ids.setdefault(t, set()).add(id(t))
+        assert len(terms) > 2 * len(ids)
+        assert all(len(same) == 1 for same in ids.values())
+
+    def test_solvers_share_no_term(self):
+        first, second = (Solver(php_instance(9, 8), SolverConfig(strategy="rs-both")) for _ in range(2))
+        for solver in (first, second):
+            assert solver.solve().status == UNSAT
+        a, b = self.learned_terms(first), self.learned_terms(second)
+        assert a == b
+        assert len({id(t) for t in a}) < len(a)
+        assert not {id(t) for t in a} & {id(t) for t in b}
+
+    def test_bare_constraint_builds_fresh_terms(self):
+        side = pbsolve.analysis.Accumulator(Constraint([(1, 2), (2, 2)], 3))
+        assert side.constraint() == side.constraint()
+        assert side.constraint().terms[0] is not side.constraint().terms[0]
 
 
 class TestStepPricing:
