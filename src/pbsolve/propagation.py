@@ -2,8 +2,12 @@
 
 The trail is three parallel lists: the assigned literals, their levels and
 their reasons, the id of the propagating constraint or None for a decision.
-``position`` maps each true literal to its trail index.  The engine keeps,
-for every attached constraint, its current slack under the assignment,
+``index``, the one record of the assignment, is a list indexed by the signed
+literal (2n + 1 slots for n variables, negative indexing giving ``-v`` its
+own): a true literal's trail index, None for any other.  :meth:`assign` and
+:meth:`add_constraint` reject a variable outside 1..n, whose literals would
+alias other slots; reads through attached constraints trust them.  The engine
+keeps, for every attached constraint, its current slack under the assignment,
 updated incrementally: assigning a literal lowers the slack of every
 constraint containing its negation by that literal's weight, and
 unassigning restores it.  Propagation scans constraints whose slack may
@@ -23,11 +27,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Constraint, slack
+from .core import Constraint
 
 
 class PropagationEngine:
-    def __init__(self):
+    def __init__(self, nvars: int):
+        self.nvars = nvars
         self.constraints: list[Constraint | None] = []  # None = removed
         self.slacks: list[int] = []  # not maintained for removed constraints
         self.max_weights: list[int] = []  # cid -> its constraint's max_weight
@@ -35,7 +40,7 @@ class PropagationEngine:
         self.trail: list[int] = []  # assigned literals, in order
         self.levels: list[int] = []  # trail index -> decision level
         self.reasons: list[int | None] = []  # trail index -> constraint id, None = decision
-        self.position: dict[int, int] = {}  # true lit -> trail index; read-only outside
+        self.index: list[int | None] = [None] * (2 * nvars + 1)  # lit -> trail index while true; read-only outside
         self.level_starts: list[int] = []  # trail index of each open level's decision
         self._scanned = 0  # constraint ids below it have had their first scan
         self._qhead = 0  # trail entries below it have had their occurrences visited
@@ -52,6 +57,8 @@ class PropagationEngine:
         """Attach a constraint whose slack under the current trail is ``s``, priced here when None.
         Entries are only read, so each run of equal weights in ``c.terms`` shares one ``(cid, weight)``
         object: a literal inside a run allocates no tuple for the cyclic GC to track."""
+        if c.terms and abs(c.terms[-1][0]) > self.nvars:  # the last term names the largest variable
+            raise ValueError(f"variable x{abs(c.terms[-1][0])} is outside 1..{self.nvars}")
         constraints = self.constraints
         occs = self.occs
         cid = len(constraints)
@@ -65,7 +72,12 @@ class PropagationEngine:
                 occs[lit] = [entry]
             else:
                 entries.append(entry)
-        self.slacks.append(slack(c, self.position) if s is None else s)
+        if s is None:
+            index, s = self.index, -c.degree
+            for lit, w in c.terms:
+                if index[-lit] is None:
+                    s += w
+        self.slacks.append(s)
         self.max_weights.append(c.max_weight)
         return cid
 
@@ -90,10 +102,12 @@ class PropagationEngine:
 
     def assign(self, lit: int, reason: int | None) -> None:
         """Append a literal to the trail and update affected slacks."""
-        position = self.position
-        if lit in position or -lit in position:
+        index = self.index
+        if not 0 < abs(lit) <= self.nvars:
+            raise ValueError(f"variable x{abs(lit)} is outside 1..{self.nvars}")
+        if index[lit] is not None or index[-lit] is not None:
             raise ValueError(f"variable x{abs(lit)} is already assigned")
-        position[lit] = len(self.trail)
+        index[lit] = len(self.trail)
         self.trail.append(lit)
         self.levels.append(len(self.level_starts))
         self.reasons.append(reason)
@@ -147,12 +161,12 @@ class PropagationEngine:
         Each assignment is written as :meth:`assign` writes it, without its
         already-assigned check: the test here has just shown the literal free.
         """
-        position, trail, slacks, occs = self.position, self.trail, self.slacks, self.occs
+        index, trail, slacks, occs = self.index, self.trail, self.slacks, self.occs
         levels, reasons = self.levels, self.reasons
         level = len(self.level_starts)
         for lit, w in c.terms:
-            if w > s and lit not in position and -lit not in position:
-                position[lit] = len(trail)
+            if w > s and index[lit] is None and index[-lit] is None:
+                index[lit] = len(trail)
                 trail.append(lit)
                 levels.append(level)
                 reasons.append(cid)
@@ -168,9 +182,9 @@ class PropagationEngine:
             )
         start = self.level_starts[level]
         popped = self.trail[start:][::-1]
-        position, slacks, occs = self.position, self.slacks, self.occs
+        index, slacks, occs = self.index, self.slacks, self.occs
         for lit in popped:
-            del position[lit]
+            index[lit] = None
             for cid, w in occs.get(-lit, ()):
                 slacks[cid] += w
         del self.trail[start:], self.levels[start:], self.reasons[start:], self.level_starts[level:]

@@ -100,12 +100,12 @@ class Solver:
     def __init__(self, instance: ParsedInstance, config: SolverConfig | None = None):
         self.instance = instance
         self.config = config or SolverConfig()
-        self.engine = PropagationEngine()
-        self.stats = SolverStats()
         self.nvars = instance.nvars
+        self.engine = PropagationEngine(self.nvars)
+        self.stats = SolverStats()
         self.trace = DerivationTrace(len(instance.constraints)) if self.config.emit_trace else None
         self._trace_ids: list[int | None] = []  # engine cid -> trace id, None untraced
-        self._activity: dict[int, float] = {v: 0.0 for v in range(1, self.nvars + 1)}
+        self._activity: list[float] = [0.0] * (self.nvars + 1)  # variable -> activity; slot 0 unused
         self._var_inc = 1.0
         self._ceiling = 0.0  # an upper bound on every activity
         # Lazy max-heap of (-activity, var) over the decision candidates.
@@ -115,7 +115,7 @@ class Solver:
         # says why).  All activities start equal, so the variables in index
         # order already form a heap.
         self._heap: list[tuple[float, int]] = [(-0.0, v) for v in range(1, self.nvars + 1)]
-        self._phase: dict[int, int] = {}  # variable -> its last assigned literal
+        self._phase: list[int] = [0] * (self.nvars + 1)  # variable -> last literal, 0 for none (-v would allocate)
         self._cla_activity: dict[int, float] = {}  # live learned cid -> activity
         self._cla_inc = 1.0
         self._conflicts_since_restart = 0
@@ -195,13 +195,13 @@ class Solver:
         so that entry sits above all of the variable's outdated ones.
         """
         heap = self._heap
-        position = self.engine.position
+        index = self.engine.index
         while heap:
             v = heap[0][1]
-            if v in position or -v in position:
+            if index[v] is not None or index[-v] is not None:
                 heapq.heappop(heap)
             else:
-                return self._phase.get(v, -v)
+                return self._phase[v] or -v
         raise ValueError("all variables are assigned")
 
     def _decide(self) -> None:
@@ -223,7 +223,7 @@ class Solver:
         activity.
         """
         activity = self._activity
-        position = self.engine.position
+        index = self.engine.index
         inc = self._var_inc
         n = len(variables)
         # A variable given m times rounds up by at most one part in 2**53 per
@@ -232,7 +232,7 @@ class Solver:
         if ceiling <= 1e100:
             for v in variables:
                 activity[v] += inc
-                if v not in position and -v not in position:
+                if index[v] is None and index[-v] is None:
                     self._push(v)
             # After the loop: a heap rebuild inside it makes the bound exact too early.
             self._ceiling = ceiling
@@ -241,14 +241,13 @@ class Solver:
             a = activity[v] + inc
             activity[v] = a
             if a > 1e100:
-                for u in activity:
-                    activity[u] *= 1e-100
+                activity[:] = [u * 1e-100 for u in activity]
                 inc *= 1e-100
                 self._var_inc = inc
                 self._rebuild_heap()
-            elif v not in position and -v not in position:
+            elif index[v] is None and index[-v] is None:
                 self._push(v)
-        self._ceiling = max(activity.values())
+        self._ceiling = max(activity)
 
     def _push(self, v: int) -> None:
         heapq.heappush(self._heap, (-self._activity[v], v))
@@ -257,12 +256,12 @@ class Solver:
 
     def _rebuild_heap(self) -> None:
         """Rebuild the decision heap from the activities, and make ``_ceiling`` exact."""
-        position = self.engine.position
+        activity, index = self._activity, self.engine.index
         self._heap = [
-            (-a, v) for v, a in self._activity.items() if v not in position and -v not in position
+            (-activity[v], v) for v in range(1, self.nvars + 1) if index[v] is None and index[-v] is None
         ]
         heapq.heapify(self._heap)
-        self._ceiling = max(self._activity.values(), default=0.0)
+        self._ceiling = max(activity)
 
     def _decay_activities(self) -> None:
         self._var_inc /= VAR_DECAY
@@ -323,7 +322,7 @@ class Solver:
         assert start is not None
         trace_ids = self._trace_ids
         cur = Accumulator(start, self.trace, trace_ids[conflict_cid])
-        rho = set(engine.position)
+        rho = set(engine.trail)
         cur_slack = engine.slacks[conflict_cid]
         deadline = self._deadline
         trail, levels, reasons = engine.trail, engine.levels, engine.reasons
@@ -400,7 +399,8 @@ class Solver:
     # -- results ------------------------------------------------------------------
 
     def _checked_model(self) -> dict[int, bool]:
-        model = {v: v in self.engine.position for v in range(1, self.nvars + 1)}
+        index = self.engine.index
+        model = {v: index[v] is not None for v in range(1, self.nvars + 1)}
         for c in self.instance.constraints:
             if not c.satisfied_by(model):
                 raise AnalysisSoundnessError(f"model does not satisfy {c.to_text()}")
@@ -421,7 +421,7 @@ def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, i
     whole trail's slack plus the weight falsified above L, so one
     descending sweep over the per-level profile finds it.
     """
-    position, levels, top = engine.position, engine.levels, engine.current_level
+    index, levels, top = engine.index, engine.levels, engine.current_level
     weights, d = side.weights, side.degree
     falsified = [0] * (top + 1)  # level -> falsified weight
     max_weight = [0] * (top + 1)  # level -> largest weight; unassigned at top
@@ -432,10 +432,10 @@ def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, i
         if w > d:
             weights[lit] = w = d
             capped = True
-        q = position.get(-lit)
+        q = index[-lit]
         if q is None:
             full += w
-            q = position.get(lit)
+            q = index[lit]
             lvl = top if q is None else levels[q]
         else:
             lvl = levels[q]

@@ -137,24 +137,29 @@ def propagation_candidates(c: Constraint, rho: Assignment) -> tuple[int, ...]:
 
 
 def value(engine, lit: int) -> bool | None:
-    """Truth value of a literal on the engine's trail; None when unassigned."""
-    if lit in engine.position:
+    """Truth value of a literal on the engine's trail; None when unassigned.
+
+    A literal outside the engine's range would read another literal's slot."""
+    if not 0 < abs(lit) <= engine.nvars:
+        raise ValueError(f"literal {lit} is outside the engine's +-1..+-{engine.nvars}")
+    if engine.index[lit] is not None:
         return True
-    if -lit in engine.position:
+    if engine.index[-lit] is not None:
         return False
     return None
 
 
 def reason_of(engine, v: int) -> int | None:
     """The reason constraint id of an assigned variable, or None for a decision."""
-    position = engine.position
-    return engine.reasons[position[v] if v in position else position[-v]]
+    index = engine.index
+    return engine.reasons[index[v] if index[v] is not None else index[-v]]
 
 
 def verify_slacks(engine) -> bool:
-    """Full recomputation check of every stored slack (debug oracle)."""
+    """Full recomputation check of every stored slack (debug oracle), priced from the trail."""
+    rho = set(engine.trail)
     for cid, c in enumerate(engine.constraints):
-        if c is not None and engine.slacks[cid] != slack(c, engine.position):
+        if c is not None and engine.slacks[cid] != slack(c, rho):
             return False
     return True
 
@@ -192,9 +197,8 @@ def reference_propagate_all(engine) -> int | None:
 
 
 def _reference_scan(engine, cid: int, c: Constraint, s: int) -> None:
-    position = engine.position
     for lit, w in c.terms:
-        if w > s and lit not in position and -lit not in position:
+        if w > s and value(engine, lit) is None:
             engine.assign(lit, cid)
             engine.propagations += 1
 
@@ -203,16 +207,15 @@ def linear_decide_literal(solver) -> int:
     """The decision by a linear scan: maximal activity, lowest index on ties."""
     best_v = 0
     best_a = -1.0
-    position = solver.engine.position
     for v in range(1, solver.nvars + 1):
-        if v in position or -v in position:
+        if value(solver.engine, v) is not None:
             continue
         a = solver._activity[v]
         if a > best_a:
             best_v, best_a = v, a
     if not best_v:
         raise ValueError("all variables are assigned")
-    return solver._phase.get(best_v, -best_v)
+    return solver._phase[best_v] or -best_v
 
 
 def bump_one_at_a_time(solver, variables) -> None:
@@ -221,11 +224,11 @@ def bump_one_at_a_time(solver, variables) -> None:
         a = solver._activity[v] + solver._var_inc
         solver._activity[v] = a
         if a > 1e100:
-            for u in solver._activity:
+            for u in range(len(solver._activity)):
                 solver._activity[u] *= 1e-100
             solver._var_inc *= 1e-100
             solver._rebuild_heap()
-        elif v not in solver.engine.position and -v not in solver.engine.position:
+        elif value(solver.engine, v) is None:
             solver._push(v)
 
 
@@ -266,11 +269,13 @@ def on_accumulator(reduction, c: Constraint, *args, **kwargs) -> Constraint:
 
 def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str) -> ResolveOutcome:
     """The package's ``resolve_step`` run on an accumulator holding ``conflict``,
-    then the solver's pass over it, on an engine holding ``rho`` at the root."""
+    then the solver's pass over it, on an engine holding ``rho`` at the root,
+    sized to every variable that ``rho`` and the two sides name."""
     side = Accumulator(conflict)
     given = slack(conflict, rho)
     fallback = resolve_step(side, Accumulator(reason), pivot, rho, strategy, given)
-    engine = PropagationEngine()
+    named = [*rho, *(lit for lit, _ in conflict.terms), *(lit for lit, _ in reason.terms)]
+    engine = PropagationEngine(max(map(abs, named), default=0))
     for lit in rho:
         engine.assign(lit, None)
     after, _, _ = settle(side, engine, len(rho) - 1)

@@ -20,8 +20,9 @@ from helpers import (
 )
 
 
-def engine_with(*constraints):
-    engine = PropagationEngine()
+def engine_with(*constraints, nvars=0):
+    """An engine over ``constraints``, sized to ``nvars`` or to the largest variable they name."""
+    engine = PropagationEngine(max([nvars, *(abs(c.terms[-1][0]) for c in constraints if c.terms)]))
     for c in constraints:
         engine.add_constraint(c)
     return engine
@@ -32,10 +33,10 @@ class TestAssign:
         c = con("5a 4b c d >= 6")
         engine = engine_with(c)
         engine.assume(-2)  # falsifies b
-        assert engine.slacks[0] == slack(c, engine.position) == 1
+        assert engine.slacks[0] == slack(c, set(engine.trail)) == 1
 
     def test_assign_unrelated_literal_changes_nothing(self):
-        engine = engine_with(con("a b >= 1"))
+        engine = engine_with(con("a b >= 1"), nvars=var("z"))
         before = list(engine.slacks)
         engine.assume(lit("z"))
         assert engine.slacks == before
@@ -47,6 +48,33 @@ class TestAssign:
             engine.assign(1, None)
         with pytest.raises(ValueError):
             engine.assign(-1, None)
+
+
+class TestRangeGuard:
+    """The literal-indexed list has one slot per literal of +-1..+-n: a variable
+    outside 1..n would land in another literal's slot, so it is rejected."""
+
+    def test_assign_rejects_variable_outside_range(self):
+        engine = engine_with(con("a b c >= 1"))
+        assert engine.nvars == 3 and len(engine.index) == 7
+        # Unguarded, index[-4] is index[3]: assigning ~x4 would make x3 true.
+        for outside in (-4, 4, 0, 7, -7, -8):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                engine.assign(outside, None)
+        assert engine.trail == [] and engine.index == [None] * 7 and engine.slacks == [2]
+        engine.assign(-3, None)
+        assert value(engine, -3) is True and engine.index[-3] == 0
+
+    def test_add_constraint_rejects_variable_outside_range(self):
+        engine = engine_with(con("a b c >= 1"))
+        engine.assign(-3, None)
+        with pytest.raises(ValueError, match="x4 is outside 1..3"):
+            engine.add_constraint(con("a 2~d >= 1"))
+        assert len(engine.constraints) == len(engine.slacks) == len(engine.max_weights) == 1
+        assert all(cid == 0 for entries in engine.occs.values() for cid, _ in entries)
+        # In range, the same row prices its own slack off the list: c is false.
+        cid = engine.add_constraint(con("a 2c >= 1"))
+        assert engine.slacks[cid] == 0
 
 
 class TestPropagation:
@@ -80,7 +108,7 @@ class TestPropagation:
         rng = random.Random(5)
         for trial in range(30):
             inst = random_instance(6, 6, 5, trial)
-            engine = engine_with(*inst.constraints)
+            engine = engine_with(*inst.constraints, nvars=inst.nvars)
             conflict = engine.propagate_all()
             if conflict is not None:
                 continue
@@ -95,14 +123,14 @@ class TestPropagation:
                 for cid, c in enumerate(engine.constraints):
                     assert all(
                         value(engine, l) is True
-                        for l in propagation_candidates(c, engine.position)
+                        for l in propagation_candidates(c, set(engine.trail))
                     )
 
 
 class TestBackjump:
     def test_backjump_restores_slacks(self):
         inst = random_instance(8, 10, 6, 17)
-        engine = engine_with(*inst.constraints)
+        engine = engine_with(*inst.constraints, nvars=inst.nvars)
         engine.propagate_all()
         rng = random.Random(3)
         for v in (1, 2, 3, 4):
@@ -136,7 +164,7 @@ class TestBackjump:
         backjumps = 0
         for trial in range(25):
             inst = random_instance(7, 8, 5, 100 + trial)
-            engine = engine_with(*inst.constraints)
+            engine = engine_with(*inst.constraints, nvars=inst.nvars)
             # A root assignment made directly, as the staged assertion tests do.
             root = rng.choice((1, -1)) * rng.randint(1, 7)
             engine.assign(root, None)
@@ -157,8 +185,13 @@ class TestBackjump:
                     engine.assume(v if rng.random() < 0.5 else -v)
                     engine.propagate_all()
                 assert verify_slacks(engine)
-                # One record of the assignment: each true literal -> its trail index.
-                assert engine.position == {lit: i for i, lit in enumerate(engine.trail)}
+                # One record of the assignment: each true literal -> its trail
+                # index, every other literal of +-1..+-n -> None.
+                at = {lit: i for i, lit in enumerate(engine.trail)}
+                n = engine.nvars
+                assert n == 7 and len(engine.index) == 2 * n + 1
+                for l in [*range(1, n + 1), *range(-n, 0)]:
+                    assert engine.index[l] == at.get(l)
                 # The trail is three parallel lists whose levels never decrease,
                 # and each open level starts at its decision.
                 assert len(engine.trail) == len(engine.levels) == len(engine.reasons)
@@ -171,7 +204,7 @@ class TestBackjump:
         assert backjumps > 30
 
     def test_learned_constraint_propagates_after_backjump(self):
-        engine = engine_with(con("a b >= 1"))
+        engine = engine_with(con("a b >= 1"), nvars=var("c"))
         engine.assume(-1)
         engine.propagate_all()
         engine.assume(-3)
@@ -277,11 +310,11 @@ class TestRemoveConstraints:
         rng = random.Random(4)
         for trial in range(20):
             inst = random_instance(8, 12, 6, 300 + trial)
-            compacted = engine_with(*inst.constraints)
+            compacted = engine_with(*inst.constraints, nvars=inst.nvars)
             dropped = rng.sample(range(len(inst.constraints)), 4)
             compacted.remove_constraints(dropped)
             # Skipping the removed constraints is the same as never adding them.
-            lazy = engine_with(*(c for i, c in enumerate(inst.constraints) if i not in dropped))
+            lazy = engine_with(*(c for i, c in enumerate(inst.constraints) if i not in dropped), nvars=inst.nvars)
             for _ in range(6):
                 results = [compacted.propagate_all(), lazy.propagate_all()]
                 conflicts = [e.constraints[r] if r is not None else None for e, r in zip((compacted, lazy), results)]
@@ -313,12 +346,13 @@ class TestPropagationMatchesReference:
         nvars = 20
         for seed in range(20):
             rows = balanced_instance(nvars, 60, random.Random(seed)).constraints
-            engine, reference = engine_with(*rows), engine_with(*rows)
+            engine, reference = engine_with(*rows, nvars=nvars), engine_with(*rows, nvars=nvars)
             learned: list[int] = []
             for _ in range(150):
                 found = engine.propagate_all()
                 assert found == reference_propagate_all(reference)
-                for field in ("trail", "levels", "reasons", "position", "slacks", "propagations"):
+                # ``index`` whole: every literal's slot, true or not.
+                for field in ("trail", "levels", "reasons", "index", "slacks", "propagations"):
                     assert getattr(engine, field) == getattr(reference, field), field
                 for cid, c in enumerate(engine.constraints):
                     if c is not None:
@@ -331,7 +365,7 @@ class TestPropagationMatchesReference:
                     assert engine.backjump_to(target) == reference.backjump_to(target)
                     continue
                 op = rng.random()
-                free = [v for v in range(1, nvars + 1) if v not in engine.position and -v not in engine.position]
+                free = [v for v in range(1, nvars + 1) if value(engine, v) is None]
                 if op < 0.2 and engine.current_level > 0:
                     target = rng.randrange(engine.current_level)
                     assert engine.backjump_to(target) == reference.backjump_to(target)
@@ -339,7 +373,7 @@ class TestPropagationMatchesReference:
                     # A learned row, attached with its slack given as the
                     # solver gives it, and priced from scratch in the reference.
                     row = self.random_row(rng, nvars)
-                    learned.append(engine.add_constraint(row, slack(row, engine.position)))
+                    learned.append(engine.add_constraint(row, slack(row, set(engine.trail))))
                     assert reference.add_constraint(row) == learned[-1]
                 elif op < 0.45 and learned:
                     reasons = set(engine.reasons)

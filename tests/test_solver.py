@@ -334,7 +334,7 @@ class TestAnalyzeConflict:
                 assert engine.current_level == level
                 conflict = engine.propagate_all()
                 if conflict is None:
-                    assert propagation_candidates(learned, engine.position) == ()
+                    assert propagation_candidates(learned, set(engine.trail)) == ()
                 rounds += 1
         assert rounds >= 10
 
@@ -661,7 +661,7 @@ class TestHeuristics:
         solver.bump_variables([3])
         assert solver.decide_literal() == -3
         before = solver.decide_literal()
-        for v in solver._activity:
+        for v in range(1, solver.nvars + 1):
             solver._activity[v] *= 1e-30
         assert solver.decide_literal() == before
 
@@ -744,7 +744,7 @@ class TestHeuristics:
                         assert solver.decide_literal() == single.decide_literal()
                     compared += 1
                     rescaled += solver._var_inc < var_inc
-                assert solver._ceiling >= max(solver._activity.values())
+                assert solver._ceiling >= max(solver._activity[1:])
         assert compared > 400 and rescaled > 100
 
     def test_heap_decision_matches_linear_scan(self):
