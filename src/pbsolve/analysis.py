@@ -283,9 +283,12 @@ def weaken_ineffective(side: Accumulator, keep: int | None, rho) -> int:
     A ``keep`` literal that is None or falsified preserves a conflict (slack
     stays negative); a non-falsified one preserves its propagation (its
     weight stays above the slack).  Every literal but ``keep`` whose weight
-    is below the degree is weakened, non-falsified ones first, and the side
-    saturated.  No trial is priced: weakening a non-falsified literal and
-    saturating never raises the slack, and once none is left the slack is
+    is below the degree is weakened, non-falsified ones first, and then, if
+    any was, the side is saturated once: a weight that saturation caps is
+    never below the degree, so capping along the way would weaken the same
+    literals to the same weights.  No trial is priced: weakening a
+    non-falsified literal and saturating never raises the slack, and once
+    none is left the slack is
     the kept literal's weight (0 in conflict mode) minus the degree, as
     weakening a falsified literal keeps it; that slack is returned.  The
     slack under ``rho`` at the start, read off the sorted pass, must
@@ -304,10 +307,13 @@ def weaken_ineffective(side: Accumulator, keep: int | None, rho) -> int:
             raise ValueError("preserve-conflict mode requires a conflicting constraint")
     elif not 0 <= start < kept:
         raise ValueError("preserve-propagation mode requires the kept literal to be propagated")
+    weakened = False
     for _, _, _, lit in order:
         if side.weights[lit] < side.degree:
             side.weaken(lit)
-            side.saturate()
+            weakened = True
+    if weakened:
+        side.saturate()
     return (side.weights[keep] if propagated else 0) - side.degree
 
 

@@ -116,9 +116,14 @@ class PropagationEngine:
             slacks[cid] -= w
 
     def assume(self, lit: int) -> None:
-        """Open a new decision level and assign the literal as its decision."""
+        """Open a new decision level and assign the literal as its decision; one that
+        :meth:`assign` rejects opens no level."""
         self.level_starts.append(len(self.trail))
-        self.assign(lit, None)
+        try:
+            self.assign(lit, None)
+        except ValueError:
+            self.level_starts.pop()
+            raise
 
     def propagate_all(self) -> int | None:
         """Propagate to fixpoint; return the first conflicting constraint id.

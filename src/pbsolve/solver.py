@@ -107,7 +107,6 @@ class Solver:
         self._trace_ids: list[int | None] = []  # engine cid -> trace id, None untraced
         self._activity: list[float] = [0.0] * (self.nvars + 1)  # variable -> activity; slot 0 unused
         self._var_inc = 1.0
-        self._ceiling = 0.0  # an upper bound on every activity
         # Lazy max-heap of (-activity, var) over the decision candidates.
         # Every unassigned variable has an entry keyed by its current
         # activity; entries of assigned variables are dropped when they
@@ -210,44 +209,15 @@ class Solver:
         self.engine.assume(lit)
 
     def bump_variables(self, variables) -> None:
-        """Raise the activity of each variable by the bump increment.
-
-        ``_ceiling`` bounds every activity from above.  While the bumps
-        cannot take it past 1e100 no rescale can happen, so the variables
-        are bumped in the order given and the bound rises by the most they
-        can add, rounded up.  Otherwise they are bumped in turn, in
-        ascending order: a bump that takes an activity past 1e100 scales
-        every activity and the increment by 1e-100 and rebuilds the
-        decision heap, and the bound is made exact at the end.  Any other
-        bump of an unassigned variable pushes a heap entry under its new
-        activity.
-        """
+        """Raise each variable's activity by the increment, in the order given, and push each
+        unassigned one under its new activity; :meth:`_decay_activities` does every rescale."""
         activity = self._activity
         index = self.engine.index
         inc = self._var_inc
-        n = len(variables)
-        # A variable given m times rounds up by at most one part in 2**53 per
-        # addition; n + 2 parts in 2**52 cover that and the bound's own roundings.
-        ceiling = (self._ceiling + inc * n) * (1 + (n + 2) * 2**-52)
-        if ceiling <= 1e100:
-            for v in variables:
-                activity[v] += inc
-                if index[v] is None and index[-v] is None:
-                    self._push(v)
-            # After the loop: a heap rebuild inside it makes the bound exact too early.
-            self._ceiling = ceiling
-            return
-        for v in sorted(variables):
-            a = activity[v] + inc
-            activity[v] = a
-            if a > 1e100:
-                activity[:] = [u * 1e-100 for u in activity]
-                inc *= 1e-100
-                self._var_inc = inc
-                self._rebuild_heap()
-            elif index[v] is None and index[-v] is None:
+        for v in variables:
+            activity[v] += inc
+            if index[v] is None and index[-v] is None:
                 self._push(v)
-        self._ceiling = max(activity)
 
     def _push(self, v: int) -> None:
         heapq.heappush(self._heap, (-self._activity[v], v))
@@ -255,25 +225,32 @@ class Solver:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        """Rebuild the decision heap from the activities, and make ``_ceiling`` exact."""
+        """Rebuild the decision heap from the activities of the unassigned variables."""
         activity, index = self._activity, self.engine.index
         self._heap = [
             (-activity[v], v) for v in range(1, self.nvars + 1) if index[v] is None and index[-v] is None
         ]
         heapq.heapify(self._heap)
-        self._ceiling = max(activity)
 
     def _decay_activities(self) -> None:
+        """Grow both increments.  Past 1e100, scale the variable activities and increment by 1e-100 and
+        rebuild the heap; past 1e20, the learned ones by 1e-20.  An activity stays a bounded multiple
+        of its bound between two rescales, so none overflows."""
         self._var_inc /= VAR_DECAY
+        if self._var_inc > 1e100:
+            self._activity[:] = [a * 1e-100 for a in self._activity]
+            self._var_inc *= 1e-100
+            self._rebuild_heap()
         self._cla_inc /= 0.999
+        if self._cla_inc > 1e20:
+            activity = self._cla_activity
+            for cid in activity:
+                activity[cid] *= 1e-20
+            self._cla_inc *= 1e-20
 
     def _bump_constraint(self, cid: int) -> None:
         if cid in self._cla_activity:
             self._cla_activity[cid] += self._cla_inc
-            if self._cla_activity[cid] > 1e20:
-                for other in self._cla_activity:
-                    self._cla_activity[other] *= 1e-20
-                self._cla_inc *= 1e-20
 
     def _restart_due(self) -> bool:
         limit = RESTART_BASE * luby(self.stats.restarts + 1)

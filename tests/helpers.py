@@ -219,16 +219,10 @@ def linear_decide_literal(solver) -> int:
 
 
 def bump_one_at_a_time(solver, variables) -> None:
-    """Bump each variable's activity with a separate update, rescaling past 1e100."""
+    """Bump each variable's activity with a separate update, pushing each unassigned one."""
     for v in variables:
-        a = solver._activity[v] + solver._var_inc
-        solver._activity[v] = a
-        if a > 1e100:
-            for u in range(len(solver._activity)):
-                solver._activity[u] *= 1e-100
-            solver._var_inc *= 1e-100
-            solver._rebuild_heap()
-        elif value(solver.engine, v) is None:
+        solver._activity[v] += solver._var_inc
+        if value(solver.engine, v) is None:
             solver._push(v)
 
 

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbsolve.analysis import (
     STRATEGIES,
@@ -205,6 +206,59 @@ class TestReducePartialRs:
             assert implies_semantically([c], partial)
 
 
+@st.composite
+def rounding_setups(draw, max_vars=7):
+    """(conflict, reason, pivot, rho) as a resolve step meets them.
+
+    ``rho`` holds the pivot and leaves some variables free; the reason
+    propagates the pivot (its slack under ``rho`` is at least 0 and below the
+    pivot's weight) and the conflict holds ``-pivot`` and conflicts (its slack
+    under ``rho`` is negative).  Neither side need be saturated.
+    """
+    n = draw(st.integers(2, max_vars))
+    pivot = draw(st.sampled_from((1, -1)))
+    rho = {pivot}
+    for v in range(2, n + 1):
+        choice = draw(st.sampled_from((v, -v, 0)))
+        if choice:
+            rho.add(choice)
+
+    def side(own, own_weight, slacks):
+        terms = {own: own_weight}
+        for v in draw(st.sets(st.integers(2, n))):
+            terms[draw(st.sampled_from((v, -v)))] = draw(st.integers(1, 12))
+        free = sum(w for lit, w in terms.items() if -lit not in rho)
+        return Constraint(terms.items(), free - draw(slacks))
+
+    conflict = side(-pivot, draw(st.integers(1, 12)), st.integers(-20, -1))
+    rw = draw(st.integers(1, 12))
+    reason = side(pivot, rw, st.integers(0, rw - 1))
+    return conflict, reason, pivot, rho
+
+
+class TestRoundedConflictSide:
+    """What gen-res's guard needs after a conflict-side rounding (ROADMAP item 14)."""
+
+    @given(rounding_setups(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_rounding_floors_the_slack_and_the_guard_holds_at_once(self, setup, partial):
+        # Rounding leaves the conflict's pivot weight 1 and its slack s // r,
+        # in full and in partial mode.  With the pivot weight 1 the guard is
+        # w_r * s_c + s_r < 0, and 0 <= s_r < w_r after saturation, so any
+        # negative s_c passes it before a weakening: the stale slack from
+        # before the rounding as well as the exact one.
+        conflict, reason, pivot, rho = setup
+        stale = slack(conflict, rho)
+        rounded = on_accumulator(reduce_rs, conflict, -pivot, rho, partial=partial)
+        exact = slack(rounded, rho)
+        assert weight(rounded, -pivot) == 1
+        assert exact == stale // weight(conflict, -pivot)
+        for conflict_slack in (stale, exact):
+            side = Accumulator(reason)
+            reduce_genres(side, pivot, rho, 1, conflict_slack)
+            assert side.constraint() == saturate(reason)
+
+
 class TestWeakenIneffective:
     def test_reason_reduction_keeps_propagation(self):
         rho = asg(a=0, c=0, f=0)
@@ -229,6 +283,15 @@ class TestWeakenIneffective:
         left = weaken_ineffective(side, None, rho)
         assert side.constraint() == con("c f >= 1")
         assert left == slack(side, rho) == -1
+
+    def test_one_weakening_run_then_one_saturation(self):
+        # Saturating once after the loop gives what saturating after each
+        # weakening gave, written as one weaken step and one saturate step.
+        trace = DerivationTrace(1)
+        side = Accumulator(con("3f c d e >= 3"), trace, 1)
+        weaken_ineffective(side, None, asg(a=0, c=0, f=0, b=0))
+        assert side.constraint() == con("c f >= 1")
+        assert trace.steps == [("weaken", (1, lit("d"), lit("e"))), ("saturate", (2,))]
 
     def test_minimal_clause_unchanged(self):
         rho = asg(a=0, b=0)

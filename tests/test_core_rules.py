@@ -249,7 +249,7 @@ class TestWeakenSaturateDivide:
         assert saturate(con("2c d e >= 1")) == con("c d e >= 1")
         assert saturate(con("5a 5b c 2d >= 3")) == con("3a 3b c 2d >= 3")
 
-    def test_divide_uses_ceiling(self):
+    def test_divide_rounds_up(self):
         assert divide(con("4b c d >= 1"), 4) == con("b c d >= 1")
         assert divide(con("6~b 6c 4e >= 4"), 6) == con("~b c e >= 1")
 

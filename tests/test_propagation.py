@@ -49,6 +49,17 @@ class TestAssign:
         with pytest.raises(ValueError):
             engine.assign(-1, None)
 
+    def test_rejected_decision_opens_no_level(self):
+        engine = PropagationEngine(3)
+        engine.assume(1)
+        for rejected in (-1, 5):  # already assigned, outside 1..3
+            with pytest.raises(ValueError):
+                engine.assume(rejected)
+        assert engine.current_level == 1 and engine.level_starts == [0] and engine.trail == [1]
+        engine.assume(2)
+        assert engine.levels == [1, 2] and engine.level_starts == [0, 1]
+        assert engine.backjump_to(1) == [2] and engine.trail == [1]
+
 
 class TestRangeGuard:
     """The literal-indexed list has one slot per literal of +-1..+-n: a variable

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import io
+import math
 import random
 import time
 
@@ -676,9 +677,9 @@ class TestHeuristics:
                 decision = v if rng.random() < 0.5 else -v
                 batch.engine.assume(decision)
                 single.engine.assume(decision)
-            # Activities near 1e100 and a large increment make the rescale
-            # happen in the middle of the list.
-            var_inc = rng.choice((1.0, 0.7, 3e99, 6e99))
+            # Activities near 1e100 and an increment just below its bound
+            # make the decay after the bump rescale.
+            var_inc = rng.choice((1.0, 0.7, 9.6e99, 9.9e99))
             for solver in (batch, single):
                 solver._var_inc = var_inc
             for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
@@ -690,17 +691,23 @@ class TestHeuristics:
             batch.bump_variables(variables)
             bump_one_at_a_time(single, variables)
             assert batch._activity == single._activity
+            assert batch._heap == single._heap
+            bumped = batch._activity[:]
+            batch._decay_activities()
+            single._decay_activities()
+            scale = 1e-100 if batch._var_inc < var_inc else 1.0
+            assert batch._activity == single._activity == [a * scale for a in bumped]
             assert batch._var_inc == single._var_inc
             assert batch._heap == single._heap
             if len(batch.engine.trail) < n:
-                assert batch.decide_literal() == single.decide_literal()
-            rescaled += batch._var_inc < var_inc
+                assert batch.decide_literal() == single.decide_literal() == linear_decide_literal(batch)
+            rescaled += scale < 1
         assert rescaled > 20
 
-    def test_activity_ceiling_bounds_every_activity(self):
+    def test_set_bumps_and_rescales_match_single_bumps(self):
         # Bumps of lists, sets and a repeated variable, with decays,
-        # rescales, backjumps and rebuilds, never lift an activity above
-        # ``_ceiling``.  A set bumped near 1e100 gives the same activities,
+        # rescales, backjumps and rebuilds, keep every activity finite.  A
+        # set bumped near 1e100, then decayed, gives the same activities,
         # increment and decision as single bumps over its sorted list.
         rng = random.Random(17)
         n = 12
@@ -726,25 +733,28 @@ class TestHeuristics:
                 elif op < 0.8:
                     solver._rebuild_heap()
                 elif op < 0.9:
-                    # Forces the 1e-100 rescale on this bump.
-                    solver._var_inc = 2e100
+                    # Forces the 1e-100 rescale on the decay after this bump.
+                    solver._var_inc = 9.9e99
                     solver.bump_variables([rng.randint(1, n)])
+                    solver._decay_activities()
                 else:
                     for v in rng.sample(range(1, n + 1), rng.randint(1, 3)):
                         solver._activity[v] = rng.uniform(9e99, 1e100)
                     solver._rebuild_heap()
-                    var_inc = solver._var_inc = rng.choice((1.0, 1e98, 3e99, 6e99))
+                    var_inc = solver._var_inc = rng.choice((1.0, 1e98, 9.6e99, 9.9e99))
                     single = copy.deepcopy(solver)
                     variables = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
                     solver.bump_variables(variables)
                     bump_one_at_a_time(single, sorted(variables))
+                    solver._decay_activities()
+                    single._decay_activities()
                     assert solver._activity == single._activity
                     assert solver._var_inc == single._var_inc
                     if len(engine.trail) < n:
                         assert solver.decide_literal() == single.decide_literal()
                     compared += 1
                     rescaled += solver._var_inc < var_inc
-                assert solver._ceiling >= max(solver._activity[1:])
+                assert all(map(math.isfinite, solver._activity))
         assert compared > 400 and rescaled > 100
 
     def test_heap_decision_matches_linear_scan(self):
@@ -769,9 +779,10 @@ class TestHeuristics:
                 elif op < 0.9 and engine.current_level > 0:
                     solver._record_phases(engine.backjump_to(rng.randrange(engine.current_level)))
                 elif op >= 0.9:
-                    # Forces the 1e-100 rescale on this bump.
-                    solver._var_inc = 2e100
+                    # Forces the 1e-100 rescale on the decay after this bump.
+                    solver._var_inc = 9.9e99
                     solver.bump_variables([rng.randint(1, n)])
+                    solver._decay_activities()
                 if len(engine.trail) < n:
                     assert solver.decide_literal() == linear_decide_literal(solver)
 
@@ -830,9 +841,10 @@ class TestHeuristics:
             assert verify_slacks(engine)
 
     def test_activity_rescale_keeps_what_reduce_db_drops(self):
-        # A bump that lifts a learned activity past 1e20 scales every learned
-        # activity and the increment by 1e-20.  A twin solver in the same
-        # state takes the same bump unscaled; reduce_db drops the same ids.
+        # A decay that lifts the learned increment past 1e20 scales every
+        # learned activity and the increment by 1e-20.  A twin solver in the
+        # same state takes the same bump and decay unscaled; reduce_db drops
+        # the same ids.
         instance = balanced_instance(30, 126, random.Random(3))
         config = SolverConfig(strategy="rs-both", conflict_budget=60)
         solver, twin = Solver(instance, config), Solver(instance, config)
@@ -840,17 +852,45 @@ class TestHeuristics:
         activity = solver._cla_activity
         assert activity == twin._cla_activity and len(activity) >= 20
         bumped = min(activity, key=activity.get)
-        solver._cla_inc = twin._cla_inc = 2e20
+        solver._cla_inc = twin._cla_inc = 9.995e19
         twin._cla_activity[bumped] += twin._cla_inc
+        twin._cla_inc /= 0.999
         solver._bump_constraint(bumped)
+        solver._decay_activities()
+        assert twin._cla_inc > 1e20
         assert activity == {cid: a * 1e-20 for cid, a in twin._cla_activity.items()}
-        assert solver._cla_inc == 2e20 * 1e-20
+        assert solver._cla_inc == twin._cla_inc * 1e-20
         solver.reduce_db()
         twin.reduce_db()
         assert activity.keys() == twin._cla_activity.keys() and bumped in activity
         dropped = [cid for cid, c in enumerate(solver.engine.constraints) if c is None]
         assert dropped == [cid for cid, c in enumerate(twin.engine.constraints) if c is None]
         assert len(dropped) >= 10
+
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_search_goes_on_past_both_rescales(self, strategy):
+        # Increments just below their bounds make the first conflict's decay
+        # rescale the variable and the learned activities; the search then
+        # runs on under the scaled ones to a checked answer.
+        rng = random.Random(5)
+        instances = [php_instance(7, 6)] + [balanced_instance(30, 120, rng) for _ in range(2)]
+        statuses = set()
+        for instance in instances:
+            solver = Solver(instance, SolverConfig(strategy=strategy, emit_trace=True))
+            solver._var_inc, solver._cla_inc = 9.9e99, 9.995e19
+            result = solver.solve()
+            assert result.stats.conflicts > 1
+            assert solver._var_inc < 1e99 and solver._cla_inc < 1e19
+            assert all(map(math.isfinite, solver._activity))
+            assert all(map(math.isfinite, solver._cla_activity.values()))
+            if result.status == UNSAT:
+                check = verify_trace(instance, result.trace)
+                assert check, check.error
+            else:
+                assert result.status == SAT
+                assert all(c.satisfied_by(result.model) for c in instance.constraints)
+            statuses.add(result.status)
+        assert statuses == {SAT, UNSAT}
 
     def test_restart_resets_to_root(self, monkeypatch):
         monkeypatch.setattr(pbsolve.solver, "RESTART_BASE", 10)
@@ -881,8 +921,8 @@ TRACE_DIGESTS = {
     ("php-6-5", "partial-rs-conflict"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
     ("php-6-5", "partial-rs-reason"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
     ("php-6-5", "weaken-ineffective-both"): ("UNSAT", 110, 141, 1160, 109, "d19bc2439e76900178800066c585c48c425dbc683d80d3db97486857c9b58fd5"),
-    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "4f919a71b83c1f655f19adb92966df9b28ad501f3c4c55273d98bdbba44bb218"),
-    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "234017df76e3fcaa4f6088824e8831e075394217d65d7ef4854a9448ef7f7437"),
+    ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "bac40b55b0b6e61bffbaa683a2a26974b04e57241b0ff5c6caeffb3bcea49c14"),
+    ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "8a84bbadcd05a794649b93ce0b49207f68ea6c6f8a3e058d48997538203dbf30"),
     ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "96c1f078f27d2cd263f06864295343130daef81919a59e6657686fcc1895cbf5"),
     ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "45fdd513146d5fbc3d1e1bb107cf110426c9c89fefccc8f6eb48713ae6725c37"),
     ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "d446d61ca09e2b75f2299c25c6075cda9790f1ceca41fa98a7e66ffb4b95cc70"),
@@ -891,9 +931,9 @@ TRACE_DIGESTS = {
     ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "5021eab78ffecbac15cde670f428414bed3f92263fb185d35f1683782fd5514f"),
     ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "fab59ec4141a954e720cb97d1140d9385505779fe8e42ac76edd587bff9a1b0a"),
     ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "e39a574beaa98301318953e9f424cb07c36d88e6f223c7cf6e43cee8681b3a4a"),
-    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "45c557b2abbce400e10bf0f1fff157ef61097f655d2bb8824e7b6c4078acecac"),
-    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "35a41687d65b80147279b71d34421b1b313b0b61497370356285d37ce1db6c58"),
-    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "06d16bb7b31c30085331f25a27bd4bd8294afcf9c2b6be4c3bd1808b025cdc73"),
+    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "b0efc64f70f013451e46637ca8dfa74cd0278d7c7935c21adce2f883a0def891"),
+    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "70d3df14ef749e33e023d241a484ea974dda272413f86c43e99b97279d602163"),
+    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "fb031199f36ebeea87af1bb27aeee73358a842831c357ecd38e76ea9e608ef38"),
     ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "95c0e052debffe32a59e33b24858ebdd6e1ad0b627e7448fbc098b4ed00e1a13"),
     ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "990899f0b563825dc7c7f74f38256885d59207620134811b36d7a3bd6032a0ee"),
     ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "f26a6db44edca22a0a1297b7814302140e4cee9fb508c4f6399cb7f4b46f81fb"),
@@ -902,9 +942,9 @@ TRACE_DIGESTS = {
     ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "6d8c1ef18ea8feda674966840442cefa25a9772f4cb04c345543e1de1bd56653"),
     ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "4f10a22bc144568222eb752940d6fb41fd11e87c398b0677b61c5f41da574705"),
     ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "f7767308fbce53b6da53b7c74371484f61cb5f7f97f0b677297b80b262d8a59a"),
-    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "f334789a75f4553ff40dfbab8032ccda15ed764dc6f1666ea070363664df0c49"),
-    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "82a42c959b60abdc18a9fc7d4a19a600cb6f1abd066499d272e633e9a8ab018d"),
-    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "24ca2fc652443bef03044f40524997f61142981f3996cc1566e1b073ca82b4e7"),
+    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "0d9f628f299c87c116859988d65cc05b4f1006f8f6ff68e66632257eafc67b97"),
+    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "60a4e2133a49a0fc08a8efe0b243b7316ebe381f33f2ff3f88f13c6f93e1a53c"),
+    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "8d6ca9dc560b7963ac95730139c4731d1c61e8d5e0399b93eca8525b35228adf"),
     ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "b5a60830e4a6d458697bcfefbeb719381a3b6f51d2d0e91711d50ad2942c8083"),
     ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "7714251b98aa19c51f20da76bdd66bf246c702a1e186c738df11ff712ecc767d"),
     ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "19c7fc8de437617ae29488cd902ab399d66dd6b062908251966cffbb6a4ef7cf"),
@@ -913,9 +953,9 @@ TRACE_DIGESTS = {
     ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "38f0f6a9f34947e6131344ed3cf84a16364ed3aa54f19c9dedf6692cb97220dc"),
     ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "bc078f963c26180cc656d7f26f351df92e27adbf287144053dad3be7cf986dca"),
     ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "b6c0f1da9bb4223619dd45a6f60d1d6c361cfc820953d970da0dbdbccd95716d"),
-    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "dcafc7e9dcfd168066b5460782b1863c7a425504699e5c121898fadde2ea3916"),
-    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "9b53aaec500dec8cef9c67403a9d0b1e021867dda69abc93b37759231b1140dd"),
-    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "5dfbf33fe5f2252bcc15f029cc961fb3c61c954d63bddbd66dd2043bf470b8ad"),
+    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "679bf1aa9c23a18e1a8418a3b7c9b2fd16f39d849c186ce5cbcd5c4a6b3dce30"),
+    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "ff08ca9c89b1a1e9f4451832fc02523edb37cfa3bf096c37dc1b011f9629f3d0"),
+    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "53f671a93cf93da6955efb1f686b703ee2e9cf15b54c1342e70c1d634ff7a71d"),
     ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "4307930417841d0b60c9bce2ac73cc1afee04d574c9f954b1e67f467b2473ebc"),
 }
 
