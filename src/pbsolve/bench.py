@@ -102,12 +102,15 @@ def run_matrix(
 
     Rows come back in matrix order.  The settings are checked once, by
     building each strategy's :class:`SolverConfig`, before any worker starts;
-    a bad one raises ValueError.  Only then is ``trace_dir`` created.
+    a bad one raises ValueError, as does a strategy given twice (its runs would
+    share a trace path).  Only then is ``trace_dir`` created.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for strategy in strategies:
+    for i, strategy in enumerate(strategies):
         SolverConfig(strategy=strategy, time_budget=timeout)
+        if strategy in strategies[:i]:
+            raise ValueError(f"strategy {strategy} is given more than once")
     if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
     tasks = []

@@ -2,9 +2,11 @@
 
 The trail is three parallel lists: the assigned literals, their levels and
 their reasons, the id of the propagating constraint or None for a decision.
-``index``, the one record of the assignment, is a list indexed by the signed
-literal (2n + 1 slots for n variables, negative indexing giving ``-v`` its
-own): a true literal's trail index, None for any other.  :meth:`assign` and
+The levels never decrease and each level starts with its decision, so a
+level's first entry is found by bisection.  ``index``, the one record of the
+assignment, is a list indexed by the signed literal (2n + 1 slots for n
+variables, negative indexing giving ``-v`` its own): a true literal's trail
+index, None for any other.  :meth:`assign` and
 :meth:`add_constraint` reject a variable outside 1..n, whose literals would
 alias other slots; reads through attached constraints trust them.  The engine
 keeps, for every attached constraint, its current slack under the assignment,
@@ -25,6 +27,7 @@ engine instance is strictly single-threaded.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 from .core import Constraint
@@ -41,15 +44,14 @@ class PropagationEngine:
         self.levels: list[int] = []  # trail index -> decision level
         self.reasons: list[int | None] = []  # trail index -> constraint id, None = decision
         self.index: list[int | None] = [None] * (2 * nvars + 1)  # lit -> trail index while true; read-only outside
-        self.level_starts: list[int] = []  # trail index of each open level's decision
         self._scanned = 0  # constraint ids below it have had their first scan
         self._qhead = 0  # trail entries below it have had their occurrences visited
         self.propagations = 0
 
     @property
     def current_level(self) -> int:
-        """The number of open decision levels."""
-        return len(self.level_starts)
+        """The number of open decision levels: the level of the last trail entry, 0 on an empty trail."""
+        return self.levels[-1] if self.levels else 0
 
     # -- database ---------------------------------------------------------
 
@@ -84,19 +86,14 @@ class PropagationEngine:
     def remove_constraints(self, cids: Iterable[int]) -> None:
         """Detach constraints and drop their entries from the occurrence lists.
 
-        Only the lists of the removed constraints' literals are rebuilt, and
-        the surviving entries keep their order, so propagation visits the
-        remaining constraints exactly as before.
+        Every list is filtered once; the surviving entries keep their order,
+        so propagation visits the remaining constraints exactly as before.
         """
-        constraints = self.constraints
-        touched: set[int] = set()
+        constraints, occs = self.constraints, self.occs
         for cid in cids:
-            c = constraints[cid]
-            if c is not None:
-                touched.update(lit for lit, _ in c.terms)
-                constraints[cid] = None
-        for lit in touched:
-            self.occs[lit] = [e for e in self.occs[lit] if constraints[e[0]] is not None]
+            constraints[cid] = None
+        for lit, entries in occs.items():
+            occs[lit] = [e for e in entries if constraints[e[0]] is not None]
 
     # -- trail operations ---------------------------------------------------
 
@@ -109,7 +106,7 @@ class PropagationEngine:
             raise ValueError(f"variable x{abs(lit)} is already assigned")
         index[lit] = len(self.trail)
         self.trail.append(lit)
-        self.levels.append(len(self.level_starts))
+        self.levels.append(self.current_level)
         self.reasons.append(reason)
         slacks = self.slacks
         for cid, w in self.occs.get(-lit, ()):
@@ -117,13 +114,9 @@ class PropagationEngine:
 
     def assume(self, lit: int) -> None:
         """Open a new decision level and assign the literal as its decision; one that
-        :meth:`assign` rejects opens no level."""
-        self.level_starts.append(len(self.trail))
-        try:
-            self.assign(lit, None)
-        except ValueError:
-            self.level_starts.pop()
-            raise
+        :meth:`assign` rejects appends nothing, so it opens no level."""
+        self.assign(lit, None)
+        self.levels[-1] += 1
 
     def propagate_all(self) -> int | None:
         """Propagate to fixpoint; return the first conflicting constraint id.
@@ -168,7 +161,7 @@ class PropagationEngine:
         """
         index, trail, slacks, occs = self.index, self.trail, self.slacks, self.occs
         levels, reasons = self.levels, self.reasons
-        level = len(self.level_starts)
+        level = levels[-1] if levels else 0
         for lit, w in c.terms:
             if w > s and index[lit] is None and index[-lit] is None:
                 index[lit] = len(trail)
@@ -185,13 +178,13 @@ class PropagationEngine:
             raise ValueError(
                 f"backjump level {level} is negative or not below the current level {self.current_level}"
             )
-        start = self.level_starts[level]
+        start = bisect_left(self.levels, level + 1)
         popped = self.trail[start:][::-1]
         index, slacks, occs = self.index, self.slacks, self.occs
         for lit in popped:
             index[lit] = None
             for cid, w in occs.get(-lit, ()):
                 slacks[cid] += w
-        del self.trail[start:], self.levels[start:], self.reasons[start:], self.level_starts[level:]
+        del self.trail[start:], self.levels[start:], self.reasons[start:]
         self._qhead = min(self._qhead, start)
         return popped

@@ -29,7 +29,7 @@ _HEAP_SLACK_FACTOR = 4
 #: Variable-activity decay: the bump increment is divided by it after every conflict.
 VAR_DECAY = 0.95
 
-#: Conflicts before the i-th restart: this many times the i-th Luby term.
+#: Conflicts before the i-th restart: at least this many times the i-th Luby term.
 RESTART_BASE = 100
 
 #: Learned constraints between two reductions of the learned database.
@@ -117,9 +117,8 @@ class Solver:
         self._phase: list[int] = [0] * (self.nvars + 1)  # variable -> last literal, 0 for none (-v would allocate)
         self._cla_activity: dict[int, float] = {}  # live learned cid -> activity
         self._cla_inc = 1.0
-        self._conflicts_since_restart = 0
+        self._restart_at = RESTART_BASE * luby(1)  # the conflict count at which the next restart is due
         self._deadline: float | None = None
-        self._learned_slack: int | None = None  # slack of the learned constraint after its backjump
         self._pairs: dict[int, tuple[int, int]] = {}  # lit -> last learned (lit, weight) term
         for cid, c in enumerate(instance.constraints):
             self.engine.add_constraint(c)
@@ -149,16 +148,15 @@ class Solver:
                 if self.stats.conflicts == self.config.conflict_budget:
                     return SolverResult(UNKNOWN)
                 self.stats.conflicts += 1
-                self._conflicts_since_restart += 1
                 analyzed = self.analyze_conflict(conflict)
                 if analyzed is None:
                     return SolverResult(UNKNOWN)
-                learned, trace_id, level = analyzed
+                learned, trace_id, level, slack = analyzed
                 if level is None:
                     if self.trace is not None:
                         self.trace.final = trace_id
                     return SolverResult(UNSAT)
-                self._backjump_and_learn(learned, trace_id, level)
+                self._backjump_and_learn(learned, trace_id, level, slack)
                 self._decay_activities()
                 if self._out_of_time():
                     return SolverResult(UNKNOWN)
@@ -170,9 +168,9 @@ class Solver:
                 continue
             if len(self.engine.trail) == self.nvars:
                 return SolverResult(SAT, model=self._checked_model())
-            if self._restart_due():
+            if self.stats.conflicts >= self._restart_at:
                 self.stats.restarts += 1
-                self._conflicts_since_restart = 0
+                self._restart_at = self.stats.conflicts + RESTART_BASE * luby(self.stats.restarts + 1)
                 if self.engine.current_level > 0:
                     self._record_phases(self.engine.backjump_to(0))
             if self._out_of_time():
@@ -211,17 +209,14 @@ class Solver:
     def bump_variables(self, variables) -> None:
         """Raise each variable's activity by the increment, in the order given, and push each
         unassigned one under its new activity; :meth:`_decay_activities` does every rescale."""
-        activity = self._activity
+        activity, heap = self._activity, self._heap
         index = self.engine.index
         inc = self._var_inc
         for v in variables:
             activity[v] += inc
             if index[v] is None and index[-v] is None:
-                self._push(v)
-
-    def _push(self, v: int) -> None:
-        heapq.heappush(self._heap, (-self._activity[v], v))
-        if len(self._heap) > _HEAP_SLACK_FACTOR * self.nvars + 16:
+                heapq.heappush(heap, (-activity[v], v))
+        if len(heap) > _HEAP_SLACK_FACTOR * self.nvars + 16:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
@@ -252,10 +247,6 @@ class Solver:
         if cid in self._cla_activity:
             self._cla_activity[cid] += self._cla_inc
 
-    def _restart_due(self) -> bool:
-        limit = RESTART_BASE * luby(self.stats.restarts + 1)
-        return self._conflicts_since_restart >= limit
-
     def _record_phases(self, popped: list[int]) -> None:
         """Save the unassigned literals as phases and make their variables candidates again."""
         phase, heap, activity = self._phase, self._heap, self._activity
@@ -271,10 +262,9 @@ class Solver:
     def analyze_conflict(self, conflict_cid: int):
         """Walk the trail backwards, cancelling until the constraint asserts.
 
-        Returns (constraint, trace id, backjump level), the trace id None
-        untraced; the level is None when the constraint conflicts at the
-        root.  With a level, the constraint's slack there is kept for
-        :meth:`_backjump_and_learn`.  Returns None when the time budget runs
+        Returns (constraint, trace id, backjump level, slack at that level),
+        the trace id None untraced; the level and slack are None when the
+        constraint conflicts at the root.  Returns None when the time budget runs
         out during the walk: the deadline, read once, is checked after every
         resolve step, and nothing is learned then.  The search decides only
         at a propagation fixpoint, so the conflicting constraint cannot
@@ -325,23 +315,21 @@ class Solver:
                 if deadline is not None and time.monotonic() > deadline:
                     return None
                 if level is not None:
-                    self._learned_slack = level_slack
-                    return cur.constraint(self._pairs), cur.id, level
+                    return cur.constraint(self._pairs), cur.id, level, level_slack
             rho.remove(pivot)
         # Only root-level assignments remain, and the constraint must
         # still be conflicting under them.
         if cur_slack >= 0:
             raise AnalysisError(f"root exit with slack {cur_slack}: propagation was incomplete")
-        return cur.constraint(self._pairs), cur.id, None
+        return cur.constraint(self._pairs), cur.id, None, None
 
     # -- learning ----------------------------------------------------------------
 
-    def _backjump_and_learn(self, learned: Constraint, trace_id: int | None, level: int) -> None:
-        """Backjump to ``level`` and store ``learned`` with the slack its analysis found
-        there, if any; it is always new: analysis resolves at least once."""
+    def _backjump_and_learn(self, learned: Constraint, trace_id: int | None, level: int, slack: int) -> None:
+        """Backjump to ``level`` and store ``learned`` with ``slack``, the slack its analysis
+        found there; it is always new: analysis resolves at least once."""
         self._record_phases(self.engine.backjump_to(level))
-        cid = self.engine.add_constraint(learned, self._learned_slack)
-        self._learned_slack = None
+        cid = self.engine.add_constraint(learned, slack)
         self._trace_ids.append(trace_id)
         self._cla_activity[cid] = self._cla_inc
         self.stats.learned += 1

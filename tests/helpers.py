@@ -45,6 +45,7 @@ last one recomputing every stored slack.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from bisect import bisect_left
 from math import lcm
@@ -219,11 +220,14 @@ def linear_decide_literal(solver) -> int:
 
 
 def bump_one_at_a_time(solver, variables) -> None:
-    """Bump each variable's activity with a separate update, pushing each unassigned one."""
+    """Bump each variable's activity with a separate update, pushing each unassigned one;
+    then rebuild the heap once if the pushes left it past its size bound."""
     for v in variables:
         solver._activity[v] += solver._var_inc
         if value(solver.engine, v) is None:
-            solver._push(v)
+            heapq.heappush(solver._heap, (-solver._activity[v], v))
+    if len(solver._heap) > pbsolve.solver._HEAP_SLACK_FACTOR * solver.nvars + 16:
+        solver._rebuild_heap()
 
 
 def sorted_then_validated(terms, degree: int) -> tuple[tuple[int, int], ...]:

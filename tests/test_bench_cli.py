@@ -66,13 +66,20 @@ class TestBenchMatrix:
 
     @pytest.mark.parametrize(
         "strategies, timeout, message",
-        [(["nope"], 10, "unknown strategy 'nope'"), (["gen-res"], -1, "time budget must be >= 0")],
-        ids=["unknown-strategy", "negative-timeout"],
+        [
+            (["nope"], 10, "unknown strategy 'nope'"),
+            (["gen-res"], -1, "time budget must be >= 0"),
+            # Its runs would share one trace path and count each instance twice as solved.
+            (["rs-both", "gen-res", "rs-both"], 30, "^strategy rs-both is given more than once$"),
+        ],
+        ids=["unknown-strategy", "negative-timeout", "repeated-strategy"],
     )
     def test_bad_settings_raise_before_any_run(self, tmp_path, strategies, timeout, message):
         # The path does not exist: a worker that ran would yield a crashed row.
+        traces = tmp_path / "traces"
         with pytest.raises(ValueError, match=message):
-            run_matrix([tmp_path / "absent.opb"], strategies, timeout)
+            run_matrix([tmp_path / "absent.opb"], strategies, timeout, trace_dir=traces)
+        assert not traces.exists()
 
     def test_trace_dir_is_created_after_the_settings_check(self, bench_dir, tmp_path):
         path = sorted(bench_dir.glob("*.opb"))[0]
@@ -413,18 +420,17 @@ class TestCli:
         [
             (["--timeout", "-1"], "time budget must be >= 0"),
             (["--strategies", "gen-res,nope"], "unknown strategy 'nope'"),
+            (["--strategies", "rs-both,gen-res,rs-both", "--jobs", "2"], "strategy rs-both is given more than once"),
         ],
-        ids=["negative-timeout", "unknown-strategy"],
+        ids=["negative-timeout", "unknown-strategy", "repeated-strategy"],
     )
     def test_bench_rejects_bad_settings(self, bench_dir, tmp_path, extra, message):
-        out = tmp_path / "rows.csv"
-        traces = tmp_path / "traces"
-        proc = run_cli("bench", bench_dir, *extra, "--trace-dir", traces, "--out", out)
+        proc = run_cli("bench", bench_dir, *extra, "--trace-dir", tmp_path / "traces", "--out", tmp_path / "rows.csv")
         assert proc.returncode == 1
-        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
-        assert not out.exists()
-        assert not traces.exists()
+        # No row, cactus or trace file, nor the trace directory, is written.
+        assert list(tmp_path.iterdir()) == [bench_dir]
 
     def test_bench_rejects_zero_jobs(self, bench_dir, tmp_path):
         proc = run_cli("bench", bench_dir, "--jobs", "0", "--out", tmp_path / "rows.csv")

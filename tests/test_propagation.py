@@ -55,9 +55,9 @@ class TestAssign:
         for rejected in (-1, 5):  # already assigned, outside 1..3
             with pytest.raises(ValueError):
                 engine.assume(rejected)
-        assert engine.current_level == 1 and engine.level_starts == [0] and engine.trail == [1]
+        assert engine.current_level == 1 and engine.trail == [1]
         engine.assume(2)
-        assert engine.levels == [1, 2] and engine.level_starts == [0, 1]
+        assert engine.levels == [1, 2]
         assert engine.backjump_to(1) == [2] and engine.trail == [1]
 
 
@@ -184,7 +184,7 @@ class TestBackjump:
                 if engine.current_level and rng.random() < 0.3:
                     target = rng.randrange(engine.current_level)
                     before = list(engine.trail)
-                    start = engine.level_starts[target]
+                    start = engine.levels.index(target + 1)
                     assert engine.backjump_to(target) == before[start:][::-1]  # last first
                     assert engine.trail == before[:start]
                     backjumps += 1
@@ -204,13 +204,16 @@ class TestBackjump:
                 for l in [*range(1, n + 1), *range(-n, 0)]:
                     assert engine.index[l] == at.get(l)
                 # The trail is three parallel lists whose levels never decrease,
-                # and each open level starts at its decision.
+                # and each open level starts at its decision, its only one.
                 assert len(engine.trail) == len(engine.levels) == len(engine.reasons)
                 assert engine.levels == sorted(engine.levels)
                 assert engine.trail[0] == root and engine.levels[0] == 0
-                assert len(engine.level_starts) == engine.current_level
-                for level, start in enumerate(engine.level_starts, 1):
-                    assert engine.levels[start] == level and engine.reasons[start] is None
+                assert engine.current_level == engine.levels[-1]
+                decisions = sum(r is None and l > 0 for l, r in zip(engine.levels, engine.reasons))
+                assert decisions == engine.current_level
+                for level in range(1, engine.current_level + 1):
+                    start = engine.levels.index(level)
+                    assert engine.reasons[start] is None
                     assert engine.levels[start - 1] == level - 1
         assert backjumps > 30
 
@@ -316,6 +319,16 @@ class TestRemoveConstraints:
         assert a[0] is b[0] is c[0] == (0, 1)
         assert a[1] is c[1] == (2, 2)
         assert b[1] is c[2] is d[1] == (3, 1)
+
+    def test_removing_an_id_twice_is_removing_it_once(self):
+        rows = [con("a b c >= 1"), con("~a b >= 1"), con("a 2c d >= 2"), con("b ~c >= 1")]
+        once, twice = engine_with(*rows), engine_with(*rows)
+        once.remove_constraints([2])
+        twice.remove_constraints([2, 2])
+        twice.remove_constraints([2])
+        assert twice.constraints == once.constraints
+        assert twice.occs == once.occs
+        assert once.occs[lit("d")] == [] and once.occs[lit("a")] == [(0, 1)]
 
     def test_search_after_removal_matches_lazy_skipping(self):
         rng = random.Random(4)

@@ -225,14 +225,14 @@ class TestAnalyzeConflict:
         solver = scenario_solver("gen-res")
         conflict = solver.engine.propagate_all()
         assert conflict == 1
-        learned, _, level = solver.analyze_conflict(conflict)
+        learned, _, level, _ = solver.analyze_conflict(conflict)
         assert learned == con("25a 25c 16e 5d 4f >= 30")
         assert level == 3
 
     def test_rs_both_learns_clause(self):
         solver = scenario_solver("rs-both")
         conflict = solver.engine.propagate_all()
-        learned, _, level = solver.analyze_conflict(conflict)
+        learned, _, level, _ = solver.analyze_conflict(conflict)
         assert learned == con("c d e >= 1")
         assert level == 3
 
@@ -276,7 +276,7 @@ class TestAnalyzeConflict:
 
     def test_root_exit_is_the_final_conflict(self, monkeypatch):
         # Every strategy refutes php-4-3 through the walk's root exit, which
-        # returns the constraint and its trace id with level None; the
+        # returns the constraint and its trace id with level and slack None; the
         # trace's final conflict is the record of that id, which holds that
         # constraint, and the checker accepts the trace.
         analyze = Solver.analyze_conflict
@@ -293,9 +293,9 @@ class TestAnalyzeConflict:
             exits.clear()
             result = solve(instance, SolverConfig(strategy=strategy, emit_trace=True))
             assert result.status == UNSAT, strategy
-            root, root_id, level = exits[-1]
-            assert level is None
-            assert all(other[2] is not None for other in exits[:-1])
+            root, root_id, level, slack = exits[-1]
+            assert level is None and slack is None
+            assert all(other[2] is not None and other[3] is not None for other in exits[:-1])
             assert result.trace.final == root_id
             assert replay_steps(instance, result.trace)[root_id] == root
             check = verify_trace(instance, result.trace)
@@ -330,8 +330,8 @@ class TestAnalyzeConflict:
                     conflict = engine.propagate_all()
                 if conflict is None or engine.current_level == 0:
                     break
-                learned, trace_id, level = solver.analyze_conflict(conflict)
-                solver._backjump_and_learn(learned, trace_id, level)
+                learned, trace_id, level, learned_slack = solver.analyze_conflict(conflict)
+                solver._backjump_and_learn(learned, trace_id, level, learned_slack)
                 assert engine.current_level == level
                 conflict = engine.propagate_all()
                 if conflict is None:
@@ -433,7 +433,7 @@ class TestAccumulatorMatchesReference:
                 after_skip.append(pivot)
 
         observe_resolve_steps(monkeypatch, check)
-        learned, _, level = solver.analyze_conflict(3)
+        learned, _, level, _ = solver.analyze_conflict(3)
         assert after_skip == [var("g"), var("c")]
         assert learned == con("2~a ~b >= 2") and level == 0
 
@@ -632,7 +632,7 @@ class TestAssertiveness:
                         conflict = engine.propagate_all()
                         if conflict is not None:
                             # A root conflict comes back with level None.
-                            found, _, level = solver.analyze_conflict(conflict)
+                            found, _, level, _ = solver.analyze_conflict(conflict)
                             if level is None:
                                 assert slack(found, assignment_at_level(engine, 0)) < 0
                             else:
@@ -907,6 +907,32 @@ class TestHeuristics:
             SolverConfig(strategy="weaken-ineffective-both", conflict_budget=400),
         )
         assert result.stats.restarts == 0
+
+    def test_restart_points_are_pinned(self, monkeypatch):
+        # The i-th restart comes at the first decision once the conflicts
+        # since the one before reach RESTART_BASE * luby(i).  A burst of
+        # conflicts with no decision between them delays it past that
+        # limit: 56 comes after 40 with a limit of 10, 334 after 250 with 80.
+        monkeypatch.setattr(pbsolve.solver, "RESTART_BASE", 10)
+        decide = Solver._decide
+        points = []
+
+        def recorded(solver):
+            if solver.stats.restarts > len(points):
+                points.append(solver.stats.conflicts)
+            decide(solver)
+
+        monkeypatch.setattr(Solver, "_decide", recorded)
+        result = solve(
+            php_instance(8, 7),
+            SolverConfig(strategy="weaken-ineffective-both", conflict_budget=400),
+        )
+        assert points == [
+            10, 20, 40, 56, 66, 86, 126, 136, 147, 167, 177, 188, 210, 250, 334, 344, 354, 374, 384, 395,
+        ]
+        assert result.stats.restarts == len(points) == 20
+        for i, (before, at) in enumerate(zip([0, *points], points), 1):
+            assert at - before >= 10 * luby(i)
 
 
 #: (instance, strategy) -> (status, conflicts, decisions, propagations,
