@@ -102,8 +102,8 @@ def run_matrix(
 
     Rows come back in matrix order.  The settings are checked once, by
     building each strategy's :class:`SolverConfig`, before any worker starts;
-    a bad one raises ValueError, as does a strategy given twice (its runs would
-    share a trace path).  Only then is ``trace_dir`` created.
+    a bad one raises ValueError, as does a strategy or a file stem given twice
+    (its runs would share a trace path).  Only then is ``trace_dir`` created.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -111,15 +111,19 @@ def run_matrix(
         SolverConfig(strategy=strategy, time_budget=timeout)
         if strategy in strategies[:i]:
             raise ValueError(f"strategy {strategy} is given more than once")
-    if trace_dir is not None:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-    tasks = []
+    tasks, stems = [], set()
     for path in sorted(paths, key=lambda p: Path(p).name):
+        stem = Path(path).stem
+        if stem in stems:
+            raise ValueError(f"instance stem {stem} is given more than once")
+        stems.add(stem)
         for strategy in strategies:
             trace_path = None
             if trace_dir is not None:
-                trace_path = Path(trace_dir) / f"{Path(path).stem}.{strategy}.trace"
+                trace_path = Path(trace_dir) / f"{stem}.{strategy}.trace"
             tasks.append((len(tasks), path, strategy, timeout, trace_path))
+    if trace_dir is not None:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
 
     results: dict[int, BenchRecord] = {}
     waiting = list(reversed(tasks))

@@ -6,23 +6,23 @@ The levels never decrease and each level starts with its decision, so a
 level's first entry is found by bisection.  ``index``, the one record of the
 assignment, is a list indexed by the signed literal (2n + 1 slots for n
 variables, negative indexing giving ``-v`` its own): a true literal's trail
-index, None for any other.  :meth:`assign` and
-:meth:`add_constraint` reject a variable outside 1..n, whose literals would
-alias other slots; reads through attached constraints trust them.  The engine
-keeps, for every attached constraint, its current slack under the assignment,
-updated incrementally: assigning a literal lowers the slack of every
-constraint containing its negation by that literal's weight, and
-unassigning restores it.  Propagation scans constraints whose slack may
-admit candidates and assigns every unassigned literal whose weight exceeds
-the slack.  Two counters say how far it has got: every constraint id below
-``_scanned`` has had its first scan, and every trail entry below ``_qhead``
-has had the constraints holding its negation visited.  A counter moves past
-an entry only once that entry's work is done, so a conflict returns without
-touching either, and the next call resumes at the same entry once
-backjumping has repaired it.  The search decides only after
-:meth:`propagate_all` returns None, so below the current level no
-constraint conflicts or propagates; conflict analysis rests on that.  One
-engine instance is strictly single-threaded.
+index, None for any other.  ``occs``, laid out the same way, holds each
+literal's ``(cid, weight)`` entries.  :meth:`assign` and :meth:`add_constraint`
+reject a variable outside 1..n, whose literals would alias other slots; reads
+through attached constraints trust them.  The engine keeps, for every attached
+constraint, its current slack under the assignment, updated incrementally:
+assigning a literal lowers the slack of every constraint containing its
+negation by that literal's weight, and unassigning restores it.  Propagation
+scans constraints whose slack may admit candidates and assigns every
+unassigned literal whose weight exceeds the slack.  Two counters say how far
+it has got: every constraint id below ``_scanned`` has had its first scan, and
+every trail entry below ``_qhead`` has had the constraints holding its
+negation visited.  A counter moves past an entry only once that entry's work
+is done, so a conflict returns without touching either, and the next call
+resumes at the same entry once backjumping has repaired it.  The search
+decides only after :meth:`propagate_all` returns None, so below the current
+level no constraint conflicts or propagates; conflict analysis rests on that.
+One engine instance is strictly single-threaded.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class PropagationEngine:
         self.constraints: list[Constraint | None] = []  # None = removed
         self.slacks: list[int] = []  # not maintained for removed constraints
         self.max_weights: list[int] = []  # cid -> its constraint's max_weight
-        self.occs: dict[int, list[tuple[int, int]]] = {}  # lit -> [(cid, weight)], one object per run of weights
+        self.occs: list[list[tuple[int, int]]] = [[] for _ in range(2 * nvars + 1)]  # lit -> [(cid, weight)], one object per run of weights
         self.trail: list[int] = []  # assigned literals, in order
         self.levels: list[int] = []  # trail index -> decision level
         self.reasons: list[int | None] = []  # trail index -> constraint id, None = decision
@@ -61,19 +61,14 @@ class PropagationEngine:
         object: a literal inside a run allocates no tuple for the cyclic GC to track."""
         if c.terms and abs(c.terms[-1][0]) > self.nvars:  # the last term names the largest variable
             raise ValueError(f"variable x{abs(c.terms[-1][0])} is outside 1..{self.nvars}")
-        constraints = self.constraints
-        occs = self.occs
+        constraints, occs = self.constraints, self.occs
         cid = len(constraints)
         constraints.append(c)
         entry = (cid, 0)
         for lit, w in c.terms:
             if w != entry[1]:
                 entry = (cid, w)
-            entries = occs.get(lit)
-            if entries is None:
-                occs[lit] = [entry]
-            else:
-                entries.append(entry)
+            occs[lit].append(entry)
         if s is None:
             index, s = self.index, -c.degree
             for lit, w in c.terms:
@@ -92,7 +87,7 @@ class PropagationEngine:
         constraints, occs = self.constraints, self.occs
         for cid in cids:
             constraints[cid] = None
-        for lit, entries in occs.items():
+        for lit, entries in enumerate(occs):
             occs[lit] = [e for e in entries if constraints[e[0]] is not None]
 
     # -- trail operations ---------------------------------------------------
@@ -109,7 +104,7 @@ class PropagationEngine:
         self.levels.append(self.current_level)
         self.reasons.append(reason)
         slacks = self.slacks
-        for cid, w in self.occs.get(-lit, ()):
+        for cid, w in self.occs[-lit]:
             slacks[cid] -= w
 
     def assume(self, lit: int) -> None:
@@ -125,11 +120,8 @@ class PropagationEngine:
         constraint propagates any further literal.  New constraints get
         their first scan before the next trail entry is visited.
         """
-        constraints = self.constraints
-        slacks = self.slacks
-        max_weights = self.max_weights
-        occs = self.occs
-        trail = self.trail
+        constraints, slacks, max_weights = self.constraints, self.slacks, self.max_weights
+        occs, trail = self.occs, self.trail
         while True:
             cid = self._scanned
             if cid < len(constraints):
@@ -138,12 +130,12 @@ class PropagationEngine:
                     s = slacks[cid]
                     if s < 0:
                         return cid
-                    if s < c.max_weight:
+                    if s < max_weights[cid]:
                         self._scan(cid, c, s)
                 self._scanned = cid + 1
             elif self._qhead < len(trail):
                 qhead = self._qhead
-                for cid, _ in occs.get(-trail[qhead], ()):
+                for cid, _ in occs[-trail[qhead]]:
                     s = slacks[cid]
                     if s < 0:
                         return cid
@@ -168,22 +160,22 @@ class PropagationEngine:
                 trail.append(lit)
                 levels.append(level)
                 reasons.append(cid)
-                for other, v in occs.get(-lit, ()):
+                for other, v in occs[-lit]:
                     slacks[other] -= v
                 self.propagations += 1
 
     def backjump_to(self, level: int) -> list[int]:
-        """Remove all entries above ``level``; returns the unassigned literals, last first."""
+        """Remove all entries above ``level``; returns the unassigned literals in trail order."""
         if not 0 <= level < self.current_level:
             raise ValueError(
                 f"backjump level {level} is negative or not below the current level {self.current_level}"
             )
         start = bisect_left(self.levels, level + 1)
-        popped = self.trail[start:][::-1]
+        popped = self.trail[start:]
         index, slacks, occs = self.index, self.slacks, self.occs
         for lit in popped:
             index[lit] = None
-            for cid, w in occs.get(-lit, ()):
+            for cid, w in occs[-lit]:
                 slacks[cid] += w
         del self.trail[start:], self.levels[start:], self.reasons[start:]
         self._qhead = min(self._qhead, start)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable
 
-from .core import Constraint, cancel, divide, multiply, partial_weaken, saturate, slack, weaken
+from .core import Constraint, cancel, divide, multiply, partial_weaken, saturate, weaken
 from .opb import ParsedInstance
 
 #: Every rule a step may name: rule -> (its :mod:`pbsolve.core` function,
@@ -226,16 +226,19 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
 def _root_conflict(constraints: list[Constraint]) -> bool:
     """Whether unit propagation from the empty assignment reaches a conflict.
 
-    Independent of the solver's engine: each pass recomputes every slack over
-    the set of true literals and makes true every unfalsified literal whose
-    weight exceeds it, until a pass adds nothing.
+    Independent of the solver's engine and of its slack pricing: each pass
+    recomputes every slack over the set of true literals and makes true every
+    unfalsified literal whose weight exceeds it, until a pass adds nothing.
     """
     rho: set[int] = set()
     size = -1
     while size != len(rho):
         size = len(rho)
         for c in constraints:
-            s = slack(c, rho)
+            s = -c.degree
+            for lit, w in c.terms:
+                if -lit not in rho:
+                    s += w
             if s < 0:
                 return True
             if s < c.max_weight:

@@ -185,7 +185,7 @@ def reference_propagate_all(engine) -> int | None:
             engine._scanned = cid + 1
         elif engine._qhead < len(trail):
             qhead = engine._qhead
-            for cid, _ in occs.get(-trail[qhead], ()):
+            for cid, _ in occs[-trail[qhead]]:
                 s = slacks[cid]
                 if s < 0:
                     return cid

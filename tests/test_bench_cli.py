@@ -81,6 +81,21 @@ class TestBenchMatrix:
             run_matrix([tmp_path / "absent.opb"], strategies, timeout, trace_dir=traces)
         assert not traces.exists()
 
+    @pytest.mark.parametrize(
+        "names",
+        [["a/php.opb", "b/php.opb"], ["a/php.opb", "a/php.opb"]],
+        ids=["two-directories", "same-path"],
+    )
+    def test_repeated_instance_stem_raises_before_any_run(self, tmp_path, names):
+        # Both runs would write php.rs-both.trace, and the cactus CSV would count two solved under one name.
+        for name, (pigeons, holes) in zip(names, [(4, 3), (5, 3)]):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            write_instance(tmp_path / name, php_instance(pigeons, holes))
+        traces = tmp_path / "traces"
+        with pytest.raises(ValueError, match="^instance stem php is given more than once$"):
+            run_matrix([tmp_path / name for name in names], ["rs-both"], 30, trace_dir=traces)
+        assert not traces.exists()
+
     def test_trace_dir_is_created_after_the_settings_check(self, bench_dir, tmp_path):
         path = sorted(bench_dir.glob("*.opb"))[0]
         traces = tmp_path / "new" / "traces"

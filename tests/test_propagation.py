@@ -82,7 +82,8 @@ class TestRangeGuard:
         with pytest.raises(ValueError, match="x4 is outside 1..3"):
             engine.add_constraint(con("a 2~d >= 1"))
         assert len(engine.constraints) == len(engine.slacks) == len(engine.max_weights) == 1
-        assert all(cid == 0 for entries in engine.occs.values() for cid, _ in entries)
+        assert len(engine.occs) == 7
+        assert all(cid == 0 for entries in engine.occs for cid, _ in entries)
         # In range, the same row prices its own slack off the list: c is false.
         cid = engine.add_constraint(con("a 2c >= 1"))
         assert engine.slacks[cid] == 0
@@ -185,7 +186,7 @@ class TestBackjump:
                     target = rng.randrange(engine.current_level)
                     before = list(engine.trail)
                     start = engine.levels.index(target + 1)
-                    assert engine.backjump_to(target) == before[start:][::-1]  # last first
+                    assert engine.backjump_to(target) == before[start:]  # in trail order
                     assert engine.trail == before[:start]
                     backjumps += 1
                 else:
@@ -276,6 +277,18 @@ class TestResumeAfterConflict:
         assert engine.reasons == [None, 0, 1]
 
 
+class TestOccurrenceLists:
+    def test_one_list_per_literal_slot_from_construction(self):
+        engine = PropagationEngine(3)
+        assert engine.occs == [[]] * 7 and len({id(entries) for entries in engine.occs}) == 7
+        engine.add_constraint(con("a ~b 2c >= 1"))
+        engine.add_constraint(con("~a 3~c >= 2"))
+        expected = {1: [(0, 1)], -2: [(0, 1)], 3: [(0, 2)], -1: [(1, 1)], -3: [(1, 3)]}
+        for lit in (1, -1, 2, -2, 3, -3):
+            assert engine.occs[lit] == expected.get(lit, [])
+        assert engine.occs[0] == []
+
+
 class TestSharedEntries:
     """Each run of equal consecutive weights appends one ``(cid, weight)`` object to all its lists."""
 
@@ -298,10 +311,11 @@ class TestRemoveConstraints:
     def test_occurrence_lists_drop_removed_and_keep_order(self):
         rows = [con("a b c >= 1"), con("~a b >= 1"), con("a 2c d >= 2"), con("b ~c >= 1")]
         engine = engine_with(*rows)
-        before = {lit: list(entries) for lit, entries in engine.occs.items()}
+        before = [list(entries) for entries in engine.occs]
         engine.remove_constraints([0, 2])
         assert engine.constraints[0] is None and engine.constraints[2] is None
-        for lit, entries in before.items():
+        assert len(engine.occs) == len(before)
+        for lit, entries in enumerate(before):
             assert engine.occs[lit] == [e for e in entries if e[0] not in (0, 2)]
 
     def test_shared_entries_survive_removal_in_order(self):
@@ -309,9 +323,10 @@ class TestRemoveConstraints:
         # across its literals; row 2 has two runs.
         rows = [con("a b c >= 1"), con("a b d >= 2"), con("2a 2c d >= 2"), con("b c d >= 1")]
         engine = engine_with(*rows)
-        before = {l: list(entries) for l, entries in engine.occs.items()}
+        before = [list(entries) for entries in engine.occs]
         engine.remove_constraints([1])
-        for l, entries in before.items():
+        assert len(engine.occs) == len(before)
+        for l, entries in enumerate(before):
             kept = [e for e in entries if e[0] != 1]
             assert engine.occs[l] == kept
             assert all(a is b for a, b in zip(engine.occs[l], kept))

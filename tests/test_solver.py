@@ -786,6 +786,32 @@ class TestHeuristics:
                 if len(engine.trail) < n:
                     assert solver.decide_literal() == linear_decide_literal(solver)
 
+    def test_phase_recording_does_not_depend_on_order(self):
+        # backjump_to returns the popped literals in trail order; the phases
+        # and the next decision must be the same for any order of them.
+        rng = random.Random(40)
+        n = 12
+        for _ in range(30):
+            solver = Solver(ParsedInstance(declared_vars=n, constraints=[]), SolverConfig())
+            for v in range(1, n + 1):
+                solver._activity[v] = float(rng.randint(0, 3))
+            solver._rebuild_heap()
+            for v in rng.sample(range(1, n + 1), rng.randint(2, n)):
+                solver.engine.assume(v if rng.random() < 0.5 else -v)
+            reordered = copy.deepcopy(solver)
+            target = rng.randrange(solver.engine.current_level)
+            popped = solver.engine.backjump_to(target)
+            assert reordered.engine.backjump_to(target) == popped
+            solver._record_phases(popped)
+            reordered._record_phases(popped[::-1])
+            assert solver._phase == reordered._phase
+            # The two heaps may be laid out differently; every later decision agrees.
+            while len(solver.engine.trail) < n:
+                decision = solver.decide_literal()
+                assert decision == reordered.decide_literal() == linear_decide_literal(solver)
+                solver.engine.assume(decision)
+                reordered.engine.assume(decision)
+
     def test_phase_saving_repeats_last_polarity(self):
         instance = ParsedInstance(declared_vars=2, constraints=[con("a b >= 1")])
         solver = Solver(instance, SolverConfig())
@@ -836,7 +862,7 @@ class TestHeuristics:
             for cid in engine.reasons:
                 if cid is not None:
                     assert engine.constraints[cid] is not None
-            for entries in engine.occs.values():
+            for entries in engine.occs:
                 assert all(engine.constraints[cid] is not None for cid, _ in entries)
             assert verify_slacks(engine)
 

@@ -623,6 +623,18 @@ class TestRuleHomes:
     def test_the_checker_names_every_rule_function(self):
         assert self.RULE_FUNCTIONS <= names_in("trace")
 
+    def test_the_checker_prices_its_own_slacks(self):
+        # Gen-res's guard prices with core.slack; the root-conflict check must not share it.
+        assert "slack" not in names_in("trace")
+        tree = ast.parse((ROOT / "src" / "pbsolve" / "trace.py").read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "core"
+            for alias in node.names
+        }
+        assert imported == self.RULE_FUNCTIONS | {"Constraint"}
+
     @pytest.mark.parametrize("module", ["analysis", "solver", "propagation"])
     def test_the_solver_names_no_rule_function(self, module):
         names = names_in(module)
