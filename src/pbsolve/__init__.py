@@ -21,7 +21,7 @@ accumulator, the solver's own copy of the rules, and the reductions in
 
 from .analysis import STRATEGY_IDS
 from .core import Constraint, normalize, slack
-from .generators import php_instance, random_instance
+from .generators import balanced_instance, php_instance
 from .opb import (
     OpbSyntaxError,
     ParsedInstance,
@@ -49,11 +49,11 @@ __all__ = [
     "SolverResult",
     "UNKNOWN",
     "UNSAT",
+    "balanced_instance",
     "format_solution",
     "normalize",
     "parse_opb",
     "php_instance",
-    "random_instance",
     "slack",
     "solve",
     "verify_trace",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import STRATEGY_IDS
 from .bench import run_matrix, write_cactus_csv, write_csv
-from .generators import php_instance, random_instance
+from .generators import balanced_instance, php_instance
 from .opb import (
     OpbSyntaxError,
     SAT,
@@ -32,6 +32,9 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 EXIT_ERROR = 1
+
+#: The ``tag`` of every instance ``generate random`` writes.
+RANDOM_TAG = "cli"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,10 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g_php.add_argument("--pigeons", type=int, required=True)
     g_php.add_argument("--holes", type=int, required=True)
     g_php.add_argument("--out", type=Path, required=True)
-    g_rand = gen_sub.add_parser("random", help="seeded random instance")
+    g_rand = gen_sub.add_parser("random", help="seeded balanced random instance")
     g_rand.add_argument("--vars", type=int, required=True)
     g_rand.add_argument("--constraints", type=int, required=True)
-    g_rand.add_argument("--max-weight", type=int, default=10)
     g_rand.add_argument("--seed", type=int, default=0)
     g_rand.add_argument("--out", type=Path, required=True)
 
@@ -160,9 +162,6 @@ def _cmd_bench(args) -> int:
     if not strategies:
         print("error: no strategies given", file=sys.stderr)
         return EXIT_ERROR
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_ERROR
     if not args.dir.is_dir():
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
         return EXIT_ERROR
@@ -204,7 +203,7 @@ def _cmd_generate(args) -> int:
         if args.family == "php":
             instance = php_instance(args.pigeons, args.holes)
         else:
-            instance = random_instance(args.vars, args.constraints, args.max_weight, args.seed)
+            instance = balanced_instance(args.vars, args.constraints, args.seed, RANDOM_TAG)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,4 +1,4 @@
-"""Instance families for tests and benchmarks: pigeonhole and seeded random."""
+"""Instance families: pigeonhole and one seeded random family, the balanced rows."""
 
 from __future__ import annotations
 
@@ -39,37 +39,30 @@ def php_instance(pigeons: int, holes: int) -> ParsedInstance:
     )
 
 
-def random_instance(
-    nvars: int,
-    nconstraints: int,
-    max_weight: int,
-    seed: int,
-) -> ParsedInstance:
-    """A reproducible random instance with non-negative initial slack.
+def balanced_instance(nvars: int, nconstraints: int, seed: int, tag: str) -> ParsedInstance:
+    """A reproducible random instance of six-variable rows.
 
-    Weights are uniform in ``[1, max_weight]`` and polarities are fair coins.
-    Constraints span two to five variables and each degree is drawn from the
-    lower half of the weight sum, keeping the empty-assignment slack
-    non-negative while leaving room for search (degrees near the full sum
-    force almost every literal and make instances trivially unsatisfiable).
-    The same seed yields the identical instance.
+    Each row names six distinct variables with weights in 1..10 and
+    fair-coin polarities, and asks for a quarter of its weight sum (rounded
+    up).  The draws come from the string
+    ``balanced/{seed}/{tag}/{nvars}/{nconstraints}``, so distinct tags give
+    independent instances of one size and seed.  Rows are built through
+    :func:`normalize`, as parsing builds them, so the instance equals its
+    written OPB text parsed back.
     """
-    if nvars < 1 or nconstraints < 1 or max_weight < 1:
-        raise ValueError("all generator parameters must be positive")
-    rng = random.Random(seed)
+    if nvars < 6:
+        raise ValueError(f"nvars must be >= 6 (a row samples six variables), got {nvars}")
+    if nconstraints < 1:
+        raise ValueError(f"nconstraints must be >= 1, got {nconstraints}")
+    rng = random.Random(f"balanced/{seed}/{tag}/{nvars}/{nconstraints}")
     constraints = []
     for _ in range(nconstraints):
-        width = rng.randint(min(2, nvars), min(5, nvars))
-        variables = rng.sample(range(1, nvars + 1), width)
-        terms = []
-        total = 0
-        for v in variables:
-            w = rng.randint(1, max_weight)
-            total += w
-            terms.append((w, v if rng.random() < 0.5 else -v))
-        constraints += normalize(terms, ">=", rng.randint(1, max(1, total // 2)))
+        variables = rng.sample(range(1, nvars + 1), 6)
+        weights = [rng.randint(1, 10) for _ in variables]
+        terms = [(w, v if rng.random() < 0.5 else -v) for v, w in zip(variables, weights)]
+        constraints += normalize(terms, ">=", -(-sum(weights) // 4))
     return ParsedInstance(
-        name=f"random-{nvars}-{nconstraints}-{max_weight}-{seed}",
+        name=f"rand-{tag}-{nvars}-{nconstraints}",
         declared_vars=nvars,
         constraints=constraints,
     )

@@ -3,8 +3,9 @@
 ``con("6~b 6c 4e f g h >= 7")`` builds a constraint over letter variables
 (a..z map to 1..26) with optional weight prefixes and ``~`` negation;
 ``asg(a=1, c=0)`` builds a partial assignment over the same letters: the set
-of its true literals, here ``{a, ~c}``.  ``balanced_instance`` builds a
-random instance of six-variable rows whose search runs many conflicts.
+of its true literals, here ``{a, ~c}``.  ``random_instance`` builds a
+small seeded random instance of two- to five-variable rows for the tests
+that check answers against the enumeration oracle.
 
 The reference implementations the tests compare the solver against also live
 here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
@@ -47,6 +48,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import random
 from bisect import bisect_left
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -55,7 +57,7 @@ import numpy as np
 
 import pbsolve.solver
 from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
-from pbsolve.core import Assignment, Constraint, lit_name, slack
+from pbsolve.core import Assignment, Constraint, lit_name, normalize, slack
 from pbsolve.opb import SAT, UNSAT, ParsedInstance
 from pbsolve.propagation import PropagationEngine
 from pbsolve.solver import settle
@@ -87,17 +89,40 @@ def con(text: str) -> Constraint:
     return Constraint(terms, int(degree.strip()))
 
 
-def balanced_instance(nvars, nrows, rng):
-    """Rows of six variables, weights 1..10, random polarity, degree a quarter of the sum."""
-    rows = []
-    for _ in range(nrows):
-        weights = [rng.randint(1, 10) for _ in range(6)]
-        terms = [
-            (v if rng.random() < 0.5 else -v, w)
-            for v, w in zip(rng.sample(range(1, nvars + 1), 6), weights)
-        ]
-        rows.append(Constraint(terms, -(-sum(weights) // 4)))
-    return ParsedInstance(declared_vars=nvars, constraints=rows)
+def random_instance(
+    nvars: int,
+    nconstraints: int,
+    max_weight: int,
+    seed: int,
+) -> ParsedInstance:
+    """A reproducible random instance with non-negative initial slack.
+
+    Weights are uniform in ``[1, max_weight]`` and polarities are fair coins.
+    Constraints span two to five variables and each degree is drawn from the
+    lower half of the weight sum, keeping the empty-assignment slack
+    non-negative while leaving room for search (degrees near the full sum
+    force almost every literal and make instances trivially unsatisfiable).
+    The same seed yields the identical instance.
+    """
+    if nvars < 1 or nconstraints < 1 or max_weight < 1:
+        raise ValueError("all generator parameters must be positive")
+    rng = random.Random(seed)
+    constraints = []
+    for _ in range(nconstraints):
+        width = rng.randint(min(2, nvars), min(5, nvars))
+        variables = rng.sample(range(1, nvars + 1), width)
+        terms = []
+        total = 0
+        for v in variables:
+            w = rng.randint(1, max_weight)
+            total += w
+            terms.append((w, v if rng.random() < 0.5 else -v))
+        constraints += normalize(terms, ">=", rng.randint(1, max(1, total // 2)))
+    return ParsedInstance(
+        name=f"random-{nvars}-{nconstraints}-{max_weight}-{seed}",
+        declared_vars=nvars,
+        constraints=constraints,
+    )
 
 
 def asg(**values: int | bool) -> set[int]:

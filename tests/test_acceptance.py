@@ -21,7 +21,7 @@ from pbsolve.analysis import (
 )
 from pbsolve.bench import CSV_HEADER
 from pbsolve.core import Constraint, slack
-from pbsolve.generators import php_instance, random_instance
+from pbsolve.generators import php_instance
 from pbsolve.opb import UNKNOWN, UNSAT, write_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import verify_trace
@@ -38,6 +38,7 @@ from helpers import (
     on_accumulator,
     partial_weaken,
     propagation_candidates,
+    random_instance,
     resolved,
     saturate,
     weaken,

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from pbsolve.bench import CSV_HEADER, run_matrix, write_cactus_csv, write_csv
-from pbsolve.cli import _build_parser
-from pbsolve.generators import php_instance, random_instance
-from pbsolve.opb import write_opb
+from pbsolve.cli import RANDOM_TAG, _build_parser
+from pbsolve.generators import balanced_instance, php_instance
+from pbsolve.opb import parse_opb, write_opb
 from pbsolve.solver import SolverConfig
+from helpers import random_instance
 
 
 def write_instance(path: Path, instance) -> Path:
@@ -304,15 +305,39 @@ class TestCli:
         for out in (a, b):
             proc = run_cli(
                 "generate", "random", "--vars", "6", "--constraints", "9",
-                "--max-weight", "7", "--seed", "5", "--out", out,
+                "--seed", "5", "--out", out,
             )
             assert proc.returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_generate_random_is_the_balanced_family(self, tmp_path):
+        # The file parses back to exactly the package's draw under the
+        # command's fixed tag.
+        out = tmp_path / "r.opb"
+        proc = run_cli("generate", "random", "--vars", "10", "--constraints", "40", "--seed", "6", "--out", out)
+        assert proc.returncode == 0
+        expected = balanced_instance(10, 40, 6, RANDOM_TAG)
+        assert proc.stdout == f"c wrote {expected.name}: 40 constraints over 10 variables\n"
+        assert parse_opb(out.read_text()).constraints == expected.constraints
+
+    def test_generate_random_has_no_max_weight(self, tmp_path):
+        # The balanced family draws weights in 1..10; the option is gone.
+        out = tmp_path / "r.opb"
+        proc = run_cli("generate", "random", "--vars", "8", "--constraints", "12",
+                       "--max-weight", "7", "--out", out)
+        assert proc.returncode == 1
+        assert not out.exists()
 
     def test_generate_rejects_bad_parameters(self, tmp_path):
         proc = run_cli("generate", "php", "--pigeons", "0", "--holes", "2",
                        "--out", tmp_path / "x.opb")
         assert proc.returncode == 1
+        # A row samples six distinct variables, so five are too few.
+        out = tmp_path / "r.opb"
+        proc = run_cli("generate", "random", "--vars", "5", "--constraints", "4", "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: nvars must be >= 6 (a row samples six variables), got 5\n"
+        assert not out.exists()
 
     def test_emit_trace_then_verify(self, tmp_path):
         path = write_instance(tmp_path / "php.opb", php_instance(3, 2))
@@ -448,9 +473,12 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [bench_dir]
 
     def test_bench_rejects_zero_jobs(self, bench_dir, tmp_path):
-        proc = run_cli("bench", bench_dir, "--jobs", "0", "--out", tmp_path / "rows.csv")
+        # run_matrix makes the one check, and the CLI prints its message.
+        out = tmp_path / "rows.csv"
+        proc = run_cli("bench", bench_dir, "--jobs", "0", "--out", out)
         assert proc.returncode == 1
-        assert "--jobs" in proc.stderr
+        assert proc.stderr == "error: jobs must be >= 1, got 0\n"
+        assert not out.exists() and not out.with_suffix(".cactus.csv").exists()
 
     def test_bench_csv_schema_and_determinism(self, bench_dir, tmp_path):
         outs = []

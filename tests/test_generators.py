@@ -2,15 +2,28 @@
 
 import hashlib
 import io
+import runpy
+from pathlib import Path
 
 import pytest
 
-from pbsolve.generators import php_instance, random_instance
-from pbsolve.opb import SAT, UNSAT, write_opb
-from helpers import brute_force_status, is_clause, literals, total_weight
+import pbsolve
+from pbsolve.generators import balanced_instance, php_instance
+from pbsolve.opb import SAT, UNSAT, parse_opb, write_opb
+from helpers import brute_force_status, is_clause, literals, random_instance, total_weight
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-@pytest.mark.parametrize("instance", [php_instance(5, 4), random_instance(30, 60, 10, 3)])
+def written(instance) -> str:
+    buf = io.StringIO()
+    write_opb(instance, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "instance", [php_instance(5, 4), random_instance(30, 60, 10, 3), balanced_instance(30, 120, 3, "test")]
+)
 def test_nvars_matches_a_scan_of_every_term(instance):
     # nvars reads one term per row; it must be the count a scan of every
     # term of the same rows gives.
@@ -91,3 +104,64 @@ class TestRandom:
             random_instance(1, 0, 1, 0)
         with pytest.raises(ValueError):
             random_instance(1, 1, 0, 0)
+
+
+class TestBalanced:
+    @pytest.mark.parametrize(
+        "nvars, nconstraints, seed, tag",
+        [(85, 357, 0, "long"), (30, 135, 1, "m0"), (70, 300, 4, "m7"), (10, 5, 39, "m2"), (30, 120, 2, "test")],
+    )
+    def test_equals_perfbench_parsed_text(self, nvars, nconstraints, seed, tag):
+        # perfbench's copy of the family writes OPB text from its own draws;
+        # the package draws the same rows, so its stored fingerprints do not
+        # move when it imports the package's generator.
+        theirs = runpy.run_path(str(WORKLOADS))["balanced_random"](nvars, nconstraints, seed, tag)
+        ours = balanced_instance(nvars, nconstraints, seed, tag)
+        parsed = parse_opb(theirs.opb)
+        assert ours.name == theirs.name == f"rand-{tag}-{nvars}-{nconstraints}"
+        assert ours.constraints == parsed.constraints
+        assert ours.declared_vars == parsed.declared_vars == nvars
+
+    @pytest.mark.parametrize(
+        "settings, digest",
+        [
+            ((30, 120, 0, "test"), "db166bd1914a9736a53a49eb836424963f529e1cd3378ea47deb27ccfbd88419"),
+            ((85, 357, 0, "long"), "54093a437330f85cfe42779ba70fe3e326c68fbcb83bd83b22ae2fae3a7ca541"),
+            ((6, 1, 7, "cli"), "5824fc61486b1f1f73981eab63832f100bb9e36af4d1da7d3a7c0a2e5a1a23b3"),
+            ((10, 40, 6, "cli"), "89b428e2f713d8b50d0c2e7fd012038d27a1852d3c1da686418268b4126e980e"),
+        ],
+    )
+    def test_written_text_is_pinned(self, settings, digest):
+        assert hashlib.sha256(written(balanced_instance(*settings)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_its_written_text_parsed_back(self, seed):
+        instance = balanced_instance(30, 120, seed, "test")
+        parsed = parse_opb(written(instance), name=instance.name)
+        assert parsed == instance
+
+    def test_rows_and_draws(self):
+        instance = balanced_instance(30, 120, 0, "test")
+        assert len(instance.constraints) == 120
+        for c in instance.constraints:
+            assert len(c.terms) == 6
+            # A quarter of six weights in 1..10, rounded up, and built
+            # through normalize, so saturated: no weight above the degree.
+            assert 2 <= c.degree <= 15
+            assert 1 <= c.max_weight <= min(10, c.degree)
+        assert balanced_instance(30, 120, 0, "test") == instance
+        assert balanced_instance(30, 120, 0, "other").constraints != instance.constraints
+        assert balanced_instance(30, 120, 1, "test").constraints != instance.constraints
+
+    def test_is_the_packages_one_random_family(self):
+        assert "balanced_instance" in pbsolve.__all__
+        assert "random_instance" not in pbsolve.__all__
+        assert not hasattr(pbsolve.generators, "random_instance")
+
+    @pytest.mark.parametrize(
+        "nvars, nconstraints, message",
+        [(5, 1, "nvars must be >= 6"), (0, 1, "nvars must be >= 6"), (6, 0, "nconstraints must be >= 1")],
+    )
+    def test_parameter_validation(self, nvars, nconstraints, message):
+        with pytest.raises(ValueError, match=message):
+            balanced_instance(nvars, nconstraints, 0, "test")

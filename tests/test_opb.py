@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pbsolve import opb
 from pbsolve.core import Constraint
-from pbsolve.generators import php_instance, random_instance
+from pbsolve.generators import php_instance
 from pbsolve.opb import (
     OpbSyntaxError,
     ParsedInstance,
@@ -22,7 +22,7 @@ from pbsolve.opb import (
     write_opb,
 )
 from pbsolve.solver import solve
-from helpers import con
+from helpers import con, random_instance
 
 
 class TestParse:

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from pbsolve.core import Constraint, slack
-from pbsolve.generators import php_instance, random_instance
+from pbsolve.generators import balanced_instance, php_instance
 from pbsolve.propagation import PropagationEngine
 from helpers import (
-    balanced_instance,
     con,
     lit,
     propagation_candidates,
+    random_instance,
     reason_of,
     reference_propagate_all,
     value,
@@ -384,7 +384,7 @@ class TestPropagationMatchesReference:
         conflicts = propagated = 0
         nvars = 20
         for seed in range(20):
-            rows = balanced_instance(nvars, 60, random.Random(seed)).constraints
+            rows = balanced_instance(nvars, 60, seed, "test").constraints
             engine, reference = engine_with(*rows, nvars=nvars), engine_with(*rows, nvars=nvars)
             learned: list[int] = []
             for _ in range(150):

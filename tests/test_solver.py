@@ -14,7 +14,7 @@ import pbsolve.analysis
 import pbsolve.solver
 from pbsolve.analysis import STRATEGIES, STRATEGY_IDS, AnalysisError
 from pbsolve.core import Constraint, slack
-from pbsolve.generators import php_instance, random_instance
+from pbsolve.generators import balanced_instance, php_instance
 from pbsolve.opb import ParsedInstance, SAT, UNKNOWN, UNSAT, parse_opb, write_opb
 from pbsolve.solver import (
     AnalysisSoundnessError,
@@ -28,7 +28,6 @@ from helpers import (
     assertion_level,
     assignment_at_level,
     backjump_level,
-    balanced_instance,
     brute_force_status,
     bump_one_at_a_time,
     con,
@@ -38,6 +37,7 @@ from helpers import (
     literals,
     observe_resolve_steps,
     propagation_candidates,
+    random_instance,
     reference_resolve_step,
     replay_steps,
     value,
@@ -199,14 +199,25 @@ class TestSolveEndToEnd:
         assert checked == 18
 
     def test_gen_res_reduction_saturates_unsaturated_reasons(self):
-        # balanced_instance rows are not saturated; these seeds used to end
-        # with "no weakenable literal left in a reason with high slack".
-        seeds = {"gen-res": (7, 14, 16), "multiply-weaken": (0, 7, 8, 10, 13, 14, 20, 21, 22, 23)}
+        # The package's rows are saturated.  Raising every weight equal to a
+        # row's degree by 5 keeps the row's 0/1 solutions and unsaturates it;
+        # unsaturated reasons used to end gen-res's reduction with "no
+        # weakenable literal left in a reason with high slack", as 9 of these
+        # 13 runs do when the reduction skips its first saturation.  The
+        # seeds are the first ones each strategy refutes.
+        seeds = {"gen-res": (0, 1, 3), "multiply-weaken": (0, 1, 3, 4, 5, 8, 18, 19, 20, 21)}
         for strategy, chosen in seeds.items():
             for seed in chosen:
-                instance = balanced_instance(30, 120, random.Random(seed))
+                drawn = balanced_instance(30, 120, seed, "test")
+                rows = [
+                    Constraint([(lit, w + 5 if w == c.degree else w) for lit, w in c.terms], c.degree)
+                    for c in drawn.constraints
+                ]
+                assert sum(c.max_weight > c.degree for c in rows) >= 60
+                instance = ParsedInstance(name=drawn.name, declared_vars=drawn.declared_vars, constraints=rows)
                 config = SolverConfig(strategy=strategy, conflict_budget=300, emit_trace=True)
                 result = solve(instance, config)
+                assert result.status == UNSAT, (strategy, seed)
                 check = verify_trace(instance, result.trace)
                 assert check, (strategy, seed, check.error)
 
@@ -266,9 +277,8 @@ class TestAnalyzeConflict:
             return analyze(solver, conflict_cid)
 
         monkeypatch.setattr(Solver, "analyze_conflict", check_first)
-        rng = random.Random(5)
         instances = [php_instance(6, 5), php_instance(7, 6)]
-        instances += [balanced_instance(30, 120, rng) for _ in range(4)]
+        instances += [balanced_instance(30, 120, 5, f"test-{i}") for i in range(4)]
         for instance in instances:
             for strategy in STRATEGY_IDS:
                 solve(instance, SolverConfig(strategy=strategy, conflict_budget=200))
@@ -317,8 +327,7 @@ class TestAnalyzeConflict:
         assert [c for _, c in result.trace.learned] == learned
 
     def test_learned_constraint_propagates_after_backjump(self):
-        rng = random.Random(3)
-        instances = [php_instance(5, 4)] + [balanced_instance(30, 120, rng) for _ in range(2)]
+        instances = [php_instance(5, 4)] + [balanced_instance(30, 120, 3, f"test-{i}") for i in range(2)]
         rounds = 0
         for instance in instances:
             solver = Solver(instance, SolverConfig(strategy="partial-rs-both"))
@@ -358,7 +367,7 @@ class TestAccumulatorMatchesReference:
 
         observe_resolve_steps(monkeypatch, check)
         for seed in (1, 2):
-            instance = balanced_instance(30, 120, random.Random(seed))
+            instance = balanced_instance(30, 120, seed, "test")
             solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
         assert len(steps) >= 800
         if strategy == "multiply-weaken":
@@ -385,9 +394,9 @@ class TestAccumulatorMatchesReference:
         monkeypatch.setattr(pbsolve.analysis.Accumulator, "constraint", checked)
         assert solve(php_instance(6, 5), SolverConfig(strategy=strategy)).status == UNSAT
         for seed in (1, 2):
-            instance = balanced_instance(30, 120, random.Random(seed))
+            instance = balanced_instance(30, 120, seed, "test")
             solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
-        # 137-337 constraints per strategy, most of them out of order.
+        # 134-341 constraints per strategy, most of them out of order.
         assert len(built) >= 120
         assert 2 * sum(unsorted) >= len(built)
 
@@ -396,7 +405,7 @@ class TestAccumulatorMatchesReference:
         # keeps the solver's own set would find the pivots gone.
         kept = []
         observe_resolve_steps(monkeypatch, lambda c, r, pivot, rho, o: kept.append((pivot, rho)))
-        solve(balanced_instance(30, 120, random.Random(1)), SolverConfig(conflict_budget=50))
+        solve(balanced_instance(30, 120, 1, "test"), SolverConfig(conflict_budget=50))
         assert len(kept) > 100
         assert all(pivot in rho for pivot, rho in kept)
 
@@ -508,7 +517,7 @@ class TestStepPricing:
         monkeypatch.setattr(pbsolve.solver, "settle", counted_settle)
         assert solve(php_instance(6, 5), SolverConfig(strategy=strategy)).status == UNSAT
         for seed in (1, 2):
-            instance = balanced_instance(30, 120, random.Random(seed))
+            instance = balanced_instance(30, 120, seed, "test")
             solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
         assert len(steps) >= 800
         assert priced == []
@@ -546,7 +555,7 @@ class TestStepPricing:
         monkeypatch.setattr(pbsolve.solver, "settle", checked_settle)
         solve(php_instance(9, 8), SolverConfig(strategy=strategy, conflict_budget=100))
         for seed in range(1, 5):
-            instance = balanced_instance(30, 120, random.Random(seed))
+            instance = balanced_instance(30, 120, seed, "test")
             solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
         assert len(checked) >= 2000
         assert sum(checked) >= 200
@@ -601,7 +610,7 @@ class TestAssertiveness:
 
     def test_matches_oracle_on_wide_constraints_and_many_levels(self, monkeypatch):
         rng = random.Random(13)
-        instances = [php_instance(9, 8)] + [balanced_instance(30, 120, rng) for _ in range(5)]
+        instances = [php_instance(9, 8)] + [balanced_instance(30, 120, 13, f"test-{i}") for i in range(5)]
         probes = asserting = 0
         observe_resolve_steps(monkeypatch, lambda *step: learned.append(step[-1].constraint))
         for round_ in range(4):
@@ -827,7 +836,6 @@ class TestHeuristics:
             solver.decide_literal()
 
     def test_reduce_db_keeps_reasons_and_halves_rest(self, monkeypatch):
-        rng = random.Random(8)
         reductions = []
         reduce_db = Solver.reduce_db
 
@@ -848,8 +856,8 @@ class TestHeuristics:
                     assert solver.engine.constraints[cid] is not None
         # The small random instances above barely search; these reach
         # reduce_db several times each.
-        for _ in range(6):
-            instance = balanced_instance(30, 126, rng)
+        for i in range(6):
+            instance = balanced_instance(30, 126, 8, f"test-{i}")
             unreduced = solve(instance, SolverConfig(strategy="rs-both"))
             before = len(reductions)
             with monkeypatch.context() as m:
@@ -871,7 +879,7 @@ class TestHeuristics:
         # learned activity and the increment by 1e-20.  A twin solver in the
         # same state takes the same bump and decay unscaled; reduce_db drops
         # the same ids.
-        instance = balanced_instance(30, 126, random.Random(3))
+        instance = balanced_instance(30, 126, 4, "test")
         config = SolverConfig(strategy="rs-both", conflict_budget=60)
         solver, twin = Solver(instance, config), Solver(instance, config)
         assert solver.solve().status == twin.solve().status == UNKNOWN
@@ -898,8 +906,7 @@ class TestHeuristics:
         # Increments just below their bounds make the first conflict's decay
         # rescale the variable and the learned activities; the search then
         # runs on under the scaled ones to a checked answer.
-        rng = random.Random(5)
-        instances = [php_instance(7, 6)] + [balanced_instance(30, 120, rng) for _ in range(2)]
+        instances = [php_instance(7, 6)] + [balanced_instance(30, 120, 5, f"test-{i}") for i in range(2)]
         statuses = set()
         for instance in instances:
             solver = Solver(instance, SolverConfig(strategy=strategy, emit_trace=True))
@@ -963,7 +970,7 @@ class TestHeuristics:
 
 #: (instance, strategy) -> (status, conflicts, decisions, propagations,
 #: learned, sha256 of the written trace text) under ``conflict_budget=300``.
-#: The largest coefficient reached is 4,491 bits (multiply-weaken).
+#: The largest coefficient reached is 3,718 bits (multiply-weaken on balanced-1).
 TRACE_DIGESTS = {
     ("php-6-5", "gen-res"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
     ("php-6-5", "rs-both"): ("UNSAT", 5, 10, 34, 4, "fce6375d7f3e8fdaa9dd762bb5a5227cebddeeeab498b2c5415adddad07cb521"),
@@ -976,39 +983,39 @@ TRACE_DIGESTS = {
     ("php-6-5", "weaken-ineffective-conflict"): ("UNSAT", 86, 108, 1060, 85, "bac40b55b0b6e61bffbaa683a2a26974b04e57241b0ff5c6caeffb3bcea49c14"),
     ("php-6-5", "weaken-ineffective-reason"): ("UNSAT", 190, 233, 2206, 189, "8a84bbadcd05a794649b93ce0b49207f68ea6c6f8a3e058d48997538203dbf30"),
     ("php-6-5", "multiply-weaken"): ("UNSAT", 193, 243, 2229, 192, "96c1f078f27d2cd263f06864295343130daef81919a59e6657686fcc1895cbf5"),
-    ("balanced-0", "gen-res"): ("UNSAT", 129, 135, 1433, 128, "45fdd513146d5fbc3d1e1bb107cf110426c9c89fefccc8f6eb48713ae6725c37"),
-    ("balanced-0", "rs-both"): ("UNSAT", 132, 146, 1472, 131, "d446d61ca09e2b75f2299c25c6075cda9790f1ceca41fa98a7e66ffb4b95cc70"),
-    ("balanced-0", "rs-conflict"): ("UNSAT", 100, 115, 1143, 99, "47f28131fb9188abd78dbbd763074cdfcec3d0192284afdd381226e4b16e6fa6"),
-    ("balanced-0", "rs-reason"): ("UNSAT", 97, 100, 1050, 96, "aebc30cca23f0bf6fc517f71e938112efb6374bf67ec1c3b820a2f111b978d9b"),
-    ("balanced-0", "partial-rs-both"): ("UNSAT", 93, 104, 1055, 92, "5021eab78ffecbac15cde670f428414bed3f92263fb185d35f1683782fd5514f"),
-    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 154, 183, 1738, 153, "fab59ec4141a954e720cb97d1140d9385505779fe8e42ac76edd587bff9a1b0a"),
-    ("balanced-0", "partial-rs-reason"): ("UNSAT", 90, 98, 1001, 89, "e39a574beaa98301318953e9f424cb07c36d88e6f223c7cf6e43cee8681b3a4a"),
-    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 109, 119, 1289, 108, "b0efc64f70f013451e46637ca8dfa74cd0278d7c7935c21adce2f883a0def891"),
-    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 116, 138, 1270, 115, "70d3df14ef749e33e023d241a484ea974dda272413f86c43e99b97279d602163"),
-    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 91, 104, 1083, 90, "fb031199f36ebeea87af1bb27aeee73358a842831c357ecd38e76ea9e608ef38"),
-    ("balanced-0", "multiply-weaken"): ("UNSAT", 114, 121, 1319, 113, "95c0e052debffe32a59e33b24858ebdd6e1ad0b627e7448fbc098b4ed00e1a13"),
-    ("balanced-1", "gen-res"): ("SAT", 63, 72, 827, 63, "990899f0b563825dc7c7f74f38256885d59207620134811b36d7a3bd6032a0ee"),
-    ("balanced-1", "rs-both"): ("SAT", 52, 58, 696, 52, "f26a6db44edca22a0a1297b7814302140e4cee9fb508c4f6399cb7f4b46f81fb"),
-    ("balanced-1", "rs-conflict"): ("SAT", 37, 43, 442, 37, "222355b7d17f3d92bfbef832517c1e2d3ca030c6eeb7a5fdd13f54c565952293"),
-    ("balanced-1", "rs-reason"): ("SAT", 49, 55, 603, 49, "4ab1ab694146b8e91da5fcc779859a00188a2c8547310e2160a22ff32825cc71"),
-    ("balanced-1", "partial-rs-both"): ("SAT", 39, 50, 441, 39, "6d8c1ef18ea8feda674966840442cefa25a9772f4cb04c345543e1de1bd56653"),
-    ("balanced-1", "partial-rs-conflict"): ("SAT", 32, 40, 439, 32, "4f10a22bc144568222eb752940d6fb41fd11e87c398b0677b61c5f41da574705"),
-    ("balanced-1", "partial-rs-reason"): ("SAT", 36, 49, 445, 36, "f7767308fbce53b6da53b7c74371484f61cb5f7f97f0b677297b80b262d8a59a"),
-    ("balanced-1", "weaken-ineffective-both"): ("SAT", 45, 53, 575, 45, "0d9f628f299c87c116859988d65cc05b4f1006f8f6ff68e66632257eafc67b97"),
-    ("balanced-1", "weaken-ineffective-conflict"): ("SAT", 30, 38, 412, 30, "60a4e2133a49a0fc08a8efe0b243b7316ebe381f33f2ff3f88f13c6f93e1a53c"),
-    ("balanced-1", "weaken-ineffective-reason"): ("SAT", 47, 52, 612, 47, "8d6ca9dc560b7963ac95730139c4731d1c61e8d5e0399b93eca8525b35228adf"),
-    ("balanced-1", "multiply-weaken"): ("SAT", 49, 57, 655, 49, "b5a60830e4a6d458697bcfefbeb719381a3b6f51d2d0e91711d50ad2942c8083"),
-    ("balanced-2", "gen-res"): ("UNSAT", 150, 166, 1780, 149, "7714251b98aa19c51f20da76bdd66bf246c702a1e186c738df11ff712ecc767d"),
-    ("balanced-2", "rs-both"): ("UNSAT", 127, 138, 1491, 126, "19c7fc8de437617ae29488cd902ab399d66dd6b062908251966cffbb6a4ef7cf"),
-    ("balanced-2", "rs-conflict"): ("UNSAT", 105, 112, 1169, 104, "5cd83587af0b30c4a767c480ce313140518d6c7ff1ffa3a08297d39a4ff01734"),
-    ("balanced-2", "rs-reason"): ("UNSAT", 147, 162, 1796, 146, "e4ca68075dee25cb47566ca27c407815c52cc75f07b8c4ba3d10eba26939fc5e"),
-    ("balanced-2", "partial-rs-both"): ("UNSAT", 127, 136, 1533, 126, "38f0f6a9f34947e6131344ed3cf84a16364ed3aa54f19c9dedf6692cb97220dc"),
-    ("balanced-2", "partial-rs-conflict"): ("UNSAT", 120, 134, 1318, 119, "bc078f963c26180cc656d7f26f351df92e27adbf287144053dad3be7cf986dca"),
-    ("balanced-2", "partial-rs-reason"): ("UNSAT", 160, 175, 1934, 159, "b6c0f1da9bb4223619dd45a6f60d1d6c361cfc820953d970da0dbdbccd95716d"),
-    ("balanced-2", "weaken-ineffective-both"): ("UNSAT", 106, 122, 1124, 105, "679bf1aa9c23a18e1a8418a3b7c9b2fd16f39d849c186ce5cbcd5c4a6b3dce30"),
-    ("balanced-2", "weaken-ineffective-conflict"): ("UNSAT", 111, 124, 1252, 110, "ff08ca9c89b1a1e9f4451832fc02523edb37cfa3bf096c37dc1b011f9629f3d0"),
-    ("balanced-2", "weaken-ineffective-reason"): ("UNSAT", 143, 154, 1620, 142, "53f671a93cf93da6955efb1f686b703ee2e9cf15b54c1342e70c1d634ff7a71d"),
-    ("balanced-2", "multiply-weaken"): ("UNSAT", 134, 155, 1489, 133, "4307930417841d0b60c9bce2ac73cc1afee04d574c9f954b1e67f467b2473ebc"),
+    ("balanced-0", "gen-res"): ("UNSAT", 98, 103, 1194, 97, "2813cf5762319762c6ce0a4cc0a99fd5c807bea9b7cff20326d86740384768cd"),
+    ("balanced-0", "rs-both"): ("UNSAT", 106, 108, 1383, 105, "27559af6d3b07f29b3bdf88de6371ea464882197033f85148a59272a31fdb0cd"),
+    ("balanced-0", "rs-conflict"): ("UNSAT", 93, 98, 1186, 92, "f6ce640c87c798e23bf034be5f790c9f3ee8c132cf94e5e8d5094e27d11a8230"),
+    ("balanced-0", "rs-reason"): ("UNSAT", 88, 94, 1015, 87, "af0344da00bc56ace827656db356780f717317936735c9d352434db80c088da2"),
+    ("balanced-0", "partial-rs-both"): ("UNSAT", 89, 92, 1188, 88, "291194794fc0800fbbd382da20c9379129fa41eff1b37a09feb1ccfc00d12c62"),
+    ("balanced-0", "partial-rs-conflict"): ("UNSAT", 93, 98, 1207, 92, "5f673adb7e741d2c68f1b08b0e4409d43a6408265ffb89f46dd063ccaeec2232"),
+    ("balanced-0", "partial-rs-reason"): ("UNSAT", 85, 89, 1054, 84, "d908294df589d697f48643c11fcb90109e4b387f99c8df0bb8beef73e2c2fa3e"),
+    ("balanced-0", "weaken-ineffective-both"): ("UNSAT", 76, 83, 950, 75, "201147bae325e7e132e71e0e32747c65edbb929a9886c1bb7d5dc58661754ccd"),
+    ("balanced-0", "weaken-ineffective-conflict"): ("UNSAT", 106, 121, 1246, 105, "d997d5a8e2872903ab4033a2f7188bf1877c68b6c601f60b56e2138a9a01a73e"),
+    ("balanced-0", "weaken-ineffective-reason"): ("UNSAT", 94, 102, 1124, 93, "69a255bff1761ababecb95c3265ef5ac0f76c53cbb2c047d064e225f25f13f1d"),
+    ("balanced-0", "multiply-weaken"): ("UNSAT", 105, 114, 1292, 104, "d4c3bd47bc615d992a931667dd4626255ad6290332234c14f3b46b88a59f5e23"),
+    ("balanced-1", "gen-res"): ("UNSAT", 144, 162, 1688, 143, "f1b895b57cdbad6d4bc4bda02a70fe6f195f3c197d895070be80da740451f13a"),
+    ("balanced-1", "rs-both"): ("UNSAT", 156, 173, 1820, 155, "08f9a43dc42e0c48e13e996c4266d3a1f0e25758ae103a4e6627289c610c03c0"),
+    ("balanced-1", "rs-conflict"): ("UNSAT", 136, 146, 1570, 135, "c68bde311a01bdfc7944283b82df052477125dd2d5b66a352a151e6075d00f0a"),
+    ("balanced-1", "rs-reason"): ("UNSAT", 150, 164, 1707, 149, "a7a2e750690ad022c004ae9444021d540c39bd1997c25080831abb5f5db06639"),
+    ("balanced-1", "partial-rs-both"): ("UNSAT", 138, 155, 1624, 137, "007fad9332a68321873abe07010c9040a3573d335da5239785ff968df362f606"),
+    ("balanced-1", "partial-rs-conflict"): ("UNSAT", 155, 168, 1738, 154, "5bae8ce8d1c870144593bc5d4a0c02b62cae137685e83669a98dc4c9d915e273"),
+    ("balanced-1", "partial-rs-reason"): ("UNSAT", 162, 185, 1779, 161, "91ebd911a94a08efedf0a5c843ff055bf47a1d3ed1dc8203bde803aa51740e85"),
+    ("balanced-1", "weaken-ineffective-both"): ("UNSAT", 135, 145, 1564, 134, "fc03479564c32aa2ff9730ccc8a3347f99581eb657f749fb3a5cd3c0d5dcee55"),
+    ("balanced-1", "weaken-ineffective-conflict"): ("UNSAT", 113, 130, 1235, 112, "24cfeb4929c1505efec44133ec32b7c842fd43c073d65b039059394854757bc1"),
+    ("balanced-1", "weaken-ineffective-reason"): ("UNSAT", 137, 151, 1630, 136, "9d422c958c5cc5f76b422773559eb76c5a99bb211b1d198301a6cc8cb1dabd30"),
+    ("balanced-1", "multiply-weaken"): ("UNSAT", 152, 165, 1665, 151, "d57de32e52e9de92f39db9ce857e9a6da9b888df75d1b8c7c3071bf8b9fd2ab5"),
+    ("balanced-2", "gen-res"): ("SAT", 34, 57, 365, 34, "716ea7811d1297d0a00a7cf935217bf266c956a41826e979f624e198059f81ef"),
+    ("balanced-2", "rs-both"): ("SAT", 37, 51, 416, 37, "236616fdb45911e05e446c7634b5aa60f7555ef3ec3609b99e74521e081cacfb"),
+    ("balanced-2", "rs-conflict"): ("SAT", 36, 49, 408, 36, "2f33783f5243fec4a217482c65093ab573df0c88288fd61814f99e8160051662"),
+    ("balanced-2", "rs-reason"): ("SAT", 48, 64, 546, 48, "a4fdc0ca1d9fd7aa128dd75e113a64f55012595f686431f5fab21c8ff2732584"),
+    ("balanced-2", "partial-rs-both"): ("SAT", 38, 50, 430, 38, "36f2a133bcf0ec6d84268184bb9136323a5224265fefe3c16ce47c4c33dc9631"),
+    ("balanced-2", "partial-rs-conflict"): ("SAT", 38, 55, 414, 38, "8e3070b3f4912a744f5c97d56d0108dd8351e9bb54229b991cadf657bfa615e7"),
+    ("balanced-2", "partial-rs-reason"): ("SAT", 29, 40, 346, 29, "bdd27658fb0f52a668647821a9bfdd4aea8a672cefe47eeecec8fe82ce5d205f"),
+    ("balanced-2", "weaken-ineffective-both"): ("SAT", 32, 49, 336, 32, "c3f49d560fd9a39eccd5b489f04db6137c39466e646396fdceb9647ce2f6122b"),
+    ("balanced-2", "weaken-ineffective-conflict"): ("SAT", 41, 56, 454, 41, "bbbe65b2b7cabcd84e90d98e0ea96548208985a0b850cb74e4ab827a454ad341"),
+    ("balanced-2", "weaken-ineffective-reason"): ("SAT", 29, 47, 345, 29, "e279fa16ca97daaf20ee3942a6fce323eb2b5c7c7ea65a90b616fab651dee21c"),
+    ("balanced-2", "multiply-weaken"): ("SAT", 48, 68, 541, 48, "b85ab65d873643bf8bafb7d2b4d69f45f6118ee034d402323b524eebe2edbba8"),
 }
 
 
@@ -1016,7 +1023,7 @@ def digest_instances():
     """php-6-5 and three balanced rows sets, each round-tripped through OPB text."""
     instances = [("php-6-5", php_instance(6, 5))]
     for s in range(3):
-        instances.append((f"balanced-{s}", balanced_instance(30, 120, random.Random(s))))
+        instances.append((f"balanced-{s}", balanced_instance(30, 120, s, "test")))
     for name, instance in instances:
         text = io.StringIO()
         write_opb(instance, text)

@@ -4,7 +4,6 @@ import ast
 import functools
 import inspect
 import io
-import random
 import re
 from pathlib import Path
 
@@ -13,11 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pbsolve import core
 from pbsolve.analysis import STRATEGY_IDS
-from pbsolve.generators import php_instance, random_instance
+from pbsolve.generators import balanced_instance, php_instance
 from pbsolve.opb import ParsedInstance, SAT, UNSAT, parse_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import RULES, DerivationTrace, TraceCheck, verify_trace
-from helpers import REFERENCE_RULES, balanced_instance, cancel, con
+from helpers import REFERENCE_RULES, cancel, con, random_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -224,7 +223,7 @@ class TestSerialization:
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)
     @pytest.mark.parametrize("name", ["php-4-3", "balanced-0"])
     def test_every_strategy_round_trips_through_text(self, name, strategy):
-        instance = php_instance(4, 3) if name == "php-4-3" else balanced_instance(30, 120, random.Random(0))
+        instance = php_instance(4, 3) if name == "php-4-3" else balanced_instance(30, 120, 0, "test")
         trace = solve(instance, SolverConfig(strategy=strategy, conflict_budget=300, emit_trace=True)).trace
         assert trace.steps
         text = trace_text(trace)
