@@ -4,8 +4,8 @@ Each cancellation step during conflict analysis combines the current conflict
 constraint with the reason of a propagated literal.  The raw cancellation
 does not always keep the result conflicting, so one or both sides are reduced
 first.  Both sides are :class:`Accumulator` values that the rules rewrite in
-place, and the reductions are functions over them plus a read-only
-assignment view:
+place, and the reductions are functions over them plus the engine's
+read-only record of the assignment:
 
 * ``gen-res``            weaken-and-saturate the reason until the scaled-slack
                          sum certifies the conflict is preserved;
@@ -23,20 +23,22 @@ assignment view:
 A strategy's row in :data:`STRATEGIES` names the reduction it applies to
 the conflict side and the one it applies to the reason side, or None.
 Each reduction takes the accumulator it rewrites, that side's own pivot
-literal (``-pivot`` on the conflict, ``pivot`` on the reason), ``rho``,
-and then what it reads of the other side.  The assignment ``rho`` passed
-to these functions holds the true literals of the trail prefix up to and
-including the pivot's own assignment, so ``lit`` is falsified when
-``-lit in rho``.  An accumulator made with a trace records every rule
-application there as its rule and arguments, and starts from the trace id
-its caller gives.  Only its constraint is sorted.
+literal (``-pivot`` on the conflict, ``pivot`` on the reason), ``index``,
+the engine's record (``index[lit]`` is ``t`` when ``lit`` is true at trail
+index ``t``, ``~t`` when false, None when free), the pivot's trail index
+``p``, and then what it reads of the other side.  The step's assignment is
+the trail prefix through ``p``: ``lit`` is falsified there when its own slot
+holds ``~t`` with ``t <= p``, ``~p <= (index[lit] or 0) < 0``, and
+:func:`slack_at` prices a side so.  An accumulator made with a trace records
+every rule application there as its rule and arguments, and starts from the
+trace id its caller gives.  Only its constraint is sorted.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .core import Constraint, slack
+from .core import Constraint
 from .trace import DerivationTrace
 
 #: Every strategy id, in command-line order -> (conflict-side reduction,
@@ -210,10 +212,17 @@ class Accumulator:
             self.record("cancel", self.id, reason.id, abs(pivot))
 
 
+def slack_at(side: Accumulator, index: list[int | None], p: int) -> int:
+    """The slack of ``side`` at the step with pivot index ``p``: its weight not falsified there minus its degree."""
+    lo = ~p
+    return sum(w for lit, w in side.weights.items() if not lo <= (index[lit] or 0) < 0) - side.degree
+
+
 def reduce_genres(
     reason: Accumulator,
     pivot: int,
-    rho,
+    index: list[int | None],
+    p: int,
     conflict_pivot_weight: int,
     conflict_slack: int,
 ) -> None:
@@ -227,21 +236,21 @@ def reduce_genres(
     and therefore changes the multipliers.  The reason is saturated first:
     once nothing is left to weaken, its slack is then the pivot weight minus
     the degree, at most 0, so the loop always ends.  ``conflict_slack`` is
-    the conflict's slack under ``rho``, which the caller already holds; only
-    the reason's slack is priced here, after each change.
+    the conflict's slack at the step, which the caller already holds; only
+    the reason's slack is priced here, by :func:`slack_at`, after each change.
     ``conflict_pivot_weight`` is the weight of ``-pivot`` in the conflict.
     """
-    cw = conflict_pivot_weight
+    cw, lo = conflict_pivot_weight, ~p
     reason.saturate()
     while True:
         rw = reason.weights[pivot]
         common = lcm(cw, rw)
-        if common // cw * conflict_slack + common // rw * slack(reason, rho) < 0:
+        if common // cw * conflict_slack + common // rw * slack_at(reason, index, p) < 0:
             return
         candidates = [
             (w, -abs(lit), lit)
             for lit, w in reason.weights.items()
-            if lit != pivot and -lit not in rho
+            if lit != pivot and not lo <= (index[lit] or 0) < 0
         ]
         if not candidates:
             raise AnalysisError("no weakenable literal left in a reason with high slack")
@@ -249,7 +258,7 @@ def reduce_genres(
         reason.saturate()
 
 
-def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> None:
+def reduce_rs(side: Accumulator, pivot: int, index: list[int | None], p: int, *, partial: bool = False) -> None:
     """Rounding reduction: the pivot weight becomes exactly 1.
 
     Every non-falsified literal other than the pivot whose weight is not
@@ -264,8 +273,9 @@ def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> N
         raise ValueError("pivot does not occur in the constraint")
     if r == 1:
         return
+    lo = ~p
     for lit, w in tuple(side.weights.items()):
-        if lit == pivot or -lit in rho:
+        if lit == pivot or lo <= (index[lit] or 0) < 0:
             continue
         rem = w % r
         if rem == 0:
@@ -277,7 +287,7 @@ def reduce_rs(side: Accumulator, pivot: int, rho, *, partial: bool = False) -> N
     side.divide(r)
 
 
-def weaken_ineffective(side: Accumulator, keep: int | None, rho) -> int:
+def weaken_ineffective(side: Accumulator, keep: int | None, index: list[int | None], p: int) -> int:
     """Shorten a constraint by weakening literals while its role is preserved.
 
     A ``keep`` literal that is None or falsified preserves a conflict (slack
@@ -291,12 +301,13 @@ def weaken_ineffective(side: Accumulator, keep: int | None, rho) -> int:
     none is left the slack is
     the kept literal's weight (0 in conflict mode) minus the degree, as
     weakening a falsified literal keeps it; that slack is returned.  The
-    slack under ``rho`` at the start, read off the sorted pass, must
+    slack at the step at the start, read off the sorted pass, must
     conflict or propagate ``keep`` as the mode requires, or ValueError.
     """
-    propagated = keep is not None and -keep not in rho
+    lo = ~p
+    propagated = keep is not None and not lo <= (index[keep] or 0) < 0
     order = sorted(
-        (-lit in rho, w, abs(lit), lit)
+        (lo <= (index[lit] or 0) < 0, w, abs(lit), lit)
         for lit, w in side.weights.items()
         if lit != keep
     )
@@ -320,7 +331,8 @@ def weaken_ineffective(side: Accumulator, keep: int | None, rho) -> int:
 def reduce_multiply_weaken(
     reason: Accumulator,
     pivot: int,
-    rho,
+    index: list[int | None],
+    p: int,
     conflict_pivot_weight: int,
 ) -> bool:
     """Scale the reason and weaken ineffective literals down to a matching degree.
@@ -334,7 +346,7 @@ def reduce_multiply_weaken(
     unchanged, when the ineffective mass cannot cover the drop; the caller
     then falls back to the gen-res reduction for this step.
     """
-    cw = conflict_pivot_weight
+    cw, lo = conflict_pivot_weight, ~p
     nu = -(-cw // reason.weights[pivot])
     need = nu * reason.degree - cw
     if need < 0:
@@ -344,7 +356,7 @@ def reduce_multiply_weaken(
     ineffective = sorted(
         (w, abs(lit), lit)
         for lit, w in reason.weights.items()
-        if lit != pivot and -lit not in rho
+        if lit != pivot and not lo <= (index[lit] or 0) < 0
     )
     if sum(nu * w for w, _, _ in ineffective) < need:
         return False
@@ -367,22 +379,24 @@ def resolve_step(
     conflict: Accumulator,
     reason: Accumulator,
     pivot: int,
-    rho,
+    index: list[int | None],
+    p: int,
     strategy: str,
     conflict_slack: int,
 ) -> bool:
     """One strategy-guided cancellation of a reason into the conflict side.
 
     ``pivot`` is the propagated literal: it occurs positively in the reason
-    and negated in the conflict.  ``rho`` holds the true literals in effect
-    at this step (up to and including the pivot), ``strategy`` is a key
+    and negated in the conflict.  ``index`` is the engine's record and
+    ``p`` the pivot's trail index, the step's assignment being the trail
+    up to and including the pivot, ``strategy`` is a key
     of :data:`STRATEGIES`, and ``conflict_slack`` is the conflict side's
-    slack under ``rho``; gen-res's guard reads it, and weaken-ineffective,
+    slack at the step; gen-res's guard reads it, and weaken-ineffective,
     which works out its side's slack itself, hands on the slack it leaves.
     ``reason``, an accumulator sharing the conflict's trace, is reduced in
     place and ``conflict`` rewritten into the cancellation, unsaturated; the
-    caller's one pass then saturates it and checks that it conflicts under
-    ``rho``, as every strategy ensures by construction.  Returns whether
+    caller's one pass then saturates it and checks that it conflicts at
+    the step, as every strategy ensures by construction.  Returns whether
     multiply-weaken fell back to gen-res.
     """
     if conflict_slack >= 0:
@@ -399,24 +413,24 @@ def resolve_step(
     # Only weaken-ineffective hands back the conflict side's slack; no row
     # follows a rounding of the conflict with gen-res's guard, which reads it.
     if on_conflict == "weaken-ineffective":
-        conflict_slack = weaken_ineffective(conflict, -pivot, rho)
+        conflict_slack = weaken_ineffective(conflict, -pivot, index, p)
     elif on_conflict is not None:
-        reduce_rs(conflict, -pivot, rho, partial=on_conflict == "partial-rs")
+        reduce_rs(conflict, -pivot, index, p, partial=on_conflict == "partial-rs")
     cw = conflict.weights[-pivot]
     if on_reason == "weaken-ineffective":
-        weaken_ineffective(reason, pivot, rho)
+        weaken_ineffective(reason, pivot, index, p)
     elif on_reason in ("rs", "partial-rs"):
-        reduce_rs(reason, pivot, rho, partial=on_reason == "partial-rs")
+        reduce_rs(reason, pivot, index, p, partial=on_reason == "partial-rs")
     elif on_reason is not None:
         # gen-res, also after weaken-ineffective on the conflict, whose
         # reduced pivot weight may exceed 1, in which case the cancellation
         # needs the reason weakened as in gen-res; multiply-weaken ends in
         # its guard too, on the unreduced reason when it falls back.
-        if on_reason == "multiply-weaken" and not reduce_multiply_weaken(reason, pivot, rho, cw):
+        if on_reason == "multiply-weaken" and not reduce_multiply_weaken(reason, pivot, index, p, cw):
             fallback = True
             if trace is not None:
                 trace.note(f"multiply-weaken fallback after {len(trace.steps)} steps")
-        reduce_genres(reason, pivot, rho, cw, conflict_slack)
+        reduce_genres(reason, pivot, index, p, cw, conflict_slack)
 
     conflict.cancel(reason, pivot)
     return fallback

@@ -209,7 +209,8 @@ def _cmd_generate(args) -> int:
         return EXIT_ERROR
     if not _written(args.out, write_opb, instance):
         return EXIT_ERROR
-    print(f"c wrote {instance.name}: {len(instance.constraints)} constraints over {instance.nvars} variables")
+    name = instance.name if args.family == "php" else f"{instance.name} (seed {args.seed})"
+    print(f"c wrote {name}: {len(instance.constraints)} constraints over {instance.nvars} variables")
     return 0
 
 

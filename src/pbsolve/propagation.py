@@ -5,11 +5,14 @@ their reasons, the id of the propagating constraint or None for a decision.
 The levels never decrease and each level starts with its decision, so a
 level's first entry is found by bisection.  ``index``, the one record of the
 assignment, is a list indexed by the signed literal (2n + 1 slots for n
-variables, negative indexing giving ``-v`` its own): a true literal's trail
-index, None for any other.  ``occs``, laid out the same way, holds each
-literal's ``(cid, weight)`` entries.  :meth:`assign` and :meth:`add_constraint`
-reject a variable outside 1..n, whose literals would alias other slots; reads
-through attached constraints trust them.  The engine keeps, for every attached
+variables, negative indexing giving ``-v`` its own), two slots per assigned
+variable written and cleared together: the true literal's trail index ``t``
+and, in the false literal's slot, ``~t``; both are None while it is free, so
+one read says whether a literal is free, true or false, and since when.
+``occs``, laid out the same way, holds each literal's ``(cid, weight)``
+entries.  :meth:`assign` and :meth:`add_constraint` reject a variable outside
+1..n, whose literals would alias other slots; reads through attached
+constraints trust them.  The engine keeps, for every attached
 constraint, its current slack under the assignment, updated incrementally:
 assigning a literal lowers the slack of every constraint containing its
 negation by that literal's weight, and unassigning restores it.  Propagation
@@ -43,7 +46,7 @@ class PropagationEngine:
         self.trail: list[int] = []  # assigned literals, in order
         self.levels: list[int] = []  # trail index -> decision level
         self.reasons: list[int | None] = []  # trail index -> constraint id, None = decision
-        self.index: list[int | None] = [None] * (2 * nvars + 1)  # lit -> trail index while true; read-only outside
+        self.index: list[int | None] = [None] * (2 * nvars + 1)  # lit -> t true at t, ~t false at t; read-only outside
         self._scanned = 0  # constraint ids below it have had their first scan
         self._qhead = 0  # trail entries below it have had their occurrences visited
         self.propagations = 0
@@ -72,7 +75,7 @@ class PropagationEngine:
         if s is None:
             index, s = self.index, -c.degree
             for lit, w in c.terms:
-                if index[-lit] is None:
+                if (index[lit] or 0) >= 0:
                     s += w
         self.slacks.append(s)
         self.max_weights.append(c.max_weight)
@@ -97,9 +100,10 @@ class PropagationEngine:
         index = self.index
         if not 0 < abs(lit) <= self.nvars:
             raise ValueError(f"variable x{abs(lit)} is outside 1..{self.nvars}")
-        if index[lit] is not None or index[-lit] is not None:
+        if index[lit] is not None:
             raise ValueError(f"variable x{abs(lit)} is already assigned")
-        index[lit] = len(self.trail)
+        t = len(self.trail)
+        index[lit], index[-lit] = t, ~t
         self.trail.append(lit)
         self.levels.append(self.current_level)
         self.reasons.append(reason)
@@ -155,8 +159,9 @@ class PropagationEngine:
         levels, reasons = self.levels, self.reasons
         level = levels[-1] if levels else 0
         for lit, w in c.terms:
-            if w > s and index[lit] is None and index[-lit] is None:
-                index[lit] = len(trail)
+            if w > s and index[lit] is None:
+                t = len(trail)
+                index[lit], index[-lit] = t, ~t
                 trail.append(lit)
                 levels.append(level)
                 reasons.append(cid)
@@ -174,7 +179,7 @@ class PropagationEngine:
         popped = self.trail[start:]
         index, slacks, occs = self.index, self.slacks, self.occs
         for lit in popped:
-            index[lit] = None
+            index[lit] = index[-lit] = None
             for cid, w in occs[-lit]:
                 slacks[cid] += w
         del self.trail[start:], self.levels[start:], self.reasons[start:]

@@ -195,7 +195,7 @@ class Solver:
         index = self.engine.index
         while heap:
             v = heap[0][1]
-            if index[v] is not None or index[-v] is not None:
+            if index[v] is not None:
                 heapq.heappop(heap)
             else:
                 return self._phase[v] or -v
@@ -214,7 +214,7 @@ class Solver:
         inc = self._var_inc
         for v in variables:
             activity[v] += inc
-            if index[v] is None and index[-v] is None:
+            if index[v] is None:
                 heapq.heappush(heap, (-activity[v], v))
         if len(heap) > _HEAP_SLACK_FACTOR * self.nvars + 16:
             self._rebuild_heap()
@@ -222,9 +222,7 @@ class Solver:
     def _rebuild_heap(self) -> None:
         """Rebuild the decision heap from the activities of the unassigned variables."""
         activity, index = self._activity, self.engine.index
-        self._heap = [
-            (-activity[v], v) for v in range(1, self.nvars + 1) if index[v] is None and index[-v] is None
-        ]
+        self._heap = [(-activity[v], v) for v in range(1, self.nvars + 1) if index[v] is None]
         heapq.heapify(self._heap)
 
     def _decay_activities(self) -> None:
@@ -274,10 +272,11 @@ class Solver:
         The conflict side and each step's reason are :class:`Accumulator`
         values that the step rewrites in place; a constraint is built from
         the conflict side only when it is learned or proves a root conflict.
-        Each resolve step sees as ``rho`` the literals of the trail prefix up
-        to and including its pivot, at index ``p``; after it, one :func:`settle` pass saturates
-        the conflict side, prices its slack under that prefix, which must be
-        negative, and finds its assertion level.  The slack starts as the
+        Each resolve step reads the engine's ``index`` against its pivot's
+        trail index ``p``, the step's assignment being the trail prefix through
+        ``p``, so no set of true literals is built; after it, one :func:`settle`
+        pass saturates the conflict side, prices its slack under that prefix,
+        which must be negative, and finds its assertion level.  The slack starts as the
         engine's slack of the conflicting constraint and rises only when the
         walk skips an entry whose negation the conflict side holds, by that
         literal's weight.
@@ -289,10 +288,9 @@ class Solver:
         assert start is not None
         trace_ids = self._trace_ids
         cur = Accumulator(start, self.trace, trace_ids[conflict_cid])
-        rho = set(engine.trail)
         cur_slack = engine.slacks[conflict_cid]
         deadline = self._deadline
-        trail, levels, reasons = engine.trail, engine.levels, engine.reasons
+        trail, levels, reasons, index = engine.trail, engine.levels, engine.reasons, engine.index
         for p in range(len(trail) - 1, -1, -1):
             if levels[p] == 0:
                 break
@@ -305,7 +303,7 @@ class Solver:
                 reason = Accumulator(engine.constraints[cid], self.trace, trace_ids[cid])
                 self._bump_constraint(cid)
                 self.bump_variables({*map(abs, cur.weights), *map(abs, reason.weights)})
-                if resolve_step(cur, reason, pivot, rho, strategy, cur_slack):
+                if resolve_step(cur, reason, pivot, index, p, strategy, cur_slack):
                     self.stats.fallbacks += 1
                 # The engine is frozen during analysis: only a step moves the level.
                 cur_slack, level, level_slack = settle(cur, engine, p)
@@ -316,7 +314,6 @@ class Solver:
                     return None
                 if level is not None:
                     return cur.constraint(self._pairs), cur.id, level, level_slack
-            rho.remove(pivot)
         # Only root-level assignments remain, and the constraint must
         # still be conflicting under them.
         if cur_slack >= 0:
@@ -365,7 +362,7 @@ class Solver:
 
     def _checked_model(self) -> dict[int, bool]:
         index = self.engine.index
-        model = {v: index[v] is not None for v in range(1, self.nvars + 1)}
+        model = {v: index[v] is not None and index[v] >= 0 for v in range(1, self.nvars + 1)}
         for c in self.instance.constraints:
             if not c.satisfied_by(model):
                 raise AnalysisSoundnessError(f"model does not satisfy {c.to_text()}")
@@ -377,9 +374,9 @@ def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, i
 
     Caps every weight at the degree, recording one saturation if any
     changed, and returns the slack under the trail prefix up to index ``p``
-    (a literal is falsified there when its negation sits at ``p`` or
-    before) and the assertion level: the smallest level L below the current
-    one at which, restricted to assignments at levels <= L, the slack is
+    (a literal is falsified there when its own ``index`` slot holds ``~t``
+    with ``t <= p``) and the assertion level: the smallest level L below the
+    current one at which, restricted to assignments at levels <= L, the slack is
     non-negative and below some unassigned literal's weight, or None; and
     the slack at that level, or None, which is the engine's slack of the
     constraint once the search has backjumped there.  The slack at L is the
@@ -392,20 +389,23 @@ def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, i
     max_weight = [0] * (top + 1)  # level -> largest weight; unassigned at top
     full = -d  # slack under the whole trail
     later = 0  # weight falsified after index p
+    lo = ~p  # a slot below it is falsified after index p
     capped = False
     for lit, w in weights.items():
         if w > d:
             weights[lit] = w = d
             capped = True
-        q = index[-lit]
+        q = index[lit]
         if q is None:
             full += w
-            q = index[lit]
-            lvl = top if q is None else levels[q]
-        else:
+            lvl = top
+        elif q >= 0:
+            full += w
             lvl = levels[q]
+        else:
+            lvl = levels[~q]
             falsified[lvl] += w
-            if q > p:
+            if q < lo:
                 later += w
         if w > max_weight[lvl]:
             max_weight[lvl] = w

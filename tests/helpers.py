@@ -26,7 +26,10 @@ fresh :class:`Constraint` (with ``cancel_multipliers``, the minimal
 multipliers of a cancellation); and ``reference_resolve_step`` with the
 four ``reference_reduce_*`` / ``reference_weaken_ineffective`` reductions,
 composed from those pure rules, which the solver's in-place accumulator
-must match step for step.  ``resolved`` runs the package's
+must match step for step.  The references take a set ``rho`` of true
+literals; ``as_record`` lays such a set out as the engine's two-slot record
+that the package's reductions read, ``(index, p)``, and ``falsified_at`` is
+the record's falsified test written out.  ``resolved`` runs the package's
 ``resolve_step`` and the solver's ``settle`` pass after it on a constraint
 and returns the outcome in the reference's form, and ``on_accumulator``
 does the same for one reduction, both reading an accumulator's value with
@@ -39,8 +42,9 @@ Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a
 constraint;
 ``propagation_candidates``, the literals a constraint propagates; and
-``value``, ``reason_of`` and ``verify_slacks`` on a propagation engine, the
-last one recomputing every stored slack.
+``value``, ``reason_of``, ``check_record`` and ``verify_slacks`` on a
+propagation engine, the last two checking the record of the assignment
+against the trail and recomputing every stored slack.
 """
 
 from __future__ import annotations
@@ -162,23 +166,65 @@ def propagation_candidates(c: Constraint, rho: Assignment) -> tuple[int, ...]:
     )
 
 
-def value(engine, lit: int) -> bool | None:
-    """Truth value of a literal on the engine's trail; None when unassigned.
+def _trail_index(engine, lit: int) -> int | None:
+    """The trail index of ``lit``'s variable, read off both of its slots, which must agree:
+    ``t`` and ``~t``, one for each literal, or None and None.
 
     A literal outside the engine's range would read another literal's slot."""
     if not 0 < abs(lit) <= engine.nvars:
         raise ValueError(f"literal {lit} is outside the engine's +-1..+-{engine.nvars}")
-    if engine.index[lit] is not None:
-        return True
-    if engine.index[-lit] is not None:
-        return False
-    return None
+    own, other = engine.index[lit], engine.index[-lit]
+    if own is None and other is None:
+        return None
+    assert own is not None and other == ~own, f"the slots of {lit} and {-lit} disagree: {own}, {other}"
+    return max(own, other)
+
+
+def value(engine, lit: int) -> bool | None:
+    """Truth value of a literal on the engine's trail; None when unassigned."""
+    t = _trail_index(engine, lit)
+    return None if t is None else engine.trail[t] == lit
 
 
 def reason_of(engine, v: int) -> int | None:
     """The reason constraint id of an assigned variable, or None for a decision."""
-    index = engine.index
-    return engine.reasons[index[v] if index[v] is not None else index[-v]]
+    return engine.reasons[_trail_index(engine, v)]
+
+
+def check_record(engine) -> None:
+    """Assert that ``engine.index`` records the trail: for every trail index ``t``,
+    ``index[trail[t]] == t`` and ``index[-trail[t]] == ~t``, and every other slot is None."""
+    index, trail, n = engine.index, engine.trail, engine.nvars
+    assert len(index) == 2 * n + 1
+    for t, lit in enumerate(trail):
+        assert index[lit] == t and index[-lit] == ~t, (t, lit, index[lit], index[-lit])
+    assigned = {*trail, *(-lit for lit in trail)}
+    assert [index[l] for l in range(-n, n + 1) if l not in assigned] == [None] * (2 * (n - len(trail)) + 1)
+
+
+def falsified_at(index, p: int, lit: int) -> bool:
+    """Whether ``lit`` is falsified at a resolve step whose pivot sits at trail index ``p``,
+    read off the record as its rule says: its own slot holds ``~t`` with ``t <= p``."""
+    q = index[lit]
+    return q is not None and q < 0 and ~q <= p
+
+
+def _root_engine(rho, *sides) -> PropagationEngine:
+    """An engine holding the true literals ``rho`` at the root, in variable order (trail
+    indices 0..k-1), sized to every variable that ``rho`` and the ``sides`` name."""
+    named = [*rho, *(lit for side in sides for lit, _ in side.terms)]
+    engine = PropagationEngine(max(map(abs, named), default=0))
+    for lit in sorted(rho, key=abs):
+        engine.assign(lit, None)
+    return engine
+
+
+def as_record(rho, *sides) -> tuple[list[int | None], int]:
+    """The set of true literals ``rho`` laid out as the engine's record, ``(index, p)``:
+    its literals at trail indices 0..k-1 and ``p = k - 1``, so a literal is falsified
+    at ``p`` exactly when its negation is in ``rho``.  The list covers every variable
+    that ``rho`` and the ``sides`` (constraints or accumulators) name."""
+    return _root_engine(rho, *sides).index, len(rho) - 1
 
 
 def verify_slacks(engine) -> bool:
@@ -283,24 +329,22 @@ class ResolveOutcome(NamedTuple):
     slack: int
 
 
-def on_accumulator(reduction, c: Constraint, *args, **kwargs) -> Constraint:
-    """Run an in-place reduction on an accumulator holding ``c``; its result."""
+def on_accumulator(reduction, c: Constraint, pivot: int | None, rho, *args, **kwargs) -> Constraint:
+    """Run an in-place reduction on an accumulator holding ``c``, its own pivot (or kept literal)
+    ``pivot``, under ``rho`` laid out by :func:`as_record`; its result."""
     side = Accumulator(c)
-    reduction(side, *args, **kwargs)
+    reduction(side, pivot, *as_record(rho, c), *args, **kwargs)
     return side.constraint()
 
 
 def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str) -> ResolveOutcome:
     """The package's ``resolve_step`` run on an accumulator holding ``conflict``,
-    then the solver's pass over it, on an engine holding ``rho`` at the root,
-    sized to every variable that ``rho`` and the two sides name."""
+    then the solver's pass over it, on an engine holding ``rho`` at the root
+    as :func:`as_record` lays it out."""
     side = Accumulator(conflict)
     given = slack(conflict, rho)
-    fallback = resolve_step(side, Accumulator(reason), pivot, rho, strategy, given)
-    named = [*rho, *(lit for lit, _ in conflict.terms), *(lit for lit, _ in reason.terms)]
-    engine = PropagationEngine(max(map(abs, named), default=0))
-    for lit in rho:
-        engine.assign(lit, None)
+    engine = _root_engine(rho, conflict, reason)
+    fallback = resolve_step(side, Accumulator(reason), pivot, engine.index, len(rho) - 1, strategy, given)
     after, _, _ = settle(side, engine, len(rho) - 1)
     return ResolveOutcome(side.constraint(), fallback, given, after)
 
@@ -323,22 +367,24 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
     place, so ``conflict`` and ``reason`` are constraints taken before the
     step and ``outcome`` a
     :class:`ResolveOutcome` taken after the pass, holding the slack the
-    solver handed to the step and the one the pass returned.  ``rho`` is a
-    copy of the assignment the step ran under, so the observer may keep it;
-    the observer must not mutate its other arguments.
+    solver handed to the step and the one the pass returned.  ``rho`` is the
+    step's assignment as a set of true literals, built from the trail prefix
+    through the pivot, so the observer may keep it; the observer must not
+    mutate its other arguments.
     """
     step = pbsolve.solver.resolve_step
     pending = []
 
-    def observed_step(conflict, reason, pivot, rho, strategy, conflict_slack):
+    def observed_step(conflict, reason, pivot, index, p, strategy, conflict_slack):
         before, reason_before = conflict.constraint(), reason.constraint()
-        fallback = step(conflict, reason, pivot, rho, strategy, conflict_slack)
-        pending.append((before, reason_before, pivot, set(rho), fallback, conflict_slack))
+        fallback = step(conflict, reason, pivot, index, p, strategy, conflict_slack)
+        pending.append((before, reason_before, pivot, fallback, conflict_slack))
         return fallback
 
     def observed_settle(side, engine, p):
         result = settle(side, engine, p)
-        before, reason, pivot, rho, fallback, given = pending.pop()
+        before, reason, pivot, fallback, given = pending.pop()
+        rho = set(engine.trail[: p + 1])
         observer(before, reason, pivot, rho, ResolveOutcome(side.constraint(), fallback, given, result[0]))
         return result
 

@@ -26,6 +26,7 @@ from pbsolve.opb import UNKNOWN, UNSAT, write_opb
 from pbsolve.solver import SolverConfig, solve
 from pbsolve.trace import verify_trace
 from helpers import (
+    as_record,
     asg,
     brute_force_status,
     cancel,
@@ -100,7 +101,7 @@ def test_criterion_1_worked_derivations():
     # Multiply-and-weaken avoids the LCM blowup.
     rho7 = asg(a=0, d=0, e=1, b=1)
     reduced = Accumulator(con("5a 5b 3c 2d e >= 6"))
-    assert reduce_multiply_weaken(reduced, lit("b"), rho7, 3)
+    assert reduce_multiply_weaken(reduced, lit("b"), *as_record(rho7, reduced), 3)
     assert reduced.constraint() == con("3a 3b c 2d >= 3")
     mw = resolved(
         con("3~b 2a 2d ~e >= 5"), con("5a 5b 3c 2d e >= 6"), lit("b"), rho7,

@@ -25,6 +25,7 @@ from pbsolve.solver import SolverConfig
 from pbsolve.opb import ParsedInstance
 from pbsolve.trace import DerivationTrace, verify_trace
 from helpers import (
+    as_record,
     asg,
     con,
     divide,
@@ -44,7 +45,7 @@ from helpers import (
 def genres_reason(conflict, reason, pivot, rho):
     """The reason after gen-res's reduction against ``conflict``."""
     side = Accumulator(reason)
-    reduce_genres(side, pivot, rho, weight(conflict, -pivot), slack(conflict, rho))
+    reduce_genres(side, pivot, *as_record(rho, conflict, reason), weight(conflict, -pivot), slack(conflict, rho))
     return side.constraint()
 
 
@@ -255,7 +256,7 @@ class TestRoundedConflictSide:
         assert exact == stale // weight(conflict, -pivot)
         for conflict_slack in (stale, exact):
             side = Accumulator(reason)
-            reduce_genres(side, pivot, rho, 1, conflict_slack)
+            reduce_genres(side, pivot, *as_record(rho, reason), 1, conflict_slack)
             assert side.constraint() == saturate(reason)
 
 
@@ -264,7 +265,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0)
         reason = con("3~a 3~b c d e >= 6")
         side = Accumulator(reason)
-        left = weaken_ineffective(side, lit("~b"), rho)
+        left = weaken_ineffective(side, lit("~b"), *as_record(rho, side))
         assert side.constraint() == con("~b c >= 1")
         assert left == slack(side, rho) == 0
 
@@ -272,7 +273,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0, b=0)
         conflict = con("2a b c f >= 2")
         side = Accumulator(conflict)
-        left = weaken_ineffective(side, lit("b"), rho)
+        left = weaken_ineffective(side, lit("b"), *as_record(rho, side))
         assert side.constraint() == con("a b f >= 1")
         assert left == slack(side, rho) == -1
 
@@ -280,7 +281,7 @@ class TestWeakenIneffective:
         rho = asg(a=0, c=0, f=0, b=0)
         conflict = con("3f c d e >= 3")
         side = Accumulator(conflict)
-        left = weaken_ineffective(side, None, rho)
+        left = weaken_ineffective(side, None, *as_record(rho, side))
         assert side.constraint() == con("c f >= 1")
         assert left == slack(side, rho) == -1
 
@@ -289,7 +290,7 @@ class TestWeakenIneffective:
         # weakening gave, written as one weaken step and one saturate step.
         trace = DerivationTrace(1)
         side = Accumulator(con("3f c d e >= 3"), trace, 1)
-        weaken_ineffective(side, None, asg(a=0, c=0, f=0, b=0))
+        weaken_ineffective(side, None, *as_record(asg(a=0, c=0, f=0, b=0), side))
         assert side.constraint() == con("c f >= 1")
         assert trace.steps == [("weaken", (1, lit("d"), lit("e"))), ("saturate", (2,))]
 
@@ -297,23 +298,23 @@ class TestWeakenIneffective:
         rho = asg(a=0, b=0)
         c = con("a b >= 1")
         side = Accumulator(c)
-        assert weaken_ineffective(side, None, rho) == -1
+        assert weaken_ineffective(side, None, *as_record(rho, side)) == -1
         assert side.constraint() == c
 
     def test_mode_preconditions(self):
         # The mode follows the kept literal: None or falsified preserves a
         # conflict, so a slack that is not negative is refused.
         with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
-            weaken_ineffective(Accumulator(con("a b >= 1")), None, set())
+            on_accumulator(weaken_ineffective, con("a b >= 1"), None, set())
         with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
-            weaken_ineffective(Accumulator(con("a b c >= 1")), lit("a"), asg(a=0))
+            on_accumulator(weaken_ineffective, con("a b c >= 1"), lit("a"), asg(a=0))
         # A non-falsified kept literal must be propagated: a slack from 0 up
         # to below its weight.
         message = "^preserve-propagation mode requires the kept literal to be propagated$"
         with pytest.raises(ValueError, match=message):
-            weaken_ineffective(Accumulator(con("a b c >= 3")), lit("a"), asg(b=0))
+            on_accumulator(weaken_ineffective, con("a b c >= 3"), lit("a"), asg(b=0))
         with pytest.raises(ValueError, match=message):
-            weaken_ineffective(Accumulator(con("a b >= 1")), lit("a"), set())
+            on_accumulator(weaken_ineffective, con("a b >= 1"), lit("a"), set())
 
     def test_matches_the_priced_reference(self):
         # The reduction weakens without pricing any trial; the reference
@@ -355,11 +356,11 @@ class TestWeakenIneffective:
             side = Accumulator(c)
             if broken is not None:
                 with pytest.raises(ValueError, match=message):
-                    weaken_ineffective(side, keep, rho)
+                    weaken_ineffective(side, keep, *as_record(rho, side))
                 assert side.constraint() == c
                 refused[broken] += 1
                 continue
-            left = weaken_ineffective(side, keep, rho)
+            left = weaken_ineffective(side, keep, *as_record(rho, side))
             assert side.constraint() == reference_weaken_ineffective(c, rho, **reference)
             assert left == slack(side, rho)
             cases[mode] += 1
@@ -370,7 +371,7 @@ class TestMultiplyWeaken:
     def test_worked_reduction(self):
         rho = rho_after_propagation(asg(a=0, d=0, e=1), lit("b"))
         side = Accumulator(con("5a 5b 3c 2d e >= 6"))
-        assert reduce_multiply_weaken(side, lit("b"), rho, 3)
+        assert reduce_multiply_weaken(side, lit("b"), *as_record(rho, side), 3)
         assert side.constraint() == con("3a 3b c 2d >= 3")
 
     def test_equal_weights_need_no_weakening(self):
@@ -378,7 +379,7 @@ class TestMultiplyWeaken:
         reason = con("3a 3b >= 3")
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
-        assert reduce_multiply_weaken(side, lit("b"), rho, 3)
+        assert reduce_multiply_weaken(side, lit("b"), *as_record(rho, side), 3)
         assert side.constraint() == reason
 
     def test_insufficient_ineffective_mass_falls_back(self):
@@ -386,7 +387,7 @@ class TestMultiplyWeaken:
         reason = con("5a 5b >= 6")
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
-        assert not reduce_multiply_weaken(side, lit("b"), rho, 2)
+        assert not reduce_multiply_weaken(side, lit("b"), *as_record(rho, side), 2)
         assert side.constraint() == reason
 
     def test_unsaturated_reason_with_low_degree_falls_back(self):
@@ -395,7 +396,7 @@ class TestMultiplyWeaken:
         reason = con("5a 5b c >= 3")
         rho = asg(a=0, b=1)
         side = Accumulator(reason)
-        assert not reduce_multiply_weaken(side, lit("b"), rho, 4)
+        assert not reduce_multiply_weaken(side, lit("b"), *as_record(rho, side), 4)
         assert side.constraint() == reason
         conflict = con("4~b 2a c >= 6")
         rho2 = rho | {lit("~c")}
@@ -419,17 +420,17 @@ class TestRuleApplication:
         clause_id, reason_id, safe_id = 1, 2, 3
         # No division: the pivot weight is 1.
         side = Accumulator(clause, trace, clause_id)
-        reduce_rs(side, lit("a"), set())
+        reduce_rs(side, lit("a"), *as_record(set(), side))
         assert side.id == clause_id and side.constraint() == clause
         # Multiplication by nu == 1, nothing to weaken, already saturated.
         rho = asg(a=0, b=1)
         side = Accumulator(reason, trace, reason_id)
-        assert reduce_multiply_weaken(side, lit("b"), rho, 3)
+        assert reduce_multiply_weaken(side, lit("b"), *as_record(rho, side), 3)
         assert side.id == reason_id and side.constraint() == reason
         # A saturation that changes nothing, on a pair that is already safe.
         rho = asg(a=0, c=0, b=0)
         side = Accumulator(safe_reason, trace, safe_id)
-        reduce_genres(side, lit("~b"), rho, weight(reason, lit("b")), slack(reason, rho))
+        reduce_genres(side, lit("~b"), *as_record(rho, side, reason), weight(reason, lit("b")), slack(reason, rho))
         assert side.id == safe_id and side.constraint() == safe_reason
         assert trace.steps == []
 
@@ -499,7 +500,8 @@ class TestResolveStep:
         reason = con("c d >= 1")
         reduced = Accumulator(reason, trace, 2)
         with pytest.raises(ValueError, match="^the pivot does not occur in the reason side$"):
-            resolve_step(side, reduced, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+            record = as_record(RHO1B, CONFLICT1, REASON1)
+            resolve_step(side, reduced, lit("~b"), *record, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps == []
         assert side.constraint() == CONFLICT1
 
@@ -507,7 +509,8 @@ class TestResolveStep:
         trace = DerivationTrace(2)
         cid, rid = 1, 2
         side = Accumulator(CONFLICT1, trace, cid)
-        resolve_step(side, Accumulator(REASON1, trace, rid), lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+        record = as_record(RHO1B, CONFLICT1, REASON1)
+        resolve_step(side, Accumulator(REASON1, trace, rid), lit("~b"), *record, "gen-res", slack(CONFLICT1, RHO1B))
         assert trace.steps
         instance = ParsedInstance(declared_vars=8, constraints=[CONFLICT1, REASON1])
         assert replay_steps(instance, trace)[side.id] == side.constraint()
@@ -519,7 +522,8 @@ class TestResolveStep:
         trace = DerivationTrace(2)
         side = Accumulator(CONFLICT1, trace, 1)
         reason = Accumulator(REASON1, trace, 2)
-        resolve_step(side, reason, lit("~b"), RHO1B, "gen-res", slack(CONFLICT1, RHO1B))
+        record = as_record(RHO1B, CONFLICT1, REASON1)
+        resolve_step(side, reason, lit("~b"), *record, "gen-res", slack(CONFLICT1, RHO1B))
         before = {name: copy.copy(value) for name, value in vars(trace).items()}
         out = side.constraint()
         assert vars(trace) == before

@@ -317,8 +317,20 @@ class TestCli:
         proc = run_cli("generate", "random", "--vars", "10", "--constraints", "40", "--seed", "6", "--out", out)
         assert proc.returncode == 0
         expected = balanced_instance(10, 40, 6, RANDOM_TAG)
-        assert proc.stdout == f"c wrote {expected.name}: 40 constraints over 10 variables\n"
+        assert proc.stdout == f"c wrote {expected.name} (seed 6): 40 constraints over 10 variables\n"
         assert parse_opb(out.read_text()).constraints == expected.constraints
+
+    def test_generate_random_names_its_seed(self, tmp_path):
+        # The instance name leaves the seed out, so the line adds it: two
+        # seeds at one size print two different lines.
+        lines = []
+        for seed in (6, 15):
+            proc = run_cli("generate", "random", "--vars", "10", "--constraints", "40",
+                           "--seed", str(seed), "--out", tmp_path / f"r{seed}.opb")
+            assert proc.returncode == 0
+            lines.append(proc.stdout)
+        expected = "c wrote rand-cli-10-40 (seed {}): 40 constraints over 10 variables\n"
+        assert lines == [expected.format(6), expected.format(15)]
 
     def test_generate_random_has_no_max_weight(self, tmp_path):
         # The balanced family draws weights in 1..10; the option is gone.

@@ -8,6 +8,7 @@ from pbsolve.core import Constraint, slack
 from pbsolve.generators import balanced_instance, php_instance
 from pbsolve.propagation import PropagationEngine
 from helpers import (
+    check_record,
     con,
     lit,
     propagation_candidates,
@@ -74,7 +75,8 @@ class TestRangeGuard:
                 engine.assign(outside, None)
         assert engine.trail == [] and engine.index == [None] * 7 and engine.slacks == [2]
         engine.assign(-3, None)
-        assert value(engine, -3) is True and engine.index[-3] == 0
+        assert value(engine, -3) is True and engine.index[-3] == 0 and engine.index[3] == ~0
+        check_record(engine)
 
     def test_add_constraint_rejects_variable_outside_range(self):
         engine = engine_with(con("a b c >= 1"))
@@ -99,8 +101,12 @@ class TestPropagation:
             engine.assume(decision)
         assert engine.slacks[0] == 2
         result = engine.propagate_all()
-        assert value(engine, -var("b")) is True
-        assert reason_of(engine, var("b")) == 0
+        assert value(engine, -var("b")) is True and value(engine, var("b")) is False
+        assert reason_of(engine, var("b")) == reason_of(engine, -var("b")) == 0
+        # ~b is the fifth entry: its own slot holds 4 and b's holds ~4.
+        assert engine.trail[4] == -var("b")
+        assert engine.index[-var("b")] == 4 and engine.index[var("b")] == ~4
+        check_record(engine)
         assert result == 1  # the propagation of ~b falsifies the other constraint
         assert engine.slacks[1] == -1
 
@@ -197,13 +203,11 @@ class TestBackjump:
                     engine.assume(v if rng.random() < 0.5 else -v)
                     engine.propagate_all()
                 assert verify_slacks(engine)
-                # One record of the assignment: each true literal -> its trail
-                # index, every other literal of +-1..+-n -> None.
-                at = {lit: i for i, lit in enumerate(engine.trail)}
-                n = engine.nvars
-                assert n == 7 and len(engine.index) == 2 * n + 1
-                for l in [*range(1, n + 1), *range(-n, 0)]:
-                    assert engine.index[l] == at.get(l)
+                # One record of the assignment, two slots per assigned
+                # variable: the true literal -> its trail index t, the false
+                # one -> ~t, every other literal of +-1..+-n -> None.
+                assert engine.nvars == 7
+                check_record(engine)
                 # The trail is three parallel lists whose levels never decrease,
                 # and each open level starts at its decision, its only one.
                 assert len(engine.trail) == len(engine.levels) == len(engine.reasons)

@@ -31,6 +31,7 @@ from helpers import (
     brute_force_status,
     bump_one_at_a_time,
     con,
+    falsified_at,
     implies_semantically,
     is_assertive,
     linear_decide_literal,
@@ -401,8 +402,9 @@ class TestAccumulatorMatchesReference:
         assert 2 * sum(unsorted) >= len(built)
 
     def test_observers_may_keep_the_assignment(self, monkeypatch):
-        # The walk unassigns each pivot after its step, so an observer that
-        # keeps the solver's own set would find the pivots gone.
+        # The walk reads the engine's record, which holds the whole trail, so
+        # an observer gets a set of its own, the trail prefix through the
+        # pivot: a kept one still holds its pivot after the walk moves on.
         kept = []
         observe_resolve_steps(monkeypatch, lambda c, r, pivot, rho, o: kept.append((pivot, rho)))
         solve(balanced_instance(30, 120, 1, "test"), SolverConfig(conflict_budget=50))
@@ -445,6 +447,45 @@ class TestAccumulatorMatchesReference:
         learned, _, level, _ = solver.analyze_conflict(3)
         assert after_skip == [var("g"), var("c")]
         assert learned == con("2~a ~b >= 2") and level == 0
+
+
+class TestFalsifiedAtTheStep:
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    def test_the_record_agrees_with_the_trail_prefix(self, strategy, monkeypatch):
+        # A resolve step reads the engine's record and its pivot's trail
+        # index p, not a set of true literals.  That set, the trail prefix
+        # through p, is the oracle: for every literal of both sides, falsified
+        # at the step as read off the record must be ``-lit in rho``, and
+        # ``slack_at``, analysis's pricing on the record, must equal
+        # ``core.slack`` under it.  Literals falsified after p occur, so the
+        # bound on t is tested, not only the sign of the slot.
+        step = pbsolve.solver.resolve_step
+        engines = []
+        pivots = []
+        later = []
+
+        def checked_step(conflict, reason, pivot, index, p, *args):
+            engine = engines[-1]
+            assert index is engine.index and engine.trail[p] == pivot
+            rho = set(engine.trail[: p + 1])
+            for side in (conflict, reason):
+                for l in side.weights:
+                    assert falsified_at(index, p, l) == (-l in rho)
+                    later.append(-l in engine.trail[p + 1 :])
+                assert pbsolve.analysis.slack_at(side, index, p) == slack(side, rho)
+            pivots.append(pivot)
+            return step(conflict, reason, pivot, index, p, *args)
+
+        monkeypatch.setattr(pbsolve.solver, "resolve_step", checked_step)
+        instances = [php_instance(9, 8)] + [balanced_instance(30, 120, seed, "test") for seed in range(1, 5)]
+        for instance in instances:
+            solver = Solver(instance, SolverConfig(strategy=strategy, conflict_budget=100))
+            engines.append(solver.engine)
+            solver.solve()
+        # 2,083-2,984 steps per strategy, and 358-1,000 literals falsified
+        # after their step's pivot.
+        assert len(pivots) >= 2000
+        assert sum(later) >= 300
 
 
 class TestSharedTerms:
@@ -494,13 +535,13 @@ class TestStepPricing:
         priced = []
         steps = []
         passes = []
-        price = pbsolve.analysis.slack
+        price = pbsolve.analysis.slack_at
         step = pbsolve.solver.resolve_step
         settle = pbsolve.solver.settle
 
-        def counted_slack(c, rho):
+        def counted_slack(c, index, p):
             priced.append(c.constraint())
-            return price(c, rho)
+            return price(c, index, p)
 
         def counted_step(conflict, *args):
             result = step(conflict, *args)
@@ -512,7 +553,7 @@ class TestStepPricing:
             passes.append(len(steps))
             return settle(side, engine, p)
 
-        monkeypatch.setattr(pbsolve.analysis, "slack", counted_slack)
+        monkeypatch.setattr(pbsolve.analysis, "slack_at", counted_slack)
         monkeypatch.setattr(pbsolve.solver, "resolve_step", counted_step)
         monkeypatch.setattr(pbsolve.solver, "settle", counted_settle)
         assert solve(php_instance(6, 5), SolverConfig(strategy=strategy)).status == UNSAT
@@ -529,20 +570,15 @@ class TestStepPricing:
         # side's slack under the step's assignment, its assertion level and
         # its slack at that level; they must equal a full recomputation, the
         # level-by-level oracle and a recomputation under the trail prefix
-        # up to that level, the slack the engine takes it with.
+        # up to that level, the slack the engine takes it with.  The step's
+        # assignment is the trail prefix through the pivot, at index ``p``.
         checked = []
-        observed = {}
-        step = pbsolve.solver.resolve_step
         settle = pbsolve.solver.settle
-
-        def kept_step(conflict, reason, pivot, rho, *args):
-            observed["rho"] = set(rho)
-            return step(conflict, reason, pivot, rho, *args)
 
         def checked_settle(side, engine, p):
             after, level, level_slack = settle(side, engine, p)
             cur = side.constraint()
-            assert after == slack(cur, observed["rho"])
+            assert after == slack(cur, set(engine.trail[: p + 1]))
             assert level == oracle_assertion_level(cur, engine)
             if level is None:
                 assert level_slack is None
@@ -551,7 +587,6 @@ class TestStepPricing:
             checked.append(level is not None)
             return after, level, level_slack
 
-        monkeypatch.setattr(pbsolve.solver, "resolve_step", kept_step)
         monkeypatch.setattr(pbsolve.solver, "settle", checked_settle)
         solve(php_instance(9, 8), SolverConfig(strategy=strategy, conflict_budget=100))
         for seed in range(1, 5):
