@@ -130,6 +130,10 @@ class Constraint:
         return f"Constraint({self.to_text()!r})"
 
 
+#: The signs each relation's ``>=`` parts multiply both sides by.
+SIGNS = {">=": (1,), "<=": (-1,), "=": (1, -1)}
+
+
 def normalize(
     raw_terms: Sequence[tuple[int, int]],
     relation: str,
@@ -141,8 +145,9 @@ def normalize(
     are one ``>=`` relation, ``=`` is two.  Each relation yields one
     saturated :class:`Constraint`; one that every 0/1 assignment satisfies
     yields none, and one that none satisfies yields the empty constraint.
+    The terms fold into one net coefficient per variable for :func:`fold_parts`.
     """
-    signs = {">=": (1,), "<=": (-1,), "=": (1, -1)}.get(relation)
+    signs = SIGNS.get(relation)
     if signs is None:
         raise ValueError(f"unknown relation {relation!r}")
     # Net coefficient per variable on the positive literal; rewriting a term
@@ -154,7 +159,15 @@ def normalize(
         else:
             net[-lit] = net.get(-lit, 0) - w
             rhs -= w
-    fold = sorted(net.items())
+    return fold_parts(sorted(net.items()), signs, rhs)
+
+
+def fold_parts(fold: Sequence[tuple[int, int]], signs: Sequence[int], rhs: int) -> list[Constraint]:
+    """:func:`normalize`'s result for a fold: at most one saturated ``>=`` part per sign.
+
+    ``fold`` holds ``(variable, net coefficient)`` pairs in strictly ascending
+    variable order, zero coefficients included; ``signs`` is a :data:`SIGNS` entry.
+    """
     constraints = []
     # Each sign gives one ``>=`` part, sign * sum(a * v) >= sign * rhs, built in variable order
     # (the constructor's one-pass path) in one pass that also sums and bounds its weights.

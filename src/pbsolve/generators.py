@@ -47,8 +47,8 @@ def balanced_instance(nvars: int, nconstraints: int, seed: int, tag: str) -> Par
     up).  The draws come from the string
     ``balanced/{seed}/{tag}/{nvars}/{nconstraints}``, so distinct tags give
     independent instances of one size and seed.  Rows are built through
-    :func:`normalize`, as parsing builds them, so the instance equals its
-    written OPB text parsed back.
+    :func:`normalize`, whose builder also makes every parsed row, so the
+    instance equals its written OPB text parsed back.
     """
     if nvars < 6:
         raise ValueError(f"nvars must be >= 6 (a row samples six variables), got {nvars}")

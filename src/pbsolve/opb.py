@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import IO
 
-from .core import Constraint, normalize
+from .core import SIGNS, Constraint, fold_parts, normalize
 
 _HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*\d+")
 # A token is a run of non-space characters that does not end in ";", or one
@@ -61,37 +61,45 @@ def parse_opb(
     name: str = "",
     allow_objective: bool = False,
 ) -> ParsedInstance:
-    """Parse OPB text (a string or a text stream) into a ParsedInstance."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+    """Parse OPB text (a string or a text stream) into a ParsedInstance.
+
+    Each line is tried once against the row pattern.  A matched row over
+    distinct variables is sorted into :func:`pbsolve.core.fold_parts`, the
+    builder :func:`normalize` ends in; a matched row that repeats a variable,
+    and every row the token walk reads, goes through :func:`normalize`.
+    """
+    text = source.read() if hasattr(source, "read") else source
     instance = ParsedInstance(name=name)
     top = 0  # declared_vars is raised to every index a row names, kept or dropped
     # Rows end at "\n" only, one "\r" before it dropped; other line breaks are blanks.
     for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped:
+        # A row in the pattern's spelling is matched once; blank, comment and
+        # objective lines fail the pattern at their first non-blank character.
+        if m := _ROW.fullmatch(line):
+            numbers = list(map(int, m[1].replace("x", "").split()))
+            variables = numbers[1::2]
+            if len(set(variables)) == len(variables):
+                # Distinct variables: the sorted pairs are the fold normalize would make.
+                fold = sorted(zip(variables, numbers[::2]))
+                if fold:
+                    top = max(top, fold[-1][0])
+                instance.constraints += fold_parts(fold, SIGNS[m[2]], int(m[3]))
+                continue
+            terms, relation, rhs, largest = list(zip(numbers[::2], variables)), m[2], int(m[3]), max(variables)
+        elif not (stripped := line.strip()):
             continue
-        if stripped.startswith("*"):
-            m = _HEADER.search(line)
-            if m:
+        elif stripped.startswith("*"):
+            if m := _HEADER.search(line):
                 instance.declared_vars = int(m.group(1))
             continue
-        if stripped.startswith("min:"):
+        elif stripped.startswith("min:"):
             if allow_objective:
-                print(
-                    f"warning: objective on line {lineno} ignored (decision mode)",
-                    file=sys.stderr,
-                )
+                print(f"warning: objective on line {lineno} ignored (decision mode)", file=sys.stderr)
                 continue
             col = line.index("min:") + 1
-            raise OpbSyntaxError(
-                "objective lines are not supported (decision problems only)",
-                lineno,
-                col,
-            )
-        terms, relation, rhs, largest = _parse_constraint_line(line, lineno)
+            raise OpbSyntaxError("objective lines are not supported (decision problems only)", lineno, col)
+        else:
+            terms, relation, rhs, largest = _parse_constraint_line(line, lineno)
         top = max(top, largest)
         instance.constraints.extend(normalize(terms, relation, rhs))
     instance.declared_vars = max(instance.declared_vars, top)
@@ -99,10 +107,7 @@ def parse_opb(
 
 
 def _parse_constraint_line(line: str, lineno: int):
-    """A row's ``(coefficient, index)`` terms, relation, right-hand side and largest index."""
-    if m := _ROW.fullmatch(line):
-        numbers = list(map(int, m[1].replace("x", "").split()))
-        return list(zip(numbers[::2], numbers[1::2])), m[2], int(m[3]), max(numbers[1::2], default=0)
+    """The token walk: a row's ``(coefficient, index)`` terms, relation, right-hand side and largest index."""
     tokens = _TOKEN.findall(line)
     n = len(tokens)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbsolve import opb
-from pbsolve.core import Constraint
+from pbsolve.core import Constraint, normalize
 from pbsolve.generators import php_instance
 from pbsolve.opb import (
     OpbSyntaxError,
@@ -306,6 +306,66 @@ def test_a_matched_row_never_reaches_the_token_walk():
         assert parse_opb(text) == expected
         with pytest.raises(AssertionError, match="token walk reached"):
             parse_opb("+1 x01 >= 1 ;\n")
+
+
+def _refuse_normalize(*args):
+    raise AssertionError(f"normalize reached for {args!r}")
+
+
+# Rows in the pattern's spelling over distinct variables, each with the
+# constraints it must give.
+SORTED_ROWS = [
+    ("+3 x4 -2 x1 +1 x3 >= 2 ;", [con("3d 2~a c >= 4")]),
+    ("\t+1 x3  -1 x2\t+0 x1 = 0 ;", [con("c ~b >= 1"), con("~c b >= 1")]),
+    (">= 1 ;", [Constraint((), 1)]),
+    (">= 0 ;", []),
+    ("+0 x2 +2 x1 >= 1 ;", [con("a >= 1")]),
+    ("+0 x5 >= 0 ;", []),
+    # Weights above the degree come out saturated.
+    ("+1 x2 +5 x1 +7 x3 >= 2 ;", [con("2a b 2c >= 2")]),
+    ("-7 x3 +5 x1 >= -4 ;", [con("3a 3~c >= 3")]),
+    ("-9 x2 >= -3 ;", [con("6~b >= 6")]),
+]
+
+
+@pytest.mark.parametrize("row, expected", SORTED_ROWS)
+def test_a_matched_row_over_distinct_variables_never_reaches_normalize(row, expected):
+    text = f"* #variable= 2 #constraint= 1\n{row}\n"
+    plain = parse_opb(text)
+    assert plain.constraints == expected
+    with mock.patch.object(opb, "normalize", _refuse_normalize):
+        assert parse_opb(text) == plain
+
+
+def test_written_files_never_reach_normalize():
+    buf = io.StringIO()
+    write_opb(php_instance(4, 3), buf)
+    for seed in range(20):
+        write_opb(random_instance(8, 6, 9, seed), buf)
+    text = buf.getvalue() + "\n".join(row for row, _ in SORTED_ROWS) + "\n"
+    plain = parse_opb(text)
+    with mock.patch.object(opb, "normalize", _refuse_normalize):
+        assert parse_opb(text) == plain
+
+
+def test_a_matched_row_that_repeats_a_variable_folds_through_normalize():
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    row = "+1 x2 +2 x2 -1 x1 >= 1 ;"
+    assert opb._ROW.fullmatch(row)
+    with mock.patch.object(opb, "normalize", spy):
+        inst = parse_opb(row + "\n")
+    assert calls == [([(1, 2), (2, 2), (-1, 1)], ">=", 1)]
+    assert inst.constraints == normalize([(1, 2), (2, 2), (-1, 1)], ">=", 1) == [con("~a 2b >= 2")]
+    assert inst.declared_vars == 2
+    # Opposite coefficients on one variable cancel, as in normalize.
+    assert parse_opb("+2 x3 -2 x3 = 0 ;\n+1 x1 -1 x1 >= 1 ;\n") == ParsedInstance(
+        declared_vars=3, constraints=normalize([(1, 1), (-1, 1)], ">=", 1)
+    )
 
 
 @given(st.integers(0, 10_000))
