@@ -1,4 +1,4 @@
-"""Conflict-analysis reduction strategies on a mutable accumulator.
+"""Conflict analysis: the reduction strategies and the pass after each cancellation.
 
 Each cancellation step during conflict analysis combines the current conflict
 constraint with the reason of a propagated literal.  The raw cancellation
@@ -32,6 +32,11 @@ holds ``~t`` with ``t <= p``, ``~p <= (index[lit] or 0) < 0``, and
 :func:`slack_at` prices a side so.  An accumulator made with a trace records
 every rule application there as its rule and arguments, and starts from the
 trace id its caller gives.  Only its constraint is sorted.
+
+The strategies differ only in those reductions: :func:`settle`, the pass
+after every cancellation, saturates the conflict side, prices its slack at
+the step and finds its assertion level.  No other module reads the step's
+assignment or writes an accumulator.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 from math import lcm
 
 from .core import Constraint
+from .propagation import PropagationEngine
 from .trace import DerivationTrace
 
 #: Every strategy id, in command-line order -> (conflict-side reduction,
@@ -68,14 +74,12 @@ class Accumulator:
 
     ``weights`` maps each literal to its positive weight; ``cancel``
     leaves new literals where it appends them and :meth:`constraint` sorts.
-    :func:`pbsolve.core.slack`, which reads only ``terms`` and ``degree``,
-    accepts an accumulator.  The rule methods are the solver's copy of the
-    rules: ``cancel`` adds a reason with the minimal multipliers,
-    ``saturate`` caps the weights at the degree, and so on.  The trace
-    checker replays the steps they record with :mod:`pbsolve.core`'s rule
-    functions, so it does not reuse this code.  A tautology cannot arise in
-    a sound analysis, so a rule that would produce one raises
-    :class:`AnalysisError`.
+    The rule methods are the solver's copy of the rules: ``cancel`` adds a
+    reason with the minimal multipliers, ``saturate`` caps the weights at
+    the degree, and so on.  The trace checker replays the steps they record
+    with :mod:`pbsolve.core`'s rule functions, so it does not reuse this
+    code.  A tautology cannot arise in a sound analysis, so a rule that
+    would produce one raises :class:`AnalysisError`.
 
     With a ``trace``, every rule application that changes the accumulator is
     recorded as a step, its rule and arguments, and
@@ -96,11 +100,6 @@ class Accumulator:
         self.trace = trace
         self.id = trace_id
         self.run: int | None = None
-
-    @property
-    def terms(self):
-        """The ``(lit, weight)`` pairs, in ``weights`` order (a live view)."""
-        return self.weights.items()
 
     def constraint(self, pairs: dict[int, tuple[int, int]] | None = None) -> Constraint:
         """The current value as a constraint, its terms back in variable order; ``id`` is its trace id.
@@ -218,6 +217,62 @@ def slack_at(side: Accumulator, index: list[int | None], p: int) -> int:
     return sum(w for lit, w in side.weights.items() if not lo <= (index[lit] or 0) < 0) - side.degree
 
 
+def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, int | None, int | None]:
+    """One pass over a conflict side after its cancellation.
+
+    Caps every weight at the degree, recording one saturation if any
+    changed, and returns the slack under the trail prefix up to index ``p``
+    (a literal is falsified there when its own ``index`` slot holds ``~t``
+    with ``t <= p``) and the assertion level: the smallest level L below the
+    current one at which, restricted to assignments at levels <= L, the slack is
+    non-negative and below some unassigned literal's weight, or None; and
+    the slack at that level, or None, which is the engine's slack of the
+    constraint once the search has backjumped there.  The slack at L is the
+    whole trail's slack plus the weight falsified above L, so one
+    descending sweep over the per-level profile finds it.
+    """
+    index, levels, top = engine.index, engine.levels, engine.current_level
+    weights, d = side.weights, side.degree
+    falsified = [0] * (top + 1)  # level -> falsified weight
+    max_weight = [0] * (top + 1)  # level -> largest weight; unassigned at top
+    full = -d  # slack under the whole trail
+    later = 0  # weight falsified after index p
+    lo = ~p  # a slot below it is falsified after index p
+    capped = False
+    for lit, w in weights.items():
+        if w > d:
+            weights[lit] = w = d
+            capped = True
+        q = index[lit]
+        if q is None:
+            full += w
+            lvl = top
+        elif q >= 0:
+            full += w
+            lvl = levels[q]
+        else:
+            lvl = levels[~q]
+            falsified[lvl] += w
+            if q < lo:
+                later += w
+        if w > max_weight[lvl]:
+            max_weight[lvl] = w
+    if capped and side.trace is not None:
+        side.record("saturate", side.id)
+    level = level_slack = None
+    s = full + falsified[top]  # the slack at the tested level
+    best = max_weight[top]  # the largest weight above it
+    most = max(max_weight)  # no level asserts once the slack reaches it
+    for lvl in range(top - 1, -1, -1):
+        if s >= most:
+            break
+        if 0 <= s < best:
+            level, level_slack = lvl, s
+        s += falsified[lvl]
+        best = max(best, max_weight[lvl])
+    return full + later, level, level_slack
+
+
 def reduce_genres(
     reason: Accumulator,
     pivot: int,
@@ -268,9 +323,7 @@ def reduce_rs(side: Accumulator, pivot: int, index: list[int | None], p: int, *,
     pivot weight, so the division loses nothing, and the result dominates
     the full reduction pointwise.
     """
-    r = side.weights.get(pivot)
-    if not r:
-        raise ValueError("pivot does not occur in the constraint")
+    r = side.weights[pivot]
     if r == 1:
         return
     lo = ~p
@@ -287,31 +340,31 @@ def reduce_rs(side: Accumulator, pivot: int, index: list[int | None], p: int, *,
     side.divide(r)
 
 
-def weaken_ineffective(side: Accumulator, keep: int | None, index: list[int | None], p: int) -> int:
+def weaken_ineffective(side: Accumulator, keep: int, index: list[int | None], p: int) -> int:
     """Shorten a constraint by weakening literals while its role is preserved.
 
-    A ``keep`` literal that is None or falsified preserves a conflict (slack
-    stays negative); a non-falsified one preserves its propagation (its
-    weight stays above the slack).  Every literal but ``keep`` whose weight
-    is below the degree is weakened, non-falsified ones first, and then, if
-    any was, the side is saturated once: a weight that saturation caps is
-    never below the degree, so capping along the way would weaken the same
-    literals to the same weights.  No trial is priced: weakening a
-    non-falsified literal and saturating never raises the slack, and once
-    none is left the slack is
-    the kept literal's weight (0 in conflict mode) minus the degree, as
-    weakening a falsified literal keeps it; that slack is returned.  The
-    slack at the step at the start, read off the sorted pass, must
-    conflict or propagate ``keep`` as the mode requires, or ValueError.
+    ``keep`` is the side's pivot literal.  A falsified one preserves a
+    conflict (slack stays negative); a non-falsified one preserves its
+    propagation (its weight stays above the slack).  Every literal but
+    ``keep`` whose weight is below the degree is weakened, non-falsified
+    ones first, and then, if any was, the side is saturated once: a weight
+    that saturation caps is never below the degree, so capping along the
+    way would weaken the same literals to the same weights.  No trial is
+    priced: weakening a non-falsified literal and saturating never raises
+    the slack, and once none is left the slack is the kept literal's weight
+    (0 in conflict mode) minus the degree, as weakening a falsified literal
+    keeps it; that slack is returned.  The slack at the step at the start,
+    read off the sorted pass, must conflict or propagate ``keep`` as the
+    mode requires, or ValueError.
     """
     lo = ~p
-    propagated = keep is not None and not lo <= (index[keep] or 0) < 0
+    propagated = not lo <= (index[keep] or 0) < 0
     order = sorted(
         (lo <= (index[lit] or 0) < 0, w, abs(lit), lit)
         for lit, w in side.weights.items()
         if lit != keep
     )
-    kept = side.weights.get(keep, 0) if propagated else 0
+    kept = side.weights[keep] if propagated else 0
     start = kept - side.degree + sum(w for falsified, w, _, _ in order if not falsified)
     if not propagated:
         if start >= 0:
@@ -394,9 +447,9 @@ def resolve_step(
     slack at the step; gen-res's guard reads it, and weaken-ineffective,
     which works out its side's slack itself, hands on the slack it leaves.
     ``reason``, an accumulator sharing the conflict's trace, is reduced in
-    place and ``conflict`` rewritten into the cancellation, unsaturated; the
-    caller's one pass then saturates it and checks that it conflicts at
-    the step, as every strategy ensures by construction.  Returns whether
+    place and ``conflict`` rewritten into the cancellation, unsaturated;
+    :func:`settle` then saturates it and prices its slack at the step,
+    which every strategy keeps negative by construction.  Returns whether
     multiply-weaken fell back to gen-res.
     """
     if conflict_slack >= 0:

@@ -129,6 +129,13 @@ def _written(path: Path, write, *data) -> bool:
     return True
 
 
+def _failed(exc: Exception, instance: Path) -> int:
+    """Print ``exc`` as one ``error:`` line, naming ``instance`` first for an OPB syntax error; EXIT_ERROR."""
+    where = f"{instance}: " if isinstance(exc, OpbSyntaxError) else ""
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def _cmd_solve(args) -> int:
     if _bad_output_path([args.file], args.emit_trace):
         return EXIT_ERROR
@@ -140,12 +147,8 @@ def _cmd_solve(args) -> int:
         )
         with open(args.file, "r", encoding="ascii") as f:
             instance = parse_opb(f, name=args.file.name, allow_objective=args.ignore_objective)
-    except OpbSyntaxError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _failed(exc, args.file)
     result = solve(instance, config)
     st = result.stats
     print(f"c conflicts {st.conflicts} decisions {st.decisions} propagations {st.propagations}")
@@ -221,9 +224,8 @@ def _cmd_verify(args) -> int:
             # is dropped with a warning, as ``solve --ignore-objective`` does.
             instance = parse_opb(f, name=args.file.name, allow_objective=True)
         check = verify_trace(instance, DerivationTrace.read_file(args.trace))
-    except (OSError, OpbSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (OSError, ValueError) as exc:
+        return _failed(exc, args.file)
     if check:
         print(f"c trace OK ({check.steps_checked} steps replayed)")
         return 0

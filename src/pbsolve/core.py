@@ -196,11 +196,7 @@ def fold_parts(fold: Sequence[tuple[int, int]], signs: Sequence[int], rhs: int) 
 
 
 def slack(c: Constraint, rho: Assignment) -> int:
-    """Sum of the weights of non-falsified literals minus the degree.
-
-    ``rho`` holds the true literals.  Reads only ``c.terms`` and
-    ``c.degree``, so it also takes an :class:`pbsolve.analysis.Accumulator`.
-    """
+    """Sum of the weights of non-falsified literals minus the degree; ``rho`` holds the true literals."""
     s = -c.degree
     for lit, w in c.terms:
         if -lit not in rho:

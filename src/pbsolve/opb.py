@@ -70,6 +70,7 @@ def parse_opb(
     """
     text = source.read() if hasattr(source, "read") else source
     instance = ParsedInstance(name=name)
+    declared = None  # the first header's count; a later header-shaped line is a comment
     top = 0  # declared_vars is raised to every index a row names, kept or dropped
     # Rows end at "\n" only, one "\r" before it dropped; other line breaks are blanks.
     for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
@@ -89,8 +90,8 @@ def parse_opb(
         elif not (stripped := line.strip()):
             continue
         elif stripped.startswith("*"):
-            if m := _HEADER.search(line):
-                instance.declared_vars = int(m.group(1))
+            if declared is None and (m := _HEADER.search(line)):
+                declared = int(m.group(1))
             continue
         elif stripped.startswith("min:"):
             if allow_objective:
@@ -102,7 +103,7 @@ def parse_opb(
             terms, relation, rhs, largest = _parse_constraint_line(line, lineno)
         top = max(top, largest)
         instance.constraints.extend(normalize(terms, relation, rhs))
-    instance.declared_vars = max(instance.declared_vars, top)
+    instance.declared_vars = max(declared or 0, top)
     return instance
 
 

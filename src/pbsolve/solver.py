@@ -16,7 +16,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .analysis import STRATEGIES, STRATEGY_IDS, Accumulator, AnalysisError, resolve_step
+from .analysis import STRATEGIES, STRATEGY_IDS, Accumulator, AnalysisError, resolve_step, settle
 from .core import Constraint
 from .opb import ParsedInstance, SAT, UNKNOWN, UNSAT
 from .propagation import PropagationEngine
@@ -272,11 +272,10 @@ class Solver:
         The conflict side and each step's reason are :class:`Accumulator`
         values that the step rewrites in place; a constraint is built from
         the conflict side only when it is learned or proves a root conflict.
-        Each resolve step reads the engine's ``index`` against its pivot's
-        trail index ``p``, the step's assignment being the trail prefix through
-        ``p``, so no set of true literals is built; after it, one :func:`settle`
-        pass saturates the conflict side, prices its slack under that prefix,
-        which must be negative, and finds its assertion level.  The slack starts as the
+        Each resolve step and the :func:`settle` pass after it, which saturates
+        the conflict side, prices its slack at the step (it must be negative)
+        and finds its assertion level, read the engine's record at the pivot's
+        trail index ``p`` in :mod:`pbsolve.analysis`.  The slack starts as the
         engine's slack of the conflicting constraint and rises only when the
         walk skips an entry whose negation the conflict side holds, by that
         literal's weight.
@@ -367,62 +366,6 @@ class Solver:
             if not c.satisfied_by(model):
                 raise AnalysisSoundnessError(f"model does not satisfy {c.to_text()}")
         return model
-
-
-def settle(side: Accumulator, engine: PropagationEngine, p: int) -> tuple[int, int | None, int | None]:
-    """One pass over a conflict side after its cancellation.
-
-    Caps every weight at the degree, recording one saturation if any
-    changed, and returns the slack under the trail prefix up to index ``p``
-    (a literal is falsified there when its own ``index`` slot holds ``~t``
-    with ``t <= p``) and the assertion level: the smallest level L below the
-    current one at which, restricted to assignments at levels <= L, the slack is
-    non-negative and below some unassigned literal's weight, or None; and
-    the slack at that level, or None, which is the engine's slack of the
-    constraint once the search has backjumped there.  The slack at L is the
-    whole trail's slack plus the weight falsified above L, so one
-    descending sweep over the per-level profile finds it.
-    """
-    index, levels, top = engine.index, engine.levels, engine.current_level
-    weights, d = side.weights, side.degree
-    falsified = [0] * (top + 1)  # level -> falsified weight
-    max_weight = [0] * (top + 1)  # level -> largest weight; unassigned at top
-    full = -d  # slack under the whole trail
-    later = 0  # weight falsified after index p
-    lo = ~p  # a slot below it is falsified after index p
-    capped = False
-    for lit, w in weights.items():
-        if w > d:
-            weights[lit] = w = d
-            capped = True
-        q = index[lit]
-        if q is None:
-            full += w
-            lvl = top
-        elif q >= 0:
-            full += w
-            lvl = levels[q]
-        else:
-            lvl = levels[~q]
-            falsified[lvl] += w
-            if q < lo:
-                later += w
-        if w > max_weight[lvl]:
-            max_weight[lvl] = w
-    if capped and side.trace is not None:
-        side.record("saturate", side.id)
-    level = level_slack = None
-    s = full + falsified[top]  # the slack at the tested level
-    best = max_weight[top]  # the largest weight above it
-    most = max(max_weight)  # no level asserts once the slack reaches it
-    for lvl in range(top - 1, -1, -1):
-        if s >= most:
-            break
-        if 0 <= s < best:
-            level, level_slack = lvl, s
-        s += falsified[lvl]
-        best = max(best, max_weight[lvl])
-    return full + later, level, level_slack
 
 
 class AnalysisSoundnessError(RuntimeError):

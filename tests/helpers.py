@@ -10,8 +10,8 @@ that check answers against the enumeration oracle.
 The reference implementations the tests compare the solver against also live
 here: ``implies_semantically``, the exhaustive-enumeration implication oracle;
 ``is_assertive`` and ``backjump_level``, the level-by-level definition of
-assertiveness behind ``assertion_level``, the solver's ``settle`` pass run
-on a copy of any constraint; and
+assertiveness behind ``assertion_level``, the ``settle`` pass run on an
+accumulator copy of a constraint; and
 ``linear_decide_literal``, the reference for the solver's decision heap;
 ``reference_propagate_all``, the reference for
 ``PropagationEngine.propagate_all``, which assigns through ``assign``;
@@ -29,14 +29,17 @@ composed from those pure rules, which the solver's in-place accumulator
 must match step for step.  The references take a set ``rho`` of true
 literals; ``as_record`` lays such a set out as the engine's two-slot record
 that the package's reductions read, ``(index, p)``, and ``falsified_at`` is
-the record's falsified test written out.  ``resolved`` runs the package's
-``resolve_step`` and the solver's ``settle`` pass after it on a constraint
-and returns the outcome in the reference's form, and ``on_accumulator``
-does the same for one reduction, both reading an accumulator's value with
-``Accumulator.constraint()``; ``observe_resolve_steps`` lets a test
-watch every resolve step of the solver.  ``replay_steps`` computes every
-step of a derivation trace through the pure rules, the reference for the
-trace checker's arithmetic, the rule functions of :mod:`pbsolve.core`.
+the record's falsified test written out.  ``resolved`` runs
+``resolve_step`` and ``settle``, the pass after it, both from
+:mod:`pbsolve.analysis`, on a constraint and returns the outcome in the
+reference's form, and ``on_accumulator`` does the same for one reduction,
+both reading an accumulator's value with ``Accumulator.constraint()``,
+which is also how a test prices an accumulator with
+:func:`pbsolve.core.slack`; ``observe_resolve_steps`` lets a test watch
+every resolve step of the solver through the solver's bindings of both.
+``replay_steps`` computes every step of a derivation trace through the
+pure rules, the reference for the trace checker's arithmetic, the rule
+functions of :mod:`pbsolve.core`.
 
 Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a
@@ -60,11 +63,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 import pbsolve.solver
-from pbsolve.analysis import Accumulator, AnalysisError, resolve_step
+from pbsolve.analysis import Accumulator, AnalysisError, resolve_step, settle
 from pbsolve.core import Assignment, Constraint, lit_name, normalize, slack
 from pbsolve.opb import SAT, UNSAT, ParsedInstance
 from pbsolve.propagation import PropagationEngine
-from pbsolve.solver import settle
 from pbsolve.trace import RULES, DerivationTrace
 
 
@@ -212,7 +214,9 @@ def falsified_at(index, p: int, lit: int) -> bool:
 def _root_engine(rho, *sides) -> PropagationEngine:
     """An engine holding the true literals ``rho`` at the root, in variable order (trail
     indices 0..k-1), sized to every variable that ``rho`` and the ``sides`` name."""
-    named = [*rho, *(lit for side in sides for lit, _ in side.terms)]
+    named = [*rho]
+    for side in sides:
+        named += side.weights if isinstance(side, Accumulator) else literals(side)
     engine = PropagationEngine(max(map(abs, named), default=0))
     for lit in sorted(rho, key=abs):
         engine.assign(lit, None)
@@ -329,7 +333,7 @@ class ResolveOutcome(NamedTuple):
     slack: int
 
 
-def on_accumulator(reduction, c: Constraint, pivot: int | None, rho, *args, **kwargs) -> Constraint:
+def on_accumulator(reduction, c: Constraint, pivot: int, rho, *args, **kwargs) -> Constraint:
     """Run an in-place reduction on an accumulator holding ``c``, its own pivot (or kept literal)
     ``pivot``, under ``rho`` laid out by :func:`as_record`; its result."""
     side = Accumulator(c)
@@ -339,7 +343,7 @@ def on_accumulator(reduction, c: Constraint, pivot: int | None, rho, *args, **kw
 
 def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy: str) -> ResolveOutcome:
     """The package's ``resolve_step`` run on an accumulator holding ``conflict``,
-    then the solver's pass over it, on an engine holding ``rho`` at the root
+    then ``settle``, the pass over it, on an engine holding ``rho`` at the root
     as :func:`as_record` lays it out."""
     side = Accumulator(conflict)
     given = slack(conflict, rho)
@@ -352,8 +356,8 @@ def resolved(conflict: Constraint, reason: Constraint, pivot: int, rho, strategy
 def assertion_level(engine, c) -> int | None:
     """Smallest level below the engine's current one at which ``c`` asserts, or None.
 
-    ``c``, a :class:`Constraint` or an :class:`Accumulator`, is left unchanged:
-    ``settle`` runs on a copy, whose saturation changes no assertion level.
+    ``c``, a :class:`Constraint`, is left unchanged: ``settle`` runs on an
+    accumulator copy, whose saturation changes no assertion level.
     """
     return settle(Accumulator(c), engine, len(engine.trail))[1]
 

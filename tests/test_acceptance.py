@@ -90,7 +90,7 @@ def test_criterion_1_worked_derivations():
     assert both.constraint == con("a c f >= 1")
     one_side = resolved(conflict4, reason4, lit("~b"), rho4b, "weaken-ineffective-conflict")
     assert one_side.constraint == con("3f c d e >= 3")
-    follow_up = on_accumulator(weaken_ineffective, one_side.constraint, None, rho4b)
+    follow_up = on_accumulator(weaken_ineffective, one_side.constraint, lit("f"), rho4b)
     assert follow_up == con("c f >= 1")
 
     # Partial rounding keeps the non-divisible remainders.

@@ -267,7 +267,7 @@ class TestWeakenIneffective:
         side = Accumulator(reason)
         left = weaken_ineffective(side, lit("~b"), *as_record(rho, side))
         assert side.constraint() == con("~b c >= 1")
-        assert left == slack(side, rho) == 0
+        assert left == slack(side.constraint(), rho) == 0
 
     def test_conflict_reduction_keeps_conflict(self):
         rho = asg(a=0, c=0, f=0, b=0)
@@ -275,22 +275,22 @@ class TestWeakenIneffective:
         side = Accumulator(conflict)
         left = weaken_ineffective(side, lit("b"), *as_record(rho, side))
         assert side.constraint() == con("a b f >= 1")
-        assert left == slack(side, rho) == -1
+        assert left == slack(side.constraint(), rho) == -1
 
     def test_follow_up_reduction_strengthens(self):
         rho = asg(a=0, c=0, f=0, b=0)
         conflict = con("3f c d e >= 3")
         side = Accumulator(conflict)
-        left = weaken_ineffective(side, None, *as_record(rho, side))
+        left = weaken_ineffective(side, lit("f"), *as_record(rho, side))
         assert side.constraint() == con("c f >= 1")
-        assert left == slack(side, rho) == -1
+        assert left == slack(side.constraint(), rho) == -1
 
     def test_one_weakening_run_then_one_saturation(self):
         # Saturating once after the loop gives what saturating after each
         # weakening gave, written as one weaken step and one saturate step.
         trace = DerivationTrace(1)
         side = Accumulator(con("3f c d e >= 3"), trace, 1)
-        weaken_ineffective(side, None, *as_record(asg(a=0, c=0, f=0, b=0), side))
+        weaken_ineffective(side, lit("f"), *as_record(asg(a=0, c=0, f=0, b=0), side))
         assert side.constraint() == con("c f >= 1")
         assert trace.steps == [("weaken", (1, lit("d"), lit("e"))), ("saturate", (2,))]
 
@@ -298,14 +298,14 @@ class TestWeakenIneffective:
         rho = asg(a=0, b=0)
         c = con("a b >= 1")
         side = Accumulator(c)
-        assert weaken_ineffective(side, None, *as_record(rho, side)) == -1
+        assert weaken_ineffective(side, lit("a"), *as_record(rho, side)) == -1
         assert side.constraint() == c
 
     def test_mode_preconditions(self):
-        # The mode follows the kept literal: None or falsified preserves a
-        # conflict, so a slack that is not negative is refused.
+        # The mode follows the kept literal: a falsified one preserves a
+        # conflict, so a slack that is not negative, 0 included, is refused.
         with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
-            on_accumulator(weaken_ineffective, con("a b >= 1"), None, set())
+            on_accumulator(weaken_ineffective, con("a b >= 1"), lit("a"), asg(a=0))
         with pytest.raises(ValueError, match="^preserve-conflict mode requires a conflicting constraint$"):
             on_accumulator(weaken_ineffective, con("a b c >= 1"), lit("a"), asg(a=0))
         # A non-falsified kept literal must be propagated: a slack from 0 up
@@ -322,14 +322,13 @@ class TestWeakenIneffective:
         # random conflicting and propagating sides, saturated or not, both
         # must give the same constraint, and the returned slack must be the
         # result's slack.
-        # The kept literal is drawn falsified, None or non-falsified; the
-        # reference names the first a protected literal, has no literal for
-        # the second and names the third a pivot.  A side that breaks its
+        # The kept literal is drawn falsified or not; the reference names the
+        # first a protected literal and the second a pivot.  A side that breaks its
         # mode is refused, unchanged, with that mode's precondition error:
         # in conflict mode a slack of 0 or more, in propagation mode a slack
         # below 0 or at least the kept weight.
         rng = random.Random(17)
-        cases = {"kept falsified": 0, "kept none": 0, "propagation": 0, "unsaturated": 0}
+        cases = {"kept falsified": 0, "propagation": 0, "unsaturated": 0}
         refused = {"conflict": 0, "propagation below 0": 0, "propagation at the kept weight": 0}
         while min(cases.values()) < 1500 or min(refused.values()) < 300:
             c = _random_constraint(rng, 7, saturated=rng.random() < 0.5)
@@ -337,10 +336,10 @@ class TestWeakenIneffective:
             start = slack(c, rho)
             falsified = [l for l in literals(c) if -l in rho]
             free = [l for l in literals(c) if -l not in rho]
-            if not free or rng.random() < 0.5:
-                keep = rng.choice(falsified) if falsified and rng.random() < 0.5 else None
-                mode = "kept none" if keep is None else "kept falsified"
-                reference = {} if keep is None else {"protect": keep}
+            if not free or (falsified and rng.random() < 0.5):
+                keep = rng.choice(falsified)
+                mode = "kept falsified"
+                reference = {"protect": keep}
                 broken = "conflict" if start >= 0 else None
                 message = "^preserve-conflict mode requires a conflicting constraint$"
             else:
@@ -362,7 +361,7 @@ class TestWeakenIneffective:
                 continue
             left = weaken_ineffective(side, keep, *as_record(rho, side))
             assert side.constraint() == reference_weaken_ineffective(c, rho, **reference)
-            assert left == slack(side, rho)
+            assert left == slack(side.constraint(), rho)
             cases[mode] += 1
             cases["unsaturated"] += c != saturate(c)
 

@@ -248,6 +248,19 @@ class TestCli:
         assert proc.returncode == 1
         assert "line 1" in proc.stderr
 
+    def test_verify_names_the_instance_in_a_syntax_error(self, tmp_path):
+        # verify reports a malformed instance row as solve does: one error
+        # line that names the file before the position.
+        path = tmp_path / "bad.opb"
+        path.write_text("+1 x1 >= 1 ;\n+1 x1 +1 >= 1 ;\n")
+        trace = tmp_path / "bad.trace"
+        trace.write_text("i 2\nf 1\n")
+        expected = f"error: {path}: line 2, column 10: expected a variable token after coefficient, got '>='\n"
+        for command in (("solve", path), ("verify", path, trace)):
+            proc = run_cli(*command)
+            assert proc.returncode == 1
+            assert proc.stderr == expected
+
     @pytest.mark.parametrize(
         "content, extra",
         [

@@ -45,6 +45,14 @@ class TestParse:
         assert inst.declared_vars == 6
         assert inst.nvars == 6
 
+    def test_only_the_first_header_declares(self):
+        # A later header-shaped line is a comment: it neither lowers nor
+        # raises the declared count.
+        text = "* #variable= 6 #constraint= 2\n* #variable= 2 #constraint= 1\n+1 x1 >= 1 ;\n"
+        assert parse_opb(text).declared_vars == parse_opb(text).nvars == 6
+        text = "* #variable= 2 #constraint= 1\n+1 x1 >= 1 ;\n* #variable= 6 #constraint= 2\n"
+        assert parse_opb(text).nvars == 2
+
     def test_every_variable_read_counts_in_nvars(self):
         # A row that normalization drops still names its variables, and a
         # row with no terms names none.

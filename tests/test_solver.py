@@ -387,7 +387,7 @@ class TestAccumulatorMatchesReference:
         def checked(side, *pairs):
             unsorted.append(list(side.weights) != sorted(side.weights, key=abs))
             c = constraint(side, *pairs)
-            validated = Constraint(side.terms, side.degree)
+            validated = Constraint(side.weights.items(), side.degree)
             assert (c.terms, c.degree, c.max_weight) == (validated.terms, validated.degree, validated.max_weight)
             built.append(c)
             return c
@@ -472,7 +472,7 @@ class TestFalsifiedAtTheStep:
                 for l in side.weights:
                     assert falsified_at(index, p, l) == (-l in rho)
                     later.append(-l in engine.trail[p + 1 :])
-                assert pbsolve.analysis.slack_at(side, index, p) == slack(side, rho)
+                assert pbsolve.analysis.slack_at(side, index, p) == slack(side.constraint(), rho)
             pivots.append(pivot)
             return step(conflict, reason, pivot, index, p, *args)
 
@@ -594,6 +594,13 @@ class TestStepPricing:
             solve(instance, SolverConfig(strategy=strategy, conflict_budget=100))
         assert len(checked) >= 2000
         assert sum(checked) >= 200
+
+    def test_the_walk_calls_the_pass_through_the_solvers_binding(self):
+        # The pass is defined once, in analysis beside the reductions, and
+        # the solver imports it by name, so patching ``pbsolve.solver.settle``,
+        # as the tests above do, reaches every call of the walk.
+        assert pbsolve.solver.settle is pbsolve.analysis.settle
+        assert pbsolve.analysis.settle.__module__ == "pbsolve.analysis"
 
 
 class TestAssertiveness:
