@@ -177,13 +177,24 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
     declared, root-level propagation over the instance plus learned
     constraints yields a conflict.
 
-    Each id's value is a ``(weights, degree)`` pair, and a step rewrites a
-    copy of its first input's dict, so every id keeps its value.
+    Each id's value is a ``(weights, degree)`` pair, kept only while a later
+    record needs it.  One pass first finds each id's last step as an input;
+    the ids that ``learned`` and ``final`` name are kept to the end.  A step
+    at its first input's last use rewrites that dict in place, and any
+    other step a copy; a ``cancel``'s second input, read only, is released
+    after its last use.  So the checker holds the live derivation (rows,
+    learned constraints, open chains), not every value of the proof.
     """
     expected = instance.constraints
     if trace.inputs != len(expected):
         return TraceCheck(f"input count mismatch: trace has {trace.inputs}, instance has {len(expected)}")
     steps = trace.steps
+    last = {}  # id -> the last step naming it as an input
+    for index, (rule, args) in enumerate(steps):
+        for ref in args[: RULES.get(rule, (None, 0))[1]]:
+            last[ref] = index
+    for i in (*(i for i, _ in trace.learned), trace.final):
+        last[i] = len(steps)
     known = [None, *((dict(c.terms), c.degree) for c in expected)]  # by id: every lookup checks 0 < id
     for index, (rule, args) in enumerate(steps):
         try:
@@ -194,15 +205,22 @@ def verify_trace(instance: ParsedInstance, trace: DerivationTrace) -> TraceCheck
             if not 0 < ref < len(known):
                 return TraceCheck(f"step {index}: reference to unknown id {ref}", index)
         # cancel, the one two-input rule, only reads its second input.
+        first, read = args[0], args[1:n_inputs]
         params = args[1:] if n_inputs == 1 else (known[args[1]], *args[2:])
-        w, d = known[args[0]]
-        w = dict(w)
+        w, d = known[first]
+        if last[first] == index and first not in read:
+            known[first] = None
+        else:
+            w = dict(w)
         try:
             d = apply(w, d, *params)
             if d < 1:
                 raise ValueError(f"degree must be >= 1, got {d}")
         except ValueError as exc:
             return TraceCheck(f"step {index}: replay error: {exc}", index)
+        for ref in read:
+            if last[ref] == index:
+                known[ref] = None
         known.append((w, d))
 
     for i, c in trace.learned:

@@ -39,7 +39,10 @@ which is also how a test prices an accumulator with
 every resolve step of the solver through the solver's bindings of both.
 ``replay_steps`` computes every step of a derivation trace through the
 pure rules, the reference for the trace checker's arithmetic, the rule
-functions of :mod:`pbsolve.core`.
+functions of :mod:`pbsolve.core`.  ``record_conflicts`` keeps, at each
+conflict of a search, a :class:`FrozenEngine`: copies of what conflict
+analysis reads of the engine, on which ``replay_conflict`` analyzes that
+conflict again in a fresh solver.
 
 Queries only tests ask are free functions here rather than package surface:
 ``literals``, ``total_weight``, ``weight`` and ``is_clause`` on a
@@ -394,6 +397,54 @@ def observe_resolve_steps(monkeypatch, observer) -> None:
 
     monkeypatch.setattr(pbsolve.solver, "resolve_step", observed_step)
     monkeypatch.setattr(pbsolve.solver, "settle", observed_settle)
+
+
+class FrozenEngine:
+    """What conflict analysis reads of a propagation engine, copied at one conflict.
+
+    ``Solver.analyze_conflict`` reads only ``trail``, ``levels``,
+    ``reasons``, ``index`` and ``current_level``, ``constraints`` and the
+    conflict's slack (ROADMAP item 21).  This copy holds nothing else, so an
+    analysis that reads more of the engine fails on it.
+    """
+
+    def __init__(self, engine: PropagationEngine, conflict: int):
+        self.trail = list(engine.trail)
+        self.levels = list(engine.levels)
+        self.reasons = list(engine.reasons)
+        self.index = list(engine.index)
+        self.constraints = list(engine.constraints)
+        self.slacks = {conflict: engine.slacks[conflict]}
+
+    @property
+    def current_level(self) -> int:
+        return self.levels[-1] if self.levels else 0
+
+
+def record_conflicts(instance: ParsedInstance, strategy: str, budget: int) -> tuple[object, list[tuple]]:
+    """Solve untraced within ``budget`` conflicts, keeping at each conflict its
+    constraint id, a :class:`FrozenEngine` taken before analysis and what
+    analysis returned."""
+    solver = pbsolve.solver.Solver(instance, pbsolve.solver.SolverConfig(strategy=strategy, conflict_budget=budget))
+    analyze = solver.analyze_conflict
+    conflicts = []
+
+    def recording(cid):
+        frozen = FrozenEngine(solver.engine, cid)
+        analyzed = analyze(cid)
+        conflicts.append((cid, frozen, analyzed))
+        return analyzed
+
+    solver.analyze_conflict = recording
+    return solver.solve(), conflicts
+
+
+def replay_conflict(instance: ParsedInstance, strategy: str, cid: int, frozen: FrozenEngine) -> tuple:
+    """Analyze a recorded conflict in a fresh untraced solver whose engine is ``frozen``."""
+    solver = pbsolve.solver.Solver(instance, pbsolve.solver.SolverConfig(strategy=strategy))
+    solver.engine = frozen
+    solver._trace_ids = [None] * len(frozen.constraints)
+    return solver.analyze_conflict(cid)
 
 
 # -- the rules as pure functions on constraints ----------------------------------

@@ -39,7 +39,9 @@ from helpers import (
     observe_resolve_steps,
     propagation_candidates,
     random_instance,
+    record_conflicts,
     reference_resolve_step,
+    replay_conflict,
     replay_steps,
     value,
     var,
@@ -349,6 +351,28 @@ class TestAnalyzeConflict:
                 rounds += 1
         assert rounds >= 10
 
+
+class TestFrozenConflicts:
+    """Of the engine, analysis reads only the trail, the assignment record,
+    the constraints and the conflict's slack (ROADMAP item 21): replayed in a
+    fresh solver on copies of these alone, each conflict of a search learns
+    the same constraint at the same level with the same slack."""
+
+    @pytest.mark.parametrize(
+        "instance, strategy",
+        [
+            (php_instance(6, 5), "weaken-ineffective-both"),
+            (balanced_instance(30, 135, 1, "m0"), "gen-res"),
+            (balanced_instance(30, 135, 1, "m0"), "partial-rs-both"),
+        ],
+        ids=["php-6-5-weaken-ineffective-both", "balanced-gen-res", "balanced-partial-rs-both"],
+    )
+    def test_a_replay_on_the_frozen_copies_learns_what_the_search_learned(self, instance, strategy):
+        result, conflicts = record_conflicts(instance, strategy, 80)
+        assert result.status == UNKNOWN
+        assert len(conflicts) == result.stats.conflicts == 80
+        for cid, frozen, analyzed in conflicts:
+            assert replay_conflict(instance, strategy, cid, frozen) == analyzed
 
 class TestAccumulatorMatchesReference:
     @pytest.mark.parametrize("strategy", STRATEGY_IDS)

@@ -5,6 +5,7 @@ import functools
 import inspect
 import io
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -540,6 +541,87 @@ class TestCheckerRobustness:
             assert re.match(r"trace line [0-9]+: ", str(exc))
             return
         assert isinstance(verify_trace(php_instance(5, 4), trace), TraceCheck)
+
+
+class TestLiveValues:
+    """The checker rewrites a value in place at its last use and releases it;
+    each case here returns the check that keeping a copy of every id returns."""
+
+    # Rows 1 and 2: id 3 onwards are steps.
+    ROWS = [con("a 2b >= 2"), con("~a c >= 1")]
+
+    def check(self, *lines):
+        instance = ParsedInstance(declared_vars=3, constraints=list(self.ROWS))
+        check = verify_trace(instance, DerivationTrace.read(["i 2", *lines]))
+        assert instance.constraints == self.ROWS
+        return check
+
+    def test_an_id_that_two_later_steps_name(self):
+        # divide is id 3's first use, saturate its last: only the last may rewrite it.
+        steps = ["s multiply 1 2", "s divide 3 2", "s saturate 3"]
+        learned = ["l 4 : 1 x1 2 x2 >= 2", "l 5 : 2 x1 4 x2 >= 4"]
+        assert self.check(*steps, *learned) == TraceCheck(None, 3)
+        # The same for a row: divide rewrites a copy of row 1, multiply the row itself.
+        check = self.check("s divide 1 2", "s multiply 1 2", "l 3 : 1 x1 1 x2 >= 1", "l 4 : 2 x1 4 x2 >= 4")
+        assert check == TraceCheck(None, 2)
+        check = self.check(*steps, "l 5 : 1 x1 2 x2 >= 2")
+        assert check == TraceCheck("replay mismatch for learned id 5", 3)
+
+    @pytest.mark.parametrize("first", [1, 3], ids=["row", "step"])
+    def test_a_cancel_that_names_one_id_twice(self, first):
+        # Its last use and its only one: the second input still reads the value.
+        head = ["s multiply 1 1"] if first == 3 else []
+        index = len(head)
+        check = self.check(*head, f"s cancel {first} {first} 1")
+        assert check == TraceCheck(f"step {index}: replay error: pivot x1 must occur with opposite polarities", index)
+        check = self.check(*head, f"s cancel {first} {first} 3")
+        assert check == TraceCheck(f"step {index}: replay error: pivot x3 must occur in both constraints", index)
+
+    def test_a_learned_id_and_the_final_id_that_a_later_step_names(self):
+        # Learned id 3's last use as an input is step 2; id 4's is step 3.
+        lines = ["s cancel 1 2 1", "s multiply 1 2", "s divide 3 2", "s cancel 4 2 1"]
+        learned = ["l 3 : 2 x2 1 x3 >= 2", "l 6 : 4 x2 2 x3 >= 4"]
+        assert self.check(*lines, *learned) == TraceCheck(None, 4)
+        check = self.check(*lines, "l 3 : 2 x2 1 x3 >= 3", learned[1])
+        assert check == TraceCheck("replay mismatch for learned id 3", 4)
+        # Final id 3's last use as an input is step 1.
+        instance = ParsedInstance(declared_vars=1, constraints=[con("a >= 1"), con("~a >= 1")])
+        lines = ["i 2", "s cancel 1 2 1", "s multiply 3 2", "l 4 : >= 2", "f 3"]
+        assert verify_trace(instance, DerivationTrace.read(lines)) == TraceCheck(None, 2)
+        lines[-1] = "f 5"
+        assert verify_trace(instance, DerivationTrace.read(lines)) == TraceCheck("final id 5 was never derived", 2)
+
+    def test_a_row_named_by_many_steps(self):
+        # Row 1 is every multiply's first input and row 2 every cancel's second one.
+        steps, learned = [], []
+        for k in range(1, 9):
+            steps.append(f"s multiply 1 {k}")
+            learned.append(f"l {2 + len(steps)} : {k} x1 {2 * k} x2 >= {2 * k}")
+            steps.append(f"s cancel {2 + len(steps)} 2 1")
+            learned.append(f"l {2 + len(steps)} : {2 * k} x2 {k} x3 >= {2 * k}")
+        assert self.check(*steps, *learned) == TraceCheck(None, 16)
+        # Two more steps make each row's last use a first input, rewritten in place.
+        check = self.check(*steps, "s saturate 2", "s saturate 1", *learned, "l 18 : 1 x1 2 x2 >= 3")
+        assert check == TraceCheck("replay mismatch for learned id 18", 18)
+
+    def test_a_long_chain_holds_one_value(self):
+        # 2,000 steps over one 50-literal row: a copy per id would hold
+        # about 4.5 MB, the live chain one dict.
+        row = core.Constraint(tuple((v, v) for v in range(1, 51)), 100)
+        instance = ParsedInstance(declared_vars=50, constraints=[row])
+        trace = DerivationTrace(1)
+        last = 1
+        for k in range(2000):
+            last = trace.record("multiply" if k % 2 == 0 else "divide", (last, 2))
+        trace.learned.append((last, row))
+        tracemalloc.start()
+        try:
+            check = verify_trace(instance, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check == TraceCheck(None, 2000)
+        assert peak < 1_000_000
 
 
 class TestWeakenRuns:
